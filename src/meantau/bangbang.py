@@ -13,9 +13,10 @@ pattern of S equals that of Khat; synthesis exploits this and never needs
 the slope's magnitude until it certifies the converged answer.
 
 The candidate policy and the hitting time determine each other, so the
-synthesizer runs a damped fixed-point iteration on tau: anchor the time
-adjoint at the current tau, read off the vertex policy, re-solve the
-mean, and re-detect the hit.
+synthesizer solves g(tau) = T(tau) - tau by the secant method, where T(tau)
+is the hit detected under the vertex policy read off the time adjoint
+anchored at tau.  The first step, and any secant step that is not finite
+or leaves (0, horizon], is a damped fixed-point step instead.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .adjoint import exp_with_integral, target_hamiltonian_du, target_slope_at_tau
+from .adjoint import (
+    exp_with_integral,
+    target_hamiltonian_du,
+    target_slope_at_tau,
+    time_adjoint_closed_form,
+)
 from .errors import (
     AssumptionViolationError,
     InfeasibleError,
@@ -76,11 +82,9 @@ def khat_evaluator(dynamics, target, tau: float) -> Callable:
 
 def _plateau_runs(values: np.ndarray, zero_tol: float) -> int:
     """Longest run of consecutive near-zero entries."""
-    longest = run = 0
-    for z in np.abs(values) <= zero_tol:
-        run = run + 1 if z else 0
-        longest = max(longest, run)
-    return longest
+    edges = np.diff(np.concatenate(([0], np.abs(values) <= zero_tol, [0])).astype(np.int8))
+    starts, ends = np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]
+    return int(np.max(ends - starts, initial=0))
 
 
 def find_switch_times(
@@ -96,7 +100,9 @@ def find_switch_times(
     (a callable t, i -> value) is given, polished with Brent's method to
     `xtol`; otherwise linear interpolation is used.  A run of three or
     more consecutive near-zero nodes in one component is a zero plateau,
-    reported as SingularArcError since no vertex is selected there.
+    reported as SingularArcError since no vertex is selected there.  An
+    exact zero at an interior node between nodes of opposite sign is a
+    root at that node; an exact zero at either end node is none.
     """
     times = np.asarray(times, dtype=float)
     vals = np.atleast_2d(np.asarray(values, dtype=float))
@@ -110,21 +116,20 @@ def find_switch_times(
         col = vals[:, i]
         if _plateau_runs(col, zero_tol * scale) >= 3:
             raise SingularArcError(component=i)
-        roots = []
         sgn = np.sign(col)
-        for j in range(len(times) - 1):
-            a, b = col[j], col[j + 1]
-            if sgn[j] == 0.0:
-                if 0 < j and sgn[j - 1] * sgn[j + 1] < 0:
-                    roots.append(times[j])
-                continue
-            if sgn[j + 1] == 0.0 or sgn[j] * sgn[j + 1] > 0:
-                continue
-            if refine is not None:
-                roots.append(brentq(lambda t: refine(t, i), times[j], times[j + 1], xtol=xtol))
-            else:
-                roots.append(times[j] - a * (times[j + 1] - times[j]) / (b - a))
-        out.append(np.array(roots))
+        at_node = np.nonzero((sgn[1:-1] == 0.0) & (sgn[:-2] * sgn[2:] < 0))[0] + 1
+        across = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+        if refine is not None:
+            inside = [
+                brentq(lambda t: refine(t, i), times[j], times[j + 1], xtol=xtol)
+                for j in across
+            ]
+        else:
+            a, b = col[across], col[across + 1]
+            inside = times[across] - a * (times[across + 1] - times[across]) / (b - a)
+        # a node root and a bracket never share an index: order by index
+        order = np.argsort(np.concatenate([at_node, across]), kind="stable")
+        out.append(np.concatenate([times[at_node], np.asarray(inside, dtype=float)])[order])
     return out
 
 
@@ -136,13 +141,14 @@ def vertex_policy(
     Returns (policy, switch_times, khat_nodes, grid).  The policy covers
     [0, horizon]: past tau the last vertex is held, since the target has
     already been reached and the value there never enters the objective.
-    Switch times are refined on the closed-form Khat to 1e-10.
+    Khat at the nodes comes from the grid form of the closed-form time
+    adjoint; switch times are refined on the closed-form Khat to 1e-10.
     """
     dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
     grid = SimGrid(tau, n_nodes)
     times = grid.times()
     khat = khat_evaluator(dyn, tgt, tau)
-    khat_nodes = np.array([khat(t) for t in times])
+    khat_nodes = target_hamiltonian_du(time_adjoint_closed_form(dyn, tgt, tau, grid), dyn, tgt)
     switch_times = find_switch_times(
         times, khat_nodes, refine=lambda t, i: float(khat(t)[i])
     )
@@ -187,7 +193,14 @@ def synthesize(
     damping: float = 0.5,
     tol: float = 1e-10,
 ) -> SynthesisResult:
-    """Damped fixed-point synthesis of the bang-bang candidate.
+    """Secant synthesis of the bang-bang candidate.
+
+    Solves g(tau) = T(tau) - tau, where T(tau) is the hit detected under the
+    vertex policy anchored at tau.  The first step is the damped step
+    tau + damping * g(tau); later steps are secant steps, and `damping`
+    weights the damped step that replaces a secant step which is not finite
+    or leaves (0, horizon].  `history` holds tau before each pass and the
+    converged tau.
 
     Raises InfeasibleError when no constant scan (box midpoint or either
     vertex) ever drives the mean target to zero, NonConvergenceError when
@@ -214,16 +227,25 @@ def synthesize(
     history = [float(tau)]
     converged = False
     iterations = 0
+    prev = None  # (tau, g) of the previous pass
     for iterations in range(1, max_iter + 1):
         policy, _, _, _ = vertex_policy(spec, tau, n_nodes)
         mp = solve_mean_path(spec, policy, coarse)
         tau_image = mp.tau
-        if abs(tau_image - tau) <= tol * max(1.0, tau):
+        g = tau_image - tau
+        if abs(g) <= tol * max(1.0, tau):
             tau = tau_image
             history.append(float(tau))
             converged = True
             break
-        tau = (1.0 - damping) * tau + damping * tau_image
+        step = float("nan")
+        if prev is not None and g != prev[1]:
+            step = tau - g * (tau - prev[0]) / (g - prev[1])
+        prev = (tau, g)
+        if np.isfinite(step) and 0.0 < step <= T:
+            tau = step
+        else:
+            tau = (1.0 - damping) * tau + damping * tau_image
         history.append(float(tau))
 
     if not converged:

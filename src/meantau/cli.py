@@ -5,7 +5,7 @@ Subcommands:
 * simulate           path ensemble of the coupled (state, target) system
 * mean               deterministic mean solve with hit detection
 * portfolio          closed-form wealth-target policy, figure, MC check
-* bangbang           fixed-point synthesis of the vertex policy
+* bangbang           secant synthesis of the vertex policy and its tau
 * check-smp          first-order optimality residual of a candidate
 * verify-variational finite-difference and duality diagnostics
 
@@ -113,8 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bangbang", help="synthesize the vertex policy")
     common(p)
     p.add_argument("--nodes", type=int, default=4096, help="switching grid nodes")
-    p.add_argument("--max-iter", type=int, default=100, help="fixed-point budget")
-    p.add_argument("--damping", type=float, default=0.5, help="fixed-point damping in (0, 1]")
+    p.add_argument("--max-iter", type=int, default=100, help="budget of tau passes")
+    p.add_argument(
+        "--damping", type=float, default=0.5,
+        help="weight in (0, 1] of the damped step that starts the secant solve "
+        "and replaces a secant step that leaves (0, horizon]",
+    )
 
     p = sub.add_parser("check-smp", help="first-order optimality residual")
     common(p)
@@ -338,6 +342,7 @@ def _run_check_smp(args) -> int:
         "slope_at_tau": report.slope_at_tau,
         "n_time_nodes": report.n_time_nodes,
         "n_control_samples": report.n_control_samples,
+        "adjoint_gap": report.adjoint_gap,
         "variants": {
             name: {
                 "max_residual": v["max_residual"],

@@ -88,7 +88,9 @@ class SmpReport:
 
     `max_residual` is the deciding value (for a cap-boundary hit, the
     better of the two variants); `variants` holds the per-variant maxima
-    and witnesses under keys "full" and "drift_only".
+    and witnesses under keys "full" and "drift_only".  `adjoint_gap` is the
+    sup-norm gap between the closed-form and backward-RK4 time adjoints
+    (nan when tau = 0 and no adjoint is solved).
     """
 
     tau: float
@@ -103,6 +105,7 @@ class SmpReport:
     n_time_nodes: int
     n_control_samples: int
     variants: dict = field(default_factory=dict)
+    adjoint_gap: float = float("nan")
 
 
 def _scan(residual: np.ndarray, times: np.ndarray, samples: np.ndarray):
@@ -218,4 +221,5 @@ def check_candidate(
         n_time_nodes=len(times),
         n_control_samples=len(samples),
         variants=variants,
+        adjoint_gap=adj.cross_check_gap,
     )

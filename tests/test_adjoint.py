@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import scalar_spec
 from meantau.adjoint import (
+    _exp_with_integral_powers,
     exp_with_integral,
     hamiltonian,
     hamiltonian_du,
@@ -211,3 +215,85 @@ def test_randomized_closed_form_vs_backward_integration():
         )
         sol = solve_time_adjoint(dyn, tgt, tau, SimGrid(tau, 64), cross_check_tol=1e-8)
         assert np.all(np.abs(sol.p0[-1]) == 0.0)
+
+
+def test_solve_time_adjoint_keeps_the_route_gap():
+    spec = scalar_spec(a=0.7)
+    sol = solve_time_adjoint(spec.dynamics, spec.target, 2.0, SimGrid(2.0, 64))
+    assert 0.0 < sol.cross_check_gap < 1e-6 * max(1.0, float(np.max(np.abs(sol.p0))))
+
+
+def test_grid_ending_before_tau_adds_the_lead():
+    spec = scalar_spec(a=0.7)
+    grid = SimGrid(1.3, 16)
+    on_grid = time_adjoint_closed_form(spec.dynamics, spec.target, 2.0, grid)
+    per_node = time_adjoint_closed_form(spec.dynamics, spec.target, 2.0, grid.times())
+    np.testing.assert_allclose(on_grid, per_node, rtol=0.0, atol=1e-13)
+
+
+# Randomized systems for the grid route: m in {1, 2, 3}, entries in [-2, 2]
+# and grids of n steps spanning at most 2 time units, so that |A| * span
+# stays below 12 and the per-node expm used as the reference is accurate
+# to well below the tolerance.  A grid node j*h is one augmented
+# exponential raised to the power j; the tolerance 1e-12 * max(1, |block|)
+# allows the j-fold growth of that exponential's double round-off.
+_SIZES = st.sampled_from([1, 2, 3])
+_STEPS = st.sampled_from([1, 2, 3, 7, 64, 4097])
+_SPAN = st.floats(min_value=1e-3, max_value=2.0)
+
+
+def _entries(shape):
+    return arrays(np.float64, shape, elements=st.floats(min_value=-2.0, max_value=2.0))
+
+
+def _system(data, m):
+    A = data.draw(_entries((m, m)))
+    dyn = LinearDynamics(A=A, B=data.draw(_entries((m, 1))), C=[], D=[], x0=np.zeros(m))
+    tgt = TargetCoefficients(
+        E1=data.draw(_entries(m)), E2=data.draw(_entries(m)), E3=data.draw(_entries(m)),
+        E4=data.draw(_entries(1)), y0=1.0,
+    )
+    return dyn, tgt
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=_SIZES, n=_STEPS, span=_SPAN)
+def test_grid_powers_match_per_node_exponentials(data, m, n, span):
+    A = data.draw(_entries((m, m)))
+    h = span / n
+    E, I = _exp_with_integral_powers(A, h, n)
+    assert E.shape == I.shape == (n + 1, m, m)
+    for j in range(n + 1):
+        e_ref, i_ref = exp_with_integral(A, j * h)
+        for block, ref in ((E[j], e_ref), (I[j], i_ref)):
+            tol = 1e-12 * max(1.0, float(np.linalg.norm(ref)))
+            assert np.max(np.abs(block - ref)) <= tol, (j, block, ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=_SIZES, n=_STEPS, span=_SPAN)
+def test_grid_adjoints_match_the_per_node_route(data, m, n, span):
+    dyn, tgt = _system(data, m)
+    cost = CostSpec(
+        kappa=0.0, c_lin=data.draw(_entries(m)), Lambda=[[0.0]],
+        psi_lin=data.draw(_entries(m)), psi_quad=data.draw(_entries((m, m))),
+    )
+    mean_x_tau = data.draw(_entries(m))
+    tau = span
+    grid = SimGrid(tau, n)
+    times = grid.times()
+    # the per-node route of solve_cost_adjoint: blocks of A', one per node
+    blocks = [exp_with_integral(dyn.A.T, tau - t) for t in times]
+    size = max(1.0, max(float(np.linalg.norm(b)) for pair in blocks for b in pair))
+
+    # bound each route's difference by the block tolerance times the weights
+    row = tgt.E1 + tgt.E2 + tgt.E3 @ dyn.A
+    p0 = time_adjoint_closed_form(dyn, tgt, tau, grid)
+    p0_ref = time_adjoint_closed_form(dyn, tgt, tau, times)
+    assert np.max(np.abs(p0 - p0_ref)) <= 1e-12 * size * max(1.0, np.sum(np.abs(row)))
+
+    p = solve_cost_adjoint(dyn, cost, tau, grid, mean_x_tau)
+    p_tau = -(cost.psi_lin + cost.psi_quad @ mean_x_tau)
+    p_ref = np.array([e_t @ p_tau - i_t @ cost.c_lin for e_t, i_t in blocks])
+    weight = max(1.0, np.sum(np.abs(p_tau)) + np.sum(np.abs(cost.c_lin)))
+    assert np.max(np.abs(p - p_ref)) <= 1e-12 * size * weight

@@ -69,6 +69,66 @@ def test_find_switch_times_zero_plateau_is_singular():
         find_switch_times(times, vals)
 
 
+def test_find_switch_times_exact_zero_between_opposite_signs_is_that_node():
+    times = np.linspace(0.0, 1.0, 6)
+    vals = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 0.5])
+    calls = []
+
+    def refine(t, i):
+        calls.append(t)
+        return 0.0
+
+    roots = find_switch_times(times, vals, refine=refine)
+    assert roots[0].tolist() == [times[2]]
+    assert calls == []  # a node root needs no polish
+
+
+def test_find_switch_times_zero_at_node_zero_is_no_root():
+    times = np.linspace(0.0, 1.0, 5)
+    assert find_switch_times(times, np.array([0.0, -1.0, -2.0, -1.0, -0.5]))[0].size == 0
+    assert find_switch_times(times, np.array([0.0, 1.0, 2.0, 1.0, 0.0]))[0].size == 0
+
+
+def test_find_switch_times_three_node_near_zero_plateau_raises():
+    times = np.linspace(0.0, 1.0, 7)
+    two = np.array([1.0, 0.5, 1e-14, -1e-14, -0.5, -1.0, -1.5])
+    assert len(find_switch_times(times, two)[0]) == 1
+    three = np.array([1.0, 0.5, 1e-14, -1e-14, 1e-14, -1.0, -1.5])
+    with pytest.raises(SingularArcError) as err:
+        find_switch_times(times, np.stack([times - 0.5, three], axis=1))
+    assert err.value.component == 1
+
+
+def _switch_times_by_node_loop(times, col):
+    """The node-by-node scan, kept as the reference for the vectorized one."""
+    roots = []
+    sgn = np.sign(col)
+    for j in range(len(times) - 1):
+        a, b = col[j], col[j + 1]
+        if sgn[j] == 0.0:
+            if 0 < j and sgn[j - 1] * sgn[j + 1] < 0:
+                roots.append(times[j])
+            continue
+        if sgn[j + 1] == 0.0 or sgn[j] * sgn[j + 1] > 0:
+            continue
+        roots.append(times[j] - a * (times[j + 1] - times[j]) / (b - a))
+    return np.array(roots)
+
+
+def test_find_switch_times_matches_the_node_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        times = np.sort(rng.uniform(0.0, 3.0, n))
+        col = rng.choice([-1.0, 0.0, 1.0], n) * rng.uniform(0.1, 2.0, n)
+        col[np.nonzero(col == 0.0)[0][2::3]] = 0.7  # keep zero runs short
+        try:
+            roots = find_switch_times(times, col)[0]
+        except SingularArcError:
+            continue
+        assert np.array_equal(roots, _switch_times_by_node_loop(times, col))
+
+
 def test_find_switch_times_handles_multiple_columns():
     times = np.linspace(0.0, 1.0, 11)
     vals = np.stack([times - 0.37, 0.83 - times], axis=1)
@@ -118,6 +178,12 @@ def test_synthesize_scalar_upper_then_lower():
     mp = solve_mean_path(spec, result.policy, SimGrid(spec.horizon, 8192))
     assert mp.case_label == "i"
     assert abs(mp.tau - result.tau) < 1e-3
+
+
+def test_synthesize_scalar_converges_in_few_passes():
+    result = synthesize(scalar_spec(), n_nodes=1024)
+    assert result.iterations <= 8
+    assert len(result.history) == result.iterations + 1
 
 
 def test_synthesize_infeasible_when_the_target_is_out_of_reach():

@@ -187,6 +187,8 @@ def test_check_smp_reports_residual(tmp_path):
     # a flat interior control is not the vertex policy, so the check fails
     assert payload["max_residual"] > 0.0
     assert read_summary(out)["passed"] is False
+    # the closed-form time adjoint agrees with backward RK4
+    assert 0.0 <= payload["adjoint_gap"] < 1e-6
 
 
 def test_verify_variational_tables(tmp_path):
@@ -250,6 +252,18 @@ def test_exit_3_when_synthesis_is_infeasible(tmp_path, capsys):
     code = main(["bangbang", "--config", cfg, "--out", str(tmp_path / "out"), "--nodes", "128"])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "InfeasibleError"
+
+
+def test_exit_3_when_synthesis_exhausts_its_budget(tmp_path, capsys):
+    code = main(
+        ["bangbang", "--config", SCALAR, "--out", str(tmp_path / "out"), "--max-iter", "1"]
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error", "message", "cycle", "history_tail"}
+    assert err["error"] == "NonConvergenceError"
+    assert err["cycle"] is False
+    assert len(err["history_tail"]) == 2
 
 
 def test_exit_4_when_the_hit_is_not_transversal(tmp_path, capsys):
