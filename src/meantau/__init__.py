@@ -10,188 +10,21 @@ closed-form wealth-target application, all behind the `meantau` CLI.
 
 __version__ = "0.1.0"
 
-from .adjoint import (
-    AdjointSolution,
-    exp_with_integral,
-    hamiltonian,
-    hamiltonian_du,
-    solve_adjoints,
-    solve_cost_adjoint,
-    solve_time_adjoint,
-    target_hamiltonian_du,
-    target_slope_at_tau,
-    time_adjoint_closed_form,
-)
-from .bangbang import (
-    ScalarSwitchReport,
-    SynthesisResult,
-    find_switch_times,
-    khat_evaluator,
-    scalar_switch_structure,
-    switching_function,
-    synthesize,
-    vertex_policy,
-)
-from .errors import (
-    AssumptionViolationError,
-    DivergenceError,
-    InfeasibleError,
-    MeanTauError,
-    NonConvergenceError,
-    NumericalConsistencyError,
-    RegimeError,
-    SingularArcError,
-    SpecValidationError,
-)
-from .portfolio import (
-    McReport,
-    PortfolioParams,
-    TauSolution,
-    branch_coefficient,
-    mc_validate,
-    optimal_control,
-    optimal_policy,
-    solve_tau,
-    switch_times,
-    to_problem_spec,
-    wealth_residual,
-)
-from .problem import (
-    CombinedPolicy,
-    ControlPolicy,
-    ControlSegment,
-    ControlSet,
-    CostSpec,
-    LinearDynamics,
-    ProblemSpec,
-    TargetCoefficients,
-    TargetDiffusion,
-    ValidationReport,
-    perturbed_policy,
-    policy_eval,
-    target_control_row,
-    target_state_row,
-    validate,
-)
-from .simulate import (
-    EnsembleResult,
-    HookDynamics,
-    MeanPath,
-    SimGrid,
-    detect_min_time,
-    estimate_cost,
-    mean_ode_solve,
-    mean_target_solve,
-    simulate_ensemble,
-    solve_mean_path,
-    step_noise,
-)
-from .smp import SmpReport, check_candidate, control_samples, terminal_cost_drift
-from .variational import (
-    DualIdentityReport,
-    FdStateRow,
-    FdTauReport,
-    FdTauRow,
-    PerturbationSpec,
-    SensitivityResult,
-    TauDerivative,
-    dual_identity_check,
-    fd_state_check,
-    fd_tau_check,
-    hit_time_derivative,
-    mean_target_response,
-    simulate_state_sensitivity,
-)
+from . import adjoint, bangbang, errors, portfolio, problem, simulate, smp, variational
+from .adjoint import *  # noqa: F401,F403
+from .bangbang import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .portfolio import *  # noqa: F401,F403
+from .problem import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .smp import *  # noqa: F401,F403
+from .variational import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # problem
-    "LinearDynamics",
-    "TargetDiffusion",
-    "TargetCoefficients",
-    "CostSpec",
-    "ControlSet",
-    "ControlSegment",
-    "ControlPolicy",
-    "CombinedPolicy",
-    "ProblemSpec",
-    "ValidationReport",
-    "validate",
-    "policy_eval",
-    "perturbed_policy",
-    "target_state_row",
-    "target_control_row",
-    # simulate
-    "SimGrid",
-    "HookDynamics",
-    "EnsembleResult",
-    "MeanPath",
-    "mean_ode_solve",
-    "mean_target_solve",
-    "solve_mean_path",
-    "detect_min_time",
-    "simulate_ensemble",
-    "estimate_cost",
-    "step_noise",
-    # adjoint
-    "AdjointSolution",
-    "exp_with_integral",
-    "time_adjoint_closed_form",
-    "solve_time_adjoint",
-    "solve_cost_adjoint",
-    "solve_adjoints",
-    "hamiltonian",
-    "hamiltonian_du",
-    "target_hamiltonian_du",
-    "target_slope_at_tau",
-    # variational
-    "PerturbationSpec",
-    "SensitivityResult",
-    "FdStateRow",
-    "TauDerivative",
-    "FdTauRow",
-    "FdTauReport",
-    "DualIdentityReport",
-    "simulate_state_sensitivity",
-    "fd_state_check",
-    "mean_target_response",
-    "hit_time_derivative",
-    "fd_tau_check",
-    "dual_identity_check",
-    # bangbang
-    "switching_function",
-    "find_switch_times",
-    "khat_evaluator",
-    "vertex_policy",
-    "SynthesisResult",
-    "synthesize",
-    "ScalarSwitchReport",
-    "scalar_switch_structure",
-    # smp
-    "terminal_cost_drift",
-    "control_samples",
-    "SmpReport",
-    "check_candidate",
-    # portfolio
-    "PortfolioParams",
-    "TauSolution",
-    "branch_coefficient",
-    "switch_times",
-    "wealth_residual",
-    "solve_tau",
-    "optimal_control",
-    "optimal_policy",
-    "to_problem_spec",
-    "McReport",
-    "mc_validate",
-    # errors
-    "MeanTauError",
-    "SpecValidationError",
-    "NonConvergenceError",
-    "InfeasibleError",
-    "DivergenceError",
-    "NumericalConsistencyError",
-    "AssumptionViolationError",
-    "SingularArcError",
-    "RegimeError",
-]
+# the public names are the submodules' own __all__ lists, each listed once
+__all__ = ["__version__"] + list(
+    dict.fromkeys(
+        name
+        for module in (problem, simulate, adjoint, variational, bangbang, smp, portfolio, errors)
+        for name in module.__all__
+    )
+)

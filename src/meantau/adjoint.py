@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -47,6 +48,7 @@ __all__ = [
     "hamiltonian",
     "hamiltonian_du",
     "target_hamiltonian_du",
+    "khat_evaluator",
     "target_slope_at_tau",
 ]
 
@@ -275,6 +277,22 @@ def target_hamiltonian_du(p0, dynamics: LinearDynamics, target: TargetCoefficien
         for j in range(dynamics.d):
             out = out + dynamics.D[j].T @ q0[:, j]
     return out
+
+
+def khat_evaluator(dynamics, target, tau: float) -> Callable:
+    """Closed-form Khat(t) = p0(t)'B - (E3 B + E4) as a callable, exact at every t in [0, tau].
+
+    Each call costs one augmented exponential; `time_adjoint_closed_form`
+    on a SimGrid gives the node values of p0 in one pass.
+    """
+    row_x = target_state_row(target, dynamics)
+    row_u = target_control_row(target, dynamics)
+
+    def khat(t: float) -> np.ndarray:
+        _, integral = exp_with_integral(dynamics.A, tau - float(t))
+        return -(row_x @ integral) @ dynamics.B - row_u
+
+    return khat
 
 
 def target_slope_at_tau(

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .adjoint import (
-    exp_with_integral,
+    khat_evaluator,
     target_hamiltonian_du,
     target_slope_at_tau,
     time_adjoint_closed_form,
@@ -39,13 +39,7 @@ from .errors import (
     NonConvergenceError,
     SingularArcError,
 )
-from .problem import (
-    ControlPolicy,
-    ControlSegment,
-    ProblemSpec,
-    target_control_row,
-    target_state_row,
-)
+from .problem import ControlPolicy, ControlSegment, ProblemSpec
 from .simulate import SimGrid, solve_mean_path
 from .variational import _mean_and_response_at_tau
 
@@ -66,18 +60,6 @@ def switching_function(khat_values, slope_at_tau: float) -> np.ndarray:
     if slope_at_tau == 0.0:
         raise AssumptionViolationError("switching function undefined: slope at tau is zero")
     return -np.asarray(khat_values, dtype=float) / slope_at_tau
-
-
-def khat_evaluator(dynamics, target, tau: float) -> Callable:
-    """Closed-form Khat(t) as a callable, exact at every t in [0, tau]."""
-    row_x = target_state_row(target, dynamics)
-    row_u = target_control_row(target, dynamics)
-
-    def khat(t: float) -> np.ndarray:
-        _, integral = exp_with_integral(dynamics.A, tau - float(t))
-        return -(row_x @ integral) @ dynamics.B - row_u
-
-    return khat
 
 
 def _plateau_runs(values: np.ndarray, zero_tol: float) -> int:

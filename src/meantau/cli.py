@@ -459,6 +459,9 @@ def _diagnostic(exc: Exception) -> str:
     if isinstance(exc, NonConvergenceError):
         info["cycle"] = exc.cycle
         info["history_tail"] = [fmt_float(h) for h in exc.history[-5:]]
+    if isinstance(exc, DivergenceError):
+        info["step"] = exc.step
+        info["path"] = exc.path
     return json.dumps(info, sort_keys=True)
 
 

@@ -7,6 +7,18 @@ assumptions (flat target slope, singular switching arcs, analysis regime
 left) with 4.
 """
 
+__all__ = [
+    "MeanTauError",
+    "SpecValidationError",
+    "NonConvergenceError",
+    "InfeasibleError",
+    "DivergenceError",
+    "NumericalConsistencyError",
+    "AssumptionViolationError",
+    "SingularArcError",
+    "RegimeError",
+]
+
 
 class MeanTauError(Exception):
     """Base class for all toolkit errors."""

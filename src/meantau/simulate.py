@@ -7,12 +7,16 @@ integrated with one classical 4th-order step per sub-interval, where the
 sub-intervals are the grid steps split at control breakpoints so that the
 integrator never straddles a discontinuity of u.
 
-Path ensembles use explicit Euler-Maruyama with the mean-field couplings
-(E[X] and E[b]) evaluated as ensemble averages at the start of each step.
-Noise for step j is drawn from a counter-based generator keyed by
-(seed, j), so results are a pure function of (spec, policy, N, grid,
-seed) regardless of how the path loop is scheduled; the specs of a batch
-share each step's draw.
+Every path ensemble goes through one explicit Euler-Maruyama time loop
+whose columns share each step's noise draw.  Noise for step j comes from
+a counter-based generator keyed by (seed, j), so results are a pure
+function of (spec, policy, N, grid, seed) regardless of how the loop is
+scheduled.  An ensemble column also steps the monitoring process, with
+the mean-field couplings (E[X] and E[b]) evaluated as ensemble averages
+at the start of each step; the specs of a batch are such columns.  A
+path column only stores its state paths: the variational checks step the
+base state with its sensitivity, and each perturbed control, as path
+columns of one loop.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 
 from .errors import DivergenceError
 from .problem import (
-    ControlPolicy,
     LinearDynamics,
     ProblemSpec,
     TargetCoefficients,
@@ -43,6 +46,7 @@ __all__ = [
     "detect_min_time",
     "simulate_ensemble",
     "estimate_cost",
+    "step_noise",
 ]
 
 
@@ -310,46 +314,64 @@ class EnsembleResult:
 _PATH_STORAGE_CAP = 10_000
 
 
-class _Column:
-    """One spec's paths and per-node statistics inside an ensemble batch.
+def _node_controls(policy, times) -> np.ndarray:
+    """Control values at the grid nodes, shape (n_steps + 1, k)."""
+    u = policy.values(times, side=+1)
+    return u[:, None] if u.ndim == 1 else u
 
-    `X` and `Y` hold the current state of every path; `Xn` and the other
-    buffers are scratch reused across steps, so the scalar path allocates
-    no path-sized array inside the time loop.
+
+class _Column:
+    """One dynamics, its node controls and its paths inside the time loop.
+
+    An ensemble column (`spec` given) also steps the monitoring process Y
+    and records per-node statistics; a path column (`spec` None) only
+    stores its state paths.  `X` and `Y` hold the current state of every
+    path; `Xn` and the other buffers are scratch reused across steps, so
+    the scalar path allocates no path-sized array inside the time loop.
     """
 
-    def __init__(self, spec, dyn, n_paths, n_steps, store_paths, fast):
+    def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True, fast=False):
         m = dyn.m
-        self.spec, self.dyn, self.fast = spec, dyn, fast
+        self.spec, self.dyn, self.u_nodes, self.fast = spec, dyn, u_nodes, fast
         self.X = np.tile(dyn.x0, (n_paths, 1))
-        self.Y = np.full(n_paths, spec.target.y0)
-        self.Xn = np.empty_like(self.X)
-        self.dev = np.empty_like(self.X)
+        self.Y = None
         if fast:
+            self.Xn = np.empty_like(self.X)
             self.t1 = np.empty(n_paths)
             self.t2 = np.empty(n_paths)
-        self.mean_x = np.empty((n_steps + 1, m))
-        self.std_x = np.empty((n_steps + 1, m))
-        self.mean_y = np.empty(n_steps + 1)
+        if spec is not None:
+            self.Y = np.full(n_paths, spec.target.y0)
+            self.dev = np.empty_like(self.X)
+            self.mean_x = np.empty((n_steps + 1, m))
+            self.std_x = np.empty((n_steps + 1, m))
+            self.mean_y = np.empty(n_steps + 1)
         self.paths = np.empty((n_paths, n_steps + 1, m)) if store_paths else None
         self.record(0)
-        self.mean_y[0] = spec.target.y0  # exact, not a sum of N copies over N
+        if spec is not None:
+            self.mean_y[0] = spec.target.y0  # exact, not a sum of N copies over N
 
     def record(self, j):
-        """Check the state at node j for divergence and store its statistics.
+        """Check the state at node j for divergence and store it.
 
         Any non-finite entry makes its column sum non-finite, so the sums
-        that the means need anyway stand in for a full finiteness scan;
-        the scan runs only when a sum is not finite.
+        that an ensemble column's means need anyway stand in for a full
+        finiteness scan; the scan runs only when a sum is not finite.
         """
         X, Y = self.X, self.Y
         n_paths = X.shape[0]
         sx = X.sum(axis=0)
-        sy = Y.sum()
+        sy = 0.0 if Y is None else Y.sum()
         if not (np.isfinite(sx).all() and np.isfinite(sy)):
-            bad = np.nonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(Y)))[0]
+            ok = np.isfinite(X).all(axis=1)
+            if Y is not None:
+                ok &= np.isfinite(Y)
+            bad = np.nonzero(~ok)[0]
             if bad.size:
                 raise DivergenceError(step=j, path=int(bad[0]))
+        if self.paths is not None:
+            self.paths[:, j, :] = X
+        if Y is None:
+            return
         mx = self.mean_x[j]
         np.divide(sx, n_paths, out=mx)
         # X.std(axis=0, ddof=1) with the mean above reused
@@ -357,17 +379,17 @@ class _Column:
         np.multiply(self.dev, self.dev, out=self.dev)
         self.std_x[j] = np.sqrt(self.dev.sum(axis=0) / (n_paths - 1))
         self.mean_y[j] = sy / n_paths
-        if self.paths is not None:
-            self.paths[:, j, :] = X
 
-    def advance(self, j, Xn, Yn):
-        """Make (Xn, Yn) the state at node j; the old state becomes scratch."""
+    def step(self, j, dW, dt):
+        """Advance every path from node j to node j + 1 and record the new node."""
+        Xn, Yn = self.step_scalar(j, dW, dt) if self.fast else self.step_general(j, dW, dt)
         self.X, self.Xn, self.Y = Xn, self.X, Yn
-        self.record(j)
+        self.record(j + 1)
 
-    def step_scalar(self, u, mx, dW, dt, t, target_diffusion_hook):
+    def step_scalar(self, j, dW, dt):
         """Euler-Maruyama step for linear m = d = 1 dynamics, in place."""
         dyn, tgt = self.dyn, self.spec.target
+        u, mx = self.u_nodes[j], self.mean_x[j]
         x, y, t1, t2 = self.X[:, 0], self.Y, self.t1, self.t2
         w = dW[:, 0]
         a = dyn.A[0, 0]
@@ -388,36 +410,59 @@ class _Column:
         np.multiply(t1, dt, out=t1)
         np.add(y, t1, out=y)
         gspec = tgt.diffusion
-        if target_diffusion_hook is not None:
-            y += np.einsum("nj,nj->n", target_diffusion_hook(mx, self.X, u, t), dW)
-        elif gspec is not None:
+        if gspec is not None:
             np.multiply(x, gspec.coef_state[0, 0], out=t1)
             np.add(t1, float(gspec.coef_mean[0] @ mx + gspec.coef_control[0] @ u), out=t1)
             np.multiply(t1, w, out=t1)
             np.add(y, t1, out=y)
         return Xn, y
 
-    def step_general(self, u, mx, dW, dt, t, target_drift_hook, target_diffusion_hook):
+    def step_general(self, j, dW, dt):
         """Euler-Maruyama step for any dimensions or hook dynamics."""
-        dyn, tgt, X = self.dyn, self.spec.target, self.X
-        eps = self.spec.eps_regularize
+        dyn, X, u = self.dyn, self.X, self.u_nodes[j]
         drift = dyn.drift(X, u)
-        mean_b = drift.mean(axis=0)
         Xn = X + drift * dt
         if dyn.d > 0:
             Xn = Xn + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
-        if target_drift_hook is not None:
-            hvals = target_drift_hook(mx, X, mean_b, u, t) + eps
-        else:
-            hvals = float(tgt.E1 @ mx + tgt.E3 @ mean_b + tgt.E4 @ u) + eps + X @ tgt.E2
+        if self.Y is None:
+            return Xn, None
+        tgt, eps, mx = self.spec.target, self.spec.eps_regularize, self.mean_x[j]
+        mean_b = drift.mean(axis=0)
+        hvals = float(tgt.E1 @ mx + tgt.E3 @ mean_b + tgt.E4 @ u) + eps + X @ tgt.E2
         Yn = self.Y + hvals * dt
         gspec = tgt.diffusion
-        if target_diffusion_hook is not None:
-            Yn = Yn + np.einsum("nj,nj->n", target_diffusion_hook(mx, X, u, t), dW)
-        elif gspec is not None and dyn.d > 0:
+        if gspec is not None and dyn.d > 0:
             grows = gspec.coef_mean @ mx + gspec.coef_control @ u + X @ gspec.coef_state.T
             Yn = Yn + np.einsum("nj,nj->n", grows, dW)
         return Xn, Yn
+
+
+def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
+    """The Euler-Maruyama time loop over columns that share the noise dimension d.
+
+    Each step draws its noise once, keyed by (seed, step), and every
+    column steps on that draw, so all columns see the same Brownian
+    increments whatever their dynamics and controls.
+    """
+    d, dt = cols[0].dyn.d, grid.dt
+    sq = np.sqrt(dt)
+    dW = np.empty((n_paths, d))
+    for j in range(grid.n_steps):
+        if d > 0:
+            np.multiply(step_noise(seed, j, n_paths, d), sq, out=dW)
+        for col in cols:
+            col.step(j, dW, dt)
+
+
+def _state_paths(columns, grid: SimGrid, seed: int, n_paths: int) -> list:
+    """State paths of (dynamics, node controls) pairs stepped on one draw per step.
+
+    Returns one (n_paths, n_steps + 1, m) array per pair; the pairs must
+    share d.  A non-finite state raises DivergenceError.
+    """
+    cols = [_Column(dyn, u_nodes, n_paths, grid.n_steps) for dyn, u_nodes in columns]
+    _run_columns(cols, grid, seed, n_paths)
+    return [col.paths for col in cols]
 
 
 def simulate_ensemble(
@@ -428,8 +473,6 @@ def simulate_ensemble(
     seed: int,
     store_paths: Optional[bool] = None,
     dynamics=None,
-    target_drift_hook: Optional[Callable] = None,
-    target_diffusion_hook: Optional[Callable] = None,
 ) -> Union[EnsembleResult, list]:
     """Simulate N coupled paths of (X, Y) and detect the mean hitting time.
 
@@ -441,11 +484,9 @@ def simulate_ensemble(
     initial values and eps_regularize may differ.  Each column's result
     is bit-identical to a call with that spec alone.
 
-    The linear target drift can be replaced by `target_drift_hook(mean_x,
-    X, mean_b, u, t) -> (N,)` (and similarly for the diffusion hook) to
-    experiment with nonlinear monitoring processes; `dynamics` likewise
-    accepts a HookDynamics.  Both apply to every column of a batch.  The
-    command-line interface only exposes the linear family.
+    `dynamics` accepts a HookDynamics that replaces the state equation of
+    every column, for nonlinear experiments; the command-line interface
+    only exposes the linear family.
 
     Paths are stored when `store_paths` is true, defaulting to on for
     N <= 10^4 and off above that.
@@ -468,32 +509,16 @@ def simulate_ensemble(
     if store_paths is None:
         store_paths = n_paths <= _PATH_STORAGE_CAP
 
-    n = grid.n_steps
-    dt = grid.dt
-    sq = np.sqrt(dt)
-    u_nodes = policy.values(times, side=+1)
-    if u_nodes.ndim == 1:
-        u_nodes = u_nodes[:, None]
-
-    scalar = m == 1 and d == 1 and target_drift_hook is None
+    u_nodes = _node_controls(policy, times)
+    scalar = m == 1 and d == 1
     cols = [
-        _Column(s, dy, n_paths, n, store_paths, scalar and isinstance(dy, LinearDynamics))
+        _Column(
+            dy, u_nodes, n_paths, grid.n_steps, spec=s, store_paths=store_paths,
+            fast=scalar and isinstance(dy, LinearDynamics),
+        )
         for s, dy in zip(specs, dyns)
     ]
-    dW = np.empty((n_paths, d))
-    for j in range(n):
-        u = u_nodes[j]
-        if d > 0:
-            np.multiply(step_noise(seed, j, n_paths, d), sq, out=dW)
-        for col in cols:
-            mx = col.mean_x[j]
-            if col.fast:
-                Xn, Yn = col.step_scalar(u, mx, dW, dt, times[j], target_diffusion_hook)
-            else:
-                Xn, Yn = col.step_general(
-                    u, mx, dW, dt, times[j], target_drift_hook, target_diffusion_hook
-                )
-            col.advance(j + 1, Xn, Yn)
+    _run_columns(cols, grid, seed, n_paths)
 
     results = []
     for col in cols:

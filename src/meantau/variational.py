@@ -12,6 +12,11 @@ verifiable first-order objects:
 * a duality identity tying that same integral to the time adjoint:
   int_0^tau response dt = -int_0^tau Khat(t) . v(t) dt.
 
+The state sensitivity and the perturbed states come from the one
+Euler-Maruyama loop of `simulate`: the base state and its sensitivity are
+one augmented state of size 2m driven by (u, v), and each perturbed
+control u + rho v is a further column on the same noise draw per step.
+
 Everything here is diagnostic: these routines quantify agreement and
 return tables rather than pass judgment.
 """
@@ -24,11 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .adjoint import (
-    target_hamiltonian_du,
-    target_slope_at_tau,
-    time_adjoint_closed_form,
-)
+from .adjoint import khat_evaluator, target_slope_at_tau
 from .problem import (
     LinearDynamics,
     ProblemSpec,
@@ -37,7 +38,15 @@ from .problem import (
     target_control_row,
     target_state_row,
 )
-from .simulate import SimGrid, _affine_path, _joint_matrices, solve_mean_path, step_noise
+from .simulate import (
+    HookDynamics,
+    SimGrid,
+    _affine_path,
+    _joint_matrices,
+    _node_controls,
+    _state_paths,
+    solve_mean_path,
+)
 
 __all__ = [
     "PerturbationSpec",
@@ -102,30 +111,36 @@ class PerturbationSpec:
         return ValidationReport(ok=not out, violations=out)
 
 
-def _em_paths(dyn, policy, grid: SimGrid, seed: int, n_paths: int) -> np.ndarray:
-    """Raw Euler-Maruyama state paths, shape (n_paths, n_steps + 1, m).
+def _sensitivity_column(dyn, policy, direction, times):
+    """The pair (X, S) as one state of size 2m, driven by the control (u, v).
 
-    Noise is keyed by (seed, step) exactly as in `simulate_ensemble`, so
-    ensembles with equal (seed, n_paths, d) share their Brownian
-    increments; finite differences below rely on that coupling.
+    S follows the sensitivity equation with every coefficient derivative
+    taken at the base (X, u), which is what makes the expansion first
+    order; the first m coordinates of a path are the base state path and
+    the last m its sensitivity.  Returns the HookDynamics of the pair and
+    its node controls, ready to be a column of the Euler-Maruyama loop.
     """
-    times = grid.times()
-    dt = grid.dt
-    sq = np.sqrt(dt)
-    d = dyn.d
-    u_nodes = np.atleast_2d(policy.values(times, side=+1))
-    X = np.tile(dyn.x0, (n_paths, 1))
-    out = np.empty((n_paths, grid.n_steps + 1, dyn.m))
-    out[:, 0, :] = X
-    for j in range(grid.n_steps):
-        u = u_nodes[j]
-        Xn = X + dyn.drift(X, u) * dt
-        if d > 0:
-            dW = step_noise(seed, j, n_paths, d) * sq
-            Xn = Xn + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
-        X = Xn
-        out[:, j + 1, :] = X
-    return out
+    m, k = dyn.m, dyn.k
+
+    def split(Z, w):
+        return Z[:, :m], Z[:, m:], w[:k], w[k:]
+
+    def drift(Z, w):
+        X, S, u, v = split(Z, w)
+        dS = dyn.drift_dstate(X, u, S) + dyn.drift_dcontrol(X, u, v)
+        return np.hstack([dyn.drift(X, u), dS])
+
+    def diffusion(Z, w):
+        X, S, u, v = split(Z, w)
+        dsig = dyn.diffusion_dstate(X, u, S) + dyn.diffusion_dcontrol(X, u, v)[None, :, :]
+        return np.concatenate([dyn.diffusion(X, u), dsig], axis=1)
+
+    pair = HookDynamics(
+        m=2 * m, k=2 * k, d=dyn.d, x0=np.concatenate([dyn.x0, np.zeros(m)]),
+        drift=drift, diffusion=diffusion,
+    )
+    w_nodes = np.hstack([_node_controls(policy, times), _node_controls(direction, times)])
+    return pair, w_nodes
 
 
 @dataclass
@@ -150,34 +165,18 @@ def simulate_state_sensitivity(
 ) -> SensitivityResult:
     """Simulate the sensitivity SDE along the base trajectory.
 
-    The base state and its sensitivity advance together under shared
-    noise; coefficient derivatives are always evaluated at the *base*
-    (X, u), which is what makes the expansion first order.  For linear
-    dynamics the sensitivity mean also solves dE/dt = A E + B v exactly,
-    returned as `mean_exact`.
+    The base state and its sensitivity advance together as one column of
+    the Euler-Maruyama loop; coefficient derivatives are always evaluated
+    at the *base* (X, u), which is what makes the expansion first order.
+    For linear dynamics the sensitivity mean also solves dE/dt = A E + B v
+    exactly, returned as `mean_exact`.
     """
     dyn = dynamics if dynamics is not None else spec.dynamics
     times = grid.times()
-    dt = grid.dt
-    sq = np.sqrt(dt)
-    d = dyn.d
-    u_nodes = np.atleast_2d(policy.values(times, side=+1))
-    v_nodes = np.atleast_2d(direction.values(times, side=+1))
-
-    X = np.tile(dyn.x0, (n_paths, 1))
-    S = np.zeros((n_paths, dyn.m))
-    out = np.zeros((n_paths, grid.n_steps + 1, dyn.m))
-    for j in range(grid.n_steps):
-        u, v = u_nodes[j], v_nodes[j]
-        Sn = S + (dyn.drift_dstate(X, u, S) + dyn.drift_dcontrol(X, u, v)) * dt
-        Xn = X + dyn.drift(X, u) * dt
-        if d > 0:
-            dW = step_noise(seed, j, n_paths, d) * sq
-            dsig = dyn.diffusion_dstate(X, u, S) + dyn.diffusion_dcontrol(X, u, v)[None, :, :]
-            Sn = Sn + np.einsum("nmj,nj->nm", dsig, dW)
-            Xn = Xn + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
-        X, S = Xn, Sn
-        out[:, j + 1, :] = S
+    (pair,) = _state_paths(
+        [_sensitivity_column(dyn, policy, direction, times)], grid, seed, n_paths
+    )
+    paths = np.ascontiguousarray(pair[:, :, dyn.m :])
 
     mean_exact = None
     if isinstance(dyn, LinearDynamics):
@@ -187,8 +186,8 @@ def simulate_state_sensitivity(
     return SensitivityResult(
         grid=grid,
         seed=seed,
-        paths=out,
-        mean_mc=out.mean(axis=0),
+        paths=paths,
+        mean_mc=paths.mean(axis=0),
         mean_exact=mean_exact,
     )
 
@@ -215,20 +214,21 @@ def fd_state_check(
 ) -> list:
     """Coupled finite-difference check of the sensitivity equation.
 
-    For each step size the base and perturbed ensembles reuse the same
-    Brownian increments, so the pathwise quotient converges at rate
-    O(rho) and the reported sup error should shrink linearly in rho down
-    to the discretization floor.
+    The base state with its sensitivity and one perturbed state per step
+    size are columns of one Euler-Maruyama loop, so they share every
+    Brownian increment (one draw per step); the pathwise quotient then
+    converges at rate O(rho) and the reported sup error should shrink
+    linearly in rho down to the discretization floor.
     """
     dyn = dynamics if dynamics is not None else spec.dynamics
     times = grid.times()
-    base = _em_paths(dyn, policy, grid, seed, n_paths)
-    sens = simulate_state_sensitivity(
-        spec, policy, direction, grid, seed, n_paths, dynamics=dyn
-    ).paths
+    columns = [_sensitivity_column(dyn, policy, direction, times)] + [
+        (dyn, _node_controls(perturbed_policy(policy, direction, rho), times)) for rho in rhos
+    ]
+    pair, *perturbed = _state_paths(columns, grid, seed, n_paths)
+    base, sens = pair[:, :, : dyn.m], pair[:, :, dyn.m :]
     rows = []
-    for rho in rhos:
-        pert = _em_paths(dyn, perturbed_policy(policy, direction, rho), grid, seed, n_paths)
+    for rho, pert in zip(rhos, perturbed):
         gap = (pert - base) / rho - sens
         errs = np.sqrt(np.sum(gap * gap, axis=2))  # (n_paths, nodes)
         mean_err = errs.mean(axis=0)
@@ -375,12 +375,10 @@ def dual_identity_check(
     tau = mp.tau
     _, lhs = _mean_and_response_at_tau(spec, policy, direction, tau, grid)
 
-    dyn, tgt = spec.dynamics, spec.target
+    khat = khat_evaluator(spec.dynamics, spec.target, tau)
 
     def integrand(t: float) -> float:
-        p0 = time_adjoint_closed_form(dyn, tgt, tau, [t])[0]
-        kh = target_hamiltonian_du(p0, dyn, tgt)
-        return float(kh @ direction.value(t, side=+1))
+        return float(khat(t) @ direction.value(t, side=+1))
 
     bp = direction.breakpoints
     edges = np.unique(np.clip(np.append(bp, [0.0, tau]), 0.0, tau))
