@@ -147,16 +147,22 @@ class AdjointSolution:
 
 
 def _refine(times: np.ndarray, max_h: float):
-    """Insert nodes so no interval exceeds max_h; returns (fine, original idx)."""
-    pieces = [np.array([times[0]])]
-    idx = [0]
-    for a, b in zip(times[:-1], times[1:]):
-        nsub = max(1, int(np.ceil((b - a) / max_h)))
-        seg = a + (b - a) * np.arange(1, nsub + 1) / nsub
-        seg[-1] = b
-        pieces.append(seg)
-        idx.append(idx[-1] + nsub)
-    return np.concatenate(pieces), np.array(idx)
+    """Insert nodes so no interval exceeds max_h; returns (fine, original idx).
+
+    An interval longer than max_h by rounding only (relative 1e-9) is
+    kept whole, so a grid with max_h equal to its step stays one run of
+    equal steps for the RK4 prefix scan.
+    """
+    lengths = np.diff(times)
+    nsub = np.maximum(1, np.ceil(lengths / max_h - 1e-9)).astype(np.int64)
+    idx = np.concatenate([[0], np.cumsum(nsub)])
+    owner = np.repeat(np.arange(len(lengths)), nsub)
+    k = np.arange(1, idx[-1] + 1) - idx[owner]
+    fine = np.empty(idx[-1] + 1)
+    fine[0] = times[0]
+    fine[1:] = times[owner] + lengths[owner] * k / nsub[owner]
+    fine[idx[1:]] = times[1:]
+    return fine, idx
 
 
 def _backward_affine(A, source, terminal, tau, times, max_h):

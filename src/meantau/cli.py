@@ -401,7 +401,9 @@ def _run_verify_variational(args) -> int:
         ],
     }
     if tau_report.derivative.case_label == "i" and tau_report.derivative.tau > 0:
-        dual = dual_identity_check(spec, policy, direction, grid)
+        dual = dual_identity_check(
+            spec, policy, direction, grid, derivative=tau_report.derivative
+        )
         payload["dual_identity"] = {
             "response_integral": dual.response_integral,
             "adjoint_integral": dual.adjoint_integral,

@@ -52,12 +52,14 @@ class InfeasibleError(MeanTauError):
 
 
 class DivergenceError(MeanTauError):
-    """A simulated path left the representable range."""
+    """A simulated path, or a mean solve (path None), left the representable range."""
 
     def __init__(self, step, path):
-        super().__init__(
-            f"non-finite state at step {step}, path {path}"
-        )
+        if path is None:
+            message = f"non-finite value at node {step} of the mean solve"
+        else:
+            message = f"non-finite state at step {step}, path {path}"
+        super().__init__(message)
         self.step = step
         self.path = path
 

@@ -5,7 +5,11 @@ linear ODE dE[X]/dt = A E[X] + B u(t), and the target mean follows
 dE[Y]/dt = (E1 + E2 + E3 A) E[X] + (E3 B + E4) u(t) + eps.  Both are
 integrated with one classical 4th-order step per sub-interval, where the
 sub-intervals are the grid steps split at control breakpoints so that the
-integrator never straddles a discontinuity of u.
+integrator never straddles a discontinuity of u.  A step is an affine map
+z -> Phi z + r, so the nodes of a run of equal steps come out of a
+vectorised doubling prefix scan in about log2(steps) numpy passes, not
+one Python iteration per step (`_affine_path`).  A mean that leaves the
+float range raises DivergenceError instead of returning non-finite nodes.
 
 Every path ensemble goes through one explicit Euler-Maruyama time loop
 whose columns share each step's noise draw.  Noise for step j comes from
@@ -88,12 +92,46 @@ def _rk4_transfer(M: np.ndarray, h: float) -> np.ndarray:
     return phi
 
 
+# Two consecutive sub-interval lengths belong to one run when they differ
+# by at most this many units of eps * max|t|: the rounding of the time
+# stamps, which leaves the steps of one grid up to one such unit apart.
+_RUN_TOL_ULPS = 4.0
+
+
+def _run_starts(edges: np.ndarray) -> np.ndarray:
+    """Indices of the sub-intervals of `edges` that start a run of one step length.
+
+    A run is a maximal stretch of consecutive sub-intervals whose lengths
+    agree up to the rounding of the time stamps.  A grid without interior
+    breakpoints is one run; a breakpoint strictly inside a grid step cuts
+    that step into two pieces, each its own run unless they are equal.
+    """
+    hs = np.diff(edges)
+    tol = _RUN_TOL_ULPS * np.finfo(float).eps * np.max(np.abs(edges))
+    return np.concatenate([[0], np.flatnonzero(np.abs(np.diff(hs)) > tol) + 1])
+
+
 def _affine_path(M, F, c0, policy, times, z0):
     """Integrate z' = M z + F u(t) + c0 through `times` with RK4.
 
     Each interval between consecutive requested times is split at control
     breakpoints; stage values of u at a sub-interval boundary use the
     one-sided limit from inside the sub-interval.
+
+    One RK4 step over a sub-interval is the affine map z -> Phi z + r,
+    with r from the stage forcing.  Within a run of one step length
+    (`_run_starts`) Phi is the same for every step, taken at the run's
+    mean length, and the run's nodes come out of a doubling prefix scan:
+    starting from w = [z_start; r_a; ...; r_{b-1}], pass s = 1, 2, 4, ...
+    adds w[:-s] @ (Phi^s)' to w[s:].  A run of n steps costs about
+    log2(n) vectorised passes of O(n p^2) flops, and the Python work is
+    one iteration per pass and per run.  A grid without interior
+    breakpoints is one run.  A policy with a breakpoint inside every grid
+    step makes every run one or two steps long, and then the cost is about
+    that of a step-by-step loop; no shipped config or workload has one.
+
+    Raises DivergenceError (path None) at the first requested node whose
+    value is not finite.
     """
     times = np.asarray(times, dtype=float)
     p = M.shape[0]
@@ -125,23 +163,35 @@ def _affine_path(M, F, c0, policy, times, z0):
     k4 = hs[:, None] * (k3 @ M.T) + f1
     r = (hs[:, None] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    uniq_h, inv = np.unique(hs, return_inverse=True)
-    transfers = [_rk4_transfer(M, h) for h in uniq_h]
-
-    # indices of sub-intervals whose right edge is a requested node
-    rec = np.full(len(s1), -1, dtype=np.int64)
+    # sub-intervals whose right edge is a requested node, and that node
     pos = np.searchsorted(times, s1)
     hit = (pos < len(times)) & (times[np.minimum(pos, len(times) - 1)] == s1)
-    rec[hit] = pos[hit]
+
+    # z[i] is the state at edges[i]; each run is scanned in place
+    z = np.empty((len(edges), p))
+    z[0] = z0
+    z[1:] = r
+    starts = _run_starts(edges)
+    ends = np.append(starts[1:], len(hs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(starts, ends):
+            w = z[a : b + 1]
+            # (Phi^s)' = (Phi')^s, kept contiguous for fast row products
+            phi_t = np.ascontiguousarray(_rk4_transfer(M, (s1[b - 1] - s0[a]) / (b - a)).T)
+            s = 1
+            while True:
+                w[s:] += w[:-s] @ phi_t
+                s *= 2
+                if s >= len(w):
+                    break
+                phi_t = phi_t @ phi_t
 
     out = np.empty((len(times), p))
     out[0] = z0
-    z = z0
-    for i in range(len(s0)):
-        z = transfers[inv[i]] @ z + r[i]
-        j = rec[i]
-        if j >= 0:
-            out[j] = z
+    out[pos[hit]] = z[1:][hit]
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise DivergenceError(step=int(bad[0]), path=None)
     return out
 
 
@@ -346,9 +396,6 @@ class _Column:
             self.std_x = np.empty((n_steps + 1, m))
             self.mean_y = np.empty(n_steps + 1)
         self.paths = np.empty((n_paths, n_steps + 1, m)) if store_paths else None
-        self.record(0)
-        if spec is not None:
-            self.mean_y[0] = spec.target.y0  # exact, not a sum of N copies over N
 
     def record(self, j):
         """Check the state at node j for divergence and store it.
@@ -378,7 +425,8 @@ class _Column:
         np.subtract(X, mx, out=self.dev)
         np.multiply(self.dev, self.dev, out=self.dev)
         self.std_x[j] = np.sqrt(self.dev.sum(axis=0) / (n_paths - 1))
-        self.mean_y[j] = sy / n_paths
+        # at node 0 the exact y0, not a sum of N copies over N
+        self.mean_y[j] = sy / n_paths if j else self.spec.target.y0
 
     def step(self, j, dW, dt):
         """Advance every path from node j to node j + 1 and record the new node."""
@@ -442,16 +490,21 @@ def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
 
     Each step draws its noise once, keyed by (seed, step), and every
     column steps on that draw, so all columns see the same Brownian
-    increments whatever their dynamics and controls.
+    increments whatever their dynamics and controls.  Overflow warnings
+    are silenced: `_Column.record`, which stores node 0 and each stepped
+    node, raises DivergenceError on non-finite values instead.
     """
     d, dt = cols[0].dyn.d, grid.dt
     sq = np.sqrt(dt)
     dW = np.empty((n_paths, d))
-    for j in range(grid.n_steps):
-        if d > 0:
-            np.multiply(step_noise(seed, j, n_paths, d), sq, out=dW)
+    with np.errstate(over="ignore", invalid="ignore"):
         for col in cols:
-            col.step(j, dW, dt)
+            col.record(0)
+        for j in range(grid.n_steps):
+            if d > 0:
+                np.multiply(step_noise(seed, j, n_paths, d), sq, out=dW)
+            for col in cols:
+                col.step(j, dW, dt)
 
 
 def _state_paths(columns, grid: SimGrid, seed: int, n_paths: int) -> list:

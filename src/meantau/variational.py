@@ -360,20 +360,31 @@ class DualIdentityReport:
 
 
 def dual_identity_check(
-    spec: ProblemSpec, policy, direction, grid: SimGrid
+    spec: ProblemSpec,
+    policy,
+    direction,
+    grid: SimGrid,
+    *,
+    derivative: Optional[TauDerivative] = None,
 ) -> DualIdentityReport:
     """Verify int_0^tau response dt = -int_0^tau Khat(t).v(t) dt.
 
     The left side integrates the sensitivity-mean system to tau at 4th
     order; the right side pairs the closed-form time adjoint with the
     direction through adaptive quadrature split at direction breakpoints.
-    Requires an interior hit.
+    Requires an interior hit.  `derivative`, the `hit_time_derivative` of
+    the same inputs, supplies tau, the case label and the response
+    integral instead of solving for them again.
     """
-    mp = solve_mean_path(spec, policy, grid)
-    if mp.case_label != "i" or mp.tau <= 0.0:
-        raise ValueError(f"duality check needs an interior hit, got case {mp.case_label}")
-    tau = mp.tau
-    _, lhs = _mean_and_response_at_tau(spec, policy, direction, tau, grid)
+    if derivative is None:
+        mp = solve_mean_path(spec, policy, grid)
+        tau, label, lhs = mp.tau, mp.case_label, None
+    else:
+        tau, label, lhs = derivative.tau, derivative.case_label, derivative.response_integral
+    if label != "i" or tau <= 0.0:
+        raise ValueError(f"duality check needs an interior hit, got case {label}")
+    if lhs is None:
+        _, lhs = _mean_and_response_at_tau(spec, policy, direction, tau, grid)
 
     khat = khat_evaluator(spec.dynamics, spec.target, tau)
 

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import scalar_spec
 from meantau.adjoint import (
     _exp_with_integral_powers,
+    _refine,
     exp_with_integral,
     hamiltonian,
     hamiltonian_du,
@@ -19,7 +20,7 @@ from meantau.adjoint import (
 )
 from meantau.errors import AssumptionViolationError, NumericalConsistencyError
 from meantau.problem import CostSpec, LinearDynamics, TargetCoefficients
-from meantau.simulate import SimGrid
+from meantau.simulate import SimGrid, _run_starts
 
 
 def test_exp_with_integral_scalar_identities():
@@ -68,6 +69,21 @@ def test_solve_time_adjoint_cross_checks_routes():
     # demanding exact agreement between the two routes must fail
     with pytest.raises(NumericalConsistencyError):
         solve_time_adjoint(spec.dynamics, spec.target, 2.0, SimGrid(2.0, 64), cross_check_tol=0.0)
+
+
+def test_refine_splits_long_intervals_only():
+    fine, idx = _refine(np.array([0.0, 0.25, 1.0]), 0.3)
+    np.testing.assert_array_equal(fine, [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(idx, [0, 1, 4])
+    # the backward route's grid: steps within rounding of max_h stay whole,
+    # so the backward RK4 solve is one run of the prefix scan
+    tau = 1.2447813331938
+    grid = SimGrid(tau, 2048)
+    s_nodes = tau - grid.times()[::-1]
+    fine, idx = _refine(s_nodes, grid.dt)
+    np.testing.assert_array_equal(fine, s_nodes)
+    np.testing.assert_array_equal(idx, np.arange(len(s_nodes)))
+    assert len(_run_starts(fine)) == 1
 
 
 def test_solve_time_adjoint_rejects_grid_past_tau():

@@ -3,7 +3,6 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from meantau.cli import main
@@ -267,23 +266,37 @@ def test_exit_3_when_synthesis_exhausts_its_budget(tmp_path, capsys):
     assert len(err["history_tail"]) == 2
 
 
-def test_exit_3_when_simulated_paths_overflow(tmp_path, capsys):
-    # x0 = 1e300 with drift rate 1e10: every path leaves the float range at step 1
+def overflow_cfg(tmp_path):
+    # x0 = 1e300 with drift rate 1e10: the state leaves the float range at step 1
     cfg = json.loads(Path(SCALAR).read_text())
     cfg["problem"]["dynamics"].update(A=[[1e10]], x0=[1e300])
-    path = write_cfg(tmp_path, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(
-            [
-                "simulate", "--config", path, "--out", str(tmp_path / "out"),
-                "--paths", "10", "--steps", "10",
-            ]
-        )
+    return write_cfg(tmp_path, cfg)
+
+
+def test_exit_3_when_simulated_paths_overflow(tmp_path, capsys):
+    path = overflow_cfg(tmp_path)
+    code = main(
+        [
+            "simulate", "--config", path, "--out", str(tmp_path / "out"),
+            "--paths", "10", "--steps", "10",
+        ]
+    )
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert set(err) == {"error", "message", "step", "path"}
     assert err["error"] == "DivergenceError"
     assert (err["step"], err["path"]) == (1, 0)
+
+
+def test_exit_3_when_the_mean_solve_overflows(tmp_path, capsys):
+    code = main(["mean", "--config", overflow_cfg(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error", "message", "step", "path"}
+    assert err["error"] == "DivergenceError"
+    assert (err["step"], err["path"]) == (1, None)
+    assert "mean solve" in err["message"]
+    assert not (tmp_path / "out" / "mean.csv").exists()
 
 
 def test_exit_4_when_the_hit_is_not_transversal(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from helpers import never_crossing_spec, piecewise_constant, scalar_spec
@@ -16,6 +19,9 @@ from meantau.problem import (
 from meantau.simulate import (
     HookDynamics,
     SimGrid,
+    _affine_path,
+    _rk4_transfer,
+    _run_starts,
     detect_min_time,
     estimate_cost,
     mean_ode_solve,
@@ -86,6 +92,109 @@ def test_mean_ode_matches_fine_step_euler_recursion():
     Pn = np.linalg.matrix_power(P, n)
     euler = Pn @ x0 + np.linalg.solve(A, (Pn - np.eye(2)) @ (B @ u))
     np.testing.assert_allclose(mx[-1], euler, rtol=0, atol=1e-7)
+
+
+def reference_affine_path(M, F, c0, policy, times, z0):
+    """The step-by-step RK4 loop that the prefix scan of `_affine_path` replaced.
+
+    Same sub-intervals and stage forcing; one transfer per distinct float
+    step length, applied one sub-interval at a time.
+    """
+    times = np.asarray(times, dtype=float)
+    p = M.shape[0]
+    z0 = np.asarray(z0, dtype=float).reshape(p)
+    if len(times) == 1:
+        return z0[None, :].copy()
+    if policy is not None:
+        bp = policy.breakpoints
+        edges = np.union1d(times, bp[(bp > times[0]) & (bp < times[-1])])
+    else:
+        edges = times
+    s0, s1 = edges[:-1], edges[1:]
+    hs = s1 - s0
+    if policy is not None and F is not None:
+        f0 = policy.values(s0, side=+1) @ F.T + c0
+        fm = policy.values(0.5 * (s0 + s1), side=+1) @ F.T + c0
+        f1 = policy.values(s1, side=-1) @ F.T + c0
+    else:
+        f0 = fm = f1 = np.broadcast_to(c0, (len(s0), p))
+    half = 0.5 * hs[:, None]
+    k1 = f0
+    k2 = half * (k1 @ M.T) + fm
+    k3 = half * (k2 @ M.T) + fm
+    k4 = hs[:, None] * (k3 @ M.T) + f1
+    r = (hs[:, None] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    uniq_h, inv = np.unique(hs, return_inverse=True)
+    transfers = [_rk4_transfer(M, h) for h in uniq_h]
+    rec = np.full(len(s1), -1, dtype=np.int64)
+    pos = np.searchsorted(times, s1)
+    hit = (pos < len(times)) & (times[np.minimum(pos, len(times) - 1)] == s1)
+    rec[hit] = pos[hit]
+    out = np.empty((len(times), p))
+    out[0] = z0
+    z = z0
+    for i in range(len(s0)):
+        z = transfers[inv[i]] @ z + r[i]
+        j = rec[i]
+        if j >= 0:
+            out[j] = z
+    return out
+
+
+def _entries(shape):
+    return arrays(np.float64, shape, elements=st.floats(min_value=-2.0, max_value=2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    p=st.integers(1, 4),
+    k=st.integers(1, 2),
+    n=st.sampled_from([1, 2, 3, 7, 64, 4097]),
+    horizon=st.floats(min_value=1e-2, max_value=2.0),
+    route=st.sampled_from(["grid", "cut_at_tau", "backward"]),
+)
+def test_prefix_scan_matches_the_step_loop(data, p, k, n, horizon, route):
+    # random systems and piecewise policies; "cut_at_tau" builds the times
+    # as _mean_and_response_at_tau does, "backward" drives a constant
+    # forcing without a policy, as the backward adjoint route does
+    M, c0, z0 = data.draw(_entries((p, p))), data.draw(_entries(p)), data.draw(_entries(p))
+    times = SimGrid(horizon, n).times()
+    off = horizon * np.array(data.draw(st.lists(st.floats(0.0, 1.0), max_size=12)))
+    on = times[data.draw(st.lists(st.integers(0, n), max_size=4))]
+    inner = np.unique(np.concatenate([off, on]))
+    inner = inner[(inner > 0.0) & (inner < horizon)][:12]
+    edges = np.concatenate([[0.0], inner, [horizon]])
+    values = data.draw(arrays(np.float64, (len(edges) - 1, k), elements=st.floats(-2.0, 2.0)))
+    policy, F = piecewise_constant(values, edges), data.draw(_entries((p, k)))
+    if route == "cut_at_tau":
+        tau = data.draw(st.floats(0.05, 1.0)) * horizon
+        times = np.append(times[times < tau - 1e-15], tau)
+    elif route == "backward":
+        policy, F = None, None
+    ref = reference_affine_path(M, F, c0, policy, times, z0)
+    got = _affine_path(M, F, c0, policy, times, z0)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_run_split_tolerates_time_stamp_rounding():
+    times = SimGrid(6.0, 40000).times()
+    assert len(np.unique(np.diff(times))) > 1  # an exact-equality split breaks this grid up
+    assert len(_run_starts(times)) == 1
+    j = 12345
+    mid = 0.5 * (times[j] + times[j + 1])
+    assert len(_run_starts(np.union1d(times, [mid]))) == 3  # h.., two halves, h..
+    third = times[j] + (times[j + 1] - times[j]) / 3.0
+    assert len(_run_starts(np.union1d(times, [third]))) == 4  # the pieces differ
+
+
+def test_mean_solve_overflow_raises_at_the_first_bad_node():
+    spec = scalar_spec(a=1e10, x0=1e300)
+    with pytest.raises(DivergenceError) as err:
+        solve_mean_path(spec, ControlPolicy.constant([1.0], 6.0), SimGrid(6.0, 64))
+    assert (err.value.step, err.value.path) == (1, None)
+    assert "mean solve" in str(err.value)
 
 
 def test_mean_target_constant_when_rows_vanish():
@@ -332,11 +441,10 @@ def test_ensemble_divergence_names_step_and_path():
         diffusion=lambda X, u: np.zeros((X.shape[0], 1, 0)),
     )
     spec = scalar_spec(d_coef=0.0, y0=50.0, horizon=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as err:
-            simulate_ensemble(
-                spec, ControlPolicy.constant([0.0], 1.0), 4, SimGrid(1.0, 10), 0, dynamics=hook
-            )
+    with pytest.raises(DivergenceError) as err:
+        simulate_ensemble(
+            spec, ControlPolicy.constant([0.0], 1.0), 4, SimGrid(1.0, 10), 0, dynamics=hook
+        )
     assert err.value.step == 1
     assert err.value.path == 0
 

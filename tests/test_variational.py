@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import never_crossing_spec, piecewise_constant, scalar_spec
 from meantau import simulate, variational
+from meantau.config import load_config, parse_policy, parse_problem
 from meantau.errors import DivergenceError
 from meantau.problem import (
     ControlPolicy,
@@ -25,6 +28,8 @@ from meantau.variational import (
     mean_target_response,
     simulate_state_sensitivity,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def bilinear_hook(x0=1.0):
@@ -201,6 +206,19 @@ def test_dual_identity_zero_direction():
     assert report.response_integral == pytest.approx(0.0, abs=1e-15)
     assert report.adjoint_integral == pytest.approx(0.0, abs=1e-15)
     assert report.rel_gap == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("config", ["docs/examples/scalar.json", "perfbench/configs/two_state.json"])
+def test_dual_identity_reuses_the_tau_derivative(config):
+    cfg = load_config(str(ROOT / config))
+    spec = parse_problem(cfg["problem"])
+    policy = parse_policy(cfg["policy"], horizon=spec.horizon)
+    direction = parse_policy(cfg["direction"], path="direction", horizon=spec.horizon)
+    grid = SimGrid(spec.horizon, 40_000)
+    derivative = hit_time_derivative(spec, policy, direction, grid)
+    alone = dual_identity_check(spec, policy, direction, grid)
+    reused = dual_identity_check(spec, policy, direction, grid, derivative=derivative)
+    assert reused == alone
 
 
 def test_dual_identity_requires_an_interior_hit():
@@ -411,9 +429,6 @@ def test_diverging_fd_state_check_names_step_and_path():
     spec = scalar_spec(d_coef=0.0, horizon=1.0)
     policy = ControlPolicy.constant([0.5], 1.0)
     direction = ControlPolicy.constant([0.1], 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as err:
-            fd_state_check(
-                spec, policy, direction, (1e-2,), SimGrid(1.0, 10), 0, 4, dynamics=hook
-            )
+    with pytest.raises(DivergenceError) as err:
+        fd_state_check(spec, policy, direction, (1e-2,), SimGrid(1.0, 10), 0, 4, dynamics=hook)
     assert (err.value.step, err.value.path) == (1, 0)
