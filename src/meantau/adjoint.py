@@ -268,21 +268,16 @@ def hamiltonian_du(x, u, p, q, dynamics: LinearDynamics, cost: CostSpec) -> np.n
     return out - u @ cost.Lambda.T
 
 
-def target_hamiltonian_du(p0, dynamics: LinearDynamics, target: TargetCoefficients, q0=None):
+def target_hamiltonian_du(p0, dynamics: LinearDynamics, target: TargetCoefficients):
     """Control derivative of the target-drift pairing after mean-field
-    cancellation: p0'B (+ q0 terms) - E3 B - E4.
+    cancellation: p0'B - E3 B - E4.
 
     Accepts a single p0 vector or a stack of rows; the result has matching
     leading shape.  Its value at tau is always -(E3 B + E4).
     """
     p0 = np.asarray(p0, dtype=float)
     row_u = target_control_row(target, dynamics)
-    out = p0 @ dynamics.B - row_u
-    if q0 is not None:
-        q0 = np.asarray(q0, dtype=float)
-        for j in range(dynamics.d):
-            out = out + dynamics.D[j].T @ q0[:, j]
-    return out
+    return p0 @ dynamics.B - row_u
 
 
 def khat_evaluator(dynamics, target, tau: float) -> Callable:

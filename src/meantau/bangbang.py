@@ -88,10 +88,10 @@ def find_switch_times(
     """
     times = np.asarray(times, dtype=float)
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    if vals.shape[0] == len(times):
-        pass
-    elif vals.shape[1] == len(times):
+    if vals.ndim == 2 and vals.shape[0] != len(times) and vals.shape[1] == len(times):
         vals = vals.T
+    if vals.ndim != 2 or vals.shape[0] != len(times):
+        raise ValueError(f"values of shape {vals.shape} need one row or column per time node")
     scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     out = []
     for i in range(vals.shape[1]):
@@ -143,7 +143,7 @@ def vertex_policy(
     segments = []
     for a, b in zip(edges[:-1], edges[1:]):
         k_mid = khat(0.5 * (a + b))
-        value = np.where(k_mid > 0.0, box.upper, box.lower)
+        value = box.maximizer(k_mid)
         zero = np.abs(k_mid) <= 1e-12 * max(1.0, float(np.max(np.abs(khat_nodes))))
         if np.any(zero):
             raise SingularArcError(component=int(np.argmax(zero)))

@@ -38,6 +38,7 @@ from .errors import (
     InfeasibleError,
     NonConvergenceError,
     NumericalConsistencyError,
+    SingularArcError,
     SpecValidationError,
 )
 from .output import fmt_float, svg_line_chart, write_csv, write_json, write_svg
@@ -123,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-smp", help="first-order optimality residual")
     common(p)
     p.add_argument("--t-nodes", type=int, default=2048, help="time nodes of the check grid")
-    p.add_argument("--u-samples", type=int, default=101, help="control samples per axis")
+    p.add_argument("--u-samples", type=int, default=101, help="control samples per axis "
+                   "(>= 2) of the certified lattice; the maximum is taken at a vertex")
     p.add_argument("--tol", type=float, default=1e-8, help="pass threshold on the residual")
 
     p = sub.add_parser("verify-variational", help="finite-difference diagnostics")
@@ -464,6 +466,8 @@ def _diagnostic(exc: Exception) -> str:
     if isinstance(exc, DivergenceError):
         info["step"] = exc.step
         info["path"] = exc.path
+    if isinstance(exc, SingularArcError):
+        info["component"] = exc.component
     return json.dumps(info, sort_keys=True)
 
 

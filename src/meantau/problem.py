@@ -246,6 +246,10 @@ class ControlSet:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
+    def maximizer(self, g) -> np.ndarray:
+        """Vertex w maximizing g . w over the box, lower bound on a tie; g may be rows."""
+        return np.where(np.asarray(g, dtype=float) > 0.0, self.upper, self.lower)
+
 
 @dataclass
 class ControlSegment:

@@ -2,15 +2,16 @@
 
 A candidate is tested through the sign of the combined variation
 
-    residual(t, w) = H_u(t) . (w - u(t))
-                     - weight * Khat(t) . (w - u(t)) / slope_at_tau,
+    residual(t, w) = G(t) . (w - u(t)),
+    G(t) = H_u(t) - weight * Khat(t) / slope_at_tau,
 
 where H_u is the control gradient of the cost Hamiltonian, Khat the
 control derivative of the target pairing, and weight the expected drift
 of the terminal cost plus the running cost, both evaluated at the hit.
 At a minimizer the residual is <= 0 for every admissible w at almost
-every t; the checker reports the maximum over a time grid times a sample
-of the control box, with the witness where the maximum is attained.
+every t.  The residual is affine in w, so its maximum over the box sits
+at the vertex `ControlSet.maximizer(G(t))`; the checker reports the
+largest vertex value over a time grid, with the witness where it occurs.
 
 At an interior hit the full residual applies; when the mean target never
 reaches zero the time term drops (the cap is locally insensitive to the
@@ -64,6 +65,8 @@ def control_samples(control_set, per_axis: int = 101) -> np.ndarray:
     Full lattice for one or two axes; above that the vertex set plus
     per-axis sweeps through the midpoint, which still touches every face.
     """
+    if per_axis < 2:
+        raise ValueError(f"per_axis must be at least 2 to hold the box vertices, got {per_axis}")
     low, high = control_set.lower, control_set.upper
     k = len(low)
     axes = [np.linspace(low[i], high[i], per_axis) for i in range(k)]
@@ -108,9 +111,16 @@ class SmpReport:
     adjoint_gap: float = float("nan")
 
 
-def _scan(residual: np.ndarray, times: np.ndarray, samples: np.ndarray):
-    i, j = np.unravel_index(int(np.argmax(residual)), residual.shape)
-    return float(residual[i, j]), float(times[i]), samples[j].copy()
+def _vertex_maximum(box, g: np.ndarray, u_bar: np.ndarray, times: np.ndarray) -> dict:
+    """Largest g(t) . (w - u_bar(t)) over box and nodes, at the first node attaining it."""
+    w_star = box.maximizer(g)
+    residual = np.einsum("tk,tk->t", g, w_star - u_bar)
+    i = int(np.argmax(residual))
+    return {
+        "max_residual": float(residual[i]),
+        "witness_t": float(times[i]),
+        "witness_u": w_star[i],
+    }
 
 
 def check_candidate(
@@ -124,7 +134,11 @@ def check_candidate(
     detection_steps: int = 65536,
     terminal_x_paths: Optional[np.ndarray] = None,
 ) -> SmpReport:
-    """Evaluate the first-order residual over a (time x control) grid.
+    """Maximize the first-order residual over a time grid and the control box.
+
+    The witness is the first node attaining the maximum, at the vertex
+    `ControlSet.maximizer` picks.  It is also the maximum over the lattice of
+    `n_control_samples` points, the same for every `u_samples_per_axis >= 2`.
 
     tau and its regime label are detected from a fine mean solve unless
     supplied by the caller (pass both together when the hitting time is
@@ -136,6 +150,7 @@ def check_candidate(
     dyn, tgt, cost = spec.dynamics, spec.target, spec.cost
     if (tau is None) != (case_label is None):
         raise ValueError("pass tau and case_label together or neither")
+    samples = control_samples(spec.control_set, u_samples_per_axis)
     if tau is None:
         mp = solve_mean_path(spec, policy, SimGrid(spec.horizon, detection_steps))
         tau, case_label = mp.tau, mp.case_label
@@ -156,13 +171,11 @@ def check_candidate(
     u_bar = np.atleast_2d(policy.values(times, side=+1))
     u_bar[-1] = policy.value(times[-1], side=-1)  # final node: value inside [0, tau]
     hu = adj.p @ dyn.B - u_bar @ cost.Lambda.T
-    samples = control_samples(spec.control_set, u_samples_per_axis)
 
-    need_time_term = case_label in ("i", "iii")
     slope = float("nan")
     weight = float("nan")
     khat = None
-    if need_time_term:
+    if case_label in ("i", "iii"):
         khat = target_hamiltonian_du(adj.p0, dyn, tgt)
         u_tau = np.atleast_1d(policy.value(tau, side=-1))
         slope = target_slope_at_tau(
@@ -184,38 +197,21 @@ def check_candidate(
                 + cost.running(xrow, u_tau)[0]
             )
 
-    # residuals in chunks over control samples to bound memory
     variants = {}
     names = {"i": ("full",), "ii": ("drift_only",), "iii": ("full", "drift_only")}[case_label]
-    best = {name: (-np.inf, 0.0, None) for name in names}
-    chunk = max(1, int(2_000_000 // max(len(times), 1)))
-    for lo in range(0, len(samples), chunk):
-        sub = samples[lo : lo + chunk]
-        du = sub[None, :, :] - u_bar[:, None, :]
-        n1 = np.einsum("tk,tsk->ts", hu, du)
-        for name in names:
-            if name == "full":
-                res = n1 - (weight / slope) * np.einsum("tk,tsk->ts", khat, du)
-            else:
-                res = n1
-            val, t_at, u_at = _scan(res, times, sub)
-            if val > best[name][0]:
-                best[name] = (val, t_at, u_at)
-
     for name in names:
-        val, t_at, u_at = best[name]
-        variants[name] = {"max_residual": val, "witness_t": t_at, "witness_u": u_at}
+        g = hu - (weight / slope) * khat if name == "full" else hu
+        variants[name] = _vertex_maximum(spec.control_set, g, u_bar, times)
 
-    primary = min(names, key=lambda n: variants[n]["max_residual"])
-    max_residual = variants[primary]["max_residual"]
+    best = min(variants.values(), key=lambda v: v["max_residual"])
     return SmpReport(
         tau=float(tau),
         case_label=case_label,
         tol=tol,
-        max_residual=float(max_residual),
-        witness_t=variants[primary]["witness_t"],
-        witness_u=np.asarray(variants[primary]["witness_u"]),
-        passed=bool(max_residual <= tol),
+        max_residual=best["max_residual"],
+        witness_t=best["witness_t"],
+        witness_u=best["witness_u"],
+        passed=bool(best["max_residual"] <= tol),
         terminal_weight=weight,
         slope_at_tau=slope,
         n_time_nodes=len(times),

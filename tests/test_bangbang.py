@@ -62,6 +62,12 @@ def test_find_switch_times_node_zero_counts_once():
     np.testing.assert_allclose(roots[0], [0.5])
 
 
+def test_find_switch_times_rejects_values_without_a_node_axis():
+    times = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="per time node"):
+        find_switch_times(times, np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+
+
 def test_find_switch_times_zero_plateau_is_singular():
     times = np.linspace(0.0, 1.0, 5)
     vals = np.array([1.0, 0.0, 0.0, 0.0, -1.0])

@@ -234,17 +234,32 @@ def test_exit_2_on_missing_config(tmp_path, capsys):
     assert any("file not found" in v for v in err["violations"])
 
 
-def test_exit_2_on_invalid_json(tmp_path):
+def test_exit_2_on_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")
     assert main(["mean", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert set(json.loads(capsys.readouterr().err)) == {"error", "message", "violations"}
 
 
-def test_exit_2_on_missing_sections(tmp_path):
+def test_exit_2_on_missing_sections(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"policy": {"constant": [0.5]}})
     assert main(["mean", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+    assert set(json.loads(capsys.readouterr().err)) == {"error", "message", "violations"}
     cfg = write_cfg(tmp_path, {"problem": {"horizon": 1.0}}, name="cfg2.json")
     assert main(["mean", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    assert set(json.loads(capsys.readouterr().err)) == {"error", "message", "violations"}
+
+
+@pytest.mark.parametrize("per_axis", ["0", "1"])
+def test_exit_2_when_the_control_sample_cannot_hold_the_vertices(tmp_path, capsys, per_axis):
+    out = tmp_path / "out"
+    code = main(["check-smp", "--config", SCALAR, "--out", str(out), "--u-samples", per_axis])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error", "message"}
+    assert err["error"] == "ValueError"
+    assert "per_axis" in err["message"]
+    assert not (out / "smp.json").exists()
 
 
 def test_exit_3_when_synthesis_is_infeasible(tmp_path, capsys):
@@ -308,7 +323,22 @@ def test_exit_4_when_the_hit_is_not_transversal(tmp_path, capsys):
         ]
     )
     assert code == 4
-    assert json.loads(capsys.readouterr().err)["error"] == "AssumptionViolationError"
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error", "message"}
+    assert err["error"] == "AssumptionViolationError"
+
+
+def test_exit_4_when_the_switching_function_vanishes(tmp_path, capsys):
+    # B = 0 and E4 = 0 make Khat identically zero: a singular arc
+    cfg = json.loads(Path(SCALAR).read_text())
+    cfg["problem"]["dynamics"]["B"] = [[0.0]]
+    cfg["problem"]["target"]["E4"] = [0.0]
+    code = main(["bangbang", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"error", "message", "component"}
+    assert err["error"] == "SingularArcError"
+    assert err["component"] == 0
 
 
 def test_version_and_unknown_command_exit_via_argparse(capsys):

@@ -79,6 +79,14 @@ def test_control_set_membership():
     np.testing.assert_allclose(box.midpoint(), [0.5, 0.0])
 
 
+def test_control_set_maximizer_takes_the_lower_bound_on_a_tie():
+    box = ControlSet([0.0, -1.0], [1.0, 1.0])
+    np.testing.assert_array_equal(box.maximizer([2.0, -3.0]), [1.0, -1.0])
+    np.testing.assert_array_equal(
+        box.maximizer([[0.0, 0.5], [-0.0, -1e-300]]), [[0.0, 1.0], [0.0, -1.0]]
+    )
+
+
 def test_policy_eval_matches_hand_computed_exponential():
     # one falling-exponential segment, anchored so u(t) = 8.5 e^{0.05 (10.92 - t)}
     seg = ControlSegment.scaled_exp(

@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import never_crossing_spec, scalar_spec
+from meantau.bangbang import synthesize
+from meantau.config import load_config, parse_policy, parse_problem
 from meantau.portfolio import branch_coefficient
 from meantau.problem import (
     ControlPolicy,
@@ -10,7 +16,16 @@ from meantau.problem import (
     CostSpec,
     ProblemSpec,
 )
-from meantau.smp import check_candidate, control_samples, terminal_cost_drift
+from meantau.smp import _vertex_maximum, check_candidate, control_samples, terminal_cost_drift
+
+TWO_STATE = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json"
+
+
+def lattice_scan(g, u_bar, times, samples):
+    """Reference: first argmax of g(t) . (w - u_bar(t)) over the whole (time, sample) lattice."""
+    residual = np.einsum("tk,tsk->ts", g, samples[None, :, :] - u_bar[:, None, :])
+    i, j = np.unravel_index(int(np.argmax(residual)), residual.shape)
+    return float(residual[i, j]), float(times[i]), samples[j]
 
 
 def test_terminal_cost_drift_linear_terminal():
@@ -179,3 +194,73 @@ def test_check_candidate_quadratic_terminal_needs_sampled_states(
     )
     assert np.isfinite(report.terminal_weight)
     assert report.n_control_samples == 9
+
+
+# Nonzero gains stay at least 1e-2: a gain below the rounding of the other
+# terms lets a non-vertex sample round to the vertex value, and the lattice's
+# first argmax then names that sample instead of the (equal-valued) vertex.
+_GAIN = st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(-10.0, -0.01))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, 4),
+    n_times=st.integers(1, 6),
+    per_axis=st.sampled_from([2, 3, 5, 17, 101]),
+)
+def test_vertex_maximum_matches_the_lattice_scan(data, k, n_times, per_axis):
+    lower = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k)))
+    width = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=k, max_size=k))
+    box = ControlSet(lower, lower + np.array(width))
+    g = np.array(data.draw(st.lists(_GAIN, min_size=k * n_times, max_size=k * n_times)))
+    g = g.reshape(n_times, k)
+    # each candidate row sits inside the box or on one of its vertices (exact ties)
+    rows = []
+    for _ in range(n_times):
+        if data.draw(st.booleans()):
+            frac = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+            rows.append(box.lower + frac * (box.upper - box.lower))
+        else:
+            upper = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+            rows.append(np.where(upper, box.upper, box.lower))
+    u_bar = np.array(rows)
+    times = np.linspace(0.0, 1.0, n_times)
+
+    got = _vertex_maximum(box, g, u_bar, times)
+    value, t_at, u_at = lattice_scan(g, u_bar, times, control_samples(box, per_axis))
+    scale = np.linalg.norm(g) * max(np.max(np.abs(box.lower)), np.max(np.abs(box.upper)))
+    assert abs(got["max_residual"] - value) <= 1e-14 * scale
+    assert got["witness_t"] == t_at
+    np.testing.assert_array_equal(got["witness_u"], u_at)
+
+
+def test_two_state_bang_bang_candidate_witness_is_the_first_node():
+    spec = parse_problem(load_config(str(TWO_STATE))["problem"])
+    candidate = synthesize(spec)
+    report = check_candidate(spec, candidate.policy)
+    # the vertex candidate attains the maximum 0 at every node: the first wins
+    assert report.max_residual == 0.0
+    assert report.witness_t == 0.0
+    np.testing.assert_array_equal(report.witness_u, [1.5, 1.5])
+
+
+def test_check_candidate_report_does_not_depend_on_the_sample_size():
+    cfg = load_config(str(TWO_STATE))
+    spec = parse_problem(cfg["problem"])
+    policy = parse_policy(cfg["policy"], horizon=spec.horizon)
+    reports = [
+        check_candidate(spec, policy, t_grid_size=256, u_samples_per_axis=n)
+        for n in (2, 3, 101)
+    ]
+    assert [r.n_control_samples for r in reports] == [4, 9, 10201]
+    first = reports[0]
+    for r in reports[1:]:
+        assert (r.max_residual, r.witness_t) == (first.max_residual, first.witness_t)
+        np.testing.assert_array_equal(r.witness_u, first.witness_u)
+        assert r.variants.keys() == first.variants.keys()
+        for name, v in r.variants.items():
+            assert (v["max_residual"], v["witness_t"]) == (
+                first.variants[name]["max_residual"], first.variants[name]["witness_t"]
+            )
+            np.testing.assert_array_equal(v["witness_u"], first.variants[name]["witness_u"])
