@@ -188,8 +188,11 @@ def synthesize(
     vertex) ever drives the mean target to zero, NonConvergenceError when
     the tau iteration exhausts `max_iter` (with the tau history and a
     flag for a detected two-cycle), and SingularArcError if the switching
-    function vanishes on an interval.
+    function vanishes on an interval.  A damping outside (0, 1] or a
+    max_iter below 1 raises ValueError.
     """
+    if not (0.0 < damping <= 1.0 and max_iter >= 1):
+        raise ValueError(f"need damping in (0, 1] and max_iter >= 1, got {damping}, {max_iter}")
     spec.require_valid()
     T = spec.horizon
     box = spec.control_set

@@ -299,7 +299,10 @@ def mc_validate(
     once) are stepped as columns of one `simulate_ensemble` batch, so
     they share one Brownian draw.  A pair entry equal to `params.vol`
     reuses the base column, and its mean equals `mean_terminal` exactly.
+    A dt that is not finite and positive raises ValueError.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     sol = solve_tau(params)
     tau = sol.tau
     vols = [params.vol]

@@ -15,12 +15,13 @@ Every path ensemble goes through one explicit Euler-Maruyama time loop
 whose columns share each step's noise draw.  Noise for step j comes from
 a counter-based generator keyed by (seed, j), so results are a pure
 function of (spec, policy, N, grid, seed) regardless of how the loop is
-scheduled.  An ensemble column also steps the monitoring process, with
-the mean-field couplings (E[X] and E[b]) evaluated as ensemble averages
-at the start of each step; the specs of a batch are such columns.  A
-path column only stores its state paths: the variational checks step the
-base state with its sensitivity, and each perturbed control, as path
-columns of one loop.
+scheduled.  Linear dynamics step one row of paths per coordinate with
+one affine kernel; an ensemble column adds the monitoring process as a
+last row, with the mean-field couplings (E[X] and E[b]) evaluated as
+ensemble averages at the start of each step.  The specs of a batch are
+such columns.  A path column only stores its state paths: the variational
+checks step the base state with its sensitivity, and each perturbed
+control, as path columns of one loop.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ def solve_mean_path(spec: ProblemSpec, policy, grid: SimGrid) -> MeanPath:
 
 @dataclass
 class HookDynamics:
-    """User-supplied state coefficients for nonlinear experiments.
+    """State coefficients given as functions, stepped only by the variational checks.
 
     `drift(X, u)` and `diffusion(X, u)` act on path batches (X has shape
     (N, m)) and return (N, m) and (N, m, d).  The *_dstate / *_dcontrol
@@ -370,119 +371,122 @@ def _node_controls(policy, times) -> np.ndarray:
     return u[:, None] if u.ndim == 1 else u
 
 
+def _affine_row(M_a, X, f_a, out, tmp):
+    """out = M_a . X + f_a path by path, for X given as coordinate vectors."""
+    np.multiply(X[0], M_a[0], out=out)
+    for b in range(1, len(X)):
+        np.multiply(X[b], M_a[b], out=tmp)
+        np.add(out, tmp, out=out)
+    np.add(out, f_a, out=out)
+
+
 class _Column:
     """One dynamics, its node controls and its paths inside the time loop.
 
     An ensemble column (`spec` given) also steps the monitoring process Y
     and records per-node statistics; a path column (`spec` None) only
-    stores its state paths.  `X` and `Y` hold the current state of every
-    path; `Xn` and the other buffers are scratch reused across steps, so
-    the scalar path allocates no path-sized array inside the time loop.
+    stores its state paths.  A LinearDynamics column keeps its state in
+    `Z`, one contiguous vector of paths per coordinate and Y as an
+    ensemble column's last row, and `step` advances every row with the
+    same affine arithmetic; its buffers, one vector each, are reused
+    across steps, so the loop allocates no path-sized array.  A
+    HookDynamics column keeps an (n_paths, m) state `X` for its hooks.
     """
 
-    def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True, fast=False):
-        m = dyn.m
-        self.spec, self.dyn, self.u_nodes, self.fast = spec, dyn, u_nodes, fast
-        self.X = np.tile(dyn.x0, (n_paths, 1))
-        self.Y = None
-        if fast:
-            self.Xn = np.empty_like(self.X)
-            self.t1 = np.empty(n_paths)
-            self.t2 = np.empty(n_paths)
+    def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True):
+        m, d = dyn.m, dyn.d
+        self.spec, self.dyn, self.u_nodes = spec, dyn, u_nodes
+        self.paths = np.empty((n_paths, n_steps + 1, m)) if store_paths else None
+        if not isinstance(dyn, LinearDynamics):
+            self.Z = None
+            self.X = np.tile(dyn.x0, (n_paths, 1))
+            return
+        # drift rows M = [A; E2] and noise rows N_c = [C_c; g_state_c]; d may be 0
+        z0 = dyn.x0
+        self.drift_rows = dyn.A
+        self.noise_rows = dyn.C.reshape(d, m, m)
         if spec is not None:
-            self.Y = np.full(n_paths, spec.target.y0)
-            self.dev = np.empty_like(self.X)
+            tgt = spec.target
+            g_state = np.zeros((d, m)) if tgt.diffusion is None else tgt.diffusion.coef_state
+            z0 = np.append(dyn.x0, tgt.y0)
+            self.drift_rows = np.vstack([dyn.A, tgt.E2])
+            self.noise_rows = np.concatenate([self.noise_rows, g_state[:, None, :]], axis=1)
             self.mean_x = np.empty((n_steps + 1, m))
             self.std_x = np.empty((n_steps + 1, m))
             self.mean_y = np.empty(n_steps + 1)
-        self.paths = np.empty((n_paths, n_steps + 1, m)) if store_paths else None
+        self.f_nodes = np.zeros((n_steps + 1, len(z0)))
+        self.f_nodes[:, :m] = u_nodes @ dyn.B.T
+        self.g_nodes = np.zeros((n_steps + 1, d, len(z0)))
+        self.g_nodes[:, :, :m] = np.einsum("jk,cak->jca", u_nodes, dyn.D.reshape(d, m, dyn.k))
+        # rows at nodes j and j + 1, a noise term, a spare for products
+        self.Z = [np.full(n_paths, z) for z in z0]
+        self.Zn = [np.empty(n_paths) for _ in z0]
+        self.noise, self.tmp = np.empty(n_paths), np.empty(n_paths)
 
     def record(self, j):
         """Check the state at node j for divergence and store it.
 
-        Any non-finite entry makes its column sum non-finite, so the sums
+        Any non-finite entry makes its row sum non-finite, so the sums
         that an ensemble column's means need anyway stand in for a full
         finiteness scan; the scan runs only when a sum is not finite.
         """
-        X, Y = self.X, self.Y
-        n_paths = X.shape[0]
-        sx = X.sum(axis=0)
-        sy = 0.0 if Y is None else Y.sum()
-        if not (np.isfinite(sx).all() and np.isfinite(sy)):
-            ok = np.isfinite(X).all(axis=1)
-            if Y is not None:
-                ok &= np.isfinite(Y)
-            bad = np.nonzero(~ok)[0]
+        Z = list(self.X.T) if self.Z is None else self.Z
+        m, n_paths = self.dyn.m, len(Z[0])
+        sums = np.array([z.sum() for z in Z])
+        if not np.isfinite(sums).all():
+            bad = np.flatnonzero(~np.all([np.isfinite(z) for z in Z], axis=0))
             if bad.size:
                 raise DivergenceError(step=j, path=int(bad[0]))
         if self.paths is not None:
-            self.paths[:, j, :] = X
-        if Y is None:
+            for b in range(m):
+                self.paths[:, j, b] = Z[b]
+        if self.spec is None:
             return
-        mx = self.mean_x[j]
-        np.divide(sx, n_paths, out=mx)
-        # X.std(axis=0, ddof=1) with the mean above reused
-        np.subtract(X, mx, out=self.dev)
-        np.multiply(self.dev, self.dev, out=self.dev)
-        self.std_x[j] = np.sqrt(self.dev.sum(axis=0) / (n_paths - 1))
+        mx, dev = self.mean_x[j], self.tmp
+        np.divide(sums[:m], n_paths, out=mx)
+        for b in range(m):
+            # X.std(axis=0, ddof=1) with the mean above reused
+            np.subtract(Z[b], mx[b], out=dev)
+            np.multiply(dev, dev, out=dev)
+            self.std_x[j, b] = np.sqrt(dev.sum() / (n_paths - 1))
         # at node 0 the exact y0, not a sum of N copies over N
-        self.mean_y[j] = sy / n_paths if j else self.spec.target.y0
+        self.mean_y[j] = sums[m] / n_paths if j else self.spec.target.y0
 
     def step(self, j, dW, dt):
-        """Advance every path from node j to node j + 1 and record the new node."""
-        Xn, Yn = self.step_scalar(j, dW, dt) if self.fast else self.step_general(j, dW, dt)
-        self.X, self.Xn, self.Y = Xn, self.X, Yn
-        self.record(j + 1)
+        """Euler-Maruyama step of every path from node j to node j + 1.
 
-    def step_scalar(self, j, dW, dt):
-        """Euler-Maruyama step for linear m = d = 1 dynamics, in place."""
-        dyn, tgt = self.dyn, self.spec.target
-        u, mx = self.u_nodes[j], self.mean_x[j]
-        x, y, t1, t2 = self.X[:, 0], self.Y, self.t1, self.t2
-        w = dW[:, 0]
-        a = dyn.A[0, 0]
-        bu = float(dyn.B[0] @ u)
-        mean_b = np.array([a * mx[0] + bu])
-        np.multiply(x, a, out=t1)  # drift a x + B u
-        np.add(t1, bu, out=t1)
-        np.multiply(t1, dt, out=t1)
-        np.add(x, t1, out=t1)
-        np.multiply(x, dyn.C[0, 0, 0], out=t2)  # diffusion C x + D u
-        np.add(t2, float(dyn.D[0, 0] @ u), out=t2)
-        np.multiply(t2, w, out=t2)
-        Xn = self.Xn
-        np.add(t1, t2, out=Xn[:, 0])
-        hconst = float(tgt.E1 @ mx + tgt.E3 @ mean_b + tgt.E4 @ u) + self.spec.eps_regularize
-        np.multiply(x, tgt.E2[0], out=t1)
-        np.add(t1, hconst, out=t1)
-        np.multiply(t1, dt, out=t1)
-        np.add(y, t1, out=y)
-        gspec = tgt.diffusion
-        if gspec is not None:
-            np.multiply(x, gspec.coef_state[0, 0], out=t1)
-            np.add(t1, float(gspec.coef_mean[0] @ mx + gspec.coef_control[0] @ u), out=t1)
-            np.multiply(t1, w, out=t1)
-            np.add(y, t1, out=y)
-        return Xn, y
-
-    def step_general(self, j, dW, dt):
-        """Euler-Maruyama step for any dimensions or hook dynamics."""
-        dyn, X, u = self.dyn, self.X, self.u_nodes[j]
-        drift = dyn.drift(X, u)
-        Xn = X + drift * dt
-        if dyn.d > 0:
-            Xn = Xn + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
-        if self.Y is None:
-            return Xn, None
-        tgt, eps, mx = self.spec.target, self.spec.eps_regularize, self.mean_x[j]
-        mean_b = drift.mean(axis=0)
-        hvals = float(tgt.E1 @ mx + tgt.E3 @ mean_b + tgt.E4 @ u) + eps + X @ tgt.E2
-        Yn = self.Y + hvals * dt
-        gspec = tgt.diffusion
-        if gspec is not None and dyn.d > 0:
-            grows = gspec.coef_mean @ mx + gspec.coef_control @ u + X @ gspec.coef_state.T
-            Yn = Yn + np.einsum("nj,nj->n", grows, dW)
-        return Xn, Yn
+        In a linear column row a gains dt (M_a . X + f_a) + sum_c dW_c
+        (N_ca . X + g_ca), X being the state rows at node j.  The forcing
+        f, g holds B u and D u, and for Y the mean-field terms E1 E[X] +
+        E3 (A E[X] + B u) + E4 u + eps and coef_mean E[X] + coef_control u.
+        Each row gains its drift, then each channel's noise term in turn,
+        in `Zn`, which then becomes `Z`.
+        """
+        dyn, Z = self.dyn, self.Z
+        if Z is None:
+            X, u = self.X, self.u_nodes[j]
+            self.X = X + dyn.drift(X, u) * dt
+            if dyn.d > 0:
+                self.X = self.X + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
+            return
+        m = dyn.m
+        X, f, g = Z[:m], self.f_nodes[j], self.g_nodes[j]
+        if self.spec is not None:
+            tgt, mx, u = self.spec.target, self.mean_x[j], self.u_nodes[j]
+            mean_b = dyn.A @ mx + f[:m]
+            f[m] = float(tgt.E1 @ mx + tgt.E3 @ mean_b + tgt.E4 @ u) + self.spec.eps_regularize
+            if tgt.diffusion is not None:
+                g[:, m] = tgt.diffusion.coef_mean @ mx + tgt.diffusion.coef_control @ u
+        noise = self.noise
+        for a, (z, zn) in enumerate(zip(Z, self.Zn)):
+            _affine_row(self.drift_rows[a], X, f[a], zn, self.tmp)
+            np.multiply(zn, dt, out=zn)
+            np.add(z, zn, out=zn)
+            for c in range(dyn.d):
+                _affine_row(self.noise_rows[c, a], X, g[c, a], noise, self.tmp)
+                np.multiply(noise, dW[:, c], out=noise)
+                np.add(zn, noise, out=zn)
+        self.Z, self.Zn = self.Zn, Z
 
 
 def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
@@ -492,8 +496,11 @@ def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
     column steps on that draw, so all columns see the same Brownian
     increments whatever their dynamics and controls.  Overflow warnings
     are silenced: `_Column.record`, which stores node 0 and each stepped
-    node, raises DivergenceError on non-finite values instead.
+    node, raises DivergenceError on non-finite values instead.  Fewer
+    than two paths, which have no sample variance, raise ValueError.
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2")
     d, dt = cols[0].dyn.d, grid.dt
     sq = np.sqrt(dt)
     dW = np.empty((n_paths, d))
@@ -505,6 +512,7 @@ def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
                 np.multiply(step_noise(seed, j, n_paths, d), sq, out=dW)
             for col in cols:
                 col.step(j, dW, dt)
+                col.record(j + 1)
 
 
 def _state_paths(columns, grid: SimGrid, seed: int, n_paths: int) -> list:
@@ -525,7 +533,6 @@ def simulate_ensemble(
     grid: SimGrid,
     seed: int,
     store_paths: Optional[bool] = None,
-    dynamics=None,
 ) -> Union[EnsembleResult, list]:
     """Simulate N coupled paths of (X, Y) and detect the mean hitting time.
 
@@ -537,10 +544,6 @@ def simulate_ensemble(
     initial values and eps_regularize may differ.  Each column's result
     is bit-identical to a call with that spec alone.
 
-    `dynamics` accepts a HookDynamics that replaces the state equation of
-    every column, for nonlinear experiments; the command-line interface
-    only exposes the linear family.
-
     Paths are stored when `store_paths` is true, defaulting to on for
     N <= 10^4 and off above that.
     """
@@ -550,11 +553,8 @@ def simulate_ensemble(
         raise ValueError("the spec batch is empty")
     for s in specs:
         s.require_valid()
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
-    dyns = [dynamics if dynamics is not None else s.dynamics for s in specs]
-    m, k, d = dyns[0].m, dyns[0].k, dyns[0].d
-    if any((dy.m, dy.k, dy.d) != (m, k, d) for dy in dyns):
+    dims = {(s.dynamics.m, s.dynamics.k, s.dynamics.d) for s in specs}
+    if len(dims) > 1:
         raise ValueError("batched specs must share the dimensions (m, k, d)")
     times = grid.times()
     if policy.horizon < times[-1]:
@@ -563,13 +563,9 @@ def simulate_ensemble(
         store_paths = n_paths <= _PATH_STORAGE_CAP
 
     u_nodes = _node_controls(policy, times)
-    scalar = m == 1 and d == 1
     cols = [
-        _Column(
-            dy, u_nodes, n_paths, grid.n_steps, spec=s, store_paths=store_paths,
-            fast=scalar and isinstance(dy, LinearDynamics),
-        )
-        for s, dy in zip(specs, dyns)
+        _Column(s.dynamics, u_nodes, n_paths, grid.n_steps, spec=s, store_paths=store_paths)
+        for s in specs
     ]
     _run_columns(cols, grid, seed, n_paths)
 
@@ -613,9 +609,7 @@ def estimate_cost(result: EnsembleResult, cost, policy):
     j_last = min(j_last, len(times) - 1)
     partial = tau - times[j_last]
 
-    u_nodes = policy.values(times[: j_last + 1], side=+1)
-    if u_nodes.ndim == 1:
-        u_nodes = u_nodes[:, None]
+    u_nodes = _node_controls(policy, times[: j_last + 1])
     quad_u = 0.5 * np.einsum("tj,jk,tk->t", u_nodes, cost.Lambda, u_nodes)
     f_nodes = cost.kappa + paths[:, : j_last + 1, :] @ cost.c_lin + quad_u
 

@@ -262,6 +262,49 @@ def test_exit_2_when_the_control_sample_cannot_hold_the_vertices(tmp_path, capsy
     assert not (out / "smp.json").exists()
 
 
+def assert_exit_2_with_a_value_error(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert set(diag) == {"error", "message"}
+    assert diag["error"] == "ValueError"
+    return diag["message"]
+
+
+@pytest.mark.parametrize("paths", ["0", "1"])
+def test_exit_2_when_the_state_table_has_fewer_than_two_paths(tmp_path, capsys, paths):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "verify-variational", "--config", SCALAR, "--out", str(out),
+            "--steps", "200", "--paths", paths,
+        ]
+    )
+    assert "n_paths" in assert_exit_2_with_a_value_error(code, capsys)
+    assert not (out / "variational.json").exists()
+
+
+@pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+def test_exit_2_when_the_monte_carlo_step_is_not_positive(tmp_path, capsys, dt):
+    out = tmp_path / "out"
+    code = main(["portfolio", "--out", str(out), "--mc", "--paths", "100", "--dt", dt])
+    assert "dt" in assert_exit_2_with_a_value_error(code, capsys)
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--damping", "0"), ("--damping", "-0.5"), ("--damping", "1.5"), ("--max-iter", "0")],
+)
+def test_exit_2_when_the_synthesis_settings_are_out_of_range(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(["bangbang", "--config", SCALAR, "--out", str(out), "--nodes", "128", flag, value])
+    message = assert_exit_2_with_a_value_error(code, capsys)
+    assert flag[2:].replace("-", "_") in message
+    assert not (out / "policy.json").exists()
+
+
 def test_exit_3_when_synthesis_is_infeasible(tmp_path, capsys):
     cfg = infeasible_cfg(tmp_path)
     code = main(["bangbang", "--config", cfg, "--out", str(tmp_path / "out"), "--nodes", "128"])

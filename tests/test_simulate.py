@@ -17,7 +17,6 @@ from meantau.problem import (
     TargetDiffusion,
 )
 from meantau.simulate import (
-    HookDynamics,
     SimGrid,
     _affine_path,
     _rk4_transfer,
@@ -348,25 +347,94 @@ def test_ensemble_bitwise_deterministic():
     assert r1.tau == r2.tau
 
 
-def test_scalar_fast_path_agrees_with_general_stepper():
-    # the one-state shortcut must produce the same bytes as the general code;
-    # force the general branch with a hook that wraps the linear drift
-    spec = scalar_spec(a=0.4, b=1.0, c_coef=0.2, d_coef=0.1, g_state=0.03, g_control=0.01)
-    dyn = spec.dynamics
-    hook = HookDynamics(
-        m=1,
-        k=1,
-        d=1,
-        x0=dyn.x0,
-        drift=dyn.drift,
-        diffusion=dyn.diffusion,
+def reference_scalar_ensemble(spec, policy, n_paths, grid, seed):
+    """Ensemble of an m = k = d = 1 spec from a hand-written in-place step.
+
+    Runs, element by element, the ufunc sequence the linear kernel must run
+    at these dimensions, so the kernel has to reproduce it bit for bit.
+    Returns (mean_x, std_x, mean_y, paths).
+    """
+    dyn, tgt, eps = spec.dynamics, spec.target, spec.eps_regularize
+    a, b, c, dd = dyn.A[0, 0], dyn.B[0, 0], dyn.C[0, 0, 0], dyn.D[0, 0, 0]
+    times, dt = grid.times(), grid.dt
+    u_nodes = policy.values(times, side=+1).reshape(len(times))
+    x = np.full(n_paths, dyn.x0[0])
+    y = np.full(n_paths, tgt.y0)
+    t1, t2, xn = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    mean_x, std_x = np.empty((len(times), 1)), np.empty((len(times), 1))
+    mean_y, paths = np.empty(len(times)), np.empty((n_paths, len(times), 1))
+
+    def record(j):
+        paths[:, j, 0] = x
+        mean_x[j] = x.sum() / n_paths
+        dev = x - mean_x[j]
+        std_x[j] = np.sqrt((dev * dev).sum() / (n_paths - 1))
+        mean_y[j] = y.sum() / n_paths if j else tgt.y0
+
+    record(0)
+    for j in range(grid.n_steps):
+        u, mx = u_nodes[j], mean_x[j, 0]
+        w = step_noise(seed, j, n_paths, 1)[:, 0] * np.sqrt(dt)
+        bu = b * u
+        np.multiply(x, a, out=t1)  # drift a x + b u
+        np.add(t1, bu, out=t1)
+        np.multiply(t1, dt, out=t1)
+        np.add(x, t1, out=t1)
+        np.multiply(x, c, out=t2)  # diffusion c x + d u
+        np.add(t2, dd * u, out=t2)
+        np.multiply(t2, w, out=t2)
+        np.add(t1, t2, out=xn)
+        hconst = tgt.E1[0] * mx + tgt.E3[0] * (a * mx + bu) + tgt.E4[0] * u + eps
+        np.multiply(x, tgt.E2[0], out=t1)
+        np.add(t1, hconst, out=t1)
+        np.multiply(t1, dt, out=t1)
+        np.add(y, t1, out=y)
+        g = tgt.diffusion
+        if g is not None:
+            np.multiply(x, g.coef_state[0, 0], out=t1)
+            np.add(t1, g.coef_mean[0, 0] * mx + g.coef_control[0, 0] * u, out=t1)
+            np.multiply(t1, w, out=t1)
+            np.add(y, t1, out=y)
+        x, xn = xn, x
+        record(j + 1)
+    return mean_x, std_x, mean_y, paths
+
+
+@st.composite
+def scalar_specs(draw):
+    """An m = k = d = 1 spec with optional target noise, C, E3 and eps."""
+    coef = st.floats(-1.0, 1.0)
+    maybe = st.one_of(st.just(0.0), coef)
+    return scalar_spec(
+        a=draw(coef), b=draw(coef), c_coef=draw(maybe), d_coef=draw(maybe),
+        x0=draw(coef), e1=draw(maybe), e2=draw(coef), e3=draw(maybe), e4=draw(coef),
+        y0=draw(st.floats(0.1, 2.0)), g_state=draw(maybe), g_control=draw(maybe),
+        eps=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1))),
     )
-    grid = SimGrid(1.0, 80)
-    policy = ControlPolicy.constant([0.7], 6.0)
-    fast = simulate_ensemble(spec, policy, 32, grid, seed=2)
-    general = simulate_ensemble(spec, policy, 32, grid, seed=2, dynamics=hook)
-    assert np.array_equal(fast.mean_x, general.mean_x)
-    assert np.array_equal(fast.mean_y, general.mean_y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(scalar_specs(), min_size=1, max_size=3),
+    st.floats(0.2, 1.5),
+    st.floats(0.2, 1.5),
+    st.integers(1, 40),
+    st.sampled_from([2, 3, 17]),
+    st.integers(0, 1000),
+)
+def test_scalar_kernel_matches_the_in_place_reference(specs, u0, u1, n_steps, n_paths, seed):
+    grid = SimGrid(1.0, n_steps)
+    policy = piecewise_constant([u0, u1], [0.0, 0.43, 6.0])
+    batch = simulate_ensemble(specs, policy, n_paths, grid, seed)
+    for spec, res in zip(specs, batch):
+        mean_x, std_x, mean_y, paths = reference_scalar_ensemble(
+            spec, policy, n_paths, grid, seed
+        )
+        assert np.array_equal(res.mean_x, mean_x)
+        assert np.array_equal(res.std_x, std_x)
+        assert np.array_equal(res.mean_y, mean_y)
+        assert np.array_equal(res.paths_x, paths)
+        assert res.tau == detect_min_time(mean_y, grid)[0]
 
 
 def _two_state_spec(d_scale):
@@ -432,19 +500,11 @@ def test_batch_rejects_mixed_dimensions():
 
 
 def test_ensemble_divergence_names_step_and_path():
-    hook = HookDynamics(
-        m=1,
-        k=1,
-        d=0,
-        x0=[1e200],
-        drift=lambda X, u: X * X,
-        diffusion=lambda X, u: np.zeros((X.shape[0], 1, 0)),
-    )
+    # x0 = 1e200 with drift rate 1e300: every path overflows at step 1
     spec = scalar_spec(d_coef=0.0, y0=50.0, horizon=1.0)
+    spec.dynamics = LinearDynamics(A=[[1e300]], B=[[0.0]], C=[[[0.0]]], D=[[[0.0]]], x0=[1e200])
     with pytest.raises(DivergenceError) as err:
-        simulate_ensemble(
-            spec, ControlPolicy.constant([0.0], 1.0), 4, SimGrid(1.0, 10), 0, dynamics=hook
-        )
+        simulate_ensemble(spec, ControlPolicy.constant([0.0], 1.0), 4, SimGrid(1.0, 10), 0)
     assert err.value.step == 1
     assert err.value.path == 0
 

@@ -373,11 +373,17 @@ def test_kernel_columns_equal_separately_stepped_loops(case):
     assert np.array_equal(pair[:, :, : dyn.m], ref_base)
     assert np.array_equal(pair[:, :, dyn.m :], ref_sens)
     assert len(perturbed) == len(rhos)
+    # the perturbed columns take the linear kernel, whose operation order
+    # differs from the reference loop's except at m = k = 1 and d <= 1
+    exact = dyn.m == dyn.k == 1 and dyn.d <= 1
     for rho, pert in zip(rhos, perturbed):
         ref = reference_state_paths(
             dyn, perturbed_policy(policy, direction, rho), grid, seed, n_paths
         )
-        assert np.array_equal(pert, ref)
+        if exact:
+            assert np.array_equal(pert, ref)
+        else:
+            assert np.max(np.abs(pert - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_kernel_columns_equal_reference_loops_for_hook_dynamics():
