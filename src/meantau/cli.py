@@ -222,6 +222,16 @@ def _run_portfolio(args) -> int:
             raise SpecValidationError(["params: expected an object"])
     params = parse_portfolio_params(params_obj)
     sol = solve_tau(params)
+    # the Monte Carlo check runs first, so a failing one writes no artifact
+    report = None
+    if args.mc:
+        report = mc_validate(
+            params,
+            n_paths=args.paths,
+            dt=args.dt,
+            seed=args.seed,
+            vol_pair=tuple(args.vol_pair) if args.vol_pair else None,
+        )
     fig = figure_columns(params)
     write_csv(
         os.path.join(args.out, "portfolio.csv"),
@@ -256,14 +266,7 @@ def _run_portfolio(args) -> int:
         "control_at_0": float(policy_eval(optimal_policy(params, sol), 0.0)[0]),
         "outputs": ["portfolio.csv", "portfolio.svg", "summary.json"],
     }
-    if args.mc:
-        report = mc_validate(
-            params,
-            n_paths=args.paths,
-            dt=args.dt,
-            seed=args.seed,
-            vol_pair=tuple(args.vol_pair) if args.vol_pair else None,
-        )
+    if report is not None:
         mc = {
             "n_paths": report.n_paths,
             "dt": report.dt,

@@ -62,14 +62,9 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence):
     lengths = {len(c) for c in cols}
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
-    lines = [",".join(header)]
-    n = lengths.pop() if lengths else 0
-    for i in range(n):
-        cells = []
-        for c in cols:
-            v = c[i]
-            cells.append(fmt_float(v) if np.issubdtype(c.dtype, np.floating) else str(v))
-        lines.append(",".join(cells))
+    fmts = [fmt_float if np.issubdtype(c.dtype, np.floating) else str for c in cols]
+    rows = zip(*(map(fmt, c) for fmt, c in zip(fmts, cols)))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -40,7 +40,7 @@ from .problem import (
     TargetCoefficients,
     TargetDiffusion,
 )
-from .simulate import SimGrid, simulate_ensemble, solve_mean_path
+from .simulate import SimGrid, _Column, _node_controls, _run_columns, solve_mean_path
 
 __all__ = [
     "PortfolioParams",
@@ -296,10 +296,12 @@ def mc_validate(
     discretization effects.
 
     All volatilities (`params.vol` and the pair, each distinct value
-    once) are stepped as columns of one `simulate_ensemble` batch, so
-    they share one Brownian draw.  A pair entry equal to `params.vol`
-    reuses the base column, and its mean equals `mean_terminal` exactly.
-    A dt that is not finite and positive raises ValueError.
+    once) are path columns of one Euler-Maruyama loop, so they share one
+    Brownian draw per step.  Each steps only the wealth, stores no paths
+    and is read once, at the last node.  A pair entry equal to
+    `params.vol` reuses the base column, and its mean equals
+    `mean_terminal` exactly.  A dt that is not finite and positive, or
+    fewer than two paths, raise ValueError.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -309,15 +311,13 @@ def mc_validate(
     for v in vol_pair or ():
         if float(v) not in vols:
             vols.append(float(v))
-    specs = [to_problem_spec(replace(params, vol=v)) for v in vols]
     grid = SimGrid(tau, max(2, int(np.ceil(tau / dt))))
-    runs = simulate_ensemble(
-        specs, optimal_policy(params, sol), n_paths, grid, seed, store_paths=False
-    )
-    terminal = {
-        v: (float(r.mean_x[-1, 0]), float(r.std_x[-1, 0] / np.sqrt(n_paths)))
-        for v, r in zip(vols, runs)
-    }
+    u_nodes = _node_controls(optimal_policy(params, sol), grid.times())
+    dyns = [to_problem_spec(replace(params, vol=v)).dynamics for v in vols]
+    cols = [_Column(dyn, u_nodes, n_paths, grid.n_steps, store_paths=False) for dyn in dyns]
+    _run_columns(cols, grid, seed, n_paths)
+    stats = (col.row_stats(0) for col in cols)
+    terminal = {v: (float(mu), float(sd / np.sqrt(n_paths))) for v, (mu, sd) in zip(vols, stats)}
     mean, stderr = terminal[params.vol]
     gap = mean - params.target_wealth
     report = McReport(

@@ -18,16 +18,17 @@ function of (spec, policy, N, grid, seed) regardless of how the loop is
 scheduled.  Linear dynamics step one row of paths per coordinate with
 one affine kernel; an ensemble column adds the monitoring process as a
 last row, with the mean-field couplings (E[X] and E[b]) evaluated as
-ensemble averages at the start of each step.  The specs of a batch are
-such columns.  A path column only stores its state paths: the variational
-checks step the base state with its sensitivity, and each perturbed
-control, as path columns of one loop.
+ensemble averages at the start of each step.  A path column steps only
+the state, storing its paths or not: the variational checks step the
+base state with its sensitivity, and each perturbed control, as path
+columns of one loop, and the wealth Monte Carlo check steps one path
+column per volatility and reads only the terminal state rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -384,16 +385,20 @@ class _Column:
     """One dynamics, its node controls and its paths inside the time loop.
 
     An ensemble column (`spec` given) also steps the monitoring process Y
-    and records per-node statistics; a path column (`spec` None) only
-    stores its state paths.  A LinearDynamics column keeps its state in
-    `Z`, one contiguous vector of paths per coordinate and Y as an
-    ensemble column's last row, and `step` advances every row with the
-    same affine arithmetic; its buffers, one vector each, are reused
-    across steps, so the loop allocates no path-sized array.  A
-    HookDynamics column keeps an (n_paths, m) state `X` for its hooks.
+    and records per-node statistics; a path column (`spec` None) steps
+    only the state, and stores its paths when `store_paths` is true.  A
+    LinearDynamics column keeps its state in `Z`, one contiguous vector
+    of paths per coordinate and Y as an ensemble column's last row, and
+    `step` advances every row with the same affine arithmetic; its
+    buffers, one vector each, are reused across steps, so the loop
+    allocates no path-sized array.  A HookDynamics column keeps an
+    (n_paths, m) state `X` for its hooks.  Fewer than two paths, which
+    have no sample variance, raise ValueError before any buffer exists.
     """
 
     def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True):
+        if n_paths < 2:
+            raise ValueError("n_paths must be at least 2")
         m, d = dyn.m, dyn.d
         self.spec, self.dyn, self.u_nodes = spec, dyn, u_nodes
         self.paths = np.empty((n_paths, n_steps + 1, m)) if store_paths else None
@@ -442,15 +447,23 @@ class _Column:
                 self.paths[:, j, b] = Z[b]
         if self.spec is None:
             return
-        mx, dev = self.mean_x[j], self.tmp
-        np.divide(sums[:m], n_paths, out=mx)
         for b in range(m):
-            # X.std(axis=0, ddof=1) with the mean above reused
-            np.subtract(Z[b], mx[b], out=dev)
-            np.multiply(dev, dev, out=dev)
-            self.std_x[j, b] = np.sqrt(dev.sum() / (n_paths - 1))
+            self.mean_x[j, b], self.std_x[j, b] = self.row_stats(b, sums[b])
         # at node 0 the exact y0, not a sum of N copies over N
         self.mean_y[j] = sums[m] / n_paths if j else self.spec.target.y0
+
+    def row_stats(self, b, total=None):
+        """Mean and sample std (ddof=1) over the paths of linear state row b.
+
+        `total` is the row's sum when the caller has it already.  The
+        deviations go through the spare vector, so nothing is allocated.
+        """
+        z, dev = self.Z[b], self.tmp
+        n_paths = len(z)
+        mean = (z.sum() if total is None else total) / n_paths
+        np.subtract(z, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
+        return mean, np.sqrt(dev.sum() / (n_paths - 1))
 
     def step(self, j, dW, dt):
         """Euler-Maruyama step of every path from node j to node j + 1.
@@ -494,13 +507,13 @@ def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
 
     Each step draws its noise once, keyed by (seed, step), and every
     column steps on that draw, so all columns see the same Brownian
-    increments whatever their dynamics and controls.  Overflow warnings
-    are silenced: `_Column.record`, which stores node 0 and each stepped
-    node, raises DivergenceError on non-finite values instead.  Fewer
-    than two paths, which have no sample variance, raise ValueError.
+    increments whatever their dynamics and controls.  `simulate_ensemble`
+    runs one ensemble column; the variational checks and
+    `portfolio.mc_validate` run path columns, the latter storing no paths
+    and reading the last node through `_Column.row_stats`.  Overflow
+    warnings are silenced: `_Column.record`, which stores node 0 and each
+    stepped node, raises DivergenceError on non-finite values instead.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2")
     d, dt = cols[0].dyn.d, grid.dt
     sq = np.sqrt(dt)
     dW = np.empty((n_paths, d))
@@ -527,35 +540,19 @@ def _state_paths(columns, grid: SimGrid, seed: int, n_paths: int) -> list:
 
 
 def simulate_ensemble(
-    spec: Union[ProblemSpec, Sequence[ProblemSpec]],
+    spec: ProblemSpec,
     policy,
     n_paths: int,
     grid: SimGrid,
     seed: int,
     store_paths: Optional[bool] = None,
-) -> Union[EnsembleResult, list]:
+) -> EnsembleResult:
     """Simulate N coupled paths of (X, Y) and detect the mean hitting time.
-
-    `spec` is one ProblemSpec, which returns one EnsembleResult, or a
-    batch: a list or tuple of specs, which returns a list of results in
-    the same order.  A batch is stepped as columns of one loop that share
-    the policy, grid, seed, path count and each step's noise draw.  Every
-    spec in it must have the same dimensions (m, k, d); coefficients,
-    initial values and eps_regularize may differ.  Each column's result
-    is bit-identical to a call with that spec alone.
 
     Paths are stored when `store_paths` is true, defaulting to on for
     N <= 10^4 and off above that.
     """
-    batched = isinstance(spec, (list, tuple))
-    specs = list(spec) if batched else [spec]
-    if not specs:
-        raise ValueError("the spec batch is empty")
-    for s in specs:
-        s.require_valid()
-    dims = {(s.dynamics.m, s.dynamics.k, s.dynamics.d) for s in specs}
-    if len(dims) > 1:
-        raise ValueError("batched specs must share the dimensions (m, k, d)")
+    spec.require_valid()
     times = grid.times()
     if policy.horizon < times[-1]:
         raise ValueError("policy horizon does not cover the grid")
@@ -563,30 +560,24 @@ def simulate_ensemble(
         store_paths = n_paths <= _PATH_STORAGE_CAP
 
     u_nodes = _node_controls(policy, times)
-    cols = [
-        _Column(s.dynamics, u_nodes, n_paths, grid.n_steps, spec=s, store_paths=store_paths)
-        for s in specs
-    ]
-    _run_columns(cols, grid, seed, n_paths)
+    col = _Column(spec.dynamics, u_nodes, n_paths, grid.n_steps, spec=spec, store_paths=store_paths)
+    _run_columns([col], grid, seed, n_paths)
 
-    results = []
-    for col in cols:
-        tau, label = detect_min_time(col.mean_y, grid)
-        result = EnsembleResult(
-            grid=grid,
-            n_paths=n_paths,
-            seed=seed,
-            mean_x=col.mean_x,
-            mean_y=col.mean_y,
-            std_x=col.std_x,
-            tau=tau,
-            case_label=label,
-            paths_x=col.paths,
-        )
-        if store_paths and col.spec.cost is not None:
-            result.cost, result.cost_stderr = estimate_cost(result, col.spec.cost, policy)
-        results.append(result)
-    return results if batched else results[0]
+    tau, label = detect_min_time(col.mean_y, grid)
+    result = EnsembleResult(
+        grid=grid,
+        n_paths=n_paths,
+        seed=seed,
+        mean_x=col.mean_x,
+        mean_y=col.mean_y,
+        std_x=col.std_x,
+        tau=tau,
+        case_label=label,
+        paths_x=col.paths,
+    )
+    if store_paths and spec.cost is not None:
+        result.cost, result.cost_stderr = estimate_cost(result, spec.cost, policy)
+    return result
 
 
 def estimate_cost(result: EnsembleResult, cost, policy):

@@ -272,7 +272,7 @@ def assert_exit_2_with_a_value_error(code, capsys):
     return diag["message"]
 
 
-@pytest.mark.parametrize("paths", ["0", "1"])
+@pytest.mark.parametrize("paths", ["0", "1", "-3"])
 def test_exit_2_when_the_state_table_has_fewer_than_two_paths(tmp_path, capsys, paths):
     out = tmp_path / "out"
     code = main(
@@ -283,6 +283,21 @@ def test_exit_2_when_the_state_table_has_fewer_than_two_paths(tmp_path, capsys, 
     )
     assert "n_paths" in assert_exit_2_with_a_value_error(code, capsys)
     assert not (out / "variational.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", SCALAR, "--steps", "100"],
+        ["portfolio", "--mc", "--dt", "0.0625"],
+    ],
+    ids=["simulate", "portfolio"],
+)
+def test_exit_2_when_an_ensemble_has_a_negative_path_count(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out), "--paths", "-3"])
+    assert "n_paths must be at least 2" in assert_exit_2_with_a_value_error(code, capsys)
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("dt", ["0", "-1", "nan"])

@@ -157,14 +157,18 @@ def test_mc_validate_vol_pair_reuses_base_column(params):
     report = mc_validate(params, n_paths=4000, dt=1.0 / 32.0, seed=7, vol_pair=(0.2, 0.4))
     assert report.vol_pair_means[0] == report.mean_terminal
     assert report.vol_pair_stderrs[0] == report.stderr
-    # the 0.4 column is the run that volatility gives on its own
-    high = replace(params, vol=0.4)
+    # each volatility's terminal values are those of its ensemble run alone
     grid = SimGrid(report.tau, int(np.ceil(report.tau * 32.0)))
-    alone = simulate_ensemble(
-        to_problem_spec(high), optimal_policy(high), 4000, grid, 7, store_paths=False
+    columns = [(params.vol, report.mean_terminal, report.stderr)] + list(
+        zip(report.vol_pair, report.vol_pair_means, report.vol_pair_stderrs)
     )
-    assert report.vol_pair_means[1] == float(alone.mean_x[-1, 0])
-    assert report.vol_pair_stderrs[1] == float(alone.std_x[-1, 0] / np.sqrt(4000))
+    for vol, mean, stderr in columns:
+        p = replace(params, vol=vol)
+        alone = simulate_ensemble(
+            to_problem_spec(p), optimal_policy(p), 4000, grid, 7, store_paths=False
+        )
+        assert mean == float(alone.mean_x[-1, 0])
+        assert stderr == float(alone.std_x[-1, 0] / np.sqrt(4000))
 
 
 def test_figure_columns_shapes_and_ends(params, tau_solution):

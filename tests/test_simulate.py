@@ -7,15 +7,7 @@ from scipy.linalg import expm
 
 from helpers import never_crossing_spec, piecewise_constant, scalar_spec
 from meantau.errors import DivergenceError
-from meantau.problem import (
-    ControlPolicy,
-    ControlSet,
-    CostSpec,
-    LinearDynamics,
-    ProblemSpec,
-    TargetCoefficients,
-    TargetDiffusion,
-)
+from meantau.problem import ControlPolicy, CostSpec, LinearDynamics
 from meantau.simulate import (
     SimGrid,
     _affine_path,
@@ -425,8 +417,8 @@ def scalar_specs(draw):
 def test_scalar_kernel_matches_the_in_place_reference(specs, u0, u1, n_steps, n_paths, seed):
     grid = SimGrid(1.0, n_steps)
     policy = piecewise_constant([u0, u1], [0.0, 0.43, 6.0])
-    batch = simulate_ensemble(specs, policy, n_paths, grid, seed)
-    for spec, res in zip(specs, batch):
+    for spec in specs:
+        res = simulate_ensemble(spec, policy, n_paths, grid, seed)
         mean_x, std_x, mean_y, paths = reference_scalar_ensemble(
             spec, policy, n_paths, grid, seed
         )
@@ -435,68 +427,6 @@ def test_scalar_kernel_matches_the_in_place_reference(specs, u0, u1, n_steps, n_
         assert np.array_equal(res.mean_y, mean_y)
         assert np.array_equal(res.paths_x, paths)
         assert res.tau == detect_min_time(mean_y, grid)[0]
-
-
-def _two_state_spec(d_scale):
-    dynamics = LinearDynamics(
-        A=[[-0.3, 0.2], [0.1, -0.5]],
-        B=[[1.0], [0.5]],
-        C=[[[0.1, 0.0], [0.0, 0.05]], [[0.0, 0.02], [0.0, 0.0]]],
-        D=[[[0.2 * d_scale], [0.1]], [[0.0], [0.3 * d_scale]]],
-        x0=[1.0, 0.5],
-    )
-    target = TargetCoefficients(
-        E1=[0.1, 0.0],
-        E2=[-1.0, -0.5],
-        E3=[0.2, 0.0],
-        E4=[0.3],
-        y0=2.0,
-        diffusion=TargetDiffusion(
-            coef_mean=[[0.1, 0.0], [0.0, 0.0]],
-            coef_state=[[0.05, 0.02], [0.0, 0.01]],
-            coef_control=[[0.01 * d_scale], [0.0]],
-        ),
-    )
-    return ProblemSpec(
-        dynamics, target, CostSpec.time_optimal(2, 1), ControlSet([0.2], [1.5]), 6.0, 0.01
-    )
-
-
-@pytest.mark.parametrize(
-    "specs",
-    [
-        [
-            scalar_spec(d_coef=0.1, g_control=0.01),
-            scalar_spec(d_coef=0.3, e3=0.2, g_control=0.05),
-            scalar_spec(a=0.4, c_coef=0.2, e1=0.3, g_state=0.03, y0=1.5, eps=0.02),
-        ],
-        [_two_state_spec(1.0), _two_state_spec(2.0)],
-    ],
-    ids=["scalar", "two_state"],
-)
-def test_batched_columns_equal_single_spec_runs(specs):
-    grid = SimGrid(1.5, 120)
-    policy = ControlPolicy.constant([0.8], 6.0)
-    batch = simulate_ensemble(specs, policy, 200, grid, seed=4)
-    assert len(batch) == len(specs)
-    for spec, col in zip(specs, batch):
-        alone = simulate_ensemble(spec, policy, 200, grid, seed=4)
-        assert np.array_equal(col.mean_x, alone.mean_x)
-        assert np.array_equal(col.std_x, alone.std_x)
-        assert np.array_equal(col.mean_y, alone.mean_y)
-        assert np.array_equal(col.paths_x, alone.paths_x)
-        assert col.tau == alone.tau
-
-
-def test_batch_rejects_mixed_dimensions():
-    with pytest.raises(ValueError):
-        simulate_ensemble(
-            [scalar_spec(), _two_state_spec(1.0)],
-            ControlPolicy.constant([0.8], 6.0),
-            8,
-            SimGrid(1.0, 10),
-            0,
-        )
 
 
 def test_ensemble_divergence_names_step_and_path():

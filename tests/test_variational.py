@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import never_crossing_spec, piecewise_constant, scalar_spec
 from meantau import simulate, variational
@@ -230,6 +231,72 @@ def test_dual_identity_requires_an_interior_hit():
             ControlPolicy.constant([0.1], 1.0),
             SimGrid(1.0, 100),
         )
+
+
+# Random stable systems with m, k, d in {1, 2, 3} and an interior
+# transversal hit under a constant control u0.  A = R - (|R|_2 + delta) I
+# has log-norm <= -delta, so |E[X](t)| <= r = |x0| + |B u0| / delta on the
+# whole horizon.  E4 is then shifted along u0 so that the mean target rate
+# is at most -margin, with margin >= 1 + |E1 + E2 + E3 A| r: Y falls with
+# slope <= -margin, and y0 <= 0.8 margin T puts the hit inside (0, T).
+# 10 000 steps keep the interpolated hit's O(h) error in the quotient
+# below 3e-4 (worst seen over 1 200 draws).
+_HIT_HORIZON = 4.0
+_HIT_GRID = SimGrid(_HIT_HORIZON, 10_000)
+
+
+def _unit_entries(shape):
+    return arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+
+
+@st.composite
+def hitting_problems(draw):
+    """(spec, constant policy u0, two-piece direction) with an interior transversal hit."""
+    m, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    R = draw(_unit_entries((m, m)))
+    delta = draw(st.floats(0.2, 1.0))
+    A = R - (np.linalg.norm(R, 2) + delta) * np.eye(m)
+    B, x0 = draw(_unit_entries((m, k))), draw(_unit_entries(m))
+    dyn = LinearDynamics(
+        A=A, B=B, C=draw(_unit_entries((d, m, m))), D=draw(_unit_entries((d, m, k))), x0=x0
+    )
+    u0 = draw(arrays(np.float64, k, elements=st.floats(0.5, 1.5)))
+    E1, E2, E3, E4 = (draw(_unit_entries(n)) for n in (m, m, m, k))
+    r = np.linalg.norm(x0) + np.linalg.norm(B @ u0) / delta
+    bound = np.linalg.norm(E1 + E2 + E3 @ A) * r
+    margin = draw(st.floats(0.5, 2.0)) * (1.0 + bound)
+    E4 = E4 - (bound + margin + (E3 @ B + E4) @ u0) * u0 / (u0 @ u0)
+    target = TargetCoefficients(
+        E1=E1, E2=E2, E3=E3, E4=E4, y0=draw(st.floats(0.2, 0.8)) * margin * _HIT_HORIZON
+    )
+    spec = ProblemSpec(
+        dyn, target, CostSpec.time_optimal(m, k), ControlSet(u0 - 1.0, u0 + 1.0), _HIT_HORIZON
+    )
+    edge = draw(st.floats(0.2, _HIT_HORIZON - 0.2))
+    direction = piecewise_constant(
+        [draw(_unit_entries(k)), draw(_unit_entries(k))], [0.0, edge, _HIT_HORIZON]
+    )
+    return spec, ControlPolicy.constant(u0, _HIT_HORIZON), direction
+
+
+@settings(max_examples=20, deadline=None)
+@given(hitting_problems())
+def test_duality_identity_holds_on_random_stable_systems(problem):
+    spec, policy, direction = problem
+    report = dual_identity_check(spec, policy, direction, _HIT_GRID)
+    assert 0.0 < report.tau < _HIT_HORIZON
+    assert report.rel_gap < 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(hitting_problems())
+def test_hit_time_derivative_matches_fd_on_random_stable_systems(problem):
+    spec, policy, direction = problem
+    report = fd_tau_check(spec, policy, direction, PerturbationSpec(direction).rhos, _HIT_GRID)
+    assert report.derivative.case_label == "i"
+    assert report.derivative.slope_at_tau < 0.0
+    finest = min(report.rows, key=lambda row: row.rho)
+    assert finest.rel_gap < 1e-3
 
 
 def test_perturbation_admissibility():
