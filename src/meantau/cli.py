@@ -278,6 +278,7 @@ def _run_portfolio(args) -> int:
         if report.vol_pair is not None:
             mc["vol_pair"] = list(report.vol_pair)
             mc["vol_pair_means"] = list(report.vol_pair_means)
+            mc["vol_pair_stderrs"] = list(report.vol_pair_stderrs)
             mc["vol_pair_gap"] = report.vol_pair_gap
         summary["mc"] = mc
     _write_summary(args.out, summary)
@@ -382,6 +383,14 @@ def _run_verify_variational(args) -> int:
     rhos = cfg.get("rhos", [1e-2, 1e-3, 1e-4])
     if not isinstance(rhos, list) or not rhos:
         raise SpecValidationError(["rhos: expected a non-empty list of step sizes"])
+    bad = [
+        f"rhos[{i}]: expected a finite step size > 0, got {r!r}"
+        for i, r in enumerate(rhos)
+        if isinstance(r, bool) or not isinstance(r, (int, float))
+        or not 0 < r <= sys.float_info.max
+    ]
+    if bad:
+        raise SpecValidationError(bad)
     pert = PerturbationSpec(direction=direction, rhos=[float(r) for r in rhos])
     admissible = pert.validate(spec, policy)
 

@@ -19,9 +19,11 @@ scheduled.  Linear dynamics step one row of paths per coordinate with
 one affine kernel; an ensemble column adds the monitoring process as a
 last row, with the mean-field couplings (E[X] and E[b]) evaluated as
 ensemble averages at the start of each step.  A path column steps only
-the state, storing its paths or not: the variational checks step the
-base state with its sensitivity, and each perturbed control, as path
-columns of one loop, and the wealth Monte Carlo check steps one path
+the state, storing its paths or not.  A linear path column may step c lanes,
+runs of one SDE that differ only in start and node controls, as (c, N)
+rows: the variational checks step the base state, its sensitivity and
+each perturbed control as the lanes of one column (hook dynamics as
+columns of one loop), and the wealth Monte Carlo check steps one path
 column per volatility and reads only the terminal state rows.
 """
 
@@ -314,6 +316,9 @@ class HookDynamics:
     (N, m)) and return (N, m) and (N, m, d).  The *_dstate / *_dcontrol
     entries are directional derivatives along a state batch Y or a
     control direction v, used by the first-order sensitivity equation.
+    They may depend on X, so the variational checks step a hook state
+    and its sensitivity as one augmented column through these functions,
+    where linear dynamics are lanes of one kernel column.
     """
 
     m: int
@@ -387,27 +392,39 @@ class _Column:
     An ensemble column (`spec` given) also steps the monitoring process Y
     and records per-node statistics; a path column (`spec` None) steps
     only the state, and stores its paths when `store_paths` is true.  A
-    LinearDynamics column keeps its state in `Z`, one contiguous vector
-    of paths per coordinate and Y as an ensemble column's last row, and
+    LinearDynamics column keeps its state in `Z`, one contiguous row of
+    paths per coordinate and Y as an ensemble column's last row, and
     `step` advances every row with the same affine arithmetic; its
-    buffers, one vector each, are reused across steps, so the loop
+    buffers, one row each, are reused across steps, so the loop
     allocates no path-sized array.  A HookDynamics column keeps an
     (n_paths, m) state `X` for its hooks.  Fewer than two paths, which
     have no sample variance, raise ValueError before any buffer exists.
+
+    A linear path column may carry c lanes: runs of the same SDE that
+    differ only in their start `x0`, of shape (c, m), and their node
+    controls, of shape (n_steps + 1, c, k).  Each row is then a (c, N)
+    array and the forcing has a trailing (c, 1) lane axis, so `step`
+    broadcasts over the lanes and each lane does the element-wise
+    operations of a one-lane column in the same order: a lane's paths
+    equal, bit for bit, those of a one-lane column run alone on the same
+    seed.  The paths are stored as one (c, N, n_steps + 1, m) array.
+    Without `x0` the column starts at `dyn.x0` with one lane and (N,)
+    rows.
     """
 
-    def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True):
+    def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True, x0=None):
         if n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         m, d = dyn.m, dyn.d
         self.spec, self.dyn, self.u_nodes = spec, dyn, u_nodes
-        self.paths = np.empty((n_paths, n_steps + 1, m)) if store_paths else None
+        z0 = dyn.x0 if x0 is None else np.asarray(x0, dtype=float)
+        lanes = z0.shape[:-1]  # () for one lane, (c,) for c lanes
+        self.paths = np.empty(lanes + (n_paths, n_steps + 1, m)) if store_paths else None
         if not isinstance(dyn, LinearDynamics):
             self.Z = None
             self.X = np.tile(dyn.x0, (n_paths, 1))
             return
         # drift rows M = [A; E2] and noise rows N_c = [C_c; g_state_c]; d may be 0
-        z0 = dyn.x0
         self.drift_rows = dyn.A
         self.noise_rows = dyn.C.reshape(d, m, m)
         if spec is not None:
@@ -419,14 +436,22 @@ class _Column:
             self.mean_x = np.empty((n_steps + 1, m))
             self.std_x = np.empty((n_steps + 1, m))
             self.mean_y = np.empty(n_steps + 1)
-        self.f_nodes = np.zeros((n_steps + 1, len(z0)))
-        self.f_nodes[:, :m] = u_nodes @ dyn.B.T
-        self.g_nodes = np.zeros((n_steps + 1, d, len(z0)))
-        self.g_nodes[:, :, :m] = np.einsum("jk,cak->jca", u_nodes, dyn.D.reshape(d, m, dyn.k))
+        rows = z0.shape[-1]
+        f = np.zeros((n_steps + 1, rows) + lanes)
+        g = np.zeros((n_steps + 1, d, rows) + lanes)
+        D = dyn.D.reshape(d, m, dyn.k)
+        for lane in np.ndindex(lanes):
+            # a contiguous copy makes a lane's B u and D u those of a one-lane column
+            u = np.ascontiguousarray(u_nodes[(slice(None),) + lane])
+            f[(slice(None), slice(m)) + lane] = u @ dyn.B.T
+            g[(slice(None), slice(None), slice(m)) + lane] = np.einsum("jk,cak->jca", u, D)
+        self.f_nodes = f.reshape(f.shape + (1,) * len(lanes))
+        self.g_nodes = g.reshape(g.shape + (1,) * len(lanes))
         # rows at nodes j and j + 1, a noise term, a spare for products
-        self.Z = [np.full(n_paths, z) for z in z0]
-        self.Zn = [np.empty(n_paths) for _ in z0]
-        self.noise, self.tmp = np.empty(n_paths), np.empty(n_paths)
+        shape = lanes + (n_paths,)
+        self.Z = [np.full(shape, z[..., None]) for z in np.moveaxis(z0, -1, 0)]
+        self.Zn = [np.empty(shape) for _ in self.Z]
+        self.noise, self.tmp = np.empty(shape), np.empty(shape)
 
     def record(self, j):
         """Check the state at node j for divergence and store it.
@@ -434,17 +459,20 @@ class _Column:
         Any non-finite entry makes its row sum non-finite, so the sums
         that an ensemble column's means need anyway stand in for a full
         finiteness scan; the scan runs only when a sum is not finite.
+        DivergenceError names the first bad path of the first lane that
+        has one, as an index within that lane.
         """
         Z = list(self.X.T) if self.Z is None else self.Z
-        m, n_paths = self.dyn.m, len(Z[0])
+        m, n_paths = self.dyn.m, Z[0].shape[-1]
         sums = np.array([z.sum() for z in Z])
         if not np.isfinite(sums).all():
-            bad = np.flatnonzero(~np.all([np.isfinite(z) for z in Z], axis=0))
+            ok = np.all([np.isfinite(z) for z in Z], axis=0).reshape(-1, n_paths)
+            bad = np.argwhere(~ok)  # (lane, path) pairs in lane order
             if bad.size:
-                raise DivergenceError(step=j, path=int(bad[0]))
+                raise DivergenceError(step=j, path=int(bad[0, 1]))
         if self.paths is not None:
             for b in range(m):
-                self.paths[:, j, b] = Z[b]
+                self.paths[..., j, b] = Z[b]
         if self.spec is None:
             return
         for b in range(m):
@@ -508,9 +536,10 @@ def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
     Each step draws its noise once, keyed by (seed, step), and every
     column steps on that draw, so all columns see the same Brownian
     increments whatever their dynamics and controls.  `simulate_ensemble`
-    runs one ensemble column; the variational checks and
-    `portfolio.mc_validate` run path columns, the latter storing no paths
-    and reading the last node through `_Column.row_stats`.  Overflow
+    runs one ensemble column; the variational checks run one lane column
+    for linear dynamics and path columns for hook dynamics, and
+    `portfolio.mc_validate` runs path columns that store no paths,
+    reading the last node through `_Column.row_stats`.  Overflow
     warnings are silenced: `_Column.record`, which stores node 0 and each
     stepped node, raises DivergenceError on non-finite values instead.
     """
@@ -526,17 +555,6 @@ def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
             for col in cols:
                 col.step(j, dW, dt)
                 col.record(j + 1)
-
-
-def _state_paths(columns, grid: SimGrid, seed: int, n_paths: int) -> list:
-    """State paths of (dynamics, node controls) pairs stepped on one draw per step.
-
-    Returns one (n_paths, n_steps + 1, m) array per pair; the pairs must
-    share d.  A non-finite state raises DivergenceError.
-    """
-    cols = [_Column(dyn, u_nodes, n_paths, grid.n_steps) for dyn, u_nodes in columns]
-    _run_columns(cols, grid, seed, n_paths)
-    return [col.paths for col in cols]
 
 
 def simulate_ensemble(

@@ -12,10 +12,15 @@ verifiable first-order objects:
 * a duality identity tying that same integral to the time adjoint:
   int_0^tau response dt = -int_0^tau Khat(t) . v(t) dt.
 
-The state sensitivity and the perturbed states come from the one
-Euler-Maruyama loop of `simulate`: the base state and its sensitivity are
-one augmented state of size 2m driven by (u, v), and each perturbed
-control u + rho v is a further column on the same noise draw per step.
+The base state, its sensitivity and the perturbed states come from the
+one Euler-Maruyama loop of `simulate`, on one noise draw per step.  For
+linear dynamics the sensitivity is the same linear SDE started at 0 and
+driven by v, so the base run (x0, u), the sensitivity (0, v) and each
+perturbed run (x0, u + rho v) are lanes of one linear column, stepped by
+one array operation per step.  Hook dynamics, whose coefficient
+derivatives depend on the state, step the base state and its
+sensitivity as one augmented state of size 2m driven by (u, v), and each
+perturbed control as a further column.
 
 Everything here is diagnostic: these routines quantify agreement and
 return tables rather than pass judgment.
@@ -42,9 +47,10 @@ from .simulate import (
     HookDynamics,
     SimGrid,
     _affine_path,
+    _Column,
     _joint_matrices,
     _node_controls,
-    _state_paths,
+    _run_columns,
     solve_mean_path,
 )
 
@@ -112,7 +118,7 @@ class PerturbationSpec:
 
 
 def _sensitivity_column(dyn, policy, direction, times):
-    """The pair (X, S) as one state of size 2m, driven by the control (u, v).
+    """The hook pair (X, S) as one state of size 2m, driven by the control (u, v).
 
     S follows the sensitivity equation with every coefficient derivative
     taken at the base (X, u), which is what makes the expansion first
@@ -143,6 +149,31 @@ def _sensitivity_column(dyn, policy, direction, times):
     return pair, w_nodes
 
 
+def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths):
+    """Base, sensitivity and perturbed state paths on one noise draw per step.
+
+    Returns (base, sens, perturbed): two (n_paths, n_steps + 1, m) arrays
+    and a sequence of one such array per rho.  LinearDynamics runs them
+    as the lanes (x0, u), (0, v) and (x0, u + rho v) of one linear
+    column; HookDynamics as the pair of `_sensitivity_column` and one
+    column per rho.  A non-finite state raises DivergenceError.
+    """
+    times = grid.times()
+    perturbed = [_node_controls(perturbed_policy(policy, direction, rho), times) for rho in rhos]
+    if isinstance(dyn, LinearDynamics):
+        controls = [_node_controls(policy, times), _node_controls(direction, times)] + perturbed
+        x0 = np.tile(dyn.x0, (len(controls), 1))
+        x0[1] = 0.0  # the sensitivity starts at 0
+        col = _Column(dyn, np.stack(controls, axis=1), n_paths, grid.n_steps, x0=x0)
+        _run_columns([col], grid, seed, n_paths)
+        return col.paths[0], col.paths[1], col.paths[2:]
+    cols = [_Column(*_sensitivity_column(dyn, policy, direction, times), n_paths, grid.n_steps)]
+    cols += [_Column(dyn, u_nodes, n_paths, grid.n_steps) for u_nodes in perturbed]
+    _run_columns(cols, grid, seed, n_paths)
+    pair = cols[0].paths
+    return pair[:, :, : dyn.m], pair[:, :, dyn.m :], [col.paths for col in cols[1:]]
+
+
 @dataclass
 class SensitivityResult:
     """Pathwise first-order state response to a control direction."""
@@ -165,18 +196,17 @@ def simulate_state_sensitivity(
 ) -> SensitivityResult:
     """Simulate the sensitivity SDE along the base trajectory.
 
-    The base state and its sensitivity advance together as one column of
-    the Euler-Maruyama loop; coefficient derivatives are always evaluated
-    at the *base* (X, u), which is what makes the expansion first order.
-    For linear dynamics the sensitivity mean also solves dE/dt = A E + B v
-    exactly, returned as `mean_exact`.
+    The base state and its sensitivity advance together in the
+    Euler-Maruyama loop (`_fd_paths` without perturbed runs); coefficient
+    derivatives are always evaluated at the *base* (X, u), which is what
+    makes the expansion first order.  For linear dynamics the
+    sensitivity mean also solves dE/dt = A E + B v exactly, returned as
+    `mean_exact`.
     """
     dyn = dynamics if dynamics is not None else spec.dynamics
     times = grid.times()
-    (pair,) = _state_paths(
-        [_sensitivity_column(dyn, policy, direction, times)], grid, seed, n_paths
-    )
-    paths = np.ascontiguousarray(pair[:, :, dyn.m :])
+    _, sens, _ = _fd_paths(dyn, policy, direction, (), grid, seed, n_paths)
+    paths = np.ascontiguousarray(sens)
 
     mean_exact = None
     if isinstance(dyn, LinearDynamics):
@@ -214,23 +244,27 @@ def fd_state_check(
 ) -> list:
     """Coupled finite-difference check of the sensitivity equation.
 
-    The base state with its sensitivity and one perturbed state per step
-    size are columns of one Euler-Maruyama loop, so they share every
+    The base state, its sensitivity and one perturbed state per step size
+    run in one Euler-Maruyama loop (`_fd_paths`), so they share every
     Brownian increment (one draw per step); the pathwise quotient then
     converges at rate O(rho) and the reported sup error should shrink
-    linearly in rho down to the discretization floor.
+    linearly in rho down to the discretization floor.  The quotient
+    table of every rho is built in the same two buffers.
     """
     dyn = dynamics if dynamics is not None else spec.dynamics
     times = grid.times()
-    columns = [_sensitivity_column(dyn, policy, direction, times)] + [
-        (dyn, _node_controls(perturbed_policy(policy, direction, rho), times)) for rho in rhos
-    ]
-    pair, *perturbed = _state_paths(columns, grid, seed, n_paths)
-    base, sens = pair[:, :, : dyn.m], pair[:, :, dyn.m :]
+    base, sens, perturbed = _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths)
+    gap = np.empty(base.shape)
+    errs = np.empty(base.shape[:2])  # (n_paths, nodes)
     rows = []
     for rho, pert in zip(rhos, perturbed):
-        gap = (pert - base) / rho - sens
-        errs = np.sqrt(np.sum(gap * gap, axis=2))  # (n_paths, nodes)
+        # gap = (pert - base) / rho - sens, then errs = |gap| per path and node
+        np.subtract(pert, base, out=gap)
+        np.divide(gap, rho, out=gap)
+        np.subtract(gap, sens, out=gap)
+        np.multiply(gap, gap, out=gap)
+        np.sum(gap, axis=2, out=errs)
+        np.sqrt(errs, out=errs)
         mean_err = errs.mean(axis=0)
         i = int(np.argmax(mean_err))
         rows.append(

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from meantau.cli import main
+from meantau.config import parse_portfolio_params
+from meantau.portfolio import mc_validate
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 SCALAR = str(EXAMPLES / "scalar.json")
@@ -155,6 +157,23 @@ def test_portfolio_mc_summary_block(tmp_path):
     assert abs(mc["z_score"]) < 6.0
 
 
+def test_portfolio_mc_summary_reports_the_vol_pair_stderrs(tmp_path):
+    out = str(tmp_path / "out")
+    code = main(
+        [
+            "portfolio", "--out", out, "--mc", "--paths", "500", "--dt", "0.0625",
+            "--seed", "3", "--vol-pair", "0.2", "0.4",
+        ]
+    )
+    assert code == 0
+    mc = read_summary(out)["mc"]
+    report = mc_validate(
+        parse_portfolio_params({}), n_paths=500, dt=0.0625, seed=3, vol_pair=(0.2, 0.4)
+    )
+    assert mc["vol_pair_stderrs"] == list(report.vol_pair_stderrs)
+    assert all(se > 0.0 for se in mc["vol_pair_stderrs"])
+
+
 def test_bangbang_writes_policy(tmp_path):
     out = str(tmp_path / "out")
     code = main(
@@ -283,6 +302,22 @@ def test_exit_2_when_the_state_table_has_fewer_than_two_paths(tmp_path, capsys, 
     )
     assert "n_paths" in assert_exit_2_with_a_value_error(code, capsys)
     assert not (out / "variational.json").exists()
+
+
+@pytest.mark.parametrize("rho", [0.0, -1e-3, float("nan")], ids=["zero", "negative", "nan"])
+def test_exit_2_when_a_step_size_is_not_finite_and_positive(tmp_path, capsys, rho):
+    with open(SCALAR) as fh:
+        cfg = json.load(fh)
+    cfg["rhos"] = [1e-2, rho]
+    out = tmp_path / "out"
+    code = main(["verify-variational", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert set(diag) == {"error", "message", "violations"}
+    assert [v.split(":")[0] for v in diag["violations"]] == ["rhos[1]"]
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

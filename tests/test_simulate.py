@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from meantau.problem import ControlPolicy, CostSpec, LinearDynamics
 from meantau.simulate import (
     SimGrid,
     _affine_path,
+    _Column,
+    _run_columns,
     _rk4_transfer,
     _run_starts,
     detect_min_time,
@@ -427,6 +431,43 @@ def test_scalar_kernel_matches_the_in_place_reference(specs, u0, u1, n_steps, n_
         assert np.array_equal(res.mean_y, mean_y)
         assert np.array_equal(res.paths_x, paths)
         assert res.tau == detect_min_time(mean_y, grid)[0]
+
+
+@st.composite
+def lane_cases(draw):
+    """A stable linear system (m, k in 1..3, d in 0..3) with c in 1..5 distinct lanes."""
+    m, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    c, n_steps = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = rng.uniform(-1.0, 1.0, (m, m))
+    dyn = LinearDynamics(
+        A=R - (np.linalg.norm(R, 2) + 0.5) * np.eye(m),
+        B=rng.uniform(-1.0, 1.0, (m, k)),
+        C=list(rng.uniform(-0.5, 0.5, (d, m, m))),
+        D=list(rng.uniform(-0.5, 0.5, (d, m, k))),
+        x0=np.zeros(m),
+        m=m,
+        k=k,
+        d=d,
+    )
+    x0 = rng.uniform(-1.0, 1.0, (c, m))
+    u_nodes = rng.uniform(-1.0, 1.0, (n_steps + 1, c, k))
+    n_paths = draw(st.sampled_from([2, 3, 17]))
+    return dyn, x0, u_nodes, SimGrid(1.0, n_steps), n_paths, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_cases())
+def test_each_lane_equals_a_one_lane_column_run_alone(case):
+    dyn, x0, u_nodes, grid, n_paths, seed = case
+    col = _Column(dyn, u_nodes, n_paths, grid.n_steps, x0=x0)
+    _run_columns([col], grid, seed, n_paths)
+    assert col.paths.shape == (len(x0), n_paths, grid.n_steps + 1, dyn.m)
+    for lane in range(len(x0)):
+        alone = _Column(replace(dyn, x0=x0[lane]), u_nodes[:, lane].copy(), n_paths, grid.n_steps)
+        _run_columns([alone], grid, seed, n_paths)
+        assert alone.paths.shape == (n_paths, grid.n_steps + 1, dyn.m)
+        assert np.array_equal(col.paths[lane], alone.paths)
 
 
 def test_ensemble_divergence_names_step_and_path():

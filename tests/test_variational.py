@@ -374,20 +374,32 @@ def reference_sensitivity_paths(dyn, policy, direction, grid, seed, n_paths):
 
 
 def fd_state_paths(*args, **kwargs):
-    """The paths each kernel call of fd_state_check(*args, **kwargs) returned."""
+    """The (base, sens, perturbed) paths of each loop fd_state_check(*args, **kwargs) ran."""
     calls = []
-    kernel = variational._state_paths
+    kernel = variational._fd_paths
 
     def record(*a):
         calls.append(kernel(*a))
         return calls[-1]
 
-    variational._state_paths = record
+    variational._fd_paths = record
     try:
         fd_state_check(*args, **kwargs)
     finally:
-        variational._state_paths = kernel
+        variational._fd_paths = kernel
     return calls
+
+
+def assert_kernel_matches(paths, ref, dyn):
+    """The linear kernel's rule against a reference loop.
+
+    Its operation order differs from the reference loop's except at
+    m = k = 1 and d <= 1, where the paths must be equal.
+    """
+    if dyn.m == dyn.k == 1 and dyn.d <= 1:
+        assert np.array_equal(paths, ref)
+    else:
+        assert np.max(np.abs(paths - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 @st.composite
@@ -431,26 +443,20 @@ def test_kernel_columns_equal_separately_stepped_loops(case):
     ref_sens = reference_sensitivity_paths(dyn, policy, direction, grid, seed, n_paths)
 
     sens = simulate_state_sensitivity(spec, policy, direction, grid, seed, n_paths)
-    assert np.array_equal(sens.paths, ref_sens)
-    assert np.array_equal(sens.mean_mc, ref_sens.mean(axis=0))
+    assert_kernel_matches(sens.paths, ref_sens, dyn)
+    assert_kernel_matches(sens.mean_mc, ref_sens.mean(axis=0), dyn)
 
     calls = fd_state_paths(spec, policy, direction, rhos, grid, seed, n_paths)
     assert len(calls) == 1
-    pair, *perturbed = calls[0]
-    assert np.array_equal(pair[:, :, : dyn.m], ref_base)
-    assert np.array_equal(pair[:, :, dyn.m :], ref_sens)
+    base, sens_paths, perturbed = calls[0]
+    assert_kernel_matches(base, ref_base, dyn)
+    assert_kernel_matches(sens_paths, ref_sens, dyn)
     assert len(perturbed) == len(rhos)
-    # the perturbed columns take the linear kernel, whose operation order
-    # differs from the reference loop's except at m = k = 1 and d <= 1
-    exact = dyn.m == dyn.k == 1 and dyn.d <= 1
     for rho, pert in zip(rhos, perturbed):
         ref = reference_state_paths(
             dyn, perturbed_policy(policy, direction, rho), grid, seed, n_paths
         )
-        if exact:
-            assert np.array_equal(pert, ref)
-        else:
-            assert np.max(np.abs(pert - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert_kernel_matches(pert, ref, dyn)
 
 
 def test_kernel_columns_equal_reference_loops_for_hook_dynamics():
@@ -461,8 +467,9 @@ def test_kernel_columns_equal_reference_loops_for_hook_dynamics():
     ref_sens = reference_sensitivity_paths(hook, policy, direction, grid, 4, 50)
     assert np.array_equal(sens.paths, ref_sens)
     calls = fd_state_paths(spec, policy, direction, (1e-2,), grid, 4, 50, dynamics=hook)
-    (pair, pert), = calls
-    assert np.array_equal(pair[:, :, :1], reference_state_paths(hook, policy, grid, 4, 50))
+    (base, sens_paths, (pert,)), = calls
+    assert np.array_equal(base, reference_state_paths(hook, policy, grid, 4, 50))
+    assert np.array_equal(sens_paths, ref_sens)
     assert np.array_equal(
         pert,
         reference_state_paths(hook, perturbed_policy(policy, direction, 1e-2), grid, 4, 50),
@@ -505,3 +512,28 @@ def test_diverging_fd_state_check_names_step_and_path():
     with pytest.raises(DivergenceError) as err:
         fd_state_check(spec, policy, direction, (1e-2,), SimGrid(1.0, 10), 0, 4, dynamics=hook)
     assert (err.value.step, err.value.path) == (1, 0)
+
+
+def test_diverging_linear_fd_state_check_names_the_path_within_its_lane():
+    # base and perturbed runs start at 0 with u = 0; the sensitivity lane,
+    # driven by a huge v through state-proportional noise, overflows first
+    dyn = LinearDynamics(A=[[0.0]], B=[[1.0]], C=[[[10.0]]], D=[[[0.0]]], x0=[0.0])
+    spec = ProblemSpec(
+        dyn, scalar_spec().target, CostSpec.time_optimal(1, 1), ControlSet([-1.0], [1.0]), 1.0
+    )
+    policy = ControlPolicy.constant([0.0], 1.0)
+    direction = ControlPolicy.constant([1e306], 1.0)
+    grid, seed, n_paths = SimGrid(1.0, 10), 5, 8
+    # reference: S' = S + dt v + 10 S dW, stepped alone on the same noise
+    S = np.zeros(n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(grid.n_steps):
+            dW = step_noise(seed, j, n_paths, 1)[:, 0] * np.sqrt(grid.dt)
+            S = S + grid.dt * 1e306 + 10.0 * S * dW
+            bad = np.flatnonzero(~np.isfinite(S))
+            if bad.size:
+                break
+    assert bad.size and bad[0] > 0
+    with pytest.raises(DivergenceError) as err:
+        fd_state_check(spec, policy, direction, (1e-2,), grid, seed, n_paths)
+    assert (err.value.step, err.value.path) == (j + 1, int(bad[0]))
