@@ -54,6 +54,7 @@ from .simulate import SimGrid, simulate_ensemble, solve_mean_path
 from .smp import check_candidate
 from .variational import (
     PerturbationSpec,
+    _rho_violations,
     dual_identity_check,
     fd_state_check,
     fd_tau_check,
@@ -383,12 +384,7 @@ def _run_verify_variational(args) -> int:
     rhos = cfg.get("rhos", [1e-2, 1e-3, 1e-4])
     if not isinstance(rhos, list) or not rhos:
         raise SpecValidationError(["rhos: expected a non-empty list of step sizes"])
-    bad = [
-        f"rhos[{i}]: expected a finite step size > 0, got {r!r}"
-        for i, r in enumerate(rhos)
-        if isinstance(r, bool) or not isinstance(r, (int, float))
-        or not 0 < r <= sys.float_info.max
-    ]
+    bad = _rho_violations(rhos)
     if bad:
         raise SpecValidationError(bad)
     pert = PerturbationSpec(direction=direction, rhos=[float(r) for r in rhos])

@@ -90,13 +90,18 @@ class LinearDynamics:
     def __post_init__(self):
         self.A = _matrix(self.A)
         self.B = _matrix(self.B)
-        self.C = np.asarray([_matrix(c) for c in self.C], dtype=float)
-        self.D = np.asarray([_matrix(dm) for dm in self.D], dtype=float)
         self.x0 = _vector(self.x0)
         if self.m is None:
             self.m = self.A.shape[0]
         if self.k is None:
             self.k = self.B.shape[1] if self.B.ndim == 2 else 1
+        self.C = np.asarray([_matrix(c) for c in self.C], dtype=float)
+        self.D = np.asarray([_matrix(dm) for dm in self.D], dtype=float)
+        # no noise channel (d = 0): empty stacks of (m, m) and (m, k) matrices
+        if len(self.C) == 0:
+            self.C = self.C.reshape(0, self.m, self.m)
+        if len(self.D) == 0:
+            self.D = self.D.reshape(0, self.m, self.k)
         if self.d is None:
             self.d = len(self.C)
 
@@ -108,22 +113,6 @@ class LinearDynamics:
         out = np.einsum("jab,nb->naj", self.C, X)
         out += np.einsum("jak,k->aj", self.D, u)[None, :, :]
         return out
-
-    # Directional derivatives along a state direction Y and control
-    # direction v.  For linear dynamics these do not depend on (X, u),
-    # but the signature matches the hook protocol used for nonlinear
-    # coefficient experiments.
-    def drift_dstate(self, X, u, Y):
-        return Y @ self.A.T
-
-    def drift_dcontrol(self, X, u, v):
-        return self.B @ v
-
-    def diffusion_dstate(self, X, u, Y):
-        return np.einsum("jab,nb->naj", self.C, Y)
-
-    def diffusion_dcontrol(self, X, u, v):
-        return np.einsum("jak,k->aj", self.D, v)
 
 
 @dataclass

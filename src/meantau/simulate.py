@@ -15,22 +15,22 @@ Every path ensemble goes through one explicit Euler-Maruyama time loop
 whose columns share each step's noise draw.  Noise for step j comes from
 a counter-based generator keyed by (seed, j), so results are a pure
 function of (spec, policy, N, grid, seed) regardless of how the loop is
-scheduled.  Linear dynamics step one row of paths per coordinate with
+scheduled.  A column steps one row of paths per state coordinate with
 one affine kernel; an ensemble column adds the monitoring process as a
 last row, with the mean-field couplings (E[X] and E[b]) evaluated as
 ensemble averages at the start of each step.  A path column steps only
-the state, storing its paths or not.  A linear path column may step c lanes,
+the state, storing its paths or not.  A path column may step c lanes,
 runs of one SDE that differ only in start and node controls, as (c, N)
 rows: the variational checks step the base state, its sensitivity and
-each perturbed control as the lanes of one column (hook dynamics as
-columns of one loop), and the wealth Monte Carlo check steps one path
-column per volatility and reads only the terminal state rows.
+each perturbed control as the lanes of one column, and the wealth Monte
+Carlo check steps one path column per volatility and reads only the
+terminal state rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,18 +38,15 @@ from .errors import DivergenceError
 from .problem import (
     LinearDynamics,
     ProblemSpec,
-    TargetCoefficients,
     target_control_row,
     target_state_row,
 )
 
 __all__ = [
     "SimGrid",
-    "HookDynamics",
     "EnsembleResult",
     "MeanPath",
     "mean_ode_solve",
-    "mean_target_solve",
     "solve_mean_path",
     "detect_min_time",
     "simulate_ensemble",
@@ -223,39 +220,6 @@ def _joint_matrices(dynamics, target, eps_regularize):
     return M, F, c0
 
 
-def mean_target_solve(
-    target: TargetCoefficients,
-    dynamics: LinearDynamics,
-    mean_x: np.ndarray,
-    policy,
-    grid: SimGrid,
-    eps_regularize: float = 0.0,
-) -> np.ndarray:
-    """Mean of the monitoring process on the grid nodes.
-
-    Integrates E[Y](t) = y0 + int_0^t (G(s) + eps) ds jointly with the
-    state mean at the same 4th order, then cross-checks the joint state
-    column against the supplied `mean_x`.  The target diffusion plays no
-    role here.
-    """
-    mean_x = np.atleast_2d(np.asarray(mean_x, dtype=float))
-    times = grid.times()
-    if mean_x.shape != (len(times), dynamics.m):
-        raise ValueError(
-            f"mean_x shape {mean_x.shape} does not match grid/state dimensions"
-        )
-    M, F, c0 = _joint_matrices(dynamics, target, eps_regularize)
-    z0 = np.concatenate([dynamics.x0, [target.y0]])
-    z = _affine_path(M, F, c0, policy, times, z0)
-    scale = 1.0 + np.max(np.abs(mean_x), initial=0.0)
-    gap = np.max(np.abs(z[:, : dynamics.m] - mean_x))
-    if gap > 1e-9 * scale:
-        raise ValueError(
-            f"mean_x is inconsistent with dynamics/policy on this grid (gap {gap:.3e})"
-        )
-    return z[:, dynamics.m]
-
-
 def detect_min_time(mean_y, grid: SimGrid):
     """First time the mean target is <= 0, with its regime label.
 
@@ -306,34 +270,6 @@ def solve_mean_path(spec: ProblemSpec, policy, grid: SimGrid) -> MeanPath:
 
 # ---------------------------------------------------------------------------
 # Path ensembles
-
-
-@dataclass
-class HookDynamics:
-    """State coefficients given as functions, stepped only by the variational checks.
-
-    `drift(X, u)` and `diffusion(X, u)` act on path batches (X has shape
-    (N, m)) and return (N, m) and (N, m, d).  The *_dstate / *_dcontrol
-    entries are directional derivatives along a state batch Y or a
-    control direction v, used by the first-order sensitivity equation.
-    They may depend on X, so the variational checks step a hook state
-    and its sensitivity as one augmented column through these functions,
-    where linear dynamics are lanes of one kernel column.
-    """
-
-    m: int
-    k: int
-    d: int
-    x0: np.ndarray
-    drift: Callable
-    diffusion: Callable
-    drift_dstate: Optional[Callable] = None
-    drift_dcontrol: Optional[Callable] = None
-    diffusion_dstate: Optional[Callable] = None
-    diffusion_dcontrol: Optional[Callable] = None
-
-    def __post_init__(self):
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
 
 
 def step_noise(seed: int, step: int, n_paths: int, d: int) -> np.ndarray:
@@ -391,16 +327,15 @@ class _Column:
 
     An ensemble column (`spec` given) also steps the monitoring process Y
     and records per-node statistics; a path column (`spec` None) steps
-    only the state, and stores its paths when `store_paths` is true.  A
-    LinearDynamics column keeps its state in `Z`, one contiguous row of
-    paths per coordinate and Y as an ensemble column's last row, and
-    `step` advances every row with the same affine arithmetic; its
-    buffers, one row each, are reused across steps, so the loop
-    allocates no path-sized array.  A HookDynamics column keeps an
-    (n_paths, m) state `X` for its hooks.  Fewer than two paths, which
-    have no sample variance, raise ValueError before any buffer exists.
+    only the state, and stores its paths when `store_paths` is true.  The
+    state lives in `Z`, one contiguous row of paths per coordinate and Y
+    as an ensemble column's last row, and `step` advances every row with
+    the same affine arithmetic; its buffers, one row each, are reused
+    across steps, so the loop allocates no path-sized array.  Fewer than
+    two paths, which have no sample variance, raise ValueError before any
+    buffer exists.
 
-    A linear path column may carry c lanes: runs of the same SDE that
+    A path column may carry c lanes: runs of the same SDE that
     differ only in their start `x0`, of shape (c, m), and their node
     controls, of shape (n_steps + 1, c, k).  Each row is then a (c, N)
     array and the forcing has a trailing (c, 1) lane axis, so `step`
@@ -420,13 +355,9 @@ class _Column:
         z0 = dyn.x0 if x0 is None else np.asarray(x0, dtype=float)
         lanes = z0.shape[:-1]  # () for one lane, (c,) for c lanes
         self.paths = np.empty(lanes + (n_paths, n_steps + 1, m)) if store_paths else None
-        if not isinstance(dyn, LinearDynamics):
-            self.Z = None
-            self.X = np.tile(dyn.x0, (n_paths, 1))
-            return
         # drift rows M = [A; E2] and noise rows N_c = [C_c; g_state_c]; d may be 0
         self.drift_rows = dyn.A
-        self.noise_rows = dyn.C.reshape(d, m, m)
+        self.noise_rows = dyn.C
         if spec is not None:
             tgt = spec.target
             g_state = np.zeros((d, m)) if tgt.diffusion is None else tgt.diffusion.coef_state
@@ -439,12 +370,11 @@ class _Column:
         rows = z0.shape[-1]
         f = np.zeros((n_steps + 1, rows) + lanes)
         g = np.zeros((n_steps + 1, d, rows) + lanes)
-        D = dyn.D.reshape(d, m, dyn.k)
         for lane in np.ndindex(lanes):
             # a contiguous copy makes a lane's B u and D u those of a one-lane column
             u = np.ascontiguousarray(u_nodes[(slice(None),) + lane])
             f[(slice(None), slice(m)) + lane] = u @ dyn.B.T
-            g[(slice(None), slice(None), slice(m)) + lane] = np.einsum("jk,cak->jca", u, D)
+            g[(slice(None), slice(None), slice(m)) + lane] = np.einsum("jk,cak->jca", u, dyn.D)
         self.f_nodes = f.reshape(f.shape + (1,) * len(lanes))
         self.g_nodes = g.reshape(g.shape + (1,) * len(lanes))
         # rows at nodes j and j + 1, a noise term, a spare for products
@@ -462,7 +392,7 @@ class _Column:
         DivergenceError names the first bad path of the first lane that
         has one, as an index within that lane.
         """
-        Z = list(self.X.T) if self.Z is None else self.Z
+        Z = self.Z
         m, n_paths = self.dyn.m, Z[0].shape[-1]
         sums = np.array([z.sum() for z in Z])
         if not np.isfinite(sums).all():
@@ -496,7 +426,7 @@ class _Column:
     def step(self, j, dW, dt):
         """Euler-Maruyama step of every path from node j to node j + 1.
 
-        In a linear column row a gains dt (M_a . X + f_a) + sum_c dW_c
+        Row a gains dt (M_a . X + f_a) + sum_c dW_c
         (N_ca . X + g_ca), X being the state rows at node j.  The forcing
         f, g holds B u and D u, and for Y the mean-field terms E1 E[X] +
         E3 (A E[X] + B u) + E4 u + eps and coef_mean E[X] + coef_control u.
@@ -504,12 +434,6 @@ class _Column:
         in `Zn`, which then becomes `Z`.
         """
         dyn, Z = self.dyn, self.Z
-        if Z is None:
-            X, u = self.X, self.u_nodes[j]
-            self.X = X + dyn.drift(X, u) * dt
-            if dyn.d > 0:
-                self.X = self.X + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
-            return
         m = dyn.m
         X, f, g = Z[:m], self.f_nodes[j], self.g_nodes[j]
         if self.spec is not None:
@@ -536,9 +460,8 @@ def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
     Each step draws its noise once, keyed by (seed, step), and every
     column steps on that draw, so all columns see the same Brownian
     increments whatever their dynamics and controls.  `simulate_ensemble`
-    runs one ensemble column; the variational checks run one lane column
-    for linear dynamics and path columns for hook dynamics, and
-    `portfolio.mc_validate` runs path columns that store no paths,
+    runs one ensemble column, the variational checks one lane column, and
+    `portfolio.mc_validate` path columns that store no paths,
     reading the last node through `_Column.row_stats`.  Overflow
     warnings are silenced: `_Column.record`, which stores node 0 and each
     stepped node, raises DivergenceError on non-finite values instead.

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import (
+    hamiltonian_du,
     solve_adjoints,
     target_hamiltonian_du,
     target_slope_at_tau,
@@ -170,7 +171,7 @@ def check_candidate(
 
     u_bar = np.atleast_2d(policy.values(times, side=+1))
     u_bar[-1] = policy.value(times[-1], side=-1)  # final node: value inside [0, tau]
-    hu = adj.p @ dyn.B - u_bar @ cost.Lambda.T
+    hu = hamiltonian_du(None, u_bar, adj.p, None, dyn, cost)
 
     slope = float("nan")
     weight = float("nan")

@@ -3,9 +3,10 @@
 Perturbing an admissible control along a direction v produces three
 verifiable first-order objects:
 
-* the state sensitivity process, driven by the coefficient derivatives
-  frozen along the base trajectory, which finite differences of coupled
-  path ensembles must match to O(rho);
+* the state sensitivity process, the same linear SDE started at 0 and
+  driven by v, which finite differences of coupled path ensembles must
+  match: for linear dynamics the quotient (X^rho - X)/rho equals it up
+  to rounding, so this checks the linearity of the stepping kernel;
 * the mean target response (the linearized drift of E[Y] along v), whose
   integral over [0, tau] divided by the terminal target slope gives the
   derivative of the hitting time; and
@@ -13,14 +14,10 @@ verifiable first-order objects:
   int_0^tau response dt = -int_0^tau Khat(t) . v(t) dt.
 
 The base state, its sensitivity and the perturbed states come from the
-one Euler-Maruyama loop of `simulate`, on one noise draw per step.  For
-linear dynamics the sensitivity is the same linear SDE started at 0 and
-driven by v, so the base run (x0, u), the sensitivity (0, v) and each
-perturbed run (x0, u + rho v) are lanes of one linear column, stepped by
-one array operation per step.  Hook dynamics, whose coefficient
-derivatives depend on the state, step the base state and its
-sensitivity as one augmented state of size 2m driven by (u, v), and each
-perturbed control as a further column.
+one Euler-Maruyama loop of `simulate`, on one noise draw per step: the
+base run (x0, u), the sensitivity (0, v) and each perturbed run
+(x0, u + rho v) are lanes of one column, stepped by one array operation
+per step.
 
 Everything here is diagnostic: these routines quantify agreement and
 return tables rather than pass judgment.
@@ -28,6 +25,8 @@ return tables rather than pass judgment.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,7 +35,6 @@ from scipy.integrate import quad
 
 from .adjoint import khat_evaluator, target_slope_at_tau
 from .problem import (
-    LinearDynamics,
     ProblemSpec,
     ValidationReport,
     perturbed_policy,
@@ -44,7 +42,6 @@ from .problem import (
     target_state_row,
 )
 from .simulate import (
-    HookDynamics,
     SimGrid,
     _affine_path,
     _Column,
@@ -71,36 +68,50 @@ __all__ = [
 ]
 
 
+def _rho_violations(rhos) -> list:
+    """One `rhos[i]: ...` message per entry that is not a finite positive step size."""
+    return [
+        f"rhos[{i}]: expected a finite positive step size, got {r!r}"
+        for i, r in enumerate(rhos)
+        if isinstance(r, bool) or not isinstance(r, numbers.Real)
+        or not 0 < r <= sys.float_info.max
+    ]
+
+
+def _require_rhos(rhos) -> None:
+    bad = _rho_violations(rhos)
+    if bad:
+        raise ValueError("; ".join(bad))
+
+
 @dataclass
 class PerturbationSpec:
     """A direction policy together with the finite-difference step sizes.
 
-    `validate` checks that every perturbed control u + rho v stays inside
-    the admissible box, sampling both one-sided limits on a grid refined
-    well past the segment breakpoints.
+    `validate` checks that the direction spans the policy horizon, that
+    every rho is a finite positive step size, and that every perturbed
+    control u + rho v stays inside the admissible box, sampling both
+    one-sided limits on a grid refined well past the segment breakpoints.
     """
 
     direction: object
     rhos: Sequence[float] = (1e-2, 1e-3, 1e-4)
 
     def validate(self, spec: ProblemSpec, policy, n_samples: int = 257) -> ValidationReport:
-        out = []
         if self.direction.horizon != policy.horizon:
-            out.append(
+            out = [
                 "perturbation.direction: horizon "
                 f"{self.direction.horizon} != policy horizon {policy.horizon}"
-            )
+            ]
+        else:
+            out = [f"perturbation.{v}" for v in _rho_violations(self.rhos)]
+        if out:
             return ValidationReport(ok=False, violations=out)
-        for i, rho in enumerate(self.rhos):
-            if not rho > 0:
-                out.append(f"perturbation.rhos[{i}]: must be positive, got {rho}")
         ts = np.union1d(
             np.linspace(0.0, policy.horizon, n_samples),
             np.union1d(policy.breakpoints, self.direction.breakpoints),
         )
         for i, rho in enumerate(self.rhos):
-            if not rho > 0:
-                continue
             pol = perturbed_policy(policy, self.direction, rho)
             for side in (+1, -1):
                 vals = pol.values(ts, side=side)
@@ -117,61 +128,22 @@ class PerturbationSpec:
         return ValidationReport(ok=not out, violations=out)
 
 
-def _sensitivity_column(dyn, policy, direction, times):
-    """The hook pair (X, S) as one state of size 2m, driven by the control (u, v).
-
-    S follows the sensitivity equation with every coefficient derivative
-    taken at the base (X, u), which is what makes the expansion first
-    order; the first m coordinates of a path are the base state path and
-    the last m its sensitivity.  Returns the HookDynamics of the pair and
-    its node controls, ready to be a column of the Euler-Maruyama loop.
-    """
-    m, k = dyn.m, dyn.k
-
-    def split(Z, w):
-        return Z[:, :m], Z[:, m:], w[:k], w[k:]
-
-    def drift(Z, w):
-        X, S, u, v = split(Z, w)
-        dS = dyn.drift_dstate(X, u, S) + dyn.drift_dcontrol(X, u, v)
-        return np.hstack([dyn.drift(X, u), dS])
-
-    def diffusion(Z, w):
-        X, S, u, v = split(Z, w)
-        dsig = dyn.diffusion_dstate(X, u, S) + dyn.diffusion_dcontrol(X, u, v)[None, :, :]
-        return np.concatenate([dyn.diffusion(X, u), dsig], axis=1)
-
-    pair = HookDynamics(
-        m=2 * m, k=2 * k, d=dyn.d, x0=np.concatenate([dyn.x0, np.zeros(m)]),
-        drift=drift, diffusion=diffusion,
-    )
-    w_nodes = np.hstack([_node_controls(policy, times), _node_controls(direction, times)])
-    return pair, w_nodes
-
-
 def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths):
     """Base, sensitivity and perturbed state paths on one noise draw per step.
 
     Returns (base, sens, perturbed): two (n_paths, n_steps + 1, m) arrays
-    and a sequence of one such array per rho.  LinearDynamics runs them
-    as the lanes (x0, u), (0, v) and (x0, u + rho v) of one linear
-    column; HookDynamics as the pair of `_sensitivity_column` and one
-    column per rho.  A non-finite state raises DivergenceError.
+    and a sequence of one such array per rho, the lanes (x0, u), (0, v)
+    and (x0, u + rho v) of one column.  A non-finite state raises
+    DivergenceError.
     """
     times = grid.times()
-    perturbed = [_node_controls(perturbed_policy(policy, direction, rho), times) for rho in rhos]
-    if isinstance(dyn, LinearDynamics):
-        controls = [_node_controls(policy, times), _node_controls(direction, times)] + perturbed
-        x0 = np.tile(dyn.x0, (len(controls), 1))
-        x0[1] = 0.0  # the sensitivity starts at 0
-        col = _Column(dyn, np.stack(controls, axis=1), n_paths, grid.n_steps, x0=x0)
-        _run_columns([col], grid, seed, n_paths)
-        return col.paths[0], col.paths[1], col.paths[2:]
-    cols = [_Column(*_sensitivity_column(dyn, policy, direction, times), n_paths, grid.n_steps)]
-    cols += [_Column(dyn, u_nodes, n_paths, grid.n_steps) for u_nodes in perturbed]
-    _run_columns(cols, grid, seed, n_paths)
-    pair = cols[0].paths
-    return pair[:, :, : dyn.m], pair[:, :, dyn.m :], [col.paths for col in cols[1:]]
+    controls = [policy, direction] + [perturbed_policy(policy, direction, rho) for rho in rhos]
+    x0 = np.tile(dyn.x0, (len(controls), 1))
+    x0[1] = 0.0  # the sensitivity starts at 0
+    u_nodes = np.stack([_node_controls(pol, times) for pol in controls], axis=1)
+    col = _Column(dyn, u_nodes, n_paths, grid.n_steps, x0=x0)
+    _run_columns([col], grid, seed, n_paths)
+    return col.paths[0], col.paths[1], col.paths[2:]
 
 
 @dataclass
@@ -182,7 +154,7 @@ class SensitivityResult:
     seed: int
     paths: np.ndarray            # (n_paths, n_steps + 1, m)
     mean_mc: np.ndarray          # (n_steps + 1, m)
-    mean_exact: Optional[np.ndarray] = None  # closed mean, linear dynamics only
+    mean_exact: np.ndarray       # (n_steps + 1, m), the closed mean
 
 
 def simulate_state_sensitivity(
@@ -192,33 +164,24 @@ def simulate_state_sensitivity(
     grid: SimGrid,
     seed: int,
     n_paths: int,
-    dynamics=None,
 ) -> SensitivityResult:
     """Simulate the sensitivity SDE along the base trajectory.
 
     The base state and its sensitivity advance together in the
-    Euler-Maruyama loop (`_fd_paths` without perturbed runs); coefficient
-    derivatives are always evaluated at the *base* (X, u), which is what
-    makes the expansion first order.  For linear dynamics the
+    Euler-Maruyama loop (`_fd_paths` without perturbed runs).  The
     sensitivity mean also solves dE/dt = A E + B v exactly, returned as
     `mean_exact`.
     """
-    dyn = dynamics if dynamics is not None else spec.dynamics
+    dyn = spec.dynamics
     times = grid.times()
     _, sens, _ = _fd_paths(dyn, policy, direction, (), grid, seed, n_paths)
     paths = np.ascontiguousarray(sens)
-
-    mean_exact = None
-    if isinstance(dyn, LinearDynamics):
-        mean_exact = _affine_path(
-            dyn.A, dyn.B, np.zeros(dyn.m), direction, times, np.zeros(dyn.m)
-        )
     return SensitivityResult(
         grid=grid,
         seed=seed,
         paths=paths,
         mean_mc=paths.mean(axis=0),
-        mean_exact=mean_exact,
+        mean_exact=_affine_path(dyn.A, dyn.B, np.zeros(dyn.m), direction, times, np.zeros(dyn.m)),
     )
 
 
@@ -240,20 +203,20 @@ def fd_state_check(
     grid: SimGrid,
     seed: int,
     n_paths: int,
-    dynamics=None,
 ) -> list:
     """Coupled finite-difference check of the sensitivity equation.
 
     The base state, its sensitivity and one perturbed state per step size
-    run in one Euler-Maruyama loop (`_fd_paths`), so they share every
-    Brownian increment (one draw per step); the pathwise quotient then
-    converges at rate O(rho) and the reported sup error should shrink
-    linearly in rho down to the discretization floor.  The quotient
-    table of every rho is built in the same two buffers.
+    run as lanes of one Euler-Maruyama column (`_fd_paths`), so they
+    share every Brownian increment (one draw per step).  The dynamics are
+    linear, so the pathwise quotient (X^rho - X)/rho equals the
+    sensitivity up to rounding at every rho: the table checks that the
+    stepping kernel is linear in (x0, u).  The quotient table of every
+    rho is built in the same two buffers.
     """
-    dyn = dynamics if dynamics is not None else spec.dynamics
+    _require_rhos(rhos)
     times = grid.times()
-    base, sens, perturbed = _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths)
+    base, sens, perturbed = _fd_paths(spec.dynamics, policy, direction, rhos, grid, seed, n_paths)
     gap = np.empty(base.shape)
     errs = np.empty(base.shape[:2])  # (n_paths, nodes)
     rows = []
@@ -366,6 +329,7 @@ def fd_tau_check(
     quotients should vanish identically for small rho.  Relative gaps are
     measured against max(1, |derivative|).
     """
+    _require_rhos(rhos)
     deriv = hit_time_derivative(spec, policy, direction, grid)
     rows = []
     for rho in rhos:

@@ -245,6 +245,30 @@ def test_verify_variational_skip_state(tmp_path):
     assert "state_table" not in payload
 
 
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        (["mean"], "mean.csv"),
+        (["simulate", "--paths", "50", "--steps", "100", "--store-paths"], "ensemble.csv"),
+        (["check-smp", "--t-nodes", "64"], "smp.json"),
+        (["verify-variational", "--steps", "400", "--paths", "8"], "variational.json"),
+        (["bangbang", "--nodes", "128"], "policy.json"),
+    ],
+    ids=["mean", "simulate", "check-smp", "verify-variational", "bangbang"],
+)
+def test_a_config_without_noise_channels_runs(tmp_path, argv, artifact):
+    with open(SCALAR) as fh:
+        cfg = json.load(fh)
+    cfg["problem"]["dynamics"]["C"] = []
+    cfg["problem"]["dynamics"]["D"] = []
+    del cfg["problem"]["target"]["diffusion"]
+    out = tmp_path / "out"
+    code = main(argv[:1] + ["--config", write_cfg(tmp_path, cfg), "--out", str(out)] + argv[1:])
+    assert code == 0
+    assert read_summary(out)["command"] == argv[0]
+    assert (out / artifact).stat().st_size > 0
+
+
 def test_exit_2_on_missing_config(tmp_path, capsys):
     code = main(["mean", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 2

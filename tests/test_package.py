@@ -6,7 +6,7 @@ EXPORTED_BEFORE = {
     "__version__",
     "AdjointSolution", "AssumptionViolationError", "CombinedPolicy", "ControlPolicy",
     "ControlSegment", "ControlSet", "CostSpec", "DivergenceError", "DualIdentityReport",
-    "EnsembleResult", "FdStateRow", "FdTauReport", "FdTauRow", "HookDynamics",
+    "EnsembleResult", "FdStateRow", "FdTauReport", "FdTauRow",
     "InfeasibleError", "LinearDynamics", "McReport", "MeanPath", "MeanTauError",
     "NonConvergenceError", "NumericalConsistencyError", "PerturbationSpec", "PortfolioParams",
     "ProblemSpec", "RegimeError", "ScalarSwitchReport", "SensitivityResult", "SimGrid",
@@ -16,7 +16,7 @@ EXPORTED_BEFORE = {
     "detect_min_time", "dual_identity_check", "estimate_cost", "exp_with_integral",
     "fd_state_check", "fd_tau_check", "find_switch_times", "hamiltonian", "hamiltonian_du",
     "hit_time_derivative", "khat_evaluator", "mc_validate", "mean_ode_solve",
-    "mean_target_response", "mean_target_solve", "optimal_control", "optimal_policy",
+    "mean_target_response", "optimal_control", "optimal_policy",
     "perturbed_policy", "policy_eval", "scalar_switch_structure", "simulate_ensemble",
     "simulate_state_sensitivity", "solve_adjoints", "solve_cost_adjoint", "solve_mean_path",
     "solve_tau", "solve_time_adjoint", "step_noise", "switch_times", "switching_function",
@@ -24,6 +24,9 @@ EXPORTED_BEFORE = {
     "target_state_row", "terminal_cost_drift", "time_adjoint_closed_form", "to_problem_spec",
     "validate", "vertex_policy", "wealth_residual",
 }
+
+# public names deleted with the code behind them
+REMOVED = {"HookDynamics", "mean_target_solve"}
 
 
 def test_package_exports_the_union_of_the_submodule_lists():
@@ -41,6 +44,13 @@ def test_package_exports_the_union_of_the_submodule_lists():
 def test_package_keeps_every_earlier_export():
     assert EXPORTED_BEFORE <= set(meantau.__all__)
     assert "figure_columns" in meantau.__all__
+
+
+def test_package_no_longer_exports_removed_names():
+    modules = (meantau, adjoint, bangbang, errors, portfolio, problem, simulate, smp, variational)
+    for module in modules:
+        assert not REMOVED & set(module.__all__)
+        assert not any(hasattr(module, name) for name in REMOVED)
 
 
 def test_khat_evaluator_is_one_function():

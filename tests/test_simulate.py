@@ -20,7 +20,6 @@ from meantau.simulate import (
     detect_min_time,
     estimate_cost,
     mean_ode_solve,
-    mean_target_solve,
     simulate_ensemble,
     solve_mean_path,
     step_noise,
@@ -196,8 +195,7 @@ def test_mean_target_constant_when_rows_vanish():
     spec = scalar_spec(e1=0.0, e2=0.0, e3=0.0, e4=0.0, y0=3.5)
     grid = SimGrid(2.0, 50)
     policy = ControlPolicy.constant([1.0], 6.0)
-    mx = mean_ode_solve(spec.dynamics, policy, grid)
-    my = mean_target_solve(spec.target, spec.dynamics, mx, policy, grid)
+    my = solve_mean_path(spec, policy, grid).mean_y
     np.testing.assert_allclose(my, 3.5, rtol=0, atol=1e-14)
 
 
@@ -209,8 +207,8 @@ def test_mean_target_matches_affine_closed_form():
     spec = scalar_spec(a=a, b=b, e1=e1, e2=e2, e3=e3, e4=e4, y0=2.0, x0=1.0)
     grid = SimGrid(3.0, 300)
     policy = ControlPolicy.constant([u0], 6.0)
-    mx = mean_ode_solve(spec.dynamics, policy, grid)
-    my = mean_target_solve(spec.target, spec.dynamics, mx, policy, grid)
+    mp = solve_mean_path(spec, policy, grid)
+    mx, my = mp.mean_x, mp.mean_y
     ts = grid.times()
     c1 = e1 + e2 + e3 * a
     c2 = e3 * b + e4
@@ -230,17 +228,6 @@ def test_mean_target_quadrature_consistency():
     rate = -1.0 * mp.mean_x[:, 0] + 0.2 * 0.9
     quad = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * grid.dt)])
     np.testing.assert_allclose(mp.mean_y, 4.0 + quad, rtol=0, atol=1e-5)
-
-
-def test_mean_target_rejects_inconsistent_state_input():
-    spec = scalar_spec()
-    grid = SimGrid(1.0, 10)
-    policy = ControlPolicy.constant([1.0], 6.0)
-    wrong = np.ones((11, 1)) * 5.0
-    with pytest.raises(ValueError):
-        mean_target_solve(spec.target, spec.dynamics, wrong, policy, grid)
-    with pytest.raises(ValueError):
-        mean_target_solve(spec.target, spec.dynamics, np.ones((4, 1)), policy, grid)
 
 
 def test_detect_min_time_trivial_start():

@@ -19,7 +19,7 @@ from meantau.problem import (
     TargetCoefficients,
     perturbed_policy,
 )
-from meantau.simulate import HookDynamics, SimGrid, simulate_ensemble, step_noise
+from meantau.simulate import SimGrid, simulate_ensemble, step_noise
 from meantau.variational import (
     PerturbationSpec,
     dual_identity_check,
@@ -31,29 +31,6 @@ from meantau.variational import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def bilinear_hook(x0=1.0):
-    """Scalar drift 0.4 x u with state-proportional noise 0.3 x."""
-
-    def drift(X, u):
-        return 0.4 * X * u[0]
-
-    def diffusion(X, u):
-        return 0.3 * X[:, :, None]
-
-    return HookDynamics(
-        m=1,
-        k=1,
-        d=1,
-        x0=[x0],
-        drift=drift,
-        diffusion=diffusion,
-        drift_dstate=lambda X, u, S: 0.4 * S * u[0],
-        drift_dcontrol=lambda X, u, v: 0.4 * X * v[0],
-        diffusion_dstate=lambda X, u, S: 0.3 * S[:, :, None],
-        diffusion_dcontrol=lambda X, u, v: np.zeros((1, 1)),
-    )
 
 
 def test_zero_direction_gives_zero_sensitivity():
@@ -83,28 +60,6 @@ def test_linear_dynamics_make_the_quotient_exact():
     )
     for row in rows:
         assert row.sup_err < 1e-9
-
-
-def test_bilinear_coefficients_converge_at_first_order():
-    spec = scalar_spec()  # the box and horizon; dynamics overridden by the hook
-    hook = bilinear_hook()
-    grid = SimGrid(1.0, 200)
-    policy = ControlPolicy.constant([0.8], 6.0)
-    direction = ControlPolicy.constant([0.5], 6.0)
-    rows = fd_state_check(
-        spec,
-        policy,
-        direction,
-        rhos=(1e-1, 1e-2, 1e-3),
-        grid=grid,
-        seed=4,
-        n_paths=400,
-        dynamics=hook,
-    )
-    errs = [r.sup_err for r in rows]
-    assert errs[0] > errs[1] > errs[2]
-    assert 4.0 < errs[0] / errs[1] < 25.0
-    assert 4.0 < errs[1] / errs[2] < 25.0
 
 
 def test_decoupled_noise_destroys_the_quotient():
@@ -323,18 +278,40 @@ def test_perturbation_rejects_horizon_mismatch_and_bad_steps():
     assert not report.ok and any("positive" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("check", ["fd_tau_check", "fd_state_check"])
+@pytest.mark.parametrize(
+    "rho", [0.0, -1e-3, float("inf"), float("nan")], ids=["zero", "negative", "inf", "nan"]
+)
+def test_fd_checks_reject_a_step_size_that_is_not_finite_and_positive(monkeypatch, check, rho):
+    def no_solve(*args):
+        raise AssertionError("solved before the step sizes were checked")
+
+    monkeypatch.setattr(variational, "solve_mean_path", no_solve)
+    monkeypatch.setattr(variational, "_fd_paths", no_solve)
+    spec, grid = scalar_spec(), SimGrid(6.0, 50)
+    args = (spec, ControlPolicy.constant([0.8], 6.0), ControlPolicy.constant([0.1], 6.0))
+    with pytest.raises(ValueError, match=r"^rhos\[1\]: "):
+        if check == "fd_tau_check":
+            fd_tau_check(*args, (1e-2, rho), grid)
+        else:
+            fd_state_check(*args, (1e-2, rho), grid, seed=0, n_paths=4)
+
+
 # ---------------------------------------------------------------------------
 # The one Euler-Maruyama loop against separately stepped reference loops
 
 
-def reference_state_paths(dyn, policy, grid, seed, n_paths):
-    """State paths of one ensemble stepped on its own, redrawing the noise."""
+def reference_state_paths(dyn, policy, grid, seed, n_paths, x0=None):
+    """State paths of one ensemble stepped on its own, redrawing the noise.
+
+    The sensitivity along v is the same SDE started at x0 = 0 and driven by v.
+    """
     times = grid.times()
     dt = grid.dt
     sq = np.sqrt(dt)
     d = dyn.d
     u_nodes = np.atleast_2d(policy.values(times, side=+1))
-    X = np.tile(dyn.x0, (n_paths, 1))
+    X = np.tile(dyn.x0 if x0 is None else x0, (n_paths, 1))
     out = np.empty((n_paths, grid.n_steps + 1, dyn.m))
     out[:, 0, :] = X
     for j in range(grid.n_steps):
@@ -345,31 +322,6 @@ def reference_state_paths(dyn, policy, grid, seed, n_paths):
             Xn = Xn + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
         X = Xn
         out[:, j + 1, :] = X
-    return out
-
-
-def reference_sensitivity_paths(dyn, policy, direction, grid, seed, n_paths):
-    """Sensitivity paths from a loop that steps X and S as separate arrays."""
-    times = grid.times()
-    dt = grid.dt
-    sq = np.sqrt(dt)
-    d = dyn.d
-    u_nodes = np.atleast_2d(policy.values(times, side=+1))
-    v_nodes = np.atleast_2d(direction.values(times, side=+1))
-    X = np.tile(dyn.x0, (n_paths, 1))
-    S = np.zeros((n_paths, dyn.m))
-    out = np.zeros((n_paths, grid.n_steps + 1, dyn.m))
-    for j in range(grid.n_steps):
-        u, v = u_nodes[j], v_nodes[j]
-        Sn = S + (dyn.drift_dstate(X, u, S) + dyn.drift_dcontrol(X, u, v)) * dt
-        Xn = X + dyn.drift(X, u) * dt
-        if d > 0:
-            dW = step_noise(seed, j, n_paths, d) * sq
-            dsig = dyn.diffusion_dstate(X, u, S) + dyn.diffusion_dcontrol(X, u, v)[None, :, :]
-            Sn = Sn + np.einsum("nmj,nj->nm", dsig, dW)
-            Xn = Xn + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
-        X, S = Xn, Sn
-        out[:, j + 1, :] = S
     return out
 
 
@@ -440,7 +392,7 @@ def test_kernel_columns_equal_separately_stepped_loops(case):
     spec, policy, direction, grid, seed, n_paths = case
     dyn, rhos = spec.dynamics, (1e-2, 1e-3)
     ref_base = reference_state_paths(dyn, policy, grid, seed, n_paths)
-    ref_sens = reference_sensitivity_paths(dyn, policy, direction, grid, seed, n_paths)
+    ref_sens = reference_state_paths(dyn, direction, grid, seed, n_paths, x0=np.zeros(dyn.m))
 
     sens = simulate_state_sensitivity(spec, policy, direction, grid, seed, n_paths)
     assert_kernel_matches(sens.paths, ref_sens, dyn)
@@ -457,23 +409,6 @@ def test_kernel_columns_equal_separately_stepped_loops(case):
             dyn, perturbed_policy(policy, direction, rho), grid, seed, n_paths
         )
         assert_kernel_matches(pert, ref, dyn)
-
-
-def test_kernel_columns_equal_reference_loops_for_hook_dynamics():
-    spec, hook, grid = scalar_spec(), bilinear_hook(), SimGrid(1.0, 40)
-    policy = ControlPolicy.constant([0.8], 6.0)
-    direction = piecewise_constant([0.5, -0.3], [0.0, 0.5, 6.0])
-    sens = simulate_state_sensitivity(spec, policy, direction, grid, 4, 50, dynamics=hook)
-    ref_sens = reference_sensitivity_paths(hook, policy, direction, grid, 4, 50)
-    assert np.array_equal(sens.paths, ref_sens)
-    calls = fd_state_paths(spec, policy, direction, (1e-2,), grid, 4, 50, dynamics=hook)
-    (base, sens_paths, (pert,)), = calls
-    assert np.array_equal(base, reference_state_paths(hook, policy, grid, 4, 50))
-    assert np.array_equal(sens_paths, ref_sens)
-    assert np.array_equal(
-        pert,
-        reference_state_paths(hook, perturbed_policy(policy, direction, 1e-2), grid, 4, 50),
-    )
 
 
 def test_fd_state_check_draws_the_noise_once_per_step(monkeypatch):
@@ -493,25 +428,6 @@ def test_fd_state_check_draws_the_noise_once_per_step(monkeypatch):
     draws.clear()
     simulate_state_sensitivity(spec, policy, direction, grid, seed=1, n_paths=8)
     assert draws == list(range(grid.n_steps))
-
-
-def test_diverging_fd_state_check_names_step_and_path():
-    hook = HookDynamics(
-        m=1,
-        k=1,
-        d=0,
-        x0=[1e200],
-        drift=lambda X, u: X * X,
-        diffusion=lambda X, u: np.zeros((X.shape[0], 1, 0)),
-        drift_dstate=lambda X, u, S: 2.0 * X * S,
-        drift_dcontrol=lambda X, u, v: np.zeros(1),
-    )
-    spec = scalar_spec(d_coef=0.0, horizon=1.0)
-    policy = ControlPolicy.constant([0.5], 1.0)
-    direction = ControlPolicy.constant([0.1], 1.0)
-    with pytest.raises(DivergenceError) as err:
-        fd_state_check(spec, policy, direction, (1e-2,), SimGrid(1.0, 10), 0, 4, dynamics=hook)
-    assert (err.value.step, err.value.path) == (1, 0)
 
 
 def test_diverging_linear_fd_state_check_names_the_path_within_its_lane():
