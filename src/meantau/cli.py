@@ -12,7 +12,10 @@ Subcommands:
 Every run writes `summary.json` into the output directory plus the
 command's own artifacts.  Outputs are pure functions of the config and
 flags: no timestamps, no environment data, and `--threads` never changes
-a byte (reductions are fixed-order; the flag is a scheduling hint only).
+a byte.  It caps the threads of the Monte Carlo loop (default: the CPUs
+available to the process); with two or more, a large enough per-step draw
+is made on one worker thread ahead of the loop, and the draw is keyed by
+(seed, step) either way.  A value below 1 exits 2.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical
 failure (no convergence, infeasible target, diverged paths, failed
@@ -50,7 +53,7 @@ from .portfolio import (
     to_problem_spec,
 )
 from .problem import ControlPolicy, policy_eval
-from .simulate import SimGrid, simulate_ensemble, solve_mean_path
+from .simulate import SimGrid, _available_cpus, simulate_ensemble, solve_mean_path
 from .smp import check_candidate
 from .variational import (
     PerturbationSpec,
@@ -81,8 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=1,
-            help="scheduling hint; artifacts are byte-identical for any value",
+            default=_available_cpus(),
+            help="threads the Monte Carlo loop may use, at least 1 (default: the "
+            "CPUs available to the process, %(default)s here); artifacts are "
+            "byte-identical for any value",
         )
 
     p = sub.add_parser("simulate", help="simulate a path ensemble")
@@ -156,7 +161,13 @@ def _run_simulate(args) -> int:
     policy = _policy_from(cfg, spec)
     grid = SimGrid(spec.horizon, args.steps)
     res = simulate_ensemble(
-        spec, policy, args.paths, grid, args.seed, store_paths=args.store_paths or None
+        spec,
+        policy,
+        args.paths,
+        grid,
+        args.seed,
+        store_paths=args.store_paths or None,
+        threads=args.threads,
     )
     ts = grid.times()
     m = spec.dynamics.m
@@ -232,6 +243,7 @@ def _run_portfolio(args) -> int:
             dt=args.dt,
             seed=args.seed,
             vol_pair=tuple(args.vol_pair) if args.vol_pair else None,
+            threads=args.threads,
         )
     fig = figure_columns(params)
     write_csv(
@@ -423,7 +435,7 @@ def _run_verify_variational(args) -> int:
     if not args.skip_state:
         state_grid = SimGrid(spec.horizon, min(args.steps, 2000))
         rows = fd_state_check(
-            spec, policy, direction, pert.rhos, state_grid, args.seed, args.paths
+            spec, policy, direction, pert.rhos, state_grid, args.seed, args.paths, args.threads
         )
         payload["state_table"] = [
             {
@@ -483,6 +495,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         os.makedirs(args.out, exist_ok=True)
         return _RUNNERS[args.command](args)
     except (SpecValidationError, ValueError) as exc:

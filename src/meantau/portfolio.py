@@ -285,6 +285,7 @@ def mc_validate(
     dt: float = 1.0 / 256.0,
     seed: int = 42,
     vol_pair: Optional[tuple] = None,
+    threads: Optional[int] = None,
 ) -> McReport:
     """Ensemble check of E[X(tau)] = target, plus volatility invariance.
 
@@ -300,8 +301,10 @@ def mc_validate(
     Brownian draw per step.  Each steps only the wealth, stores no paths
     and is read once, at the last node.  A pair entry equal to
     `params.vol` reuses the base column, and its mean equals
-    `mean_terminal` exactly.  A dt that is not finite and positive, or
-    fewer than two paths, raise ValueError.
+    `mean_terminal` exactly.  `threads` (default: the CPUs available to
+    the process) is passed to `_run_columns` and never changes the report.
+    A dt that is not finite and positive, or fewer than two paths, raise
+    ValueError.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -315,7 +318,7 @@ def mc_validate(
     u_nodes = _node_controls(optimal_policy(params, sol), grid.times())
     dyns = [to_problem_spec(replace(params, vol=v)).dynamics for v in vols]
     cols = [_Column(dyn, u_nodes, n_paths, grid.n_steps, store_paths=False) for dyn in dyns]
-    _run_columns(cols, grid, seed, n_paths)
+    _run_columns(cols, grid, seed, n_paths, threads)
     stats = (col.row_stats(0) for col in cols)
     terminal = {v: (float(mu), float(sd / np.sqrt(n_paths))) for v, (mu, sd) in zip(vols, stats)}
     mean, stderr = terminal[params.vol]

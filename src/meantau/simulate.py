@@ -25,10 +25,22 @@ rows: the variational checks step the base state, its sensitivity and
 each perturbed control as the lanes of one column, and the wealth Monte
 Carlo check steps one path column per volatility and reads only the
 terminal state rows.
+
+The loop may use two threads.  When a step's draw holds at least 8192
+normals (N times the noise dimension), one worker thread draws and
+scales the blocks of the coming steps, at most two ahead and each in a
+fresh array, while the calling thread steps the columns; the blocks are
+the same draws either way, so the thread count never changes a byte.  A
+smaller draw is made in the loop itself, since handing it to another
+thread costs more than drawing it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -454,7 +466,82 @@ class _Column:
         self.Z, self.Zn = self.Zn, Z
 
 
-def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Smallest draw (n_paths * d normals per step) that a worker thread draws
+# ahead of the loop.  Handing a block over costs more than drawing a small
+# one: on a 2-vCPU host a worker for every draw made a 2 000-path ensemble
+# plus a 256-path state check 1.4-2.0x slower, while at 8 192 normals the
+# wealth check ran about 15% faster with the worker than without.
+_PREFETCH_MIN_DRAW = 8192
+# Blocks a worker may hold ready before the loop takes them.
+_PREFETCH_DEPTH = 2
+
+
+def _serial_noise(seed, n_steps, n_paths, d, sq):
+    """Each step's scaled noise block, drawn when the loop asks for it.
+
+    One buffer holds every block, so a block is valid until the next one.
+    """
+    dW = np.empty((n_paths, d))
+    for j in range(n_steps):
+        if d > 0:
+            np.multiply(step_noise(seed, j, n_paths, d), sq, out=dW)
+        yield dW
+
+
+def _prefetched_noise(seed, n_steps, n_paths, d, sq):
+    """The blocks of `_serial_noise`, drawn up to `_PREFETCH_DEPTH` steps ahead.
+
+    One worker thread draws and scales the blocks of steps 0..n_steps - 1
+    in order, each into a fresh array that it never touches again, and
+    hands them over through a bounded queue.  The thread starts with the
+    first block asked for.  An exception in the worker is raised here, in
+    the loop's thread, at the step that needed the failed block.  However
+    the loop ends (exhausted, an exception, or `close`), the worker is
+    told to stop, the queue is drained so that a pending hand-off returns,
+    and the worker is joined, so it never outlives the loop.
+    """
+    blocks = queue.Queue(maxsize=_PREFETCH_DEPTH)
+    stop = threading.Event()
+
+    def produce():
+        try:
+            for j in range(n_steps):
+                if stop.is_set():
+                    return
+                block = step_noise(seed, j, n_paths, d)
+                np.multiply(block, sq, out=block)
+                blocks.put(block)
+        except BaseException as exc:  # raised again by the loop's thread
+            blocks.put(exc)
+
+    worker = threading.Thread(target=produce, name="meantau-noise", daemon=True)
+    worker.start()
+    try:
+        for _ in range(n_steps):
+            block = blocks.get()
+            if isinstance(block, BaseException):
+                raise block
+            yield block
+    finally:
+        # after `stop` the worker hands over at most one more block, so
+        # one drain leaves it room and the join cannot wait on the queue
+        stop.set()
+        with contextlib.suppress(queue.Empty):
+            while True:
+                blocks.get_nowait()
+        worker.join()
+
+
+def _run_columns(
+    cols, grid: SimGrid, seed: int, n_paths: int, threads: Optional[int] = None
+) -> None:
     """The Euler-Maruyama time loop over columns that share the noise dimension d.
 
     Each step draws its noise once, keyed by (seed, step), and every
@@ -465,16 +552,27 @@ def _run_columns(cols, grid: SimGrid, seed: int, n_paths: int) -> None:
     reading the last node through `_Column.row_stats`.  Overflow
     warnings are silenced: `_Column.record`, which stores node 0 and each
     stepped node, raises DivergenceError on non-finite values instead.
+
+    `threads` (default: the CPUs available to the process) caps the
+    threads the loop may use.  With two or more, and a draw of at least
+    `_PREFETCH_MIN_DRAW` normals a step, one worker thread draws the noise
+    ahead while this thread steps the columns (`_prefetched_noise`);
+    otherwise each step draws in turn (`_serial_noise`).  A block is the
+    same `step_noise` draw times sqrt(dt) either way, so the thread count
+    never changes a result.  A threads value below 1 raises ValueError.
     """
+    if threads is None:
+        threads = _available_cpus()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     d, dt = cols[0].dyn.d, grid.dt
     sq = np.sqrt(dt)
-    dW = np.empty((n_paths, d))
-    with np.errstate(over="ignore", invalid="ignore"):
+    prefetch = threads >= 2 and d > 0 and n_paths * d >= _PREFETCH_MIN_DRAW
+    noise = (_prefetched_noise if prefetch else _serial_noise)(seed, grid.n_steps, n_paths, d, sq)
+    with np.errstate(over="ignore", invalid="ignore"), contextlib.closing(noise):
         for col in cols:
             col.record(0)
-        for j in range(grid.n_steps):
-            if d > 0:
-                np.multiply(step_noise(seed, j, n_paths, d), sq, out=dW)
+        for j, dW in enumerate(noise):
             for col in cols:
                 col.step(j, dW, dt)
                 col.record(j + 1)
@@ -487,11 +585,13 @@ def simulate_ensemble(
     grid: SimGrid,
     seed: int,
     store_paths: Optional[bool] = None,
+    threads: Optional[int] = None,
 ) -> EnsembleResult:
     """Simulate N coupled paths of (X, Y) and detect the mean hitting time.
 
     Paths are stored when `store_paths` is true, defaulting to on for
-    N <= 10^4 and off above that.
+    N <= 10^4 and off above that.  `threads` is passed to `_run_columns`
+    and never changes the result.
     """
     spec.require_valid()
     times = grid.times()
@@ -502,7 +602,7 @@ def simulate_ensemble(
 
     u_nodes = _node_controls(policy, times)
     col = _Column(spec.dynamics, u_nodes, n_paths, grid.n_steps, spec=spec, store_paths=store_paths)
-    _run_columns([col], grid, seed, n_paths)
+    _run_columns([col], grid, seed, n_paths, threads)
 
     tau, label = detect_min_time(col.mean_y, grid)
     result = EnsembleResult(

@@ -128,13 +128,13 @@ class PerturbationSpec:
         return ValidationReport(ok=not out, violations=out)
 
 
-def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths):
+def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths, threads=None):
     """Base, sensitivity and perturbed state paths on one noise draw per step.
 
     Returns (base, sens, perturbed): two (n_paths, n_steps + 1, m) arrays
     and a sequence of one such array per rho, the lanes (x0, u), (0, v)
     and (x0, u + rho v) of one column.  A non-finite state raises
-    DivergenceError.
+    DivergenceError.  `threads` is passed to `_run_columns`.
     """
     times = grid.times()
     controls = [policy, direction] + [perturbed_policy(policy, direction, rho) for rho in rhos]
@@ -142,7 +142,7 @@ def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths):
     x0[1] = 0.0  # the sensitivity starts at 0
     u_nodes = np.stack([_node_controls(pol, times) for pol in controls], axis=1)
     col = _Column(dyn, u_nodes, n_paths, grid.n_steps, x0=x0)
-    _run_columns([col], grid, seed, n_paths)
+    _run_columns([col], grid, seed, n_paths, threads)
     return col.paths[0], col.paths[1], col.paths[2:]
 
 
@@ -164,17 +164,19 @@ def simulate_state_sensitivity(
     grid: SimGrid,
     seed: int,
     n_paths: int,
+    threads: Optional[int] = None,
 ) -> SensitivityResult:
     """Simulate the sensitivity SDE along the base trajectory.
 
     The base state and its sensitivity advance together in the
     Euler-Maruyama loop (`_fd_paths` without perturbed runs).  The
     sensitivity mean also solves dE/dt = A E + B v exactly, returned as
-    `mean_exact`.
+    `mean_exact`.  `threads` is passed to `_run_columns` and never changes
+    the result.
     """
     dyn = spec.dynamics
     times = grid.times()
-    _, sens, _ = _fd_paths(dyn, policy, direction, (), grid, seed, n_paths)
+    _, sens, _ = _fd_paths(dyn, policy, direction, (), grid, seed, n_paths, threads)
     paths = np.ascontiguousarray(sens)
     return SensitivityResult(
         grid=grid,
@@ -203,6 +205,7 @@ def fd_state_check(
     grid: SimGrid,
     seed: int,
     n_paths: int,
+    threads: Optional[int] = None,
 ) -> list:
     """Coupled finite-difference check of the sensitivity equation.
 
@@ -212,11 +215,14 @@ def fd_state_check(
     linear, so the pathwise quotient (X^rho - X)/rho equals the
     sensitivity up to rounding at every rho: the table checks that the
     stepping kernel is linear in (x0, u).  The quotient table of every
-    rho is built in the same two buffers.
+    rho is built in the same two buffers.  `threads` is passed to
+    `_run_columns` and never changes the table.
     """
     _require_rhos(rhos)
     times = grid.times()
-    base, sens, perturbed = _fd_paths(spec.dynamics, policy, direction, rhos, grid, seed, n_paths)
+    base, sens, perturbed = _fd_paths(
+        spec.dynamics, policy, direction, rhos, grid, seed, n_paths, threads
+    )
     gap = np.empty(base.shape)
     errs = np.empty(base.shape[:2])  # (n_paths, nodes)
     rows = []

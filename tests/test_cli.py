@@ -477,19 +477,29 @@ def assert_dirs_byte_identical(a, b):
 
 
 def test_thread_flag_never_changes_bytes(tmp_path):
-    for threads, tag in (("1", "a"), ("7", "b")):
-        main(
-            [
-                "simulate", "--config", SCALAR, "--out", str(tmp_path / f"sim_{tag}"),
-                "--paths", "150", "--steps", "300", "--seed", "9",
-                "--store-paths", "--threads", threads,
-            ]
-        )
-        main(
-            [
-                "portfolio", "--out", str(tmp_path / f"pf_{tag}"),
-                "--threads", threads,
-            ]
-        )
-    assert_dirs_byte_identical(str(tmp_path / "sim_a"), str(tmp_path / "sim_b"))
-    assert_dirs_byte_identical(str(tmp_path / "pf_a"), str(tmp_path / "pf_b"))
+    # the last two draw at least 8192 normals a step, so --threads 7 draws
+    # them on a worker thread and --threads 1 in the loop
+    commands = {
+        "sim": [
+            "simulate", "--config", SCALAR, "--paths", "150", "--steps", "300", "--seed", "9",
+            "--store-paths",
+        ],
+        "pf": ["portfolio"],
+        "sim_large": ["simulate", "--config", SCALAR, "--paths", "8192", "--steps", "40"],
+        "pf_large": [
+            "portfolio", "--mc", "--paths", "8192", "--dt", "0.0625", "--vol-pair", "0.2", "0.4",
+        ],
+    }
+    for name, argv in commands.items():
+        for threads, tag in (("1", "a"), ("7", "b")):
+            out = str(tmp_path / f"{name}_{tag}")
+            assert main(argv + ["--out", out, "--threads", threads]) == 0
+        assert_dirs_byte_identical(str(tmp_path / f"{name}_a"), str(tmp_path / f"{name}_b"))
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_exit_2_when_the_thread_count_is_below_one(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    code = main(["mean", "--config", SCALAR, "--out", str(out), "--threads", threads])
+    assert "--threads" in assert_exit_2_with_a_value_error(code, capsys)
+    assert not out.exists()

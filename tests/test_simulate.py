@@ -1,4 +1,7 @@
-from dataclasses import replace
+import sys
+import threading
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,9 +11,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from helpers import never_crossing_spec, piecewise_constant, scalar_spec
+from meantau import simulate
 from meantau.errors import DivergenceError
+from meantau.portfolio import PortfolioParams, mc_validate
 from meantau.problem import ControlPolicy, CostSpec, LinearDynamics
 from meantau.simulate import (
+    _PREFETCH_MIN_DRAW,
     SimGrid,
     _affine_path,
     _Column,
@@ -24,6 +30,7 @@ from meantau.simulate import (
     solve_mean_path,
     step_noise,
 )
+from meantau.variational import fd_state_check
 
 
 def test_grid_nodes_hit_endpoint_exactly():
@@ -465,6 +472,112 @@ def test_ensemble_divergence_names_step_and_path():
         simulate_ensemble(spec, ControlPolicy.constant([0.0], 1.0), 4, SimGrid(1.0, 10), 0)
     assert err.value.step == 1
     assert err.value.path == 0
+
+
+# -- the noise worker thread ----------------------------------------------------
+
+
+def call_within(seconds, fn, *args, **kwargs):
+    """fn's result or its exception; the test fails if fn still runs after `seconds`."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn(*args, **kwargs)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    caller = threading.Thread(target=target, daemon=True)
+    caller.start()
+    caller.join(seconds)
+    if caller.is_alive():
+        pytest.fail(f"{fn.__name__} still running after {seconds} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def test_the_worker_thread_never_changes_a_result():
+    n_paths = _PREFETCH_MIN_DRAW  # one noise channel: the smallest draw a worker makes
+    params = PortfolioParams()
+    spec = scalar_spec(c_coef=0.2, g_state=0.05)
+    policy = ControlPolicy.constant([0.8], 6.0)
+    direction = ControlPolicy.constant([0.5], 6.0)
+    grid = SimGrid(1.0, 40)
+    # frequent thread switches give a block rewritten while it is read every chance to show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial, threaded = (
+            mc_validate(params, n_paths=n_paths, dt=0.0625, seed=3, vol_pair=(0.2, 0.4), threads=t)
+            for t in (1, 2)
+        )
+        assert serial == threaded
+
+        serial, threaded = (
+            simulate_ensemble(spec, policy, n_paths, grid, 5, store_paths=True, threads=t)
+            for t in (1, 2)
+        )
+        for field in fields(serial):
+            a, b = getattr(serial, field.name), getattr(threaded, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+
+        serial, threaded = (
+            fd_state_check(spec, policy, direction, (1e-2, 1e-3), SimGrid(1.0, 20), 7, n_paths, t)
+            for t in (1, 2)
+        )
+        assert serial == threaded
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_diverging_run_stops_and_joins_its_noise_worker(monkeypatch):
+    # x' = x + 1e5 x dW from 1e200: the paths overflow one by one
+    dyn = LinearDynamics(A=[[0.0]], B=[[0.0]], C=[[[1e5]]], D=[[[0.0]]], x0=[1e200])
+    grid, seed, n_paths = SimGrid(1.0, 60), 11, _PREFETCH_MIN_DRAW
+    u_nodes = np.zeros((grid.n_steps + 1, 1))
+
+    def run(threads):
+        col = _Column(dyn, u_nodes, n_paths, grid.n_steps, store_paths=False)
+        with pytest.raises(DivergenceError) as err:
+            _run_columns([col], grid, seed, n_paths, threads)
+        return err.value.step, err.value.path
+
+    serial = run(1)
+    assert 1 < serial[0] < grid.n_steps and serial[1] > 0
+
+    # slow draws keep the worker busy when the loop fails, so a worker that
+    # is not joined is still alive when the call returns
+    def slow(seed, step, n_paths, d):
+        time.sleep(0.01)
+        return step_noise(seed, step, n_paths, d)
+
+    monkeypatch.setattr(simulate, "step_noise", slow)
+    before = threading.active_count()
+    assert run(2) == serial
+    assert threading.active_count() == before
+
+
+def test_a_failed_draw_on_the_noise_worker_reaches_the_caller(monkeypatch):
+    drawn = []
+
+    def failing(seed, step, n_paths, d):
+        drawn.append(step)
+        if step == 3:
+            raise RuntimeError("draw 3 failed")
+        return step_noise(seed, step, n_paths, d)
+
+    monkeypatch.setattr(simulate, "step_noise", failing)
+    spec = scalar_spec()
+    policy = ControlPolicy.constant([0.8], 6.0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw 3 failed"):
+        call_within(
+            60, simulate_ensemble, spec, policy, _PREFETCH_MIN_DRAW, SimGrid(1.0, 20), 0,
+            threads=2,
+        )
+    assert drawn == [0, 1, 2, 3]
+    assert threading.active_count() == before
 
 
 def test_estimate_cost_pure_time_objective():

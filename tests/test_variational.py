@@ -1,3 +1,4 @@
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -412,10 +413,11 @@ def test_kernel_columns_equal_separately_stepped_loops(case):
 
 
 def test_fd_state_check_draws_the_noise_once_per_step(monkeypatch):
-    draws = []
+    draws, drawn_by = [], set()
 
     def counting(seed, step, n_paths, d):
         draws.append(step)
+        drawn_by.add(threading.current_thread())
         return step_noise(seed, step, n_paths, d)
 
     monkeypatch.setattr(simulate, "step_noise", counting)
@@ -423,11 +425,20 @@ def test_fd_state_check_draws_the_noise_once_per_step(monkeypatch):
     grid = SimGrid(1.0, 25)
     policy = ControlPolicy.constant([0.8], 6.0)
     direction = ControlPolicy.constant([0.5], 6.0)
-    fd_state_check(spec, policy, direction, (1e-2, 1e-3, 1e-4), grid, seed=1, n_paths=8)
+    # below the draw size a worker takes, every step draws in the loop
+    fd_state_check(spec, policy, direction, (1e-2, 1e-3, 1e-4), grid, 1, 8, threads=2)
     assert draws == list(range(grid.n_steps))
+    assert drawn_by == {threading.current_thread()}
     draws.clear()
     simulate_state_sensitivity(spec, policy, direction, grid, seed=1, n_paths=8)
     assert draws == list(range(grid.n_steps))
+    # above it, one worker thread makes every draw, in order, and no more
+    draws.clear()
+    drawn_by.clear()
+    n_paths = simulate._PREFETCH_MIN_DRAW
+    fd_state_check(spec, policy, direction, (1e-2,), grid, 1, n_paths, threads=2)
+    assert draws == list(range(grid.n_steps))
+    assert len(drawn_by) == 1 and threading.current_thread() not in drawn_by
 
 
 def test_diverging_linear_fd_state_check_names_the_path_within_its_lane():
