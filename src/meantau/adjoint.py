@@ -286,12 +286,10 @@ def khat_evaluator(dynamics, target, tau: float) -> Callable:
     Each call costs one augmented exponential; `time_adjoint_closed_form`
     on a SimGrid gives the node values of p0 in one pass.
     """
-    row_x = target_state_row(target, dynamics)
-    row_u = target_control_row(target, dynamics)
 
     def khat(t: float) -> np.ndarray:
-        _, integral = exp_with_integral(dynamics.A, tau - float(t))
-        return -(row_x @ integral) @ dynamics.B - row_u
+        p0 = time_adjoint_closed_form(dynamics, target, tau, float(t))[0]
+        return target_hamiltonian_du(p0, dynamics, target)
 
     return khat
 

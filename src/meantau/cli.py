@@ -15,7 +15,8 @@ flags: no timestamps, no environment data, and `--threads` never changes
 a byte.  It caps the threads of the Monte Carlo loop (default: the CPUs
 available to the process); with two or more, a large enough per-step draw
 is made on one worker thread ahead of the loop, and the draw is keyed by
-(seed, step) either way.  A value below 1 exits 2.
+(seed, step) either way.  A value below 1, or a negative `--seed`,
+exits 2.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical
 failure (no convergence, infeasible target, diverged paths, failed
@@ -29,8 +30,7 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from . import __version__
 from .bangbang import synthesize
@@ -45,14 +45,8 @@ from .errors import (
     SpecValidationError,
 )
 from .output import fmt_float, svg_line_chart, write_csv, write_json, write_svg
-from .portfolio import (
-    figure_columns,
-    mc_validate,
-    optimal_policy,
-    solve_tau,
-    to_problem_spec,
-)
-from .problem import ControlPolicy, policy_eval
+from .portfolio import figure_columns, mc_validate, optimal_policy, solve_tau
+from .problem import policy_eval
 from .simulate import SimGrid, _available_cpus, simulate_ensemble, solve_mean_path
 from .smp import check_candidate
 from .variational import (
@@ -96,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1000, help="time steps over the horizon")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument(
-        "--store-paths", action="store_true", help="keep paths and estimate the objective"
+        "--store-paths",
+        action="store_true",
+        help="keep paths and estimate the objective (`cost`) at any --paths; without "
+        "it, both happen up to 10000 paths",
     )
 
     p = sub.add_parser("mean", help="solve the mean flow and detect the hit")
@@ -145,10 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policy_from(cfg: dict, spec) -> ControlPolicy:
-    if "policy" not in cfg:
-        raise SpecValidationError(["policy: missing required section"])
-    return parse_policy(cfg["policy"], horizon=spec.horizon)
+def _load(args, policy=True):
+    """(cfg, spec) from `--config`, plus the parsed `policy` section when asked."""
+    cfg = load_config(args.config)
+    spec = parse_problem(_require(cfg, "problem"))
+    if not policy:
+        return cfg, spec
+    return cfg, spec, parse_policy(_require(cfg, "policy"), horizon=spec.horizon)
 
 
 def _write_summary(out_dir: str, payload: dict):
@@ -156,9 +156,7 @@ def _write_summary(out_dir: str, payload: dict):
 
 
 def _run_simulate(args) -> int:
-    cfg = load_config(args.config)
-    spec = parse_problem(_require(cfg, "problem"))
-    policy = _policy_from(cfg, spec)
+    _, spec, policy = _load(args)
     grid = SimGrid(spec.horizon, args.steps)
     res = simulate_ensemble(
         spec,
@@ -191,7 +189,7 @@ def _run_simulate(args) -> int:
         "seed": args.seed,
         "tau": res.tau,
         "case_label": res.case_label,
-        "mean_terminal": list(res.mean_x[-1]),
+        "mean_terminal": res.mean_x[-1],
         "outputs": ["ensemble.csv", "summary.json"],
     }
     if res.cost is not None:
@@ -202,9 +200,7 @@ def _run_simulate(args) -> int:
 
 
 def _run_mean(args) -> int:
-    cfg = load_config(args.config)
-    spec = parse_problem(_require(cfg, "problem"))
-    policy = _policy_from(cfg, spec)
+    _, spec, policy = _load(args)
     grid = SimGrid(spec.horizon, args.steps)
     mp = solve_mean_path(spec, policy, grid)
     ts = grid.times()
@@ -263,15 +259,7 @@ def _run_portfolio(args) -> int:
     write_svg(os.path.join(args.out, "portfolio.svg"), svg)
     summary = {
         "command": "portfolio",
-        "params": {
-            "rate": params.rate,
-            "growth": params.growth,
-            "vol": params.vol,
-            "target_wealth": params.target_wealth,
-            "initial_wealth": params.initial_wealth,
-            "beta": params.beta,
-            "horizon": params.horizon,
-        },
+        "params": asdict(params),
         "tau": sol.tau,
         "t1": sol.t1,
         "t2": sol.t2,
@@ -280,48 +268,27 @@ def _run_portfolio(args) -> int:
         "outputs": ["portfolio.csv", "portfolio.svg", "summary.json"],
     }
     if report is not None:
-        mc = {
-            "n_paths": report.n_paths,
-            "dt": report.dt,
-            "seed": report.seed,
-            "mean_terminal": report.mean_terminal,
-            "stderr": report.stderr,
-            "z_score": report.z_score,
+        # tau is the summary's own; the vol_pair fields are None without --vol-pair
+        summary["mc"] = {
+            k: v for k, v in asdict(report).items() if k != "tau" and v is not None
         }
-        if report.vol_pair is not None:
-            mc["vol_pair"] = list(report.vol_pair)
-            mc["vol_pair_means"] = list(report.vol_pair_means)
-            mc["vol_pair_stderrs"] = list(report.vol_pair_stderrs)
-            mc["vol_pair_gap"] = report.vol_pair_gap
-        summary["mc"] = mc
     _write_summary(args.out, summary)
     return 0
 
 
 def _run_bangbang(args) -> int:
-    cfg = load_config(args.config)
-    spec = parse_problem(_require(cfg, "problem"))
+    _, spec = _load(args, policy=False)
     result = synthesize(
         spec, n_nodes=args.nodes, max_iter=args.max_iter, damping=args.damping
     )
-    segments = [
-        {
-            "t_start": s.t_start,
-            "t_end": s.t_end,
-            "gamma0": list(s.gamma0),
-            "gamma1": list(s.gamma1),
-            "gamma2": list(s.gamma2),
-        }
-        for s in result.policy.segments
-    ]
     payload = {
         "tau": result.tau,
         "case_label": result.case_label,
         "slope_at_tau": result.slope_at_tau,
         "iterations": result.iterations,
         "tau_history": result.history,
-        "switch_times": [list(s) for s in result.switch_times],
-        "policy": {"segments": segments},
+        "switch_times": result.switch_times,
+        "policy": {"segments": [asdict(s) for s in result.policy.segments]},
     }
     write_json(os.path.join(args.out, "policy.json"), payload)
     _write_summary(
@@ -339,9 +306,7 @@ def _run_bangbang(args) -> int:
 
 
 def _run_check_smp(args) -> int:
-    cfg = load_config(args.config)
-    spec = parse_problem(_require(cfg, "problem"))
-    policy = _policy_from(cfg, spec)
+    _, spec, policy = _load(args)
     report = check_candidate(
         spec,
         policy,
@@ -349,29 +314,7 @@ def _run_check_smp(args) -> int:
         u_samples_per_axis=args.u_samples,
         tol=args.tol,
     )
-    payload = {
-        "tau": report.tau,
-        "case_label": report.case_label,
-        "tol": report.tol,
-        "max_residual": report.max_residual,
-        "witness_t": report.witness_t,
-        "witness_u": list(np.atleast_1d(report.witness_u)),
-        "passed": report.passed,
-        "terminal_weight": report.terminal_weight,
-        "slope_at_tau": report.slope_at_tau,
-        "n_time_nodes": report.n_time_nodes,
-        "n_control_samples": report.n_control_samples,
-        "adjoint_gap": report.adjoint_gap,
-        "variants": {
-            name: {
-                "max_residual": v["max_residual"],
-                "witness_t": v["witness_t"],
-                "witness_u": list(np.atleast_1d(v["witness_u"])),
-            }
-            for name, v in report.variants.items()
-        },
-    }
-    write_json(os.path.join(args.out, "smp.json"), payload)
+    write_json(os.path.join(args.out, "smp.json"), asdict(report))
     _write_summary(
         args.out,
         {
@@ -387,12 +330,10 @@ def _run_check_smp(args) -> int:
 
 
 def _run_verify_variational(args) -> int:
-    cfg = load_config(args.config)
-    spec = parse_problem(_require(cfg, "problem"))
-    policy = _policy_from(cfg, spec)
-    if "direction" not in cfg:
-        raise SpecValidationError(["direction: missing required section"])
-    direction = parse_policy(cfg["direction"], path="direction", horizon=spec.horizon)
+    cfg, spec, policy = _load(args)
+    direction = parse_policy(
+        _require(cfg, "direction"), path="direction", horizon=spec.horizon
+    )
     rhos = cfg.get("rhos", [1e-2, 1e-3, 1e-4])
     if not isinstance(rhos, list) or not rhos:
         raise SpecValidationError(["rhos: expected a non-empty list of step sizes"])
@@ -404,56 +345,35 @@ def _run_verify_variational(args) -> int:
 
     grid = SimGrid(spec.horizon, args.steps)
     tau_report = fd_tau_check(spec, policy, direction, pert.rhos, grid)
+    deriv = tau_report.derivative
     payload = {
         "admissible": admissible.ok,
         "admissibility_violations": admissible.violations,
-        "tau": tau_report.derivative.tau,
-        "case_label": tau_report.derivative.case_label,
-        "tau_derivative": tau_report.derivative.value,
-        "slope_at_tau": tau_report.derivative.slope_at_tau,
-        "response_integral": tau_report.derivative.response_integral,
-        "tau_table": [
-            {
-                "rho": r.rho,
-                "quotient": r.quotient,
-                "abs_gap": r.abs_gap,
-                "rel_gap": r.rel_gap,
-            }
-            for r in tau_report.rows
-        ],
+        "tau": deriv.tau,
+        "case_label": deriv.case_label,
+        "tau_derivative": deriv.value,
+        "slope_at_tau": deriv.slope_at_tau,
+        "response_integral": deriv.response_integral,
+        "tau_table": [asdict(r) for r in tau_report.rows],
     }
-    if tau_report.derivative.case_label == "i" and tau_report.derivative.tau > 0:
-        dual = dual_identity_check(
-            spec, policy, direction, grid, derivative=tau_report.derivative
-        )
-        payload["dual_identity"] = {
-            "response_integral": dual.response_integral,
-            "adjoint_integral": dual.adjoint_integral,
-            "abs_gap": dual.abs_gap,
-            "rel_gap": dual.rel_gap,
-        }
+    if deriv.case_label == "i" and deriv.tau > 0:
+        dual = dual_identity_check(spec, policy, direction, grid, derivative=deriv)
+        # tau is the payload's own
+        payload["dual_identity"] = {k: v for k, v in asdict(dual).items() if k != "tau"}
     if not args.skip_state:
         state_grid = SimGrid(spec.horizon, min(args.steps, 2000))
         rows = fd_state_check(
             spec, policy, direction, pert.rhos, state_grid, args.seed, args.paths, args.threads
         )
-        payload["state_table"] = [
-            {
-                "rho": r.rho,
-                "sup_err": r.sup_err,
-                "t_at_sup": r.t_at_sup,
-                "stderr": r.stderr,
-            }
-            for r in rows
-        ]
+        payload["state_table"] = [asdict(r) for r in rows]
     write_json(os.path.join(args.out, "variational.json"), payload)
     _write_summary(
         args.out,
         {
             "command": "verify-variational",
-            "tau": payload["tau"],
-            "case_label": payload["case_label"],
-            "tau_derivative": payload["tau_derivative"],
+            "tau": deriv.tau,
+            "case_label": deriv.case_label,
+            "tau_derivative": deriv.value,
             "outputs": ["variational.json", "summary.json"],
         },
     )
@@ -497,6 +417,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         os.makedirs(args.out, exist_ok=True)
         return _RUNNERS[args.command](args)
     except (SpecValidationError, ValueError) as exc:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 
 from .errors import SpecValidationError
+from .portfolio import PortfolioParams
 from .problem import (
     ControlPolicy,
     ControlSegment,
@@ -162,25 +164,10 @@ def parse_policy(obj: dict, path: str = "policy", horizon: float = None) -> Cont
     return policy
 
 
-_PORTFOLIO_KEYS = (
-    "rate",
-    "growth",
-    "vol",
-    "target_wealth",
-    "initial_wealth",
-    "beta",
-    "horizon",
-)
-
-
-def parse_portfolio_params(obj: dict, path: str = "params"):
-    from .portfolio import PortfolioParams
-
-    unknown = sorted(set(obj) - set(_PORTFOLIO_KEYS))
+def parse_portfolio_params(obj: dict, path: str = "params") -> PortfolioParams:
+    """Build PortfolioParams from an object whose keys are its field names."""
+    keys = [f.name for f in fields(PortfolioParams)]
+    unknown = sorted(set(obj) - set(keys))
     if unknown:
         raise SpecValidationError([f"{path}.{k}: unknown field" for k in unknown])
-    kwargs = {}
-    for key in _PORTFOLIO_KEYS:
-        if key in obj:
-            kwargs[key] = _get(obj, key, path, float)
-    return PortfolioParams(**kwargs)
+    return PortfolioParams(**{k: _get(obj, k, path, float) for k in keys if k in obj})

@@ -303,11 +303,14 @@ def mc_validate(
     `params.vol` reuses the base column, and its mean equals
     `mean_terminal` exactly.  `threads` (default: the CPUs available to
     the process) is passed to `_run_columns` and never changes the report.
-    A dt that is not finite and positive, or fewer than two paths, raise
-    ValueError.
+    A dt or a `vol_pair` entry that is not finite and positive, or fewer
+    than two paths, raise ValueError.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    for i, v in enumerate(vol_pair or ()):
+        if not (np.isfinite(v) and v > 0.0):
+            raise ValueError(f"vol_pair[{i}] must be finite and positive, got {v}")
     sol = solve_tau(params)
     tau = sol.tau
     vols = [params.vol]

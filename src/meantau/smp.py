@@ -146,7 +146,11 @@ def check_candidate(
     known in closed form).  `terminal_x_paths` supplies Monte Carlo
     terminal states for the weight; it is required when the terminal
     cost has a quadratic part, whose expectation needs second moments.
+    The vertex maximum is >= 0 whenever u(t) lies in the box, so a `tol`
+    that is not finite and >= 0 raises ValueError before any solve.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     spec.require_valid()
     dyn, tgt, cost = spec.dynamics, spec.target, spec.cost
     if (tau is None) != (case_label is None):

@@ -503,3 +503,109 @@ def test_exit_2_when_the_thread_count_is_below_one(tmp_path, capsys, threads):
     code = main(["mean", "--config", SCALAR, "--out", str(out), "--threads", threads])
     assert "--threads" in assert_exit_2_with_a_value_error(code, capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", SCALAR, "--paths", "10", "--steps", "10"],
+        ["portfolio", "--mc", "--paths", "10", "--dt", "0.0625"],
+        ["verify-variational", "--config", SCALAR, "--steps", "200", "--paths", "8"],
+    ],
+    ids=["simulate", "portfolio", "verify-variational"],
+)
+def test_exit_2_when_the_seed_is_negative(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out), "--seed", "-1"])
+    assert "--seed" in assert_exit_2_with_a_value_error(code, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_exit_2_when_the_smp_tolerance_is_not_finite_and_nonnegative(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    code = main(["check-smp", "--config", SCALAR, "--out", str(out), "--t-nodes", "64",
+                 "--tol", tol])
+    assert "tol" in assert_exit_2_with_a_value_error(code, capsys)
+    assert not (out / "smp.json").exists()
+
+
+@pytest.mark.parametrize("pair, index", [(["0", "0.4"], 0), (["inf", "0.4"], 0),
+                                         (["0.2", "-1"], 1)])
+def test_exit_2_when_a_vol_pair_entry_is_not_finite_and_positive(tmp_path, capsys, pair, index):
+    out = tmp_path / "out"
+    code = main(["portfolio", "--out", str(out), "--mc", "--paths", "100", "--dt", "0.0625",
+                 "--vol-pair", *pair])
+    assert f"vol_pair[{index}]" in assert_exit_2_with_a_value_error(code, capsys)
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("section", ["policy", "direction"])
+def test_exit_2_when_a_policy_section_is_not_an_object(tmp_path, capsys, section):
+    with open(SCALAR) as fh:
+        cfg = json.load(fh)
+    cfg[section] = 5
+    out = tmp_path / "out"
+    code = main(["verify-variational", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert [v.split(":")[0] for v in diag["violations"]] == [section]
+
+
+def read_json(out, name):
+    with open(os.path.join(out, name)) as fh:
+        return json.load(fh)
+
+
+def test_artifacts_hold_exactly_the_report_fields(tmp_path):
+    out = str(tmp_path / "smp")
+    assert main(["check-smp", "--config", SCALAR, "--out", out, "--t-nodes", "64"]) == 0
+    smp = read_json(out, "smp.json")
+    assert set(smp) == {
+        "tau", "case_label", "tol", "max_residual", "witness_t", "witness_u", "passed",
+        "terminal_weight", "slope_at_tau", "n_time_nodes", "n_control_samples", "variants",
+        "adjoint_gap",
+    }
+    assert set(smp["variants"]) == {"full"}
+    for variant in smp["variants"].values():
+        assert set(variant) == {"max_residual", "witness_t", "witness_u"}
+
+    out = str(tmp_path / "var")
+    assert main(["verify-variational", "--config", SCALAR, "--out", out, "--steps", "400",
+                 "--paths", "8"]) == 0
+    var = read_json(out, "variational.json")
+    assert all(set(r) == {"rho", "quotient", "abs_gap", "rel_gap"} for r in var["tau_table"])
+    assert all(set(r) == {"rho", "sup_err", "t_at_sup", "stderr"} for r in var["state_table"])
+    assert set(var["dual_identity"]) == {
+        "response_integral", "adjoint_integral", "abs_gap", "rel_gap",
+    }
+
+    mc_keys = {"n_paths", "dt", "seed", "mean_terminal", "stderr", "z_score"}
+    pair_keys = {"vol_pair", "vol_pair_means", "vol_pair_stderrs", "vol_pair_gap"}
+    for name, extra, keys in (("pf", [], mc_keys), ("pair", ["--vol-pair", "0.2", "0.4"],
+                                                    mc_keys | pair_keys)):
+        out = str(tmp_path / name)
+        assert main(["portfolio", "--out", out, "--mc", "--paths", "100", "--dt", "0.0625"]
+                    + extra) == 0
+        summary = read_summary(out)
+        assert set(summary["params"]) == {
+            "rate", "growth", "vol", "target_wealth", "initial_wealth", "beta", "horizon",
+        }
+        assert set(summary["mc"]) == keys
+
+    out = str(tmp_path / "bb")
+    assert main(["bangbang", "--config", SCALAR, "--out", out, "--nodes", "128"]) == 0
+    for segment in read_json(out, "policy.json")["policy"]["segments"]:
+        assert set(segment) == {"t_start", "t_end", "gamma0", "gamma1", "gamma2"}
+
+
+def test_check_smp_at_the_level_writes_an_empty_witness(tmp_path):
+    with open(SCALAR) as fh:
+        cfg = json.load(fh)
+    cfg["problem"]["target"]["y0"] = 0.0
+    out = str(tmp_path / "out")
+    assert main(["check-smp", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    smp = read_json(out, "smp.json")
+    assert smp["tau"] == 0.0
+    assert smp["witness_u"] == []
+    assert smp["variants"] == {}

@@ -171,6 +171,20 @@ def test_mc_validate_vol_pair_reuses_base_column(params):
         assert stderr == float(alone.std_x[-1, 0] / np.sqrt(4000))
 
 
+@pytest.mark.parametrize(
+    "vol_pair, index", [((0.0, 0.4), 0), ((0.2, float("inf")), 1)], ids=["zero", "inf"]
+)
+def test_mc_validate_rejects_a_vol_pair_entry_before_solving(
+    params, monkeypatch, vol_pair, index
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking vol_pair")
+
+    monkeypatch.setattr("meantau.portfolio.solve_tau", no_solve)
+    with pytest.raises(ValueError, match=rf"vol_pair\[{index}\]"):
+        mc_validate(params, n_paths=100, dt=0.0625, vol_pair=vol_pair)
+
+
 def test_figure_columns_shapes_and_ends(params, tau_solution):
     fig = figure_columns(params, n_nodes=801)
     assert set(fig) == {"t", "control", "mean_wealth", "tau", "t1", "t2"}

@@ -148,6 +148,18 @@ def test_check_candidate_trivial_when_already_at_the_level():
     assert report.witness_u.size == 0
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+def test_check_candidate_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
+    monkeypatch, tol
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking tol")
+
+    monkeypatch.setattr("meantau.smp.solve_mean_path", no_solve)
+    with pytest.raises(ValueError, match="tol"):
+        check_candidate(scalar_spec(), ControlPolicy.constant([0.8], 6.0), tol=tol)
+
+
 def test_check_candidate_requires_tau_and_label_together():
     spec = scalar_spec()
     policy = ControlPolicy.constant([0.8], 6.0)
