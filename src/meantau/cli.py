@@ -15,8 +15,9 @@ flags: no timestamps, no environment data, and `--threads` never changes
 a byte.  It caps the threads of the Monte Carlo loop (default: the CPUs
 available to the process); with two or more, a large enough per-step draw
 is made on one worker thread ahead of the loop, and the draw is keyed by
-(seed, step) either way.  A value below 1, or a negative `--seed`,
-exits 2.
+(seed, step) either way.  A value below 1, a negative `--seed`, or a
+grid size (`--steps`, `--nodes`, `--t-nodes`) below 1 exits 2 before the
+output directory is made.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical
 failure (no convergence, infeasible target, diverged paths, failed
@@ -381,8 +382,10 @@ def _run_verify_variational(args) -> int:
 
 
 def _require(cfg: dict, key: str) -> dict:
-    if key not in cfg or not isinstance(cfg[key], dict):
+    if key not in cfg:
         raise SpecValidationError([f"{key}: missing required section"])
+    if not isinstance(cfg[key], dict):
+        raise SpecValidationError([f"{key}: expected an object, got {type(cfg[key]).__name__}"])
     return cfg[key]
 
 
@@ -419,6 +422,10 @@ def main(argv=None) -> int:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        for size in ("steps", "nodes", "t_nodes"):
+            if getattr(args, size, 1) < 1:
+                flag = "--" + size.replace("_", "-")
+                raise ValueError(f"{flag} must be at least 1, got {getattr(args, size)}")
         os.makedirs(args.out, exist_ok=True)
         return _RUNNERS[args.command](args)
     except (SpecValidationError, ValueError) as exc:

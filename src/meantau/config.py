@@ -1,7 +1,11 @@
 """JSON config parsing for the command-line interface.
 
-Configs are plain JSON objects; parsing reports every structural problem
-it can find with the dotted path of the offending field, then defers the
+Configs are plain JSON objects, and every object of one is closed: a key
+it does not declare is reported as `<path>.<key>: unknown field`.  The
+problem, each of its sections (`problem.SECTIONS`), each policy segment
+and the portfolio `params` are built by `_build`, whose keys are the
+fields of the dataclass it builds.  Parsing reports every structural
+problem with the dotted path of the offending field, then defers the
 numeric cross-checks (shapes, symmetry, box order) to `validate`.
 """
 
@@ -9,23 +13,19 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .errors import SpecValidationError
 from .portfolio import PortfolioParams
-from .problem import (
-    ControlPolicy,
-    ControlSegment,
-    ControlSet,
-    CostSpec,
-    LinearDynamics,
-    ProblemSpec,
-    TargetCoefficients,
-    TargetDiffusion,
-    validate,
-)
+from .problem import SECTIONS, ControlPolicy, ControlSegment, ProblemSpec, validate
 
 __all__ = ["load_config", "parse_problem", "parse_policy", "parse_portfolio_params"]
+
+# The keys of the objects that no dataclass declares: the top level and
+# the two forms of a policy, told apart by their first key.
+TOP_LEVEL_KEYS = ("problem", "policy", "direction", "rhos", "params")
+POLICY_FORMS = (("constant", "horizon"), ("segments",))
+_SEGMENT_ARRAYS = ("gamma0", "gamma1", "gamma2")
 
 
 def load_config(path: str) -> dict:
@@ -38,7 +38,15 @@ def load_config(path: str) -> dict:
         raise SpecValidationError([f"config: invalid JSON ({exc})"]) from exc
     if not isinstance(obj, dict):
         raise SpecValidationError(["config: top level must be a JSON object"])
+    _check_keys(obj, TOP_LEVEL_KEYS, "")
     return obj
+
+
+def _check_keys(obj: dict, keys, path: str):
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        prefix = f"{path}." if path else ""
+        raise SpecValidationError([f"{prefix}{k}: unknown field" for k in unknown])
 
 
 def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=None):
@@ -56,69 +64,35 @@ def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=No
     return val
 
 
+def _build(cls, obj: dict, path: str, arrays=(), section: str = ""):
+    """`cls` from the object at `path`, whose keys are the fields of `cls`.
+
+    A field that `SECTIONS` lists under `section` is itself a section and
+    is built the same way.  A field in `arrays` is read as a list and any
+    other field as a number; a field without a default is required.  Arrays
+    that the constructor cannot read are reported as `<path>: malformed arrays`.
+    """
+    _check_keys(obj, [f.name for f in fields(cls)], path)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in obj and f.default is not MISSING:
+            continue
+        sub = f"{section}.{f.name}".lstrip(".")
+        if sub in SECTIONS:
+            sub_cls, shapes = SECTIONS[sub]
+            val = _get(obj, f.name, path, dict)
+            kwargs[f.name] = _build(sub_cls, val, f"{path}.{f.name}", shapes, sub)
+        else:
+            kwargs[f.name] = _get(obj, f.name, path, list if f.name in arrays else float)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SpecValidationError([f"{path}: malformed arrays ({exc})"]) from exc
+
+
 def parse_problem(obj: dict, path: str = "problem") -> ProblemSpec:
     """Build and validate a ProblemSpec from a config sub-object."""
-    dyn_obj = _get(obj, "dynamics", path, dict)
-    tgt_obj = _get(obj, "target", path, dict)
-    cost_obj = _get(obj, "cost", path, dict)
-    box_obj = _get(obj, "control_set", path, dict)
-    horizon = _get(obj, "horizon", path, float)
-    eps = _get(obj, "eps_regularize", path, float, required=False, default=0.0)
-
-    p = f"{path}.dynamics"
-    try:
-        dynamics = LinearDynamics(
-            A=_get(dyn_obj, "A", p, list),
-            B=_get(dyn_obj, "B", p, list),
-            C=_get(dyn_obj, "C", p, list),
-            D=_get(dyn_obj, "D", p, list),
-            x0=_get(dyn_obj, "x0", p, list),
-        )
-    except SpecValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError([f"{p}: malformed arrays ({exc})"]) from exc
-
-    p = f"{path}.target"
-    diff_obj = _get(tgt_obj, "diffusion", p, dict, required=False)
-    diffusion = None
-    if diff_obj is not None:
-        q = f"{p}.diffusion"
-        diffusion = TargetDiffusion(
-            coef_mean=_get(diff_obj, "coef_mean", q, list),
-            coef_state=_get(diff_obj, "coef_state", q, list),
-            coef_control=_get(diff_obj, "coef_control", q, list),
-        )
-    try:
-        target = TargetCoefficients(
-            E1=_get(tgt_obj, "E1", p, list),
-            E2=_get(tgt_obj, "E2", p, list),
-            E3=_get(tgt_obj, "E3", p, list),
-            E4=_get(tgt_obj, "E4", p, list),
-            y0=_get(tgt_obj, "y0", p, float),
-            diffusion=diffusion,
-        )
-    except SpecValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError([f"{p}: malformed arrays ({exc})"]) from exc
-
-    p = f"{path}.cost"
-    cost = CostSpec(
-        kappa=_get(cost_obj, "kappa", p, float, required=False, default=0.0),
-        c_lin=_get(cost_obj, "c_lin", p, list),
-        Lambda=_get(cost_obj, "Lambda", p, list),
-        psi_lin=_get(cost_obj, "psi_lin", p, list),
-        psi_quad=_get(cost_obj, "psi_quad", p, list),
-    )
-
-    p = f"{path}.control_set"
-    box = ControlSet(
-        lower=_get(box_obj, "lower", p, list),
-        upper=_get(box_obj, "upper", p, list),
-    )
-
-    spec = ProblemSpec(dynamics, target, cost, box, horizon, eps)
+    spec = _build(ProblemSpec, obj, path)
     report = validate(spec)
     if not report.ok:
         raise SpecValidationError([f"{path}.{v}" for v in report.violations])
@@ -128,7 +102,9 @@ def parse_problem(obj: dict, path: str = "problem") -> ProblemSpec:
 def parse_policy(obj: dict, path: str = "policy", horizon: float = None) -> ControlPolicy:
     """Accepts {"constant": [...]} (horizon taken from the problem) or
     {"segments": [{t_start, t_end, gamma0, gamma1, gamma2}, ...]}."""
+    constant, segmented = POLICY_FORMS
     if "constant" in obj:
+        _check_keys(obj, constant, path)
         value = _get(obj, "constant", path, list)
         h = _get(obj, "horizon", path, float, required=False, default=horizon)
         if h is None:
@@ -136,6 +112,7 @@ def parse_policy(obj: dict, path: str = "policy", horizon: float = None) -> Cont
                 [f"{path}.horizon: required when no problem horizon is available"]
             )
         return ControlPolicy.constant(value, h)
+    _check_keys(obj, segmented, path)
     seg_list = _get(obj, "segments", path, list)
     if not seg_list:
         raise SpecValidationError([f"{path}.segments: must be a non-empty list"])
@@ -144,19 +121,7 @@ def parse_policy(obj: dict, path: str = "policy", horizon: float = None) -> Cont
         q = f"{path}.segments[{i}]"
         if not isinstance(seg, dict):
             raise SpecValidationError([f"{q}: expected an object"])
-        gamma1 = seg.get("gamma1")
-        gamma2 = seg.get("gamma2")
-        t0 = _get(seg, "t_start", q, float)
-        t1 = _get(seg, "t_end", q, float)
-        g0 = _get(seg, "gamma0", q, list)
-        if gamma1 is None and gamma2 is None:
-            segments.append(ControlSegment.constant(t0, t1, g0))
-        else:
-            segments.append(
-                ControlSegment(
-                    t0, t1, g0, _get(seg, "gamma1", q, list), _get(seg, "gamma2", q, list)
-                )
-            )
+        segments.append(_build(ControlSegment, seg, q, _SEGMENT_ARRAYS))
     policy = ControlPolicy(segments)
     bad = policy.check(horizon=horizon, path=path)
     if bad:
@@ -166,8 +131,4 @@ def parse_policy(obj: dict, path: str = "policy", horizon: float = None) -> Cont
 
 def parse_portfolio_params(obj: dict, path: str = "params") -> PortfolioParams:
     """Build PortfolioParams from an object whose keys are its field names."""
-    keys = [f.name for f in fields(PortfolioParams)]
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise SpecValidationError([f"{path}.{k}: unknown field" for k in unknown])
-    return PortfolioParams(**{k: _get(obj, k, path, float) for k in keys if k in obj})
+    return _build(PortfolioParams, obj, path)

@@ -40,7 +40,7 @@ from .problem import (
     TargetCoefficients,
     TargetDiffusion,
 )
-from .simulate import SimGrid, _Column, _node_controls, _run_columns, solve_mean_path
+from .simulate import SimGrid, _Column, _run_columns, solve_mean_path
 
 __all__ = [
     "PortfolioParams",
@@ -318,7 +318,7 @@ def mc_validate(
         if float(v) not in vols:
             vols.append(float(v))
     grid = SimGrid(tau, max(2, int(np.ceil(tau / dt))))
-    u_nodes = _node_controls(optimal_policy(params, sol), grid.times())
+    u_nodes = optimal_policy(params, sol).values(grid.times())
     dyns = [to_problem_spec(replace(params, vol=v)).dynamics for v in vols]
     cols = [_Column(dyn, u_nodes, n_paths, grid.n_steps, store_paths=False) for dyn in dyns]
     _run_columns(cols, grid, seed, n_paths, threads)

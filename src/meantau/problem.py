@@ -16,11 +16,17 @@ interest is the first time the *mean* of Y reaches zero, capped at T.
 Controls are deterministic piecewise curves; each segment component is
 gamma0 + gamma1 * exp(gamma2 * t), which covers both constants and the
 exponential arcs that arise in closed-form optimal policies.
+
+`SECTIONS` declares each section of a problem once: the dataclass it
+builds, whose fields are the section's config keys, and the shape of each
+array field in the dimensions m, k and d.  `validate` checks every array
+against that table and `config` reads the declared arrays as lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +43,7 @@ __all__ = [
     "ControlPolicy",
     "CombinedPolicy",
     "ProblemSpec",
+    "SECTIONS",
     "ValidationReport",
     "validate",
     "policy_eval",
@@ -74,8 +81,8 @@ class LinearDynamics:
     x0 : (m,) array
         Initial state.
     m, k, d : int, optional
-        Declared dimensions; inferred from the arrays when omitted.
-        `validate` cross-checks every array against them.
+        Declared dimensions, kept as attributes; inferred from the arrays
+        when omitted.  `validate` cross-checks every array against them.
     """
 
     A: np.ndarray
@@ -83,18 +90,16 @@ class LinearDynamics:
     C: Sequence[np.ndarray]
     D: Sequence[np.ndarray]
     x0: np.ndarray
-    m: Optional[int] = None
-    k: Optional[int] = None
-    d: Optional[int] = None
+    m: InitVar[Optional[int]] = None
+    k: InitVar[Optional[int]] = None
+    d: InitVar[Optional[int]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, m, k, d):
         self.A = _matrix(self.A)
         self.B = _matrix(self.B)
         self.x0 = _vector(self.x0)
-        if self.m is None:
-            self.m = self.A.shape[0]
-        if self.k is None:
-            self.k = self.B.shape[1] if self.B.ndim == 2 else 1
+        self.m = self.A.shape[0] if m is None else m
+        self.k = (self.B.shape[1] if self.B.ndim == 2 else 1) if k is None else k
         self.C = np.asarray([_matrix(c) for c in self.C], dtype=float)
         self.D = np.asarray([_matrix(dm) for dm in self.D], dtype=float)
         # no noise channel (d = 0): empty stacks of (m, m) and (m, k) matrices
@@ -102,8 +107,7 @@ class LinearDynamics:
             self.C = self.C.reshape(0, self.m, self.m)
         if len(self.D) == 0:
             self.D = self.D.reshape(0, self.m, self.k)
-        if self.d is None:
-            self.d = len(self.C)
+        self.d = len(self.C) if d is None else d
 
     # Path-space evaluators.  X has one row per path; u is deterministic.
     def drift(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -170,13 +174,13 @@ def target_control_row(target: TargetCoefficients, dynamics: LinearDynamics) -> 
 @dataclass
 class CostSpec:
     """Running cost kappa + cLin.x + u'Lambda u / 2 and terminal cost
-    psiLin.x + x'psiQuad x / 2."""
+    psiLin.x + x'psiQuad x / 2; kappa defaults to 0."""
 
-    kappa: float
     c_lin: np.ndarray
     Lambda: np.ndarray
     psi_lin: np.ndarray
     psi_quad: np.ndarray
+    kappa: float = 0.0
 
     def __post_init__(self):
         self.kappa = float(self.kappa)
@@ -188,7 +192,7 @@ class CostSpec:
     @classmethod
     def time_optimal(cls, m: int, k: int) -> "CostSpec":
         """Pure elapsed-time cost: f = 1 and Psi = 0, so the objective is tau."""
-        return cls(1.0, np.zeros(m), np.zeros((k, k)), np.zeros(m), np.zeros((m, m)))
+        return cls(np.zeros(m), np.zeros((k, k)), np.zeros(m), np.zeros((m, m)), kappa=1.0)
 
     @property
     def is_time_optimal(self) -> bool:
@@ -242,26 +246,31 @@ class ControlSet:
 
 @dataclass
 class ControlSegment:
-    """One piece of a piecewise control: u_i(t) = gamma0_i + gamma1_i e^{gamma2_i t}."""
+    """One piece of a piecewise control: u_i(t) = gamma0_i + gamma1_i e^{gamma2_i t}.
+
+    gamma1 and gamma2 go together; without them the segment is constant.
+    """
 
     t_start: float
     t_end: float
     gamma0: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
+    gamma1: Optional[np.ndarray] = None
+    gamma2: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if (self.gamma1 is None) != (self.gamma2 is None):
+            raise ValueError("gamma1 and gamma2 must be given together")
         self.t_start = float(self.t_start)
         self.t_end = float(self.t_end)
         self.gamma0 = _vector(self.gamma0)
+        if self.gamma1 is None:
+            self.gamma1 = self.gamma2 = np.zeros_like(self.gamma0)
         self.gamma1 = _vector(self.gamma1)
         self.gamma2 = _vector(self.gamma2)
 
     @classmethod
     def constant(cls, t_start, t_end, value) -> "ControlSegment":
-        value = _vector(value)
-        z = np.zeros_like(value)
-        return cls(t_start, t_end, value, z, z)
+        return cls(t_start, t_end, value)
 
     @classmethod
     def scaled_exp(cls, t_start, t_end, gamma0, gamma1, gamma2) -> "ControlSegment":
@@ -438,11 +447,19 @@ class ProblemSpec:
         return self
 
 
-def _check_symmetric(name, M, out, tol=1e-12):
-    if M.shape[0] != M.shape[1]:
-        out.append(f"{name}: must be square, got {M.shape}")
-    elif np.max(np.abs(M - M.T), initial=0.0) > tol:
-        out.append(f"{name}: not symmetric within {tol}")
+# Each section of a problem config: its dataclass, whose fields are the
+# section's keys, and the shape of each array field, one letter per axis
+# from m (states), k (controls) and d (noise channels).
+SECTIONS = {
+    "dynamics": (LinearDynamics, {"A": "mm", "B": "mk", "C": "dmm", "D": "dmk", "x0": "m"}),
+    "target": (TargetCoefficients, {"E1": "m", "E2": "m", "E3": "m", "E4": "k"}),
+    "target.diffusion": (
+        TargetDiffusion, {"coef_mean": "dm", "coef_state": "dm", "coef_control": "dk"}
+    ),
+    "cost": (CostSpec, {"c_lin": "m", "Lambda": "kk", "psi_lin": "m", "psi_quad": "mm"}),
+    "control_set": (ControlSet, {"lower": "k", "upper": "k"}),
+}
+_SYMMETRIC = ("cost.Lambda", "cost.psi_quad")
 
 
 def validate(spec: ProblemSpec, policy=None) -> ValidationReport:
@@ -452,7 +469,7 @@ def validate(spec: ProblemSpec, policy=None) -> ValidationReport:
     the offending field.
     """
     v = []
-    dyn, tgt, cost, box = spec.dynamics, spec.target, spec.cost, spec.control_set
+    dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
     m, k, d = dyn.m, dyn.k, dyn.d
     for name, val in (("dynamics.m", m), ("dynamics.k", k)):
         if not (isinstance(val, (int, np.integer)) and val >= 1):
@@ -460,55 +477,21 @@ def validate(spec: ProblemSpec, policy=None) -> ValidationReport:
     if not (isinstance(d, (int, np.integer)) and d >= 0):
         v.append(f"dynamics.d: must be a nonnegative integer, got {d}")
 
-    if dyn.A.shape != (m, m):
-        v.append(f"dynamics.A: expected shape {(m, m)}, got {dyn.A.shape}")
-    if dyn.B.shape != (m, k):
-        v.append(f"dynamics.B: expected {k} columns, got shape {dyn.B.shape}")
-    if dyn.C.shape != (d, m, m):
-        v.append(f"dynamics.C: expected {d} matrices of shape {(m, m)}, got {dyn.C.shape}")
-    if dyn.D.shape != (d, m, k):
-        v.append(f"dynamics.D: expected {d} matrices of shape {(m, k)}, got {dyn.D.shape}")
-    if dyn.x0.shape != (m,):
-        v.append(f"dynamics.x0: expected shape {(m,)}, got {dyn.x0.shape}")
-
-    for name, row, n in (
-        ("target.E1", tgt.E1, m),
-        ("target.E2", tgt.E2, m),
-        ("target.E3", tgt.E3, m),
-        ("target.E4", tgt.E4, k),
-    ):
-        if row.shape != (n,):
-            v.append(f"{name}: expected shape {(n,)}, got {row.shape}")
+    sizes = {"m": m, "k": k, "d": d}
+    for section, (_, shapes) in SECTIONS.items():
+        obj = attrgetter(section)(spec)
+        if obj is None:  # the optional target.diffusion
+            continue
+        for name, axes in shapes.items():
+            path, a = f"{section}.{name}", getattr(obj, name)
+            want = tuple(sizes[c] for c in axes)
+            if a.shape != want:
+                v.append(f"{path}: expected shape {want}, got {a.shape}")
+            elif path in _SYMMETRIC and np.max(np.abs(a - a.T), initial=0.0) > 1e-12:
+                v.append(f"{path}: not symmetric within 1e-12")
     if not np.isfinite(tgt.y0):
         v.append("target.y0: must be finite")
-    if tgt.diffusion is not None:
-        g = tgt.diffusion
-        if g.coef_mean.shape != (d, m):
-            v.append(f"target.diffusion.coef_mean: expected {(d, m)}, got {g.coef_mean.shape}")
-        if g.coef_state.shape != (d, m):
-            v.append(f"target.diffusion.coef_state: expected {(d, m)}, got {g.coef_state.shape}")
-        if g.coef_control.shape != (d, k):
-            v.append(
-                f"target.diffusion.coef_control: expected {(d, k)}, got {g.coef_control.shape}"
-            )
 
-    if cost.c_lin.shape != (m,):
-        v.append(f"cost.c_lin: expected shape {(m,)}, got {cost.c_lin.shape}")
-    if cost.Lambda.shape != (k, k):
-        v.append(f"cost.Lambda: expected shape {(k, k)}, got {cost.Lambda.shape}")
-    else:
-        _check_symmetric("cost.Lambda", cost.Lambda, v)
-    if cost.psi_lin.shape != (m,):
-        v.append(f"cost.psi_lin: expected shape {(m,)}, got {cost.psi_lin.shape}")
-    if cost.psi_quad.shape != (m, m):
-        v.append(f"cost.psi_quad: expected shape {(m, m)}, got {cost.psi_quad.shape}")
-    else:
-        _check_symmetric("cost.psi_quad", cost.psi_quad, v)
-
-    if box.lower.shape != (k,):
-        v.append(f"control_set.lower: expected shape {(k,)}, got {box.lower.shape}")
-    if box.upper.shape != (k,):
-        v.append(f"control_set.upper: expected shape {(k,)}, got {box.upper.shape}")
     if box.lower.shape == box.upper.shape:
         for i in range(box.lower.shape[0]):
             if box.lower[i] > box.upper[i]:

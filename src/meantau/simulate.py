@@ -319,12 +319,6 @@ class EnsembleResult:
 _PATH_STORAGE_CAP = 10_000
 
 
-def _node_controls(policy, times) -> np.ndarray:
-    """Control values at the grid nodes, shape (n_steps + 1, k)."""
-    u = policy.values(times, side=+1)
-    return u[:, None] if u.ndim == 1 else u
-
-
 def _affine_row(M_a, X, f_a, out, tmp):
     """out = M_a . X + f_a path by path, for X given as coordinate vectors."""
     np.multiply(X[0], M_a[0], out=out)
@@ -600,7 +594,7 @@ def simulate_ensemble(
     if store_paths is None:
         store_paths = n_paths <= _PATH_STORAGE_CAP
 
-    u_nodes = _node_controls(policy, times)
+    u_nodes = policy.values(times)
     col = _Column(spec.dynamics, u_nodes, n_paths, grid.n_steps, spec=spec, store_paths=store_paths)
     _run_columns([col], grid, seed, n_paths, threads)
 
@@ -641,7 +635,7 @@ def estimate_cost(result: EnsembleResult, cost, policy):
     j_last = min(j_last, len(times) - 1)
     partial = tau - times[j_last]
 
-    u_nodes = _node_controls(policy, times[: j_last + 1])
+    u_nodes = policy.values(times[: j_last + 1])
     quad_u = 0.5 * np.einsum("tj,jk,tk->t", u_nodes, cost.Lambda, u_nodes)
     f_nodes = cost.kappa + paths[:, : j_last + 1, :] @ cost.c_lin + quad_u
 

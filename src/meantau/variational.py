@@ -46,7 +46,6 @@ from .simulate import (
     _affine_path,
     _Column,
     _joint_matrices,
-    _node_controls,
     _run_columns,
     solve_mean_path,
 )
@@ -140,7 +139,7 @@ def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths, threads=None):
     controls = [policy, direction] + [perturbed_policy(policy, direction, rho) for rho in rhos]
     x0 = np.tile(dyn.x0, (len(controls), 1))
     x0[1] = 0.0  # the sensitivity starts at 0
-    u_nodes = np.stack([_node_controls(pol, times) for pol in controls], axis=1)
+    u_nodes = np.stack([pol.values(times) for pol in controls], axis=1)
     col = _Column(dyn, u_nodes, n_paths, grid.n_steps, x0=x0)
     _run_columns([col], grid, seed, n_paths, threads)
     return col.paths[0], col.paths[1], col.paths[2:]

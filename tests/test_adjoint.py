@@ -160,7 +160,9 @@ def test_hamiltonian_gradient_zero_cases(wealth_spec):
 
 
 def test_hamiltonian_gradient_is_affine_in_control():
-    spec = scalar_spec(cost=CostSpec(1.0, [0.0], [[2.0]], [0.0], [[0.0]]))
+    spec = scalar_spec(
+        cost=CostSpec(kappa=1.0, c_lin=[0.0], Lambda=[[2.0]], psi_lin=[0.0], psi_quad=[[0.0]])
+    )
     base = hamiltonian_du(np.zeros(1), np.zeros(1), np.array([0.5]), None, spec.dynamics, spec.cost)
     for alpha in (0.5, 1.0, 2.0, -3.0):
         out = hamiltonian_du(

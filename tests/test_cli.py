@@ -549,7 +549,92 @@ def test_exit_2_when_a_policy_section_is_not_an_object(tmp_path, capsys, section
     code = main(["verify-variational", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     assert code == 2
     diag = json.loads(capsys.readouterr().err)
-    assert [v.split(":")[0] for v in diag["violations"]] == [section]
+    assert diag["violations"] == [f"{section}: expected an object, got int"]
+
+
+def load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def assert_exit_2_naming(code, capsys, violations, out):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["violations"] == violations
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "level",
+    [
+        "", "problem", "problem.dynamics", "problem.target", "problem.target.diffusion",
+        "problem.cost", "problem.control_set", "policy", "policy.segments[0]",
+    ],
+)
+def test_exit_2_naming_an_unknown_key_at_each_level(tmp_path, capsys, level):
+    cfg = load_json(SCALAR)
+    cfg["policy"] = {"segments": [{"t_start": 0.0, "t_end": 6.0, "gamma0": [0.8]}]}
+    obj = cfg
+    for part in filter(None, level.replace("[0]", ".0").split(".")):
+        obj = obj[int(part) if part.isdigit() else part]
+    obj["extra"] = 1.0
+    out = tmp_path / "out"
+    code = main(["check-smp", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                 "--t-nodes", "64"])
+    assert_exit_2_naming(code, capsys, [f"{level}.extra: unknown field".lstrip(".")], out)
+
+
+def test_exit_2_naming_an_unknown_portfolio_param(tmp_path, capsys):
+    cfg = load_json(EXAMPLES / "portfolio.json")
+    cfg["params"]["extra"] = 1.0
+    out = tmp_path / "out"
+    code = main(["portfolio", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert_exit_2_naming(code, capsys, ["params.extra: unknown field"], out)
+
+
+def test_exit_2_when_check_smp_reads_a_misspelled_cost_key(tmp_path, capsys):
+    cfg = load_json(SCALAR)
+    cfg["problem"]["cost"]["kapa"] = cfg["problem"]["cost"].pop("kappa")
+    out = tmp_path / "out"
+    code = main(["check-smp", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert_exit_2_naming(code, capsys, ["problem.cost.kapa: unknown field"], out)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("dynamics", "A"), ("target", "E2"), ("target.diffusion", "coef_state"),
+        ("cost", "Lambda"), ("control_set", "lower"),
+    ],
+)
+def test_exit_2_naming_the_section_of_a_ragged_array(tmp_path, capsys, section, key):
+    cfg = load_json(SCALAR)
+    obj = cfg["problem"]
+    for part in section.split("."):
+        obj = obj[part]
+    obj[key] = [[0.0], [1.0, 2.0]]
+    out = tmp_path / "out"
+    code = main(["check-smp", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    violations = json.loads(capsys.readouterr().err)["violations"]
+    assert len(violations) == 1
+    assert violations[0].startswith(f"problem.{section}: malformed arrays (")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("mean", "--steps"), ("simulate", "--steps"), ("verify-variational", "--steps"),
+        ("bangbang", "--nodes"), ("check-smp", "--t-nodes"),
+    ],
+)
+def test_exit_2_naming_a_grid_size_flag_below_one(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    code = main([command, "--config", SCALAR, "--out", str(out), flag, "0"])
+    assert flag in assert_exit_2_with_a_value_error(code, capsys)
+    assert not out.exists()
 
 
 def read_json(out, name):

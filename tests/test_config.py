@@ -95,6 +95,18 @@ def test_parse_policy_segment_forms():
     assert float(policy.value(2.0)[0]) == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
 
 
+def test_parse_problem_defaults_kappa_to_zero():
+    cfg = load_config(str(EXAMPLES / "scalar.json"))
+    del cfg["problem"]["cost"]["kappa"]
+    assert parse_problem(cfg["problem"]).cost.kappa == 0.0
+
+
+def test_parse_policy_takes_gamma1_and_gamma2_together():
+    seg = {"t_start": 0.0, "t_end": 1.0, "gamma0": [0.2], "gamma1": [1.0]}
+    with pytest.raises(SpecValidationError, match=r"policy\.segments\[0\]: .*gamma1 and gamma2"):
+        parse_policy({"segments": [seg]}, horizon=1.0)
+
+
 def test_parse_policy_rejects_gaps():
     with pytest.raises(SpecValidationError, match="gap or overlap"):
         parse_policy(
