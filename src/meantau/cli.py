@@ -35,7 +35,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .bangbang import synthesize
-from .config import load_config, parse_policy, parse_portfolio_params, parse_problem
+from .config import json_type, load_config, parse_policy, parse_portfolio_params, parse_problem
 from .errors import (
     AssumptionViolationError,
     DivergenceError,
@@ -225,10 +225,7 @@ def _run_mean(args) -> int:
 def _run_portfolio(args) -> int:
     params_obj = {}
     if args.config:
-        cfg = load_config(args.config)
-        params_obj = cfg.get("params", cfg)
-        if not isinstance(params_obj, dict):
-            raise SpecValidationError(["params: expected an object"])
+        params_obj = _require(load_config(args.config), "params")
     params = parse_portfolio_params(params_obj)
     sol = solve_tau(params)
     # the Monte Carlo check runs first, so a failing one writes no artifact
@@ -385,7 +382,7 @@ def _require(cfg: dict, key: str) -> dict:
     if key not in cfg:
         raise SpecValidationError([f"{key}: missing required section"])
     if not isinstance(cfg[key], dict):
-        raise SpecValidationError([f"{key}: expected an object, got {type(cfg[key]).__name__}"])
+        raise SpecValidationError([f"{key}: expected object, got {json_type(cfg[key])}"])
     return cfg[key]
 
 

@@ -49,6 +49,22 @@ def _check_keys(obj: dict, keys, path: str):
         raise SpecValidationError([f"{prefix}{k}: unknown field" for k in unknown])
 
 
+# JSON's names for the Python types that json.load returns
+_JSON_TYPES = (
+    (bool, "boolean"),
+    ((int, float), "number"),
+    (str, "string"),
+    (list, "array"),
+    (dict, "object"),
+    (type(None), "null"),
+)
+
+
+def json_type(val) -> str:
+    """The JSON type name of a value read by json.load: bool before int, as JSON has it."""
+    return next(name for kind, name in _JSON_TYPES if isinstance(val, kind))
+
+
 def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=None):
     if key not in obj:
         if required:
@@ -57,9 +73,10 @@ def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=No
     val = obj[key]
     if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
         return float(val)
-    if kind is not None and not isinstance(val, kind):
+    if not isinstance(val, kind):
+        # kind() is the empty value of the expected type, which json_type names
         raise SpecValidationError(
-            [f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, got {type(val).__name__}"]
+            [f"{path}.{key}: expected {json_type(kind())}, got {json_type(val)}"]
         )
     return val
 
@@ -120,7 +137,7 @@ def parse_policy(obj: dict, path: str = "policy", horizon: float = None) -> Cont
     for i, seg in enumerate(seg_list):
         q = f"{path}.segments[{i}]"
         if not isinstance(seg, dict):
-            raise SpecValidationError([f"{q}: expected an object"])
+            raise SpecValidationError([f"{q}: expected object, got {json_type(seg)}"])
         segments.append(_build(ControlSegment, seg, q, _SEGMENT_ARRAYS))
     policy = ControlPolicy(segments)
     bad = policy.check(horizon=horizon, path=path)

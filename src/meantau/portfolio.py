@@ -215,9 +215,7 @@ def optimal_policy(params: PortfolioParams, solution: Optional[TauSolution] = No
         segments.append(ControlSegment.constant(0.0, t1, [params.control_upper]))
     if t2 > t1:
         segments.append(
-            ControlSegment.scaled_exp(
-                t1, t2, [0.0], [coef * np.exp(params.rate * tau)], [-params.rate]
-            )
+            ControlSegment(t1, t2, [0.0], [coef * np.exp(params.rate * tau)], [-params.rate])
         )
     if tau > t2:
         segments.append(ControlSegment.constant(t2, tau, [params.control_lower]))

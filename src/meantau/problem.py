@@ -272,14 +272,6 @@ class ControlSegment:
     def constant(cls, t_start, t_end, value) -> "ControlSegment":
         return cls(t_start, t_end, value)
 
-    @classmethod
-    def scaled_exp(cls, t_start, t_end, gamma0, gamma1, gamma2) -> "ControlSegment":
-        return cls(t_start, t_end, gamma0, gamma1, gamma2)
-
-    def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.gamma0 + self.gamma1 * np.exp(self.gamma2 * t[..., None])
-
 
 class ControlPolicy:
     """Deterministic piecewise control on [0, horizon].
@@ -297,9 +289,12 @@ class ControlPolicy:
         self.segments = list(segments)
         self._starts = np.array([s.t_start for s in self.segments])
         self._ends = np.array([s.t_end for s in self.segments])
-        self._g0 = np.stack([s.gamma0 for s in self.segments])
-        self._g1 = np.stack([s.gamma1 for s in self.segments])
-        self._g2 = np.stack([s.gamma2 for s in self.segments])
+        # coefficients as contiguous (k, segments) rows, gathered along time
+        self._g0, self._g1, self._g2 = (
+            np.ascontiguousarray(np.stack([getattr(s, g) for s in self.segments]).T)
+            for g in ("gamma0", "gamma1", "gamma2")
+        )
+        self._no_exp = not self._g2.any()  # every segment constant: exp(0 t) = 1
 
     @classmethod
     def constant(cls, value, horizon: float) -> "ControlPolicy":
@@ -307,7 +302,7 @@ class ControlPolicy:
 
     @property
     def k(self) -> int:
-        return self._g0.shape[1]
+        return self._g0.shape[0]
 
     @property
     def horizon(self) -> float:
@@ -345,7 +340,14 @@ class ControlPolicy:
         return np.clip(idx, 0, len(self.segments) - 1)
 
     def values(self, ts, side: int = +1) -> np.ndarray:
-        """Control values at times `ts`; `side=-1` takes left limits at breakpoints."""
+        """Control values at times `ts`; `side=-1` takes left limits at breakpoints.
+
+        The result is a C-contiguous (len(ts), k) array, or (k,) for a
+        scalar `ts`.  Each entry is g0 + g1 exp(g2 t) of its segment,
+        computed along the time axis on (k, len(ts)) gathers; when every
+        g2 is 0 the exponential is 1 exactly and the sum g0 + g1 stands in
+        for it with the same bits.
+        """
         ts = np.asarray(ts, dtype=float)
         scalar = ts.ndim == 0
         tarr = np.atleast_1d(ts)
@@ -354,7 +356,15 @@ class ControlPolicy:
                 f"time outside [0, {self.horizon}]: [{tarr.min()}, {tarr.max()}]"
             )
         idx = self._segment_index(tarr, side)
-        out = self._g0[idx] + self._g1[idx] * np.exp(self._g2[idx] * tarr[:, None])
+        out = np.take(self._g0, idx, axis=1)
+        g1 = np.take(self._g1, idx, axis=1)
+        if not self._no_exp:
+            growth = np.take(self._g2, idx, axis=1)
+            np.multiply(growth, tarr, out=growth)
+            np.exp(growth, out=growth)
+            np.multiply(g1, growth, out=g1)
+        np.add(out, g1, out=out)
+        out = np.ascontiguousarray(out.T)
         return out[0] if scalar else out
 
     def value(self, t: float, side: int = +1) -> np.ndarray:

@@ -15,16 +15,20 @@ Every path ensemble goes through one explicit Euler-Maruyama time loop
 whose columns share each step's noise draw.  Noise for step j comes from
 a counter-based generator keyed by (seed, j), so results are a pure
 function of (spec, policy, N, grid, seed) regardless of how the loop is
-scheduled.  A column steps one row of paths per state coordinate with
-one affine kernel; an ensemble column adds the monitoring process as a
-last row, with the mean-field couplings (E[X] and E[b]) evaluated as
-ensemble averages at the start of each step.  A path column steps only
-the state, storing its paths or not.  A path column may step c lanes,
-runs of one SDE that differ only in start and node controls, as (c, N)
-rows: the variational checks step the base state, its sensitivity and
-each perturbed control as the lanes of one column, and the wealth Monte
-Carlo check steps one path column per volatility and reads only the
-terminal state rows.
+scheduled.  The key is the one numpy's SeedSequence(entropy=seed,
+spawn_key=(j,)) gives a Philox generator; `step_noise` derives the keys
+of 1024 steps in one vectorised pass of that hash and re-keys one Philox
+per thread, instead of building a seed sequence and a generator for
+every step, and draws the same bytes.  A column steps one row of paths
+per state coordinate with one affine kernel; an ensemble column adds the
+monitoring process as a last row, with the mean-field couplings (E[X]
+and E[b]) evaluated as ensemble averages at the start of each step.  A
+path column steps only the state, storing its paths or not.  A path
+column may step c lanes, runs of one SDE that differ only in start and
+node controls, as (c, N) rows: the variational checks step the base
+state, its sensitivity and each perturbed control as the lanes of one
+column, and the wealth Monte Carlo check steps one path column per
+volatility and reads only the terminal state rows.
 
 The loop may use two threads.  When a step's draw holds at least 8192
 normals (N times the noise dimension), one worker thread draws and
@@ -38,6 +42,7 @@ thread costs more than drawing it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import queue
 import threading
@@ -284,14 +289,112 @@ def solve_mean_path(spec: ProblemSpec, policy, grid: SimGrid) -> MeanPath:
 # Path ensembles
 
 
+# numpy's SeedSequence (NEP 19): hash constants, word shift and pool size.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# Steps whose Philox keys are derived together.
+_KEY_BLOCK = 1024
+
+
+def _uint32_words(n: int) -> list:
+    """The 32-bit words of a non-negative int, least significant first; [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=8)
+def _block_keys(seed: int, block: int) -> np.ndarray:
+    """Philox keys of steps block * _KEY_BLOCK + i, i < _KEY_BLOCK, under `seed`.
+
+    Row i is `SeedSequence(entropy=seed, spawn_key=(step,)).generate_state(2,
+    np.uint64)`, the key that `Philox(SeedSequence(...))` takes, computed
+    for the whole block at once: the sequence's hashes run on uint32 arrays
+    with one entry per step, since every step of a block has one 32-bit
+    word (the caller sends steps >= 2**32 elsewhere).  The entropy is the
+    seed's words, zero-padded to the pool size, then the step's word.
+
+    A time loop asks for its steps in order, so it needs one block at a
+    time: a one-process run derives each of its blocks once, and the
+    cache holds a few for callers that interleave seeds or threads.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    seed_words = _uint32_words(seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    steps = np.arange(block * _KEY_BLOCK, (block + 1) * _KEY_BLOCK, dtype=np.uint32)
+    entropy = [np.full(_KEY_BLOCK, w, dtype=np.uint32) for w in seed_words] + [steps]
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(2, uint64): four words cycled from the pool, paired little-endian
+    state = np.empty((_KEY_BLOCK, 4), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(4):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    keys = state.view("<u8").astype(np.uint64)
+    keys.flags.writeable = False
+    return keys
+
+
+_thread_rng = threading.local()
+
+
 def step_noise(seed: int, step: int, n_paths: int, d: int) -> np.ndarray:
     """Standard normal block for one step, keyed by (seed, step).
 
-    Counter-based (Philox) streams make the draw independent of worker
-    scheduling and of the surrounding call pattern.
+    The draw is that of `Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=(step,)))).standard_normal((n_paths, d))`, so it does not
+    depend on worker scheduling or on the surrounding call pattern.  A
+    counter-based generator needs only a new key per step, not a new
+    generator: each thread keeps one Philox and re-keys it through its
+    `state` setter (counter 0, empty buffer), and the key comes from
+    `_block_keys` (or, for a step >= 2**32, from the SeedSequence
+    itself).  The block is a fresh array.  A negative seed or step raises
+    ValueError.
     """
-    bitgen = np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(step),)))
-    return np.random.Generator(bitgen).standard_normal((n_paths, d))
+    seed, step = int(seed), int(step)
+    if seed < 0 or step < 0:
+        raise ValueError(f"seed and step must be non-negative, got {seed} and {step}")
+    if step <= _MASK32:
+        key = _block_keys(seed, step // _KEY_BLOCK)[step % _KEY_BLOCK]
+    else:
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(step,)).generate_state(2, np.uint64)
+    rng = getattr(_thread_rng, "rng", None)
+    if rng is None:
+        # a fresh Philox's state (counter 0, buffer used up, no cached
+        # half-word) serves as the template that each draw re-keys
+        bitgen = np.random.Philox(0)
+        rng = _thread_rng.rng = (bitgen, np.random.Generator(bitgen), bitgen.state)
+    bitgen, gen, state = rng
+    state["state"]["key"] = key
+    bitgen.state = state
+    return gen.standard_normal((n_paths, d))
 
 
 @dataclass

@@ -59,9 +59,7 @@ def bumped_policy(params, sol):
             ControlSegment.constant(0.0, 2.0, [12.5]),
             ControlSegment.constant(2.0, 3.0, [12.8]),
             ControlSegment.constant(3.0, sol.t1, [12.5]),
-            ControlSegment.scaled_exp(
-                sol.t1, sol.t2, [0.0], [coef * np.exp(r * sol.tau)], [-r]
-            ),
+            ControlSegment(sol.t1, sol.t2, [0.0], [coef * np.exp(r * sol.tau)], [-r]),
             ControlSegment.constant(sol.t2, sol.tau, [10.0]),
             ControlSegment.constant(sol.tau, params.horizon, [10.0]),
         ]

@@ -549,7 +549,7 @@ def test_exit_2_when_a_policy_section_is_not_an_object(tmp_path, capsys, section
     code = main(["verify-variational", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     assert code == 2
     diag = json.loads(capsys.readouterr().err)
-    assert diag["violations"] == [f"{section}: expected an object, got int"]
+    assert diag["violations"] == [f"{section}: expected object, got number"]
 
 
 def load_json(path):
@@ -591,6 +591,12 @@ def test_exit_2_naming_an_unknown_portfolio_param(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["portfolio", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     assert_exit_2_naming(code, capsys, ["params.extra: unknown field"], out)
+
+
+def test_exit_2_when_a_portfolio_config_has_no_params_section(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["portfolio", "--config", str(SCALAR), "--out", str(out)])
+    assert_exit_2_naming(code, capsys, ["params: missing required section"], out)
 
 
 def test_exit_2_when_check_smp_reads_a_misspelled_cost_key(tmp_path, capsys):

@@ -61,7 +61,10 @@ def test_parse_problem_flags_wrong_types():
     cfg = load_config(str(EXAMPLES / "scalar.json"))
     obj = json.loads(json.dumps(cfg["problem"]))
     obj["horizon"] = "six"
-    with pytest.raises(SpecValidationError, match="problem.horizon"):
+    with pytest.raises(SpecValidationError, match="problem.horizon: expected number, got string"):
+        parse_problem(obj)
+    obj["horizon"], obj["dynamics"] = 6.0, 3
+    with pytest.raises(SpecValidationError, match="problem.dynamics: expected object, got number"):
         parse_problem(obj)
 
 
@@ -121,8 +124,13 @@ def test_parse_policy_rejects_gaps():
 
 
 def test_parse_policy_rejects_wrong_value_type():
-    with pytest.raises(SpecValidationError, match="policy.constant"):
+    with pytest.raises(SpecValidationError, match="policy.constant: expected array, got number"):
         parse_policy({"constant": 0.5}, horizon=1.0)
+    with pytest.raises(SpecValidationError, match="policy.horizon: expected number, got boolean"):
+        parse_policy({"constant": [0.5], "horizon": True})
+    not_an_object = r"policy.segments\[0\]: expected object, got null"
+    with pytest.raises(SpecValidationError, match=not_an_object):
+        parse_policy({"segments": [None]}, horizon=1.0)
 
 
 def test_parse_portfolio_params_defaults_and_overrides():

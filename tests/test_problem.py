@@ -89,13 +89,62 @@ def test_control_set_maximizer_takes_the_lower_bound_on_a_tie():
 
 def test_policy_eval_matches_hand_computed_exponential():
     # one falling-exponential segment, anchored so u(t) = 8.5 e^{0.05 (10.92 - t)}
-    seg = ControlSegment.scaled_exp(
-        0.0, 10.92, [0.0], [8.5 * np.exp(0.05 * 10.92)], [-0.05]
-    )
+    seg = ControlSegment(0.0, 10.92, [0.0], [8.5 * np.exp(0.05 * 10.92)], [-0.05])
     policy = ControlPolicy([seg])
     val = float(policy_eval(policy, 5.0)[0])
     assert abs(val - 11.42799633307245) < 1e-12
     assert abs(val - 11.428) < 5e-4
+
+
+def broadcast_values(policy, ts, side=+1):
+    """The reference formula: (n, 1) x (n, k) broadcasts over gathered (n, k) rows."""
+    ts = np.asarray(ts, dtype=float)
+    tarr = np.atleast_1d(ts)
+    g0 = np.stack([s.gamma0 for s in policy.segments])
+    g1 = np.stack([s.gamma1 for s in policy.segments])
+    g2 = np.stack([s.gamma2 for s in policy.segments])
+    idx = policy._segment_index(tarr, side)
+    out = g0[idx] + g1[idx] * np.exp(g2[idx] * tarr[:, None])
+    return out[0] if ts.ndim == 0 else out
+
+
+VALUE_POLICIES = {
+    "constant": ControlPolicy.constant([1.5, -0.25], 6.0),
+    "multi-segment constant": ControlPolicy(
+        [
+            ControlSegment.constant(0.0, 1.0, [1.0, 2.0]),
+            ControlSegment.constant(1.0, 2.5, [-0.5, 0.0]),
+            ControlSegment.constant(2.5, 6.0, [3.0, 1.0]),
+        ]
+    ),
+    "with exponentials": ControlPolicy(
+        [
+            ControlSegment.constant(0.0, 1.0, [1.0, 2.0]),
+            ControlSegment(1.0, 2.0, [0.5, -1.0], [0.3, 2.0], [-0.7, 0.2]),
+            ControlSegment(2.0, 6.0, [0.0, 1.0], [1e-3, -2.0], [1.1, 0.0]),
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_POLICIES))
+@pytest.mark.parametrize("side", [+1, -1])
+def test_policy_values_equal_the_broadcast_formula(name, side):
+    policy = VALUE_POLICIES[name]
+    ts = np.concatenate([np.linspace(0.0, 6.0, 40_001), policy.breakpoints, [0.0, 6.0]])
+    got = policy.values(ts, side=side)
+    assert got.shape == (len(ts), 2) and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, broadcast_values(policy, ts, side))
+    strided = ts[::-3]
+    np.testing.assert_array_equal(
+        policy.values(strided, side=side), broadcast_values(policy, strided, side)
+    )
+    for t in (0.0, 1.0, 2.0, 2.5, 3.7, 6.0):
+        got = policy.values(t, side=side)
+        assert got.shape == (2,)
+        np.testing.assert_array_equal(got, broadcast_values(policy, t, side))
+        np.testing.assert_array_equal(policy.value(t, side=side), got)
+    assert policy.values(np.empty(0), side=side).shape == (0, 2)
 
 
 def test_policy_eval_constant_and_bounds():

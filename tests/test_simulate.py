@@ -294,6 +294,85 @@ def test_step_noise_is_a_pure_function_of_keys():
     assert np.array_equal(wide[:10], a)
 
 
+def fresh_noise(seed, step, n_paths, d):
+    """The draw `step_noise` must reproduce: a new seed sequence and generator per step."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(step,))
+    return np.random.Generator(np.random.Philox(seq)).standard_normal((n_paths, d))
+
+
+# seeds of one to six 32-bit words (from four on, no zero padding) and steps
+# on both sides of the key-block edges and of a second 32-bit word
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**160 + 12345]
+KEY_STEPS = [0, 1, 1023, 1024, 1025, 2047, 2048, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_step_noise_equals_a_fresh_generator_at_word_and_block_edges(seed):
+    for step in KEY_STEPS:
+        assert np.array_equal(step_noise(seed, step, 5, 2), fresh_noise(seed, step, 5, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64), st.integers(0, 2**200)),
+    step=st.one_of(st.integers(0, 8191), st.integers(0, 2**70)),
+    n_paths=st.integers(0, 9),
+    d=st.integers(0, 3),
+)
+def test_step_noise_equals_a_fresh_generator(seed, step, n_paths, d):
+    assert np.array_equal(step_noise(seed, step, n_paths, d), fresh_noise(seed, step, n_paths, d))
+
+
+def test_step_noise_in_shuffled_order_with_two_seeds_equals_fresh_draws():
+    keys = [(seed, step) for seed in (5, 2**64 + 9) for step in range(1000, 1100)]
+    order = np.random.default_rng(0).permutation(len(keys))
+    for i in order:
+        seed, step = keys[i]
+        assert np.array_equal(step_noise(seed, step, 7, 2), fresh_noise(seed, step, 7, 2))
+
+
+def test_step_noise_on_concurrent_threads_equals_a_serial_run():
+    # more threads than a two-CPU host has, switching often, so draws
+    # interleave mid-call and every thread derives and reads key blocks
+    keys = [(seed, step) for seed in (3, 4) for step in range(0, 3000, 7)]
+    serial = [step_noise(seed, step, 16, 2) for seed, step in keys]
+    simulate._block_keys.cache_clear()
+    drawn = {}
+    start = threading.Barrier(4)
+
+    def draw(t):
+        start.wait(timeout=60)
+        drawn[t] = [step_noise(seed, step, 16, 2) for seed, step in keys[t:] + keys[:t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=draw, args=(t,)) for t in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for t in range(4):
+        expected = serial[t:] + serial[:t]
+        assert len(drawn[t]) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn[t], expected))
+
+
+@pytest.mark.parametrize("seed, step", [(-1, 0), (0, -1), (-(2**40), 3)])
+def test_step_noise_rejects_a_negative_seed_or_step(seed, step):
+    with pytest.raises(ValueError):
+        step_noise(seed, step, 4, 1)
+
+
+def test_step_noise_returns_a_fresh_array_each_call():
+    a = step_noise(7, 3, 10, 2)
+    a *= 0.0
+    assert np.array_equal(step_noise(7, 3, 10, 2), fresh_noise(7, 3, 10, 2))
+
+
 def test_ensemble_requires_two_paths():
     spec = scalar_spec()
     with pytest.raises(ValueError):

@@ -101,9 +101,7 @@ def test_check_candidate_flags_a_bumped_policy(params, tau_solution, wealth_spec
             ControlSegment.constant(0.0, 2.0, [12.5]),
             ControlSegment.constant(2.0, 3.0, [12.8]),
             ControlSegment.constant(3.0, sol.t1, [12.5]),
-            ControlSegment.scaled_exp(
-                sol.t1, sol.t2, [0.0], [coef * np.exp(r * sol.tau)], [-r]
-            ),
+            ControlSegment(sol.t1, sol.t2, [0.0], [coef * np.exp(r * sol.tau)], [-r]),
             ControlSegment.constant(sol.t2, sol.tau, [10.0]),
             ControlSegment.constant(sol.tau, params.horizon, [10.0]),
         ]
