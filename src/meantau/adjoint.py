@@ -45,7 +45,6 @@ __all__ = [
     "solve_time_adjoint",
     "solve_cost_adjoint",
     "solve_adjoints",
-    "hamiltonian",
     "hamiltonian_du",
     "target_hamiltonian_du",
     "khat_evaluator",
@@ -131,18 +130,15 @@ def time_adjoint_closed_form(
 class AdjointSolution:
     """Adjoint trajectories on a grid over [0, tau].
 
-    q0 and q vanish identically in the deterministic-coefficient regime
-    handled here; the flags record that so downstream formulas can skip
-    the corresponding terms.  `cross_check_gap` is the sup-norm gap between
-    the closed-form and backward-RK4 time adjoints.
+    The diffusion adjoints q0 and q vanish identically in the
+    deterministic-coefficient regime handled here, so no formula carries
+    them.  `cross_check_gap` is the sup-norm gap between the closed-form
+    and backward-RK4 time adjoints.
     """
 
     grid: SimGrid
-    tau_anchor: float
     p0: np.ndarray
     p: np.ndarray
-    q0_is_zero: bool = True
-    q_is_zero: bool = True
     cross_check_gap: float = float("nan")
 
 
@@ -205,10 +201,7 @@ def solve_time_adjoint(
         raise NumericalConsistencyError(
             f"time adjoint closed form and backward integration disagree by {gap:.3e}"
         )
-    return AdjointSolution(
-        grid=grid, tau_anchor=tau, p0=closed, p=np.zeros_like(closed),
-        cross_check_gap=gap,
-    )
+    return AdjointSolution(grid=grid, p0=closed, p=np.zeros_like(closed), cross_check_gap=gap)
 
 
 def solve_cost_adjoint(
@@ -241,30 +234,12 @@ def solve_adjoints(spec, tau: float, grid: SimGrid, mean_x_tau=None) -> AdjointS
     return sol
 
 
-def hamiltonian(x, u, p, q, dynamics: LinearDynamics, cost: CostSpec) -> float:
-    """H(x, u, p, q) = b.p + sum_j sigma_j.q_j - f(x, u); q columns per channel."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
-    val = float((dynamics.A @ x + dynamics.B @ u) @ p)
-    if q is not None:
-        q = np.asarray(q, dtype=float)
-        for j in range(dynamics.d):
-            val += float((dynamics.C[j] @ x + dynamics.D[j] @ u) @ q[:, j])
-    f = cost.kappa + float(cost.c_lin @ x) + 0.5 * float(u @ cost.Lambda @ u)
-    return val - f
-
-
-def hamiltonian_du(x, u, p, q, dynamics: LinearDynamics, cost: CostSpec) -> np.ndarray:
-    """Control gradient of H.  For this family it is B'p + sum D_j'q_j - Lambda u
-    (independent of x; the argument is kept for interface symmetry)."""
+def hamiltonian_du(u, p, dynamics: LinearDynamics, cost: CostSpec) -> np.ndarray:
+    """Control gradient of H, B'p - Lambda u: q vanishes in this family, and H_u
+    does not depend on the state.  `u` and `p` may be rows, one per time."""
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
     out = p @ dynamics.B if p.ndim > 1 else dynamics.B.T @ p
-    if q is not None:
-        q = np.asarray(q, dtype=float)
-        for j in range(dynamics.d):
-            out = out + dynamics.D[j].T @ q[:, j]
     return out - u @ cost.Lambda.T
 
 

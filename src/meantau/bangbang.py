@@ -44,7 +44,6 @@ from .simulate import SimGrid, hit_time
 from .variational import _mean_and_response_at_tau
 
 __all__ = [
-    "switching_function",
     "find_switch_times",
     "khat_evaluator",
     "vertex_policy",
@@ -53,13 +52,6 @@ __all__ = [
     "ScalarSwitchReport",
     "scalar_switch_structure",
 ]
-
-
-def switching_function(khat_values, slope_at_tau: float) -> np.ndarray:
-    """S = -Khat / slope; `khat_values` may be a vector or a stack of rows."""
-    if slope_at_tau == 0.0:
-        raise AssumptionViolationError("switching function undefined: slope at tau is zero")
-    return -np.asarray(khat_values, dtype=float) / slope_at_tau
 
 
 def _plateau_runs(values: np.ndarray, zero_tol: float) -> int:
@@ -147,11 +139,9 @@ def vertex_policy(
         zero = np.abs(k_mid) <= 1e-12 * max(1.0, float(np.max(np.abs(khat_nodes))))
         if np.any(zero):
             raise SingularArcError(component=int(np.argmax(zero)))
-        segments.append(ControlSegment.constant(a, b, value))
+        segments.append(ControlSegment(a, b, value))
     if tau < spec.horizon:
-        segments.append(
-            ControlSegment.constant(tau, spec.horizon, segments[-1].gamma0)
-        )
+        segments.append(ControlSegment(tau, spec.horizon, segments[-1].gamma0))
     return ControlPolicy(segments), switch_times, khat_nodes, grid
 
 

@@ -17,7 +17,8 @@ available to the process); with two or more, a large enough per-step draw
 is made on one worker thread ahead of the loop, and the draw is keyed by
 (seed, step) either way.  A value below 1, a negative `--seed`, or a
 grid size (`--steps`, `--nodes`, `--t-nodes`) below 1 exits 2 before the
-output directory is made.
+output directory is made; so does an `--out` that names a file or a path
+under one.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical
 failure (no convergence, infeasible target, diverged paths, failed
@@ -47,7 +48,6 @@ from .errors import (
 )
 from .output import fmt_float, svg_line_chart, write_csv, write_json, write_svg
 from .portfolio import figure_columns, mc_validate, optimal_policy, solve_tau
-from .problem import policy_eval
 from .simulate import SimGrid, _available_cpus, simulate_ensemble, solve_mean_path
 from .smp import check_candidate
 from .variational import (
@@ -262,7 +262,7 @@ def _run_portfolio(args) -> int:
         "t1": sol.t1,
         "t2": sol.t2,
         "residual": sol.residual,
-        "control_at_0": float(policy_eval(optimal_policy(params, sol), 0.0)[0]),
+        "control_at_0": float(optimal_policy(params, sol).value(0.0)[0]),
         "outputs": ["portfolio.csv", "portfolio.svg", "summary.json"],
     }
     if report is not None:
@@ -423,7 +423,12 @@ def main(argv=None) -> int:
             if getattr(args, size, 1) < 1:
                 flag = "--" + size.replace("_", "-")
                 raise ValueError(f"{flag} must be at least 1, got {getattr(args, size)}")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                f"--out {args.out!r}: cannot make the directory ({exc.strerror})"
+            ) from exc
         return _RUNNERS[args.command](args)
     except (SpecValidationError, ValueError) as exc:
         print(_diagnostic(exc), file=sys.stderr)

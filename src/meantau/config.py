@@ -12,7 +12,6 @@ numeric cross-checks (shapes, symmetry, box order) to `validate`.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import MISSING, fields
 
 from .errors import SpecValidationError
@@ -29,12 +28,14 @@ _SEGMENT_ARRAYS = ("gamma0", "gamma1", "gamma2")
 
 
 def load_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise SpecValidationError([f"config: file not found: {path}"])
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError as exc:
+        raise SpecValidationError([f"config: file not found: {path}"]) from exc
+    except OSError as exc:
+        raise SpecValidationError([f"config: cannot read {path}: {exc.strerror}"]) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecValidationError([f"config: invalid JSON ({exc})"]) from exc
     if not isinstance(obj, dict):
         raise SpecValidationError(["config: top level must be a JSON object"])

@@ -114,10 +114,13 @@ def switch_times(params: PortfolioParams, tau: float) -> tuple:
     """Branch boundaries (t1, t2) for a given tau, clamped into [0, tau].
 
     Raw values are t_i = tau - ln(w_i) / rate with w1 = upper / coef and
-    w2 = lower / coef.  The three-branch pattern requires coef < lower
-    (so the exponential actually falls below the upper clamp before tau);
-    coef >= lower means the control never leaves the upper bound on any
-    horizon, which is outside this regime.
+    w2 = lower / coef.  With coef < lower a long enough tau gives all
+    three branches: upper, exponential, lower.  With lower <= coef < upper
+    the exponential is still above the lower bound at tau, so t2 = tau and
+    the control is upper then exponential.  coef >= upper, that is
+    (2 beta + 1)(growth - rate) >= 2.5 growth, would hold the control at
+    the upper bound throughout; that is outside this regime and raises
+    RegimeError.
     """
     c = (2.0 * params.beta + 1.0) * (params.growth - params.rate)
     if c >= 2.5 * params.growth:
@@ -212,15 +215,15 @@ def optimal_policy(params: PortfolioParams, solution: Optional[TauSolution] = No
     coef = branch_coefficient(params)
     segments = []
     if t1 > 0.0:
-        segments.append(ControlSegment.constant(0.0, t1, [params.control_upper]))
+        segments.append(ControlSegment(0.0, t1, [params.control_upper]))
     if t2 > t1:
         segments.append(
             ControlSegment(t1, t2, [0.0], [coef * np.exp(params.rate * tau)], [-params.rate])
         )
     if tau > t2:
-        segments.append(ControlSegment.constant(t2, tau, [params.control_lower]))
+        segments.append(ControlSegment(t2, tau, [params.control_lower]))
     if params.horizon > tau:
-        segments.append(ControlSegment.constant(tau, params.horizon, [params.control_lower]))
+        segments.append(ControlSegment(tau, params.horizon, [params.control_lower]))
     return ControlPolicy(segments)
 
 

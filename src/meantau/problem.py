@@ -46,7 +46,6 @@ __all__ = [
     "SECTIONS",
     "ValidationReport",
     "validate",
-    "policy_eval",
     "perturbed_policy",
     "target_state_row",
     "target_control_row",
@@ -189,29 +188,11 @@ class CostSpec:
         self.psi_lin = _vector(self.psi_lin)
         self.psi_quad = _matrix(self.psi_quad)
 
-    @classmethod
-    def time_optimal(cls, m: int, k: int) -> "CostSpec":
-        """Pure elapsed-time cost: f = 1 and Psi = 0, so the objective is tau."""
-        return cls(np.zeros(m), np.zeros((k, k)), np.zeros(m), np.zeros((m, m)), kappa=1.0)
-
-    @property
-    def is_time_optimal(self) -> bool:
-        return (
-            self.kappa == 1.0
-            and not self.c_lin.any()
-            and not self.Lambda.any()
-            and not self.psi_lin.any()
-            and not self.psi_quad.any()
-        )
-
     def running(self, x, u) -> np.ndarray:
         """f(x, u) for x with paths along the first axis."""
         x = np.asarray(x, dtype=float)
         quad = 0.5 * float(u @ self.Lambda @ u)
         return self.kappa + x @ self.c_lin + quad
-
-    def running_grad_u(self, u) -> np.ndarray:
-        return self.Lambda @ u
 
     def terminal(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -231,10 +212,6 @@ class ControlSet:
     def __post_init__(self):
         self.lower = _vector(self.lower)
         self.upper = _vector(self.upper)
-
-    def contains(self, u, tol: float = 0.0) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
 
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
@@ -268,10 +245,6 @@ class ControlSegment:
         self.gamma1 = _vector(self.gamma1)
         self.gamma2 = _vector(self.gamma2)
 
-    @classmethod
-    def constant(cls, t_start, t_end, value) -> "ControlSegment":
-        return cls(t_start, t_end, value)
-
 
 class ControlPolicy:
     """Deterministic piecewise control on [0, horizon].
@@ -298,7 +271,7 @@ class ControlPolicy:
 
     @classmethod
     def constant(cls, value, horizon: float) -> "ControlPolicy":
-        return cls([ControlSegment.constant(0.0, horizon, value)])
+        return cls([ControlSegment(0.0, horizon, value)])
 
     @property
     def k(self) -> int:
@@ -412,19 +385,6 @@ class CombinedPolicy:
 def perturbed_policy(base, direction, rho: float) -> CombinedPolicy:
     """The control base + rho * direction as an evaluable policy."""
     return CombinedPolicy([base, direction], [1.0, float(rho)])
-
-
-def policy_eval(policy, t: float) -> np.ndarray:
-    """Value of the control at time t in [0, horizon].
-
-    Takes the right-hand segment at interior breakpoints and the final
-    segment at the horizon.  Times outside the horizon raise ValueError.
-    """
-    t = float(t)
-    if not 0.0 <= t <= policy.horizon:
-        raise ValueError(f"t={t} outside [0, {policy.horizon}]")
-    side = -1 if t == policy.horizon else +1
-    return policy.value(t, side=side)
 
 
 @dataclass

@@ -174,7 +174,7 @@ def check_candidate(
 
     u_bar = np.atleast_2d(policy.values(times, side=+1))
     u_bar[-1] = policy.value(times[-1], side=-1)  # final node: value inside [0, tau]
-    hu = hamiltonian_du(None, u_bar, adj.p, None, dyn, cost)
+    hu = hamiltonian_du(u_bar, adj.p, dyn, cost)
 
     slope = float("nan")
     weight = float("nan")

@@ -34,13 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .adjoint import khat_evaluator, target_slope_at_tau
-from .problem import (
-    ProblemSpec,
-    ValidationReport,
-    perturbed_policy,
-    target_control_row,
-    target_state_row,
-)
+from .problem import ProblemSpec, ValidationReport, perturbed_policy
 from .simulate import (
     SimGrid,
     _affine_path,
@@ -60,7 +54,6 @@ __all__ = [
     "DualIdentityReport",
     "simulate_state_sensitivity",
     "fd_state_check",
-    "mean_target_response",
     "hit_time_derivative",
     "fd_tau_check",
     "dual_identity_check",
@@ -244,17 +237,6 @@ def fd_state_check(
             )
         )
     return rows
-
-
-def mean_target_response(ey_values, v_values, target, dynamics) -> np.ndarray:
-    """Linearized drift of E[Y] along a direction: (E1+E2+E3A).E[y] + (E3B+E4).v.
-
-    `ey_values` holds the sensitivity mean (nodes, m) and `v_values` the
-    direction (nodes, k); single vectors also work.
-    """
-    ey = np.asarray(ey_values, dtype=float)
-    v = np.asarray(v_values, dtype=float)
-    return ey @ target_state_row(target, dynamics) + v @ target_control_row(target, dynamics)
 
 
 def _mean_and_response_at_tau(spec: ProblemSpec, policy, direction, tau: float, grid: SimGrid):

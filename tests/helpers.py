@@ -11,6 +11,8 @@ from meantau.problem import (
     ProblemSpec,
     TargetCoefficients,
     TargetDiffusion,
+    target_control_row,
+    target_state_row,
 )
 from meantau.simulate import _affine_path
 
@@ -19,6 +21,11 @@ from meantau.simulate import _affine_path
 TAU_REF = 10.922845913817808
 T1_REF = 3.209596297578117
 T2_REF = 7.672467323862309
+
+
+def time_optimal_cost(m: int, k: int) -> CostSpec:
+    """Pure elapsed-time cost: f = 1 and Psi = 0, so the objective is tau."""
+    return CostSpec(np.zeros(m), np.zeros((k, k)), np.zeros(m), np.zeros((m, m)), kappa=1.0)
 
 
 def scalar_spec(
@@ -49,7 +56,7 @@ def scalar_spec(
         )
     target = TargetCoefficients(E1=[e1], E2=[e2], E3=[e3], E4=[e4], y0=y0, diffusion=diffusion)
     if cost is None:
-        cost = CostSpec.time_optimal(1, 1)
+        cost = time_optimal_cost(1, 1)
     return ProblemSpec(dynamics, target, cost, ControlSet([lower], [upper]), horizon, eps)
 
 
@@ -61,7 +68,7 @@ def never_crossing_spec(horizon=1.0) -> ProblemSpec:
 def piecewise_constant(values, edges) -> ControlPolicy:
     """Step policy taking values[i] on [edges[i], edges[i+1])."""
     segs = [
-        ControlSegment.constant(a, b, np.atleast_1d(v))
+        ControlSegment(a, b, np.atleast_1d(v))
         for v, a, b in zip(values, edges[:-1], edges[1:])
     ]
     return ControlPolicy(segs)
@@ -76,3 +83,26 @@ def mean_ode_solve(dynamics, policy, grid) -> np.ndarray:
     return _affine_path(
         dynamics.A, dynamics.B, np.zeros(dynamics.m), policy, grid.times(), dynamics.x0
     )
+
+
+def hamiltonian(x, u, p, dynamics, cost) -> float:
+    """H(x, u, p) = b(x, u).p - f(x, u); the q term vanishes in this family.
+
+    The finite-difference reference for `adjoint.hamiltonian_du`.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    val = float((dynamics.A @ x + dynamics.B @ u) @ np.asarray(p, dtype=float))
+    f = cost.kappa + float(cost.c_lin @ x) + 0.5 * float(u @ cost.Lambda @ u)
+    return val - f
+
+
+def mean_target_response(ey_values, v_values, target, dynamics) -> np.ndarray:
+    """Linearized drift of E[Y] along a direction: (E1+E2+E3A).E[y] + (E3B+E4).v.
+
+    `ey_values` holds the sensitivity mean (nodes, m) and `v_values` the
+    direction (nodes, k); single vectors also work.
+    """
+    ey = np.asarray(ey_values, dtype=float)
+    v = np.asarray(v_values, dtype=float)
+    return ey @ target_state_row(target, dynamics) + v @ target_control_row(target, dynamics)

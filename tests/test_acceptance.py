@@ -35,7 +35,6 @@ from meantau.problem import (
     ControlSegment,
     LinearDynamics,
     TargetCoefficients,
-    policy_eval,
 )
 from meantau.simulate import SimGrid, solve_mean_path
 from meantau.smp import check_candidate
@@ -56,12 +55,12 @@ def bumped_policy(params, sol):
     r = params.rate
     return ControlPolicy(
         [
-            ControlSegment.constant(0.0, 2.0, [12.5]),
-            ControlSegment.constant(2.0, 3.0, [12.8]),
-            ControlSegment.constant(3.0, sol.t1, [12.5]),
+            ControlSegment(0.0, 2.0, [12.5]),
+            ControlSegment(2.0, 3.0, [12.8]),
+            ControlSegment(3.0, sol.t1, [12.5]),
             ControlSegment(sol.t1, sol.t2, [0.0], [coef * np.exp(r * sol.tau)], [-r]),
-            ControlSegment.constant(sol.t2, sol.tau, [10.0]),
-            ControlSegment.constant(sol.tau, params.horizon, [10.0]),
+            ControlSegment(sol.t2, sol.tau, [10.0]),
+            ControlSegment(sol.tau, params.horizon, [10.0]),
         ]
     )
 
@@ -104,8 +103,8 @@ def test_criterion_02_wealth_identity(params, tau_solution):
 
 def test_criterion_03_control_shape(params, tau_solution, wealth_policy):
     tau = tau_solution.tau
-    at0 = float(policy_eval(wealth_policy, 0.0)[0])
-    at_tau = float(policy_eval(wealth_policy, tau)[0])
+    at0 = float(wealth_policy.value(0.0)[0])
+    at_tau = float(wealth_policy.value(tau)[0])
     jumps = []
     for edge in (tau_solution.t1, tau_solution.t2, tau):
         left = float(wealth_policy.value(edge, side=-1)[0])
@@ -254,8 +253,8 @@ def test_criterion_08_duality():
         u_edge = rng.uniform(2.0, 6.0)
         policy = ControlPolicy(
             [
-                ControlSegment.constant(0.0, u_edge, [u_vals[0]]),
-                ControlSegment.constant(u_edge, 8.0, [u_vals[1]]),
+                ControlSegment(0.0, u_edge, [u_vals[0]]),
+                ControlSegment(u_edge, 8.0, [u_vals[1]]),
             ]
         )
         mp = solve_mean_path(spec, policy, grid)
@@ -265,9 +264,9 @@ def test_criterion_08_duality():
         v_vals = rng.uniform(-1.0, 1.0, 3)
         direction = ControlPolicy(
             [
-                ControlSegment.constant(0.0, edges[0], [v_vals[0]]),
-                ControlSegment.constant(edges[0], edges[1], [v_vals[1]]),
-                ControlSegment.constant(edges[1], 8.0, [v_vals[2]]),
+                ControlSegment(0.0, edges[0], [v_vals[0]]),
+                ControlSegment(edges[0], edges[1], [v_vals[1]]),
+                ControlSegment(edges[1], 8.0, [v_vals[2]]),
             ]
         )
         report = dual_identity_check(spec, policy, direction, grid)

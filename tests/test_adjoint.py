@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import scalar_spec
+from helpers import hamiltonian, scalar_spec
 from meantau.adjoint import (
     _exp_with_integral_powers,
     _refine,
     exp_with_integral,
-    hamiltonian,
     hamiltonian_du,
     solve_adjoints,
     solve_cost_adjoint,
@@ -62,8 +61,6 @@ def test_time_adjoint_zero_feedback_is_linear_ramp():
 def test_solve_time_adjoint_cross_checks_routes():
     spec = scalar_spec(a=0.7)
     sol = solve_time_adjoint(spec.dynamics, spec.target, 2.0, SimGrid(2.0, 64))
-    assert sol.q0_is_zero and sol.q_is_zero
-    assert sol.tau_anchor == 2.0
     assert sol.p0[-1, 0] == 0.0
     np.testing.assert_allclose(sol.p, 0.0)
     # demanding exact agreement between the two routes must fail
@@ -137,25 +134,25 @@ def test_hamiltonian_gradient_matches_finite_differences():
     x = np.array([0.7, -0.4])
     u = np.array([0.3, 0.9])
     p = np.array([1.1, -0.6])
-    q = np.array([[0.2], [0.4]])
-    grad = hamiltonian_du(x, u, p, q, dyn, cost)
+    grad = hamiltonian_du(u, p, dyn, cost)
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
-        fd = (hamiltonian(x, u + e, p, q, dyn, cost) - hamiltonian(x, u - e, p, q, dyn, cost)) / (
-            2 * h
-        )
+        fd = (hamiltonian(x, u + e, p, dyn, cost) - hamiltonian(x, u - e, p, dyn, cost)) / (2 * h)
         assert abs(grad[i] - fd) < 1e-6 * max(1.0, abs(fd))
+    # rows of u and p, one per time node, as check_candidate passes them
+    rows = hamiltonian_du(np.stack([u, -u]), np.stack([p, 2.0 * p]), dyn, cost)
+    np.testing.assert_allclose(rows, [grad, hamiltonian_du(-u, 2.0 * p, dyn, cost)], rtol=1e-15)
 
 
 def test_hamiltonian_gradient_zero_cases(wealth_spec):
     dyn = wealth_spec.dynamics
     lam = wealth_spec.cost.Lambda[0, 0]
-    out = hamiltonian_du(np.array([1.0]), np.array([3.0]), np.zeros(1), None, dyn, wealth_spec.cost)
+    out = hamiltonian_du(np.array([3.0]), np.zeros(1), dyn, wealth_spec.cost)
     assert out[0] == pytest.approx(-lam * 3.0, rel=1e-14)
     free = CostSpec(kappa=1.0, c_lin=[0.0], Lambda=[[0.0]], psi_lin=[0.0], psi_quad=[[0.0]])
-    out = hamiltonian_du(np.array([1.0]), np.array([3.0]), np.zeros(1), None, dyn, free)
+    out = hamiltonian_du(np.array([3.0]), np.zeros(1), dyn, free)
     assert out[0] == 0.0
 
 
@@ -163,11 +160,9 @@ def test_hamiltonian_gradient_is_affine_in_control():
     spec = scalar_spec(
         cost=CostSpec(kappa=1.0, c_lin=[0.0], Lambda=[[2.0]], psi_lin=[0.0], psi_quad=[[0.0]])
     )
-    base = hamiltonian_du(np.zeros(1), np.zeros(1), np.array([0.5]), None, spec.dynamics, spec.cost)
+    base = hamiltonian_du(np.zeros(1), np.array([0.5]), spec.dynamics, spec.cost)
     for alpha in (0.5, 1.0, 2.0, -3.0):
-        out = hamiltonian_du(
-            np.zeros(1), alpha * np.ones(1), np.array([0.5]), None, spec.dynamics, spec.cost
-        )
+        out = hamiltonian_du(alpha * np.ones(1), np.array([0.5]), spec.dynamics, spec.cost)
         assert out[0] - base[0] == pytest.approx(alpha * -2.0, rel=1e-12)
 
 

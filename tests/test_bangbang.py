@@ -6,7 +6,6 @@ from meantau.bangbang import (
     find_switch_times,
     khat_evaluator,
     scalar_switch_structure,
-    switching_function,
     synthesize,
     vertex_policy,
 )
@@ -30,14 +29,6 @@ def test_khat_evaluator_matches_scalar_closed_form():
         expected = scalar_khat(0.5, 1.0, -1.0, 0.5, 3.0, t)
         assert abs(float(khat(t)[0]) - expected) < 1e-12
     assert float(khat(3.0)[0]) == -0.5
-
-
-def test_switching_function_sign_and_guard():
-    khat = np.array([1.0, -2.0, 0.0])
-    s = switching_function(khat, -0.5)
-    np.testing.assert_allclose(s, [2.0, -4.0, 0.0])
-    with pytest.raises(AssumptionViolationError):
-        switching_function(khat, 0.0)
 
 
 def test_find_switch_times_linear_interpolation_is_exact_on_lines():

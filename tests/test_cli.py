@@ -284,6 +284,38 @@ def test_exit_2_on_invalid_json(tmp_path, capsys):
     assert set(json.loads(capsys.readouterr().err)) == {"error", "message", "violations"}
 
 
+@pytest.mark.parametrize(
+    "kind, violation",
+    [("directory", "config: cannot read "), ("latin-1", "config: invalid JSON (")],
+    ids=["directory", "latin-1"],
+)
+def test_exit_2_when_the_config_cannot_be_read(tmp_path, capsys, kind, violation):
+    cfg = tmp_path / "cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes('{"params": {"beta": 1.2}, "é": 1}'.encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["portfolio", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert set(diag) == {"error", "message", "violations"}
+    assert len(diag["violations"]) == 1 and diag["violations"][0].startswith(violation)
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["mean", "portfolio"])
+@pytest.mark.parametrize("under", [False, True], ids=["the-file", "under-the-file"])
+def test_exit_2_when_out_names_an_existing_file(tmp_path, capsys, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "sub" if under else taken
+    argv = [command, "--out", str(out)] + (["--config", SCALAR] if command == "mean" else [])
+    assert "--out" in assert_exit_2_with_a_value_error(main(argv), capsys)
+    assert taken.read_text() == "kept"
+
+
 def test_exit_2_on_missing_sections(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"policy": {"constant": [0.5]}})
     assert main(["mean", "--config", cfg, "--out", str(tmp_path / "a")]) == 2

@@ -41,7 +41,9 @@ def test_parse_problem_from_example_file():
     np.testing.assert_allclose(spec.dynamics.A, [[0.5]])
     np.testing.assert_allclose(spec.target.E2, [-1.0])
     np.testing.assert_allclose(spec.control_set.upper, [1.5])
-    assert spec.cost.is_time_optimal
+    assert spec.cost.kappa == 1.0
+    for name in ("c_lin", "Lambda", "psi_lin", "psi_quad"):
+        assert not getattr(spec.cost, name).any(), name
 
 
 def test_parse_problem_missing_section_uses_dotted_paths():

@@ -18,8 +18,8 @@ from meantau.portfolio import (
     to_problem_spec,
     wealth_residual,
 )
-from meantau.problem import policy_eval, validate
-from meantau.simulate import SimGrid, simulate_ensemble
+from meantau.problem import validate
+from meantau.simulate import SimGrid, simulate_ensemble, solve_mean_path
 
 
 def test_solution_matches_frozen_values(tau_solution):
@@ -87,8 +87,8 @@ def test_policy_structure_and_continuity(params, tau_solution, wealth_policy):
         left = float(wealth_policy.value(edge, side=-1)[0])
         right = float(wealth_policy.value(edge, side=+1)[0])
         assert abs(left - right) < 1e-9
-    assert float(policy_eval(wealth_policy, 0.0)[0]) == 12.5
-    assert float(policy_eval(wealth_policy, tau)[0]) == 10.0
+    assert float(wealth_policy.value(0.0)[0]) == 12.5
+    assert float(wealth_policy.value(tau)[0]) == 10.0
 
 
 def test_policy_drops_degenerate_branches(params):
@@ -103,6 +103,26 @@ def test_regime_error_when_the_exponential_clears_the_box(params):
     steep = replace(params, beta=2.5)
     with pytest.raises(RegimeError):
         solve_tau(steep)
+
+
+def test_two_branches_when_the_exponential_ends_above_the_lower_bound(params):
+    # lower <= coef < upper: the control leaves the upper bound but is
+    # still above the lower one at tau, so t2 = tau
+    mid = replace(params, beta=1.7)
+    coef = branch_coefficient(mid)
+    assert mid.control_lower <= coef < mid.control_upper
+    sol = solve_tau(mid)
+    assert 0.0 < sol.t1 < sol.t2 == sol.tau
+    residual, parts = wealth_residual(mid, sol.tau)
+    assert abs(residual) < 1e-9 and parts[2] == 0.0
+    policy = optimal_policy(mid, sol)
+    np.testing.assert_allclose(policy.breakpoints, [0.0, sol.t1, sol.tau, mid.horizon])
+    before_tau = [s for s in policy.segments if s.t_start < sol.tau]
+    assert not any(s.gamma0[0] == mid.control_lower for s in before_tau)
+    assert float(policy.value(sol.tau, side=-1)[0]) == pytest.approx(coef, rel=1e-12)
+    # the RK4 mean solve of the embedded problem reaches the target at tau
+    mean = solve_mean_path(to_problem_spec(mid), policy, SimGrid(sol.tau, 4096))
+    assert abs(mean.mean_y[-1]) < 1e-9 and mean.mean_y[-2] > 0.0
 
 
 def test_infeasible_when_the_horizon_is_too_short(params):

@@ -12,7 +12,6 @@ from meantau.problem import (
     LinearDynamics,
     TargetCoefficients,
     perturbed_policy,
-    policy_eval,
     target_control_row,
     target_state_row,
     validate,
@@ -64,18 +63,12 @@ def test_cost_values_and_gradients():
     x = np.array([[2.0], [0.0]])
     u = np.array([3.0])
     np.testing.assert_allclose(cost.running(x, u), [1 + 1.0 + 9.0, 1 + 9.0])
-    np.testing.assert_allclose(cost.running_grad_u(u), [6.0])
     np.testing.assert_allclose(cost.terminal(x), [2.0 + 8.0, 0.0])
     np.testing.assert_allclose(cost.terminal_grad(x), [[9.0], [1.0]])
-    assert not cost.is_time_optimal
-    assert CostSpec.time_optimal(2, 1).is_time_optimal
 
 
-def test_control_set_membership():
+def test_control_set_midpoint():
     box = ControlSet([0.0, -1.0], [1.0, 1.0])
-    assert box.contains([0.5, 0.0])
-    assert not box.contains([1.5, 0.0])
-    assert box.contains([1.0 + 1e-12, 0.0], tol=1e-9)
     np.testing.assert_allclose(box.midpoint(), [0.5, 0.0])
 
 
@@ -91,7 +84,7 @@ def test_policy_eval_matches_hand_computed_exponential():
     # one falling-exponential segment, anchored so u(t) = 8.5 e^{0.05 (10.92 - t)}
     seg = ControlSegment(0.0, 10.92, [0.0], [8.5 * np.exp(0.05 * 10.92)], [-0.05])
     policy = ControlPolicy([seg])
-    val = float(policy_eval(policy, 5.0)[0])
+    val = float(policy.value(5.0)[0])
     assert abs(val - 11.42799633307245) < 1e-12
     assert abs(val - 11.428) < 5e-4
 
@@ -112,14 +105,14 @@ VALUE_POLICIES = {
     "constant": ControlPolicy.constant([1.5, -0.25], 6.0),
     "multi-segment constant": ControlPolicy(
         [
-            ControlSegment.constant(0.0, 1.0, [1.0, 2.0]),
-            ControlSegment.constant(1.0, 2.5, [-0.5, 0.0]),
-            ControlSegment.constant(2.5, 6.0, [3.0, 1.0]),
+            ControlSegment(0.0, 1.0, [1.0, 2.0]),
+            ControlSegment(1.0, 2.5, [-0.5, 0.0]),
+            ControlSegment(2.5, 6.0, [3.0, 1.0]),
         ]
     ),
     "with exponentials": ControlPolicy(
         [
-            ControlSegment.constant(0.0, 1.0, [1.0, 2.0]),
+            ControlSegment(0.0, 1.0, [1.0, 2.0]),
             ControlSegment(1.0, 2.0, [0.5, -1.0], [0.3, 2.0], [-0.7, 0.2]),
             ControlSegment(2.0, 6.0, [0.0, 1.0], [1e-3, -2.0], [1.1, 0.0]),
         ]
@@ -149,30 +142,31 @@ def test_policy_values_equal_the_broadcast_formula(name, side):
 
 def test_policy_eval_constant_and_bounds():
     policy = ControlPolicy.constant([3.0], 2.0)
-    np.testing.assert_allclose(policy_eval(policy, 1.3), [3.0])
-    np.testing.assert_allclose(policy_eval(policy, 0.0), [3.0])
-    np.testing.assert_allclose(policy_eval(policy, 2.0), [3.0])
+    np.testing.assert_allclose(policy.value(1.3), [3.0])
+    np.testing.assert_allclose(policy.value(0.0), [3.0])
+    np.testing.assert_allclose(policy.value(2.0), [3.0])
     with pytest.raises(ValueError):
-        policy_eval(policy, 2.0 + 1e-9)
+        policy.value(2.0 + 1e-9)
     with pytest.raises(ValueError):
-        policy_eval(policy, -0.1)
+        policy.value(-0.1)
 
 
 def test_policy_side_semantics_at_breakpoints():
     policy = ControlPolicy(
-        [ControlSegment.constant(0.0, 1.0, [2.0]), ControlSegment.constant(1.0, 3.0, [5.0])]
+        [ControlSegment(0.0, 1.0, [2.0]), ControlSegment(1.0, 3.0, [5.0])]
     )
     np.testing.assert_allclose(policy.value(1.0, side=+1), [5.0])
     np.testing.assert_allclose(policy.value(1.0, side=-1), [2.0])
-    np.testing.assert_allclose(policy_eval(policy, 1.0), [5.0])
-    # at the horizon only the left limit exists
-    np.testing.assert_allclose(policy_eval(policy, 3.0), [5.0])
+    np.testing.assert_allclose(policy.value(1.0), [5.0])
+    # at the horizon only the left limit exists, and either side takes it
+    np.testing.assert_allclose(policy.value(3.0), [5.0])
+    np.testing.assert_allclose(policy.value(3.0, side=-1), [5.0])
     np.testing.assert_allclose(policy.breakpoints, [0.0, 1.0, 3.0])
 
 
 def test_policy_values_vectorized():
     policy = ControlPolicy(
-        [ControlSegment.constant(0.0, 1.0, [2.0]), ControlSegment.constant(1.0, 2.0, [4.0])]
+        [ControlSegment(0.0, 1.0, [2.0]), ControlSegment(1.0, 2.0, [4.0])]
     )
     out = policy.values(np.array([0.0, 0.5, 1.0, 1.5]), side=+1)
     np.testing.assert_allclose(out[:, 0], [2.0, 2.0, 4.0, 4.0])
@@ -186,7 +180,7 @@ def test_policy_partition_checks():
     with pytest.raises(SpecValidationError):
         ControlPolicy([])
     bad = ControlPolicy(
-        [ControlSegment.constant(0.5, 1.0, [1.0]), ControlSegment.constant(1.2, 2.0, [1.0])]
+        [ControlSegment(0.5, 1.0, [1.0]), ControlSegment(1.2, 2.0, [1.0])]
     )
     msgs = bad.check(horizon=3.0)
     assert any("t_start: must be 0" in s for s in msgs)
@@ -197,7 +191,7 @@ def test_policy_partition_checks():
 def test_combined_policy_and_perturbation():
     base = ControlPolicy.constant([1.0], 2.0)
     direction = ControlPolicy(
-        [ControlSegment.constant(0.0, 1.0, [0.5]), ControlSegment.constant(1.0, 2.0, [-0.5])]
+        [ControlSegment(0.0, 1.0, [0.5]), ControlSegment(1.0, 2.0, [-0.5])]
     )
     pert = perturbed_policy(base, direction, 0.1)
     np.testing.assert_allclose(pert.value(0.5), [1.05])
@@ -257,7 +251,7 @@ def test_validate_flags_asymmetric_quadratic_weights():
 
 def test_validate_collects_policy_violations():
     spec = scalar_spec()
-    policy = ControlPolicy([ControlSegment.constant(0.0, 5.0, [1.0, 2.0])])
+    policy = ControlPolicy([ControlSegment(0.0, 5.0, [1.0, 2.0])])
     report = validate(spec, policy)
     assert not report.ok
     assert any("control dimension" in v for v in report.violations)

@@ -98,12 +98,12 @@ def test_check_candidate_flags_a_bumped_policy(params, tau_solution, wealth_spec
     r = params.rate
     bumped = ControlPolicy(
         [
-            ControlSegment.constant(0.0, 2.0, [12.5]),
-            ControlSegment.constant(2.0, 3.0, [12.8]),
-            ControlSegment.constant(3.0, sol.t1, [12.5]),
+            ControlSegment(0.0, 2.0, [12.5]),
+            ControlSegment(2.0, 3.0, [12.8]),
+            ControlSegment(3.0, sol.t1, [12.5]),
             ControlSegment(sol.t1, sol.t2, [0.0], [coef * np.exp(r * sol.tau)], [-r]),
-            ControlSegment.constant(sol.t2, sol.tau, [10.0]),
-            ControlSegment.constant(sol.tau, params.horizon, [10.0]),
+            ControlSegment(sol.t2, sol.tau, [10.0]),
+            ControlSegment(sol.tau, params.horizon, [10.0]),
         ]
     )
     report = check_candidate(

@@ -7,14 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import mean_ode_solve, never_crossing_spec, piecewise_constant, scalar_spec
+from helpers import (
+    mean_ode_solve,
+    mean_target_response,
+    never_crossing_spec,
+    piecewise_constant,
+    scalar_spec,
+    time_optimal_cost,
+)
 from meantau import simulate, variational
 from meantau.config import load_config, parse_policy, parse_problem
 from meantau.errors import DivergenceError
 from meantau.problem import (
     ControlPolicy,
     ControlSet,
-    CostSpec,
     LinearDynamics,
     ProblemSpec,
     TargetCoefficients,
@@ -27,7 +33,6 @@ from meantau.variational import (
     fd_state_check,
     fd_tau_check,
     hit_time_derivative,
-    mean_target_response,
     simulate_state_sensitivity,
 )
 
@@ -225,7 +230,7 @@ def hitting_problems(draw):
         E1=E1, E2=E2, E3=E3, E4=E4, y0=draw(st.floats(0.2, 0.8)) * margin * _HIT_HORIZON
     )
     spec = ProblemSpec(
-        dyn, target, CostSpec.time_optimal(m, k), ControlSet(u0 - 1.0, u0 + 1.0), _HIT_HORIZON
+        dyn, target, time_optimal_cost(m, k), ControlSet(u0 - 1.0, u0 + 1.0), _HIT_HORIZON
     )
     edge = draw(st.floats(0.2, _HIT_HORIZON - 0.2))
     direction = piecewise_constant(
@@ -375,7 +380,7 @@ def linear_cases(draw):
         TargetCoefficients(
             E1=np.zeros(m), E2=-np.ones(m), E3=np.zeros(m), E4=np.zeros(k), y0=1.0
         ),
-        CostSpec.time_optimal(m, k),
+        time_optimal_cost(m, k),
         ControlSet(-2.0 * np.ones(k), 2.0 * np.ones(k)),
         1.0,
     )
@@ -445,7 +450,7 @@ def test_diverging_linear_fd_state_check_names_the_path_within_its_lane():
     # driven by a huge v through state-proportional noise, overflows first
     dyn = LinearDynamics(A=[[0.0]], B=[[1.0]], C=[[[10.0]]], D=[[[0.0]]], x0=[0.0])
     spec = ProblemSpec(
-        dyn, scalar_spec().target, CostSpec.time_optimal(1, 1), ControlSet([-1.0], [1.0]), 1.0
+        dyn, scalar_spec().target, time_optimal_cost(1, 1), ControlSet([-1.0], [1.0]), 1.0
     )
     policy = ControlPolicy.constant([0.0], 1.0)
     direction = ControlPolicy.constant([1e306], 1.0)
