@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._scipy import expm
 from .errors import AssumptionViolationError, NumericalConsistencyError
 from .problem import (
     CostSpec,
@@ -106,15 +106,21 @@ def _anchored_blocks(A: np.ndarray, tau: float, grid: SimGrid):
 
 
 def time_adjoint_closed_form(
-    dynamics: LinearDynamics, target: TargetCoefficients, tau: float, times
+    dynamics: LinearDynamics,
+    target: TargetCoefficients,
+    tau: float,
+    times,
+    *,
+    state_row=None,
 ) -> np.ndarray:
     """p0 at the given times.
 
     `times` is either a SimGrid, whose nodes come from the powers of one
     augmented exponential, or any array of times, at one augmented
-    exponential each.
+    exponential each.  `state_row`, the row E1 + E2 + E3 A, spares its
+    rebuild to a caller that already holds it.
     """
-    row = target_state_row(target, dynamics)
+    row = target_state_row(target, dynamics) if state_row is None else state_row
     if isinstance(times, SimGrid):
         _, integral = _anchored_blocks(dynamics.A, tau, times)
         return -(row @ integral)
@@ -259,12 +265,15 @@ def khat_evaluator(dynamics, target, tau: float) -> Callable:
     """Closed-form Khat(t) = p0(t)'B - (E3 B + E4) as a callable, exact at every t in [0, tau].
 
     Each call costs one augmented exponential; `time_adjoint_closed_form`
-    on a SimGrid gives the node values of p0 in one pass.
+    on a SimGrid gives the node values of p0 in one pass.  The target rows
+    are built once, here, not on every call.
     """
+    row_x = target_state_row(target, dynamics)
+    row_u = target_control_row(target, dynamics)
 
     def khat(t: float) -> np.ndarray:
-        p0 = time_adjoint_closed_form(dynamics, target, tau, float(t))[0]
-        return target_hamiltonian_du(p0, dynamics, target)
+        p0 = time_adjoint_closed_form(dynamics, target, tau, float(t), state_row=row_x)[0]
+        return p0 @ dynamics.B - row_u  # target_hamiltonian_du
 
     return khat
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._scipy import brentq
 from .adjoint import (
     khat_evaluator,
     target_hamiltonian_du,

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._scipy import brentq
 from .errors import InfeasibleError, RegimeError, SpecValidationError
 from .problem import (
     ControlPolicy,

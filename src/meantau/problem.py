@@ -324,7 +324,8 @@ class ControlPolicy:
         ts = np.asarray(ts, dtype=float)
         scalar = ts.ndim == 0
         tarr = np.atleast_1d(ts)
-        if tarr.size and (tarr.min() < 0.0 or tarr.max() > self.horizon):
+        # written so that a NaN time fails it: every comparison with NaN is false
+        if tarr.size and not (tarr.min() >= 0.0 and tarr.max() <= self.horizon):
             raise ValueError(
                 f"time outside [0, {self.horizon}]: [{tarr.min()}, {tarr.max()}]"
             )

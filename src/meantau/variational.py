@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._scipy import quad
 from .adjoint import khat_evaluator, target_slope_at_tau
 from .problem import ProblemSpec, ValidationReport, perturbed_policy
 from .simulate import (

@@ -1,7 +1,12 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import TAU_REF, never_crossing_spec, scalar_spec
+from meantau import adjoint, bangbang
+from meantau.adjoint import target_hamiltonian_du, time_adjoint_closed_form
 from meantau.bangbang import (
     find_switch_times,
     khat_evaluator,
@@ -9,6 +14,7 @@ from meantau.bangbang import (
     synthesize,
     vertex_policy,
 )
+from meantau.config import load_config, parse_problem
 from meantau.errors import (
     AssumptionViolationError,
     InfeasibleError,
@@ -16,6 +22,8 @@ from meantau.errors import (
     SingularArcError,
 )
 from meantau.simulate import SimGrid, solve_mean_path
+
+SCALAR = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scalar.json"
 
 
 def scalar_khat(a, b, c1, c2, tau, t):
@@ -29,6 +37,51 @@ def test_khat_evaluator_matches_scalar_closed_form():
         expected = scalar_khat(0.5, 1.0, -1.0, 0.5, 3.0, t)
         assert abs(float(khat(t)[0]) - expected) < 1e-12
     assert float(khat(3.0)[0]) == -0.5
+
+
+def test_khat_evaluator_builds_the_target_rows_once(monkeypatch):
+    spec = scalar_spec(a=0.5, b=1.0, e2=-1.0, e4=0.5)
+    times = np.linspace(0.0, 3.0, 7)
+    # Khat as p0'B - (E3 B + E4), with both rows rebuilt at every time
+    expected = [
+        target_hamiltonian_du(
+            time_adjoint_closed_form(spec.dynamics, spec.target, 3.0, t)[0],
+            spec.dynamics,
+            spec.target,
+        )
+        for t in times
+    ]
+    builds = Counter()
+    for name in ("target_state_row", "target_control_row"):
+
+        def counted(*args, _name=name, _row=getattr(adjoint, name)):
+            builds[_name] += 1
+            return _row(*args)
+
+        monkeypatch.setattr(adjoint, name, counted)
+    khat = khat_evaluator(spec.dynamics, spec.target, 3.0)
+    for t, want in zip(times, expected):
+        np.testing.assert_array_equal(khat(t), want)
+    assert builds == {"target_state_row": 1, "target_control_row": 1}
+
+
+def test_vertex_policy_refines_every_switch_through_the_module_brentq(monkeypatch):
+    # perfbench/tracing.py counts switch-time refinements by replacing
+    # bangbang.brentq, so find_switch_times must look it up at call time
+    spec = parse_problem(load_config(str(SCALAR))["problem"])
+    tau = synthesize(spec).tau
+    roots = []
+
+    def counting_brentq(*args, **kwargs):
+        roots.append(original(*args, **kwargs))
+        return roots[-1]
+
+    original = bangbang.brentq
+    monkeypatch.setattr(bangbang, "brentq", counting_brentq)
+    _, switch_times, _, _ = vertex_policy(spec, tau)
+    found = np.concatenate(switch_times)
+    assert len(roots) == len(found) > 0
+    np.testing.assert_array_equal(np.sort(roots), np.sort(found))
 
 
 def test_find_switch_times_linear_interpolation_is_exact_on_lines():

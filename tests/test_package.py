@@ -1,6 +1,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -111,3 +114,40 @@ def test_the_readme_library_example_runs():
     section = readme.split("\n## Library use\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+# run in a fresh interpreter: the test session itself has scipy loaded
+START_UP = """
+import sys
+
+import meantau, meantau.cli
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()[:3]
+config, out = sys.argv[1:]
+for argv in (
+    ["mean", "--config", config, "--out", out + "/mean"],
+    ["simulate", "--config", config, "--out", out + "/sim", "--paths", "50", "--steps", "50"],
+):
+    assert meantau.cli.main(argv) == 0, argv
+assert not scipy_modules(), scipy_modules()[:3]
+meantau.adjoint.exp_with_integral(np.zeros((1, 1)), 1.0)
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_mean_and_simulate_never_import_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    config = SRC.parents[1] / "docs" / "examples" / "scalar.json"
+    run = subprocess.run(
+        [sys.executable, "-c", START_UP, str(config), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr

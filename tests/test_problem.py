@@ -164,6 +164,22 @@ def test_policy_side_semantics_at_breakpoints():
     np.testing.assert_allclose(policy.breakpoints, [0.0, 1.0, 3.0])
 
 
+def test_policy_values_reject_nan_times():
+    policy = ControlPolicy(
+        [ControlSegment(0.0, 1.0, [2.0]), ControlSegment(1.0, 3.0, [5.0])]
+    )
+    combined = perturbed_policy(policy, ControlPolicy.constant([1.0], 3.0), 0.5)
+    for p in (policy, combined):
+        with pytest.raises(ValueError, match="time outside"):
+            p.value(float("nan"))
+        with pytest.raises(ValueError, match="time outside"):
+            p.values([0.5, float("nan")])
+        with pytest.raises(ValueError, match="time outside"):
+            p.values(np.array([np.nan]), side=-1)
+    np.testing.assert_array_equal(policy.values([0.5, 3.0]), [[2.0], [5.0]])
+    np.testing.assert_array_equal(combined.values([0.5, 3.0]), [[2.5], [5.5]])
+
+
 def test_policy_values_vectorized():
     policy = ControlPolicy(
         [ControlSegment(0.0, 1.0, [2.0]), ControlSegment(1.0, 2.0, [4.0])]
