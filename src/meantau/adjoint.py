@@ -106,21 +106,15 @@ def _anchored_blocks(A: np.ndarray, tau: float, grid: SimGrid):
 
 
 def time_adjoint_closed_form(
-    dynamics: LinearDynamics,
-    target: TargetCoefficients,
-    tau: float,
-    times,
-    *,
-    state_row=None,
+    dynamics: LinearDynamics, target: TargetCoefficients, tau: float, times
 ) -> np.ndarray:
     """p0 at the given times.
 
     `times` is either a SimGrid, whose nodes come from the powers of one
     augmented exponential, or any array of times, at one augmented
-    exponential each.  `state_row`, the row E1 + E2 + E3 A, spares its
-    rebuild to a caller that already holds it.
+    exponential each.
     """
-    row = target_state_row(target, dynamics) if state_row is None else state_row
+    row = target_state_row(target, dynamics)
     if isinstance(times, SimGrid):
         _, integral = _anchored_blocks(dynamics.A, tau, times)
         return -(row @ integral)
@@ -265,15 +259,12 @@ def khat_evaluator(dynamics, target, tau: float) -> Callable:
     """Closed-form Khat(t) = p0(t)'B - (E3 B + E4) as a callable, exact at every t in [0, tau].
 
     Each call costs one augmented exponential; `time_adjoint_closed_form`
-    on a SimGrid gives the node values of p0 in one pass.  The target rows
-    are built once, here, not on every call.
+    on a SimGrid gives the node values of p0 in one pass.
     """
-    row_x = target_state_row(target, dynamics)
-    row_u = target_control_row(target, dynamics)
 
     def khat(t: float) -> np.ndarray:
-        p0 = time_adjoint_closed_form(dynamics, target, tau, float(t), state_row=row_x)[0]
-        return p0 @ dynamics.B - row_u  # target_hamiltonian_du
+        p0 = time_adjoint_closed_form(dynamics, target, tau, float(t))[0]
+        return target_hamiltonian_du(p0, dynamics, target)
 
     return khat
 

@@ -1,12 +1,10 @@
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import TAU_REF, never_crossing_spec, scalar_spec
-from meantau import adjoint, bangbang
-from meantau.adjoint import target_hamiltonian_du, time_adjoint_closed_form
+from meantau import bangbang
 from meantau.bangbang import (
     find_switch_times,
     khat_evaluator,
@@ -37,32 +35,6 @@ def test_khat_evaluator_matches_scalar_closed_form():
         expected = scalar_khat(0.5, 1.0, -1.0, 0.5, 3.0, t)
         assert abs(float(khat(t)[0]) - expected) < 1e-12
     assert float(khat(3.0)[0]) == -0.5
-
-
-def test_khat_evaluator_builds_the_target_rows_once(monkeypatch):
-    spec = scalar_spec(a=0.5, b=1.0, e2=-1.0, e4=0.5)
-    times = np.linspace(0.0, 3.0, 7)
-    # Khat as p0'B - (E3 B + E4), with both rows rebuilt at every time
-    expected = [
-        target_hamiltonian_du(
-            time_adjoint_closed_form(spec.dynamics, spec.target, 3.0, t)[0],
-            spec.dynamics,
-            spec.target,
-        )
-        for t in times
-    ]
-    builds = Counter()
-    for name in ("target_state_row", "target_control_row"):
-
-        def counted(*args, _name=name, _row=getattr(adjoint, name)):
-            builds[_name] += 1
-            return _row(*args)
-
-        monkeypatch.setattr(adjoint, name, counted)
-    khat = khat_evaluator(spec.dynamics, spec.target, 3.0)
-    for t, want in zip(times, expected):
-        np.testing.assert_array_equal(khat(t), want)
-    assert builds == {"target_state_row": 1, "target_control_row": 1}
 
 
 def test_vertex_policy_refines_every_switch_through_the_module_brentq(monkeypatch):
