@@ -92,17 +92,13 @@ def _exp_with_integral_powers(A: np.ndarray, h: float, n: int):
 def _anchored_blocks(A: np.ndarray, tau: float, grid: SimGrid):
     """(e^{A(tau-t_j)}, int_0^{tau-t_j} e^{A s} ds) at the nodes t_j of `grid`.
 
-    Node j lies (n - j) steps before the grid's end; a grid ending short of
-    tau adds the lead c = tau - horizon through the semigroup identities
-    e^{A(c+s)} = e^{Ac} e^{As} and I(c+s) = I(c) + e^{Ac} I(s).
+    The grid must end at tau, so node j lies (n - j) steps before it; any
+    other grid raises ValueError.
     """
+    if grid.horizon != tau:
+        raise ValueError(f"adjoint grid must end at tau = {tau}, got {grid.horizon}")
     E, I = _exp_with_integral_powers(A, grid.dt, grid.n_steps)
-    E, I = E[::-1], I[::-1]
-    lead = tau - grid.horizon
-    if lead != 0.0:
-        E_c, I_c = exp_with_integral(A, lead)
-        E, I = E_c @ E, I_c + E_c @ I
-    return E, I
+    return E[::-1], I[::-1]
 
 
 def time_adjoint_closed_form(
@@ -110,9 +106,9 @@ def time_adjoint_closed_form(
 ) -> np.ndarray:
     """p0 at the given times.
 
-    `times` is either a SimGrid, whose nodes come from the powers of one
-    augmented exponential, or any array of times, at one augmented
-    exponential each.
+    `times` is either a SimGrid ending at tau, whose nodes come from the
+    powers of one augmented exponential, or any array of times, at one
+    augmented exponential each.
     """
     row = target_state_row(target, dynamics)
     if isinstance(times, SimGrid):
@@ -183,11 +179,10 @@ def solve_time_adjoint(
     ODE with sub-stepped RK4.  Disagreement beyond `cross_check_tol`
     (relative to max(1, |p0|)) raises NumericalConsistencyError; the
     returned values are route (a), and `cross_check_gap` holds the
-    sup-norm gap between the routes.
+    sup-norm gap between the routes.  A grid that does not end at tau
+    raises ValueError.
     """
     times = grid.times()
-    if times[-1] > tau + 1e-12 * max(1.0, tau):
-        raise ValueError("adjoint grid must not extend past tau")
     closed = time_adjoint_closed_form(dynamics, target, tau, grid)
 
     row = target_state_row(target, dynamics)

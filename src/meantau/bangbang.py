@@ -27,12 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._scipy import brentq
-from .adjoint import (
-    khat_evaluator,
-    target_hamiltonian_du,
-    target_slope_at_tau,
-    time_adjoint_closed_form,
-)
+from .adjoint import khat_evaluator, target_hamiltonian_du, time_adjoint_closed_form
 from .errors import (
     AssumptionViolationError,
     InfeasibleError,
@@ -41,7 +36,7 @@ from .errors import (
 )
 from .problem import ControlPolicy, ControlSegment, ProblemSpec
 from .simulate import SimGrid, hit_time
-from .variational import _mean_and_response_at_tau
+from .variational import hit_time_derivative
 
 __all__ = [
     "find_switch_times",
@@ -235,28 +230,18 @@ def synthesize(
         )
 
     policy, switch_times, _, _ = vertex_policy(spec, tau, n_nodes)
-    tau_hit, label = hit_time(spec, policy, coarse)
-    slope = float("nan")
-    if label == "i" and tau_hit > 0.0:
-        mean_x_tau, _ = _mean_and_response_at_tau(spec, policy, None, tau_hit, coarse)
-        slope = target_slope_at_tau(
-            spec.target,
-            spec.dynamics,
-            mean_x_tau,
-            policy.value(tau_hit, side=-1),
-            eps_regularize=spec.eps_regularize,
+    hit = hit_time_derivative(spec, policy, None, coarse)
+    if hit.slope_at_tau > 0.0:
+        raise AssumptionViolationError(
+            f"terminal target slope {hit.slope_at_tau:.3e} is positive at a first "
+            "down-crossing; the hit is not transversal from above"
         )
-        if slope > 0.0:
-            raise AssumptionViolationError(
-                f"terminal target slope {slope:.3e} is positive at a first "
-                "down-crossing; the hit is not transversal from above"
-            )
     return SynthesisResult(
         policy=policy,
-        tau=float(tau_hit),
-        case_label=label,
+        tau=float(hit.tau),
+        case_label=hit.case_label,
         switch_times=[np.asarray(s) for s in switch_times],
-        slope_at_tau=slope,
+        slope_at_tau=hit.slope_at_tau,
         iterations=iterations,
         history=history,
     )

@@ -9,10 +9,12 @@ Subcommands:
 * check-smp          first-order optimality residual of a candidate
 * verify-variational finite-difference and duality diagnostics
 
-Every run writes `summary.json` into the output directory plus the
-command's own artifacts.  Outputs are pure functions of the config and
-flags: no timestamps, no environment data, and `--threads` never changes
-a byte.  It caps the threads of the Monte Carlo loop (default: the CPUs
+Each subparser carries its runner (`set_defaults(run=...)`).  A runner
+writes the command's own artifacts and returns its summary fields and
+artifact names; `main` alone writes `summary.json`, adding `command` and
+`outputs`.  Outputs are pure functions of the config and flags: no
+timestamps, no environment data, and `--threads` never changes a byte.
+It caps the threads of the Monte Carlo loop (default: the CPUs
 available to the process); with two or more, a large enough per-step draw
 is made on one worker thread ahead of the loop, and the draw is keyed by
 (seed, step) either way.  A value below 1, a negative `--seed`, or a
@@ -23,7 +25,8 @@ under one.
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical
 failure (no convergence, infeasible target, diverged paths, failed
 cross-check); 4 structural assumption violated (non-transversal hit,
-singular arc, parameters outside the supported regime).
+singular arc, parameters outside the supported regime).  Each toolkit
+error class declares its code (`errors`); any other ValueError exits 2.
 """
 
 from __future__ import annotations
@@ -37,16 +40,8 @@ from dataclasses import asdict
 from . import __version__
 from .bangbang import synthesize
 from .config import json_type, load_config, parse_policy, parse_portfolio_params, parse_problem
-from .errors import (
-    AssumptionViolationError,
-    DivergenceError,
-    InfeasibleError,
-    NonConvergenceError,
-    NumericalConsistencyError,
-    SingularArcError,
-    SpecValidationError,
-)
-from .output import fmt_float, svg_line_chart, write_csv, write_json, write_svg
+from .errors import MeanTauError, SpecValidationError
+from .output import svg_line_chart, write_csv, write_json, write_text_atomic
 from .portfolio import figure_columns, mc_validate, optimal_policy, solve_tau
 from .simulate import SimGrid, _available_cpus, simulate_ensemble, solve_mean_path
 from .smp import check_candidate
@@ -69,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, run, config_required=True):
+        p.set_defaults(run=run)
         p.add_argument(
             "--config",
             required=config_required,
@@ -86,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("simulate", help="simulate a path ensemble")
-    common(p)
+    common(p, _run_simulate)
     p.add_argument("--paths", type=int, default=1000, help="number of Monte Carlo paths")
     p.add_argument("--steps", type=int, default=1000, help="time steps over the horizon")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
@@ -98,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("mean", help="solve the mean flow and detect the hit")
-    common(p)
+    common(p, _run_mean)
     p.add_argument("--steps", type=int, default=4096, help="time steps over the horizon")
 
     p = sub.add_parser("portfolio", help="closed-form wealth-target policy")
-    common(p, config_required=False)
+    common(p, _run_portfolio, config_required=False)
     p.add_argument("--mc", action="store_true", help="run the Monte Carlo consistency check")
     p.add_argument("--paths", type=int, default=200_000, help="paths for --mc")
     p.add_argument("--dt", type=float, default=1.0 / 256.0, help="time step for --mc")
@@ -116,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("bangbang", help="synthesize the vertex policy")
-    common(p)
+    common(p, _run_bangbang)
     p.add_argument("--nodes", type=int, default=4096, help="switching grid nodes")
     p.add_argument("--max-iter", type=int, default=100, help="budget of tau passes")
     p.add_argument(
@@ -126,14 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("check-smp", help="first-order optimality residual")
-    common(p)
+    common(p, _run_check_smp)
     p.add_argument("--t-nodes", type=int, default=2048, help="time nodes of the check grid")
     p.add_argument("--u-samples", type=int, default=101, help="control samples per axis "
                    "(>= 2) of the certified lattice; the maximum is taken at a vertex")
     p.add_argument("--tol", type=float, default=1e-8, help="pass threshold on the residual")
 
     p = sub.add_parser("verify-variational", help="finite-difference diagnostics")
-    common(p)
+    common(p, _run_verify_variational)
     p.add_argument("--steps", type=int, default=40_000, help="mean-solve steps for the tau table")
     p.add_argument("--paths", type=int, default=256, help="paths for the state table")
     p.add_argument("--seed", type=int, default=0, help="noise seed for the state table")
@@ -149,14 +145,20 @@ def _load(args, policy=True):
     spec = parse_problem(_require(cfg, "problem"))
     if not policy:
         return cfg, spec
-    return cfg, spec, parse_policy(_require(cfg, "policy"), horizon=spec.horizon)
+    return cfg, spec, _load_policy(cfg, "policy", spec)
 
 
-def _write_summary(out_dir: str, payload: dict):
-    write_json(os.path.join(out_dir, "summary.json"), payload)
+def _load_policy(cfg: dict, key: str, spec):
+    """The `policy` or `direction` section, in the problem's horizon and control dimension."""
+    policy = parse_policy(_require(cfg, key), path=key, horizon=spec.horizon)
+    if policy.k != spec.dynamics.k:
+        raise SpecValidationError(
+            [f"{key}: control dimension {policy.k} != k={spec.dynamics.k}"]
+        )
+    return policy
 
 
-def _run_simulate(args) -> int:
+def _run_simulate(args):
     _, spec, policy = _load(args)
     grid = SimGrid(spec.horizon, args.steps)
     res = simulate_ensemble(
@@ -184,23 +186,20 @@ def _run_simulate(args) -> int:
     )
     write_csv(os.path.join(args.out, "ensemble.csv"), header, columns)
     summary = {
-        "command": "simulate",
         "n_paths": args.paths,
         "steps": args.steps,
         "seed": args.seed,
         "tau": res.tau,
         "case_label": res.case_label,
         "mean_terminal": res.mean_x[-1],
-        "outputs": ["ensemble.csv", "summary.json"],
     }
     if res.cost is not None:
         summary["cost"] = res.cost
         summary["cost_stderr"] = res.cost_stderr
-    _write_summary(args.out, summary)
-    return 0
+    return summary, ["ensemble.csv"]
 
 
-def _run_mean(args) -> int:
+def _run_mean(args):
     _, spec, policy = _load(args)
     grid = SimGrid(spec.horizon, args.steps)
     mp = solve_mean_path(spec, policy, grid)
@@ -209,20 +208,10 @@ def _run_mean(args) -> int:
     header = ["t"] + [f"mean_x_{i}" for i in range(m)] + ["mean_y"]
     columns = [ts] + [mp.mean_x[:, i] for i in range(m)] + [mp.mean_y]
     write_csv(os.path.join(args.out, "mean.csv"), header, columns)
-    _write_summary(
-        args.out,
-        {
-            "command": "mean",
-            "steps": args.steps,
-            "tau": mp.tau,
-            "case_label": mp.case_label,
-            "outputs": ["mean.csv", "summary.json"],
-        },
-    )
-    return 0
+    return {"steps": args.steps, "tau": mp.tau, "case_label": mp.case_label}, ["mean.csv"]
 
 
-def _run_portfolio(args) -> int:
+def _run_portfolio(args):
     params_obj = {}
     if args.config:
         params_obj = _require(load_config(args.config), "params")
@@ -254,27 +243,24 @@ def _run_portfolio(args) -> int:
         y_label="value",
         markers=(sol.t1, sol.t2),
     )
-    write_svg(os.path.join(args.out, "portfolio.svg"), svg)
+    write_text_atomic(os.path.join(args.out, "portfolio.svg"), svg)
     summary = {
-        "command": "portfolio",
         "params": asdict(params),
         "tau": sol.tau,
         "t1": sol.t1,
         "t2": sol.t2,
         "residual": sol.residual,
         "control_at_0": float(optimal_policy(params, sol).value(0.0)[0]),
-        "outputs": ["portfolio.csv", "portfolio.svg", "summary.json"],
     }
     if report is not None:
         # tau is the summary's own; the vol_pair fields are None without --vol-pair
         summary["mc"] = {
             k: v for k, v in asdict(report).items() if k != "tau" and v is not None
         }
-    _write_summary(args.out, summary)
-    return 0
+    return summary, ["portfolio.csv", "portfolio.svg"]
 
 
-def _run_bangbang(args) -> int:
+def _run_bangbang(args):
     _, spec = _load(args, policy=False)
     result = synthesize(
         spec, n_nodes=args.nodes, max_iter=args.max_iter, damping=args.damping
@@ -289,21 +275,16 @@ def _run_bangbang(args) -> int:
         "policy": {"segments": [asdict(s) for s in result.policy.segments]},
     }
     write_json(os.path.join(args.out, "policy.json"), payload)
-    _write_summary(
-        args.out,
-        {
-            "command": "bangbang",
-            "tau": result.tau,
-            "case_label": result.case_label,
-            "iterations": result.iterations,
-            "n_switches": [len(s) for s in result.switch_times],
-            "outputs": ["policy.json", "summary.json"],
-        },
-    )
-    return 0
+    summary = {
+        "tau": result.tau,
+        "case_label": result.case_label,
+        "iterations": result.iterations,
+        "n_switches": [len(s) for s in result.switch_times],
+    }
+    return summary, ["policy.json"]
 
 
-def _run_check_smp(args) -> int:
+def _run_check_smp(args):
     _, spec, policy = _load(args)
     report = check_candidate(
         spec,
@@ -313,25 +294,18 @@ def _run_check_smp(args) -> int:
         tol=args.tol,
     )
     write_json(os.path.join(args.out, "smp.json"), asdict(report))
-    _write_summary(
-        args.out,
-        {
-            "command": "check-smp",
-            "tau": report.tau,
-            "case_label": report.case_label,
-            "max_residual": report.max_residual,
-            "passed": report.passed,
-            "outputs": ["smp.json", "summary.json"],
-        },
-    )
-    return 0
+    summary = {
+        "tau": report.tau,
+        "case_label": report.case_label,
+        "max_residual": report.max_residual,
+        "passed": report.passed,
+    }
+    return summary, ["smp.json"]
 
 
-def _run_verify_variational(args) -> int:
+def _run_verify_variational(args):
     cfg, spec, policy = _load(args)
-    direction = parse_policy(
-        _require(cfg, "direction"), path="direction", horizon=spec.horizon
-    )
+    direction = _load_policy(cfg, "direction", spec)
     rhos = cfg.get("rhos", [1e-2, 1e-3, 1e-4])
     if not isinstance(rhos, list) or not rhos:
         raise SpecValidationError(["rhos: expected a non-empty list of step sizes"])
@@ -365,17 +339,12 @@ def _run_verify_variational(args) -> int:
         )
         payload["state_table"] = [asdict(r) for r in rows]
     write_json(os.path.join(args.out, "variational.json"), payload)
-    _write_summary(
-        args.out,
-        {
-            "command": "verify-variational",
-            "tau": deriv.tau,
-            "case_label": deriv.case_label,
-            "tau_derivative": deriv.value,
-            "outputs": ["variational.json", "summary.json"],
-        },
-    )
-    return 0
+    summary = {
+        "tau": deriv.tau,
+        "case_label": deriv.case_label,
+        "tau_derivative": deriv.value,
+    }
+    return summary, ["variational.json"]
 
 
 def _require(cfg: dict, key: str) -> dict:
@@ -386,29 +355,11 @@ def _require(cfg: dict, key: str) -> dict:
     return cfg[key]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "mean": _run_mean,
-    "portfolio": _run_portfolio,
-    "bangbang": _run_bangbang,
-    "check-smp": _run_check_smp,
-    "verify-variational": _run_verify_variational,
-}
-
-
-def _diagnostic(exc: Exception) -> str:
-    info = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, SpecValidationError):
-        info["violations"] = exc.violations
-    if isinstance(exc, NonConvergenceError):
-        info["cycle"] = exc.cycle
-        info["history_tail"] = [fmt_float(h) for h in exc.history[-5:]]
-    if isinstance(exc, DivergenceError):
-        info["step"] = exc.step
-        info["path"] = exc.path
-    if isinstance(exc, SingularArcError):
-        info["component"] = exc.component
-    return json.dumps(info, sort_keys=True)
+def _fail(exc: Exception, exit_code: int, fields: dict) -> int:
+    """Print the one-line JSON diagnostic of `exc` to stderr and return its exit code."""
+    info = {"error": type(exc).__name__, "message": str(exc), **fields}
+    print(json.dumps(info, sort_keys=True), file=sys.stderr)
+    return exit_code
 
 
 def main(argv=None) -> int:
@@ -429,21 +380,16 @@ def main(argv=None) -> int:
             raise ValueError(
                 f"--out {args.out!r}: cannot make the directory ({exc.strerror})"
             ) from exc
-        return _RUNNERS[args.command](args)
-    except (SpecValidationError, ValueError) as exc:
-        print(_diagnostic(exc), file=sys.stderr)
-        return 2
-    except (
-        NonConvergenceError,
-        InfeasibleError,
-        DivergenceError,
-        NumericalConsistencyError,
-    ) as exc:
-        print(_diagnostic(exc), file=sys.stderr)
-        return 3
-    except AssumptionViolationError as exc:
-        print(_diagnostic(exc), file=sys.stderr)
-        return 4
+        summary, artifacts = args.run(args)
+        write_json(
+            os.path.join(args.out, "summary.json"),
+            {"command": args.command, **summary, "outputs": [*artifacts, "summary.json"]},
+        )
+    except MeanTauError as exc:
+        return _fail(exc, exc.exit_code, exc.diagnostic_fields())
+    except ValueError as exc:
+        return _fail(exc, 2, {})
+    return 0
 
 
 if __name__ == "__main__":

@@ -7,11 +7,15 @@ and the portfolio `params` are built by `_build`, whose keys are the
 fields of the dataclass it builds.  Parsing reports every structural
 problem with the dotted path of the offending field, then defers the
 numeric cross-checks (shapes, symmetry, box order) to `validate`.
+Every number they read must be a finite float: Python's json accepts NaN,
+Infinity and -Infinity, reads 1e999 as inf and keeps an integer of any
+size, and `_get` reports each such number with its dotted path.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, fields
 
 from .errors import SpecValidationError
@@ -66,20 +70,37 @@ def json_type(val) -> str:
     return next(name for kind, name in _JSON_TYPES if isinstance(val, kind))
 
 
+def _nonfinite(val, path: str):
+    """(path, value) of each number outside the finite floats, in a number or a nested list.
+
+    The comparison holds for no NaN or infinity, and for no integer too
+    large to become a float.
+    """
+    if isinstance(val, list):
+        return [bad for i, v in enumerate(val) for bad in _nonfinite(v, f"{path}[{i}]")]
+    if isinstance(val, (int, float)) and not -sys.float_info.max <= val <= sys.float_info.max:
+        return [(path, val)]
+    return []
+
+
 def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=None):
     if key not in obj:
         if required:
             raise SpecValidationError([f"{path}.{key}: missing required field"])
         return default
     val = obj[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if not isinstance(val, kind):
+    if not (isinstance(val, kind) or kind is float and json_type(val) == "number"):
         # kind() is the empty value of the expected type, which json_type names
         raise SpecValidationError(
             [f"{path}.{key}: expected {json_type(kind())}, got {json_type(val)}"]
         )
-    return val
+    bad = _nonfinite(val, f"{path}.{key}")
+    if bad:
+        # json.dumps spells a value as the config does: NaN, Infinity, -Infinity
+        raise SpecValidationError(
+            [f"{p}: expected a finite number, got {json.dumps(v)}" for p, v in bad]
+        )
+    return float(val) if kind is float else val
 
 
 def _build(cls, obj: dict, path: str, arrays=(), section: str = ""):

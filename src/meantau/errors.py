@@ -1,11 +1,15 @@
 """Exception types shared across the toolkit.
 
-The command-line layer maps these onto process exit codes: invalid input
-data exits with 2, numerical failures (non-convergence, infeasibility,
-divergence, cross-check disagreement) with 3, and violated structural
-assumptions (flat target slope, singular switching arcs, analysis regime
-left) with 4.
+Each class declares the process exit code of the command-line interface
+(`exit_code`) and the fields its one-line JSON diagnostic adds to the
+error name and message (`diagnostic_fields`); `cli.main` reads both.
+Invalid input data exits with 2, numerical failures (non-convergence,
+infeasibility, divergence, cross-check disagreement) with 3, and violated
+structural assumptions (flat target slope, singular switching arcs,
+analysis regime left) with 4.
 """
+
+from .output import fmt_float
 
 __all__ = [
     "MeanTauError",
@@ -21,7 +25,12 @@ __all__ = [
 
 
 class MeanTauError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; a direct instance exits 1."""
+
+    exit_code = 1
+
+    def diagnostic_fields(self) -> dict:
+        return {}
 
 
 class SpecValidationError(MeanTauError):
@@ -31,28 +40,42 @@ class SpecValidationError(MeanTauError):
     with a dotted path.
     """
 
+    exit_code = 2
+
     def __init__(self, violations):
         if isinstance(violations, str):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
+    def diagnostic_fields(self) -> dict:
+        return {"violations": self.violations}
+
 
 class NonConvergenceError(MeanTauError):
     """An iterative solve exceeded its budget without meeting tolerance."""
+
+    exit_code = 3
 
     def __init__(self, message, history=None, cycle=False):
         super().__init__(message)
         self.history = list(history) if history is not None else []
         self.cycle = cycle
 
+    def diagnostic_fields(self) -> dict:
+        return {"cycle": self.cycle, "history_tail": [fmt_float(h) for h in self.history[-5:]]}
+
 
 class InfeasibleError(MeanTauError):
     """The mean target level is never reached within the horizon."""
 
+    exit_code = 3
+
 
 class DivergenceError(MeanTauError):
     """A simulated path, or a mean solve (path None), left the representable range."""
+
+    exit_code = 3
 
     def __init__(self, step, path):
         if path is None:
@@ -63,13 +86,20 @@ class DivergenceError(MeanTauError):
         self.step = step
         self.path = path
 
+    def diagnostic_fields(self) -> dict:
+        return {"step": self.step, "path": self.path}
+
 
 class NumericalConsistencyError(MeanTauError):
     """Two independent computations of the same quantity disagree."""
 
+    exit_code = 3
+
 
 class AssumptionViolationError(MeanTauError):
     """A structural assumption of the optimality theory fails to hold."""
+
+    exit_code = 4
 
 
 class SingularArcError(AssumptionViolationError):
@@ -80,6 +110,9 @@ class SingularArcError(AssumptionViolationError):
             f"switching component {component} is identically zero (singular arc)"
         )
         self.component = component
+
+    def diagnostic_fields(self) -> dict:
+        return {"component": self.component}
 
 
 class RegimeError(AssumptionViolationError):

@@ -23,7 +23,6 @@ __all__ = [
     "write_text_atomic",
     "write_csv",
     "write_json",
-    "write_svg",
     "svg_line_chart",
     "json_sanitize",
 ]
@@ -229,7 +228,3 @@ def svg_line_chart(
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_svg(path: str, svg_text: str):
-    write_text_atomic(path, svg_text)

@@ -433,8 +433,8 @@ SECTIONS = {
 _SYMMETRIC = ("cost.Lambda", "cost.psi_quad")
 
 
-def validate(spec: ProblemSpec, policy=None) -> ValidationReport:
-    """Check dimensions, symmetry, ordering, and partition structure.
+def validate(spec: ProblemSpec) -> ValidationReport:
+    """Check dimensions, symmetry and ordering.
 
     Returns every violation found, each tagged with the dotted path of
     the offending field.
@@ -472,10 +472,5 @@ def validate(spec: ProblemSpec, policy=None) -> ValidationReport:
         v.append(f"horizon: must be positive, got {spec.horizon}")
     if spec.eps_regularize < 0:
         v.append(f"eps_regularize: must be >= 0, got {spec.eps_regularize}")
-
-    if policy is not None:
-        v.extend(policy.check(horizon=spec.horizon))
-        if policy.k != k:
-            v.append(f"policy: control dimension {policy.k} != k={k}")
 
     return ValidationReport(ok=not v, violations=v)

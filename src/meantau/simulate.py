@@ -17,7 +17,9 @@ caller that needs only tau solves the mean path only up to that hit
 doubling it until a node has E[Y] <= 0 or the grid ends.  A node of the
 doubling scan depends only on earlier nodes, and a row of a numpy matrix
 product does not depend on the row count, so the nodes it returns, and
-tau, are those of the full solve bit for bit.
+tau, are those of the full solve bit for bit.  The first-order data at
+the hit, the mean state at tau itself and the integrated response to a
+control direction, come from `mean_at_tau`.
 
 Every path ensemble goes through one explicit Euler-Maruyama time loop
 whose columns share each step's noise draw.  Noise for step j comes from
@@ -72,6 +74,7 @@ __all__ = [
     "MeanPath",
     "solve_mean_path",
     "hit_time",
+    "mean_at_tau",
     "detect_min_time",
     "simulate_ensemble",
     "estimate_cost",
@@ -365,6 +368,27 @@ def hit_time(spec: ProblemSpec, policy, grid: SimGrid):
     m = spec.dynamics.m
     y = _joint_solve(spec, policy, times, stop_row=m)[:, m]
     return _first_hit(y, times, grid.horizon)
+
+
+def mean_at_tau(spec: ProblemSpec, policy, direction, tau: float, grid: SimGrid):
+    """(E[X](tau), int_0^tau response dt): the mean state at the hit and the
+    mean target's response to `direction` integrated up to it.
+
+    The joint mean is solved through the nodes of `grid` before tau, then
+    to tau itself.  The response is the last row of the same system,
+    started at 0 and driven by `direction` alone; it is 0.0 when
+    `direction` is None.
+    """
+    times = grid.times()
+    times = np.append(times[times < tau - 1e-15], tau)
+    M, F, c0 = _joint_matrices(spec.dynamics, spec.target, 0.0)
+    z0 = np.concatenate([spec.dynamics.x0, [spec.target.y0]])
+    mean_x_tau = _affine_path(M, F, c0, policy, times, z0)[-1, : spec.dynamics.m]
+    if direction is None:
+        return mean_x_tau, 0.0
+    w0 = np.zeros(spec.dynamics.m + 1)
+    resp = _affine_path(M, F, np.zeros_like(c0), direction, times, w0)[-1, -1]
+    return mean_x_tau, float(resp)
 
 
 # ---------------------------------------------------------------------------

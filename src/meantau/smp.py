@@ -34,8 +34,7 @@ from .adjoint import (
     target_slope_at_tau,
 )
 from .problem import CostSpec, LinearDynamics, ProblemSpec
-from .simulate import SimGrid, hit_time
-from .variational import _mean_and_response_at_tau
+from .simulate import SimGrid, hit_time, mean_at_tau
 
 __all__ = [
     "terminal_cost_drift",
@@ -169,7 +168,7 @@ def check_candidate(
 
     grid = SimGrid(tau, t_grid_size)
     times = grid.times()
-    mean_x_tau, _ = _mean_and_response_at_tau(spec, policy, None, tau, grid)
+    mean_x_tau, _ = mean_at_tau(spec, policy, None, tau, grid)
     adj = solve_adjoints(spec, tau, grid, mean_x_tau)
 
     u_bar = np.atleast_2d(policy.values(times, side=+1))

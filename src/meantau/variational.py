@@ -35,14 +35,7 @@ import numpy as np
 from ._scipy import quad
 from .adjoint import khat_evaluator, target_slope_at_tau
 from .problem import ProblemSpec, ValidationReport, perturbed_policy
-from .simulate import (
-    SimGrid,
-    _affine_path,
-    _Column,
-    _joint_matrices,
-    _run_columns,
-    hit_time,
-)
+from .simulate import SimGrid, _affine_path, _Column, _run_columns, hit_time, mean_at_tau
 
 __all__ = [
     "PerturbationSpec",
@@ -239,22 +232,6 @@ def fd_state_check(
     return rows
 
 
-def _mean_and_response_at_tau(spec: ProblemSpec, policy, direction, tau: float, grid: SimGrid):
-    """Exact-to-tau integration of the mean state and of int_0^tau response dt."""
-    times = grid.times()
-    cut = times[times < tau - 1e-15]
-    times2 = np.append(cut, tau)
-    M, F, c0 = _joint_matrices(spec.dynamics, spec.target, 0.0)
-    z0 = np.concatenate([spec.dynamics.x0, [spec.target.y0]])
-    mean_x_tau = _affine_path(M, F, c0, policy, times2, z0)[-1, : spec.dynamics.m]
-    w0 = np.zeros(spec.dynamics.m + 1)
-    if direction is not None:
-        resp = _affine_path(M, F, np.zeros_like(c0), direction, times2, w0)[-1, -1]
-    else:
-        resp = 0.0
-    return mean_x_tau, float(resp)
-
-
 @dataclass
 class TauDerivative:
     """Derivative of the capped hitting time along a direction.
@@ -275,11 +252,17 @@ class TauDerivative:
 def hit_time_derivative(
     spec: ProblemSpec, policy, direction, grid: SimGrid
 ) -> TauDerivative:
-    """Closed-form directional derivative (tau - tau^rho)/rho -> value."""
+    """Closed-form directional derivative (tau - tau^rho)/rho -> value.
+
+    The one route to tau, its label, the terminal slope and the response
+    integral.  A `direction` of None has response 0, for a caller that
+    needs only the hit and its slope.  A non-transversal interior hit
+    raises AssumptionViolationError from `target_slope_at_tau`.
+    """
     tau, label = hit_time(spec, policy, grid)
     if label != "i" or tau <= 0.0:
         return TauDerivative(tau, label, float("nan"), float("nan"), 0.0)
-    mean_x_tau, resp = _mean_and_response_at_tau(spec, policy, direction, tau, grid)
+    mean_x_tau, resp = mean_at_tau(spec, policy, direction, tau, grid)
     u_tau = policy.value(tau, side=-1)
     slope = target_slope_at_tau(
         spec.target,
@@ -357,19 +340,15 @@ def dual_identity_check(
     The left side integrates the sensitivity-mean system to tau at 4th
     order; the right side pairs the closed-form time adjoint with the
     direction through adaptive quadrature split at direction breakpoints.
-    Requires an interior hit.  `derivative`, the `hit_time_derivative` of
-    the same inputs, supplies tau, the case label and the response
-    integral instead of solving for them again.
+    Requires an interior hit.  `derivative` is the `hit_time_derivative`
+    of the same inputs, which supplies tau, the case label and the
+    response integral; it is computed here when not given.
     """
     if derivative is None:
-        tau, label = hit_time(spec, policy, grid)
-        lhs = None
-    else:
-        tau, label, lhs = derivative.tau, derivative.case_label, derivative.response_integral
+        derivative = hit_time_derivative(spec, policy, direction, grid)
+    tau, label, lhs = derivative.tau, derivative.case_label, derivative.response_integral
     if label != "i" or tau <= 0.0:
         raise ValueError(f"duality check needs an interior hit, got case {label}")
-    if lhs is None:
-        _, lhs = _mean_and_response_at_tau(spec, policy, direction, tau, grid)
 
     khat = khat_evaluator(spec.dynamics, spec.target, tau)
 

@@ -236,12 +236,15 @@ def test_solve_time_adjoint_keeps_the_route_gap():
     assert 0.0 < sol.cross_check_gap < 1e-6 * max(1.0, float(np.max(np.abs(sol.p0))))
 
 
-def test_grid_ending_before_tau_adds_the_lead():
+@pytest.mark.parametrize("horizon", [1.3, 2.5])
+def test_a_grid_that_does_not_end_at_tau_is_rejected(horizon):
+    # a shorter grid would otherwise anchor the adjoint at its own end
     spec = scalar_spec(a=0.7)
-    grid = SimGrid(1.3, 16)
-    on_grid = time_adjoint_closed_form(spec.dynamics, spec.target, 2.0, grid)
-    per_node = time_adjoint_closed_form(spec.dynamics, spec.target, 2.0, grid.times())
-    np.testing.assert_allclose(on_grid, per_node, rtol=0.0, atol=1e-13)
+    grid = SimGrid(horizon, 16)
+    with pytest.raises(ValueError, match="must end at tau"):
+        time_adjoint_closed_form(spec.dynamics, spec.target, 2.0, grid)
+    with pytest.raises(ValueError, match="must end at tau"):
+        solve_cost_adjoint(spec.dynamics, spec.cost, 2.0, grid, spec.dynamics.x0)
 
 
 # Randomized systems for the grid route: m in {1, 2, 3}, entries in [-2, 2]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from meantau import errors
 from meantau.cli import main
 from meantau.config import parse_portfolio_params
 from meantau.portfolio import mc_validate
@@ -732,3 +733,130 @@ def test_check_smp_at_the_level_writes_an_empty_witness(tmp_path):
     assert smp["tau"] == 0.0
     assert smp["witness_u"] == []
     assert smp["variants"] == {}
+
+
+TWO_STATE = str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json")
+SEGMENTED = {"segments": [{"t_start": 0.0, "t_end": 6.0, "gamma0": [0.8]}]}
+
+
+@pytest.mark.parametrize(
+    "command, config, keys, literal, violation",
+    [
+        # a scalar field, an array entry, a policy segment entry, a portfolio param
+        ("check-smp", SCALAR, ["problem", "cost", "kappa"], "NaN",
+         "problem.cost.kappa: expected a finite number, got NaN"),
+        ("mean", SCALAR, ["problem", "dynamics", "A", 0, 0], "NaN",
+         "problem.dynamics.A[0][0]: expected a finite number, got NaN"),
+        ("simulate", SCALAR, ["policy", "segments", 0, "gamma0", 0], "-Infinity",
+         "policy.segments[0].gamma0[0]: expected a finite number, got -Infinity"),
+        ("portfolio", str(EXAMPLES / "portfolio.json"), ["params", "beta"], "Infinity",
+         "params.beta: expected a finite number, got Infinity"),
+        # json reads a number past the float range as inf
+        ("verify-variational", SCALAR, ["problem", "horizon"], "1e999",
+         "problem.horizon: expected a finite number, got Infinity"),
+        # and an integer that no float can hold
+        ("mean", SCALAR, ["problem", "dynamics", "x0", 0], "1" + "0" * 400,
+         "problem.dynamics.x0[0]: expected a finite number, got 1" + "0" * 400),
+    ],
+    ids=["scalar-field", "array-entry", "policy-segment-entry", "portfolio-param", "1e999",
+         "huge-integer"],
+)
+def test_exit_2_naming_a_non_finite_number(tmp_path, capsys, command, config, keys, literal,
+                                           violation):
+    cfg = load_json(config)
+    if "policy" in cfg:
+        cfg["policy"] = SEGMENTED
+    obj = cfg
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = "NONFINITE"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"NONFINITE"', literal))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    assert_exit_2_naming(code, capsys, [violation], out)
+
+
+@pytest.mark.parametrize("command", ["mean", "simulate", "check-smp", "verify-variational"])
+@pytest.mark.parametrize(
+    "config, k, value",
+    [(SCALAR, 1, [0.8, 0.8]), (TWO_STATE, 2, [0.8])],
+    ids=["scalar", "two_state"],
+)
+def test_exit_2_naming_a_policy_of_the_wrong_control_dimension(tmp_path, capsys, command,
+                                                               config, k, value):
+    cfg = load_json(config)
+    cfg["policy"] = {"constant": value}
+    out = tmp_path / "out"
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert_exit_2_naming(code, capsys, [f"policy: control dimension {len(value)} != k={k}"], out)
+
+
+@pytest.mark.parametrize(
+    "command, sizes",
+    [
+        ("mean", ["--steps", "64"]),
+        ("simulate", ["--steps", "64", "--paths", "8"]),
+        ("check-smp", ["--t-nodes", "64"]),
+        ("verify-variational", ["--steps", "64", "--skip-state"]),
+    ],
+    ids=["mean", "simulate", "check-smp", "verify-variational"],
+)
+def test_a_direction_of_the_wrong_control_dimension_exits_2_where_it_is_read(
+    tmp_path, capsys, command, sizes
+):
+    # only verify-variational reads the direction; the other commands ignore the section
+    cfg = load_json(SCALAR)
+    cfg["direction"] = {"constant": [0.1, 0.1]}
+    out = tmp_path / "out"
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)] + sizes)
+    if command == "verify-variational":
+        assert_exit_2_naming(code, capsys, ["direction: control dimension 2 != k=1"], out)
+    else:
+        assert code == 0
+        assert read_summary(out)["command"] == command
+
+
+@pytest.mark.parametrize(
+    "params, code, error",
+    [({"horizon": 2.0}, 3, "InfeasibleError"), ({"beta": 5.0}, 4, "RegimeError")],
+    ids=["horizon-2", "beta-5"],
+)
+def test_portfolio_failures_exit_with_the_code_of_their_error_class(tmp_path, capsys, params,
+                                                                     code, error):
+    out = tmp_path / "out"
+    assert main(["portfolio", "--config", write_cfg(tmp_path, {"params": params}),
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+    assert not any(out.iterdir())
+
+
+# the mapping that the errors docstring and the README's "Exit codes" state
+EXIT_CODES = {
+    "SpecValidationError": 2,
+    "NonConvergenceError": 3,
+    "InfeasibleError": 3,
+    "DivergenceError": 3,
+    "NumericalConsistencyError": 3,
+    "AssumptionViolationError": 4,
+    "SingularArcError": 4,
+    "RegimeError": 4,
+}
+
+
+def test_each_error_class_declares_its_documented_exit_code():
+    assert set(EXIT_CODES) == set(errors.__all__) - {"MeanTauError"}
+    for name, code in EXIT_CODES.items():
+        assert getattr(errors, name).exit_code == code, name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = " ".join(errors.__doc__.lower().split())
+    for text, phrases in (
+        (" ".join(readme.split()), ("`2` invalid config", "`3` numerical failure",
+                                    "`4` structural assumption")),
+        (doc, ("invalid input data exits with 2", "numerical failures", "with 3",
+               "violated structural assumptions", "with 4")),
+    ):
+        for phrase in phrases:
+            assert phrase in text, phrase

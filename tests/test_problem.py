@@ -265,14 +265,6 @@ def test_validate_flags_asymmetric_quadratic_weights():
     assert any("psi_quad" in v and "symmetric" in v for v in report.violations)
 
 
-def test_validate_collects_policy_violations():
-    spec = scalar_spec()
-    policy = ControlPolicy([ControlSegment(0.0, 5.0, [1.0, 2.0])])
-    report = validate(spec, policy)
-    assert not report.ok
-    assert any("control dimension" in v for v in report.violations)
-
-
 def test_require_valid_raises_with_paths():
     spec = scalar_spec(horizon=-1.0)
     with pytest.raises(SpecValidationError) as err:

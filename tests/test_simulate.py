@@ -166,7 +166,7 @@ def _entries(shape):
 )
 def test_prefix_scan_matches_the_step_loop(data, p, k, n, horizon, route):
     # random systems and piecewise policies; "cut_at_tau" builds the times
-    # as _mean_and_response_at_tau does, "backward" drives a constant
+    # as mean_at_tau does, "backward" drives a constant
     # forcing without a policy, as the backward adjoint route does
     M, c0, z0 = data.draw(_entries((p, p))), data.draw(_entries(p)), data.draw(_entries(p))
     times = SimGrid(horizon, n).times()

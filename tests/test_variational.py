@@ -17,7 +17,7 @@ from helpers import (
 )
 from meantau import simulate, variational
 from meantau.config import load_config, parse_policy, parse_problem
-from meantau.errors import DivergenceError
+from meantau.errors import AssumptionViolationError, DivergenceError
 from meantau.problem import (
     ControlPolicy,
     ControlSet,
@@ -147,6 +147,28 @@ def test_hit_time_derivative_at_the_cap_is_zero():
     for row in report.rows:
         assert row.quotient == 0.0
         assert row.abs_gap == 0.0
+
+
+def test_hit_time_derivative_without_a_direction_keeps_the_hit_and_slope():
+    spec = scalar_spec(a=0.3, b=1.0, e2=-1.0, e4=0.4, y0=2.0, horizon=6.0)
+    grid = SimGrid(6.0, 3000)
+    policy = ControlPolicy.constant([0.8], 6.0)
+    full = hit_time_derivative(spec, policy, ControlPolicy.constant([0.5], 6.0), grid)
+    bare = hit_time_derivative(spec, policy, None, grid)
+    assert (bare.tau, bare.case_label, bare.slope_at_tau) == (
+        full.tau, full.case_label, full.slope_at_tau
+    )
+    assert bare.response_integral == 0.0 and bare.value == 0.0
+
+
+def test_dual_identity_without_a_derivative_rejects_a_flat_slope():
+    # E[X] = e^{-t} drives the mean target down to a graze at t ~ 19, where
+    # its slope -e^{-t} lies within the transversality floor
+    spec = scalar_spec(a=-1.0, b=0.0, d_coef=0.0, e4=0.0, y0=0.9999999943972036,
+                       lower=0.0, upper=1.0, horizon=25.0)
+    policy = ControlPolicy.constant([0.5], 25.0)
+    with pytest.raises(AssumptionViolationError):
+        dual_identity_check(spec, policy, ControlPolicy.constant([0.1], 25.0), SimGrid(25.0, 4000))
 
 
 def test_dual_identity_on_scalar_problem():
