@@ -21,7 +21,6 @@ independent backward 4th-order integration and keeps the gap.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +49,9 @@ __all__ = [
     "khat_evaluator",
     "target_slope_at_tau",
 ]
+
+# A hit whose mean target slope is this close to zero is not transversal.
+_SLOPE_FLOOR = 1e-8
 
 
 def _augmented(A: np.ndarray) -> np.ndarray:
@@ -269,30 +271,19 @@ def target_slope_at_tau(
     dynamics: LinearDynamics,
     mean_x_tau,
     mean_u_tau,
-    eps: float = 1e-8,
-    eps_regularize: float = 0.0,
 ) -> float:
     """Slope of the mean target at tau: (E1+E2+E3A).E[X](tau) + (E3B+E4).u(tau).
 
     This scalar is the single source of truth for every denominator that
-    divides by the terminal target slope.  |slope| <= eps with no
-    regularization active raises AssumptionViolationError (the hit is not
-    transversal); with regularization the regularized slope is returned
-    and a warning records the flag.
+    divides by the terminal target slope.  |slope| <= `_SLOPE_FLOOR`
+    raises AssumptionViolationError: the hit is not transversal.
     """
     row_x = target_state_row(target, dynamics)
     row_u = target_control_row(target, dynamics)
     g = float(row_x @ np.asarray(mean_x_tau, dtype=float))
     g += float(row_u @ np.atleast_1d(np.asarray(mean_u_tau, dtype=float)))
-    g += eps_regularize
-    if abs(g) <= eps:
-        if eps_regularize == 0.0:
-            raise AssumptionViolationError(
-                f"target slope at tau is {g:.3e}, within {eps:g} of zero"
-            )
-        warnings.warn(
-            f"target slope at tau is {g:.3e} despite regularization {eps_regularize:g}",
-            RuntimeWarning,
-            stacklevel=2,
+    if abs(g) <= _SLOPE_FLOOR:
+        raise AssumptionViolationError(
+            f"target slope at tau is {g:.3e}, within {_SLOPE_FLOOR:g} of zero"
         )
     return g

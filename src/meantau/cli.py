@@ -306,7 +306,7 @@ def _run_check_smp(args):
 def _run_verify_variational(args):
     cfg, spec, policy = _load(args)
     direction = _load_policy(cfg, "direction", spec)
-    rhos = cfg.get("rhos", [1e-2, 1e-3, 1e-4])
+    rhos = cfg.get("rhos", list(PerturbationSpec.rhos))
     if not isinstance(rhos, list) or not rhos:
         raise SpecValidationError(["rhos: expected a non-empty list of step sizes"])
     bad = _rho_violations(rhos)
@@ -390,7 +390,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail(exc, 2, {})
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -27,7 +27,7 @@ __all__ = ["load_config", "parse_problem", "parse_policy", "parse_portfolio_para
 # The keys of the objects that no dataclass declares: the top level and
 # the two forms of a policy, told apart by their first key.
 TOP_LEVEL_KEYS = ("problem", "policy", "direction", "rhos", "params")
-POLICY_FORMS = (("constant", "horizon"), ("segments",))
+POLICY_FORMS = (("constant",), ("segments",))
 _SEGMENT_ARRAYS = ("gamma0", "gamma1", "gamma2")
 
 
@@ -138,31 +138,51 @@ def parse_problem(obj: dict, path: str = "problem") -> ProblemSpec:
     return spec
 
 
-def parse_policy(obj: dict, path: str = "policy", horizon: float = None) -> ControlPolicy:
-    """Accepts {"constant": [...]} (horizon taken from the problem) or
-    {"segments": [{t_start, t_end, gamma0, gamma1, gamma2}, ...]}."""
+def _check_controls(val, path: str):
+    """Report each entry of the control list `val` at `path` that is not a number.
+
+    A control list is the schema's `vector`, a flat array of numbers, so a
+    nested array is reported here too.  A `val` that is not a list is left
+    for `_get` to report.
+    """
+    if isinstance(val, list):
+        bad = [
+            f"{path}[{i}]: expected number, got {json_type(v)}"
+            for i, v in enumerate(val)
+            if json_type(v) != "number"
+        ]
+        if bad:
+            raise SpecValidationError(bad)
+
+
+def parse_policy(obj: dict, horizon: float, path: str = "policy") -> ControlPolicy:
+    """The policy at `path` on [0, horizon], the problem's horizon.
+
+    Accepts {"constant": [...]}, one segment that spans the horizon, or
+    {"segments": [{t_start, t_end, gamma0, gamma1, gamma2}, ...]}, which
+    must tile it.  Every control list must be a flat array of numbers.
+    """
     constant, segmented = POLICY_FORMS
     if "constant" in obj:
         _check_keys(obj, constant, path)
         value = _get(obj, "constant", path, list)
-        h = _get(obj, "horizon", path, float, required=False, default=horizon)
-        if h is None:
-            raise SpecValidationError(
-                [f"{path}.horizon: required when no problem horizon is available"]
-            )
-        return ControlPolicy.constant(value, h)
-    _check_keys(obj, segmented, path)
-    seg_list = _get(obj, "segments", path, list)
-    if not seg_list:
-        raise SpecValidationError([f"{path}.segments: must be a non-empty list"])
+        _check_controls(value, f"{path}.constant")
+        seg_list = [{"t_start": 0.0, "t_end": horizon, "gamma0": value}]
+    else:
+        _check_keys(obj, segmented, path)
+        seg_list = _get(obj, "segments", path, list)
+        if not seg_list:
+            raise SpecValidationError([f"{path}.segments: must be a non-empty list"])
     segments = []
     for i, seg in enumerate(seg_list):
         q = f"{path}.segments[{i}]"
         if not isinstance(seg, dict):
             raise SpecValidationError([f"{q}: expected object, got {json_type(seg)}"])
+        for key in _SEGMENT_ARRAYS:
+            _check_controls(seg.get(key), f"{q}.{key}")
         segments.append(_build(ControlSegment, seg, q, _SEGMENT_ARRAYS))
     policy = ControlPolicy(segments)
-    bad = policy.check(horizon=horizon, path=path)
+    bad = policy.check(horizon, path)
     if bad:
         raise SpecValidationError(bad)
     return policy

@@ -25,7 +25,7 @@ against that table and `config` reads the declared arrays as lists.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -52,11 +52,8 @@ __all__ = [
 ]
 
 
-def _vector(x, n=None) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    if n is not None and a.shape != (n,):
-        a = a.reshape(n)
-    return a
+def _vector(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def _matrix(x) -> np.ndarray:
@@ -79,9 +76,10 @@ class LinearDynamics:
         Control coefficients of the diffusion.
     x0 : (m,) array
         Initial state.
-    m, k, d : int, optional
-        Declared dimensions, kept as attributes; inferred from the arrays
-        when omitted.  `validate` cross-checks every array against them.
+
+    The dimensions are read off the arrays and kept as attributes: m rows
+    of A, k columns of B and d matrices in C.  `validate` checks every
+    other array against them.
     """
 
     A: np.ndarray
@@ -89,16 +87,13 @@ class LinearDynamics:
     C: Sequence[np.ndarray]
     D: Sequence[np.ndarray]
     x0: np.ndarray
-    m: InitVar[Optional[int]] = None
-    k: InitVar[Optional[int]] = None
-    d: InitVar[Optional[int]] = None
 
-    def __post_init__(self, m, k, d):
+    def __post_init__(self):
         self.A = _matrix(self.A)
         self.B = _matrix(self.B)
         self.x0 = _vector(self.x0)
-        self.m = self.A.shape[0] if m is None else m
-        self.k = (self.B.shape[1] if self.B.ndim == 2 else 1) if k is None else k
+        self.m = self.A.shape[0]
+        self.k = self.B.shape[1] if self.B.ndim == 2 else 1
         self.C = np.asarray([_matrix(c) for c in self.C], dtype=float)
         self.D = np.asarray([_matrix(dm) for dm in self.D], dtype=float)
         # no noise channel (d = 0): empty stacks of (m, m) and (m, k) matrices
@@ -106,7 +101,7 @@ class LinearDynamics:
             self.C = self.C.reshape(0, self.m, self.m)
         if len(self.D) == 0:
             self.D = self.D.reshape(0, self.m, self.k)
-        self.d = len(self.C) if d is None else d
+        self.d = len(self.C)
 
     # Path-space evaluators.  X has one row per path; u is deterministic.
     def drift(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -286,7 +281,7 @@ class ControlPolicy:
         """All segment boundaries, including 0 and the horizon."""
         return np.concatenate([self._starts, self._ends[-1:]])
 
-    def check(self, horizon: Optional[float] = None, path: str = "policy"):
+    def check(self, horizon: float, path: str = "policy"):
         """Collect partition violations as dotted-path strings."""
         out = []
         if self._starts[0] != 0.0:
@@ -296,7 +291,7 @@ class ControlPolicy:
                 out.append(f"{path}.segments[{i}]: t_end must exceed t_start")
             if i and self._starts[i] != self._ends[i - 1]:
                 out.append(f"{path}.segments[{i}].t_start: gap or overlap at {self._starts[i]}")
-        if horizon is not None and self._ends[-1] != horizon:
+        if self._ends[-1] != horizon:
             out.append(
                 f"{path}.segments[-1].t_end: must equal horizon {horizon}, got {self._ends[-1]}"
             )
@@ -405,11 +400,9 @@ class ProblemSpec:
     cost: CostSpec
     control_set: ControlSet
     horizon: float
-    eps_regularize: float = 0.0
 
     def __post_init__(self):
         self.horizon = float(self.horizon)
-        self.eps_regularize = float(self.eps_regularize)
 
     def require_valid(self):
         report = validate(self)
@@ -443,10 +436,8 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
     m, k, d = dyn.m, dyn.k, dyn.d
     for name, val in (("dynamics.m", m), ("dynamics.k", k)):
-        if not (isinstance(val, (int, np.integer)) and val >= 1):
+        if not val >= 1:
             v.append(f"{name}: must be a positive integer, got {val}")
-    if not (isinstance(d, (int, np.integer)) and d >= 0):
-        v.append(f"dynamics.d: must be a nonnegative integer, got {d}")
 
     sizes = {"m": m, "k": k, "d": d}
     for section, (_, shapes) in SECTIONS.items():
@@ -470,7 +461,5 @@ def validate(spec: ProblemSpec) -> ValidationReport:
 
     if not spec.horizon > 0:
         v.append(f"horizon: must be positive, got {spec.horizon}")
-    if spec.eps_regularize < 0:
-        v.append(f"eps_regularize: must be >= 0, got {spec.eps_regularize}")
 
     return ValidationReport(ok=not v, violations=v)

@@ -2,7 +2,7 @@
 
 Two deterministic solvers handle the means: the state mean follows the
 linear ODE dE[X]/dt = A E[X] + B u(t), and the target mean follows
-dE[Y]/dt = (E1 + E2 + E3 A) E[X] + (E3 B + E4) u(t) + eps.  Both are
+dE[Y]/dt = (E1 + E2 + E3 A) E[X] + (E3 B + E4) u(t).  Both are
 integrated with one classical 4th-order step per sub-interval, where the
 sub-intervals are the grid steps split at control breakpoints so that the
 integrator never straddles a discontinuity of u.  A step is an affine map
@@ -278,17 +278,13 @@ def _affine_path(M, F, c0, policy, times, z0, stop_row=None):
         size = min(2 * size, n_sub)
 
 
-def _joint_matrices(dynamics, target, eps_regularize):
+def _joint_matrices(dynamics, target):
     m = dynamics.m
-    row_x = target_state_row(target, dynamics)
-    row_u = target_control_row(target, dynamics)
     M = np.zeros((m + 1, m + 1))
     M[:m, :m] = dynamics.A
-    M[m, :m] = row_x
-    F = np.vstack([dynamics.B, row_u])
-    c0 = np.zeros(m + 1)
-    c0[m] = eps_regularize
-    return M, F, c0
+    M[m, :m] = target_state_row(target, dynamics)
+    F = np.vstack([dynamics.B, target_control_row(target, dynamics)])
+    return M, F
 
 
 def detect_min_time(mean_y, grid: SimGrid):
@@ -339,9 +335,9 @@ class MeanPath:
 
 def _joint_solve(spec: ProblemSpec, policy, times, stop_row=None) -> np.ndarray:
     """Nodes of the joint mean (E[X], E[Y]) through `times`; see `_affine_path`."""
-    M, F, c0 = _joint_matrices(spec.dynamics, spec.target, spec.eps_regularize)
+    M, F = _joint_matrices(spec.dynamics, spec.target)
     z0 = np.concatenate([spec.dynamics.x0, [spec.target.y0]])
-    return _affine_path(M, F, c0, policy, times, z0, stop_row)
+    return _affine_path(M, F, np.zeros(len(z0)), policy, times, z0, stop_row)
 
 
 def solve_mean_path(spec: ProblemSpec, policy, grid: SimGrid) -> MeanPath:
@@ -381,13 +377,12 @@ def mean_at_tau(spec: ProblemSpec, policy, direction, tau: float, grid: SimGrid)
     """
     times = grid.times()
     times = np.append(times[times < tau - 1e-15], tau)
-    M, F, c0 = _joint_matrices(spec.dynamics, spec.target, 0.0)
-    z0 = np.concatenate([spec.dynamics.x0, [spec.target.y0]])
-    mean_x_tau = _affine_path(M, F, c0, policy, times, z0)[-1, : spec.dynamics.m]
+    mean_x_tau = _joint_solve(spec, policy, times)[-1, : spec.dynamics.m]
     if direction is None:
         return mean_x_tau, 0.0
-    w0 = np.zeros(spec.dynamics.m + 1)
-    resp = _affine_path(M, F, np.zeros_like(c0), direction, times, w0)[-1, -1]
+    M, F = _joint_matrices(spec.dynamics, spec.target)
+    zero = np.zeros(spec.dynamics.m + 1)  # no constant forcing, started at rest
+    resp = _affine_path(M, F, zero, direction, times, zero)[-1, -1]
     return mean_x_tau, float(resp)
 
 
@@ -644,7 +639,7 @@ class _Column:
         Row a gains dt (M_a . X + f_a) + sum_c dW_c
         (N_ca . X + g_ca), X being the state rows at node j.  The forcing
         f, g holds B u and D u, and for Y the mean-field terms E1 E[X] +
-        E3 (A E[X] + B u) + E4 u + eps and coef_mean E[X] + coef_control u.
+        E3 (A E[X] + B u) + E4 u and coef_mean E[X] + coef_control u.
         Each row gains its drift, then each channel's noise term in turn,
         in `Zn`, which then becomes `Z`.
         """
@@ -654,7 +649,7 @@ class _Column:
         if self.spec is not None:
             tgt, mx, u = self.spec.target, self.mean_x[j], self.u_nodes[j]
             mean_b = dyn.A @ mx + f[:m]
-            f[m] = float(tgt.E1 @ mx + tgt.E3 @ mean_b + tgt.E4 @ u) + self.spec.eps_regularize
+            f[m] = float(tgt.E1 @ mx + tgt.E3 @ mean_b + tgt.E4 @ u)
             if tgt.diffusion is not None:
                 g[:, m] = tgt.diffusion.coef_mean @ mx + tgt.diffusion.coef_control @ u
         noise = self.noise

@@ -181,9 +181,7 @@ def check_candidate(
     if case_label in ("i", "iii"):
         khat = target_hamiltonian_du(adj.p0, dyn, tgt)
         u_tau = np.atleast_1d(policy.value(tau, side=-1))
-        slope = target_slope_at_tau(
-            tgt, dyn, mean_x_tau, u_tau, eps_regularize=spec.eps_regularize
-        )
+        slope = target_slope_at_tau(tgt, dyn, mean_x_tau, u_tau)
         if terminal_x_paths is not None:
             term = terminal_cost_drift(terminal_x_paths, u_tau, dyn, cost)
             run = cost.running(np.atleast_2d(terminal_x_paths), u_tau)

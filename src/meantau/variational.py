@@ -69,6 +69,11 @@ def _require_rhos(rhos) -> None:
         raise ValueError("; ".join(bad))
 
 
+# Uniform times at which `PerturbationSpec.validate` checks the box, on
+# top of every breakpoint of the policy and the direction.
+_BOX_SAMPLES = 257
+
+
 @dataclass
 class PerturbationSpec:
     """A direction policy together with the finite-difference step sizes.
@@ -82,7 +87,7 @@ class PerturbationSpec:
     direction: object
     rhos: Sequence[float] = (1e-2, 1e-3, 1e-4)
 
-    def validate(self, spec: ProblemSpec, policy, n_samples: int = 257) -> ValidationReport:
+    def validate(self, spec: ProblemSpec, policy) -> ValidationReport:
         if self.direction.horizon != policy.horizon:
             out = [
                 "perturbation.direction: horizon "
@@ -93,7 +98,7 @@ class PerturbationSpec:
         if out:
             return ValidationReport(ok=False, violations=out)
         ts = np.union1d(
-            np.linspace(0.0, policy.horizon, n_samples),
+            np.linspace(0.0, policy.horizon, _BOX_SAMPLES),
             np.union1d(policy.breakpoints, self.direction.breakpoints),
         )
         for i, rho in enumerate(self.rhos):
@@ -264,13 +269,7 @@ def hit_time_derivative(
         return TauDerivative(tau, label, float("nan"), float("nan"), 0.0)
     mean_x_tau, resp = mean_at_tau(spec, policy, direction, tau, grid)
     u_tau = policy.value(tau, side=-1)
-    slope = target_slope_at_tau(
-        spec.target,
-        spec.dynamics,
-        mean_x_tau,
-        u_tau,
-        eps_regularize=spec.eps_regularize,
-    )
+    slope = target_slope_at_tau(spec.target, spec.dynamics, mean_x_tau, u_tau)
     return TauDerivative(tau, label, slope, resp, resp / slope)
 
 

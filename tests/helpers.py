@@ -44,7 +44,6 @@ def scalar_spec(
     lower=0.2,
     upper=1.5,
     horizon=6.0,
-    eps=0.0,
     cost=None,
 ) -> ProblemSpec:
     """One-state, one-control, one-noise problem with adjustable rows."""
@@ -57,7 +56,7 @@ def scalar_spec(
     target = TargetCoefficients(E1=[e1], E2=[e2], E3=[e3], E4=[e4], y0=y0, diffusion=diffusion)
     if cost is None:
         cost = time_optimal_cost(1, 1)
-    return ProblemSpec(dynamics, target, cost, ControlSet([lower], [upper]), horizon, eps)
+    return ProblemSpec(dynamics, target, cost, ControlSet([lower], [upper]), horizon)
 
 
 def never_crossing_spec(horizon=1.0) -> ProblemSpec:

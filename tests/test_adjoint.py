@@ -200,15 +200,6 @@ def test_target_slope_values_and_guards(wealth_spec):
         target_slope_at_tau(flat.target, flat.dynamics, [1.0], [1.0])
 
 
-def test_target_slope_regularization_warns_instead_of_raising():
-    spec = scalar_spec(e1=0.0, e2=1.0, e3=0.0, e4=0.0)
-    with pytest.warns(RuntimeWarning):
-        g = target_slope_at_tau(
-            spec.target, spec.dynamics, [-1e-6], [0.0], eps_regularize=1e-6
-        )
-    assert g == pytest.approx(0.0, abs=1e-18)
-
-
 def test_randomized_closed_form_vs_backward_integration():
     rng = np.random.default_rng(42)
     for _ in range(5):

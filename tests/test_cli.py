@@ -817,6 +817,43 @@ def test_a_direction_of_the_wrong_control_dimension_exits_2_where_it_is_read(
         assert read_summary(out)["command"] == command
 
 
+def segment(**gammas):
+    return {"segments": [{"t_start": 0.0, "t_end": 6.0, "gamma0": [0.8], **gammas}]}
+
+
+@pytest.mark.parametrize(
+    "section, value, violation",
+    [
+        ("policy", {"constant": ["a"]}, "policy.constant[0]: expected number, got string"),
+        ("policy", {"constant": [[0.8]]}, "policy.constant[0]: expected number, got array"),
+        ("policy", {"constant": [True]}, "policy.constant[0]: expected number, got boolean"),
+        ("policy", segment(gamma0=[[0.8]]),
+         "policy.segments[0].gamma0[0]: expected number, got array"),
+        ("policy", segment(gamma0=["a"]),
+         "policy.segments[0].gamma0[0]: expected number, got string"),
+        ("policy", segment(gamma1=[[0.1]], gamma2=[0.0]),
+         "policy.segments[0].gamma1[0]: expected number, got array"),
+        ("policy", segment(gamma1=[0.1], gamma2=[None]),
+         "policy.segments[0].gamma2[0]: expected number, got null"),
+        ("direction", {"constant": [[0.1]]},
+         "direction.constant[0]: expected number, got array"),
+        ("direction", segment(gamma0=["a"]),
+         "direction.segments[0].gamma0[0]: expected number, got string"),
+    ],
+    ids=["constant-string", "constant-nested", "constant-boolean", "gamma0-nested",
+         "gamma0-string", "gamma1-nested", "gamma2-null", "direction-constant-nested",
+         "direction-gamma0-string"],
+)
+def test_exit_2_naming_a_control_list_that_is_not_flat_numbers(tmp_path, capsys, section,
+                                                               value, violation):
+    cfg = load_json(SCALAR)
+    cfg[section] = value
+    out = tmp_path / "out"
+    argv = ["--config", write_cfg(tmp_path, cfg), "--out", str(out), "--steps", "64"]
+    command = ["mean"] if section == "policy" else ["verify-variational", "--skip-state"]
+    assert_exit_2_naming(main(command + argv), capsys, [violation], out)
+
+
 @pytest.mark.parametrize(
     "params, code, error",
     [({"horizon": 2.0}, 3, "InfeasibleError"), ({"beta": 5.0}, 4, "RegimeError")],

@@ -70,14 +70,13 @@ def test_parse_problem_flags_wrong_types():
         parse_problem(obj)
 
 
-def test_parse_policy_constant_needs_some_horizon():
-    with pytest.raises(SpecValidationError, match="policy.horizon"):
-        parse_policy({"constant": [0.5]})
+def test_parse_policy_constant_spans_the_given_horizon():
     policy = parse_policy({"constant": [0.5]}, horizon=6.0)
     assert policy.horizon == 6.0
+    assert len(policy.segments) == 1 and policy.segments[0].t_start == 0.0
     assert float(policy.value(1.0)[0]) == 0.5
-    explicit = parse_policy({"constant": [0.5], "horizon": 2.0})
-    assert explicit.horizon == 2.0
+    with pytest.raises(SpecValidationError, match="policy.horizon: unknown field"):
+        parse_policy({"constant": [0.5], "horizon": 2.0}, horizon=6.0)
 
 
 def test_parse_policy_segment_forms():
@@ -128,8 +127,6 @@ def test_parse_policy_rejects_gaps():
 def test_parse_policy_rejects_wrong_value_type():
     with pytest.raises(SpecValidationError, match="policy.constant: expected array, got number"):
         parse_policy({"constant": 0.5}, horizon=1.0)
-    with pytest.raises(SpecValidationError, match="policy.horizon: expected number, got boolean"):
-        parse_policy({"constant": [0.5], "horizon": True})
     not_an_object = r"policy.segments\[0\]: expected object, got null"
     with pytest.raises(SpecValidationError, match=not_an_object):
         parse_policy({"segments": [None]}, horizon=1.0)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -139,15 +140,31 @@ assert "scipy.linalg" in sys.modules
 """
 
 
-def test_mean_and_simulate_never_import_scipy(tmp_path):
+SCALAR = SRC.parents[1] / "docs" / "examples" / "scalar.json"
+
+
+def run_python(cwd, *argv):
+    """A fresh interpreter in `cwd` that imports meantau from this checkout's src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    config = SRC.parents[1] / "docs" / "examples" / "scalar.json"
-    run = subprocess.run(
-        [sys.executable, "-c", START_UP, str(config), str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
     )
+
+
+def test_mean_and_simulate_never_import_scipy(tmp_path):
+    run = run_python(tmp_path, "-c", START_UP, str(SCALAR), str(tmp_path))
     assert run.returncode == 0, run.stderr
+
+
+def test_python_m_meantau_runs_the_cli(tmp_path):
+    version = run_python(tmp_path, "-m", "meantau", "--version")
+    assert version.returncode == 0, version.stderr
+    assert version.stdout == "meantau 0.1.0\n"
+    out = tmp_path / "out"
+    bad = run_python(tmp_path, "-m", "meantau", "mean", "--config", str(SCALAR),
+                     "--out", str(out), "--steps", "0")
+    assert bad.returncode == 2 and bad.stdout == ""
+    (line,) = bad.stderr.splitlines()
+    assert json.loads(line)["message"] == "--steps must be at least 1, got 0"
+    assert not out.exists()

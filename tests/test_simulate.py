@@ -594,7 +594,7 @@ def reference_scalar_ensemble(spec, policy, n_paths, grid, seed):
     at these dimensions, so the kernel has to reproduce it bit for bit.
     Returns (mean_x, std_x, mean_y, paths).
     """
-    dyn, tgt, eps = spec.dynamics, spec.target, spec.eps_regularize
+    dyn, tgt = spec.dynamics, spec.target
     a, b, c, dd = dyn.A[0, 0], dyn.B[0, 0], dyn.C[0, 0, 0], dyn.D[0, 0, 0]
     times, dt = grid.times(), grid.dt
     u_nodes = policy.values(times, side=+1).reshape(len(times))
@@ -624,7 +624,7 @@ def reference_scalar_ensemble(spec, policy, n_paths, grid, seed):
         np.add(t2, dd * u, out=t2)
         np.multiply(t2, w, out=t2)
         np.add(t1, t2, out=xn)
-        hconst = tgt.E1[0] * mx + tgt.E3[0] * (a * mx + bu) + tgt.E4[0] * u + eps
+        hconst = tgt.E1[0] * mx + tgt.E3[0] * (a * mx + bu) + tgt.E4[0] * u
         np.multiply(x, tgt.E2[0], out=t1)
         np.add(t1, hconst, out=t1)
         np.multiply(t1, dt, out=t1)
@@ -642,14 +642,13 @@ def reference_scalar_ensemble(spec, policy, n_paths, grid, seed):
 
 @st.composite
 def scalar_specs(draw):
-    """An m = k = d = 1 spec with optional target noise, C, E3 and eps."""
+    """An m = k = d = 1 spec with optional target noise, C and E3."""
     coef = st.floats(-1.0, 1.0)
     maybe = st.one_of(st.just(0.0), coef)
     return scalar_spec(
         a=draw(coef), b=draw(coef), c_coef=draw(maybe), d_coef=draw(maybe),
         x0=draw(coef), e1=draw(maybe), e2=draw(coef), e3=draw(maybe), e4=draw(coef),
         y0=draw(st.floats(0.1, 2.0)), g_state=draw(maybe), g_control=draw(maybe),
-        eps=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1))),
     )
 
 
@@ -690,9 +689,6 @@ def lane_cases(draw):
         C=list(rng.uniform(-0.5, 0.5, (d, m, m))),
         D=list(rng.uniform(-0.5, 0.5, (d, m, k))),
         x0=np.zeros(m),
-        m=m,
-        k=k,
-        d=d,
     )
     x0 = rng.uniform(-1.0, 1.0, (c, m))
     u_nodes = rng.uniform(-1.0, 1.0, (n_steps + 1, c, k))

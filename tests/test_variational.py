@@ -393,9 +393,6 @@ def linear_cases(draw):
         C=list(rng.uniform(-0.5, 0.5, (d, m, m))),
         D=list(rng.uniform(-0.5, 0.5, (d, m, k))),
         x0=rng.uniform(-1.0, 1.0, m),
-        m=m,
-        k=k,
-        d=d,
     )
     spec = ProblemSpec(
         dyn,
