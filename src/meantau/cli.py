@@ -18,9 +18,9 @@ It caps the threads of the Monte Carlo loop (default: the CPUs
 available to the process); with two or more, a large enough per-step draw
 is made on one worker thread ahead of the loop, and the draw is keyed by
 (seed, step) either way.  A value below 1, a negative `--seed`, or a
-grid size (`--steps`, `--nodes`, `--t-nodes`) below 1 exits 2 before the
-output directory is made; so does an `--out` that names a file or a path
-under one.
+grid size (`--steps`, `--nodes`, `--t-nodes`) below 1 exits 2 before any
+solve, as does an `--out` that names a file or a path under one.  The first
+artifact makes the output directory, so a failed command leaves none.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical
 failure (no convergence, infeasible target, diverged paths, failed
@@ -39,7 +39,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .bangbang import synthesize
-from .config import json_type, load_config, parse_policy, parse_portfolio_params, parse_problem
+from .config import load_config, parse_policy, parse_portfolio_params, parse_problem, read_section
 from .errors import MeanTauError, SpecValidationError
 from .output import svg_line_chart, write_csv, write_json, write_text_atomic
 from .portfolio import figure_columns, mc_validate, optimal_policy, solve_tau
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args, policy=True):
     """(cfg, spec) from `--config`, plus the parsed `policy` section when asked."""
     cfg = load_config(args.config)
-    spec = parse_problem(_require(cfg, "problem"))
+    spec = parse_problem(read_section(cfg, "problem"))
     if not policy:
         return cfg, spec
     return cfg, spec, _load_policy(cfg, "policy", spec)
@@ -150,7 +150,7 @@ def _load(args, policy=True):
 
 def _load_policy(cfg: dict, key: str, spec):
     """The `policy` or `direction` section, in the problem's horizon and control dimension."""
-    policy = parse_policy(_require(cfg, key), path=key, horizon=spec.horizon)
+    policy = parse_policy(read_section(cfg, key), path=key, horizon=spec.horizon)
     if policy.k != spec.dynamics.k:
         raise SpecValidationError(
             [f"{key}: control dimension {policy.k} != k={spec.dynamics.k}"]
@@ -214,7 +214,7 @@ def _run_mean(args):
 def _run_portfolio(args):
     params_obj = {}
     if args.config:
-        params_obj = _require(load_config(args.config), "params")
+        params_obj = read_section(load_config(args.config), "params")
     params = parse_portfolio_params(params_obj)
     sol = solve_tau(params)
     # the Monte Carlo check runs first, so a failing one writes no artifact
@@ -306,10 +306,8 @@ def _run_check_smp(args):
 def _run_verify_variational(args):
     cfg, spec, policy = _load(args)
     direction = _load_policy(cfg, "direction", spec)
-    rhos = cfg.get("rhos", list(PerturbationSpec.rhos))
-    if not isinstance(rhos, list) or not rhos:
-        raise SpecValidationError(["rhos: expected a non-empty list of step sizes"])
-    bad = _rho_violations(rhos)
+    rhos = read_section(cfg, "rhos") if "rhos" in cfg else list(PerturbationSpec.rhos)
+    bad = _rho_violations(rhos) if rhos else ["rhos: must be a non-empty list"]
     if bad:
         raise SpecValidationError(bad)
     pert = PerturbationSpec(direction=direction, rhos=[float(r) for r in rhos])
@@ -347,14 +345,6 @@ def _run_verify_variational(args):
     return summary, ["variational.json"]
 
 
-def _require(cfg: dict, key: str) -> dict:
-    if key not in cfg:
-        raise SpecValidationError([f"{key}: missing required section"])
-    if not isinstance(cfg[key], dict):
-        raise SpecValidationError([f"{key}: expected object, got {json_type(cfg[key])}"])
-    return cfg[key]
-
-
 def _fail(exc: Exception, exit_code: int, fields: dict) -> int:
     """Print the one-line JSON diagnostic of `exc` to stderr and return its exit code."""
     info = {"error": type(exc).__name__, "message": str(exc), **fields}
@@ -374,12 +364,12 @@ def main(argv=None) -> int:
             if getattr(args, size, 1) < 1:
                 flag = "--" + size.replace("_", "-")
                 raise ValueError(f"{flag} must be at least 1, got {getattr(args, size)}")
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(
-                f"--out {args.out!r}: cannot make the directory ({exc.strerror})"
-            ) from exc
+        # the first artifact makes --out; a file in its way fails before any solve
+        path = os.path.abspath(args.out)
+        while not os.path.isdir(path):
+            if os.path.lexists(path):
+                raise ValueError(f"--out {args.out!r}: {path} is not a directory")
+            path = os.path.dirname(path)
         summary, artifacts = args.run(args)
         write_json(
             os.path.join(args.out, "summary.json"),

@@ -1,15 +1,15 @@
 """JSON config parsing for the command-line interface.
 
-Configs are plain JSON objects, and every object of one is closed: a key
-it does not declare is reported as `<path>.<key>: unknown field`.  The
-problem, each of its sections (`problem.SECTIONS`), each policy segment
-and the portfolio `params` are built by `_build`, whose keys are the
-fields of the dataclass it builds.  Parsing reports every structural
-problem with the dotted path of the offending field, then defers the
-numeric cross-checks (shapes, symmetry, box order) to `validate`.
-Every number they read must be a finite float: Python's json accepts NaN,
-Infinity and -Infinity, reads 1e999 as inf and keeps an integer of any
-size, and `_get` reports each such number with its dotted path.
+Every value of a config has the type `docs/config-schema.json` gives it,
+and a violation names the entry as jsonschema's `json_path` does
+(`problem.control_set.lower[0]: expected number, got boolean`).  Objects
+are closed (`<path>.<key>: unknown field`); any other value is read by
+`_get` at its rank.  A number, rank 0, is finite and no boolean, though
+Python's json reads NaN, Infinity, 1e999 and integers of any size; an
+array of rank r holds entries of rank r - 1 in rows of equal length.
+`_build` makes the problem, its sections (`problem.SECTIONS`, whose axes
+give each array's rank), the policy segments and `params`; `validate`
+makes the numeric cross-checks (shapes, symmetry, box order).
 """
 
 from __future__ import annotations
@@ -22,13 +22,16 @@ from .errors import SpecValidationError
 from .portfolio import PortfolioParams
 from .problem import SECTIONS, ControlPolicy, ControlSegment, ProblemSpec, validate
 
-__all__ = ["load_config", "parse_problem", "parse_policy", "parse_portfolio_params"]
+__all__ = [
+    "load_config", "read_section", "parse_problem", "parse_policy", "parse_portfolio_params"
+]
 
-# The keys of the objects that no dataclass declares: the top level and
-# the two forms of a policy, told apart by their first key.
-TOP_LEVEL_KEYS = ("problem", "policy", "direction", "rhos", "params")
+# The top-level keys and how `read_section` reads each (see `_get`).
+TOP_LEVEL_KEYS = {"problem": dict, "policy": dict, "direction": dict, "rhos": 1, "params": dict}
+# The keys of the two forms of a policy, told apart by their first key.
 POLICY_FORMS = (("constant",), ("segments",))
-_SEGMENT_ARRAYS = ("gamma0", "gamma1", "gamma2")
+# The shape of each control list of a segment, as in `SECTIONS`.
+SEGMENT_SHAPES = dict.fromkeys(("gamma0", "gamma1", "gamma2"), "k")
 
 
 def load_config(path: str) -> dict:
@@ -45,6 +48,11 @@ def load_config(path: str) -> dict:
         raise SpecValidationError(["config: top level must be a JSON object"])
     _check_keys(obj, TOP_LEVEL_KEYS, "")
     return obj
+
+
+def read_section(cfg: dict, key: str):
+    """The top-level value `key` of a loaded config, read as `TOP_LEVEL_KEYS` declares."""
+    return _get(cfg, key, "", TOP_LEVEL_KEYS[key])
 
 
 def _check_keys(obj: dict, keys, path: str):
@@ -70,46 +78,58 @@ def json_type(val) -> str:
     return next(name for kind, name in _JSON_TYPES if isinstance(val, kind))
 
 
-def _nonfinite(val, path: str):
-    """(path, value) of each number outside the finite floats, in a number or a nested list.
-
-    The comparison holds for no NaN or infinity, and for no integer too
-    large to become a float.
-    """
-    if isinstance(val, list):
-        return [bad for i, v in enumerate(val) for bad in _nonfinite(v, f"{path}[{i}]")]
-    if isinstance(val, (int, float)) and not -sys.float_info.max <= val <= sys.float_info.max:
-        return [(path, val)]
-    return []
-
-
-def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=None):
-    if key not in obj:
-        if required:
-            raise SpecValidationError([f"{path}.{key}: missing required field"])
-        return default
-    val = obj[key]
-    if not (isinstance(val, kind) or kind is float and json_type(val) == "number"):
-        # kind() is the empty value of the expected type, which json_type names
-        raise SpecValidationError(
-            [f"{path}.{key}: expected {json_type(kind())}, got {json_type(val)}"]
-        )
-    bad = _nonfinite(val, f"{path}.{key}")
-    if bad:
+def _type_violations(val, rank: int, path: str) -> list:
+    """One message per entry of `val` that is not of rank `rank`."""
+    if rank == 0:
+        if json_type(val) != "number":
+            return [f"{path}: expected number, got {json_type(val)}"]
+        # false for NaN, the infinities and integers too large for a float;
         # json.dumps spells a value as the config does: NaN, Infinity, -Infinity
-        raise SpecValidationError(
-            [f"{p}: expected a finite number, got {json.dumps(v)}" for p, v in bad]
-        )
-    return float(val) if kind is float else val
+        if not -sys.float_info.max <= val <= sys.float_info.max:
+            return [f"{path}: expected a finite number, got {json.dumps(val)}"]
+        return []
+    if not isinstance(val, list):
+        return [f"{path}: expected array, got {json_type(val)}"]
+    return [m for i, v in enumerate(val) for m in _type_violations(v, rank - 1, f"{path}[{i}]")]
 
 
-def _build(cls, obj: dict, path: str, arrays=(), section: str = ""):
+def _get(obj: dict, key: str, path: str, rank):
+    """`obj[key]`, at `<path>.<key>`: an object (`rank` dict), the segment list
+    (list), a number returned as a float (0) or an array of rank `rank`.
+
+    At the top level (`path` empty) a missing key is a missing section.
+    """
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise SpecValidationError([f"{where}: missing required {'field' if path else 'section'}"])
+    val = obj[key]
+    if rank in (dict, list):
+        if not isinstance(val, rank):
+            # rank() is the empty value of the expected type, which json_type names
+            raise SpecValidationError(
+                [f"{where}: expected {json_type(rank())}, got {json_type(val)}"]
+            )
+        return val
+    bad = _type_violations(val, rank, where)
+    rows = [] if bad else val
+    for _ in range(rank - 1):  # the rows at each depth, in turn
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            bad = [f"{where}: rows of unequal length {lengths}"]
+            break
+        rows = [v for row in rows for v in row]
+    if bad:
+        raise SpecValidationError(bad)
+    return val if rank else float(val)
+
+
+def _build(cls, obj: dict, path: str, shapes=(), section: str = ""):
     """`cls` from the object at `path`, whose keys are the fields of `cls`.
 
     A field that `SECTIONS` lists under `section` is itself a section and
-    is built the same way.  A field in `arrays` is read as a list and any
-    other field as a number; a field without a default is required.  Arrays
-    that the constructor cannot read are reported as `<path>: malformed arrays`.
+    is built the same way.  A field in `shapes` is an array of the rank of
+    its shape and any other a number; a field without a default is
+    required.  The constructor's own ValueError is `<path>: <message>`.
     """
     _check_keys(obj, [f.name for f in fields(cls)], path)
     kwargs = {}
@@ -118,15 +138,16 @@ def _build(cls, obj: dict, path: str, arrays=(), section: str = ""):
             continue
         sub = f"{section}.{f.name}".lstrip(".")
         if sub in SECTIONS:
-            sub_cls, shapes = SECTIONS[sub]
+            sub_cls, sub_shapes = SECTIONS[sub]
             val = _get(obj, f.name, path, dict)
-            kwargs[f.name] = _build(sub_cls, val, f"{path}.{f.name}", shapes, sub)
+            kwargs[f.name] = _build(sub_cls, val, f"{path}.{f.name}", sub_shapes, sub)
         else:
-            kwargs[f.name] = _get(obj, f.name, path, list if f.name in arrays else float)
+            rank = len(shapes[f.name]) if f.name in shapes else 0
+            kwargs[f.name] = _get(obj, f.name, path, rank)
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError([f"{path}: malformed arrays ({exc})"]) from exc
+    except ValueError as exc:
+        raise SpecValidationError([f"{path}: {exc}"]) from exc
 
 
 def parse_problem(obj: dict, path: str = "problem") -> ProblemSpec:
@@ -138,35 +159,17 @@ def parse_problem(obj: dict, path: str = "problem") -> ProblemSpec:
     return spec
 
 
-def _check_controls(val, path: str):
-    """Report each entry of the control list `val` at `path` that is not a number.
-
-    A control list is the schema's `vector`, a flat array of numbers, so a
-    nested array is reported here too.  A `val` that is not a list is left
-    for `_get` to report.
-    """
-    if isinstance(val, list):
-        bad = [
-            f"{path}[{i}]: expected number, got {json_type(v)}"
-            for i, v in enumerate(val)
-            if json_type(v) != "number"
-        ]
-        if bad:
-            raise SpecValidationError(bad)
-
-
 def parse_policy(obj: dict, horizon: float, path: str = "policy") -> ControlPolicy:
     """The policy at `path` on [0, horizon], the problem's horizon.
 
     Accepts {"constant": [...]}, one segment that spans the horizon, or
     {"segments": [{t_start, t_end, gamma0, gamma1, gamma2}, ...]}, which
-    must tile it.  Every control list must be a flat array of numbers.
+    must tile it.  Every control list of every segment has one length.
     """
     constant, segmented = POLICY_FORMS
     if "constant" in obj:
         _check_keys(obj, constant, path)
-        value = _get(obj, "constant", path, list)
-        _check_controls(value, f"{path}.constant")
+        value = _get(obj, "constant", path, len(SEGMENT_SHAPES["gamma0"]))
         seg_list = [{"t_start": 0.0, "t_end": horizon, "gamma0": value}]
     else:
         _check_keys(obj, segmented, path)
@@ -178,9 +181,10 @@ def parse_policy(obj: dict, horizon: float, path: str = "policy") -> ControlPoli
         q = f"{path}.segments[{i}]"
         if not isinstance(seg, dict):
             raise SpecValidationError([f"{q}: expected object, got {json_type(seg)}"])
-        for key in _SEGMENT_ARRAYS:
-            _check_controls(seg.get(key), f"{q}.{key}")
-        segments.append(_build(ControlSegment, seg, q, _SEGMENT_ARRAYS))
+        segments.append(_build(ControlSegment, seg, q, SEGMENT_SHAPES))
+        k, k0 = len(segments[-1].gamma0), len(segments[0].gamma0)
+        if k != k0:
+            raise SpecValidationError([f"{q}: control dimension {k} != {k0} of segments[0]"])
     policy = ControlPolicy(segments)
     bad = policy.check(horizon, path)
     if bad:

@@ -20,7 +20,7 @@ exponential arcs that arise in closed-form optimal policies.
 `SECTIONS` declares each section of a problem once: the dataclass it
 builds, whose fields are the section's config keys, and the shape of each
 array field in the dimensions m, k and d.  `validate` checks every array
-against that table and `config` reads the declared arrays as lists.
+against that table and `config` reads each declared array at its rank.
 """
 
 from __future__ import annotations
@@ -221,6 +221,7 @@ class ControlSegment:
     """One piece of a piecewise control: u_i(t) = gamma0_i + gamma1_i e^{gamma2_i t}.
 
     gamma1 and gamma2 go together; without them the segment is constant.
+    All three have one length, the control dimension k.
     """
 
     t_start: float
@@ -239,6 +240,9 @@ class ControlSegment:
             self.gamma1 = self.gamma2 = np.zeros_like(self.gamma0)
         self.gamma1 = _vector(self.gamma1)
         self.gamma2 = _vector(self.gamma2)
+        lengths = [len(self.gamma0), len(self.gamma1), len(self.gamma2)]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"gamma0, gamma1 and gamma2 differ in length {lengths}")
 
 
 class ControlPolicy:
@@ -295,9 +299,6 @@ class ControlPolicy:
             out.append(
                 f"{path}.segments[-1].t_end: must equal horizon {horizon}, got {self._ends[-1]}"
             )
-        ks = {len(s.gamma0) for s in self.segments}
-        if len(ks) > 1:
-            out.append(f"{path}.segments: inconsistent control dimension {sorted(ks)}")
         return out
 
     def _segment_index(self, ts: np.ndarray, side: int) -> np.ndarray:

@@ -175,22 +175,23 @@ def _scan_runs(M, edges, starts, ends, z):
     Each run [a, b) of `edges` that starts inside z is scanned up to its
     end or the end of z, with Phi taken from the whole run's mean step.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(starts, ends):
-            if a >= len(z) - 1:
+    for a, b in zip(starts, ends):
+        if a >= len(z) - 1:
+            break
+        w = z[a : b + 1]
+        # (Phi^s)' = (Phi')^s, kept contiguous for fast row products
+        phi_t = np.ascontiguousarray(_rk4_transfer(M, (edges[b] - edges[a]) / (b - a)).T)
+        s = 1
+        while True:
+            w[s:] += w[:-s] @ phi_t
+            s *= 2
+            if s >= len(w):
                 break
-            w = z[a : b + 1]
-            # (Phi^s)' = (Phi')^s, kept contiguous for fast row products
-            phi_t = np.ascontiguousarray(_rk4_transfer(M, (edges[b] - edges[a]) / (b - a)).T)
-            s = 1
-            while True:
-                w[s:] += w[:-s] @ phi_t
-                s *= 2
-                if s >= len(w):
-                    break
-                phi_t = phi_t @ phi_t
+            phi_t = phi_t @ phi_t
 
 
+# no overflow warnings in the controls, forcing or scan: a bad node raises DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def _affine_path(M, F, c0, policy, times, z0, stop_row=None):
     """Integrate z' = M z + F u(t) + c0 through `times` with RK4.
 
@@ -798,7 +799,8 @@ def simulate_ensemble(
     if store_paths is None:
         store_paths = n_paths <= _PATH_STORAGE_CAP
 
-    u_nodes = policy.values(times)
+    with np.errstate(over="ignore"):  # `_run_columns` raises DivergenceError instead
+        u_nodes = policy.values(times)
     col = _Column(spec.dynamics, u_nodes, n_paths, grid.n_steps, spec=spec, store_paths=store_paths)
     _run_columns([col], grid, seed, n_paths, threads)
 

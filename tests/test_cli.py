@@ -9,6 +9,7 @@ from meantau import errors
 from meantau.cli import main
 from meantau.config import parse_portfolio_params
 from meantau.portfolio import mc_validate
+from meantau.problem import SECTIONS
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 SCALAR = str(EXAMPLES / "scalar.json")
@@ -303,7 +304,7 @@ def test_exit_2_when_the_config_cannot_be_read(tmp_path, capsys, kind, violation
     diag = json.loads(err)
     assert set(diag) == {"error", "message", "violations"}
     assert len(diag["violations"]) == 1 and diag["violations"][0].startswith(violation)
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["mean", "portfolio"])
@@ -374,7 +375,7 @@ def test_exit_2_when_a_step_size_is_not_finite_and_positive(tmp_path, capsys, rh
     diag = json.loads(err)
     assert set(diag) == {"error", "message", "violations"}
     assert [v.split(":")[0] for v in diag["violations"]] == ["rhos[1]"]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -389,7 +390,7 @@ def test_exit_2_when_an_ensemble_has_a_negative_path_count(tmp_path, capsys, arg
     out = tmp_path / "out"
     code = main(argv + ["--out", str(out), "--paths", "-3"])
     assert "n_paths must be at least 2" in assert_exit_2_with_a_value_error(code, capsys)
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dt", ["0", "-1", "nan"])
@@ -595,7 +596,7 @@ def assert_exit_2_naming(code, capsys, violations, out):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["violations"] == violations
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -648,6 +649,7 @@ def test_exit_2_when_check_smp_reads_a_misspelled_cost_key(tmp_path, capsys):
     ],
 )
 def test_exit_2_naming_the_section_of_a_ragged_array(tmp_path, capsys, section, key):
+    # a matrix field names its unequal rows, a vector field each entry that is no number
     cfg = load_json(SCALAR)
     obj = cfg["problem"]
     for part in section.split("."):
@@ -655,11 +657,12 @@ def test_exit_2_naming_the_section_of_a_ragged_array(tmp_path, capsys, section, 
     obj[key] = [[0.0], [1.0, 2.0]]
     out = tmp_path / "out"
     code = main(["check-smp", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
-    assert code == 2
-    violations = json.loads(capsys.readouterr().err)["violations"]
-    assert len(violations) == 1
-    assert violations[0].startswith(f"problem.{section}: malformed arrays (")
-    assert not any(out.iterdir())
+    field = f"problem.{section}.{key}"
+    if len(SECTIONS[section][1][key]) == 2:
+        violations = [f"{field}: rows of unequal length [1, 2]"]
+    else:
+        violations = [f"{field}[{i}]: expected number, got array" for i in (0, 1)]
+    assert_exit_2_naming(code, capsys, violations, out)
 
 
 @pytest.mark.parametrize(
@@ -855,6 +858,64 @@ def test_exit_2_naming_a_control_list_that_is_not_flat_numbers(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "keys, value, violations",
+    [
+        (["problem", "dynamics", "A"], [1.0],
+         ["problem.dynamics.A[0]: expected array, got number"]),
+        (["problem", "dynamics", "C"], [[1.0]],
+         ["problem.dynamics.C[0][0]: expected array, got number"]),
+        (["problem", "dynamics", "C"], [[[0.0]], [[0.0, 1.0]]],
+         ["problem.dynamics.C: rows of unequal length [1, 2]"]),
+        (["problem", "control_set", "lower"], [True],
+         ["problem.control_set.lower[0]: expected number, got boolean"]),
+        (["problem", "dynamics", "x0"], ["a"],
+         ["problem.dynamics.x0[0]: expected number, got string"]),
+        (["problem", "target", "E2"], [None, "b"],
+         ["problem.target.E2[0]: expected number, got null",
+          "problem.target.E2[1]: expected number, got string"]),
+        (["policy"], {"segments": [{"t_start": 0, "t_end": 3, "gamma0": [0.8]},
+                                   {"t_start": 3, "t_end": 6, "gamma0": [0.8, 0.1]}]},
+         ["policy.segments[1]: control dimension 2 != 1 of segments[0]"]),
+        (["policy"], segment(gamma1=[0.1, 0.2], gamma2=[1.0]),
+         ["policy.segments[0]: gamma0, gamma1 and gamma2 differ in length [1, 2, 1]"]),
+    ],
+    ids=["A-vector", "C-matrix", "C-ragged", "lower-boolean", "x0-string", "E2-two-entries",
+         "segment-lengths", "gamma-lengths"],
+)
+def test_exit_2_naming_each_entry_the_schema_rejects(tmp_path, capsys, keys, value, violations):
+    cfg = load_json(SCALAR)
+    obj = cfg
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = value
+    out = tmp_path / "out"
+    code = main(["mean", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert_exit_2_naming(code, capsys, violations, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mean", "--steps", "256"],
+        ["simulate", "--steps", "100", "--paths", "8"],
+        ["check-smp", "--t-nodes", "64"],
+        ["verify-variational", "--steps", "256", "--skip-state"],
+    ],
+    ids=["mean", "simulate", "check-smp", "verify-variational"],
+)
+def test_a_diverging_solve_prints_one_stderr_line(tmp_path, capsys, argv):
+    # exp(800 t) leaves the float range near t = 0.89: no warning, one diagnostic
+    cfg = load_json(SCALAR)
+    cfg["policy"] = segment(gamma1=[1.0], gamma2=[800.0])
+    out = tmp_path / "out"
+    assert main(argv + ["--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "DivergenceError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "params, code, error",
     [({"horizon": 2.0}, 3, "InfeasibleError"), ({"beta": 5.0}, 4, "RegimeError")],
     ids=["horizon-2", "beta-5"],
@@ -867,7 +928,7 @@ def test_portfolio_failures_exit_with_the_code_of_their_error_class(tmp_path, ca
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == error
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 # the mapping that the errors docstring and the README's "Exit codes" state

@@ -1,19 +1,36 @@
-"""docs/config-schema.json against the parser: the same keys, and a valid schema."""
+"""docs/config-schema.json against the parser: the same keys and ranks, a valid
+schema, and a config the schema rejects exits 2 naming where."""
 
+import contextlib
+import copy
+import io
 import json
 from dataclasses import fields
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from meantau.config import POLICY_FORMS, TOP_LEVEL_KEYS
+from meantau.cli import main
+from meantau.config import POLICY_FORMS, SEGMENT_SHAPES, TOP_LEVEL_KEYS
 from meantau.portfolio import PortfolioParams
 from meantau.problem import SECTIONS, ControlSegment, ProblemSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "config-schema.json").read_text())
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 ARRAY_RANK = {"#/$defs/vector": 1, "#/$defs/matrix": 2, "#/$defs/tensor3": 3}
+
+
+def rank(prop):
+    """The array rank of a schema property: a `$defs` array, or nested `items` of numbers."""
+    if "$ref" in prop:
+        return ARRAY_RANK[prop["$ref"]]
+    return 1 + rank(prop["items"]) if prop.get("type") == "array" else 0
 
 
 def closed_objects(node, path, out):
@@ -54,17 +71,86 @@ def test_the_schema_types_each_declared_array_with_its_rank(section):
     for part in section.split("."):
         node = node["properties"][part]
     _, shapes = SECTIONS[section]
-    ranks = {
-        key: ARRAY_RANK[prop["$ref"]]
-        for key, prop in node["properties"].items()
-        if "$ref" in prop
-    }
+    ranks = {key: rank(prop) for key, prop in node["properties"].items() if "$ref" in prop}
     assert ranks == {name: len(axes) for name, axes in shapes.items()}
+
+
+def test_the_schema_types_the_segment_arrays_and_rhos_with_the_parser_rank():
+    policy = SCHEMA["$defs"]["policy"]["oneOf"]
+    constant = policy[0]["properties"]["constant"]
+    segment = policy[1]["properties"]["segments"]["items"]["properties"]
+    ranks = {key: rank(prop) for key, prop in segment.items() if "$ref" in prop}
+    assert ranks == {name: len(axes) for name, axes in SEGMENT_SHAPES.items()}
+    assert rank(constant) == len(SEGMENT_SHAPES["gamma0"])
+    assert rank(SCHEMA["properties"]["rhos"]) == TOP_LEVEL_KEYS["rhos"]
 
 
 def test_the_schema_is_draft_2020_12_and_the_shipped_configs_validate():
     jsonschema.Draft202012Validator.check_schema(SCHEMA)
-    validator = jsonschema.Draft202012Validator(SCHEMA)
     shipped = sorted((ROOT / "docs" / "examples").glob("*.json"))
     for path in shipped + [ROOT / "perfbench" / "configs" / "two_state.json"]:
-        validator.validate(json.loads(path.read_text()))
+        VALIDATOR.validate(json.loads(path.read_text()))
+
+
+# Each shipped config with a command that reads every section of it.
+VERIFY = ["verify-variational", "--steps", "64", "--skip-state"]
+MUTATED = [
+    (ROOT / "docs" / "examples" / "scalar.json", VERIFY),
+    (ROOT / "perfbench" / "configs" / "two_state.json", VERIFY),
+    (ROOT / "docs" / "examples" / "portfolio.json", ["portfolio"]),
+]
+# One value of each JSON type, for a leaf that changes its type.
+OF_TYPE = {"number": 1.0, "string": "a", "boolean": True, "null": None, "array": [], "object": {}}
+
+
+def nodes(obj, at=()):
+    """The key path of every value in a JSON document, itself included."""
+    yield at
+    if isinstance(obj, (dict, list)):
+        for key, val in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from nodes(val, at + (key,))
+
+
+@st.composite
+def mutations(draw):
+    """(cfg, argv): a shipped config with one value retyped, nested, dropped or given a key."""
+    path, argv = draw(st.sampled_from(MUTATED))
+    cfg = json.loads(path.read_text())
+    at = draw(st.sampled_from(list(nodes(cfg))))
+    node = reduce(getitem, at, cfg)
+    parent = reduce(getitem, at[:-1], cfg) if at else None
+    ops = ["extra"] if isinstance(node, dict) else []
+    if at:
+        ops += ["retype", "nest"] + (["drop"] if isinstance(parent, dict) else [])
+    op = draw(st.sampled_from(ops))
+    if op == "extra":
+        node["extra"] = 1.0
+    elif op == "drop":
+        del parent[at[-1]]
+    elif op == "nest":
+        parent[at[-1]] = [node]
+    else:
+        checker = jsonschema.Draft202012Validator.TYPE_CHECKER
+        kinds = [k for k in OF_TYPE if not checker.is_type(node, k)]
+        parent[at[-1]] = copy.deepcopy(OF_TYPE[draw(st.sampled_from(kinds))])
+    return cfg, argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations())
+def test_a_value_the_schema_rejects_exits_2_naming_where(tmp_path_factory, case):
+    cfg, argv = case
+    errors = list(VALIDATOR.iter_errors(cfg))
+    assume(errors)
+    where = tuple(e.json_path.removeprefix("$").removeprefix(".") for e in errors)
+    tmp = tmp_path_factory.mktemp("mutated")
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--config", str(tmp / "cfg.json"), "--out", str(out)])
+    assert code == 2
+    (line,) = stderr.getvalue().splitlines()
+    violations = json.loads(line)["violations"]
+    assert violations and all(v.startswith(where) for v in violations), (violations, where)
+    assert not out.exists()
