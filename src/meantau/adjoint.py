@@ -236,8 +236,7 @@ def hamiltonian_du(u, p, dynamics: LinearDynamics, cost: CostSpec) -> np.ndarray
     does not depend on the state.  `u` and `p` may be rows, one per time."""
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    out = p @ dynamics.B if p.ndim > 1 else dynamics.B.T @ p
-    return out - u @ cost.Lambda.T
+    return p @ dynamics.B - u @ cost.Lambda.T
 
 
 def target_hamiltonian_du(p0, dynamics: LinearDynamics, target: TargetCoefficients):

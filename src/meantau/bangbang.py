@@ -1,8 +1,8 @@
-"""Bang-bang synthesis for box-constrained problems.
+"""Bang-bang synthesis for box-constrained time-optimal problems.
 
-When the running cost has no control curvature, maximizing the combined
-Hamiltonian over a box decouples per component and lands on a vertex
-wherever the switching function
+When the objective is the elapsed time kappa * tau (kappa >= 0, no other
+cost term), maximizing the combined Hamiltonian over a box decouples per
+component and lands on a vertex wherever the switching function
 
     S(t) = -Khat(t) / slope_at_tau,    Khat(t) = p0(t)'B - (E3 B + E4),
 
@@ -32,6 +32,7 @@ from .errors import (
     AssumptionViolationError,
     InfeasibleError,
     NonConvergenceError,
+    RegimeError,
     SingularArcError,
 )
 from .problem import ControlPolicy, ControlSegment, ProblemSpec
@@ -59,26 +60,25 @@ def _plateau_runs(values: np.ndarray, zero_tol: float) -> int:
 def find_switch_times(
     times,
     values,
-    refine: Optional[Callable] = None,
+    refine: Callable,
     xtol: float = 1e-10,
     zero_tol: float = 1e-12,
 ) -> list:
-    """Zero crossings of each column of `values` over the node grid.
+    """Zero crossings of each column of `values`, a (nodes, k) array, over the node grid.
 
-    Sign changes between adjacent nodes are bracketed and, when `refine`
-    (a callable t, i -> value) is given, polished with Brent's method to
-    `xtol`; otherwise linear interpolation is used.  A run of three or
-    more consecutive near-zero nodes in one component is a zero plateau,
-    reported as SingularArcError since no vertex is selected there.  An
-    exact zero at an interior node between nodes of opposite sign is a
-    root at that node; an exact zero at either end node is none.
+    Sign changes between adjacent nodes are bracketed and polished with
+    Brent's method to `xtol` on `refine`, a callable t, i -> the value of
+    component i at t.  A run of three or more consecutive near-zero nodes
+    in one component is a zero plateau, reported as SingularArcError
+    since no vertex is selected there.  An exact zero at an interior node
+    between nodes of opposite sign is a root at that node; an exact zero
+    at either end node is none.  `values` of any other shape raises
+    ValueError.
     """
     times = np.asarray(times, dtype=float)
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
-    if vals.ndim == 2 and vals.shape[0] != len(times) and vals.shape[1] == len(times):
-        vals = vals.T
+    vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] != len(times):
-        raise ValueError(f"values of shape {vals.shape} need one row or column per time node")
+        raise ValueError(f"values of shape {vals.shape} need one row per time node")
     scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     out = []
     for i in range(vals.shape[1]):
@@ -88,14 +88,9 @@ def find_switch_times(
         sgn = np.sign(col)
         at_node = np.nonzero((sgn[1:-1] == 0.0) & (sgn[:-2] * sgn[2:] < 0))[0] + 1
         across = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if refine is not None:
-            inside = [
-                brentq(lambda t: refine(t, i), times[j], times[j + 1], xtol=xtol)
-                for j in across
-            ]
-        else:
-            a, b = col[across], col[across + 1]
-            inside = times[across] - a * (times[across + 1] - times[across]) / (b - a)
+        inside = [
+            brentq(lambda t: refine(t, i), times[j], times[j + 1], xtol=xtol) for j in across
+        ]
         # a node root and a bracket never share an index: order by index
         order = np.argsort(np.concatenate([at_node, across]), kind="stable")
         out.append(np.concatenate([times[at_node], np.asarray(inside, dtype=float)])[order])
@@ -140,6 +135,18 @@ def vertex_policy(
     return ControlPolicy(segments), switch_times, khat_nodes, grid
 
 
+def _cost_violations(cost) -> list:
+    """One `problem.cost.<field>: ...` entry per term that leaves kappa * tau, kappa >= 0."""
+    out = [
+        f"problem.cost.{name}: must be 0, got a nonzero entry"
+        for name in ("c_lin", "Lambda", "psi_lin", "psi_quad")
+        if getattr(cost, name).any()
+    ]
+    if not cost.kappa >= 0.0:
+        out.append(f"problem.cost.kappa: must be >= 0, got {cost.kappa}")
+    return out
+
+
 @dataclass
 class SynthesisResult:
     """Converged bang-bang candidate and its certification data."""
@@ -169,7 +176,11 @@ def synthesize(
     or leaves (0, horizon].  `history` holds tau before each pass and the
     converged tau.
 
-    Raises InfeasibleError when no constant scan (box midpoint or either
+    The vertex rule reads the sign of Khat alone, which is the whole
+    first-order condition only when the objective is the elapsed time
+    kappa * tau with kappa >= 0; any other cost raises RegimeError naming
+    each `problem.cost` field that leaves it, before any solve.  Raises
+    InfeasibleError when no constant scan (box midpoint or either
     vertex) ever drives the mean target to zero, NonConvergenceError when
     the tau iteration exhausts `max_iter` (with the tau history and a
     flag for a detected two-cycle), and SingularArcError if the switching
@@ -179,6 +190,12 @@ def synthesize(
     if not (0.0 < damping <= 1.0 and max_iter >= 1):
         raise ValueError(f"need damping in (0, 1] and max_iter >= 1, got {damping}, {max_iter}")
     spec.require_valid()
+    bad = _cost_violations(spec.cost)
+    if bad:
+        raise RegimeError(
+            "bang-bang synthesis solves only the elapsed-time objective "
+            "kappa * tau with kappa >= 0: " + "; ".join(bad)
+        )
     T = spec.horizon
     box = spec.control_set
     coarse = SimGrid(T, n_nodes)

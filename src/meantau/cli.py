@@ -250,7 +250,7 @@ def _run_portfolio(args):
         "t1": sol.t1,
         "t2": sol.t2,
         "residual": sol.residual,
-        "control_at_0": float(optimal_policy(params, sol).value(0.0)[0]),
+        "control_at_0": float(optimal_policy(params, sol).values(0.0)[0]),
     }
     if report is not None:
         # tau is the summary's own; the vol_pair fields are None without --vol-pair
@@ -327,7 +327,7 @@ def _run_verify_variational(args):
         "tau_table": [asdict(r) for r in tau_report.rows],
     }
     if deriv.case_label == "i" and deriv.tau > 0:
-        dual = dual_identity_check(spec, policy, direction, grid, derivative=deriv)
+        dual = dual_identity_check(spec, direction, deriv)
         # tau is the payload's own
         payload["dual_identity"] = {k: v for k, v in asdict(dual).items() if k != "tau"}
     if not args.skip_state:

@@ -41,7 +41,6 @@ __all__ = [
     "ControlSet",
     "ControlSegment",
     "ControlPolicy",
-    "CombinedPolicy",
     "ProblemSpec",
     "SECTIONS",
     "ValidationReport",
@@ -337,51 +336,37 @@ class ControlPolicy:
         out = np.ascontiguousarray(out.T)
         return out[0] if scalar else out
 
-    def value(self, t: float, side: int = +1) -> np.ndarray:
-        return self.values(float(t), side=side)
 
+class _PerturbedPolicy:
+    """The control base + rho * direction, for policies that share a horizon."""
 
-class CombinedPolicy:
-    """Weighted sum of policies sharing a horizon; used for perturbed controls."""
-
-    def __init__(self, policies, weights):
-        if len(policies) != len(weights) or not policies:
-            raise SpecValidationError("combined policy: need matching policies and weights")
-        horizons = {p.horizon for p in policies}
-        if len(horizons) > 1:
+    def __init__(self, base: ControlPolicy, direction: ControlPolicy, rho: float):
+        if base.horizon != direction.horizon:
             raise SpecValidationError(
-                f"combined policy: horizons differ ({sorted(horizons)})"
+                f"perturbed policy: horizons differ ({base.horizon} != {direction.horizon})"
             )
-        self.policies = list(policies)
-        self.weights = [float(w) for w in weights]
-
-    @property
-    def k(self) -> int:
-        return self.policies[0].k
+        self.base, self.direction, self.rho = base, direction, float(rho)
 
     @property
     def horizon(self) -> float:
-        return self.policies[0].horizon
+        return self.base.horizon
 
     @property
     def breakpoints(self) -> np.ndarray:
-        pts = np.concatenate([p.breakpoints for p in self.policies])
-        return np.unique(pts)
+        return np.union1d(self.base.breakpoints, self.direction.breakpoints)
 
     def values(self, ts, side: int = +1) -> np.ndarray:
-        acc = None
-        for p, w in zip(self.policies, self.weights):
-            term = w * p.values(ts, side=side)
-            acc = term if acc is None else acc + term
-        return acc
-
-    def value(self, t: float, side: int = +1) -> np.ndarray:
-        return self.values(float(t), side=side)
+        return self.base.values(ts, side=side) + self.rho * self.direction.values(ts, side=side)
 
 
-def perturbed_policy(base, direction, rho: float) -> CombinedPolicy:
-    """The control base + rho * direction as an evaluable policy."""
-    return CombinedPolicy([base, direction], [1.0, float(rho)])
+def perturbed_policy(base: ControlPolicy, direction: ControlPolicy, rho: float) -> _PerturbedPolicy:
+    """The control base + rho * direction as a policy with `horizon`, `breakpoints` and `values`.
+
+    Its values are base.values + rho * direction.values, bit for bit, and
+    its breakpoints are those of both.  Horizons that differ raise
+    SpecValidationError.
+    """
+    return _PerturbedPolicy(base, direction, rho)
 
 
 @dataclass

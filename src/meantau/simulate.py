@@ -75,7 +75,6 @@ __all__ = [
     "solve_mean_path",
     "hit_time",
     "mean_at_tau",
-    "detect_min_time",
     "simulate_ensemble",
     "estimate_cost",
     "step_noise",
@@ -288,29 +287,20 @@ def _joint_matrices(dynamics, target):
     return M, F
 
 
-def detect_min_time(mean_y, grid: SimGrid):
-    """First time the mean target is <= 0, with its regime label.
+def _first_hit(y, times):
+    """First time the mean target y, given at the first len(y) nodes of
+    `times`, is <= 0, with its regime label.
 
-    Returns (tau, label): label "i" for an interior hit (including the
-    trivial y0 <= 0 case, where tau = 0), "ii" when the level is never
-    reached on [0, T] (tau = T), and "iii" when the first hit lands
-    exactly on the horizon.  The crossing node is refined by linear
-    interpolation; a tangential touch counts as a hit, and the first
-    qualifying node wins.
+    Returns (tau, label) with T = times[-1]: label "i" for an interior hit
+    (including the trivial y[0] <= 0 case, where tau = 0), "ii" when the
+    level is never reached (tau = T), and "iii" when the first hit lands
+    exactly on T.  The crossing is refined by linear interpolation between
+    the two nodes that straddle it; a tangential touch counts as a hit,
+    and the first qualifying node wins.  The nodes after that one never
+    change the result, so a path that stops there gives the tau and label
+    of the whole path.
     """
-    y = np.asarray(mean_y, dtype=float)
-    times = grid.times()
-    if y.shape != times.shape:
-        raise ValueError("mean_y length does not match the grid")
-    return _first_hit(y, times, grid.horizon)
-
-
-def _first_hit(y, times, horizon):
-    """`detect_min_time` on the first len(y) nodes of `times`.
-
-    The nodes after the first one with y <= 0 never change the result,
-    so a path that stops there gives the tau and label of the whole path.
-    """
+    horizon = float(times[-1])
     if y[0] <= 0.0:
         return 0.0, "i"
     hits = np.nonzero(y <= 0.0)[0]
@@ -343,10 +333,11 @@ def _joint_solve(spec: ProblemSpec, policy, times, stop_row=None) -> np.ndarray:
 
 def solve_mean_path(spec: ProblemSpec, policy, grid: SimGrid) -> MeanPath:
     """One-pass mean state + target solve with hitting-time detection."""
-    z = _joint_solve(spec, policy, grid.times())
+    times = grid.times()
+    z = _joint_solve(spec, policy, times)
     mean_x = z[:, : spec.dynamics.m]
     mean_y = z[:, spec.dynamics.m]
-    tau, label = detect_min_time(mean_y, grid)
+    tau, label = _first_hit(mean_y, times)
     return MeanPath(grid, mean_x, mean_y, tau, label)
 
 
@@ -364,7 +355,7 @@ def hit_time(spec: ProblemSpec, policy, grid: SimGrid):
     times = grid.times()
     m = spec.dynamics.m
     y = _joint_solve(spec, policy, times, stop_row=m)[:, m]
-    return _first_hit(y, times, grid.horizon)
+    return _first_hit(y, times)
 
 
 def mean_at_tau(spec: ProblemSpec, policy, direction, tau: float, grid: SimGrid):
@@ -505,7 +496,7 @@ class EnsembleResult:
 
     mean_x / std_x / mean_y hold per-node ensemble statistics; paths_x is
     kept only when path storage is on.  tau and case_label come from
-    `detect_min_time` applied to the ensemble mean of Y.
+    `_first_hit` applied to the ensemble mean of Y on the grid's nodes.
     """
 
     grid: SimGrid
@@ -804,7 +795,7 @@ def simulate_ensemble(
     col = _Column(spec.dynamics, u_nodes, n_paths, grid.n_steps, spec=spec, store_paths=store_paths)
     _run_columns([col], grid, seed, n_paths, threads)
 
-    tau, label = detect_min_time(col.mean_y, grid)
+    tau, label = _first_hit(col.mean_y, times)
     result = EnsembleResult(
         grid=grid,
         n_paths=n_paths,
@@ -816,7 +807,7 @@ def simulate_ensemble(
         case_label=label,
         paths_x=col.paths,
     )
-    if store_paths and spec.cost is not None:
+    if store_paths:
         result.cost, result.cost_stderr = estimate_cost(result, spec.cost, policy)
     return result
 
@@ -853,7 +844,7 @@ def estimate_cost(result: EnsembleResult, cost, policy):
     if partial > 0.0 and j_last + 1 < len(times):
         lam = partial / dt
         x_tau = (1.0 - lam) * paths[:, j_last, :] + lam * paths[:, j_last + 1, :]
-        u_tau = policy.value(tau, side=-1)
+        u_tau = policy.values(tau, side=-1)
         f_tau = cost.kappa + x_tau @ cost.c_lin + 0.5 * float(u_tau @ cost.Lambda @ u_tau)
         run = run + 0.5 * (f_nodes[:, j_last] + f_tau) * partial
     else:

@@ -33,6 +33,7 @@ from .adjoint import (
     target_hamiltonian_du,
     target_slope_at_tau,
 )
+from .errors import RegimeError
 from .problem import CostSpec, LinearDynamics, ProblemSpec
 from .simulate import SimGrid, hit_time, mean_at_tau
 
@@ -143,8 +144,10 @@ def check_candidate(
     tau and its regime label are detected from a fine mean solve unless
     supplied by the caller (pass both together when the hitting time is
     known in closed form).  `terminal_x_paths` supplies Monte Carlo
-    terminal states for the weight; it is required when the terminal
-    cost has a quadratic part, whose expectation needs second moments.
+    terminal states for the weight.  Without it a terminal cost with a
+    quadratic part, whose expectation needs second moments, raises
+    RegimeError naming `problem.cost.psi_quad` when the hit brings in the
+    time term.
     The vertex maximum is >= 0 whenever u(t) lies in the box, so a `tol`
     that is not finite and >= 0 raises ValueError before any solve.
     """
@@ -172,7 +175,7 @@ def check_candidate(
     adj = solve_adjoints(spec, tau, grid, mean_x_tau)
 
     u_bar = np.atleast_2d(policy.values(times, side=+1))
-    u_bar[-1] = policy.value(times[-1], side=-1)  # final node: value inside [0, tau]
+    u_bar[-1] = policy.values(times[-1], side=-1)  # final node: value inside [0, tau]
     hu = hamiltonian_du(u_bar, adj.p, dyn, cost)
 
     slope = float("nan")
@@ -180,16 +183,17 @@ def check_candidate(
     khat = None
     if case_label in ("i", "iii"):
         khat = target_hamiltonian_du(adj.p0, dyn, tgt)
-        u_tau = np.atleast_1d(policy.value(tau, side=-1))
+        u_tau = policy.values(tau, side=-1)
         slope = target_slope_at_tau(tgt, dyn, mean_x_tau, u_tau)
         if terminal_x_paths is not None:
             term = terminal_cost_drift(terminal_x_paths, u_tau, dyn, cost)
             run = cost.running(np.atleast_2d(terminal_x_paths), u_tau)
             weight = float(np.mean(term + run))
         elif cost.psi_quad.any():
-            raise ValueError(
-                "terminal_x_paths is required for the time term when the "
-                "terminal cost is quadratic (its drift mean needs second moments)"
+            raise RegimeError(
+                "problem.cost.psi_quad: a quadratic terminal cost is outside the "
+                "checked regime; the mean of its drift at tau needs second moments "
+                "of the state, which this check does not solve for"
             )
         else:
             xrow = mean_x_tau[None, :]

@@ -270,7 +270,7 @@ def hit_time_derivative(
     if label != "i" or tau <= 0.0:
         return TauDerivative(tau, label, float("nan"), float("nan"), 0.0)
     mean_x_tau, resp = mean_at_tau(spec, policy, direction, tau, grid)
-    u_tau = policy.value(tau, side=-1)
+    u_tau = policy.values(tau, side=-1)
     slope = target_slope_at_tau(spec.target, spec.dynamics, mean_x_tau, u_tau)
     return TauDerivative(tau, label, slope, resp, resp / slope)
 
@@ -329,24 +329,18 @@ class DualIdentityReport:
 
 
 def dual_identity_check(
-    spec: ProblemSpec,
-    policy,
-    direction,
-    grid: SimGrid,
-    *,
-    derivative: Optional[TauDerivative] = None,
+    spec: ProblemSpec, direction, derivative: TauDerivative
 ) -> DualIdentityReport:
     """Verify int_0^tau response dt = -int_0^tau Khat(t).v(t) dt.
 
-    The left side integrates the sensitivity-mean system to tau at 4th
-    order; the right side pairs the closed-form time adjoint with the
-    direction through adaptive quadrature split at direction breakpoints.
-    Requires an interior hit.  `derivative` is the `hit_time_derivative`
-    of the same inputs, which supplies tau, the case label and the
-    response integral; it is computed here when not given.
+    The left side is the response integral of `derivative`, the
+    `hit_time_derivative` of the policy along `direction`, which also
+    supplies tau and the case label; it integrates the sensitivity-mean
+    system to tau at 4th order.  The right side pairs the closed-form time
+    adjoint with the direction through adaptive quadrature split at
+    direction breakpoints.  Requires an interior hit: any other case label,
+    or tau <= 0, raises ValueError.
     """
-    if derivative is None:
-        derivative = hit_time_derivative(spec, policy, direction, grid)
     tau, label, lhs = derivative.tau, derivative.case_label, derivative.response_integral
     if label != "i" or tau <= 0.0:
         raise ValueError(f"duality check needs an interior hit, got case {label}")
@@ -354,7 +348,7 @@ def dual_identity_check(
     khat = khat_evaluator(spec.dynamics, spec.target, tau)
 
     def integrand(t: float) -> float:
-        return float(khat(t) @ direction.value(t, side=+1))
+        return float(khat(t) @ direction.values(t, side=+1))
 
     bp = direction.breakpoints
     edges = np.unique(np.clip(np.append(bp, [0.0, tau]), 0.0, tau))

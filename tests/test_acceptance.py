@@ -38,7 +38,7 @@ from meantau.problem import (
 )
 from meantau.simulate import SimGrid, solve_mean_path
 from meantau.smp import check_candidate
-from meantau.variational import dual_identity_check, fd_tau_check
+from meantau.variational import dual_identity_check, fd_tau_check, hit_time_derivative
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
@@ -103,12 +103,12 @@ def test_criterion_02_wealth_identity(params, tau_solution):
 
 def test_criterion_03_control_shape(params, tau_solution, wealth_policy):
     tau = tau_solution.tau
-    at0 = float(wealth_policy.value(0.0)[0])
-    at_tau = float(wealth_policy.value(tau)[0])
+    at0 = float(wealth_policy.values(0.0)[0])
+    at_tau = float(wealth_policy.values(tau)[0])
     jumps = []
     for edge in (tau_solution.t1, tau_solution.t2, tau):
-        left = float(wealth_policy.value(edge, side=-1)[0])
-        right = float(wealth_policy.value(edge, side=+1)[0])
+        left = float(wealth_policy.values(edge, side=-1)[0])
+        right = float(wealth_policy.values(edge, side=+1)[0])
         jumps.append(abs(left - right))
     ts = np.linspace(0.0, tau, 4096)
     vals = wealth_policy.values(ts, side=+1)[:, 0]
@@ -269,7 +269,8 @@ def test_criterion_08_duality():
                 ControlSegment(edges[1], 8.0, [v_vals[2]]),
             ]
         )
-        report = dual_identity_check(spec, policy, direction, grid)
+        derivative = hit_time_derivative(spec, policy, direction, grid)
+        report = dual_identity_check(spec, direction, derivative)
         worst = max(worst, report.rel_gap)
         kept += 1
     ok = kept == 20 and worst < 1e-6

@@ -56,16 +56,14 @@ def test_vertex_policy_refines_every_switch_through_the_module_brentq(monkeypatc
     np.testing.assert_array_equal(np.sort(roots), np.sort(found))
 
 
-def test_find_switch_times_linear_interpolation_is_exact_on_lines():
-    times = np.linspace(0.0, 1.0, 5)
-    roots = find_switch_times(times, 0.37 - times)
-    assert len(roots) == 1
-    np.testing.assert_allclose(roots[0], [0.37], atol=1e-15)
+def node_line(times, vals):
+    """`refine` for the curve through the node values, linear between nodes."""
+    return lambda t, i: float(np.interp(t, times, vals[:, i]))
 
 
 def test_find_switch_times_refines_with_brentq():
     times = np.linspace(0.0, 3.0, 7)
-    vals = np.cos(times)
+    vals = np.cos(times)[:, None]
     roots = find_switch_times(times, vals, refine=lambda t, i: np.cos(t), xtol=1e-12)
     assert len(roots[0]) == 1
     assert abs(roots[0][0] - np.pi / 2.0) < 1e-10
@@ -73,27 +71,35 @@ def test_find_switch_times_refines_with_brentq():
 
 def test_find_switch_times_node_zero_counts_once():
     times = np.linspace(0.0, 1.0, 5)
-    vals = np.array([1.0, 0.5, 0.0, -0.5, -1.0])
-    roots = find_switch_times(times, vals)
+    vals = np.array([[1.0], [0.5], [0.0], [-0.5], [-1.0]])
+    roots = find_switch_times(times, vals, refine=node_line(times, vals))
     np.testing.assert_allclose(roots[0], [0.5])
 
 
 def test_find_switch_times_rejects_values_without_a_node_axis():
     times = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="per time node"):
-        find_switch_times(times, np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+        find_switch_times(times, np.linspace(-1.0, 1.0, 12).reshape(3, 4), refine=lambda t, i: t)
+
+
+def test_find_switch_times_takes_values_only_as_nodes_by_components():
+    times = np.linspace(0.0, 1.0, 5)
+    line = 0.37 - times
+    for vals in (line, line[None, :]):
+        with pytest.raises(ValueError, match="per time node"):
+            find_switch_times(times, vals, refine=lambda t, i: 0.37 - t)
 
 
 def test_find_switch_times_zero_plateau_is_singular():
     times = np.linspace(0.0, 1.0, 5)
-    vals = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
+    vals = np.array([[1.0], [0.0], [0.0], [0.0], [-1.0]])
     with pytest.raises(SingularArcError):
-        find_switch_times(times, vals)
+        find_switch_times(times, vals, refine=node_line(times, vals))
 
 
 def test_find_switch_times_exact_zero_between_opposite_signs_is_that_node():
     times = np.linspace(0.0, 1.0, 6)
-    vals = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 0.5])
+    vals = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0], [0.5]])
     calls = []
 
     def refine(t, i):
@@ -107,33 +113,34 @@ def test_find_switch_times_exact_zero_between_opposite_signs_is_that_node():
 
 def test_find_switch_times_zero_at_node_zero_is_no_root():
     times = np.linspace(0.0, 1.0, 5)
-    assert find_switch_times(times, np.array([0.0, -1.0, -2.0, -1.0, -0.5]))[0].size == 0
-    assert find_switch_times(times, np.array([0.0, 1.0, 2.0, 1.0, 0.0]))[0].size == 0
+    for col in ([0.0, -1.0, -2.0, -1.0, -0.5], [0.0, 1.0, 2.0, 1.0, 0.0]):
+        vals = np.array(col)[:, None]
+        assert find_switch_times(times, vals, refine=node_line(times, vals))[0].size == 0
 
 
 def test_find_switch_times_three_node_near_zero_plateau_raises():
     times = np.linspace(0.0, 1.0, 7)
-    two = np.array([1.0, 0.5, 1e-14, -1e-14, -0.5, -1.0, -1.5])
-    assert len(find_switch_times(times, two)[0]) == 1
+    two = np.array([1.0, 0.5, 1e-14, -1e-14, -0.5, -1.0, -1.5])[:, None]
+    assert len(find_switch_times(times, two, refine=node_line(times, two))[0]) == 1
     three = np.array([1.0, 0.5, 1e-14, -1e-14, 1e-14, -1.0, -1.5])
+    vals = np.stack([times - 0.5, three], axis=1)
     with pytest.raises(SingularArcError) as err:
-        find_switch_times(times, np.stack([times - 0.5, three], axis=1))
+        find_switch_times(times, vals, refine=node_line(times, vals))
     assert err.value.component == 1
 
 
-def _switch_times_by_node_loop(times, col):
+def _switch_times_by_node_loop(times, col, refine):
     """The node-by-node scan, kept as the reference for the vectorized one."""
     roots = []
     sgn = np.sign(col)
     for j in range(len(times) - 1):
-        a, b = col[j], col[j + 1]
         if sgn[j] == 0.0:
             if 0 < j and sgn[j - 1] * sgn[j + 1] < 0:
                 roots.append(times[j])
             continue
         if sgn[j + 1] == 0.0 or sgn[j] * sgn[j + 1] > 0:
             continue
-        roots.append(times[j] - a * (times[j + 1] - times[j]) / (b - a))
+        roots.append(bangbang.brentq(lambda t: refine(t, 0), times[j], times[j + 1], xtol=1e-10))
     return np.array(roots)
 
 
@@ -144,17 +151,18 @@ def test_find_switch_times_matches_the_node_loop():
         times = np.sort(rng.uniform(0.0, 3.0, n))
         col = rng.choice([-1.0, 0.0, 1.0], n) * rng.uniform(0.1, 2.0, n)
         col[np.nonzero(col == 0.0)[0][2::3]] = 0.7  # keep zero runs short
+        refine = node_line(times, col[:, None])
         try:
-            roots = find_switch_times(times, col)[0]
+            roots = find_switch_times(times, col[:, None], refine=refine)[0]
         except SingularArcError:
             continue
-        assert np.array_equal(roots, _switch_times_by_node_loop(times, col))
+        assert np.array_equal(roots, _switch_times_by_node_loop(times, col, refine))
 
 
 def test_find_switch_times_handles_multiple_columns():
     times = np.linspace(0.0, 1.0, 11)
     vals = np.stack([times - 0.37, 0.83 - times], axis=1)
-    roots = find_switch_times(times, vals)
+    roots = find_switch_times(times, vals, refine=node_line(times, vals))
     assert len(roots) == 2
     np.testing.assert_allclose(roots[0], [0.37], atol=1e-14)
     np.testing.assert_allclose(roots[1], [0.83], atol=1e-14)
@@ -164,11 +172,11 @@ def test_vertex_policy_wealth_sits_at_the_upper_bound(wealth_spec):
     policy, switches, khat_nodes, grid = vertex_policy(wealth_spec, TAU_REF, n_nodes=512)
     assert switches[0].size == 0
     assert np.all(khat_nodes > 0.0)
-    assert float(policy.value(0.0)[0]) == 12.5
-    assert float(policy.value(TAU_REF - 1e-3)[0]) == 12.5
+    assert float(policy.values(0.0)[0]) == 12.5
+    assert float(policy.values(TAU_REF - 1e-3)[0]) == 12.5
     # held past tau so the policy stays evaluable on the full horizon
     assert policy.horizon == 20.0
-    assert float(policy.value(15.0)[0]) == 12.5
+    assert float(policy.values(15.0)[0]) == 12.5
     assert grid.horizon == TAU_REF
 
 
@@ -192,9 +200,9 @@ def test_synthesize_scalar_upper_then_lower():
     assert abs(switches[0] - report.switch_time) < 1e-8
 
     t0 = switches[0]
-    assert float(result.policy.value(0.5 * t0)[0]) == 1.5
-    assert float(result.policy.value(0.5 * (t0 + result.tau))[0]) == 0.2
-    assert float(result.policy.value(result.tau, side=-1)[0]) == 0.2
+    assert float(result.policy.values(0.5 * t0)[0]) == 1.5
+    assert float(result.policy.values(0.5 * (t0 + result.tau))[0]) == 0.2
+    assert float(result.policy.values(result.tau, side=-1)[0]) == 0.2
 
     # the converged tau is a fixed point: re-detect on a finer grid
     mp = solve_mean_path(spec, result.policy, SimGrid(spec.horizon, 8192))

@@ -492,6 +492,36 @@ def test_exit_4_when_the_switching_function_vanishes(tmp_path, capsys):
     assert err["component"] == 0
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("bangbang", "Lambda", [[1.0]]),
+        ("bangbang", "c_lin", [5.0]),
+        ("bangbang", "psi_lin", [3.0]),
+        ("bangbang", "psi_quad", [[0.5]]),
+        ("bangbang", "kappa", -1.0),
+        ("check-smp", "psi_quad", [[0.5]]),
+    ],
+    ids=["bangbang-Lambda", "bangbang-c_lin", "bangbang-psi_lin", "bangbang-psi_quad",
+         "bangbang-negative-kappa", "check-smp-psi_quad"],
+)
+def test_exit_4_naming_a_cost_field_outside_the_regime_of_the_command(tmp_path, capsys, command,
+                                                                      key, value):
+    # bangbang solves only kappa * tau with kappa >= 0; check-smp has no
+    # second moments for a quadratic terminal cost
+    cfg = load_json(SCALAR)
+    cfg["problem"]["cost"][key] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert set(diag) == {"error", "message"}
+    assert diag["error"] == "RegimeError"
+    assert f"problem.cost.{key}:" in diag["message"]
+    assert not out.exists()
+
+
 def test_version_and_unknown_command_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -74,7 +74,7 @@ def test_parse_policy_constant_spans_the_given_horizon():
     policy = parse_policy({"constant": [0.5]}, horizon=6.0)
     assert policy.horizon == 6.0
     assert len(policy.segments) == 1 and policy.segments[0].t_start == 0.0
-    assert float(policy.value(1.0)[0]) == 0.5
+    assert float(policy.values(1.0)[0]) == 0.5
     with pytest.raises(SpecValidationError, match="policy.horizon: unknown field"):
         parse_policy({"constant": [0.5], "horizon": 2.0}, horizon=6.0)
 
@@ -95,8 +95,8 @@ def test_parse_policy_segment_forms():
         },
         horizon=3.0,
     )
-    assert float(policy.value(0.5)[0]) == 0.2
-    assert float(policy.value(2.0)[0]) == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
+    assert float(policy.values(0.5)[0]) == 0.2
+    assert float(policy.values(2.0)[0]) == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
 
 
 def test_parse_problem_defaults_kappa_to_zero():

@@ -84,18 +84,18 @@ def test_policy_structure_and_continuity(params, tau_solution, wealth_policy):
         wealth_policy.breakpoints, [0.0, t1, t2, tau, params.horizon]
     )
     for edge in (t1, t2, tau):
-        left = float(wealth_policy.value(edge, side=-1)[0])
-        right = float(wealth_policy.value(edge, side=+1)[0])
+        left = float(wealth_policy.values(edge, side=-1)[0])
+        right = float(wealth_policy.values(edge, side=+1)[0])
         assert abs(left - right) < 1e-9
-    assert float(wealth_policy.value(0.0)[0]) == 12.5
-    assert float(wealth_policy.value(tau)[0]) == 10.0
+    assert float(wealth_policy.values(0.0)[0]) == 12.5
+    assert float(wealth_policy.values(tau)[0]) == 10.0
 
 
 def test_policy_drops_degenerate_branches(params):
     sol = TauSolution(tau=0.5, t1=0.0, t2=0.0, residual=0.0)
     policy = optimal_policy(params, sol)
     assert len(policy.segments) == 2
-    assert float(policy.value(0.2)[0]) == 10.0
+    assert float(policy.values(0.2)[0]) == 10.0
     assert policy.horizon == params.horizon
 
 
@@ -119,7 +119,7 @@ def test_two_branches_when_the_exponential_ends_above_the_lower_bound(params):
     np.testing.assert_allclose(policy.breakpoints, [0.0, sol.t1, sol.tau, mid.horizon])
     before_tau = [s for s in policy.segments if s.t_start < sol.tau]
     assert not any(s.gamma0[0] == mid.control_lower for s in before_tau)
-    assert float(policy.value(sol.tau, side=-1)[0]) == pytest.approx(coef, rel=1e-12)
+    assert float(policy.values(sol.tau, side=-1)[0]) == pytest.approx(coef, rel=1e-12)
     # the RK4 mean solve of the embedded problem reaches the target at tau
     mean = solve_mean_path(to_problem_spec(mid), policy, SimGrid(sol.tau, 4096))
     assert abs(mean.mean_y[-1]) < 1e-9 and mean.mean_y[-2] > 0.0

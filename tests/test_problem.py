@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import scalar_spec
 from meantau.errors import SpecValidationError
 from meantau.problem import (
-    CombinedPolicy,
     ControlPolicy,
     ControlSegment,
     ControlSet,
@@ -84,7 +85,7 @@ def test_policy_eval_matches_hand_computed_exponential():
     # one falling-exponential segment, anchored so u(t) = 8.5 e^{0.05 (10.92 - t)}
     seg = ControlSegment(0.0, 10.92, [0.0], [8.5 * np.exp(0.05 * 10.92)], [-0.05])
     policy = ControlPolicy([seg])
-    val = float(policy.value(5.0)[0])
+    val = float(policy.values(5.0)[0])
     assert abs(val - 11.42799633307245) < 1e-12
     assert abs(val - 11.428) < 5e-4
 
@@ -136,31 +137,30 @@ def test_policy_values_equal_the_broadcast_formula(name, side):
         got = policy.values(t, side=side)
         assert got.shape == (2,)
         np.testing.assert_array_equal(got, broadcast_values(policy, t, side))
-        np.testing.assert_array_equal(policy.value(t, side=side), got)
     assert policy.values(np.empty(0), side=side).shape == (0, 2)
 
 
 def test_policy_eval_constant_and_bounds():
     policy = ControlPolicy.constant([3.0], 2.0)
-    np.testing.assert_allclose(policy.value(1.3), [3.0])
-    np.testing.assert_allclose(policy.value(0.0), [3.0])
-    np.testing.assert_allclose(policy.value(2.0), [3.0])
+    np.testing.assert_allclose(policy.values(1.3), [3.0])
+    np.testing.assert_allclose(policy.values(0.0), [3.0])
+    np.testing.assert_allclose(policy.values(2.0), [3.0])
     with pytest.raises(ValueError):
-        policy.value(2.0 + 1e-9)
+        policy.values(2.0 + 1e-9)
     with pytest.raises(ValueError):
-        policy.value(-0.1)
+        policy.values(-0.1)
 
 
 def test_policy_side_semantics_at_breakpoints():
     policy = ControlPolicy(
         [ControlSegment(0.0, 1.0, [2.0]), ControlSegment(1.0, 3.0, [5.0])]
     )
-    np.testing.assert_allclose(policy.value(1.0, side=+1), [5.0])
-    np.testing.assert_allclose(policy.value(1.0, side=-1), [2.0])
-    np.testing.assert_allclose(policy.value(1.0), [5.0])
+    np.testing.assert_allclose(policy.values(1.0, side=+1), [5.0])
+    np.testing.assert_allclose(policy.values(1.0, side=-1), [2.0])
+    np.testing.assert_allclose(policy.values(1.0), [5.0])
     # at the horizon only the left limit exists, and either side takes it
-    np.testing.assert_allclose(policy.value(3.0), [5.0])
-    np.testing.assert_allclose(policy.value(3.0, side=-1), [5.0])
+    np.testing.assert_allclose(policy.values(3.0), [5.0])
+    np.testing.assert_allclose(policy.values(3.0, side=-1), [5.0])
     np.testing.assert_allclose(policy.breakpoints, [0.0, 1.0, 3.0])
 
 
@@ -171,7 +171,7 @@ def test_policy_values_reject_nan_times():
     combined = perturbed_policy(policy, ControlPolicy.constant([1.0], 3.0), 0.5)
     for p in (policy, combined):
         with pytest.raises(ValueError, match="time outside"):
-            p.value(float("nan"))
+            p.values(float("nan"))
         with pytest.raises(ValueError, match="time outside"):
             p.values([0.5, float("nan")])
         with pytest.raises(ValueError, match="time outside"):
@@ -210,14 +210,57 @@ def test_combined_policy_and_perturbation():
         [ControlSegment(0.0, 1.0, [0.5]), ControlSegment(1.0, 2.0, [-0.5])]
     )
     pert = perturbed_policy(base, direction, 0.1)
-    np.testing.assert_allclose(pert.value(0.5), [1.05])
-    np.testing.assert_allclose(pert.value(1.5), [0.95])
-    np.testing.assert_allclose(pert.value(1.0, side=-1), [1.05])
+    np.testing.assert_allclose(pert.values(0.5), [1.05])
+    np.testing.assert_allclose(pert.values(1.5), [0.95])
+    np.testing.assert_allclose(pert.values(1.0, side=-1), [1.05])
     np.testing.assert_allclose(pert.breakpoints, [0.0, 1.0, 2.0])
     with pytest.raises(SpecValidationError):
-        CombinedPolicy([base, ControlPolicy.constant([1.0], 3.0)], [1.0, 1.0])
-    with pytest.raises(SpecValidationError):
-        CombinedPolicy([base], [1.0, 2.0])
+        perturbed_policy(base, ControlPolicy.constant([1.0], 3.0), 1.0)
+
+
+@st.composite
+def perturbations(draw):
+    """A base policy, a direction on its horizon, a rho and the times to compare at."""
+    horizon = draw(st.floats(0.5, 10.0))
+    k = draw(st.integers(1, 3))
+
+    def entries(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
+
+    def policy():
+        inner = st.floats(0.0, horizon, exclude_min=True, exclude_max=True)
+        edges = [0.0, *sorted(set(draw(st.lists(inner, max_size=4)))), horizon]
+        segments = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            if draw(st.booleans()):
+                segments.append(ControlSegment(a, b, entries(-5.0, 5.0)))
+            else:
+                segments.append(
+                    ControlSegment(a, b, entries(-5.0, 5.0), entries(-5.0, 5.0), entries(-2.0, 2.0))
+                )
+        return ControlPolicy(segments)
+
+    base, direction = policy(), policy()
+    rho = draw(st.floats(-1e3, 1e3))
+    ts = draw(st.lists(st.floats(0.0, horizon), max_size=20))
+    return base, direction, rho, np.concatenate([ts, base.breakpoints, direction.breakpoints])
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbations())
+def test_perturbed_policy_values_are_base_plus_rho_direction_bit_for_bit(case):
+    base, direction, rho, ts = case
+    pert = perturbed_policy(base, direction, rho)
+    np.testing.assert_array_equal(
+        pert.breakpoints, np.union1d(base.breakpoints, direction.breakpoints)
+    )
+    for side in (+1, -1):
+        want = base.values(ts, side=side) + rho * direction.values(ts, side=side)
+        got = pert.values(ts, side=side)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for t in np.union1d(base.breakpoints, direction.breakpoints):
+            want = base.values(t, side=side) + rho * direction.values(t, side=side)
+            assert pert.values(t, side=side).tobytes() == want.tobytes()
 
 
 def test_validate_accepts_wealth_problem(wealth_spec):

@@ -30,8 +30,8 @@ from meantau.simulate import (
     _Column,
     _run_columns,
     _rk4_transfer,
+    _first_hit,
     _run_starts,
-    detect_min_time,
     estimate_cost,
     simulate_ensemble,
     solve_mean_path,
@@ -263,8 +263,8 @@ def _falling_spec(y0, rate, horizon, m):
 def test_hit_time_is_the_detected_hit_of_the_full_path(y0, rate, m, n):
     spec = _falling_spec(y0, rate, 1.0, m)
     policy, grid = ControlPolicy.constant([1.0], 1.0), SimGrid(1.0, n)
-    assert simulate.hit_time(spec, policy, grid) == detect_min_time(
-        solve_mean_path(spec, policy, grid).mean_y, grid
+    assert simulate.hit_time(spec, policy, grid) == _first_hit(
+        solve_mean_path(spec, policy, grid).mean_y, grid.times()
     )
 
 
@@ -410,33 +410,33 @@ def test_mean_target_quadrature_consistency():
 
 def test_detect_min_time_trivial_start():
     grid = SimGrid(2.0, 4)
-    tau, label = detect_min_time([-1.0, -1.0, -1.0, -1.0, -1.0], grid)
+    tau, label = _first_hit(np.array([-1.0, -1.0, -1.0, -1.0, -1.0]), grid.times())
     assert (tau, label) == (0.0, "i")
 
 
 def test_detect_min_time_linear_interpolation():
     grid = SimGrid(2.0, 2)
-    tau, label = detect_min_time([1.0, 0.0, -1.0], grid)
+    tau, label = _first_hit(np.array([1.0, 0.0, -1.0]), grid.times())
     assert label == "i"
     assert tau == pytest.approx(1.0, abs=1e-15)
 
 
 def test_detect_min_time_no_crossing_is_capped():
     grid = SimGrid(2.0, 4)
-    tau, label = detect_min_time([1.0, 0.9, 0.8, 0.7, 0.6], grid)
+    tau, label = _first_hit(np.array([1.0, 0.9, 0.8, 0.7, 0.6]), grid.times())
     assert (tau, label) == (2.0, "ii")
 
 
 def test_detect_min_time_hit_exactly_at_horizon():
     grid = SimGrid(2.0, 8)
     y = 1.0 - grid.times() / 2.0
-    tau, label = detect_min_time(y, grid)
+    tau, label = _first_hit(y, grid.times())
     assert (tau, label) == (2.0, "iii")
 
 
 def test_detect_min_time_first_touch_wins():
     grid = SimGrid(3.0, 3)
-    tau, label = detect_min_time([1.0, 0.0, 1.0, -1.0], grid)
+    tau, label = _first_hit(np.array([1.0, 0.0, 1.0, -1.0]), grid.times())
     assert label == "i"
     assert tau == pytest.approx(1.0, abs=1e-15)
 
@@ -446,8 +446,8 @@ def test_detect_min_time_monotone_consistency():
     ts = grid.times()
     lo = 1.0 - ts
     hi = 1.2 - ts
-    tau_lo, _ = detect_min_time(lo, grid)
-    tau_hi, _ = detect_min_time(hi, grid)
+    tau_lo, _ = _first_hit(lo, ts)
+    tau_hi, _ = _first_hit(hi, ts)
     assert tau_hi >= tau_lo
     assert tau_lo == pytest.approx(1.0, abs=1e-12)
     assert tau_hi == pytest.approx(1.2, abs=1e-12)
@@ -673,7 +673,7 @@ def test_scalar_kernel_matches_the_in_place_reference(specs, u0, u1, n_steps, n_
         assert np.array_equal(res.std_x, std_x)
         assert np.array_equal(res.mean_y, mean_y)
         assert np.array_equal(res.paths_x, paths)
-        assert res.tau == detect_min_time(mean_y, grid)[0]
+        assert res.tau == _first_hit(mean_y, grid.times())[0]
 
 
 @st.composite

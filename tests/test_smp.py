@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import never_crossing_spec, scalar_spec
 from meantau.bangbang import synthesize
 from meantau.config import load_config, parse_policy, parse_problem
+from meantau.errors import RegimeError
 from meantau.portfolio import branch_coefficient
 from meantau.problem import (
     ControlPolicy,
@@ -184,7 +185,7 @@ def test_check_candidate_quadratic_terminal_needs_sampled_states(
         wealth_spec.control_set,
         wealth_spec.horizon,
     )
-    with pytest.raises(ValueError, match="terminal_x_paths"):
+    with pytest.raises(RegimeError, match=r"problem\.cost\.psi_quad"):
         check_candidate(
             spec,
             wealth_policy,

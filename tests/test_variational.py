@@ -1,5 +1,4 @@
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from helpers import (
     time_optimal_cost,
 )
 from meantau import simulate, variational
-from meantau.config import load_config, parse_policy, parse_problem
 from meantau.errors import AssumptionViolationError, DivergenceError
 from meantau.problem import (
     ControlPolicy,
@@ -35,8 +33,6 @@ from meantau.variational import (
     hit_time_derivative,
     simulate_state_sensitivity,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_zero_direction_gives_zero_sensitivity():
@@ -168,7 +164,9 @@ def test_dual_identity_without_a_derivative_rejects_a_flat_slope():
                        lower=0.0, upper=1.0, horizon=25.0)
     policy = ControlPolicy.constant([0.5], 25.0)
     with pytest.raises(AssumptionViolationError):
-        dual_identity_check(spec, policy, ControlPolicy.constant([0.1], 25.0), SimGrid(25.0, 4000))
+        direction = ControlPolicy.constant([0.1], 25.0)
+        derivative = hit_time_derivative(spec, policy, direction, SimGrid(25.0, 4000))
+        dual_identity_check(spec, direction, derivative)
 
 
 def test_dual_identity_on_scalar_problem():
@@ -176,7 +174,8 @@ def test_dual_identity_on_scalar_problem():
     grid = SimGrid(6.0, 6000)
     policy = piecewise_constant([0.8, 1.2], [0.0, 2.0, 6.0])
     direction = piecewise_constant([0.5, -0.2, 0.1], [0.0, 1.0, 3.0, 6.0])
-    report = dual_identity_check(spec, policy, direction, grid)
+    derivative = hit_time_derivative(spec, policy, direction, grid)
+    report = dual_identity_check(spec, direction, derivative)
     assert report.rel_gap < 1e-6
     assert report.response_integral != 0.0
 
@@ -185,34 +184,22 @@ def test_dual_identity_zero_direction():
     spec = scalar_spec(a=0.3, b=1.0, e2=-1.0, e4=0.4, y0=2.0, horizon=6.0)
     grid = SimGrid(6.0, 4000)
     policy = ControlPolicy.constant([0.8], 6.0)
-    report = dual_identity_check(spec, policy, ControlPolicy.constant([0.0], 6.0), grid)
+    direction = ControlPolicy.constant([0.0], 6.0)
+    derivative = hit_time_derivative(spec, policy, direction, grid)
+    report = dual_identity_check(spec, direction, derivative)
     assert report.response_integral == pytest.approx(0.0, abs=1e-15)
     assert report.adjoint_integral == pytest.approx(0.0, abs=1e-15)
     assert report.rel_gap == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("config", ["docs/examples/scalar.json", "perfbench/configs/two_state.json"])
-def test_dual_identity_reuses_the_tau_derivative(config):
-    cfg = load_config(str(ROOT / config))
-    spec = parse_problem(cfg["problem"])
-    policy = parse_policy(cfg["policy"], horizon=spec.horizon)
-    direction = parse_policy(cfg["direction"], path="direction", horizon=spec.horizon)
-    grid = SimGrid(spec.horizon, 40_000)
-    derivative = hit_time_derivative(spec, policy, direction, grid)
-    alone = dual_identity_check(spec, policy, direction, grid)
-    reused = dual_identity_check(spec, policy, direction, grid, derivative=derivative)
-    assert reused == alone
-
-
 def test_dual_identity_requires_an_interior_hit():
     spec = never_crossing_spec()
     with pytest.raises(ValueError):
-        dual_identity_check(
-            spec,
-            ControlPolicy.constant([0.5], 1.0),
-            ControlPolicy.constant([0.1], 1.0),
-            SimGrid(1.0, 100),
+        direction = ControlPolicy.constant([0.1], 1.0)
+        derivative = hit_time_derivative(
+            spec, ControlPolicy.constant([0.5], 1.0), direction, SimGrid(1.0, 100)
         )
+        dual_identity_check(spec, direction, derivative)
 
 
 # Random stable systems with m, k, d in {1, 2, 3} and an interior
@@ -265,7 +252,9 @@ def hitting_problems(draw):
 @given(hitting_problems())
 def test_duality_identity_holds_on_random_stable_systems(problem):
     spec, policy, direction = problem
-    report = dual_identity_check(spec, policy, direction, _HIT_GRID)
+    report = dual_identity_check(
+        spec, direction, hit_time_derivative(spec, policy, direction, _HIT_GRID)
+    )
     assert 0.0 < report.tau < _HIT_HORIZON
     assert report.rel_gap < 1e-6
 
