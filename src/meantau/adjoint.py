@@ -11,11 +11,14 @@ minimum time tau:
   value is deterministic).
 
 Both closed forms rest on the augmented block identity
-expm([[A, I], [0, 0]] h) = [[e^{Ah}, int_0^h e^{As} ds], [0, I]].  At an
-arbitrary time it costs one exponential; on a uniform grid with step h
-the node values are the powers M^j = expm([[A, I], [0, 0]] j h) of one
-exponential M, taken by repeated doubling, which is exact up to
-round-off.  `solve_time_adjoint` cross-checks the time adjoint against an
+expm([[A, I], [0, 0]] h) = [[e^{Ah}, int_0^h e^{As} ds], [0, I]] (Van
+Loan, "Computing integrals involving the matrix exponential", 1978).  At
+an arbitrary time it costs one exponential.  On a uniform grid with step
+h, I(kh + h) = I(kh) e^{Ah} + I(h) makes each adjoint, as a row, the
+linear recursion w(t - h) = w(t) e^{Ah} + f I(h) from its value at tau,
+exact up to round-off; one exponential gives e^{Ah} and I(h), and the
+doubling scan of the mean solve (`simulate._scan`) gives the nodes.
+`solve_time_adjoint` cross-checks the time adjoint against an
 independent backward 4th-order integration and keeps the gap.
 """
 
@@ -35,7 +38,7 @@ from .problem import (
     target_control_row,
     target_state_row,
 )
-from .simulate import SimGrid, _affine_path
+from .simulate import SimGrid, _affine_path, _scan
 
 __all__ = [
     "AdjointSolution",
@@ -70,37 +73,23 @@ def exp_with_integral(A: np.ndarray, h: float):
     return E[:m, :m], E[:m, m:]
 
 
-def _exp_with_integral_powers(A: np.ndarray, h: float, n: int):
-    """(e^{A jh}, int_0^{jh} e^{A s} ds) for j = 0..n, each of shape (n+1, m, m).
+def _anchored(A: np.ndarray, tau: float, grid: SimGrid, w_tau, forcing) -> np.ndarray:
+    """Rows w(t_j) at the nodes of `grid` of w(t - h) = w(t) e^{Ah} + forcing I(h).
 
-    The augmented exponential M = expm([[A, I], [0, 0]] h) satisfies
-    M^j = expm([[A, I], [0, 0]] j h), so the powers give every node
-    exactly; they are filled by doubling, P[k:2k] = P[:k] @ M^k, in about
-    log2(n) batched products.
-    """
-    m = A.shape[0]
-    P = np.empty((n + 1, 2 * m, 2 * m))
-    P[0] = np.eye(2 * m)
-    Mk = expm(_augmented(A) * h)  # M^k for k = filled nodes
-    filled = 1
-    while filled <= n:
-        count = min(filled, n + 1 - filled)
-        P[filled : filled + count] = P[:count] @ Mk
-        filled += count
-        Mk = Mk @ Mk
-    return P[:, :m, :m], P[:, :m, m:]
-
-
-def _anchored_blocks(A: np.ndarray, tau: float, grid: SimGrid):
-    """(e^{A(tau-t_j)}, int_0^{tau-t_j} e^{A s} ds) at the nodes t_j of `grid`.
-
-    The grid must end at tau, so node j lies (n - j) steps before it; any
-    other grid raises ValueError.
+    Here h is the grid step, I(h) = int_0^h e^{As} ds and w(tau) = w_tau,
+    so w(t) = w_tau e^{A(tau-t)} + forcing I(tau - t) by I(kh + h) =
+    I(kh) e^{Ah} + I(h): one augmented exponential and the doubling scan
+    of the mean solve.  The grid must end at tau; any other grid raises
+    ValueError.
     """
     if grid.horizon != tau:
         raise ValueError(f"adjoint grid must end at tau = {tau}, got {grid.horizon}")
-    E, I = _exp_with_integral_powers(A, grid.dt, grid.n_steps)
-    return E[::-1], I[::-1]
+    E, I = exp_with_integral(A, grid.dt)
+    w = np.empty((grid.n_steps + 1, A.shape[0]))
+    w[0] = w_tau
+    w[1:] = forcing @ I
+    _scan(w, E)
+    return w[::-1]
 
 
 def time_adjoint_closed_form(
@@ -108,14 +97,13 @@ def time_adjoint_closed_form(
 ) -> np.ndarray:
     """p0 at the given times.
 
-    `times` is either a SimGrid ending at tau, whose nodes come from the
-    powers of one augmented exponential, or any array of times, at one
-    augmented exponential each.
+    `times` is either a SimGrid ending at tau, whose nodes come from one
+    augmented exponential and a doubling scan, or any array of times, at
+    one augmented exponential each.
     """
     row = target_state_row(target, dynamics)
     if isinstance(times, SimGrid):
-        _, integral = _anchored_blocks(dynamics.A, tau, times)
-        return -(row @ integral)
+        return _anchored(dynamics.A, tau, times, np.zeros(dynamics.m), -row)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty((len(times), dynamics.m))
     for i, t in enumerate(times):
@@ -140,32 +128,21 @@ class AdjointSolution:
     cross_check_gap: float = float("nan")
 
 
-def _refine(times: np.ndarray, max_h: float):
-    """Insert nodes so no interval exceeds max_h; returns (fine, original idx).
-
-    An interval longer than max_h by rounding only (relative 1e-9) is
-    kept whole, so a grid with max_h equal to its step stays one run of
-    equal steps for the RK4 prefix scan.
-    """
-    lengths = np.diff(times)
-    nsub = np.maximum(1, np.ceil(lengths / max_h - 1e-9)).astype(np.int64)
-    idx = np.concatenate([[0], np.cumsum(nsub)])
-    owner = np.repeat(np.arange(len(lengths)), nsub)
-    k = np.arange(1, idx[-1] + 1) - idx[owner]
-    fine = np.empty(idx[-1] + 1)
-    fine[0] = times[0]
-    fine[1:] = times[owner] + lengths[owner] * k / nsub[owner]
-    fine[idx[1:]] = times[1:]
-    return fine, idx
-
-
 def _backward_affine(A, source, terminal, tau, times, max_h):
-    """Backward RK4 for w' = -A' w + source, w(tau) = terminal, on `times`."""
+    """Backward RK4 for w' = -A' w + source, w(tau) = terminal, on the uniform `times`.
+
+    Every step is cut into the same r pieces, r the fewest that keep a
+    piece within max_h; a step longer than max_h by rounding only
+    (relative 1e-9) stays whole, so with max_h equal to the step the
+    refined grid is `times` itself, one run of equal steps.
+    """
     # reverse time: v(s) = w(tau - s) solves v' = A' v - source.
     s_nodes = tau - times[::-1]
-    fine, idx = _refine(s_nodes, max_h)
+    n = len(s_nodes) - 1
+    r = max(1, int(np.ceil(np.max(np.diff(s_nodes)) / max_h - 1e-9)))
+    fine = np.interp(np.arange(n * r + 1) / r, np.arange(n + 1), s_nodes)
     v = _affine_path(A.T, None, -source, None, fine, terminal)
-    return v[idx][::-1]
+    return v[::r][::-1]
 
 
 def solve_time_adjoint(
@@ -211,22 +188,20 @@ def solve_cost_adjoint(
     """Cost adjoint p(t) = e^{A'(tau-t)} p_tau - (int_0^{tau-t} e^{A's} ds) cLin.
 
     The terminal value p_tau = -Psi_x(mean state at tau) is deterministic
-    for the parametric cost family, which keeps q identically zero.  The
-    blocks of A serve transposed: e^{A's} = (e^{As})'.
+    for the parametric cost family, which keeps q identically zero.  As a
+    row, p(t)' = p_tau' e^{A(tau-t)} - cLin' int_0^{tau-t} e^{As} ds, since
+    e^{A's} = (e^{As})'.
     """
     p_tau = -(cost.psi_lin + cost.psi_quad @ np.asarray(mean_x_tau, dtype=float))
-    E, I = _anchored_blocks(dynamics.A, tau, grid)
-    return p_tau @ E - cost.c_lin @ I
+    return _anchored(dynamics.A, tau, grid, p_tau, -cost.c_lin)
 
 
-def solve_adjoints(spec, tau: float, grid: SimGrid, mean_x_tau=None) -> AdjointSolution:
-    """Both adjoints for a problem spec; mean_x_tau is needed only when
-    the terminal cost is non-zero."""
+def solve_adjoints(spec, tau: float, grid: SimGrid, mean_x_tau) -> AdjointSolution:
+    """Both adjoints for a problem spec; mean_x_tau is the mean state at
+    tau, read only when the cost has state terms."""
     sol = solve_time_adjoint(spec.dynamics, spec.target, tau, grid)
     cost = spec.cost
     if cost.c_lin.any() or cost.psi_lin.any() or cost.psi_quad.any():
-        if mean_x_tau is None:
-            raise ValueError("mean_x_tau required when the cost has state terms")
         sol.p = solve_cost_adjoint(spec.dynamics, cost, tau, grid, mean_x_tau)
     return sol
 

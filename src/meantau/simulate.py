@@ -168,25 +168,33 @@ def _stage_forcing(M, F, c0, policy, edges):
     return (hs[:, None] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _scan(w, phi_t):
+    """Turn w = [w_0; r_1; r_2; ...] in place into the rows w_{i+1} = w_i @ phi_t + r_{i+1}.
+
+    Pass s = 1, 2, 4, ... adds w[:-s] @ phi_t^s to w[s:], so n rows cost
+    about log2(n) vectorised passes.  Row i is final after the passes with
+    s <= i, and those are the same however many rows follow it.
+    """
+    phi_t = np.ascontiguousarray(phi_t)  # contiguous for fast row products
+    s = 1
+    while s < len(w):
+        w[s:] += w[:-s] @ phi_t
+        s *= 2
+        if s < len(w):
+            phi_t = phi_t @ phi_t
+
+
 def _scan_runs(M, edges, starts, ends, z):
     """Turn z = [z_0; r_0; r_1; ...] into the nodes z_0, z_1, ... in place.
 
     Each run [a, b) of `edges` that starts inside z is scanned up to its
-    end or the end of z, with Phi taken from the whole run's mean step.
+    end or the end of z, with Phi taken from the whole run's mean step;
+    a row z' Phi' is (Phi z)'.
     """
     for a, b in zip(starts, ends):
         if a >= len(z) - 1:
             break
-        w = z[a : b + 1]
-        # (Phi^s)' = (Phi')^s, kept contiguous for fast row products
-        phi_t = np.ascontiguousarray(_rk4_transfer(M, (edges[b] - edges[a]) / (b - a)).T)
-        s = 1
-        while True:
-            w[s:] += w[:-s] @ phi_t
-            s *= 2
-            if s >= len(w):
-                break
-            phi_t = phi_t @ phi_t
+        _scan(z[a : b + 1], _rk4_transfer(M, (edges[b] - edges[a]) / (b - a)).T)
 
 
 # no overflow warnings in the controls, forcing or scan: a bad node raises DivergenceError

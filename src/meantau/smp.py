@@ -147,7 +147,7 @@ def check_candidate(
     terminal states for the weight.  Without it a terminal cost with a
     quadratic part, whose expectation needs second moments, raises
     RegimeError naming `problem.cost.psi_quad` when the hit brings in the
-    time term.
+    time term, before the mean and the adjoints are solved.
     The vertex maximum is >= 0 whenever u(t) lies in the box, so a `tol`
     that is not finite and >= 0 raises ValueError before any solve.
     """
@@ -167,6 +167,12 @@ def check_candidate(
             witness_t=0.0, witness_u=np.array([]), passed=True,
             terminal_weight=float("nan"), slope_at_tau=float("nan"),
             n_time_nodes=0, n_control_samples=0,
+        )
+    if case_label in ("i", "iii") and terminal_x_paths is None and cost.psi_quad.any():
+        raise RegimeError(
+            "problem.cost.psi_quad: a quadratic terminal cost is outside the "
+            "checked regime; the mean of its drift at tau needs second moments "
+            "of the state, which this check does not solve for"
         )
 
     grid = SimGrid(tau, t_grid_size)
@@ -189,12 +195,6 @@ def check_candidate(
             term = terminal_cost_drift(terminal_x_paths, u_tau, dyn, cost)
             run = cost.running(np.atleast_2d(terminal_x_paths), u_tau)
             weight = float(np.mean(term + run))
-        elif cost.psi_quad.any():
-            raise RegimeError(
-                "problem.cost.psi_quad: a quadratic terminal cost is outside the "
-                "checked regime; the mean of its drift at tau needs second moments "
-                "of the state, which this check does not solve for"
-            )
         else:
             xrow = mean_x_tau[None, :]
             weight = float(

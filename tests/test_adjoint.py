@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import hamiltonian, scalar_spec
+from meantau import adjoint
 from meantau.adjoint import (
-    _exp_with_integral_powers,
-    _refine,
+    _backward_affine,
     exp_with_integral,
     hamiltonian_du,
     solve_adjoints,
@@ -19,7 +19,7 @@ from meantau.adjoint import (
 )
 from meantau.errors import AssumptionViolationError, NumericalConsistencyError
 from meantau.problem import CostSpec, LinearDynamics, TargetCoefficients
-from meantau.simulate import SimGrid, _run_starts
+from meantau.simulate import SimGrid, _affine_path, _run_starts
 
 
 def test_exp_with_integral_scalar_identities():
@@ -68,19 +68,37 @@ def test_solve_time_adjoint_cross_checks_routes():
         solve_time_adjoint(spec.dynamics, spec.target, 2.0, SimGrid(2.0, 64), cross_check_tol=0.0)
 
 
-def test_refine_splits_long_intervals_only():
-    fine, idx = _refine(np.array([0.0, 0.25, 1.0]), 0.3)
-    np.testing.assert_array_equal(fine, [0.0, 0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_array_equal(idx, [0, 1, 4])
+def test_refine_splits_long_intervals_only(monkeypatch):
+    seen = []  # the fine grids `_backward_affine` hands to `_affine_path`
+
+    def spy(M, F, c0, policy, times, z0):
+        seen.append(times)
+        return _affine_path(M, F, c0, policy, times, z0)
+
+    monkeypatch.setattr(adjoint, "_affine_path", spy)
+    A, source, terminal = np.array([[0.3, 1.0], [-0.5, -0.2]]), np.array([0.7, -0.4]), np.zeros(2)
     # the backward route's grid: steps within rounding of max_h stay whole,
-    # so the backward RK4 solve is one run of the prefix scan
+    # so the backward RK4 solve is one run of the prefix scan on the grid itself
     tau = 1.2447813331938
     grid = SimGrid(tau, 2048)
-    s_nodes = tau - grid.times()[::-1]
-    fine, idx = _refine(s_nodes, grid.dt)
+    times = grid.times()
+    s_nodes = tau - times[::-1]
+    got = _backward_affine(A, source, terminal, tau, times, grid.dt)
+    (fine,) = seen
     np.testing.assert_array_equal(fine, s_nodes)
-    np.testing.assert_array_equal(idx, np.arange(len(s_nodes)))
     assert len(_run_starts(fine)) == 1
+    direct = _affine_path(A.T, None, -source, None, s_nodes, terminal)
+    np.testing.assert_array_equal(got, direct[::-1])
+    # a max_h below the step cuts every step into the same r = 3 pieces,
+    # and the coarse nodes are those of a solve on the fine grid
+    grid = SimGrid(2.0, 16)
+    times = grid.times()
+    got = _backward_affine(A, source, terminal, 2.0, times, grid.dt / 2.5)
+    fine = seen[-1]
+    assert len(fine) == 3 * 16 + 1
+    np.testing.assert_array_equal(fine[::3], 2.0 - times[::-1])
+    direct = _affine_path(A.T, None, -source, None, 2.0 - SimGrid(2.0, 48).times()[::-1], terminal)
+    np.testing.assert_allclose(got, direct[::3][::-1], rtol=0, atol=1e-14)
 
 
 def test_solve_time_adjoint_rejects_grid_past_tau():
@@ -91,7 +109,7 @@ def test_solve_time_adjoint_rejects_grid_past_tau():
 
 def test_cost_adjoint_time_optimal_vanishes(wealth_spec, tau_solution):
     grid = SimGrid(tau_solution.tau, 32)
-    sol = solve_adjoints(wealth_spec, tau_solution.tau, grid)
+    sol = solve_adjoints(wealth_spec, tau_solution.tau, grid, np.array([10.0]))
     np.testing.assert_allclose(sol.p, 0.0)
 
 
@@ -107,13 +125,6 @@ def test_cost_adjoint_scalar_closed_form():
     p_tau = -(psi1 + psi2 * xbar)
     expect = np.exp(a * (tau - ts)) * p_tau - (np.exp(a * (tau - ts)) - 1.0) / a * c
     np.testing.assert_allclose(p[:, 0], expect, atol=1e-12)
-
-
-def test_solve_adjoints_needs_terminal_mean_for_state_costs():
-    cost = CostSpec(kappa=0.0, c_lin=[0.0], Lambda=[[0.0]], psi_lin=[1.0], psi_quad=[[0.0]])
-    spec = scalar_spec(cost=cost)
-    with pytest.raises(ValueError):
-        solve_adjoints(spec, 1.0, SimGrid(1.0, 8))
 
 
 def test_hamiltonian_gradient_matches_finite_differences():
@@ -241,9 +252,9 @@ def test_a_grid_that_does_not_end_at_tau_is_rejected(horizon):
 # Randomized systems for the grid route: m in {1, 2, 3}, entries in [-2, 2]
 # and grids of n steps spanning at most 2 time units, so that |A| * span
 # stays below 12 and the per-node expm used as the reference is accurate
-# to well below the tolerance.  A grid node j*h is one augmented
-# exponential raised to the power j; the tolerance 1e-12 * max(1, |block|)
-# allows the j-fold growth of that exponential's double round-off.
+# to well below the tolerance.  The grid route scans one step's
+# exponential, and node j before tau carries the round-off of its j-th
+# power; the tolerance 1e-12 * max(1, |block|) allows that j-fold growth.
 _SIZES = st.sampled_from([1, 2, 3])
 _STEPS = st.sampled_from([1, 2, 3, 7, 64, 4097])
 _SPAN = st.floats(min_value=1e-3, max_value=2.0)
@@ -261,20 +272,6 @@ def _system(data, m):
         E4=data.draw(_entries(1)), y0=1.0,
     )
     return dyn, tgt
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), m=_SIZES, n=_STEPS, span=_SPAN)
-def test_grid_powers_match_per_node_exponentials(data, m, n, span):
-    A = data.draw(_entries((m, m)))
-    h = span / n
-    E, I = _exp_with_integral_powers(A, h, n)
-    assert E.shape == I.shape == (n + 1, m, m)
-    for j in range(n + 1):
-        e_ref, i_ref = exp_with_integral(A, j * h)
-        for block, ref in ((E[j], e_ref), (I[j], i_ref)):
-            tol = 1e-12 * max(1.0, float(np.linalg.norm(ref)))
-            assert np.max(np.abs(block - ref)) <= tol, (j, block, ref)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from meantau import errors
+from meantau import errors, smp
 from meantau.cli import main
 from meantau.config import parse_portfolio_params
 from meantau.portfolio import mc_validate
@@ -519,6 +519,21 @@ def test_exit_4_naming_a_cost_field_outside_the_regime_of_the_command(tmp_path, 
     assert set(diag) == {"error", "message"}
     assert diag["error"] == "RegimeError"
     assert f"problem.cost.{key}:" in diag["message"]
+    assert not out.exists()
+
+
+def test_check_smp_refuses_a_quadratic_terminal_cost_before_solving(tmp_path, capsys,
+                                                                   monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solved before refusing psi_quad")
+
+    monkeypatch.setattr(smp, "mean_at_tau", never)
+    monkeypatch.setattr(smp, "solve_adjoints", never)
+    cfg = load_json(SCALAR)
+    cfg["problem"]["cost"]["psi_quad"] = [[0.5]]
+    out = tmp_path / "out"
+    assert main(["check-smp", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "RegimeError"
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 """docs/config-schema.json against the parser: the same keys and ranks, a valid
-schema, and a config the schema rejects exits 2 naming where."""
+schema, a config the schema rejects exits 2 naming where, and one it accepts
+exits 0, 3 or 4 without a traceback."""
 
 import contextlib
 import copy
 import io
 import json
+import warnings
 from dataclasses import fields
 from functools import reduce
 from operator import getitem
@@ -154,3 +156,68 @@ def test_a_value_the_schema_rejects_exits_2_naming_where(tmp_path_factory, case)
     violations = json.loads(line)["violations"]
     assert violations and all(v.startswith(where) for v in violations), (violations, where)
     assert not out.exists()
+
+
+# The problem configs, and each command at a size that keeps an example short.
+PROBLEMS = [ROOT / "docs" / "examples" / "scalar.json", ROOT / "perfbench" / "configs" / "two_state.json"]
+SMALL = [
+    ["mean", "--steps", "64"],
+    ["simulate", "--paths", "20", "--steps", "30"],
+    ["check-smp", "--t-nodes", "32"],
+    ["bangbang", "--nodes", "64", "--max-iter", "20"],
+    ["verify-variational", "--steps", "64", "--paths", "8"],
+]
+SYMMETRIC = (("problem", "cost", "Lambda"), ("problem", "cost", "psi_quad"))
+
+
+@st.composite
+def perturbed(draw):
+    """A problem config with every number moved, still valid by the schema.
+
+    Each leaf gets an offset in [-1, 1], and each step size a factor in
+    [0.1, 10]; then the symmetric weights are symmetrized, each pair of
+    bounds is ordered and the horizon is kept positive.  Half the configs
+    keep the shipped elapsed-time cost, which bangbang alone solves.
+    """
+    cfg = json.loads(draw(st.sampled_from(PROBLEMS)).read_text())
+    keep_cost = draw(st.booleans())
+    for at in list(nodes(cfg)):
+        node = reduce(getitem, at, cfg)
+        if isinstance(node, float) and not (keep_cost and at[:2] == ("problem", "cost")):
+            parent = reduce(getitem, at[:-1], cfg)
+            if at[0] == "rhos":
+                parent[at[-1]] = node * 10.0 ** draw(st.floats(-1.0, 1.0))
+            else:
+                parent[at[-1]] = node + draw(st.floats(-1.0, 1.0))
+    for at in SYMMETRIC:
+        w = reduce(getitem, at[:-1], cfg)
+        m = w[at[-1]]
+        w[at[-1]] = [[(m[i][j] + m[j][i]) / 2 for j in range(len(m))] for i in range(len(m))]
+    box = cfg["problem"]["control_set"]
+    pairs = [sorted(pair) for pair in zip(box["lower"], box["upper"])]
+    box["lower"], box["upper"] = [lo for lo, _ in pairs], [hi for _, hi in pairs]
+    cfg["problem"]["horizon"] = max(cfg["problem"]["horizon"], 0.1)
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed())
+def test_a_config_the_schema_accepts_exits_0_3_or_4_with_one_line_diagnostics(
+    tmp_path_factory, cfg
+):
+    VALIDATOR.validate(cfg)
+    tmp = tmp_path_factory.mktemp("perturbed")
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    for i, argv in enumerate(SMALL):
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv + ["--config", str(tmp / "cfg.json"), "--out", str(tmp / str(i))])
+        # a warning would reach the CLI's stderr too
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert code in (0, 3, 4), (argv, code, stderr.getvalue())
+        if code == 0:
+            assert stderr.getvalue() == "", argv
+        else:
+            (line,) = stderr.getvalue().splitlines()
+            assert {"error", "message"} <= set(json.loads(line)), argv

@@ -188,6 +188,30 @@ def test_prefix_scan_matches_the_step_loop(data, p, k, n, horizon, route):
     assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    p=st.integers(1, 4),
+    rows=st.integers(1, 4097),
+    span=st.floats(min_value=1e-3, max_value=1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_matches_the_sequential_recursion(data, p, rows, span, seed):
+    # transfers as the package builds them, one step of a flow over a span:
+    # phi = e^{X h} with rows - 1 steps of h covering `span`.  The doubling
+    # squares phi about log2(rows) times, so its round-off grows with the
+    # row index and with the growth of phi^rows; |X| <= 1 over a span <= 1
+    # keeps that within 1e-12 of the loop
+    X = arrays(np.float64, (p, p), elements=st.floats(-1.0, 1.0))
+    phi = expm(data.draw(X) * span / max(1, rows - 1))
+    w = np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, p))
+    ref = w.copy()
+    for i in range(rows - 1):
+        ref[i + 1] = ref[i] @ phi + w[i + 1]
+    simulate._scan(w, phi)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
 def _stable(data, p):
     """A random p x p matrix whose Gershgorin discs lie in the left half-plane."""
     A = data.draw(_entries((p, p)))
