@@ -38,7 +38,10 @@ column may step c lanes, runs of one SDE that differ only in start and
 node controls, as (c, N) rows: the variational checks step the base
 state, its sensitivity and each perturbed control as the lanes of one
 column, and the wealth Monte Carlo check steps one path column per
-volatility and reads only the terminal state rows.
+volatility and reads only the terminal state rows.  Stored paths are
+time-major, (n_steps + 1, c, N, m), so a node is written as one
+contiguous block rather than one entry per path a whole path apart;
+callers see them path-major through a transposed view.
 
 The loop may use two threads.  When a step's draw holds at least 8192
 normals (N times the noise dimension), one worker thread draws and
@@ -502,8 +505,9 @@ def step_noise(seed: int, step: int, n_paths: int, d: int) -> np.ndarray:
 class EnsembleResult:
     """Euler-Maruyama ensemble summary.
 
-    mean_x / std_x / mean_y hold per-node ensemble statistics; paths_x is
-    kept only when path storage is on.  tau and case_label come from
+    mean_x / std_x / mean_y hold per-node ensemble statistics; paths_x,
+    an (n_paths, n_steps + 1, m) view of the column's time-major store,
+    is kept only when path storage is on.  tau and case_label come from
     `_first_hit` applied to the ensemble mean of Y on the grid's nodes.
     """
 
@@ -552,9 +556,12 @@ class _Column:
     broadcasts over the lanes and each lane does the element-wise
     operations of a one-lane column in the same order: a lane's paths
     equal, bit for bit, those of a one-lane column run alone on the same
-    seed.  The paths are stored as one (c, N, n_steps + 1, m) array.
-    Without `x0` the column starts at `dyn.x0` with one lane and (N,)
-    rows.
+    seed.  Without `x0` the column starts at `dyn.x0` with one lane and
+    (N,) rows.
+
+    Stored paths are kept time-major, as one (n_steps + 1, c, N, m)
+    array, so `record` writes each node as one contiguous block; `paths`
+    is the same array seen as (c, N, n_steps + 1, m).
     """
 
     def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True, x0=None):
@@ -564,7 +571,8 @@ class _Column:
         self.spec, self.dyn, self.u_nodes = spec, dyn, u_nodes
         z0 = dyn.x0 if x0 is None else np.asarray(x0, dtype=float)
         lanes = z0.shape[:-1]  # () for one lane, (c,) for c lanes
-        self.paths = np.empty(lanes + (n_paths, n_steps + 1, m)) if store_paths else None
+        self.nodes = np.empty((n_steps + 1,) + lanes + (n_paths, m)) if store_paths else None
+        self.paths = None if self.nodes is None else np.moveaxis(self.nodes, 0, -2)
         # drift rows M = [A; E2] and noise rows N_c = [C_c; g_state_c]; d may be 0
         self.drift_rows = dyn.A
         self.noise_rows = dyn.C
@@ -610,9 +618,10 @@ class _Column:
             bad = np.argwhere(~ok)  # (lane, path) pairs in lane order
             if bad.size:
                 raise DivergenceError(step=j, path=int(bad[0, 1]))
-        if self.paths is not None:
+        if self.nodes is not None:
+            node = self.nodes[j]
             for b in range(m):
-                self.paths[..., j, b] = Z[b]
+                node[..., b] = Z[b]
         if self.spec is None:
             return
         for b in range(m):
@@ -745,7 +754,8 @@ def _run_columns(
     Each step draws its noise once, keyed by (seed, step), and every
     column steps on that draw, so all columns see the same Brownian
     increments whatever their dynamics and controls.  `simulate_ensemble`
-    runs one ensemble column, the variational checks one lane column, and
+    runs one ensemble column, the variational checks one lane column (the
+    state table's folds its nodes into the table as it records them), and
     `portfolio.mc_validate` path columns that store no paths,
     reading the last node through `_Column.row_stats`.  Overflow
     warnings are silenced: `_Column.record`, which stores node 0 and each

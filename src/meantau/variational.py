@@ -17,7 +17,9 @@ The base state, its sensitivity and the perturbed states come from the
 one Euler-Maruyama loop of `simulate`, on one noise draw per step: the
 base run (x0, u), the sensitivity (0, v) and each perturbed run
 (x0, u + rho v) are lanes of one column, stepped by one array operation
-per step.
+per step.  The state table stores none of their paths: its column folds
+each block of `_TABLE_BLOCK` nodes into the table as the loop records
+them, so its memory does not grow with the step count.
 
 Everything here is diagnostic: these routines quantify agreement and
 return tables rather than pass judgment.
@@ -120,19 +122,30 @@ class PerturbationSpec:
         return ValidationReport(ok=not out, violations=out)
 
 
-def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths, threads=None):
-    """Base, sensitivity and perturbed state paths on one noise draw per step.
+def _fd_lanes(dyn, policy, direction, rhos, times):
+    """Starts and node controls of the lanes (x0, u), (0, v) and (x0, u + rho v).
 
-    Returns (base, sens, perturbed): two (n_paths, n_steps + 1, m) arrays
-    and a sequence of one such array per rho, the lanes (x0, u), (0, v)
-    and (x0, u + rho v) of one column.  A non-finite state raises
-    DivergenceError.  `threads` is passed to `_run_columns`.
+    Returns x0 of shape (2 + len(rhos), m) and the node controls of shape
+    (len(times), 2 + len(rhos), k), in that lane order.
     """
-    times = grid.times()
     controls = [policy, direction] + [perturbed_policy(policy, direction, rho) for rho in rhos]
     x0 = np.tile(dyn.x0, (len(controls), 1))
     x0[1] = 0.0  # the sensitivity starts at 0
-    u_nodes = np.stack([pol.values(times) for pol in controls], axis=1)
+    return x0, np.stack([pol.values(times) for pol in controls], axis=1)
+
+
+def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths, threads=None):
+    """Base, sensitivity and perturbed state paths on one noise draw per step.
+
+    Returns (base, sens, perturbed): two (n_paths, n_steps + 1, m) views
+    and a sequence of one such view per rho, the lanes of `_fd_lanes` in
+    one column that stores every path (time-major, so the views are
+    strided).  `simulate_state_sensitivity` reads its sensitivity lane;
+    the state table steps the same lanes without storing them
+    (`_TableColumn`).  A non-finite state raises DivergenceError.
+    `threads` is passed to `_run_columns`.
+    """
+    x0, u_nodes = _fd_lanes(dyn, policy, direction, rhos, grid.times())
     col = _Column(dyn, u_nodes, n_paths, grid.n_steps, x0=x0)
     _run_columns([col], grid, seed, n_paths, threads)
     return col.paths[0], col.paths[1], col.paths[2:]
@@ -189,6 +202,78 @@ class FdStateRow:
     stderr: float
 
 
+# Nodes of the state table reduced together; the table holds one block of
+# every lane's paths, whatever the step count.
+_TABLE_BLOCK = 64
+
+
+class _TableColumn(_Column):
+    """The lanes of `_fd_lanes`, reduced into the state table as the loop records them.
+
+    The column stores no paths.  `record` copies each node of every lane
+    into a time-major block of `_TABLE_BLOCK` nodes, and `reduce` folds a
+    full block, or the last one, into the table.  The block does the
+    arithmetic of reducing (n_paths, n_steps + 1) arrays of all the nodes
+    in the same order, so the rows are those bit for bit:
+    * per node, rho and path the gap (X^rho - X)/rho - S element by
+      element, its squares summed over m along a contiguous last axis,
+      then the square root;
+    * the mean over paths as the axis-0 reduction of an (n_paths,
+      _TABLE_BLOCK * len(rhos)) array, which numpy sums in path order.
+      The whole width is reduced even when fewer nodes are filled, since
+      a one-column reduction would sum pairwise instead;
+    * the first node with the largest mean, by `argmax` within a block
+      and by a strict `>` across blocks, and the standard error there.
+    """
+
+    def __init__(self, dyn, policy, direction, rhos, times, n_paths):
+        x0, u_nodes = _fd_lanes(dyn, policy, direction, rhos, times)
+        super().__init__(dyn, u_nodes, n_paths, len(times) - 1, store_paths=False, x0=x0)
+        n_rho, m = len(rhos), dyn.m
+        self.rhos, self.times = np.asarray(rhos, dtype=float), times
+        self.block = np.empty((_TABLE_BLOCK, 2 + n_rho, n_paths, m))
+        self.gap = np.empty((_TABLE_BLOCK, n_rho, n_paths, m))
+        self.norms = np.empty((_TABLE_BLOCK, n_rho, n_paths))
+        self.errs = np.zeros((n_paths, _TABLE_BLOCK, n_rho))
+        self.sup = np.full(n_rho, -np.inf)
+        self.at = np.zeros(n_rho, dtype=int)
+        self.stderr = np.zeros(n_rho)
+
+    def record(self, j):
+        super().record(j)
+        s = j % _TABLE_BLOCK
+        node = self.block[s]
+        for b, z in enumerate(self.Z):
+            node[..., b] = z
+        if s == _TABLE_BLOCK - 1 or j == len(self.times) - 1:
+            self.reduce(j - s, s + 1)
+
+    def reduce(self, first, n):
+        """Fold the block's first n nodes, nodes first..first + n - 1, into the table."""
+        lanes, gap, norms = self.block[:n], self.gap[:n], self.norms[:n]
+        # gap = (pert - base) / rho - sens, then |gap| per node, rho and path
+        np.subtract(lanes[:, 2:], lanes[:, :1], out=gap)
+        np.divide(gap, self.rhos[:, None, None], out=gap)
+        np.subtract(gap, lanes[:, 1:2], out=gap)
+        np.multiply(gap, gap, out=gap)
+        np.sum(gap, axis=3, out=norms)
+        np.sqrt(norms, out=norms)
+        errs = self.errs
+        errs[:, :n] = norms.transpose(2, 0, 1)
+        mean_err = errs.mean(axis=0)[:n]  # (n, n_rho)
+        for r, i in enumerate(np.argmax(mean_err, axis=0)):
+            if mean_err[i, r] > self.sup[r]:
+                self.sup[r], self.at[r] = mean_err[i, r], first + i
+                self.stderr[r] = errs[:, i, r].std(ddof=1) / np.sqrt(len(errs))
+
+    def rows(self) -> list:
+        return [
+            FdStateRow(rho=float(rho), sup_err=float(sup), t_at_sup=float(self.times[i]),
+                       stderr=float(se))
+            for rho, sup, i, se in zip(self.rhos, self.sup, self.at, self.stderr)
+        ]
+
+
 def fd_state_check(
     spec: ProblemSpec,
     policy,
@@ -202,41 +287,21 @@ def fd_state_check(
     """Coupled finite-difference check of the sensitivity equation.
 
     The base state, its sensitivity and one perturbed state per step size
-    run as lanes of one Euler-Maruyama column (`_fd_paths`), so they
+    run as lanes of one Euler-Maruyama column (`_TableColumn`), so they
     share every Brownian increment (one draw per step).  The dynamics are
     linear, so the pathwise quotient (X^rho - X)/rho equals the
     sensitivity up to rounding at every rho: the table checks that the
-    stepping kernel is linear in (x0, u).  The quotient table of every
-    rho is built in the same two buffers.  `threads` is passed to
-    `_run_columns` and never changes the table.
+    stepping kernel is linear in (x0, u).  Each row is the largest mean
+    over paths of |(X^rho - X)/rho - S| over the nodes, its time and the
+    standard error there.  The column reduces its nodes block by block as
+    the loop records them and stores no paths, so the table's memory is
+    one block, not n_paths x (n_steps + 1) per lane.  `threads` is passed
+    to `_run_columns` and never changes the table.
     """
     _require_rhos(rhos)
-    times = grid.times()
-    base, sens, perturbed = _fd_paths(
-        spec.dynamics, policy, direction, rhos, grid, seed, n_paths, threads
-    )
-    gap = np.empty(base.shape)
-    errs = np.empty(base.shape[:2])  # (n_paths, nodes)
-    rows = []
-    for rho, pert in zip(rhos, perturbed):
-        # gap = (pert - base) / rho - sens, then errs = |gap| per path and node
-        np.subtract(pert, base, out=gap)
-        np.divide(gap, rho, out=gap)
-        np.subtract(gap, sens, out=gap)
-        np.multiply(gap, gap, out=gap)
-        np.sum(gap, axis=2, out=errs)
-        np.sqrt(errs, out=errs)
-        mean_err = errs.mean(axis=0)
-        i = int(np.argmax(mean_err))
-        rows.append(
-            FdStateRow(
-                rho=float(rho),
-                sup_err=float(mean_err[i]),
-                t_at_sup=float(times[i]),
-                stderr=float(errs[:, i].std(ddof=1) / np.sqrt(n_paths)),
-            )
-        )
-    return rows
+    col = _TableColumn(spec.dynamics, policy, direction, rhos, grid.times(), n_paths)
+    _run_columns([col], grid, seed, n_paths, threads)
+    return col.rows()
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from helpers import (
     time_optimal_cost,
 )
 from meantau import simulate, variational
+from meantau.config import load_config, parse_policy, parse_problem
 from meantau.errors import AssumptionViolationError, DivergenceError
 from meantau.problem import (
     ControlPolicy,
@@ -26,6 +29,7 @@ from meantau.problem import (
 )
 from meantau.simulate import SimGrid, simulate_ensemble, step_noise
 from meantau.variational import (
+    FdStateRow,
     PerturbationSpec,
     dual_identity_check,
     fd_state_check,
@@ -33,6 +37,8 @@ from meantau.variational import (
     hit_time_derivative,
     simulate_state_sensitivity,
 )
+
+TWO_STATE = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json"
 
 
 def test_zero_direction_gives_zero_sensitivity():
@@ -303,7 +309,7 @@ def test_fd_checks_reject_a_step_size_that_is_not_finite_and_positive(monkeypatc
         raise AssertionError("solved before the step sizes were checked")
 
     monkeypatch.setattr(variational, "hit_time", no_solve)
-    monkeypatch.setattr(variational, "_fd_paths", no_solve)
+    monkeypatch.setattr(variational, "_fd_lanes", no_solve)
     spec, grid = scalar_spec(), SimGrid(6.0, 50)
     args = (spec, ControlPolicy.constant([0.8], 6.0), ControlPolicy.constant([0.1], 6.0))
     with pytest.raises(ValueError, match=r"^rhos\[1\]: "):
@@ -341,23 +347,6 @@ def reference_state_paths(dyn, policy, grid, seed, n_paths, x0=None):
     return out
 
 
-def fd_state_paths(*args, **kwargs):
-    """The (base, sens, perturbed) paths of each loop fd_state_check(*args, **kwargs) ran."""
-    calls = []
-    kernel = variational._fd_paths
-
-    def record(*a):
-        calls.append(kernel(*a))
-        return calls[-1]
-
-    variational._fd_paths = record
-    try:
-        fd_state_check(*args, **kwargs)
-    finally:
-        variational._fd_paths = kernel
-    return calls
-
-
 def assert_kernel_matches(paths, ref, dyn):
     """The linear kernel's rule against a reference loop.
 
@@ -371,7 +360,7 @@ def assert_kernel_matches(paths, ref, dyn):
 
 
 @st.composite
-def linear_cases(draw):
+def linear_cases(draw, steps=st.integers(1, 12)):
     """A stable linear system with m, k in 1..3 and d in 0..3, plus the run sizes."""
     m, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -394,7 +383,7 @@ def linear_cases(draw):
     )
     policy = piecewise_constant(rng.uniform(-1.0, 1.0, (2, k)), [0.0, 0.37, 1.0])
     direction = piecewise_constant(rng.uniform(-1.0, 1.0, (2, k)), [0.0, 0.61, 1.0])
-    grid = SimGrid(1.0, draw(st.integers(1, 12)))
+    grid = SimGrid(1.0, draw(steps))
     n_paths = draw(st.sampled_from([2, 3, 17]))
     return spec, policy, direction, grid, draw(st.integers(0, 1000)), n_paths
 
@@ -411,9 +400,9 @@ def test_kernel_columns_equal_separately_stepped_loops(case):
     assert_kernel_matches(sens.paths, ref_sens, dyn)
     assert_kernel_matches(sens.mean_mc, ref_sens.mean(axis=0), dyn)
 
-    calls = fd_state_paths(spec, policy, direction, rhos, grid, seed, n_paths)
-    assert len(calls) == 1
-    base, sens_paths, perturbed = calls[0]
+    base, sens_paths, perturbed = variational._fd_paths(
+        dyn, policy, direction, rhos, grid, seed, n_paths
+    )
     assert_kernel_matches(base, ref_base, dyn)
     assert_kernel_matches(sens_paths, ref_sens, dyn)
     assert len(perturbed) == len(rhos)
@@ -422,6 +411,111 @@ def test_kernel_columns_equal_separately_stepped_loops(case):
             dyn, perturbed_policy(policy, direction, rho), grid, seed, n_paths
         )
         assert_kernel_matches(pert, ref, dyn)
+
+
+def stored_lanes_table(spec, policy, direction, rhos, grid, seed, n_paths):
+    """The state table reduced from every lane's stored paths, the streamed table's reference.
+
+    The lanes come from `_fd_paths`, and the table from (n_paths, n_steps
+    + 1) arrays of all the nodes: the gap sum over m along a contiguous
+    last axis, the path mean by `errs.mean(axis=0)`, and the first largest
+    mean by `argmax`.
+    """
+    times = grid.times()
+    base, sens, perturbed = variational._fd_paths(
+        spec.dynamics, policy, direction, rhos, grid, seed, n_paths
+    )
+    gap = np.empty(base.shape)
+    errs = np.empty(base.shape[:2])  # (n_paths, nodes)
+    rows = []
+    for rho, pert in zip(rhos, perturbed):
+        np.subtract(pert, base, out=gap)
+        np.divide(gap, rho, out=gap)
+        np.subtract(gap, sens, out=gap)
+        np.multiply(gap, gap, out=gap)
+        np.sum(gap, axis=2, out=errs)
+        np.sqrt(errs, out=errs)
+        mean_err = errs.mean(axis=0)
+        i = int(np.argmax(mean_err))
+        rows.append(
+            FdStateRow(
+                rho=float(rho),
+                sup_err=float(mean_err[i]),
+                t_at_sup=float(times[i]),
+                stderr=float(errs[:, i].std(ddof=1) / np.sqrt(n_paths)),
+            )
+        )
+    return rows
+
+
+BLOCK = variational._TABLE_BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    linear_cases(
+        steps=st.one_of(
+            st.integers(1, BLOCK - 2),      # one partial block
+            st.sampled_from([BLOCK - 1, BLOCK]),  # one full block; one plus a node
+            st.integers(2 * BLOCK, 4 * BLOCK + BLOCK // 2),  # several plus a remainder
+        )
+    ),
+    st.lists(st.floats(1e-6, 1.0), max_size=3),
+)
+def test_streamed_state_table_equals_the_stored_lanes_table(case, rhos):
+    # d = 0 makes every path equal: about one such table in six has tied
+    # largest nodes, so the first-maximum rule decides t_at_sup
+    spec, policy, direction, grid, seed, n_paths = case
+    args = (spec, policy, direction, rhos, grid, seed, n_paths)
+    assert fd_state_check(*args) == stored_lanes_table(*args)
+
+
+def test_streamed_state_table_keeps_the_first_tie_and_a_one_node_last_block():
+    spec = scalar_spec(a=0.5, b=1.0, c_coef=0.3, d_coef=0.2)
+    policy = ControlPolicy.constant([0.8], 6.0)
+    # v = 0: every perturbed lane is the base lane and the sensitivity is 0,
+    # so every node ties at 0 and the first one wins across blocks
+    args = (spec, policy, ControlPolicy.constant([0.0], 6.0), (1e-2, 1e-3))
+    grid = SimGrid(1.0, 3 * BLOCK + 4)
+    rows = fd_state_check(*args, grid, 3, 17)
+    assert rows == stored_lanes_table(*args, grid, 3, 17)
+    assert [(r.sup_err, r.t_at_sup) for r in rows] == [(0.0, 0.0)] * 2
+    # a growing state puts the largest gap on the last node, alone in its
+    # block with one rho: a 17-path column that numpy would sum pairwise.
+    # With m = 2 the norms carry full mantissas, so the order shows
+    dyn = LinearDynamics(
+        A=[[3.0, 0.5], [0.0, 2.5]], B=[[1.0], [0.5]], C=[[[0.3, 0.0], [0.1, 0.2]]],
+        D=[[[0.2], [0.1]]], x0=[1.0, 0.5],
+    )
+    target = TargetCoefficients(
+        E1=np.zeros(2), E2=-np.ones(2), E3=np.zeros(2), E4=np.zeros(1), y0=1.0
+    )
+    spec = ProblemSpec(dyn, target, time_optimal_cost(2, 1), ControlSet([-1.0], [1.0]), 1.0)
+    policy, direction = ControlPolicy.constant([0.8], 1.0), ControlPolicy.constant([0.5], 1.0)
+    args = (spec, policy, direction, (1e-3,), SimGrid(1.0, BLOCK), 0, 17)
+    rows = fd_state_check(*args)
+    assert rows == stored_lanes_table(*args)
+    assert rows[0].t_at_sup == 1.0
+
+
+def test_state_table_memory_scales_with_the_block_not_the_steps():
+    cfg = load_config(str(TWO_STATE))
+    spec = parse_problem(cfg["problem"])
+    policy = parse_policy(cfg["policy"], horizon=spec.horizon)
+    direction = parse_policy(cfg["direction"], horizon=spec.horizon)
+    peaks = {}
+    for n_steps in (500, 4000):
+        tracemalloc.start()
+        try:
+            fd_state_check(
+                spec, policy, direction, cfg["rhos"], SimGrid(spec.horizon, n_steps), 0, 256,
+                threads=1,
+            )
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # storing the lanes' paths made this 7.6 (106.7 MB against 14.1 MB)
+    assert peaks[4000] <= 1.5 * peaks[500], peaks
 
 
 def test_fd_state_check_draws_the_noise_once_per_step(monkeypatch):
