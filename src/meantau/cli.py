@@ -22,6 +22,11 @@ grid size (`--steps`, `--nodes`, `--t-nodes`) below 1 exits 2 before any
 solve, as does an `--out` that names a file or a path under one.  The first
 artifact makes the output directory, so a failed command leaves none.
 
+`simulate` writes the Monte Carlo objective (`cost`, `cost_stderr`) at
+any `--paths`: each path's cost is folded into the time loop, and no path
+is stored.  Its `--store-paths` flag is still accepted and changes
+nothing.
+
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical
 failure (no convergence, infeasible target, diverged paths, failed
 cross-check); 4 structural assumption violated (non-transversal hit,
@@ -89,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--store-paths",
         action="store_true",
-        help="keep paths and estimate the objective (`cost`) at any --paths; without "
-        "it, both happen up to 10000 paths",
+        help="changes nothing: the objective (`cost`) is estimated during the time "
+        "loop at any --paths, and no path is stored",
     )
 
     p = sub.add_parser("mean", help="solve the mean flow and detect the hit")
@@ -161,15 +166,7 @@ def _load_policy(cfg: dict, key: str, spec):
 def _run_simulate(args):
     _, spec, policy = _load(args)
     grid = SimGrid(spec.horizon, args.steps)
-    res = simulate_ensemble(
-        spec,
-        policy,
-        args.paths,
-        grid,
-        args.seed,
-        store_paths=args.store_paths or None,
-        threads=args.threads,
-    )
+    res = simulate_ensemble(spec, policy, args.paths, grid, args.seed, threads=args.threads)
     ts = grid.times()
     m = spec.dynamics.m
     header = (
@@ -192,10 +189,9 @@ def _run_simulate(args):
         "tau": res.tau,
         "case_label": res.case_label,
         "mean_terminal": res.mean_x[-1],
+        "cost": res.cost,
+        "cost_stderr": res.cost_stderr,
     }
-    if res.cost is not None:
-        summary["cost"] = res.cost
-        summary["cost_stderr"] = res.cost_stderr
     return summary, ["ensemble.csv"]
 
 

@@ -32,16 +32,18 @@ per thread, instead of building a seed sequence and a generator for
 every step, and draws the same bytes.  A column steps one row of paths
 per state coordinate with one affine kernel; an ensemble column adds the
 monitoring process as a last row, with the mean-field couplings (E[X]
-and E[b]) evaluated as ensemble averages at the start of each step.  A
-path column steps only the state, storing its paths or not.  A path
-column may step c lanes, runs of one SDE that differ only in start and
-node controls, as (c, N) rows: the variational checks step the base
-state, its sensitivity and each perturbed control as the lanes of one
-column, and the wealth Monte Carlo check steps one path column per
-volatility and reads only the terminal state rows.  Stored paths are
+and E[b]) evaluated as ensemble averages at the start of each step.  It
+stores no path: it folds each path's cost into the loop as it records a
+node, a running trapezoid sum that it closes at the ensemble mean's
+first hit, so the objective costs O(N) memory at any path count.  A
+path column steps only the state.  It may step c lanes, runs of one SDE
+that differ only in start and node controls, as (c, N) rows: the
+variational checks step the base state, its sensitivity and each
+perturbed control as the lanes of one column, and the wealth Monte
+Carlo check steps one path column per volatility and reads only the
+terminal state rows.  A path column that stores its paths keeps them
 time-major, (n_steps + 1, c, N, m), so a node is written as one
-contiguous block rather than one entry per path a whole path apart;
-callers see them path-major through a transposed view.
+contiguous block; callers see them path-major through a transposed view.
 
 The loop may use two threads.  When a step's draw holds at least 8192
 normals (N times the noise dimension), one worker thread draws and
@@ -79,7 +81,6 @@ __all__ = [
     "hit_time",
     "mean_at_tau",
     "simulate_ensemble",
-    "estimate_cost",
     "step_noise",
 ]
 
@@ -505,10 +506,11 @@ def step_noise(seed: int, step: int, n_paths: int, d: int) -> np.ndarray:
 class EnsembleResult:
     """Euler-Maruyama ensemble summary.
 
-    mean_x / std_x / mean_y hold per-node ensemble statistics; paths_x,
-    an (n_paths, n_steps + 1, m) view of the column's time-major store,
-    is kept only when path storage is on.  tau and case_label come from
-    `_first_hit` applied to the ensemble mean of Y on the grid's nodes.
+    mean_x / std_x / mean_y hold per-node ensemble statistics.  tau and
+    case_label come from `_first_hit` applied to the ensemble mean of Y
+    on the grid's nodes.  cost and cost_stderr are the Monte Carlo
+    objective over [0, tau] and its standard error, folded into the time
+    loop path by path (`_Column.fold_cost`); no path is stored.
     """
 
     grid: SimGrid
@@ -519,12 +521,8 @@ class EnsembleResult:
     std_x: np.ndarray
     tau: float
     case_label: str
-    paths_x: Optional[np.ndarray] = None
-    cost: Optional[float] = None
-    cost_stderr: Optional[float] = None
-
-
-_PATH_STORAGE_CAP = 10_000
+    cost: float
+    cost_stderr: float
 
 
 def _affine_row(M_a, X, f_a, out, tmp):
@@ -539,15 +537,16 @@ def _affine_row(M_a, X, f_a, out, tmp):
 class _Column:
     """One dynamics, its node controls and its paths inside the time loop.
 
-    An ensemble column (`spec` given) also steps the monitoring process Y
-    and records per-node statistics; a path column (`spec` None) steps
-    only the state, and stores its paths when `store_paths` is true.  The
-    state lives in `Z`, one contiguous row of paths per coordinate and Y
-    as an ensemble column's last row, and `step` advances every row with
-    the same affine arithmetic; its buffers, one row each, are reused
-    across steps, so the loop allocates no path-sized array.  Fewer than
-    two paths, which have no sample variance, raise ValueError before any
-    buffer exists.
+    An ensemble column (`spec` given) also steps the monitoring process Y,
+    records per-node statistics, and folds the objective into `record`
+    (`fold_cost`), for which it takes the `policy` behind `u_nodes` and
+    the `grid`; a path column (`spec` None) steps only the state.  Either
+    stores its paths when `store_paths` is true.  The state lives in `Z`,
+    one contiguous row of paths per coordinate and Y as an ensemble
+    column's last row, and `step` advances every row with the same affine
+    arithmetic; its buffers, one row each, are reused across steps, so the
+    loop allocates no path-sized array.  Fewer than two paths, which have
+    no sample variance, raise ValueError before any buffer exists.
 
     A path column may carry c lanes: runs of the same SDE that
     differ only in their start `x0`, of shape (c, m), and their node
@@ -564,7 +563,10 @@ class _Column:
     is the same array seen as (c, N, n_steps + 1, m).
     """
 
-    def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True, x0=None):
+    def __init__(
+        self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True, x0=None,
+        policy=None, grid=None,
+    ):
         if n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         m, d = dyn.m, dyn.d
@@ -585,6 +587,17 @@ class _Column:
             self.mean_x = np.empty((n_steps + 1, m))
             self.std_x = np.empty((n_steps + 1, m))
             self.mean_y = np.empty(n_steps + 1)
+            # the cost fold: the running cost's part that every path
+            # shares, kappa + u'Lambda u / 2 at each node, and per path the
+            # trapezoid sum of its state term cLin.x and that term at the
+            # last node; tau stays None until the fold closes
+            cost = spec.cost
+            self.policy, self.times, self.dt = policy, grid.times(), grid.dt
+            quad_u = 0.5 * np.einsum("tj,jk,tk->t", u_nodes, cost.Lambda, u_nodes)
+            self.f_shared = cost.kappa + quad_u
+            self.run = np.zeros(n_paths)
+            self.g, self.g_prev = np.empty(n_paths), np.empty(n_paths)
+            self.tau = self.case_label = self.cost = self.cost_stderr = None
         rows = z0.shape[-1]
         f = np.zeros((n_steps + 1, rows) + lanes)
         g = np.zeros((n_steps + 1, d, rows) + lanes)
@@ -602,7 +615,8 @@ class _Column:
         self.noise, self.tmp = np.empty(shape), np.empty(shape)
 
     def record(self, j):
-        """Check the state at node j for divergence and store it.
+        """Check the state at node j for divergence, store it if paths are
+        kept, and take an ensemble column's statistics and cost fold.
 
         Any non-finite entry makes its row sum non-finite, so the sums
         that an ensemble column's means need anyway stand in for a full
@@ -628,6 +642,56 @@ class _Column:
             self.mean_x[j, b], self.std_x[j, b] = self.row_stats(b, sums[b])
         # at node 0 the exact y0, not a sum of N copies over N
         self.mean_y[j] = sums[m] / n_paths if j else self.spec.target.y0
+        if self.tau is None:
+            self.fold_cost(j)
+
+    def fold_cost(self, j):
+        """Add node j to each path's cost; at the mean's first hit, close it.
+
+        The running cost splits into kappa + u'Lambda u / 2, which every
+        path shares and which is held per node, and the state term cLin.x,
+        whose trapezoid sum each path carries.  At the first node whose
+        mean target is <= 0, or the last node, `_first_hit` gives tau: node
+        j or a time on the panel that ends there.  That panel is added
+        whole or cut at tau, with the state at tau interpolated between
+        node j - 1, still in `Zn` after the step's swap, and node j.  The
+        shared part's trapezoid sum and the terminal cost at tau join, the
+        paths' mean and standard error become `cost` and `cost_stderr`,
+        and the fold does nothing more.  Without a state term the cost has
+        the bits of numpy's trapezoid rule over stored nodes; the state
+        term's sum node by node may differ from its pairwise sum in the
+        last digits.
+        """
+        m, Z, times = self.dyn.m, self.Z, self.times
+        cost, run, g, g_prev, tmp = self.spec.cost, self.run, self.g, self.g_prev, self.tmp
+        _affine_row(cost.c_lin, Z[:m], 0.0, g, tmp)
+        hit = self.mean_y[j] <= 0.0 or j == len(times) - 1
+        last = j  # the last node at or before tau: j, or j - 1 at the hit
+        if hit:
+            self.tau, self.case_label = _first_hit(self.mean_y[: j + 1], times)
+            last = int(np.searchsorted(times, self.tau, side="right")) - 1
+        if j and last == j:
+            np.add(g_prev, g, out=tmp)
+            np.multiply(tmp, self.dt, out=tmp)
+            np.divide(tmp, 2.0, out=tmp)
+            np.add(run, tmp, out=run)
+        if not hit:
+            self.g, self.g_prev = g_prev, g
+            return
+        shared = self.f_shared[: last + 1]
+        run += np.trapezoid(shared, dx=self.dt) if last else 0.0
+        partial = self.tau - times[last]
+        if partial > 0.0:
+            lam = partial / self.dt
+            x_tau = np.stack([(1.0 - lam) * a + lam * b for a, b in zip(self.Zn[:m], Z[:m])], -1)
+            f_tau = cost.running(x_tau, self.policy.values(self.tau, side=-1))
+            run += 0.5 * ((shared[last] + g_prev) + f_tau) * partial
+        else:
+            x_tau = np.stack((Z if last == j else self.Zn)[:m], -1)
+        total = run + cost.terminal(x_tau)
+        self.cost = float(np.mean(total))
+        self.cost_stderr = float(np.std(total, ddof=1) / np.sqrt(len(total)))
+        self.run = self.g = self.g_prev = None
 
     def row_stats(self, b, total=None):
         """Mean and sample std (ddof=1) over the paths of linear state row b.
@@ -754,12 +818,13 @@ def _run_columns(
     Each step draws its noise once, keyed by (seed, step), and every
     column steps on that draw, so all columns see the same Brownian
     increments whatever their dynamics and controls.  `simulate_ensemble`
-    runs one ensemble column, the variational checks one lane column (the
-    state table's folds its nodes into the table as it records them), and
-    `portfolio.mc_validate` path columns that store no paths,
-    reading the last node through `_Column.row_stats`.  Overflow
-    warnings are silenced: `_Column.record`, which stores node 0 and each
-    stepped node, raises DivergenceError on non-finite values instead.
+    runs one ensemble column, which folds each path's cost in as it
+    records a node; the variational checks one lane column (the state
+    table's folds its nodes into the table as it records them); and
+    `portfolio.mc_validate` path columns that store no paths, reading the
+    last node through `_Column.row_stats`.  Overflow warnings are
+    silenced: `_Column.record`, which takes node 0 and each stepped node,
+    raises DivergenceError on non-finite values instead.
 
     `threads` (default: the CPUs available to the process) caps the
     threads the loop may use.  With two or more, and a draw of at least
@@ -792,83 +857,38 @@ def simulate_ensemble(
     n_paths: int,
     grid: SimGrid,
     seed: int,
-    store_paths: Optional[bool] = None,
     threads: Optional[int] = None,
 ) -> EnsembleResult:
-    """Simulate N coupled paths of (X, Y) and detect the mean hitting time.
+    """Simulate N coupled paths of (X, Y), detect the mean hitting time and
+    estimate the objective.
 
-    Paths are stored when `store_paths` is true, defaulting to on for
-    N <= 10^4 and off above that.  `threads` is passed to `_run_columns`
-    and never changes the result.
+    The objective is folded into the time loop path by path
+    (`_Column.fold_cost`), so no path is stored and the memory is O(N) at
+    any path count.  `threads` is passed to `_run_columns` and never
+    changes the result.
     """
     spec.require_valid()
     times = grid.times()
     if policy.horizon < times[-1]:
         raise ValueError("policy horizon does not cover the grid")
-    if store_paths is None:
-        store_paths = n_paths <= _PATH_STORAGE_CAP
 
-    with np.errstate(over="ignore"):  # `_run_columns` raises DivergenceError instead
+    # `_run_columns` raises DivergenceError instead
+    with np.errstate(over="ignore", invalid="ignore"):
         u_nodes = policy.values(times)
-    col = _Column(spec.dynamics, u_nodes, n_paths, grid.n_steps, spec=spec, store_paths=store_paths)
+        col = _Column(
+            spec.dynamics, u_nodes, n_paths, grid.n_steps,
+            spec=spec, store_paths=False, policy=policy, grid=grid,
+        )
     _run_columns([col], grid, seed, n_paths, threads)
-
-    tau, label = _first_hit(col.mean_y, times)
-    result = EnsembleResult(
+    return EnsembleResult(
         grid=grid,
         n_paths=n_paths,
         seed=seed,
         mean_x=col.mean_x,
         mean_y=col.mean_y,
         std_x=col.std_x,
-        tau=tau,
-        case_label=label,
-        paths_x=col.paths,
+        tau=col.tau,
+        case_label=col.case_label,
+        cost=col.cost,
+        cost_stderr=col.cost_stderr,
     )
-    if store_paths:
-        result.cost, result.cost_stderr = estimate_cost(result, spec.cost, policy)
-    return result
-
-
-def estimate_cost(result: EnsembleResult, cost, policy):
-    """Monte Carlo objective estimate over the detected [0, tau].
-
-    Per path, the running cost is integrated with the trapezoid rule up
-    to the last node before tau plus a partial panel ending at tau, where
-    the state at tau is linearly interpolated; the terminal cost is added
-    at that interpolated state.  Returns (mean, standard error).
-    """
-    if result.paths_x is None:
-        raise ValueError("estimate_cost requires stored paths (store_paths=True)")
-    times = result.grid.times()
-    dt = result.grid.dt
-    tau = result.tau
-    paths = result.paths_x
-    n_paths = paths.shape[0]
-
-    j_last = int(np.searchsorted(times, tau, side="right") - 1)
-    j_last = min(j_last, len(times) - 1)
-    partial = tau - times[j_last]
-
-    u_nodes = policy.values(times[: j_last + 1])
-    quad_u = 0.5 * np.einsum("tj,jk,tk->t", u_nodes, cost.Lambda, u_nodes)
-    f_nodes = cost.kappa + paths[:, : j_last + 1, :] @ cost.c_lin + quad_u
-
-    if j_last >= 1:
-        run = np.trapezoid(f_nodes, dx=dt, axis=1)
-    else:
-        run = np.zeros(n_paths)
-
-    if partial > 0.0 and j_last + 1 < len(times):
-        lam = partial / dt
-        x_tau = (1.0 - lam) * paths[:, j_last, :] + lam * paths[:, j_last + 1, :]
-        u_tau = policy.values(tau, side=-1)
-        f_tau = cost.kappa + x_tau @ cost.c_lin + 0.5 * float(u_tau @ cost.Lambda @ u_tau)
-        run = run + 0.5 * (f_nodes[:, j_last] + f_tau) * partial
-    else:
-        x_tau = paths[:, j_last, :]
-
-    total = run + cost.terminal(x_tau)
-    j = float(np.mean(total))
-    stderr = float(np.std(total, ddof=1) / np.sqrt(n_paths))
-    return j, stderr

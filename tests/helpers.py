@@ -14,7 +14,7 @@ from meantau.problem import (
     target_control_row,
     target_state_row,
 )
-from meantau.simulate import _affine_path
+from meantau.simulate import _affine_path, _Column, _run_columns
 
 # Reference values for the default wealth-target parameters, frozen from an
 # independent high-precision root solve of the mean-wealth equation.
@@ -105,3 +105,60 @@ def mean_target_response(ey_values, v_values, target, dynamics) -> np.ndarray:
     ey = np.asarray(ey_values, dtype=float)
     v = np.asarray(v_values, dtype=float)
     return ey @ target_state_row(target, dynamics) + v @ target_control_row(target, dynamics)
+
+
+def ensemble_column(spec, policy, n_paths, grid, seed):
+    """The ensemble column of `simulate_ensemble`, run with its paths stored.
+
+    `col.paths` holds them as (n_paths, n_steps + 1, m); the statistics and
+    the cost fold are those of `simulate_ensemble` on the same arguments.
+    """
+    times = grid.times()
+    col = _Column(
+        spec.dynamics, policy.values(times), n_paths, grid.n_steps,
+        spec=spec, store_paths=True, policy=policy, grid=grid,
+    )
+    _run_columns([col], grid, seed, n_paths)
+    return col
+
+
+def estimate_cost(paths, grid, tau, cost, policy):
+    """Two-pass Monte Carlo objective over [0, tau] from stored paths.
+
+    The reference for the cost that `simulate_ensemble` folds into its
+    time loop.  Per path, the running cost is integrated with the
+    trapezoid rule up to the last node before tau plus a partial panel
+    ending at tau, where the state at tau is linearly interpolated; the
+    terminal cost is added at that interpolated state.  `paths` is
+    (n_paths, n_steps + 1, m).  Returns (mean, standard error).
+    """
+    times = grid.times()
+    dt = grid.dt
+    n_paths = paths.shape[0]
+
+    j_last = int(np.searchsorted(times, tau, side="right") - 1)
+    j_last = min(j_last, len(times) - 1)
+    partial = tau - times[j_last]
+
+    u_nodes = policy.values(times[: j_last + 1])
+    quad_u = 0.5 * np.einsum("tj,jk,tk->t", u_nodes, cost.Lambda, u_nodes)
+    f_nodes = cost.kappa + paths[:, : j_last + 1, :] @ cost.c_lin + quad_u
+
+    if j_last >= 1:
+        run = np.trapezoid(f_nodes, dx=dt, axis=1)
+    else:
+        run = np.zeros(n_paths)
+
+    if partial > 0.0 and j_last + 1 < len(times):
+        lam = partial / dt
+        x_tau = (1.0 - lam) * paths[:, j_last, :] + lam * paths[:, j_last + 1, :]
+        u_tau = policy.values(tau, side=-1)
+        f_tau = cost.kappa + x_tau @ cost.c_lin + 0.5 * float(u_tau @ cost.Lambda @ u_tau)
+        run = run + 0.5 * (f_nodes[:, j_last] + f_tau) * partial
+    else:
+        x_tau = paths[:, j_last, :]
+
+    total = run + cost.terminal(x_tau)
+    j = float(np.mean(total))
+    stderr = float(np.std(total, ddof=1) / np.sqrt(n_paths))
+    return j, stderr

@@ -576,6 +576,28 @@ def test_thread_flag_never_changes_bytes(tmp_path):
         assert_dirs_byte_identical(str(tmp_path / f"{name}_a"), str(tmp_path / f"{name}_b"))
 
 
+@pytest.mark.parametrize("config", ["scalar.json", "two_state.json"])
+def test_the_store_paths_flag_changes_no_byte(tmp_path, config):
+    # the flag is still accepted; simulate stores no path with or without it
+    path = SCALAR if config == "scalar.json" else str(
+        Path(__file__).resolve().parents[1] / "perfbench" / "configs" / config
+    )
+    argv = ["simulate", "--config", path, "--paths", "300", "--steps", "200", "--seed", "2"]
+    for tag, flag in (("plain", []), ("stored", ["--store-paths"])):
+        assert main(argv + flag + ["--out", str(tmp_path / tag)]) == 0
+    assert_dirs_byte_identical(str(tmp_path / "plain"), str(tmp_path / "stored"))
+
+
+def test_simulate_writes_the_cost_above_ten_thousand_paths(tmp_path):
+    # the objective is folded into the time loop, so no path count leaves it out
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", SCALAR, "--out", str(out), "--paths", "10001", "--steps", "8"]
+    assert main(argv) == 0
+    summary = read_summary(out)
+    assert summary["n_paths"] == 10001
+    assert summary["cost"] > 0.0 and summary["cost_stderr"] >= 0.0
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_exit_2_when_the_thread_count_is_below_one(tmp_path, capsys, threads):
     out = tmp_path / "out"

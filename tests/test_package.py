@@ -25,7 +25,7 @@ EXPORTED_BEFORE = {
     "SingularArcError", "SmpReport", "SpecValidationError", "SynthesisResult",
     "TargetCoefficients", "TargetDiffusion", "TauDerivative", "TauSolution",
     "ValidationReport", "branch_coefficient", "check_candidate", "control_samples",
-    "dual_identity_check", "estimate_cost", "exp_with_integral",
+    "dual_identity_check", "exp_with_integral",
     "fd_state_check", "fd_tau_check", "find_switch_times", "hamiltonian_du",
     "hit_time_derivative", "khat_evaluator", "mc_validate",
     "optimal_control", "optimal_policy",
@@ -41,7 +41,7 @@ EXPORTED_BEFORE = {
 REMOVED = {
     "HookDynamics", "mean_target_solve", "mean_ode_solve", "hamiltonian",
     "mean_target_response", "policy_eval", "switching_function",
-    "detect_min_time", "CombinedPolicy",
+    "detect_min_time", "CombinedPolicy", "estimate_cost",
 }
 
 # methods and fields deleted from the classes that keep the rest
@@ -51,6 +51,7 @@ REMOVED_ATTRIBUTES = {
     problem.ControlSegment: ("constant",),
     problem.ControlPolicy: ("value",),
     adjoint.AdjointSolution: ("tau_anchor", "q0_is_zero", "q_is_zero"),
+    simulate.EnsembleResult: ("paths_x",),
 }
 
 

@@ -184,9 +184,7 @@ def test_mc_validate_vol_pair_reuses_base_column(params):
     )
     for vol, mean, stderr in columns:
         p = replace(params, vol=vol)
-        alone = simulate_ensemble(
-            to_problem_spec(p), optimal_policy(p), 4000, grid, 7, store_paths=False
-        )
+        alone = simulate_ensemble(to_problem_spec(p), optimal_policy(p), 4000, grid, 7)
         assert mean == float(alone.mean_x[-1, 0])
         assert stderr == float(alone.std_x[-1, 0] / np.sqrt(4000))
 

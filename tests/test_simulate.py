@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
-from helpers import mean_ode_solve, never_crossing_spec, piecewise_constant, scalar_spec
+from helpers import (
+    ensemble_column,
+    estimate_cost,
+    mean_ode_solve,
+    piecewise_constant,
+    scalar_spec,
+)
 from meantau import simulate
 from meantau.config import load_config, parse_policy, parse_problem
 from meantau.errors import DivergenceError
@@ -22,7 +29,15 @@ from meantau.portfolio import (
     solve_tau,
     to_problem_spec,
 )
-from meantau.problem import ControlPolicy, CostSpec, LinearDynamics
+from meantau.problem import (
+    ControlPolicy,
+    ControlSet,
+    CostSpec,
+    LinearDynamics,
+    ProblemSpec,
+    TargetCoefficients,
+    TargetDiffusion,
+)
 from meantau.simulate import (
     _PREFETCH_MIN_DRAW,
     SimGrid,
@@ -32,7 +47,6 @@ from meantau.simulate import (
     _rk4_transfer,
     _first_hit,
     _run_starts,
-    estimate_cost,
     simulate_ensemble,
     solve_mean_path,
     step_noise,
@@ -583,8 +597,8 @@ def test_ensemble_noiseless_reduces_to_mean_ode():
     bound = 5.0 * grid.dt * np.max(np.abs(mx))
     assert np.max(np.abs(res.mean_x - mx)) <= bound
     # with zero diffusion every path is the same trajectory
-    assert res.paths_x is not None
-    assert np.max(np.abs(res.paths_x - res.paths_x[:1])) == 0.0
+    paths = ensemble_column(spec, policy, 8, grid, seed=0).paths
+    assert np.max(np.abs(paths - paths[:1])) == 0.0
 
 
 def test_ensemble_mean_matches_geometric_brownian_motion():
@@ -696,7 +710,7 @@ def test_scalar_kernel_matches_the_in_place_reference(specs, u0, u1, n_steps, n_
         assert np.array_equal(res.mean_x, mean_x)
         assert np.array_equal(res.std_x, std_x)
         assert np.array_equal(res.mean_y, mean_y)
-        assert np.array_equal(res.paths_x, paths)
+        assert np.array_equal(ensemble_column(spec, policy, n_paths, grid, seed).paths, paths)
         assert res.tau == _first_hit(mean_y, grid.times())[0]
 
 
@@ -785,7 +799,7 @@ def test_the_worker_thread_never_changes_a_result():
         assert serial == threaded
 
         serial, threaded = (
-            simulate_ensemble(spec, policy, n_paths, grid, 5, store_paths=True, threads=t)
+            simulate_ensemble(spec, policy, n_paths, grid, 5, threads=t)
             for t in (1, 2)
         )
         for field in fields(serial):
@@ -855,9 +869,8 @@ def test_estimate_cost_pure_time_objective():
     grid = SimGrid(6.0, 600)
     policy = ControlPolicy.constant([1.0], 6.0)
     res = simulate_ensemble(spec, policy, 4, grid, seed=0)
-    j, se = estimate_cost(res, spec.cost, policy)
-    assert j == pytest.approx(res.tau, abs=1e-12)
-    assert se == 0.0
+    assert res.cost == pytest.approx(res.tau, abs=1e-12)
+    assert res.cost_stderr == 0.0
 
 
 def test_estimate_cost_terminal_only_noiseless():
@@ -872,15 +885,142 @@ def test_estimate_cost_terminal_only_noiseless():
     j_lo = int(np.floor(res.tau / grid.dt))
     lam = (res.tau - grid.dt * j_lo) / grid.dt
     mean_at_tau = (1.0 - lam) * res.mean_x[j_lo, 0] + lam * res.mean_x[j_lo + 1, 0]
-    j, se = estimate_cost(res, cost, policy)
-    assert abs(j - mean_at_tau) < 1e-10
-    assert se == pytest.approx(0.0, abs=1e-12)
+    assert abs(res.cost - mean_at_tau) < 1e-10
+    assert res.cost_stderr == pytest.approx(0.0, abs=1e-12)
 
 
-def test_estimate_cost_requires_paths():
-    spec = never_crossing_spec()
-    res = simulate_ensemble(
-        spec, ControlPolicy.constant([0.5], 1.0), 8, SimGrid(1.0, 8), 0, store_paths=False
+# where `cost_cases` puts the mean's first hit; "generic" draws target rows
+_REGIMES = ("tau = 0", "between nodes", "on a node", "ii", "iii", "generic")
+
+
+def _psd(rng, n):
+    R = rng.uniform(-1.0, 1.0, (n, n))
+    return R @ R.T / n
+
+
+@st.composite
+def cost_cases(draw):
+    """A stable system (m, k, d in 1..3) with nonzero cost terms, in one hit regime.
+
+    Every regime but "generic" makes the monitoring signal path-free,
+    y0 - t on a grid of 8, 16 or 32 steps per unit time, so that it hits
+    zero exactly where the regime puts it: at node 0, strictly inside a
+    panel, on an interior node, never, or on T itself.  The first control
+    is 1 on every segment of a piecewise-constant policy; the others
+    change at breakpoints inside the horizon.  With `state_term` false,
+    c_lin is zero.
+    """
+    m, k, d = (draw(st.integers(1, 3)) for _ in range(3))
+    regime = draw(st.sampled_from(_REGIMES))
+    state_term = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = rng.uniform(-1.0, 1.0, (m, m))
+    dyn = LinearDynamics(
+        A=R - (np.linalg.norm(R, 2) + 0.5) * np.eye(m),
+        B=rng.uniform(-1.0, 1.0, (m, k)),
+        C=list(rng.uniform(-0.5, 0.5, (d, m, m))),
+        D=list(rng.uniform(-0.5, 0.5, (d, m, k))),
+        x0=rng.uniform(-1.0, 1.0, m),
     )
-    with pytest.raises(ValueError):
-        estimate_cost(res, spec.cost, ControlPolicy.constant([0.5], 1.0))
+    n_steps = draw(st.sampled_from([8, 16, 32]))
+    if regime == "generic":
+        target = TargetCoefficients(
+            E1=rng.uniform(-1.0, 1.0, m), E2=rng.uniform(-1.0, 1.0, m),
+            E3=rng.uniform(-1.0, 1.0, m), E4=rng.uniform(-1.0, 1.0, k) - 1.0,
+            y0=rng.uniform(0.2, 1.0),
+            diffusion=TargetDiffusion(
+                coef_mean=rng.uniform(-0.3, 0.3, (d, m)),
+                coef_state=rng.uniform(-0.3, 0.3, (d, m)),
+                coef_control=rng.uniform(-0.3, 0.3, (d, k)),
+            ),
+        )
+    else:
+        # Y' = E4 . u = -1, whatever the state and the other controls
+        e4 = np.zeros(k)
+        e4[0] = -1.0
+        q = draw(st.integers(1, n_steps - 1))
+        y0 = {
+            "tau = 0": 1 - q, "between nodes": q - 0.5, "on a node": q,
+            "ii": 2 * n_steps, "iii": n_steps,
+        }[regime] / n_steps
+        target = TargetCoefficients(E1=np.zeros(m), E2=np.zeros(m), E3=np.zeros(m), E4=e4, y0=y0)
+    cost = CostSpec(
+        kappa=rng.uniform(1.0, 2.0),
+        c_lin=rng.uniform(-0.2, 0.2, m) if state_term else np.zeros(m),
+        Lambda=_psd(rng, k),
+        psi_lin=rng.uniform(-0.2, 0.2, m),
+        psi_quad=_psd(rng, m),
+    )
+    spec = ProblemSpec(dyn, target, cost, ControlSet(-2.0 * np.ones(k), 2.0 * np.ones(k)), 1.0)
+    edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 3)), [1.0]])
+    values = rng.uniform(-1.0, 1.0, (4, k))
+    values[:, 0] = 1.0
+    policy = piecewise_constant(values, edges)
+    n_paths = draw(st.sampled_from([2, 3, 17, 200]))
+    return regime, spec, policy, SimGrid(1.0, n_steps), n_paths, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cost_cases())
+def test_the_folded_cost_equals_the_two_pass_estimate_over_stored_paths(case):
+    regime, spec, policy, grid, n_paths, seed = case
+    res = simulate_ensemble(spec, policy, n_paths, grid, seed)
+    col = ensemble_column(spec, policy, n_paths, grid, seed)
+    j, stderr = estimate_cost(col.paths, grid, res.tau, spec.cost, policy)
+    times = grid.times()
+    expected = {
+        "tau = 0": (0.0, "i"), "ii": (1.0, "ii"), "iii": (1.0, "iii"),
+    }.get(regime)
+    if expected is not None:
+        assert (res.tau, res.case_label) == expected
+    elif regime == "on a node":
+        assert res.tau in times[1:-1]
+    elif regime == "between nodes":
+        assert res.tau not in times and 0.0 < res.tau < 1.0
+    assert res.cost == pytest.approx(j, rel=1e-12, abs=0.0)
+    assert abs(res.cost_stderr - stderr) <= 1e-12 * max(1.0, abs(j))
+    if not spec.cost.c_lin.any():
+        # without a state term the fold takes the reference's own sums
+        assert (res.cost, res.cost_stderr) == (j, stderr)
+
+
+def test_a_hit_that_rounds_onto_the_node_before_closes_the_cost_there():
+    # E[Y] falls to 2^-54 at node 2, then the first control jumps to 2^40, so
+    # the interpolated hit 0.25 + 2^-94 rounds onto node 2 itself: the cost
+    # ends at node 2, without the panel to node 3 and at node 2's state
+    dyn = LinearDynamics(
+        A=[[-0.5]], B=[[0.0, 1.0]], C=[[[0.2]]], D=[[[0.0, 0.1]]], x0=[1.0]
+    )
+    target = TargetCoefficients(E1=[0.0], E2=[0.0], E3=[0.0], E4=[-1.0, 0.0], y0=0.25 + 2.0**-54)
+    cost = CostSpec(
+        kappa=1.0, c_lin=[0.3], Lambda=[[0.0, 0.0], [0.0, 0.5]], psi_lin=[0.2],
+        psi_quad=[[0.4]],
+    )
+    spec = ProblemSpec(dyn, target, cost, ControlSet([-1.0, -1.0], [1.0, 1.0]), 1.0)
+    policy = piecewise_constant([[1.0, 0.3], [2.0**40, -0.4]], [0.0, 0.25, 1.0])
+    grid = SimGrid(1.0, 8)
+    res = simulate_ensemble(spec, policy, 17, grid, 4)
+    assert res.mean_y[2] == 2.0**-54 and res.mean_y[3] < 0.0
+    assert (res.tau, res.case_label) == (0.25, "i")
+    paths = ensemble_column(spec, policy, 17, grid, 4).paths
+    j, stderr = estimate_cost(paths, grid, res.tau, cost, policy)
+    assert res.cost == pytest.approx(j, rel=1e-12, abs=0.0)
+    assert abs(res.cost_stderr - stderr) <= 1e-12 * max(1.0, abs(j))
+
+
+def test_simulate_ensemble_memory_does_not_grow_with_the_steps():
+    cfg = load_config(str(ROOT / "perfbench" / "configs" / "two_state.json"))
+    spec = parse_problem(cfg["problem"])
+    policy = parse_policy(cfg["policy"], horizon=spec.horizon)
+    peaks = {}
+    for n_steps in (500, 4000):
+        tracemalloc.start()
+        try:
+            simulate_ensemble(spec, policy, 2000, SimGrid(spec.horizon, n_steps), 0, threads=1)
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # stored paths and the two-pass estimate over them read about 45 MB at
+    # 1 000 steps; the fold keeps a few rows of 2 000 paths and per-node
+    # statistics
+    assert max(peaks.values()) < 4e6, peaks

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    ensemble_column,
     mean_ode_solve,
     mean_target_response,
     never_crossing_spec,
@@ -27,7 +28,7 @@ from meantau.problem import (
     TargetCoefficients,
     perturbed_policy,
 )
-from meantau.simulate import SimGrid, simulate_ensemble, step_noise
+from meantau.simulate import SimGrid, step_noise
 from meantau.variational import (
     FdStateRow,
     PerturbationSpec,
@@ -81,7 +82,7 @@ def test_decoupled_noise_destroys_the_quotient():
     perturbed = perturbed_policy(policy, direction, rho)
 
     def paths(pol, seed):
-        return simulate_ensemble(spec, pol, 32, grid, seed, store_paths=True).paths_x
+        return ensemble_column(spec, pol, 32, grid, seed).paths
 
     base = paths(policy, 11)
     pert_same = paths(perturbed, 11)
