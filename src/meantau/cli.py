@@ -7,7 +7,7 @@ Subcommands:
 * portfolio          closed-form wealth-target policy, figure, MC check
 * bangbang           secant synthesis of the vertex policy and its tau
 * check-smp          first-order optimality residual of a candidate
-* verify-variational finite-difference and duality diagnostics
+* verify-variational hitting-time FD table, duality and sensitivity moment checks
 
 Each subparser carries its runner (`set_defaults(run=...)`).  A runner
 writes the command's own artifacts and returns its summary fields and
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(>= 2) of the certified lattice; the maximum is taken at a vertex")
     p.add_argument("--tol", type=float, default=1e-8, help="pass threshold on the residual")
 
-    p = sub.add_parser("verify-variational", help="finite-difference diagnostics")
+    p = sub.add_parser("verify-variational", help="tau FD, duality and sensitivity moment checks")
     common(p, _run_verify_variational)
     p.add_argument("--steps", type=int, default=40_000, help="mean-solve steps for the tau table")
     p.add_argument("--paths", type=int, default=256, help="paths for the state table")
@@ -328,9 +328,7 @@ def _run_verify_variational(args):
         payload["dual_identity"] = {k: v for k, v in asdict(dual).items() if k != "tau"}
     if not args.skip_state:
         state_grid = SimGrid(spec.horizon, min(args.steps, 2000))
-        rows = fd_state_check(
-            spec, policy, direction, pert.rhos, state_grid, args.seed, args.paths, args.threads
-        )
+        rows = fd_state_check(spec, direction, state_grid, args.seed, args.paths, args.threads)
         payload["state_table"] = [asdict(r) for r in rows]
     write_json(os.path.join(args.out, "variational.json"), payload)
     summary = {

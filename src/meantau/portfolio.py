@@ -321,7 +321,7 @@ def mc_validate(
     grid = SimGrid(tau, max(2, int(np.ceil(tau / dt))))
     u_nodes = optimal_policy(params, sol).values(grid.times())
     dyns = [to_problem_spec(replace(params, vol=v)).dynamics for v in vols]
-    cols = [_Column(dyn, u_nodes, n_paths, grid.n_steps, store_paths=False) for dyn in dyns]
+    cols = [_Column(dyn, u_nodes, n_paths, grid.n_steps) for dyn in dyns]
     _run_columns(cols, grid, seed, n_paths, threads)
     stats = (col.row_stats(0) for col in cols)
     terminal = {v: (float(mu), float(sd / np.sqrt(n_paths))) for v, (mu, sd) in zip(vols, stats)}

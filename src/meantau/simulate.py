@@ -36,14 +36,16 @@ and E[b]) evaluated as ensemble averages at the start of each step.  It
 stores no path: it folds each path's cost into the loop as it records a
 node, a running trapezoid sum that it closes at the ensemble mean's
 first hit, so the objective costs O(N) memory at any path count.  A
-path column steps only the state.  It may step c lanes, runs of one SDE
-that differ only in start and node controls, as (c, N) rows: the
-variational checks step the base state, its sensitivity and each
-perturbed control as the lanes of one column, and the wealth Monte
-Carlo check steps one path column per volatility and reads only the
-terminal state rows.  A path column that stores its paths keeps them
-time-major, (n_steps + 1, c, N, m), so a node is written as one
-contiguous block; callers see them path-major through a transposed view.
+path column steps only the state: the variational state table steps the
+sensitivity alone, and the wealth Monte Carlo check steps one path
+column per volatility; both store no path and read only the terminal
+state rows.
+
+The scheme's own mean and second moment E[X X'] at every node follow
+linear recursions with a constant map, so `_em_moments` gives them
+exactly, through the doubling scan of the mean solves: an independent
+route for a path column's sample moments, which then differ from them by
+sampling error only.
 
 The loop may use two threads.  When a step's draw holds at least 8192
 normals (N times the noise dimension), one worker thread draws and
@@ -540,41 +542,23 @@ class _Column:
     An ensemble column (`spec` given) also steps the monitoring process Y,
     records per-node statistics, and folds the objective into `record`
     (`fold_cost`), for which it takes the `policy` behind `u_nodes` and
-    the `grid`; a path column (`spec` None) steps only the state.  Either
-    stores its paths when `store_paths` is true.  The state lives in `Z`,
-    one contiguous row of paths per coordinate and Y as an ensemble
-    column's last row, and `step` advances every row with the same affine
-    arithmetic; its buffers, one row each, are reused across steps, so the
-    loop allocates no path-sized array.  Fewer than two paths, which have
-    no sample variance, raise ValueError before any buffer exists.
-
-    A path column may carry c lanes: runs of the same SDE that
-    differ only in their start `x0`, of shape (c, m), and their node
-    controls, of shape (n_steps + 1, c, k).  Each row is then a (c, N)
-    array and the forcing has a trailing (c, 1) lane axis, so `step`
-    broadcasts over the lanes and each lane does the element-wise
-    operations of a one-lane column in the same order: a lane's paths
-    equal, bit for bit, those of a one-lane column run alone on the same
-    seed.  Without `x0` the column starts at `dyn.x0` with one lane and
-    (N,) rows.
-
-    Stored paths are kept time-major, as one (n_steps + 1, c, N, m)
-    array, so `record` writes each node as one contiguous block; `paths`
-    is the same array seen as (c, N, n_steps + 1, m).
+    the `grid`; a path column (`spec` None) steps only the state.  No
+    column stores its paths.  The state lives in `Z`, one contiguous row
+    of paths per coordinate and Y as an ensemble column's last row, and
+    `step` advances every row with the same affine arithmetic; its
+    buffers, one (N,) row each, are reused across steps, so the loop
+    allocates no path-sized array.  The column starts at `dyn.x0`: a run
+    from elsewhere, such as the sensitivity from 0, takes dynamics with
+    that start.  Fewer than two paths, which have no sample variance,
+    raise ValueError before any buffer exists.
     """
 
-    def __init__(
-        self, dyn, u_nodes, n_paths, n_steps, spec=None, store_paths=True, x0=None,
-        policy=None, grid=None,
-    ):
+    def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, policy=None, grid=None):
         if n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         m, d = dyn.m, dyn.d
         self.spec, self.dyn, self.u_nodes = spec, dyn, u_nodes
-        z0 = dyn.x0 if x0 is None else np.asarray(x0, dtype=float)
-        lanes = z0.shape[:-1]  # () for one lane, (c,) for c lanes
-        self.nodes = np.empty((n_steps + 1,) + lanes + (n_paths, m)) if store_paths else None
-        self.paths = None if self.nodes is None else np.moveaxis(self.nodes, 0, -2)
+        z0 = dyn.x0
         # drift rows M = [A; E2] and noise rows N_c = [C_c; g_state_c]; d may be 0
         self.drift_rows = dyn.A
         self.noise_rows = dyn.C
@@ -598,44 +582,31 @@ class _Column:
             self.run = np.zeros(n_paths)
             self.g, self.g_prev = np.empty(n_paths), np.empty(n_paths)
             self.tau = self.case_label = self.cost = self.cost_stderr = None
-        rows = z0.shape[-1]
-        f = np.zeros((n_steps + 1, rows) + lanes)
-        g = np.zeros((n_steps + 1, d, rows) + lanes)
-        for lane in np.ndindex(lanes):
-            # a contiguous copy makes a lane's B u and D u those of a one-lane column
-            u = np.ascontiguousarray(u_nodes[(slice(None),) + lane])
-            f[(slice(None), slice(m)) + lane] = u @ dyn.B.T
-            g[(slice(None), slice(None), slice(m)) + lane] = np.einsum("jk,cak->jca", u, dyn.D)
-        self.f_nodes = f.reshape(f.shape + (1,) * len(lanes))
-        self.g_nodes = g.reshape(g.shape + (1,) * len(lanes))
+        self.f_nodes = np.zeros((n_steps + 1, len(z0)))
+        self.g_nodes = np.zeros((n_steps + 1, d, len(z0)))
+        self.f_nodes[:, :m] = u_nodes @ dyn.B.T
+        self.g_nodes[:, :, :m] = np.einsum("jk,cak->jca", u_nodes, dyn.D)
         # rows at nodes j and j + 1, a noise term, a spare for products
-        shape = lanes + (n_paths,)
-        self.Z = [np.full(shape, z[..., None]) for z in np.moveaxis(z0, -1, 0)]
-        self.Zn = [np.empty(shape) for _ in self.Z]
-        self.noise, self.tmp = np.empty(shape), np.empty(shape)
+        self.Z = [np.full(n_paths, z) for z in z0]
+        self.Zn = [np.empty(n_paths) for _ in self.Z]
+        self.noise, self.tmp = np.empty(n_paths), np.empty(n_paths)
 
     def record(self, j):
-        """Check the state at node j for divergence, store it if paths are
-        kept, and take an ensemble column's statistics and cost fold.
+        """Check the state at node j for divergence, and take an ensemble
+        column's statistics and cost fold.
 
         Any non-finite entry makes its row sum non-finite, so the sums
         that an ensemble column's means need anyway stand in for a full
         finiteness scan; the scan runs only when a sum is not finite.
-        DivergenceError names the first bad path of the first lane that
-        has one, as an index within that lane.
+        DivergenceError names the first bad path.
         """
         Z = self.Z
-        m, n_paths = self.dyn.m, Z[0].shape[-1]
+        m, n_paths = self.dyn.m, len(Z[0])
         sums = np.array([z.sum() for z in Z])
         if not np.isfinite(sums).all():
-            ok = np.all([np.isfinite(z) for z in Z], axis=0).reshape(-1, n_paths)
-            bad = np.argwhere(~ok)  # (lane, path) pairs in lane order
+            bad = np.flatnonzero(~np.all([np.isfinite(z) for z in Z], axis=0))
             if bad.size:
-                raise DivergenceError(step=j, path=int(bad[0, 1]))
-        if self.nodes is not None:
-            node = self.nodes[j]
-            for b in range(m):
-                node[..., b] = Z[b]
+                raise DivergenceError(step=j, path=int(bad[0]))
         if self.spec is None:
             return
         for b in range(m):
@@ -737,6 +708,51 @@ class _Column:
         self.Z, self.Zn = self.Zn, Z
 
 
+def _em_moments(dyn, u_nodes, x0, dt):
+    """Exact mean and second moment E[X X'] of the Euler-Maruyama iterates.
+
+    With F = I + A dt, b_j = B u_j dt and e_cj = D_c u_j, where u_j is the
+    control at the left node of step j as `_Column.step` takes it, a step
+    maps X to F X + b_j + sum_c (C_c X + e_cj) dW_c.  The increments have
+    mean 0 and covariance dt I and are independent of X, so
+
+        m' = F m + b
+        P' = F P F' + F m b' + b m' F' + b b'
+             + dt sum_c (C_c P C_c' + C_c m e_c' + e_c m' C_c' + e_c e_c'),
+
+    the weak-order moment recursion of the scheme (Kloeden & Platen,
+    Numerical Solution of SDEs, 1992).  Each is one `_scan`: the mean's
+    rows are [x0; b_0'; b_1'; ...], and vec(P), taken row-major so that
+    vec(F P F') = (F kron F) vec(P), has the map F kron F + dt sum_c
+    C_c kron C_c and a forcing built for every step at once from the
+    scanned means.  Returns the mean, (n_steps + 1, m), and the second
+    moment, (n_steps + 1, m, m), at the nodes of `u_nodes`.
+    """
+    m = dyn.m
+    u = np.asarray(u_nodes, dtype=float)[:-1]
+    F = np.eye(m) + dt * dyn.A
+    b = dt * (u @ dyn.B.T)
+    mean = np.empty((len(u) + 1, m))
+    mean[0], mean[1:] = x0, b
+    _scan(mean, F.T)
+
+    def sym(x, y):  # x_j y_j' + y_j x_j' for every step j
+        outer = x[:, :, None] * y[:, None, :]
+        return outer + outer.transpose(0, 2, 1)
+
+    mx = mean[:-1]
+    forcing = sym(mx @ F.T, b) + b[:, :, None] * b[:, None, :]
+    phi = np.kron(F, F)
+    for C, D in zip(dyn.C, dyn.D):
+        e = u @ D.T
+        forcing += dt * (sym(mx @ C.T, e) + e[:, :, None] * e[:, None, :])
+        phi += dt * np.kron(C, C)
+    second = np.empty((len(u) + 1, m * m))
+    second[0], second[1:] = np.outer(x0, x0).ravel(), forcing.reshape(len(u), m * m)
+    _scan(second, phi.T)
+    return mean, second.reshape(-1, m, m)
+
+
 def _available_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -819,12 +835,11 @@ def _run_columns(
     column steps on that draw, so all columns see the same Brownian
     increments whatever their dynamics and controls.  `simulate_ensemble`
     runs one ensemble column, which folds each path's cost in as it
-    records a node; the variational checks one lane column (the state
-    table's folds its nodes into the table as it records them); and
-    `portfolio.mc_validate` path columns that store no paths, reading the
-    last node through `_Column.row_stats`.  Overflow warnings are
-    silenced: `_Column.record`, which takes node 0 and each stepped node,
-    raises DivergenceError on non-finite values instead.
+    records a node; the variational state table one path column, the
+    sensitivity; and `portfolio.mc_validate` one path column per
+    volatility.  The path columns read only the last node.  Overflow
+    warnings are silenced: `_Column.record`, which takes node 0 and each
+    stepped node, raises DivergenceError on non-finite values instead.
 
     `threads` (default: the CPUs available to the process) caps the
     threads the loop may use.  With two or more, and a draw of at least
@@ -877,7 +892,7 @@ def simulate_ensemble(
         u_nodes = policy.values(times)
         col = _Column(
             spec.dynamics, u_nodes, n_paths, grid.n_steps,
-            spec=spec, store_paths=False, policy=policy, grid=grid,
+            spec=spec, policy=policy, grid=grid,
         )
     _run_columns([col], grid, seed, n_paths, threads)
     return EnsembleResult(

@@ -4,22 +4,21 @@ Perturbing an admissible control along a direction v produces three
 verifiable first-order objects:
 
 * the state sensitivity process, the same linear SDE started at 0 and
-  driven by v, which finite differences of coupled path ensembles must
-  match: for linear dynamics the quotient (X^rho - X)/rho equals it up
-  to rounding, so this checks the linearity of the stepping kernel;
+  driven by v, whose Euler-Maruyama paths must match the scheme's exact
+  moments: its terminal sample mean and variance are compared with the
+  closed recursion of `simulate._em_moments`, so a kernel that applies
+  B, C or D wrongly shows as a large z-score;
 * the mean target response (the linearized drift of E[Y] along v), whose
   integral over [0, tau] divided by the terminal target slope gives the
-  derivative of the hitting time; and
+  derivative of the hitting time, checked against finite differences of
+  tau at each step size rho; and
 * a duality identity tying that same integral to the time adjoint:
   int_0^tau response dt = -int_0^tau Khat(t) . v(t) dt.
 
-The base state, its sensitivity and the perturbed states come from the
-one Euler-Maruyama loop of `simulate`, on one noise draw per step: the
-base run (x0, u), the sensitivity (0, v) and each perturbed run
-(x0, u + rho v) are lanes of one column, stepped by one array operation
-per step.  The state table stores none of their paths: its column folds
-each block of `_TABLE_BLOCK` nodes into the table as the loop records
-them, so its memory does not grow with the step count.
+For linear dynamics the sensitivity does not involve the base state, so
+the state check steps it alone, as one path column of the one
+Euler-Maruyama loop of `simulate`, on one noise draw per step, and stores
+none of its paths.
 
 Everything here is diagnostic: these routines quantify agreement and
 return tables rather than pass judgment.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,17 +36,15 @@ import numpy as np
 from ._scipy import quad
 from .adjoint import khat_evaluator, target_slope_at_tau
 from .problem import ProblemSpec, ValidationReport, perturbed_policy
-from .simulate import SimGrid, _affine_path, _Column, _run_columns, hit_time, mean_at_tau
+from .simulate import SimGrid, _Column, _em_moments, _run_columns, hit_time, mean_at_tau
 
 __all__ = [
     "PerturbationSpec",
-    "SensitivityResult",
-    "FdStateRow",
+    "StateMomentRow",
     "TauDerivative",
     "FdTauRow",
     "FdTauReport",
     "DualIdentityReport",
-    "simulate_state_sensitivity",
     "fd_state_check",
     "hit_time_derivative",
     "fd_tau_check",
@@ -122,186 +119,68 @@ class PerturbationSpec:
         return ValidationReport(ok=not out, violations=out)
 
 
-def _fd_lanes(dyn, policy, direction, rhos, times):
-    """Starts and node controls of the lanes (x0, u), (0, v) and (x0, u + rho v).
-
-    Returns x0 of shape (2 + len(rhos), m) and the node controls of shape
-    (len(times), 2 + len(rhos), k), in that lane order.
-    """
-    controls = [policy, direction] + [perturbed_policy(policy, direction, rho) for rho in rhos]
-    x0 = np.tile(dyn.x0, (len(controls), 1))
-    x0[1] = 0.0  # the sensitivity starts at 0
-    return x0, np.stack([pol.values(times) for pol in controls], axis=1)
-
-
-def _fd_paths(dyn, policy, direction, rhos, grid, seed, n_paths, threads=None):
-    """Base, sensitivity and perturbed state paths on one noise draw per step.
-
-    Returns (base, sens, perturbed): two (n_paths, n_steps + 1, m) views
-    and a sequence of one such view per rho, the lanes of `_fd_lanes` in
-    one column that stores every path (time-major, so the views are
-    strided).  `simulate_state_sensitivity` reads its sensitivity lane;
-    the state table steps the same lanes without storing them
-    (`_TableColumn`).  A non-finite state raises DivergenceError.
-    `threads` is passed to `_run_columns`.
-    """
-    x0, u_nodes = _fd_lanes(dyn, policy, direction, rhos, grid.times())
-    col = _Column(dyn, u_nodes, n_paths, grid.n_steps, x0=x0)
-    _run_columns([col], grid, seed, n_paths, threads)
-    return col.paths[0], col.paths[1], col.paths[2:]
-
-
 @dataclass
-class SensitivityResult:
-    """Pathwise first-order state response to a control direction."""
+class StateMomentRow:
+    """Terminal sample moments of one sensitivity coordinate against the exact ones.
 
-    grid: SimGrid
-    seed: int
-    paths: np.ndarray            # (n_paths, n_steps + 1, m)
-    mean_mc: np.ndarray          # (n_steps + 1, m)
-    mean_exact: np.ndarray       # (n_steps + 1, m), the closed mean
-
-
-def simulate_state_sensitivity(
-    spec: ProblemSpec,
-    policy,
-    direction,
-    grid: SimGrid,
-    seed: int,
-    n_paths: int,
-    threads: Optional[int] = None,
-) -> SensitivityResult:
-    """Simulate the sensitivity SDE along the base trajectory.
-
-    The base state and its sensitivity advance together in the
-    Euler-Maruyama loop (`_fd_paths` without perturbed runs).  The
-    sensitivity mean also solves dE/dt = A E + B v exactly, returned as
-    `mean_exact`.  `threads` is passed to `_run_columns` and never changes
-    the result.
-    """
-    dyn = spec.dynamics
-    times = grid.times()
-    _, sens, _ = _fd_paths(dyn, policy, direction, (), grid, seed, n_paths, threads)
-    paths = np.ascontiguousarray(sens)
-    return SensitivityResult(
-        grid=grid,
-        seed=seed,
-        paths=paths,
-        mean_mc=paths.mean(axis=0),
-        mean_exact=_affine_path(dyn.A, dyn.B, np.zeros(dyn.m), direction, times, np.zeros(dyn.m)),
-    )
-
-
-@dataclass
-class FdStateRow:
-    """Sup-norm gap between (X^rho - X)/rho and the sensitivity paths."""
-
-    rho: float
-    sup_err: float
-    t_at_sup: float
-    stderr: float
-
-
-# Nodes of the state table reduced together; the table holds one block of
-# every lane's paths, whatever the step count.
-_TABLE_BLOCK = 64
-
-
-class _TableColumn(_Column):
-    """The lanes of `_fd_lanes`, reduced into the state table as the loop records them.
-
-    The column stores no paths.  `record` copies each node of every lane
-    into a time-major block of `_TABLE_BLOCK` nodes, and `reduce` folds a
-    full block, or the last one, into the table.  The block does the
-    arithmetic of reducing (n_paths, n_steps + 1) arrays of all the nodes
-    in the same order, so the rows are those bit for bit:
-    * per node, rho and path the gap (X^rho - X)/rho - S element by
-      element, its squares summed over m along a contiguous last axis,
-      then the square root;
-    * the mean over paths as the axis-0 reduction of an (n_paths,
-      _TABLE_BLOCK * len(rhos)) array, which numpy sums in path order.
-      The whole width is reduced even when fewer nodes are filled, since
-      a one-column reduction would sum pairwise instead;
-    * the first node with the largest mean, by `argmax` within a block
-      and by a strict `>` across blocks, and the standard error there.
+    `mean_z` is (mean - mean_exact) / (std / sqrt(N)) and `var_z` is (var -
+    var_exact) / sqrt((m4 - var^2) / N), with var the sample variance and
+    m4 the sample fourth central moment.  Both are NaN when the sample
+    spread is 0: no noise reaches the coordinate, and its gaps are exact
+    up to rounding instead.
     """
 
-    def __init__(self, dyn, policy, direction, rhos, times, n_paths):
-        x0, u_nodes = _fd_lanes(dyn, policy, direction, rhos, times)
-        super().__init__(dyn, u_nodes, n_paths, len(times) - 1, store_paths=False, x0=x0)
-        n_rho, m = len(rhos), dyn.m
-        self.rhos, self.times = np.asarray(rhos, dtype=float), times
-        self.block = np.empty((_TABLE_BLOCK, 2 + n_rho, n_paths, m))
-        self.gap = np.empty((_TABLE_BLOCK, n_rho, n_paths, m))
-        self.norms = np.empty((_TABLE_BLOCK, n_rho, n_paths))
-        self.errs = np.zeros((n_paths, _TABLE_BLOCK, n_rho))
-        self.sup = np.full(n_rho, -np.inf)
-        self.at = np.zeros(n_rho, dtype=int)
-        self.stderr = np.zeros(n_rho)
-
-    def record(self, j):
-        super().record(j)
-        s = j % _TABLE_BLOCK
-        node = self.block[s]
-        for b, z in enumerate(self.Z):
-            node[..., b] = z
-        if s == _TABLE_BLOCK - 1 or j == len(self.times) - 1:
-            self.reduce(j - s, s + 1)
-
-    def reduce(self, first, n):
-        """Fold the block's first n nodes, nodes first..first + n - 1, into the table."""
-        lanes, gap, norms = self.block[:n], self.gap[:n], self.norms[:n]
-        # gap = (pert - base) / rho - sens, then |gap| per node, rho and path
-        np.subtract(lanes[:, 2:], lanes[:, :1], out=gap)
-        np.divide(gap, self.rhos[:, None, None], out=gap)
-        np.subtract(gap, lanes[:, 1:2], out=gap)
-        np.multiply(gap, gap, out=gap)
-        np.sum(gap, axis=3, out=norms)
-        np.sqrt(norms, out=norms)
-        errs = self.errs
-        errs[:, :n] = norms.transpose(2, 0, 1)
-        mean_err = errs.mean(axis=0)[:n]  # (n, n_rho)
-        for r, i in enumerate(np.argmax(mean_err, axis=0)):
-            if mean_err[i, r] > self.sup[r]:
-                self.sup[r], self.at[r] = mean_err[i, r], first + i
-                self.stderr[r] = errs[:, i, r].std(ddof=1) / np.sqrt(len(errs))
-
-    def rows(self) -> list:
-        return [
-            FdStateRow(rho=float(rho), sup_err=float(sup), t_at_sup=float(self.times[i]),
-                       stderr=float(se))
-            for rho, sup, i, se in zip(self.rhos, self.sup, self.at, self.stderr)
-        ]
+    coord: int
+    mean: float
+    mean_exact: float
+    mean_z: float
+    var: float
+    var_exact: float
+    var_z: float
 
 
 def fd_state_check(
     spec: ProblemSpec,
-    policy,
     direction,
-    rhos: Sequence[float],
     grid: SimGrid,
     seed: int,
     n_paths: int,
     threads: Optional[int] = None,
 ) -> list:
-    """Coupled finite-difference check of the sensitivity equation.
+    """Check the simulated sensitivity against its exact Euler-Maruyama moments.
 
-    The base state, its sensitivity and one perturbed state per step size
-    run as lanes of one Euler-Maruyama column (`_TableColumn`), so they
-    share every Brownian increment (one draw per step).  The dynamics are
-    linear, so the pathwise quotient (X^rho - X)/rho equals the
-    sensitivity up to rounding at every rho: the table checks that the
-    stepping kernel is linear in (x0, u).  Each row is the largest mean
-    over paths of |(X^rho - X)/rho - S| over the nodes, its time and the
-    standard error there.  The column reduces its nodes block by block as
-    the loop records them and stores no paths, so the table's memory is
-    one block, not n_paths x (n_steps + 1) per lane.  `threads` is passed
-    to `_run_columns` and never changes the table.
+    For linear dynamics the sensitivity along v solves dS = (A S + B v) dt
+    + sum_c (C_c S + D_c v) dW_c from S = 0, whatever the base state, so
+    one path column steps it alone, on one noise draw per step.  At the
+    last node each coordinate's sample mean and variance are compared with
+    the scheme's exact moments (`_em_moments`), one `StateMomentRow` per
+    coordinate: a kernel that applies B, C or D wrongly moves a z-score by
+    far more than sampling error does.  The column stores no paths.
+    `threads` is passed to `_run_columns` and never changes the rows.
     """
-    _require_rhos(rhos)
-    col = _TableColumn(spec.dynamics, policy, direction, rhos, grid.times(), n_paths)
+    dyn = replace(spec.dynamics, x0=np.zeros(spec.dynamics.m))
+    v_nodes = direction.values(grid.times())
+    col = _Column(dyn, v_nodes, n_paths, grid.n_steps)
     _run_columns([col], grid, seed, n_paths, threads)
-    return col.rows()
+    mean, second = _em_moments(dyn, v_nodes, dyn.x0, grid.dt)
+    rows = []
+    for a, s in enumerate(col.Z):
+        mean_exact = mean[-1, a]
+        var_exact = second[-1, a, a] - mean_exact**2
+        mu = s.mean()
+        dev = s - mu
+        var = dev @ dev / (n_paths - 1)
+        mean_z = var_z = np.nan  # no noise reaches a coordinate of spread 0
+        if var > 0.0:
+            mean_z = (mu - mean_exact) / np.sqrt(var / n_paths)
+            # a few paths, or two values, can give m4 < var^2: NaN, not a warning
+            with np.errstate(invalid="ignore"):
+                var_z = (var - var_exact) / np.sqrt((np.mean(dev**4) - var**2) / n_paths)
+        rows.append(StateMomentRow(
+            coord=a, mean=float(mu), mean_exact=float(mean_exact), mean_z=float(mean_z),
+            var=float(var), var_exact=float(var_exact), var_z=float(var_z),
+        ))
+    return rows
 
 
 @dataclass

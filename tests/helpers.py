@@ -1,5 +1,7 @@
 """Shared builders and reference constants for the test suite."""
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from meantau.problem import (
@@ -107,6 +109,25 @@ def mean_target_response(ey_values, v_values, target, dynamics) -> np.ndarray:
     return ey @ target_state_row(target, dynamics) + v @ target_control_row(target, dynamics)
 
 
+class StoredColumn(_Column):
+    """A `_Column` that also keeps every node of its state paths.
+
+    `record` copies each node into one time-major (n_steps + 1, n_paths,
+    m) array, after the divergence check; `paths` is that array seen as
+    (n_paths, n_steps + 1, m).
+    """
+
+    def __init__(self, dyn, u_nodes, n_paths, n_steps, **kwargs):
+        super().__init__(dyn, u_nodes, n_paths, n_steps, **kwargs)
+        self.nodes = np.empty((n_steps + 1, n_paths, dyn.m))
+        self.paths = self.nodes.transpose(1, 0, 2)
+
+    def record(self, j):
+        super().record(j)
+        for b in range(self.dyn.m):
+            self.nodes[j, :, b] = self.Z[b]
+
+
 def ensemble_column(spec, policy, n_paths, grid, seed):
     """The ensemble column of `simulate_ensemble`, run with its paths stored.
 
@@ -114,12 +135,57 @@ def ensemble_column(spec, policy, n_paths, grid, seed):
     the cost fold are those of `simulate_ensemble` on the same arguments.
     """
     times = grid.times()
-    col = _Column(
+    col = StoredColumn(
         spec.dynamics, policy.values(times), n_paths, grid.n_steps,
-        spec=spec, store_paths=True, policy=policy, grid=grid,
+        spec=spec, policy=policy, grid=grid,
     )
     _run_columns([col], grid, seed, n_paths)
     return col
+
+
+@dataclass
+class SensitivityResult:
+    """Pathwise first-order state response to a control direction."""
+
+    paths: np.ndarray            # (n_paths, n_steps + 1, m)
+    mean_mc: np.ndarray          # (n_steps + 1, m)
+    mean_exact: np.ndarray       # (n_steps + 1, m), the RK4 mean
+
+
+def simulate_state_sensitivity(spec, direction, grid, seed, n_paths) -> SensitivityResult:
+    """The sensitivity along `direction` as one path column that stores its paths.
+
+    For linear dynamics it is the state SDE started at 0 and driven by v,
+    whatever the base control.  Its mean solves dE/dt = A E + B v, which
+    the RK4 mean solve gives as `mean_exact`.
+    """
+    dyn = replace(spec.dynamics, x0=np.zeros(spec.dynamics.m))
+    col = StoredColumn(dyn, direction.values(grid.times()), n_paths, grid.n_steps)
+    _run_columns([col], grid, seed, n_paths)
+    paths = np.ascontiguousarray(col.paths)
+    return SensitivityResult(paths, paths.mean(axis=0), mean_ode_solve(dyn, direction, grid))
+
+
+def em_moments_loop(dyn, u_nodes, x0, dt):
+    """The mean and second moment E[X X'] of the Euler-Maruyama iterates, step by step.
+
+    The reference for `simulate._em_moments`: one plain update of the
+    moment recursion per step, with the control at the step's left node.
+    """
+    F = np.eye(dyn.m) + dt * dyn.A
+    mean = np.asarray(x0, dtype=float)
+    second = np.outer(mean, mean)
+    means, seconds = [mean], [second]
+    for u in np.asarray(u_nodes, dtype=float)[:-1]:
+        b, Fm = dt * (dyn.B @ u), F @ mean
+        nxt = F @ second @ F.T + np.outer(Fm, b) + np.outer(b, Fm) + np.outer(b, b)
+        for C, D in zip(dyn.C, dyn.D):
+            e, Cm = D @ u, C @ mean
+            nxt += dt * (C @ second @ C.T + np.outer(Cm, e) + np.outer(e, Cm) + np.outer(e, e))
+        mean, second = Fm + b, nxt
+        means.append(mean)
+        seconds.append(second)
+    return np.array(means), np.array(seconds)
 
 
 def estimate_cost(paths, grid, tau, cost, policy):

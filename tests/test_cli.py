@@ -230,7 +230,8 @@ def test_verify_variational_tables(tmp_path):
     assert all(row["rel_gap"] < 1e-3 for row in payload["tau_table"])
     assert "dual_identity" in payload
     assert payload["dual_identity"]["rel_gap"] < 1e-4
-    assert len(payload["state_table"]) == 3
+    # one row per state coordinate of scalar.json
+    assert [row["coord"] for row in payload["state_table"]] == [0]
 
 
 def test_verify_variational_skip_state(tmp_path):
@@ -769,7 +770,9 @@ def test_artifacts_hold_exactly_the_report_fields(tmp_path):
                  "--paths", "8"]) == 0
     var = read_json(out, "variational.json")
     assert all(set(r) == {"rho", "quotient", "abs_gap", "rel_gap"} for r in var["tau_table"])
-    assert all(set(r) == {"rho", "sup_err", "t_at_sup", "stderr"} for r in var["state_table"])
+    assert [set(r) for r in var["state_table"]] == [
+        {"coord", "mean", "mean_exact", "mean_z", "var", "var_exact", "var_z"}
+    ]
     assert set(var["dual_identity"]) == {
         "response_integral", "adjoint_integral", "abs_gap", "rel_gap",
     }

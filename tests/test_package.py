@@ -18,10 +18,10 @@ EXPORTED_BEFORE = {
     "__version__",
     "AdjointSolution", "AssumptionViolationError", "ControlPolicy",
     "ControlSegment", "ControlSet", "CostSpec", "DivergenceError", "DualIdentityReport",
-    "EnsembleResult", "FdStateRow", "FdTauReport", "FdTauRow",
+    "EnsembleResult", "FdTauReport", "FdTauRow",
     "InfeasibleError", "LinearDynamics", "McReport", "MeanPath", "MeanTauError",
     "NonConvergenceError", "NumericalConsistencyError", "PerturbationSpec", "PortfolioParams",
-    "ProblemSpec", "RegimeError", "ScalarSwitchReport", "SensitivityResult", "SimGrid",
+    "ProblemSpec", "RegimeError", "ScalarSwitchReport", "SimGrid",
     "SingularArcError", "SmpReport", "SpecValidationError", "SynthesisResult",
     "TargetCoefficients", "TargetDiffusion", "TauDerivative", "TauSolution",
     "ValidationReport", "branch_coefficient", "check_candidate", "control_samples",
@@ -30,7 +30,7 @@ EXPORTED_BEFORE = {
     "hit_time_derivative", "khat_evaluator", "mc_validate",
     "optimal_control", "optimal_policy",
     "perturbed_policy", "scalar_switch_structure", "simulate_ensemble",
-    "simulate_state_sensitivity", "solve_adjoints", "solve_cost_adjoint", "solve_mean_path",
+    "solve_adjoints", "solve_cost_adjoint", "solve_mean_path",
     "solve_tau", "solve_time_adjoint", "step_noise", "switch_times",
     "synthesize", "target_control_row", "target_hamiltonian_du", "target_slope_at_tau",
     "target_state_row", "terminal_cost_drift", "time_adjoint_closed_form", "to_problem_spec",
@@ -42,6 +42,7 @@ REMOVED = {
     "HookDynamics", "mean_target_solve", "mean_ode_solve", "hamiltonian",
     "mean_target_response", "policy_eval", "switching_function",
     "detect_min_time", "CombinedPolicy", "estimate_cost",
+    "FdStateRow", "SensitivityResult", "simulate_state_sensitivity",
 }
 
 # methods and fields deleted from the classes that keep the rest
@@ -102,12 +103,10 @@ def test_every_public_function_but_the_cross_check_references_is_used_by_the_pac
         module = importlib.import_module(f"meantau.{path.stem}")
         names = getattr(module, "__all__", ())
         public |= {n for n in names if inspect.isfunction(getattr(module, n))}
-    # the two cross-check references, which only tests call: criterion 9
-    # checks synthesize against the closed form of scalar_switch_structure,
-    # and the exact sensitivity mean of simulate_state_sensitivity checks
-    # the kernel and the mean target response
+    # the cross-check reference that only tests call: criterion 9 checks
+    # synthesize against the closed form of scalar_switch_structure
     unused = public - referenced_names()
-    assert unused == {"scalar_switch_structure", "simulate_state_sensitivity"}
+    assert unused == {"scalar_switch_structure"}
 
 
 def test_khat_evaluator_is_one_function():

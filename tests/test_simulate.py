@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from helpers import (
+    StoredColumn,
     ensemble_column,
     estimate_cost,
     mean_ode_solve,
@@ -715,8 +716,8 @@ def test_scalar_kernel_matches_the_in_place_reference(specs, u0, u1, n_steps, n_
 
 
 @st.composite
-def lane_cases(draw):
-    """A stable linear system (m, k in 1..3, d in 0..3) with c in 1..5 distinct lanes."""
+def column_cases(draw):
+    """A stable linear system (m, k in 1..3, d in 0..3) with c in 1..5 distinct runs."""
     m, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
     c, n_steps = draw(st.integers(1, 5)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -729,23 +730,23 @@ def lane_cases(draw):
         x0=np.zeros(m),
     )
     x0 = rng.uniform(-1.0, 1.0, (c, m))
-    u_nodes = rng.uniform(-1.0, 1.0, (n_steps + 1, c, k))
+    u_nodes = rng.uniform(-1.0, 1.0, (c, n_steps + 1, k))
     n_paths = draw(st.sampled_from([2, 3, 17]))
     return dyn, x0, u_nodes, SimGrid(1.0, n_steps), n_paths, draw(st.integers(0, 1000))
 
 
 @settings(max_examples=60, deadline=None)
-@given(lane_cases())
-def test_each_lane_equals_a_one_lane_column_run_alone(case):
+@given(column_cases())
+def test_each_column_of_one_loop_equals_the_column_run_alone(case):
     dyn, x0, u_nodes, grid, n_paths, seed = case
-    col = _Column(dyn, u_nodes, n_paths, grid.n_steps, x0=x0)
-    _run_columns([col], grid, seed, n_paths)
-    assert col.paths.shape == (len(x0), n_paths, grid.n_steps + 1, dyn.m)
-    for lane in range(len(x0)):
-        alone = _Column(replace(dyn, x0=x0[lane]), u_nodes[:, lane].copy(), n_paths, grid.n_steps)
+    runs = [(replace(dyn, x0=start), u) for start, u in zip(x0, u_nodes)]
+    cols = [StoredColumn(run_dyn, u, n_paths, grid.n_steps) for run_dyn, u in runs]
+    _run_columns(cols, grid, seed, n_paths)
+    for col, (run_dyn, u) in zip(cols, runs):
+        alone = StoredColumn(run_dyn, u, n_paths, grid.n_steps)
         _run_columns([alone], grid, seed, n_paths)
         assert alone.paths.shape == (n_paths, grid.n_steps + 1, dyn.m)
-        assert np.array_equal(col.paths[lane], alone.paths)
+        assert np.array_equal(col.paths, alone.paths)
 
 
 def test_ensemble_divergence_names_step_and_path():
@@ -807,7 +808,7 @@ def test_the_worker_thread_never_changes_a_result():
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
 
         serial, threaded = (
-            fd_state_check(spec, policy, direction, (1e-2, 1e-3), SimGrid(1.0, 20), 7, n_paths, t)
+            fd_state_check(spec, direction, SimGrid(1.0, 20), 7, n_paths, t)
             for t in (1, 2)
         )
         assert serial == threaded
@@ -822,7 +823,7 @@ def test_a_diverging_run_stops_and_joins_its_noise_worker(monkeypatch):
     u_nodes = np.zeros((grid.n_steps + 1, 1))
 
     def run(threads):
-        col = _Column(dyn, u_nodes, n_paths, grid.n_steps, store_paths=False)
+        col = _Column(dyn, u_nodes, n_paths, grid.n_steps)
         with pytest.raises(DivergenceError) as err:
             _run_columns([col], grid, seed, n_paths, threads)
         return err.value.step, err.value.path
