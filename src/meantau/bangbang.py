@@ -50,6 +50,12 @@ __all__ = [
 ]
 
 
+# A value is near zero at most this times max(1, the largest |value|).
+_ZERO_TOL = 1e-12
+# The tau iteration has converged when |g(tau)| is at most this times max(1, tau).
+_SECANT_TOL = 1e-10
+
+
 def _plateau_runs(values: np.ndarray, zero_tol: float) -> int:
     """Longest run of consecutive near-zero entries."""
     edges = np.diff(np.concatenate(([0], np.abs(values) <= zero_tol, [0])).astype(np.int8))
@@ -62,7 +68,6 @@ def find_switch_times(
     values,
     refine: Callable,
     xtol: float = 1e-10,
-    zero_tol: float = 1e-12,
 ) -> list:
     """Zero crossings of each column of `values`, a (nodes, k) array, over the node grid.
 
@@ -83,7 +88,7 @@ def find_switch_times(
     out = []
     for i in range(vals.shape[1]):
         col = vals[:, i]
-        if _plateau_runs(col, zero_tol * scale) >= 3:
+        if _plateau_runs(col, _ZERO_TOL * scale) >= 3:
             raise SingularArcError(component=i)
         sgn = np.sign(col)
         at_node = np.nonzero((sgn[1:-1] == 0.0) & (sgn[:-2] * sgn[2:] < 0))[0] + 1
@@ -165,7 +170,6 @@ def synthesize(
     n_nodes: int = 4096,
     max_iter: int = 100,
     damping: float = 0.5,
-    tol: float = 1e-10,
 ) -> SynthesisResult:
     """Secant synthesis of the bang-bang candidate.
 
@@ -173,8 +177,8 @@ def synthesize(
     vertex policy anchored at tau.  The first step is the damped step
     tau + damping * g(tau); later steps are secant steps, and `damping`
     weights the damped step that replaces a secant step which is not finite
-    or leaves (0, horizon].  `history` holds tau before each pass and the
-    converged tau.
+    or leaves (0, horizon].  It stops once |g| <= `_SECANT_TOL` max(1, tau).
+    `history` holds tau before each pass and the converged tau.
 
     The vertex rule reads the sign of Khat alone, which is the whole
     first-order condition only when the objective is the elapsed time
@@ -219,7 +223,7 @@ def synthesize(
         policy, _, _, _ = vertex_policy(spec, tau, n_nodes)
         tau_image, _ = hit_time(spec, policy, coarse)
         g = tau_image - tau
-        if abs(g) <= tol * max(1.0, tau):
+        if abs(g) <= _SECANT_TOL * max(1.0, tau):
             tau = tau_image
             history.append(float(tau))
             converged = True
@@ -238,7 +242,7 @@ def synthesize(
         cycle = (
             len(history) >= 4
             and abs(history[-1] - history[-3]) <= 1e-9 * max(1.0, history[-1])
-            and abs(history[-1] - history[-2]) > tol * max(1.0, history[-1])
+            and abs(history[-1] - history[-2]) > _SECANT_TOL * max(1.0, history[-1])
         )
         raise NonConvergenceError(
             f"tau iteration did not settle in {max_iter} steps",

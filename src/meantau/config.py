@@ -150,12 +150,12 @@ def _build(cls, obj: dict, path: str, shapes=(), section: str = ""):
         raise SpecValidationError([f"{path}: {exc}"]) from exc
 
 
-def parse_problem(obj: dict, path: str = "problem") -> ProblemSpec:
-    """Build and validate a ProblemSpec from a config sub-object."""
-    spec = _build(ProblemSpec, obj, path)
+def parse_problem(obj: dict) -> ProblemSpec:
+    """Build and validate a ProblemSpec from a config's `problem` object."""
+    spec = _build(ProblemSpec, obj, "problem")
     report = validate(spec)
     if not report.ok:
-        raise SpecValidationError([f"{path}.{v}" for v in report.violations])
+        raise SpecValidationError([f"problem.{v}" for v in report.violations])
     return spec
 
 
@@ -192,6 +192,6 @@ def parse_policy(obj: dict, horizon: float, path: str = "policy") -> ControlPoli
     return policy
 
 
-def parse_portfolio_params(obj: dict, path: str = "params") -> PortfolioParams:
-    """Build PortfolioParams from an object whose keys are its field names."""
-    return _build(PortfolioParams, obj, path)
+def parse_portfolio_params(obj: dict) -> PortfolioParams:
+    """Build PortfolioParams from a config's `params` object, whose keys are its field names."""
+    return _build(PortfolioParams, obj, "params")

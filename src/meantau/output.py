@@ -143,16 +143,15 @@ def svg_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 860,
-    height: int = 520,
     markers: Sequence[float] = (),
 ) -> str:
-    """Deterministic standalone SVG with one polyline per series.
+    """Deterministic standalone 860 x 520 SVG with one polyline per series.
 
     `markers` draws dashed vertical rules at the given x positions.
     """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(s, dtype=float) for s in series]
+    width, height = 860, 520
     left, right, top, bottom = 64, 16, 34, 46
     pw, ph = width - left - right, height - top - bottom
     x_lo, x_hi = float(x.min()), float(x.max())

@@ -167,8 +167,8 @@ class TauSolution:
     residual: float
 
 
-def solve_tau(params: PortfolioParams, xtol: float = 1e-12) -> TauSolution:
-    """Root of the wealth residual on (0, horizon] by Brent's method.
+def solve_tau(params: PortfolioParams) -> TauSolution:
+    """Root of the wealth residual on (0, horizon] by Brent's method, to 1e-12.
 
     The residual is positive at tau -> 0+ (wealth starts below target)
     and decreases as tau grows; no sign change by the horizon means the
@@ -185,7 +185,7 @@ def solve_tau(params: PortfolioParams, xtol: float = 1e-12) -> TauSolution:
             f"(residual {f_hi:.6g} at t = {params.horizon:g})"
         )
     tau = float(
-        brentq(lambda t: wealth_residual(params, t)[0], lo, params.horizon, xtol=xtol)
+        brentq(lambda t: wealth_residual(params, t)[0], lo, params.horizon, xtol=1e-12)
     )
     t1, t2 = switch_times(params, tau)
     res, _ = wealth_residual(params, tau)
@@ -202,16 +202,15 @@ def optimal_control(params: PortfolioParams, tau: float, t) -> np.ndarray:
     return np.clip(vals, params.control_lower, params.control_upper)
 
 
-def optimal_policy(params: PortfolioParams, solution: Optional[TauSolution] = None) -> ControlPolicy:
-    """The three-branch control as a piecewise policy on [0, horizon].
+def optimal_policy(params: PortfolioParams, solution: TauSolution) -> ControlPolicy:
+    """The three-branch control of `solution` as a piecewise policy on [0, horizon].
 
     Past tau the lower-bound value is held; the hit has already happened
     there, so the hold only keeps the policy evaluable on the full
     horizon.  Degenerate branch orderings (t1 = 0 or t2 = tau) drop the
     corresponding segments.
     """
-    sol = solution if solution is not None else solve_tau(params)
-    tau, t1, t2 = sol.tau, sol.t1, sol.t2
+    tau, t1, t2 = solution.tau, solution.t1, solution.t2
     coef = branch_coefficient(params)
     segments = []
     if t1 > 0.0:
@@ -319,10 +318,10 @@ def mc_validate(
         if float(v) not in vols:
             vols.append(float(v))
     grid = SimGrid(tau, max(2, int(np.ceil(tau / dt))))
-    u_nodes = optimal_policy(params, sol).values(grid.times())
+    policy = optimal_policy(params, sol)
     dyns = [to_problem_spec(replace(params, vol=v)).dynamics for v in vols]
-    cols = [_Column(dyn, u_nodes, n_paths, grid.n_steps) for dyn in dyns]
-    _run_columns(cols, grid, seed, n_paths, threads)
+    cols = [_Column(dyn, policy, n_paths, grid) for dyn in dyns]
+    _run_columns(cols, seed, threads)
     stats = (col.row_stats(0) for col in cols)
     terminal = {v: (float(mu), float(sd / np.sqrt(n_paths))) for v, (mu, sd) in zip(vols, stats)}
     mean, stderr = terminal[params.vol]
@@ -345,10 +344,10 @@ def mc_validate(
     return report
 
 
-def figure_columns(params: PortfolioParams, n_nodes: int = 2001) -> dict:
-    """Plot-ready columns over [0, tau]: time, control, mean wealth."""
+def figure_columns(params: PortfolioParams) -> dict:
+    """Plot-ready columns on 2 001 uniform nodes over [0, tau]: time, control, mean wealth."""
     sol = solve_tau(params)
-    grid = SimGrid(sol.tau, n_nodes - 1)
+    grid = SimGrid(sol.tau, 2000)
     ts = grid.times()
     spec = to_problem_spec(params)
     policy = optimal_policy(params, sol)

@@ -29,17 +29,18 @@ scheduled.  The key is the one numpy's SeedSequence(entropy=seed,
 spawn_key=(j,)) gives a Philox generator; `step_noise` derives the keys
 of 1024 steps in one vectorised pass of that hash and re-keys one Philox
 per thread, instead of building a seed sequence and a generator for
-every step, and draws the same bytes.  A column steps one row of paths
-per state coordinate with one affine kernel; an ensemble column adds the
-monitoring process as a last row, with the mean-field couplings (E[X]
-and E[b]) evaluated as ensemble averages at the start of each step.  It
-stores no path: it folds each path's cost into the loop as it records a
-node, a running trapezoid sum that it closes at the ensemble mean's
-first hit, so the objective costs O(N) memory at any path count.  A
-path column steps only the state: the variational state table steps the
-sensitivity alone, and the wealth Monte Carlo check steps one path
-column per volatility; both store no path and read only the terminal
-state rows.
+every step, and draws the same bytes.  A column holds a dynamics, its
+policy and the grid, which the loop reads from its first column, and
+steps one row of paths per state coordinate with one affine kernel; an
+ensemble column adds the monitoring process as a last row, with the
+mean-field couplings (E[X] and E[b]) evaluated as ensemble averages at
+the start of each step.  It stores no path: it folds each path's cost
+into the loop as it records a node, a running trapezoid sum that it
+closes at the ensemble mean's first hit, so the objective costs O(N)
+memory at any path count.  A path column steps only the state: the
+variational state table steps the sensitivity alone, and the wealth
+Monte Carlo check steps one path column per volatility; both store no
+path and read only the terminal state rows.
 
 The scheme's own mean and second moment E[X X'] at every node follow
 linear recursions with a constant map, so `_em_moments` gives them
@@ -537,14 +538,14 @@ def _affine_row(M_a, X, f_a, out, tmp):
 
 
 class _Column:
-    """One dynamics, its node controls and its paths inside the time loop.
+    """One dynamics, its policy and its paths inside the time loop on `grid`.
 
-    An ensemble column (`spec` given) also steps the monitoring process Y,
-    records per-node statistics, and folds the objective into `record`
-    (`fold_cost`), for which it takes the `policy` behind `u_nodes` and
-    the `grid`; a path column (`spec` None) steps only the state.  No
-    column stores its paths.  The state lives in `Z`, one contiguous row
-    of paths per coordinate and Y as an ensemble column's last row, and
+    The column evaluates its node controls `u_nodes`, the policy at the
+    grid's nodes, itself.  An ensemble column (`spec` given) also steps
+    the monitoring process Y, records per-node statistics, and folds the
+    objective into `record` (`fold_cost`); a path column (`spec` None)
+    steps only the state.  No column stores its paths.  The state lives
+    in `Z`, one contiguous row of paths per coordinate and Y as an ensemble column's last row, and
     `step` advances every row with the same affine arithmetic; its
     buffers, one (N,) row each, are reused across steps, so the loop
     allocates no path-sized array.  The column starts at `dyn.x0`: a run
@@ -553,11 +554,14 @@ class _Column:
     raise ValueError before any buffer exists.
     """
 
-    def __init__(self, dyn, u_nodes, n_paths, n_steps, spec=None, policy=None, grid=None):
+    # overflowing controls or forcing are not warned about: `record` raises DivergenceError
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, dyn, policy, n_paths, grid, spec=None):
         if n_paths < 2:
             raise ValueError("n_paths must be at least 2")
-        m, d = dyn.m, dyn.d
-        self.spec, self.dyn, self.u_nodes = spec, dyn, u_nodes
+        m, d, n_steps, times = dyn.m, dyn.d, grid.n_steps, grid.times()
+        self.spec, self.dyn, self.policy, self.grid, self.dt = spec, dyn, policy, grid, grid.dt
+        self.u_nodes = u_nodes = policy.values(times)
         z0 = dyn.x0
         # drift rows M = [A; E2] and noise rows N_c = [C_c; g_state_c]; d may be 0
         self.drift_rows = dyn.A
@@ -576,7 +580,7 @@ class _Column:
             # trapezoid sum of its state term cLin.x and that term at the
             # last node; tau stays None until the fold closes
             cost = spec.cost
-            self.policy, self.times, self.dt = policy, grid.times(), grid.dt
+            self.times = times
             quad_u = 0.5 * np.einsum("tj,jk,tk->t", u_nodes, cost.Lambda, u_nodes)
             self.f_shared = cost.kappa + quad_u
             self.run = np.zeros(n_paths)
@@ -677,7 +681,7 @@ class _Column:
         np.multiply(dev, dev, out=dev)
         return mean, np.sqrt(dev.sum() / (n_paths - 1))
 
-    def step(self, j, dW, dt):
+    def step(self, j, dW):
         """Euler-Maruyama step of every path from node j to node j + 1.
 
         Row a gains dt (M_a . X + f_a) + sum_c dW_c
@@ -699,7 +703,7 @@ class _Column:
         noise = self.noise
         for a, (z, zn) in enumerate(zip(Z, self.Zn)):
             _affine_row(self.drift_rows[a], X, f[a], zn, self.tmp)
-            np.multiply(zn, dt, out=zn)
+            np.multiply(zn, self.dt, out=zn)
             np.add(z, zn, out=zn)
             for c in range(dyn.d):
                 _affine_row(self.noise_rows[c, a], X, g[c, a], noise, self.tmp)
@@ -826,10 +830,9 @@ def _prefetched_noise(seed, n_steps, n_paths, d, sq):
         worker.join()
 
 
-def _run_columns(
-    cols, grid: SimGrid, seed: int, n_paths: int, threads: Optional[int] = None
-) -> None:
-    """The Euler-Maruyama time loop over columns that share the noise dimension d.
+def _run_columns(cols, seed: int, threads: Optional[int] = None) -> None:
+    """The Euler-Maruyama time loop over columns that share one grid, path
+    count and noise dimension d, all read from the first column.
 
     Each step draws its noise once, keyed by (seed, step), and every
     column steps on that draw, so all columns see the same Brownian
@@ -853,8 +856,8 @@ def _run_columns(
         threads = _available_cpus()
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    d, dt = cols[0].dyn.d, grid.dt
-    sq = np.sqrt(dt)
+    grid, n_paths, d = cols[0].grid, len(cols[0].Z[0]), cols[0].dyn.d
+    sq = np.sqrt(grid.dt)
     prefetch = threads >= 2 and d > 0 and n_paths * d >= _PREFETCH_MIN_DRAW
     noise = (_prefetched_noise if prefetch else _serial_noise)(seed, grid.n_steps, n_paths, d, sq)
     with np.errstate(over="ignore", invalid="ignore"), contextlib.closing(noise):
@@ -862,7 +865,7 @@ def _run_columns(
             col.record(0)
         for j, dW in enumerate(noise):
             for col in cols:
-                col.step(j, dW, dt)
+                col.step(j, dW)
                 col.record(j + 1)
 
 
@@ -880,21 +883,12 @@ def simulate_ensemble(
     The objective is folded into the time loop path by path
     (`_Column.fold_cost`), so no path is stored and the memory is O(N) at
     any path count.  `threads` is passed to `_run_columns` and never
-    changes the result.
+    changes the result.  A policy that ends before the grid raises
+    ValueError.
     """
     spec.require_valid()
-    times = grid.times()
-    if policy.horizon < times[-1]:
-        raise ValueError("policy horizon does not cover the grid")
-
-    # `_run_columns` raises DivergenceError instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_nodes = policy.values(times)
-        col = _Column(
-            spec.dynamics, u_nodes, n_paths, grid.n_steps,
-            spec=spec, policy=policy, grid=grid,
-        )
-    _run_columns([col], grid, seed, n_paths, threads)
+    col = _Column(spec.dynamics, policy, n_paths, grid, spec=spec)
+    _run_columns([col], seed, threads)
     return EnsembleResult(
         grid=grid,
         n_paths=n_paths,

@@ -7,7 +7,8 @@ A candidate is tested through the sign of the combined variation
 
 where H_u is the control gradient of the cost Hamiltonian, Khat the
 control derivative of the target pairing, and weight the expected drift
-of the terminal cost plus the running cost, both evaluated at the hit.
+of the terminal cost plus the running cost at the mean state at the hit,
+exact while the terminal cost has no quadratic part.
 At a minimizer the residual is <= 0 for every admissible w at almost
 every t.  The residual is affine in w, so its maximum over the box sits
 at the vertex `ControlSet.maximizer(G(t))`; the checker reports the
@@ -124,6 +125,10 @@ def _vertex_maximum(box, g: np.ndarray, u_bar: np.ndarray, times: np.ndarray) ->
     }
 
 
+# Steps of the mean solve that detects tau when the caller does not supply it.
+_DETECTION_STEPS = 65536
+
+
 def check_candidate(
     spec: ProblemSpec,
     policy,
@@ -132,8 +137,6 @@ def check_candidate(
     t_grid_size: int = 2048,
     u_samples_per_axis: int = 101,
     tol: float = 1e-8,
-    detection_steps: int = 65536,
-    terminal_x_paths: Optional[np.ndarray] = None,
 ) -> SmpReport:
     """Maximize the first-order residual over a time grid and the control box.
 
@@ -141,13 +144,13 @@ def check_candidate(
     `ControlSet.maximizer` picks.  It is also the maximum over the lattice of
     `n_control_samples` points, the same for every `u_samples_per_axis >= 2`.
 
-    tau and its regime label are detected from a fine mean solve unless
-    supplied by the caller (pass both together when the hitting time is
-    known in closed form).  `terminal_x_paths` supplies Monte Carlo
-    terminal states for the weight.  Without it a terminal cost with a
-    quadratic part, whose expectation needs second moments, raises
-    RegimeError naming `problem.cost.psi_quad` when the hit brings in the
-    time term, before the mean and the adjoints are solved.
+    tau and its regime label are detected from a mean solve of
+    `_DETECTION_STEPS` steps unless supplied by the caller (pass both
+    together when the hitting time is known in closed form).  The weight
+    comes from the mean state at tau, so a terminal cost with a quadratic
+    part, whose expectation needs second moments, raises RegimeError
+    naming `problem.cost.psi_quad` when the hit brings in the time term,
+    before the mean and the adjoints are solved.
     The vertex maximum is >= 0 whenever u(t) lies in the box, so a `tol`
     that is not finite and >= 0 raises ValueError before any solve.
     """
@@ -159,7 +162,7 @@ def check_candidate(
         raise ValueError("pass tau and case_label together or neither")
     samples = control_samples(spec.control_set, u_samples_per_axis)
     if tau is None:
-        tau, case_label = hit_time(spec, policy, SimGrid(spec.horizon, detection_steps))
+        tau, case_label = hit_time(spec, policy, SimGrid(spec.horizon, _DETECTION_STEPS))
     if tau <= 0.0:
         # started at or below the level: no time elapses, nothing to test
         return SmpReport(
@@ -168,7 +171,7 @@ def check_candidate(
             terminal_weight=float("nan"), slope_at_tau=float("nan"),
             n_time_nodes=0, n_control_samples=0,
         )
-    if case_label in ("i", "iii") and terminal_x_paths is None and cost.psi_quad.any():
+    if case_label in ("i", "iii") and cost.psi_quad.any():
         raise RegimeError(
             "problem.cost.psi_quad: a quadratic terminal cost is outside the "
             "checked regime; the mean of its drift at tau needs second moments "
@@ -191,16 +194,10 @@ def check_candidate(
         khat = target_hamiltonian_du(adj.p0, dyn, tgt)
         u_tau = policy.values(tau, side=-1)
         slope = target_slope_at_tau(tgt, dyn, mean_x_tau, u_tau)
-        if terminal_x_paths is not None:
-            term = terminal_cost_drift(terminal_x_paths, u_tau, dyn, cost)
-            run = cost.running(np.atleast_2d(terminal_x_paths), u_tau)
-            weight = float(np.mean(term + run))
-        else:
-            xrow = mean_x_tau[None, :]
-            weight = float(
-                terminal_cost_drift(xrow, u_tau, dyn, cost)[0]
-                + cost.running(xrow, u_tau)[0]
-            )
+        xrow = mean_x_tau[None, :]
+        weight = float(
+            terminal_cost_drift(xrow, u_tau, dyn, cost)[0] + cost.running(xrow, u_tau)[0]
+        )
 
     variants = {}
     names = {"i": ("full",), "ii": ("drift_only",), "iii": ("full", "drift_only")}[case_label]

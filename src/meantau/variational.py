@@ -157,12 +157,17 @@ def fd_state_check(
     coordinate: a kernel that applies B, C or D wrongly moves a z-score by
     far more than sampling error does.  The column stores no paths.
     `threads` is passed to `_run_columns` and never changes the rows.
+
+    A correct kernel's |z| < 4 holds on the shipped configs, not on every
+    system: strong state-multiplied noise makes the terminal state
+    heavy-tailed.  Over 300 random stable systems (m, k, d in 1..3), |z|
+    read up to 6.0 at 256 paths and 3.5 at 1 024 with C in [-0.5, 0.5],
+    and 7.5 at 256 paths with C in [-1, 1].
     """
     dyn = replace(spec.dynamics, x0=np.zeros(spec.dynamics.m))
-    v_nodes = direction.values(grid.times())
-    col = _Column(dyn, v_nodes, n_paths, grid.n_steps)
-    _run_columns([col], grid, seed, n_paths, threads)
-    mean, second = _em_moments(dyn, v_nodes, dyn.x0, grid.dt)
+    col = _Column(dyn, direction, n_paths, grid)
+    _run_columns([col], seed, threads)
+    mean, second = _em_moments(dyn, col.u_nodes, dyn.x0, grid.dt)
     rows = []
     for a, s in enumerate(col.Z):
         mean_exact = mean[-1, a]

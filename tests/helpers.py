@@ -117,9 +117,9 @@ class StoredColumn(_Column):
     (n_paths, n_steps + 1, m).
     """
 
-    def __init__(self, dyn, u_nodes, n_paths, n_steps, **kwargs):
-        super().__init__(dyn, u_nodes, n_paths, n_steps, **kwargs)
-        self.nodes = np.empty((n_steps + 1, n_paths, dyn.m))
+    def __init__(self, dyn, policy, n_paths, grid, spec=None):
+        super().__init__(dyn, policy, n_paths, grid, spec)
+        self.nodes = np.empty((grid.n_steps + 1, n_paths, dyn.m))
         self.paths = self.nodes.transpose(1, 0, 2)
 
     def record(self, j):
@@ -134,12 +134,8 @@ def ensemble_column(spec, policy, n_paths, grid, seed):
     `col.paths` holds them as (n_paths, n_steps + 1, m); the statistics and
     the cost fold are those of `simulate_ensemble` on the same arguments.
     """
-    times = grid.times()
-    col = StoredColumn(
-        spec.dynamics, policy.values(times), n_paths, grid.n_steps,
-        spec=spec, policy=policy, grid=grid,
-    )
-    _run_columns([col], grid, seed, n_paths)
+    col = StoredColumn(spec.dynamics, policy, n_paths, grid, spec=spec)
+    _run_columns([col], seed)
     return col
 
 
@@ -160,8 +156,8 @@ def simulate_state_sensitivity(spec, direction, grid, seed, n_paths) -> Sensitiv
     the RK4 mean solve gives as `mean_exact`.
     """
     dyn = replace(spec.dynamics, x0=np.zeros(spec.dynamics.m))
-    col = StoredColumn(dyn, direction.values(grid.times()), n_paths, grid.n_steps)
-    _run_columns([col], grid, seed, n_paths)
+    col = StoredColumn(dyn, direction, n_paths, grid)
+    _run_columns([col], seed)
     paths = np.ascontiguousarray(col.paths)
     return SensitivityResult(paths, paths.mean(axis=0), mean_ode_solve(dyn, direction, grid))
 

@@ -224,7 +224,7 @@ def test_synthesize_infeasible_when_the_target_is_out_of_reach():
 def test_synthesize_reports_history_on_exhaustion():
     spec = scalar_spec()
     with pytest.raises(NonConvergenceError) as err:
-        synthesize(spec, n_nodes=256, max_iter=1, tol=0.0)
+        synthesize(spec, n_nodes=256, max_iter=1)
     assert len(err.value.history) == 2
     assert err.value.cycle is False
 

@@ -9,7 +9,9 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import meantau
-from meantau import adjoint, bangbang, errors, portfolio, problem, simulate, smp, variational
+from meantau import (
+    adjoint, bangbang, config, errors, output, portfolio, problem, simulate, smp, variational,
+)
 
 SRC = Path(meantau.__file__).parent
 
@@ -55,6 +57,22 @@ REMOVED_ATTRIBUTES = {
     simulate.EnsembleResult: ("paths_x",),
 }
 
+# parameters deleted from the functions that keep the rest: the
+# loop reads the grid and path count from its columns, and no command set
+# the others, which became constants or literals at their one use
+REMOVED_PARAMETERS = {
+    simulate._Column: ("u_nodes", "n_steps"),
+    simulate._run_columns: ("grid", "n_paths"),
+    smp.check_candidate: ("terminal_x_paths", "detection_steps"),
+    bangbang.synthesize: ("tol",),
+    bangbang.find_switch_times: ("zero_tol",),
+    portfolio.solve_tau: ("xtol",),
+    portfolio.figure_columns: ("n_nodes",),
+    output.svg_line_chart: ("width", "height"),
+    config.parse_problem: ("path",),
+    config.parse_portfolio_params: ("path",),
+}
+
 
 def test_package_exports_the_union_of_the_submodule_lists():
     modules = (adjoint, bangbang, errors, portfolio, problem, simulate, smp, variational)
@@ -83,6 +101,22 @@ def test_package_no_longer_exports_removed_names():
             assert not hasattr(cls, name), (cls.__name__, name)
             if is_dataclass(cls):
                 assert name not in {f.name for f in fields(cls)}, (cls.__name__, name)
+
+
+def test_removed_parameters_are_gone_and_a_policy_needs_its_solution():
+    for fn, names in REMOVED_PARAMETERS.items():
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert name not in params, (fn.__name__, name)
+    solution = inspect.signature(portfolio.optimal_policy).parameters["solution"]
+    assert solution.default is inspect.Parameter.empty
+    # the loop's inputs, each from one source
+    assert list(inspect.signature(simulate._Column).parameters) == [
+        "dyn", "policy", "n_paths", "grid", "spec",
+    ]
+    assert list(inspect.signature(simulate._run_columns).parameters) == [
+        "cols", "seed", "threads",
+    ]
 
 
 def referenced_names() -> set:

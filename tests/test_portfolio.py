@@ -184,7 +184,8 @@ def test_mc_validate_vol_pair_reuses_base_column(params):
     )
     for vol, mean, stderr in columns:
         p = replace(params, vol=vol)
-        alone = simulate_ensemble(to_problem_spec(p), optimal_policy(p), 4000, grid, 7)
+        policy = optimal_policy(p, solve_tau(p))
+        alone = simulate_ensemble(to_problem_spec(p), policy, 4000, grid, 7)
         assert mean == float(alone.mean_x[-1, 0])
         assert stderr == float(alone.std_x[-1, 0] / np.sqrt(4000))
 
@@ -204,9 +205,9 @@ def test_mc_validate_rejects_a_vol_pair_entry_before_solving(
 
 
 def test_figure_columns_shapes_and_ends(params, tau_solution):
-    fig = figure_columns(params, n_nodes=801)
+    fig = figure_columns(params)
     assert set(fig) == {"t", "control", "mean_wealth", "tau", "t1", "t2"}
-    assert len(fig["t"]) == 801
+    assert len(fig["t"]) == 2001
     assert fig["t"][0] == 0.0 and fig["t"][-1] == tau_solution.tau
     assert np.all((fig["control"] >= 10.0) & (fig["control"] <= 12.5))
     assert fig["mean_wealth"][0] == 1.0

@@ -589,6 +589,11 @@ def test_ensemble_requires_two_paths():
         simulate_ensemble(spec, ControlPolicy.constant([1.0], 6.0), 1, SimGrid(1.0, 10), 0)
 
 
+def test_a_policy_that_ends_before_the_grid_is_refused():
+    with pytest.raises(ValueError, match="time outside"):
+        simulate_ensemble(scalar_spec(), ControlPolicy.constant([0.8], 0.5), 4, SimGrid(1.0, 10), 0)
+
+
 def test_ensemble_noiseless_reduces_to_mean_ode():
     spec = scalar_spec(a=0.5, b=1.0, d_coef=0.0, y0=50.0, horizon=2.0)
     grid = SimGrid(2.0, 200)
@@ -717,7 +722,11 @@ def test_scalar_kernel_matches_the_in_place_reference(specs, u0, u1, n_steps, n_
 
 @st.composite
 def column_cases(draw):
-    """A stable linear system (m, k in 1..3, d in 0..3) with c in 1..5 distinct runs."""
+    """A stable linear system (m, k in 1..3, d in 0..3) with c in 1..5 distinct runs.
+
+    Each run's policy holds one drawn constant per grid step, so its node
+    controls are arbitrary at every node a step reads.
+    """
     m, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
     c, n_steps = draw(st.integers(1, 5)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -730,21 +739,24 @@ def column_cases(draw):
         x0=np.zeros(m),
     )
     x0 = rng.uniform(-1.0, 1.0, (c, m))
-    u_nodes = rng.uniform(-1.0, 1.0, (c, n_steps + 1, k))
+    grid = SimGrid(1.0, n_steps)
+    policies = [
+        piecewise_constant(u, grid.times()) for u in rng.uniform(-1.0, 1.0, (c, n_steps, k))
+    ]
     n_paths = draw(st.sampled_from([2, 3, 17]))
-    return dyn, x0, u_nodes, SimGrid(1.0, n_steps), n_paths, draw(st.integers(0, 1000))
+    return dyn, x0, policies, grid, n_paths, draw(st.integers(0, 1000))
 
 
 @settings(max_examples=60, deadline=None)
 @given(column_cases())
 def test_each_column_of_one_loop_equals_the_column_run_alone(case):
-    dyn, x0, u_nodes, grid, n_paths, seed = case
-    runs = [(replace(dyn, x0=start), u) for start, u in zip(x0, u_nodes)]
-    cols = [StoredColumn(run_dyn, u, n_paths, grid.n_steps) for run_dyn, u in runs]
-    _run_columns(cols, grid, seed, n_paths)
-    for col, (run_dyn, u) in zip(cols, runs):
-        alone = StoredColumn(run_dyn, u, n_paths, grid.n_steps)
-        _run_columns([alone], grid, seed, n_paths)
+    dyn, x0, policies, grid, n_paths, seed = case
+    runs = [(replace(dyn, x0=start), policy) for start, policy in zip(x0, policies)]
+    cols = [StoredColumn(run_dyn, policy, n_paths, grid) for run_dyn, policy in runs]
+    _run_columns(cols, seed)
+    for col, (run_dyn, policy) in zip(cols, runs):
+        alone = StoredColumn(run_dyn, policy, n_paths, grid)
+        _run_columns([alone], seed)
         assert alone.paths.shape == (n_paths, grid.n_steps + 1, dyn.m)
         assert np.array_equal(col.paths, alone.paths)
 
@@ -820,12 +832,12 @@ def test_a_diverging_run_stops_and_joins_its_noise_worker(monkeypatch):
     # x' = x + 1e5 x dW from 1e200: the paths overflow one by one
     dyn = LinearDynamics(A=[[0.0]], B=[[0.0]], C=[[[1e5]]], D=[[[0.0]]], x0=[1e200])
     grid, seed, n_paths = SimGrid(1.0, 60), 11, _PREFETCH_MIN_DRAW
-    u_nodes = np.zeros((grid.n_steps + 1, 1))
+    policy = ControlPolicy.constant([0.0], 1.0)
 
     def run(threads):
-        col = _Column(dyn, u_nodes, n_paths, grid.n_steps)
+        col = _Column(dyn, policy, n_paths, grid)
         with pytest.raises(DivergenceError) as err:
-            _run_columns([col], grid, seed, n_paths, threads)
+            _run_columns([col], seed, threads)
         return err.value.step, err.value.path
 
     serial = run(1)

@@ -59,11 +59,11 @@ def linear_runs(spec, policy, direction, rhos, grid, seed, n_paths):
     Each run is a column of one `_run_columns` call, so all of
     them share every step's noise draw.
     """
-    dyn, times = spec.dynamics, grid.times()
+    dyn = spec.dynamics
     runs = [(dyn, policy), (replace(dyn, x0=np.zeros(dyn.m)), direction)]
     runs += [(dyn, perturbed_policy(policy, direction, rho)) for rho in rhos]
-    cols = [StoredColumn(d, pol.values(times), n_paths, grid.n_steps) for d, pol in runs]
-    _run_columns(cols, grid, seed, n_paths)
+    cols = [StoredColumn(d, pol, n_paths, grid) for d, pol in runs]
+    _run_columns(cols, seed)
     return [col.paths for col in cols]
 
 
