@@ -122,7 +122,6 @@ class AdjointSolution:
     and backward-RK4 time adjoints.
     """
 
-    grid: SimGrid
     p0: np.ndarray
     p: np.ndarray
     cross_check_gap: float = float("nan")
@@ -175,7 +174,7 @@ def solve_time_adjoint(
         raise NumericalConsistencyError(
             f"time adjoint closed form and backward integration disagree by {gap:.3e}"
         )
-    return AdjointSolution(grid=grid, p0=closed, p=np.zeros_like(closed), cross_check_gap=gap)
+    return AdjointSolution(p0=closed, p=np.zeros_like(closed), cross_check_gap=gap)
 
 
 def solve_cost_adjoint(

@@ -54,6 +54,9 @@ __all__ = [
 _ZERO_TOL = 1e-12
 # The tau iteration has converged when |g(tau)| is at most this times max(1, tau).
 _SECANT_TOL = 1e-10
+# Weight of tau's image in the damped step tau + _DAMPING * g(tau), which
+# starts the secant solve and replaces a secant step that leaves (0, horizon].
+_DAMPING = 0.5
 
 
 def _plateau_runs(values: np.ndarray, zero_tol: float) -> int:
@@ -107,11 +110,11 @@ def vertex_policy(
 ) -> tuple:
     """Vertex policy induced by the time adjoint anchored at tau.
 
-    Returns (policy, switch_times, khat_nodes, grid).  The policy covers
-    [0, horizon]: past tau the last vertex is held, since the target has
-    already been reached and the value there never enters the objective.
-    Khat at the nodes comes from the grid form of the closed-form time
-    adjoint; switch times are refined on the closed-form Khat to 1e-10.
+    Returns (policy, switch_times).  The policy covers [0, horizon]: past
+    tau the last vertex is held, since the target has already been reached
+    and the value there never enters the objective.  Khat at the n_nodes + 1
+    uniform nodes of [0, tau] comes from the grid form of the closed-form
+    time adjoint; switch times are refined on the closed-form Khat to 1e-10.
     """
     dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
     grid = SimGrid(tau, n_nodes)
@@ -137,7 +140,7 @@ def vertex_policy(
         segments.append(ControlSegment(a, b, value))
     if tau < spec.horizon:
         segments.append(ControlSegment(tau, spec.horizon, segments[-1].gamma0))
-    return ControlPolicy(segments), switch_times, khat_nodes, grid
+    return ControlPolicy(segments), switch_times
 
 
 def _cost_violations(cost) -> list:
@@ -169,15 +172,14 @@ def synthesize(
     spec: ProblemSpec,
     n_nodes: int = 4096,
     max_iter: int = 100,
-    damping: float = 0.5,
 ) -> SynthesisResult:
     """Secant synthesis of the bang-bang candidate.
 
     Solves g(tau) = T(tau) - tau, where T(tau) is the hit detected under the
     vertex policy anchored at tau.  The first step is the damped step
-    tau + damping * g(tau); later steps are secant steps, and `damping`
-    weights the damped step that replaces a secant step which is not finite
-    or leaves (0, horizon].  It stops once |g| <= `_SECANT_TOL` max(1, tau).
+    tau + `_DAMPING` * g(tau); later steps are secant steps, and a secant
+    step which is not finite or leaves (0, horizon] is replaced by the
+    damped step.  It stops once |g| <= `_SECANT_TOL` max(1, tau).
     `history` holds tau before each pass and the converged tau.
 
     The vertex rule reads the sign of Khat alone, which is the whole
@@ -188,11 +190,11 @@ def synthesize(
     vertex) ever drives the mean target to zero, NonConvergenceError when
     the tau iteration exhausts `max_iter` (with the tau history and a
     flag for a detected two-cycle), and SingularArcError if the switching
-    function vanishes on an interval.  A damping outside (0, 1] or a
-    max_iter below 1 raises ValueError.
+    function vanishes on an interval.  A max_iter below 1 raises
+    ValueError.
     """
-    if not (0.0 < damping <= 1.0 and max_iter >= 1):
-        raise ValueError(f"need damping in (0, 1] and max_iter >= 1, got {damping}, {max_iter}")
+    if max_iter < 1:
+        raise ValueError(f"need max_iter >= 1, got {max_iter}")
     spec.require_valid()
     bad = _cost_violations(spec.cost)
     if bad:
@@ -220,7 +222,7 @@ def synthesize(
     iterations = 0
     prev = None  # (tau, g) of the previous pass
     for iterations in range(1, max_iter + 1):
-        policy, _, _, _ = vertex_policy(spec, tau, n_nodes)
+        policy, _ = vertex_policy(spec, tau, n_nodes)
         tau_image, _ = hit_time(spec, policy, coarse)
         g = tau_image - tau
         if abs(g) <= _SECANT_TOL * max(1.0, tau):
@@ -235,7 +237,7 @@ def synthesize(
         if np.isfinite(step) and 0.0 < step <= T:
             tau = step
         else:
-            tau = (1.0 - damping) * tau + damping * tau_image
+            tau = (1.0 - _DAMPING) * tau + _DAMPING * tau_image
         history.append(float(tau))
 
     if not converged:
@@ -250,7 +252,7 @@ def synthesize(
             cycle=cycle,
         )
 
-    policy, switch_times, _, _ = vertex_policy(spec, tau, n_nodes)
+    policy, switch_times = vertex_policy(spec, tau, n_nodes)
     hit = hit_time_derivative(spec, policy, None, coarse)
     if hit.slope_at_tau > 0.0:
         raise AssumptionViolationError(

@@ -19,7 +19,10 @@ available to the process); with two or more, a large enough per-step draw
 is made on one worker thread ahead of the loop, and the draw is keyed by
 (seed, step) either way.  A value below 1, a negative `--seed`, or a
 grid size (`--steps`, `--nodes`, `--t-nodes`) below 1 exits 2 before any
-solve, as does an `--out` that names a file or a path under one.  The first
+solve, as does an `--out` that names a file or a path under one.  So does
+every argument the parser rejects (an unknown command or flag, a missing
+`--config`, a value of the wrong type): `_Parser.error` raises ValueError,
+which `main` reports like any other, without the usage text.  The first
 artifact makes the output directory, so a failed command leaves none.
 
 `simulate` writes the Monte Carlo objective (`cost`, `cost_stderr`) at
@@ -61,8 +64,19 @@ from .variational import (
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ValueError instead of exiting.
+
+    `add_subparsers` builds each subcommand's parser with `type(parser)`,
+    so the subcommands raise too; `--help` and `--version` still exit 0.
+    """
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meantau",
         description="Control of linear systems up to a mean-field minimum-time target.",
     )
@@ -120,17 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _run_bangbang)
     p.add_argument("--nodes", type=int, default=4096, help="switching grid nodes")
     p.add_argument("--max-iter", type=int, default=100, help="budget of tau passes")
-    p.add_argument(
-        "--damping", type=float, default=0.5,
-        help="weight in (0, 1] of the damped step that starts the secant solve "
-        "and replaces a secant step that leaves (0, horizon]",
-    )
 
     p = sub.add_parser("check-smp", help="first-order optimality residual")
     common(p, _run_check_smp)
     p.add_argument("--t-nodes", type=int, default=2048, help="time nodes of the check grid")
-    p.add_argument("--u-samples", type=int, default=101, help="control samples per axis "
-                   "(>= 2) of the certified lattice; the maximum is taken at a vertex")
     p.add_argument("--tol", type=float, default=1e-8, help="pass threshold on the residual")
 
     p = sub.add_parser("verify-variational", help="tau FD, duality and sensitivity moment checks")
@@ -249,18 +256,14 @@ def _run_portfolio(args):
         "control_at_0": float(optimal_policy(params, sol).values(0.0)[0]),
     }
     if report is not None:
-        # tau is the summary's own; the vol_pair fields are None without --vol-pair
-        summary["mc"] = {
-            k: v for k, v in asdict(report).items() if k != "tau" and v is not None
-        }
+        # the vol_pair fields are None without --vol-pair
+        summary["mc"] = {k: v for k, v in asdict(report).items() if v is not None}
     return summary, ["portfolio.csv", "portfolio.svg"]
 
 
 def _run_bangbang(args):
     _, spec = _load(args, policy=False)
-    result = synthesize(
-        spec, n_nodes=args.nodes, max_iter=args.max_iter, damping=args.damping
-    )
+    result = synthesize(spec, n_nodes=args.nodes, max_iter=args.max_iter)
     payload = {
         "tau": result.tau,
         "case_label": result.case_label,
@@ -282,13 +285,7 @@ def _run_bangbang(args):
 
 def _run_check_smp(args):
     _, spec, policy = _load(args)
-    report = check_candidate(
-        spec,
-        policy,
-        t_grid_size=args.t_nodes,
-        u_samples_per_axis=args.u_samples,
-        tol=args.tol,
-    )
+    report = check_candidate(spec, policy, t_grid_size=args.t_nodes, tol=args.tol)
     write_json(os.path.join(args.out, "smp.json"), asdict(report))
     summary = {
         "tau": report.tau,
@@ -307,14 +304,14 @@ def _run_verify_variational(args):
     if bad:
         raise SpecValidationError(bad)
     pert = PerturbationSpec(direction=direction, rhos=[float(r) for r in rhos])
-    admissible = pert.validate(spec, policy)
+    violations = pert.validate(spec, policy)
 
     grid = SimGrid(spec.horizon, args.steps)
     tau_report = fd_tau_check(spec, policy, direction, pert.rhos, grid)
     deriv = tau_report.derivative
     payload = {
-        "admissible": admissible.ok,
-        "admissibility_violations": admissible.violations,
+        "admissible": not violations,
+        "admissibility_violations": violations,
         "tau": deriv.tau,
         "case_label": deriv.case_label,
         "tau_derivative": deriv.value,
@@ -324,8 +321,7 @@ def _run_verify_variational(args):
     }
     if deriv.case_label == "i" and deriv.tau > 0:
         dual = dual_identity_check(spec, direction, deriv)
-        # tau is the payload's own
-        payload["dual_identity"] = {k: v for k, v in asdict(dual).items() if k != "tau"}
+        payload["dual_identity"] = asdict(dual)
     if not args.skip_state:
         state_grid = SimGrid(spec.horizon, min(args.steps, 2000))
         rows = fd_state_check(spec, direction, state_grid, args.seed, args.paths, args.threads)
@@ -347,9 +343,8 @@ def _fail(exc: Exception, exit_code: int, fields: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if getattr(args, "seed", 0) < 0:

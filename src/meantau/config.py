@@ -153,9 +153,9 @@ def _build(cls, obj: dict, path: str, shapes=(), section: str = ""):
 def parse_problem(obj: dict) -> ProblemSpec:
     """Build and validate a ProblemSpec from a config's `problem` object."""
     spec = _build(ProblemSpec, obj, "problem")
-    report = validate(spec)
-    if not report.ok:
-        raise SpecValidationError([f"problem.{v}" for v in report.violations])
+    violations = validate(spec)
+    if violations:
+        raise SpecValidationError([f"problem.{v}" for v in violations])
     return spec
 
 

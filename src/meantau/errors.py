@@ -42,9 +42,7 @@ class SpecValidationError(MeanTauError):
 
     exit_code = 2
 
-    def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
+    def __init__(self, violations: list):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 

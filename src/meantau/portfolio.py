@@ -264,9 +264,13 @@ def to_problem_spec(params: PortfolioParams) -> ProblemSpec:
 
 @dataclass
 class McReport:
-    """Monte Carlo check that the mean wealth hits the target at tau."""
+    """Monte Carlo check that the mean wealth hits the target at tau.
 
-    tau: float
+    tau is `solve_tau(params).tau`, which the `portfolio` summary gives
+    beside this report.  `n_paths`, `dt` and `seed` are the run's inputs,
+    kept because the summary's `mc` object reports them.
+    """
+
     n_paths: int
     dt: float
     seed: int
@@ -327,7 +331,6 @@ def mc_validate(
     mean, stderr = terminal[params.vol]
     gap = mean - params.target_wealth
     report = McReport(
-        tau=tau,
         n_paths=n_paths,
         dt=dt,
         seed=seed,

@@ -25,7 +25,7 @@ against that table and `config` reads each declared array at its rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -43,7 +43,6 @@ __all__ = [
     "ControlPolicy",
     "ProblemSpec",
     "SECTIONS",
-    "ValidationReport",
     "validate",
     "perturbed_policy",
     "target_state_row",
@@ -256,7 +255,7 @@ class ControlPolicy:
 
     def __init__(self, segments: Sequence[ControlSegment]):
         if not segments:
-            raise SpecValidationError("policy.segments: empty")
+            raise SpecValidationError(["policy.segments: empty"])
         self.segments = list(segments)
         self._starts = np.array([s.t_start for s in self.segments])
         self._ends = np.array([s.t_end for s in self.segments])
@@ -343,7 +342,7 @@ class _PerturbedPolicy:
     def __init__(self, base: ControlPolicy, direction: ControlPolicy, rho: float):
         if base.horizon != direction.horizon:
             raise SpecValidationError(
-                f"perturbed policy: horizons differ ({base.horizon} != {direction.horizon})"
+                [f"perturbed policy: horizons differ ({base.horizon} != {direction.horizon})"]
             )
         self.base, self.direction, self.rho = base, direction, float(rho)
 
@@ -370,14 +369,6 @@ def perturbed_policy(base: ControlPolicy, direction: ControlPolicy, rho: float) 
 
 
 @dataclass
-class ValidationReport:
-    """Outcome of structural validation; violations are data, not exceptions."""
-
-    ok: bool
-    violations: list = field(default_factory=list)
-
-
-@dataclass
 class ProblemSpec:
     """A full problem: dynamics, target, cost, admissible box, horizon."""
 
@@ -391,9 +382,9 @@ class ProblemSpec:
         self.horizon = float(self.horizon)
 
     def require_valid(self):
-        report = validate(self)
-        if not report.ok:
-            raise SpecValidationError(report.violations)
+        violations = validate(self)
+        if violations:
+            raise SpecValidationError(violations)
         return self
 
 
@@ -412,11 +403,11 @@ SECTIONS = {
 _SYMMETRIC = ("cost.Lambda", "cost.psi_quad")
 
 
-def validate(spec: ProblemSpec) -> ValidationReport:
+def validate(spec: ProblemSpec) -> list:
     """Check dimensions, symmetry and ordering.
 
     Returns every violation found, each tagged with the dotted path of
-    the offending field.
+    the offending field; the list is empty when the spec is valid.
     """
     v = []
     dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
@@ -448,4 +439,4 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     if not spec.horizon > 0:
         v.append(f"horizon: must be positive, got {spec.horizon}")
 
-    return ValidationReport(ok=not v, violations=v)
+    return v

@@ -330,9 +330,8 @@ def _first_hit(y, times):
 
 @dataclass
 class MeanPath:
-    """Joint mean solve plus its detected minimum time."""
+    """Joint mean solve plus its detected minimum time, one row per node of its grid."""
 
-    grid: SimGrid
     mean_x: np.ndarray
     mean_y: np.ndarray
     tau: float
@@ -353,7 +352,7 @@ def solve_mean_path(spec: ProblemSpec, policy, grid: SimGrid) -> MeanPath:
     mean_x = z[:, : spec.dynamics.m]
     mean_y = z[:, spec.dynamics.m]
     tau, label = _first_hit(mean_y, times)
-    return MeanPath(grid, mean_x, mean_y, tau, label)
+    return MeanPath(mean_x, mean_y, tau, label)
 
 
 def hit_time(spec: ProblemSpec, policy, grid: SimGrid):
@@ -509,16 +508,14 @@ def step_noise(seed: int, step: int, n_paths: int, d: int) -> np.ndarray:
 class EnsembleResult:
     """Euler-Maruyama ensemble summary.
 
-    mean_x / std_x / mean_y hold per-node ensemble statistics.  tau and
+    mean_x / std_x / mean_y hold per-node ensemble statistics, one row
+    per node of the grid passed to `simulate_ensemble`.  tau and
     case_label come from `_first_hit` applied to the ensemble mean of Y
     on the grid's nodes.  cost and cost_stderr are the Monte Carlo
     objective over [0, tau] and its standard error, folded into the time
     loop path by path (`_Column.fold_cost`); no path is stored.
     """
 
-    grid: SimGrid
-    n_paths: int
-    seed: int
     mean_x: np.ndarray
     mean_y: np.ndarray
     std_x: np.ndarray
@@ -890,9 +887,6 @@ def simulate_ensemble(
     col = _Column(spec.dynamics, policy, n_paths, grid, spec=spec)
     _run_columns([col], seed, threads)
     return EnsembleResult(
-        grid=grid,
-        n_paths=n_paths,
-        seed=seed,
         mean_x=col.mean_x,
         mean_y=col.mean_y,
         std_x=col.std_x,

@@ -135,14 +135,14 @@ def check_candidate(
     tau: Optional[float] = None,
     case_label: Optional[str] = None,
     t_grid_size: int = 2048,
-    u_samples_per_axis: int = 101,
     tol: float = 1e-8,
 ) -> SmpReport:
     """Maximize the first-order residual over a time grid and the control box.
 
     The witness is the first node attaining the maximum, at the vertex
-    `ControlSet.maximizer` picks.  It is also the maximum over the lattice of
-    `n_control_samples` points, the same for every `u_samples_per_axis >= 2`.
+    `ControlSet.maximizer` picks.  It is also the maximum over
+    `control_samples(spec.control_set)`, 101 points per axis, whose size the
+    report gives as `n_control_samples`.
 
     tau and its regime label are detected from a mean solve of
     `_DETECTION_STEPS` steps unless supplied by the caller (pass both
@@ -160,7 +160,7 @@ def check_candidate(
     dyn, tgt, cost = spec.dynamics, spec.target, spec.cost
     if (tau is None) != (case_label is None):
         raise ValueError("pass tau and case_label together or neither")
-    samples = control_samples(spec.control_set, u_samples_per_axis)
+    samples = control_samples(spec.control_set)
     if tau is None:
         tau, case_label = hit_time(spec, policy, SimGrid(spec.horizon, _DETECTION_STEPS))
     if tau <= 0.0:

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._scipy import quad
 from .adjoint import khat_evaluator, target_slope_at_tau
-from .problem import ProblemSpec, ValidationReport, perturbed_policy
+from .problem import ProblemSpec, perturbed_policy
 from .simulate import SimGrid, _Column, _em_moments, _run_columns, hit_time, mean_at_tau
 
 __all__ = [
@@ -81,12 +81,14 @@ class PerturbationSpec:
     every rho is a finite positive step size, and that every perturbed
     control u + rho v stays inside the admissible box, sampling both
     one-sided limits on a grid refined well past the segment breakpoints.
+    It returns the violations, an empty list when the perturbation is
+    admissible.
     """
 
     direction: object
     rhos: Sequence[float] = (1e-2, 1e-3, 1e-4)
 
-    def validate(self, spec: ProblemSpec, policy) -> ValidationReport:
+    def validate(self, spec: ProblemSpec, policy) -> list:
         if self.direction.horizon != policy.horizon:
             out = [
                 "perturbation.direction: horizon "
@@ -95,7 +97,7 @@ class PerturbationSpec:
         else:
             out = [f"perturbation.{v}" for v in _rho_violations(self.rhos)]
         if out:
-            return ValidationReport(ok=False, violations=out)
+            return out
         ts = np.union1d(
             np.linspace(0.0, policy.horizon, _BOX_SAMPLES),
             np.union1d(policy.breakpoints, self.direction.breakpoints),
@@ -116,7 +118,7 @@ class PerturbationSpec:
                         f"near t={ts[j]:.6g} (margin {worst:.3e})"
                     )
                     break
-        return ValidationReport(ok=not out, violations=out)
+        return out
 
 
 @dataclass
@@ -270,7 +272,6 @@ def fd_tau_check(
 
 @dataclass
 class DualIdentityReport:
-    tau: float
     response_integral: float
     adjoint_integral: float
     abs_gap: float
@@ -309,7 +310,6 @@ def dual_identity_check(
     rhs = -rhs
     gap = abs(lhs - rhs)
     return DualIdentityReport(
-        tau=tau,
         response_integral=float(lhs),
         adjoint_integral=float(rhs),
         abs_gap=float(gap),

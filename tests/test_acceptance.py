@@ -408,9 +408,7 @@ def test_criterion_11_thread_count_never_changes_bytes(tmp_path):
         "mean": ["mean", "--config", scalar_cfg, "--steps", "300"],
         "portfolio": ["portfolio", "--config", portfolio_cfg],
         "bangbang": ["bangbang", "--config", scalar_cfg, "--nodes", "256", "--max-iter", "80"],
-        "check-smp": [
-            "check-smp", "--config", scalar_cfg, "--t-nodes", "128", "--u-samples", "9",
-        ],
+        "check-smp": ["check-smp", "--config", scalar_cfg, "--t-nodes", "128"],
         "verify-variational": [
             "verify-variational", "--config", scalar_cfg,
             "--steps", "1500", "--paths", "24", "--seed", "4",

@@ -50,7 +50,7 @@ def test_vertex_policy_refines_every_switch_through_the_module_brentq(monkeypatc
 
     original = bangbang.brentq
     monkeypatch.setattr(bangbang, "brentq", counting_brentq)
-    _, switch_times, _, _ = vertex_policy(spec, tau)
+    _, switch_times = vertex_policy(spec, tau)
     found = np.concatenate(switch_times)
     assert len(roots) == len(found) > 0
     np.testing.assert_array_equal(np.sort(roots), np.sort(found))
@@ -169,15 +169,15 @@ def test_find_switch_times_handles_multiple_columns():
 
 
 def test_vertex_policy_wealth_sits_at_the_upper_bound(wealth_spec):
-    policy, switches, khat_nodes, grid = vertex_policy(wealth_spec, TAU_REF, n_nodes=512)
+    policy, switches = vertex_policy(wealth_spec, TAU_REF, n_nodes=512)
     assert switches[0].size == 0
-    assert np.all(khat_nodes > 0.0)
+    khat = khat_evaluator(wealth_spec.dynamics, wealth_spec.target, TAU_REF)
+    assert all(float(khat(t)[0]) > 0.0 for t in np.linspace(0.0, TAU_REF, 9))
     assert float(policy.values(0.0)[0]) == 12.5
     assert float(policy.values(TAU_REF - 1e-3)[0]) == 12.5
     # held past tau so the policy stays evaluable on the full horizon
     assert policy.horizon == 20.0
     assert float(policy.values(15.0)[0]) == 12.5
-    assert grid.horizon == TAU_REF
 
 
 def test_vertex_policy_rejects_identically_zero_switching():

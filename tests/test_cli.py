@@ -1,4 +1,5 @@
 import filecmp
+import inspect
 import json
 import os
 from pathlib import Path
@@ -6,13 +7,16 @@ from pathlib import Path
 import pytest
 
 from meantau import errors, smp
-from meantau.cli import main
+from meantau.bangbang import synthesize, vertex_policy
+from meantau.cli import build_parser, main
 from meantau.config import parse_portfolio_params
 from meantau.portfolio import mc_validate
 from meantau.problem import SECTIONS
+from meantau.smp import check_candidate
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 SCALAR = str(EXAMPLES / "scalar.json")
+TWO_STATE = str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json")
 
 
 def read_summary(out_dir):
@@ -194,12 +198,7 @@ def test_bangbang_writes_policy(tmp_path):
 
 def test_check_smp_reports_residual(tmp_path):
     out = str(tmp_path / "out")
-    code = main(
-        [
-            "check-smp", "--config", SCALAR, "--out", out,
-            "--t-nodes", "128", "--u-samples", "11",
-        ]
-    )
+    code = main(["check-smp", "--config", SCALAR, "--out", out, "--t-nodes", "128"])
     assert code == 0
     with open(os.path.join(out, "smp.json")) as fh:
         payload = json.load(fh)
@@ -329,15 +328,23 @@ def test_exit_2_on_missing_sections(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("per_axis", ["0", "1"])
-def test_exit_2_when_the_control_sample_cannot_hold_the_vertices(tmp_path, capsys, per_axis):
+def test_exit_2_when_check_smp_is_given_the_removed_sample_flag(tmp_path, capsys, per_axis):
+    # the residual is maximized at a box vertex, so no sample size is asked for
     out = tmp_path / "out"
     code = main(["check-smp", "--config", SCALAR, "--out", str(out), "--u-samples", per_axis])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert set(err) == {"error", "message"}
-    assert err["error"] == "ValueError"
-    assert "per_axis" in err["message"]
-    assert not (out / "smp.json").exists()
+    message = assert_exit_2_with_a_value_error(code, capsys)
+    assert message == f"meantau: unrecognized arguments: --u-samples {per_axis}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, samples", [(SCALAR, 101), (TWO_STATE, 101 ** 2)], ids=["scalar", "two_state"]
+)
+def test_check_smp_counts_a_lattice_of_101_points_per_axis(tmp_path, config, samples):
+    # perfbench checks this count and multiplies it into smp.residual_entries
+    out = str(tmp_path / "out")
+    assert main(["check-smp", "--config", config, "--out", out, "--t-nodes", "64"]) == 0
+    assert read_json(out, "smp.json")["n_control_samples"] == samples
 
 
 def assert_exit_2_with_a_value_error(code, capsys):
@@ -410,7 +417,10 @@ def test_exit_2_when_the_synthesis_settings_are_out_of_range(tmp_path, capsys, f
     out = tmp_path / "out"
     code = main(["bangbang", "--config", SCALAR, "--out", str(out), "--nodes", "128", flag, value])
     message = assert_exit_2_with_a_value_error(code, capsys)
-    assert flag[2:].replace("-", "_") in message
+    if flag == "--damping":  # not a flag: the synthesis fixes it as bangbang._DAMPING
+        assert message == f"meantau: unrecognized arguments: --damping {value}"
+    else:
+        assert "max_iter" in message
     assert not (out / "policy.json").exists()
 
 
@@ -469,10 +479,7 @@ def test_exit_3_when_the_mean_solve_overflows(tmp_path, capsys):
 def test_exit_4_when_the_hit_is_not_transversal(tmp_path, capsys):
     cfg = tangent_cfg(tmp_path)
     code = main(
-        [
-            "check-smp", "--config", cfg, "--out", str(tmp_path / "out"),
-            "--t-nodes", "256", "--u-samples", "5",
-        ]
+        ["check-smp", "--config", cfg, "--out", str(tmp_path / "out"), "--t-nodes", "256"]
     )
     assert code == 4
     err = json.loads(capsys.readouterr().err)
@@ -539,13 +546,48 @@ def test_check_smp_refuses_a_quadratic_terminal_cost_before_solving(tmp_path, ca
 
 
 def test_version_and_unknown_command_exit_via_argparse(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
-    assert "meantau" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for argv in (["--version"], ["--help"], ["check-smp", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "meantau" in capsys.readouterr().out
+    message = assert_exit_2_with_a_value_error(main(["frobnicate"]), capsys)
+    assert message.startswith("meantau: argument command: invalid choice: 'frobnicate'")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mean", "--config", SCALAR, "--bogus"], "meantau: unrecognized arguments: --bogus"),
+        (["mean", "--config", SCALAR, "--steps", "abc"],
+         "meantau mean: argument --steps: invalid int value: 'abc'"),
+        (["mean"], "meantau mean: the following arguments are required: --config"),
+        ([], "meantau: the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "bad-int", "no-config", "no-command"],
+)
+def test_an_argument_error_is_one_json_line_and_no_usage(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out)] if argv else [])  # no command, so no --out
+    assert assert_exit_2_with_a_value_error(code, capsys) == message
+    assert not out.exists()
+
+
+def test_each_cli_default_is_the_library_default_it_feeds():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    parser = build_parser()
+    bb = parser.parse_args(["bangbang", "--config", SCALAR])
+    assert bb.nodes == default(synthesize, "n_nodes") == default(vertex_policy, "n_nodes") == 4096
+    assert bb.max_iter == default(synthesize, "max_iter") == 100
+    check = parser.parse_args(["check-smp", "--config", SCALAR])
+    assert check.t_nodes == default(check_candidate, "t_grid_size") == 2048
+    assert check.tol == default(check_candidate, "tol") == 1e-8
+    pf = parser.parse_args(["portfolio"])
+    assert pf.paths == default(mc_validate, "n_paths") == 200_000
+    assert pf.dt == default(mc_validate, "dt") == 1.0 / 256.0
+    assert pf.seed == default(mc_validate, "seed") == 42
 
 
 def assert_dirs_byte_identical(a, b):
@@ -808,7 +850,6 @@ def test_check_smp_at_the_level_writes_an_empty_witness(tmp_path):
     assert smp["variants"] == {}
 
 
-TWO_STATE = str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json")
 SEGMENTED = {"segments": [{"t_start": 0.0, "t_end": 6.0, "gamma0": [0.8]}]}
 
 

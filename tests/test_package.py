@@ -26,7 +26,7 @@ EXPORTED_BEFORE = {
     "ProblemSpec", "RegimeError", "ScalarSwitchReport", "SimGrid",
     "SingularArcError", "SmpReport", "SpecValidationError", "SynthesisResult",
     "TargetCoefficients", "TargetDiffusion", "TauDerivative", "TauSolution",
-    "ValidationReport", "branch_coefficient", "check_candidate", "control_samples",
+    "branch_coefficient", "check_candidate", "control_samples",
     "dual_identity_check", "exp_with_integral",
     "fd_state_check", "fd_tau_check", "find_switch_times", "hamiltonian_du",
     "hit_time_derivative", "khat_evaluator", "mc_validate",
@@ -45,16 +45,21 @@ REMOVED = {
     "mean_target_response", "policy_eval", "switching_function",
     "detect_min_time", "CombinedPolicy", "estimate_cost",
     "FdStateRow", "SensitivityResult", "simulate_state_sensitivity",
+    "ValidationReport",
 }
 
-# methods and fields deleted from the classes that keep the rest
+# methods and fields deleted from the classes that keep the rest; the
+# grid, path count, seed and tau fields only echoed inputs the caller holds
 REMOVED_ATTRIBUTES = {
     problem.CostSpec: ("time_optimal", "is_time_optimal", "running_grad_u"),
     problem.ControlSet: ("contains",),
     problem.ControlSegment: ("constant",),
     problem.ControlPolicy: ("value",),
-    adjoint.AdjointSolution: ("tau_anchor", "q0_is_zero", "q_is_zero"),
-    simulate.EnsembleResult: ("paths_x",),
+    adjoint.AdjointSolution: ("tau_anchor", "q0_is_zero", "q_is_zero", "grid"),
+    simulate.EnsembleResult: ("paths_x", "grid", "n_paths", "seed"),
+    simulate.MeanPath: ("grid",),
+    portfolio.McReport: ("tau",),
+    variational.DualIdentityReport: ("tau",),
 }
 
 # parameters deleted from the functions that keep the rest: the
@@ -63,8 +68,8 @@ REMOVED_ATTRIBUTES = {
 REMOVED_PARAMETERS = {
     simulate._Column: ("u_nodes", "n_steps"),
     simulate._run_columns: ("grid", "n_paths"),
-    smp.check_candidate: ("terminal_x_paths", "detection_steps"),
-    bangbang.synthesize: ("tol",),
+    smp.check_candidate: ("terminal_x_paths", "detection_steps", "u_samples_per_axis"),
+    bangbang.synthesize: ("tol", "damping"),
     bangbang.find_switch_times: ("zero_tol",),
     portfolio.solve_tau: ("xtol",),
     portfolio.figure_columns: ("n_nodes",),

@@ -139,7 +139,7 @@ def test_params_validation_collects_labeled_messages():
 
 
 def test_problem_embedding_coefficients(params, wealth_spec):
-    assert validate(wealth_spec).ok
+    assert validate(wealth_spec) == []
     dyn = wealth_spec.dynamics
     np.testing.assert_allclose(dyn.A, [[0.05]])
     np.testing.assert_allclose(dyn.B, [[0.05]])
@@ -155,9 +155,9 @@ def test_problem_embedding_coefficients(params, wealth_spec):
     assert wealth_spec.horizon == 20.0
 
 
-def test_mc_validate_smoke(params, tau_solution):
+def test_mc_validate_smoke(params):
     report = mc_validate(params, n_paths=4000, dt=1.0 / 32.0, seed=7)
-    assert report.tau == tau_solution.tau
+    assert (report.n_paths, report.dt, report.seed) == (4000, 1.0 / 32.0, 7)
     assert report.stderr > 0.0
     assert abs(report.z_score) < 5.0
     assert report.vol_pair is None and report.vol_pair_gap is None
@@ -173,12 +173,13 @@ def test_mc_validate_vol_pair_shares_noise(params):
     assert report.vol_pair_gap < 5.0 * joint
 
 
-def test_mc_validate_vol_pair_reuses_base_column(params):
+def test_mc_validate_vol_pair_reuses_base_column(params, tau_solution):
     report = mc_validate(params, n_paths=4000, dt=1.0 / 32.0, seed=7, vol_pair=(0.2, 0.4))
     assert report.vol_pair_means[0] == report.mean_terminal
     assert report.vol_pair_stderrs[0] == report.stderr
     # each volatility's terminal values are those of its ensemble run alone
-    grid = SimGrid(report.tau, int(np.ceil(report.tau * 32.0)))
+    tau = tau_solution.tau
+    grid = SimGrid(tau, int(np.ceil(tau * 32.0)))
     columns = [(params.vol, report.mean_terminal, report.stderr)] + list(
         zip(report.vol_pair, report.vol_pair_means, report.vol_pair_stderrs)
     )

@@ -264,32 +264,26 @@ def test_perturbed_policy_values_are_base_plus_rho_direction_bit_for_bit(case):
 
 
 def test_validate_accepts_wealth_problem(wealth_spec):
-    report = validate(wealth_spec)
-    assert report.ok and report.violations == []
+    assert validate(wealth_spec) == []
 
 
 def test_validate_flags_control_matrix_shape():
     spec = scalar_spec()
     spec.dynamics.B = np.array([[1.0, 0.0]])  # one control, two columns
     spec.dynamics.k = 1
-    report = validate(spec)
-    assert not report.ok
-    assert any(v.startswith("dynamics.B") for v in report.violations)
+    assert any(v.startswith("dynamics.B") for v in validate(spec))
 
 
 def test_validate_flags_box_order():
     spec = scalar_spec(lower=2.0, upper=1.0)
-    report = validate(spec)
-    assert not report.ok
-    assert any("control_set" in v and "box order" in v for v in report.violations)
+    assert any("control_set" in v and "box order" in v for v in validate(spec))
 
 
 def test_validate_flags_asymmetric_quadratic_weights():
     spec = scalar_spec()
     spec.cost.Lambda = np.array([[1.0]])
     spec.cost.psi_quad = np.array([[1.0]])
-    ok = validate(spec)
-    assert ok.ok
+    assert validate(spec) == []
     spec2 = scalar_spec()
     spec2.dynamics = LinearDynamics(
         A=np.zeros((2, 2)), B=[[1.0], [0.0]], C=[], D=[], x0=[0.0, 0.0]
@@ -304,8 +298,7 @@ def test_validate_flags_asymmetric_quadratic_weights():
         psi_lin=np.zeros(2),
         psi_quad=[[1.0, 0.5], [0.0, 1.0]],
     )
-    report = validate(spec2)
-    assert any("psi_quad" in v and "symmetric" in v for v in report.violations)
+    assert any("psi_quad" in v and "symmetric" in v for v in validate(spec2))
 
 
 def test_require_valid_raises_with_paths():

@@ -271,10 +271,9 @@ def hitting_problems(draw):
 @given(hitting_problems())
 def test_duality_identity_holds_on_random_stable_systems(problem):
     spec, policy, direction = problem
-    report = dual_identity_check(
-        spec, direction, hit_time_derivative(spec, policy, direction, _HIT_GRID)
-    )
-    assert 0.0 < report.tau < _HIT_HORIZON
+    derivative = hit_time_derivative(spec, policy, direction, _HIT_GRID)
+    report = dual_identity_check(spec, direction, derivative)
+    assert 0.0 < derivative.tau < _HIT_HORIZON
     assert report.rel_gap < 1e-6
 
 
@@ -295,22 +294,20 @@ def test_perturbation_admissibility():
     at_edge = ControlPolicy.constant([1.5], 6.0)
     up = ControlPolicy.constant([1.0], 6.0)
     pert = PerturbationSpec(direction=up, rhos=(1e-2, 1e-3))
-    assert pert.validate(spec, interior).ok
-    bad = pert.validate(spec, at_edge)
-    assert not bad.ok
-    assert any("leaves the box" in v for v in bad.violations)
+    assert pert.validate(spec, interior) == []
+    assert any("leaves the box" in v for v in pert.validate(spec, at_edge))
 
 
 def test_perturbation_rejects_horizon_mismatch_and_bad_steps():
     spec = scalar_spec()
     policy = ControlPolicy.constant([0.8], 6.0)
     short = ControlPolicy.constant([0.1], 3.0)
-    report = PerturbationSpec(direction=short).validate(spec, policy)
-    assert not report.ok and any("horizon" in v for v in report.violations)
-    report = PerturbationSpec(
+    violations = PerturbationSpec(direction=short).validate(spec, policy)
+    assert any("horizon" in v for v in violations)
+    violations = PerturbationSpec(
         direction=ControlPolicy.constant([0.0], 6.0), rhos=(1e-2, -1.0)
     ).validate(spec, policy)
-    assert not report.ok and any("positive" in v for v in report.violations)
+    assert any("positive" in v for v in violations)
 
 
 @pytest.mark.parametrize("check", ["fd_tau_check"])
