@@ -1,7 +1,7 @@
 """Adjoint states and Hamiltonian derivatives for the linear family.
 
 Two backward quantities anchor the optimality conditions at the detected
-minimum time tau:
+minimum time tau, which is the end of the grid they are solved on:
 
 * the time adjoint p0, solving dp0'/dt = -p0' A + (E1 + E2 + E3 A) with
   p0(tau) = 0, whose closed form is p0(t)' = -(E1+E2+E3A) int_0^{tau-t}
@@ -73,17 +73,14 @@ def exp_with_integral(A: np.ndarray, h: float):
     return E[:m, :m], E[:m, m:]
 
 
-def _anchored(A: np.ndarray, tau: float, grid: SimGrid, w_tau, forcing) -> np.ndarray:
+def _anchored(A: np.ndarray, grid: SimGrid, w_tau, forcing) -> np.ndarray:
     """Rows w(t_j) at the nodes of `grid` of w(t - h) = w(t) e^{Ah} + forcing I(h).
 
-    Here h is the grid step, I(h) = int_0^h e^{As} ds and w(tau) = w_tau,
-    so w(t) = w_tau e^{A(tau-t)} + forcing I(tau - t) by I(kh + h) =
-    I(kh) e^{Ah} + I(h): one augmented exponential and the doubling scan
-    of the mean solve.  The grid must end at tau; any other grid raises
-    ValueError.
+    Here h is the grid step, I(h) = int_0^h e^{As} ds and w(tau) = w_tau
+    at the grid's end tau, so w(t) = w_tau e^{A(tau-t)} + forcing I(tau - t)
+    by I(kh + h) = I(kh) e^{Ah} + I(h): one augmented exponential and the
+    doubling scan of the mean solve.
     """
-    if grid.horizon != tau:
-        raise ValueError(f"adjoint grid must end at tau = {tau}, got {grid.horizon}")
     E, I = exp_with_integral(A, grid.dt)
     w = np.empty((grid.n_steps + 1, A.shape[0]))
     w[0] = w_tau
@@ -93,23 +90,11 @@ def _anchored(A: np.ndarray, tau: float, grid: SimGrid, w_tau, forcing) -> np.nd
 
 
 def time_adjoint_closed_form(
-    dynamics: LinearDynamics, target: TargetCoefficients, tau: float, times
+    dynamics: LinearDynamics, target: TargetCoefficients, grid: SimGrid
 ) -> np.ndarray:
-    """p0 at the given times.
-
-    `times` is either a SimGrid ending at tau, whose nodes come from one
-    augmented exponential and a doubling scan, or any array of times, at
-    one augmented exponential each.
-    """
+    """p0 at the nodes of `grid`, whose end is tau: one exponential and one doubling scan."""
     row = target_state_row(target, dynamics)
-    if isinstance(times, SimGrid):
-        return _anchored(dynamics.A, tau, times, np.zeros(dynamics.m), -row)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty((len(times), dynamics.m))
-    for i, t in enumerate(times):
-        _, integral = exp_with_integral(dynamics.A, tau - t)
-        out[i] = -(row @ integral)
-    return out
+    return _anchored(dynamics.A, grid, np.zeros(dynamics.m), -row)
 
 
 @dataclass
@@ -127,8 +112,8 @@ class AdjointSolution:
     cross_check_gap: float = float("nan")
 
 
-def _backward_affine(A, source, terminal, tau, times, max_h):
-    """Backward RK4 for w' = -A' w + source, w(tau) = terminal, on the uniform `times`.
+def _backward_affine(A, source, terminal, times, max_h):
+    """Backward RK4 for w' = -A' w + source, w(tau) = terminal, on uniform `times` ending at tau.
 
     Every step is cut into the same r pieces, r the fewest that keep a
     piece within max_h; a step longer than max_h by rounding only
@@ -136,7 +121,7 @@ def _backward_affine(A, source, terminal, tau, times, max_h):
     refined grid is `times` itself, one run of equal steps.
     """
     # reverse time: v(s) = w(tau - s) solves v' = A' v - source.
-    s_nodes = tau - times[::-1]
+    s_nodes = times[-1] - times[::-1]
     n = len(s_nodes) - 1
     r = max(1, int(np.ceil(np.max(np.diff(s_nodes)) / max_h - 1e-9)))
     fine = np.interp(np.arange(n * r + 1) / r, np.arange(n + 1), s_nodes)
@@ -147,26 +132,24 @@ def _backward_affine(A, source, terminal, tau, times, max_h):
 def solve_time_adjoint(
     dynamics: LinearDynamics,
     target: TargetCoefficients,
-    tau: float,
     grid: SimGrid,
     cross_check_tol: float = 1e-6,
 ) -> AdjointSolution:
-    """Time adjoint on a grid spanning [0, tau], computed two ways.
+    """Time adjoint on a grid spanning [0, tau], tau its end, computed two ways.
 
     Route (a) is the exact closed form; route (b) integrates the backward
     ODE with sub-stepped RK4.  Disagreement beyond `cross_check_tol`
     (relative to max(1, |p0|)) raises NumericalConsistencyError; the
     returned values are route (a), and `cross_check_gap` holds the
-    sup-norm gap between the routes.  A grid that does not end at tau
-    raises ValueError.
+    sup-norm gap between the routes.
     """
     times = grid.times()
-    closed = time_adjoint_closed_form(dynamics, target, tau, grid)
+    closed = time_adjoint_closed_form(dynamics, target, grid)
 
     row = target_state_row(target, dynamics)
     norm_a = float(np.linalg.norm(dynamics.A, 2))
     max_h = 0.003 / max(norm_a, 0.003 / grid.dt)  # never coarser than the grid
-    ode = _backward_affine(dynamics.A, row, np.zeros(dynamics.m), tau, times, max_h)
+    ode = _backward_affine(dynamics.A, row, np.zeros(dynamics.m), times, max_h)
 
     scale = max(1.0, float(np.max(np.abs(closed), initial=0.0)))
     gap = float(np.max(np.abs(closed - ode)))
@@ -180,7 +163,6 @@ def solve_time_adjoint(
 def solve_cost_adjoint(
     dynamics: LinearDynamics,
     cost: CostSpec,
-    tau: float,
     grid: SimGrid,
     mean_x_tau: np.ndarray,
 ) -> np.ndarray:
@@ -189,19 +171,19 @@ def solve_cost_adjoint(
     The terminal value p_tau = -Psi_x(mean state at tau) is deterministic
     for the parametric cost family, which keeps q identically zero.  As a
     row, p(t)' = p_tau' e^{A(tau-t)} - cLin' int_0^{tau-t} e^{As} ds, since
-    e^{A's} = (e^{As})'.
+    e^{A's} = (e^{As})'.  tau is the end of `grid`.
     """
     p_tau = -(cost.psi_lin + cost.psi_quad @ np.asarray(mean_x_tau, dtype=float))
-    return _anchored(dynamics.A, tau, grid, p_tau, -cost.c_lin)
+    return _anchored(dynamics.A, grid, p_tau, -cost.c_lin)
 
 
-def solve_adjoints(spec, tau: float, grid: SimGrid, mean_x_tau) -> AdjointSolution:
-    """Both adjoints for a problem spec; mean_x_tau is the mean state at
-    tau, read only when the cost has state terms."""
-    sol = solve_time_adjoint(spec.dynamics, spec.target, tau, grid)
+def solve_adjoints(spec, grid: SimGrid, mean_x_tau) -> AdjointSolution:
+    """Both adjoints for a problem spec on a grid ending at tau; mean_x_tau
+    is the mean state at tau, read only when the cost has state terms."""
+    sol = solve_time_adjoint(spec.dynamics, spec.target, grid)
     cost = spec.cost
     if cost.c_lin.any() or cost.psi_lin.any() or cost.psi_quad.any():
-        sol.p = solve_cost_adjoint(spec.dynamics, cost, tau, grid, mean_x_tau)
+        sol.p = solve_cost_adjoint(spec.dynamics, cost, grid, mean_x_tau)
     return sol
 
 
@@ -228,13 +210,15 @@ def target_hamiltonian_du(p0, dynamics: LinearDynamics, target: TargetCoefficien
 def khat_evaluator(dynamics, target, tau: float) -> Callable:
     """Closed-form Khat(t) = p0(t)'B - (E3 B + E4) as a callable, exact at every t in [0, tau].
 
-    Each call costs one augmented exponential; `time_adjoint_closed_form`
-    on a SimGrid gives the node values of p0 in one pass.
+    p0(t)' = -(E1+E2+E3A) int_0^{tau-t} e^{As} ds, so each call costs one
+    augmented exponential; the two target rows are built once.
+    `time_adjoint_closed_form` gives the node values of p0 in one pass.
     """
+    row_x = target_state_row(target, dynamics)
+    row_u = target_control_row(target, dynamics)
 
     def khat(t: float) -> np.ndarray:
-        p0 = time_adjoint_closed_form(dynamics, target, tau, float(t))[0]
-        return target_hamiltonian_du(p0, dynamics, target)
+        return -(row_x @ exp_with_integral(dynamics.A, tau - float(t))[1]) @ dynamics.B - row_u
 
     return khat
 

@@ -120,7 +120,7 @@ def vertex_policy(
     grid = SimGrid(tau, n_nodes)
     times = grid.times()
     khat = khat_evaluator(dyn, tgt, tau)
-    khat_nodes = target_hamiltonian_du(time_adjoint_closed_form(dyn, tgt, tau, grid), dyn, tgt)
+    khat_nodes = target_hamiltonian_du(time_adjoint_closed_form(dyn, tgt, grid), dyn, tgt)
     switch_times = find_switch_times(
         times, khat_nodes, refine=lambda t, i: float(khat(t)[i])
     )

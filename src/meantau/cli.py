@@ -225,13 +225,14 @@ def _run_portfolio(args):
     if args.mc:
         report = mc_validate(
             params,
+            sol,
             n_paths=args.paths,
             dt=args.dt,
             seed=args.seed,
             vol_pair=tuple(args.vol_pair) if args.vol_pair else None,
             threads=args.threads,
         )
-    fig = figure_columns(params)
+    fig = figure_columns(params, sol)
     write_csv(
         os.path.join(args.out, "portfolio.csv"),
         ["t", "control", "mean_wealth"],

@@ -13,12 +13,25 @@ a quadratic penalty lam u^2 / 2 with lam = 1 / (beta target_wealth^2).
 The minimizing control follows the pattern upper bound, then a falling
 exponential, then lower bound:
 
-    u(t) = clip(coef e^{rate (tau - t)}, lower, upper),
-    coef = (2 beta + 1)(growth - rate) target_wealth / (2 growth),
+    u(t) = clip(u_end e^{rate (tau - t)}, lower, upper),
 
 with branch boundaries t1 (leaves the upper bound) and t2 (reaches the
-lower bound).  tau itself solves a scalar equation stating that the mean
-wealth under this control reaches the target exactly at tau.
+lower bound).  u_end, the exponential's value at tau, comes from the
+free-terminal-time condition H(tau) = 0 (Bryson & Ho, Applied Optimal
+Control, 1975, sec. 2.7), which reads differently on either side of
+beta = 1/2 + q, q = rate / (growth - rate):
+
+* below it the control ends on the lower bound (three branches) and
+  u_end is the paper's coefficient
+      coef = (2 beta + 1)(growth - rate) target_wealth / (2 growth) < lower;
+* from it on the exponential ends inside the box (t2 = tau) at
+      K = target_wealth (-q + sqrt(q^2 + 2 beta)),
+  the root of lam K^2 / 2 + lam K rate target_wealth / (growth - rate) = 1.
+  K >= upper, that is beta >= 1.25^2 / 2 + 1.25 q, leaves the regime.
+
+Both forms equal `target_wealth` at beta = 1/2 + q.  tau itself solves a
+scalar equation stating that the mean wealth under this control reaches
+the target exactly at tau.
 """
 
 from __future__ import annotations
@@ -105,34 +118,54 @@ class PortfolioParams:
 
 
 def branch_coefficient(params: PortfolioParams) -> float:
-    """coef in u(t) = clip(coef e^{rate (tau - t)}, lower, upper)."""
+    """The paper's coef = (2 beta + 1)(growth - rate) target_wealth / (2 growth).
+
+    It is the exponential's value at tau when the control ends on the
+    lower bound (coef < lower, three branches); otherwise the exponential
+    ends at K instead (see the module docstring).
+    """
     c = (2.0 * params.beta + 1.0) * (params.growth - params.rate)
     return c * params.target_wealth / (2.0 * params.growth)
+
+
+def _exp_end(params: PortfolioParams) -> float:
+    """u_end in u(t) = clip(u_end e^{rate (tau - t)}, lower, upper): coef below lower, else K.
+
+    K = target_wealth (-q + sqrt(q^2 + 2 beta)) is evaluated as
+    2 beta target_wealth / (q + sqrt(q^2 + 2 beta)), which cancels nothing.
+    u_end >= upper would hold the control at the upper bound throughout;
+    that is outside this regime and raises RegimeError.
+    """
+    coef = branch_coefficient(params)
+    if coef < params.control_lower:
+        return coef
+    q = params.rate / (params.growth - params.rate)
+    end = 2.0 * params.beta * params.target_wealth / (q + np.sqrt(q * q + 2.0 * params.beta))
+    if end >= params.control_upper:
+        edge = 1.25**2 / 2.0 + 1.25 * q
+        raise RegimeError(
+            "the exponential branch sits above the admissible box "
+            f"(its value at tau {end:g} >= upper {params.control_upper:g}: "
+            f"beta {params.beta:g} >= 1.25^2 / 2 + 1.25 rate / (growth - rate) = {edge:g})"
+        )
+    return float(end)
 
 
 def switch_times(params: PortfolioParams, tau: float) -> tuple:
     """Branch boundaries (t1, t2) for a given tau, clamped into [0, tau].
 
-    Raw values are t_i = tau - ln(w_i) / rate with w1 = upper / coef and
-    w2 = lower / coef.  With coef < lower a long enough tau gives all
-    three branches: upper, exponential, lower.  With lower <= coef < upper
-    the exponential is still above the lower bound at tau, so t2 = tau and
-    the control is upper then exponential.  coef >= upper, that is
-    (2 beta + 1)(growth - rate) >= 2.5 growth, would hold the control at
-    the upper bound throughout; that is outside this regime and raises
-    RegimeError.
+    Raw values are t_i = tau - ln(w_i) / rate with w1 = upper / u_end and
+    w2 = lower / u_end.  With u_end = coef < lower a long enough tau gives
+    all three branches: upper, exponential, lower.  With lower <= u_end =
+    K < upper the exponential is still above the lower bound at tau, so
+    t2 = tau and the control is upper then exponential.  u_end >= upper
+    raises RegimeError.
     """
-    c = (2.0 * params.beta + 1.0) * (params.growth - params.rate)
-    if c >= 2.5 * params.growth:
-        raise RegimeError(
-            "the exponential branch sits above the admissible box "
-            f"((2 beta + 1)(growth - rate) = {c:g} >= 2.5 growth = {2.5 * params.growth:g})"
-        )
+    end = _exp_end(params)
     if tau <= 0.0:
         return 0.0, 0.0
-    coef = branch_coefficient(params)
-    w1 = params.control_upper / coef
-    w2 = params.control_lower / coef
+    w1 = params.control_upper / end
+    w2 = params.control_lower / end
     t1 = tau - np.log(w1) / params.rate
     t2 = tau - np.log(w2) / params.rate
     t1 = float(min(max(t1, 0.0), tau))
@@ -149,9 +182,13 @@ def wealth_residual(params: PortfolioParams, tau: float):
     """
     r, mu, alpha = params.rate, params.growth, params.target_wealth
     t1, t2 = switch_times(params, tau)
-    c = (2.0 * params.beta + 1.0) * (mu - r)
+    end = _exp_end(params)
+    if end < params.control_lower:  # three branches: u_end is coef
+        weight = (2.0 * params.beta + 1.0) * (mu - r) / (4.0 * mu * r)
+    else:
+        weight = end / (2.0 * r * alpha)
     l_upper = 1.25 * (np.exp(r * tau) - np.exp(r * (tau - t1))) / r
-    l_exp = c / (4.0 * mu * r) * (np.exp(2.0 * r * (tau - t1)) - np.exp(2.0 * r * (tau - t2)))
+    l_exp = weight * (np.exp(2.0 * r * (tau - t1)) - np.exp(2.0 * r * (tau - t2)))
     l_lower = (np.exp(r * (tau - t2)) - 1.0) / r
     mean_tau = params.initial_wealth * np.exp(r * tau) + (mu - r) * alpha * (
         l_upper + l_exp + l_lower
@@ -197,8 +234,7 @@ def optimal_control(params: PortfolioParams, tau: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.size and (t.min() < 0.0 or t.max() > tau * (1.0 + 1e-12)):
         raise ValueError(f"time outside [0, {tau}]")
-    coef = branch_coefficient(params)
-    vals = coef * np.exp(params.rate * (tau - t))
+    vals = _exp_end(params) * np.exp(params.rate * (tau - t))
     return np.clip(vals, params.control_lower, params.control_upper)
 
 
@@ -211,13 +247,13 @@ def optimal_policy(params: PortfolioParams, solution: TauSolution) -> ControlPol
     corresponding segments.
     """
     tau, t1, t2 = solution.tau, solution.t1, solution.t2
-    coef = branch_coefficient(params)
+    end = _exp_end(params)
     segments = []
     if t1 > 0.0:
         segments.append(ControlSegment(0.0, t1, [params.control_upper]))
     if t2 > t1:
         segments.append(
-            ControlSegment(t1, t2, [0.0], [coef * np.exp(params.rate * tau)], [-params.rate])
+            ControlSegment(t1, t2, [0.0], [end * np.exp(params.rate * tau)], [-params.rate])
         )
     if tau > t2:
         segments.append(ControlSegment(t2, tau, [params.control_lower]))
@@ -266,9 +302,10 @@ def to_problem_spec(params: PortfolioParams) -> ProblemSpec:
 class McReport:
     """Monte Carlo check that the mean wealth hits the target at tau.
 
-    tau is `solve_tau(params).tau`, which the `portfolio` summary gives
-    beside this report.  `n_paths`, `dt` and `seed` are the run's inputs,
-    kept because the summary's `mc` object reports them.
+    tau is that of the `TauSolution` that `mc_validate` is given, which
+    the `portfolio` summary gives beside this report.  `n_paths`, `dt` and
+    `seed` are the run's inputs, kept because the summary's `mc` object
+    reports them.
     """
 
     n_paths: int
@@ -285,6 +322,7 @@ class McReport:
 
 def mc_validate(
     params: PortfolioParams,
+    solution: TauSolution,
     n_paths: int = 200_000,
     dt: float = 1.0 / 256.0,
     seed: int = 42,
@@ -293,12 +331,13 @@ def mc_validate(
 ) -> McReport:
     """Ensemble check of E[X(tau)] = target, plus volatility invariance.
 
-    The grid step is tau / ceil(tau / dt), so the final node lands on tau
-    exactly and no terminal interpolation enters.  When `vol_pair` is
-    given, the run is repeated at both volatilities; the mean trajectory
-    of the wealth does not involve the volatility, so the gap between the
-    two terminal means isolates pure sampling correlation and
-    discretization effects.
+    `solution` is `solve_tau(params)`, which gives tau and, through
+    `optimal_policy`, the control.  The grid step is tau / ceil(tau / dt),
+    so the final node lands on tau exactly and no terminal interpolation
+    enters.  When `vol_pair` is given, the run is repeated at both
+    volatilities; the mean trajectory of the wealth does not involve the
+    volatility, so the gap between the two terminal means isolates pure
+    sampling correlation and discretization effects.
 
     All volatilities (`params.vol` and the pair, each distinct value
     once) are path columns of one Euler-Maruyama loop, so they share one
@@ -315,14 +354,12 @@ def mc_validate(
     for i, v in enumerate(vol_pair or ()):
         if not (np.isfinite(v) and v > 0.0):
             raise ValueError(f"vol_pair[{i}] must be finite and positive, got {v}")
-    sol = solve_tau(params)
-    tau = sol.tau
     vols = [params.vol]
     for v in vol_pair or ():
         if float(v) not in vols:
             vols.append(float(v))
-    grid = SimGrid(tau, max(2, int(np.ceil(tau / dt))))
-    policy = optimal_policy(params, sol)
+    grid = SimGrid(solution.tau, max(2, int(np.ceil(solution.tau / dt))))
+    policy = optimal_policy(params, solution)
     dyns = [to_problem_spec(replace(params, vol=v)).dynamics for v in vols]
     cols = [_Column(dyn, policy, n_paths, grid) for dyn in dyns]
     _run_columns(cols, seed, threads)
@@ -347,19 +384,18 @@ def mc_validate(
     return report
 
 
-def figure_columns(params: PortfolioParams) -> dict:
-    """Plot-ready columns on 2 001 uniform nodes over [0, tau]: time, control, mean wealth."""
-    sol = solve_tau(params)
-    grid = SimGrid(sol.tau, 2000)
+def figure_columns(params: PortfolioParams, solution: TauSolution) -> dict:
+    """Plot-ready columns on 2 001 uniform nodes over [0, tau]: time, control, mean wealth.
+
+    `solution` is `solve_tau(params)`, whose tau ends the grid.
+    """
+    grid = SimGrid(solution.tau, 2000)
     ts = grid.times()
     spec = to_problem_spec(params)
-    policy = optimal_policy(params, sol)
+    policy = optimal_policy(params, solution)
     mp = solve_mean_path(spec, policy, grid)
     return {
         "t": ts,
-        "control": optimal_control(params, sol.tau, ts),
+        "control": optimal_control(params, solution.tau, ts),
         "mean_wealth": mp.mean_x[:, 0],
-        "tau": sol.tau,
-        "t1": sol.t1,
-        "t2": sol.t2,
     }

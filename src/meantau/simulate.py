@@ -709,7 +709,7 @@ class _Column:
         self.Z, self.Zn = self.Zn, Z
 
 
-def _em_moments(dyn, u_nodes, x0, dt):
+def _em_moments(dyn, u_nodes, dt):
     """Exact mean and second moment E[X X'] of the Euler-Maruyama iterates.
 
     With F = I + A dt, b_j = B u_j dt and e_cj = D_c u_j, where u_j is the
@@ -723,7 +723,7 @@ def _em_moments(dyn, u_nodes, x0, dt):
 
     the weak-order moment recursion of the scheme (Kloeden & Platen,
     Numerical Solution of SDEs, 1992).  Each is one `_scan`: the mean's
-    rows are [x0; b_0'; b_1'; ...], and vec(P), taken row-major so that
+    rows are [x0; b_0'; b_1'; ...], x0 = `dyn.x0`, and vec(P), taken row-major so that
     vec(F P F') = (F kron F) vec(P), has the map F kron F + dt sum_c
     C_c kron C_c and a forcing built for every step at once from the
     scanned means.  Returns the mean, (n_steps + 1, m), and the second
@@ -734,7 +734,7 @@ def _em_moments(dyn, u_nodes, x0, dt):
     F = np.eye(m) + dt * dyn.A
     b = dt * (u @ dyn.B.T)
     mean = np.empty((len(u) + 1, m))
-    mean[0], mean[1:] = x0, b
+    mean[0], mean[1:] = dyn.x0, b
     _scan(mean, F.T)
 
     def sym(x, y):  # x_j y_j' + y_j x_j' for every step j
@@ -749,7 +749,7 @@ def _em_moments(dyn, u_nodes, x0, dt):
         forcing += dt * (sym(mx @ C.T, e) + e[:, :, None] * e[:, None, :])
         phi += dt * np.kron(C, C)
     second = np.empty((len(u) + 1, m * m))
-    second[0], second[1:] = np.outer(x0, x0).ravel(), forcing.reshape(len(u), m * m)
+    second[0], second[1:] = np.outer(dyn.x0, dyn.x0).ravel(), forcing.reshape(len(u), m * m)
     _scan(second, phi.T)
     return mean, second.reshape(-1, m, m)
 

@@ -181,7 +181,7 @@ def check_candidate(
     grid = SimGrid(tau, t_grid_size)
     times = grid.times()
     mean_x_tau, _ = mean_at_tau(spec, policy, None, tau, grid)
-    adj = solve_adjoints(spec, tau, grid, mean_x_tau)
+    adj = solve_adjoints(spec, grid, mean_x_tau)
 
     u_bar = np.atleast_2d(policy.values(times, side=+1))
     u_bar[-1] = policy.values(times[-1], side=-1)  # final node: value inside [0, tau]

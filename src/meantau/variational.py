@@ -169,7 +169,7 @@ def fd_state_check(
     dyn = replace(spec.dynamics, x0=np.zeros(spec.dynamics.m))
     col = _Column(dyn, direction, n_paths, grid)
     _run_columns([col], seed, threads)
-    mean, second = _em_moments(dyn, col.u_nodes, dyn.x0, grid.dt)
+    mean, second = _em_moments(dyn, col.u_nodes, grid.dt)
     rows = []
     for a, s in enumerate(col.Z):
         mean_exact = mean[-1, a]

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from meantau.problem import (
     ControlPolicy,
@@ -16,6 +17,7 @@ from meantau.problem import (
     target_control_row,
     target_state_row,
 )
+from meantau.adjoint import exp_with_integral
 from meantau.simulate import _affine_path, _Column, _run_columns
 
 # Reference values for the default wealth-target parameters, frozen from an
@@ -96,6 +98,21 @@ def hamiltonian(x, u, p, dynamics, cost) -> float:
     val = float((dynamics.A @ x + dynamics.B @ u) @ np.asarray(p, dtype=float))
     f = cost.kappa + float(cost.c_lin @ x) + 0.5 * float(u @ cost.Lambda @ u)
     return val - f
+
+
+def time_adjoint_at(dynamics, target, tau, times) -> np.ndarray:
+    """p0 at any times, anchored at tau: one augmented exponential per time.
+
+    p0(t)' = -(E1+E2+E3A) int_0^{tau-t} e^{As} ds.  The pointwise reference
+    for the grid form of `adjoint.time_adjoint_closed_form`, which scans
+    one step's exponential instead.
+    """
+    row = target_state_row(target, dynamics)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.empty((len(times), dynamics.m))
+    for i, t in enumerate(times):
+        out[i] = -(row @ exp_with_integral(dynamics.A, tau - t)[1])
+    return out
 
 
 def mean_target_response(ey_values, v_values, target, dynamics) -> np.ndarray:
@@ -224,3 +241,77 @@ def estimate_cost(paths, grid, tau, cost, policy):
     j = float(np.mean(total))
     stderr = float(np.std(total, ddof=1) / np.sqrt(n_paths))
     return j, stderr
+
+
+def _wealth_pieces(params, nu, tau):
+    """(E[X(tau)] - target, int_0^tau u^2 dt) under u = clip(nu e^{rate (tau - t)}, lower, upper).
+
+    In s = tau - t the control is the lower bound on [0, a], the
+    exponential on [a, b] and the upper bound on [b, tau]; each integral is
+    in closed form.  The pieces are chosen on the real parts, so a complex
+    nu or tau carries a complex-step derivative through the formulas.
+    """
+    r, lo, hi = params.rate, params.control_lower, params.control_upper
+    a = np.log(lo / nu) / r
+    a = 0.0 if a.real < 0.0 else tau if a.real > tau.real else a
+    b = np.log(hi / nu) / r
+    b = a if b.real < a.real else tau if b.real > tau.real else b
+    ea, eb, et = np.exp(r * a), np.exp(r * b), np.exp(r * tau)
+    gain = (lo * (ea - 1.0) + nu * (eb * eb - ea * ea) / 2.0 + hi * (et - eb)) / r
+    excess = params.initial_wealth * et + (params.growth - r) * gain - params.target_wealth
+    energy = lo**2 * a + nu**2 * (eb * eb - ea * ea) / (2.0 * r) + hi**2 * (tau - b)
+    return excess, energy
+
+
+def _wealth_multiplier(params, tau):
+    """nu with E[X(tau)] = target: the root of a nondecreasing function of nu."""
+    lo, hi = params.control_lower * np.exp(-params.rate * tau), params.control_upper
+    return brentq(lambda nu: _wealth_pieces(params, nu, tau)[0], lo, hi,
+                  xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+def wealth_value(params, tau):
+    """V(tau) = tau + min int_0^tau lam u^2 / 2 dt subject to E[X(tau)] = target, u in the box.
+
+    The route of the wealth problem that uses neither the maximum principle
+    nor the free-terminal-time condition.  For a fixed tau the constraint
+    is linear in u, int_0^tau e^{rate (tau - t)} u dt, so the convex
+    minimum is u = clip(nu e^{rate (tau - t)}, lower, upper) with one
+    multiplier nu.  The mean wealth rises (u > 0, growth > rate), so
+    E[X(tau)] = target is the first hit.  tau must lie strictly between the
+    hits under the upper and under the lower bound (`wealth_value_minimizer`).
+    """
+    energy = _wealth_pieces(params, _wealth_multiplier(params, tau), tau)[1]
+    return tau + 0.5 * params.control_penalty * energy
+
+
+def _wealth_value_slope(params, tau):
+    """dV/dtau by the implicit function theorem, each partial by a complex step.
+
+    With G(nu, tau) = 0 the constraint and W(nu, tau) the energy, dV/dtau
+    = 1 + lam / 2 (W_tau - W_nu G_tau / G_nu); a complex step of 1e-30
+    gives each partial to round-off (Squire & Trapp, SIAM Rev. 40, 1998).
+    """
+    nu, h = _wealth_multiplier(params, tau), 1e-30
+    g_nu, w_nu = (np.imag(v) / h for v in _wealth_pieces(params, nu + 1j * h, tau + 0j))
+    g_tau, w_tau = (np.imag(v) / h for v in _wealth_pieces(params, nu + 0j, tau + 1j * h))
+    return 1.0 + 0.5 * params.control_penalty * (w_tau - w_nu * g_tau / g_nu)
+
+
+def wealth_value_minimizer(params):
+    """The tau minimizing `wealth_value`: the root of its slope, or the end where it falls.
+
+    V is finite from the hit under the upper bound to tau_L, the hit under
+    the lower bound.  Where V still falls just before tau_L, the lower
+    bound throughout is optimal and tau_L is the minimizer.
+    """
+    r = params.rate
+    drive = (params.growth - r) / r  # u = c gives E[X(tau)] = (x0 + drive c) e^{r tau} - drive c
+    tau_upper, tau_lower = (
+        np.log((params.target_wealth + drive * c) / (params.initial_wealth + drive * c)) / r
+        for c in (params.control_upper, params.control_lower)
+    )
+    inner = (tau_upper + 1e-9 * tau_upper, tau_lower - 1e-9 * tau_lower)
+    if _wealth_value_slope(params, inner[1]) <= 0.0:
+        return tau_lower
+    return brentq(lambda tau: _wealth_value_slope(params, tau), *inner, xtol=1e-13)

@@ -187,7 +187,7 @@ def test_criterion_06_time_adjoint_two_routes():
             y0=1.0,
         )
         try:
-            sol = solve_time_adjoint(dyn, tgt, tau, SimGrid(tau, 256), cross_check_tol=1e-8)
+            sol = solve_time_adjoint(dyn, tgt, SimGrid(tau, 256), cross_check_tol=1e-8)
         except NumericalConsistencyError as exc:
             ok = False
             detail = f"routes disagree beyond 1e-8 on spec {checked}: {exc}"
@@ -376,10 +376,10 @@ def test_criterion_09_scalar_regimes():
     )
 
 
-def test_criterion_10_monte_carlo(params):
+def test_criterion_10_monte_carlo(params, tau_solution):
     start = time.perf_counter()
     report = mc_validate(
-        params, n_paths=200_000, dt=1.0 / 256.0, seed=42, vol_pair=(0.2, 0.4)
+        params, tau_solution, n_paths=200_000, dt=1.0 / 256.0, seed=42, vol_pair=(0.2, 0.4)
     )
     elapsed = time.perf_counter() - start
     se_joint = float(np.hypot(*report.vol_pair_stderrs))

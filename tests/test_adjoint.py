@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import hamiltonian, scalar_spec
+from helpers import hamiltonian, scalar_spec, time_adjoint_at
 from meantau import adjoint
 from meantau.adjoint import (
     _backward_affine,
     exp_with_integral,
     hamiltonian_du,
+    khat_evaluator,
     solve_adjoints,
     solve_cost_adjoint,
     solve_time_adjoint,
@@ -35,37 +36,51 @@ def test_time_adjoint_scalar_closed_form():
     a, e1, e2, e3 = 0.4, 0.1, -1.0, 0.2
     spec = scalar_spec(a=a, e1=e1, e2=e2, e3=e3)
     tau = 2.5
-    ts = np.linspace(0.0, tau, 11)
-    p0 = time_adjoint_closed_form(spec.dynamics, spec.target, tau, ts)
+    grid = SimGrid(tau, 10)
+    ts = grid.times()
     row = e1 + e2 + e3 * a
     expect = (row / a) * (1.0 - np.exp(a * (tau - ts)))
-    np.testing.assert_allclose(p0[:, 0], expect, rtol=0, atol=1e-12)
-    assert p0[-1, 0] == 0.0
+    for p0 in (
+        time_adjoint_closed_form(spec.dynamics, spec.target, grid),
+        time_adjoint_at(spec.dynamics, spec.target, tau, np.linspace(0.0, tau, 11)),
+    ):
+        np.testing.assert_allclose(p0[:, 0], expect, rtol=0, atol=1e-12)
+        assert p0[-1, 0] == 0.0
 
 
 def test_time_adjoint_wealth_coefficients(wealth_spec, tau_solution):
     tau = tau_solution.tau
-    ts = np.linspace(0.0, tau, 9)
-    p0 = time_adjoint_closed_form(wealth_spec.dynamics, wealth_spec.target, tau, ts)
-    np.testing.assert_allclose(p0[:, 0], np.exp(0.05 * (tau - ts)) - 1.0, atol=1e-12)
+    grid = SimGrid(tau, 8)
+    p0 = time_adjoint_closed_form(wealth_spec.dynamics, wealth_spec.target, grid)
+    np.testing.assert_allclose(p0[:, 0], np.exp(0.05 * (tau - grid.times())) - 1.0, atol=1e-12)
 
 
 def test_time_adjoint_zero_feedback_is_linear_ramp():
     spec = scalar_spec(a=0.0, e1=0.2, e2=-0.5, e3=0.0)
     tau = 3.0
-    ts = np.linspace(0.0, tau, 7)
-    p0 = time_adjoint_closed_form(spec.dynamics, spec.target, tau, ts)
-    np.testing.assert_allclose(p0[:, 0], -(0.2 - 0.5) * (tau - ts), atol=1e-13)
+    grid = SimGrid(tau, 6)
+    p0 = time_adjoint_closed_form(spec.dynamics, spec.target, grid)
+    np.testing.assert_allclose(p0[:, 0], -(0.2 - 0.5) * (tau - grid.times()), atol=1e-13)
+
+
+def test_khat_at_one_time_is_the_pointwise_adjoint():
+    # Khat(t) = p0(t)'B - (E3 B + E4), p0 from one augmented exponential at t
+    spec = scalar_spec(a=0.7, b=1.3, e1=0.1, e2=-1.0, e3=0.2, e4=0.5)
+    dyn, tgt = spec.dynamics, spec.target
+    khat = khat_evaluator(dyn, tgt, 2.0)
+    for t in (0.0, 0.37, 1.0, 1.999, 2.0):
+        p0 = time_adjoint_at(dyn, tgt, 2.0, [t])[0]
+        np.testing.assert_array_equal(khat(t), target_hamiltonian_du(p0, dyn, tgt))
 
 
 def test_solve_time_adjoint_cross_checks_routes():
     spec = scalar_spec(a=0.7)
-    sol = solve_time_adjoint(spec.dynamics, spec.target, 2.0, SimGrid(2.0, 64))
+    sol = solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64))
     assert sol.p0[-1, 0] == 0.0
     np.testing.assert_allclose(sol.p, 0.0)
     # demanding exact agreement between the two routes must fail
     with pytest.raises(NumericalConsistencyError):
-        solve_time_adjoint(spec.dynamics, spec.target, 2.0, SimGrid(2.0, 64), cross_check_tol=0.0)
+        solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64), cross_check_tol=0.0)
 
 
 def test_refine_splits_long_intervals_only(monkeypatch):
@@ -83,7 +98,7 @@ def test_refine_splits_long_intervals_only(monkeypatch):
     grid = SimGrid(tau, 2048)
     times = grid.times()
     s_nodes = tau - times[::-1]
-    got = _backward_affine(A, source, terminal, tau, times, grid.dt)
+    got = _backward_affine(A, source, terminal, times, grid.dt)
     (fine,) = seen
     np.testing.assert_array_equal(fine, s_nodes)
     assert len(_run_starts(fine)) == 1
@@ -93,7 +108,7 @@ def test_refine_splits_long_intervals_only(monkeypatch):
     # and the coarse nodes are those of a solve on the fine grid
     grid = SimGrid(2.0, 16)
     times = grid.times()
-    got = _backward_affine(A, source, terminal, 2.0, times, grid.dt / 2.5)
+    got = _backward_affine(A, source, terminal, times, grid.dt / 2.5)
     fine = seen[-1]
     assert len(fine) == 3 * 16 + 1
     np.testing.assert_array_equal(fine[::3], 2.0 - times[::-1])
@@ -101,15 +116,9 @@ def test_refine_splits_long_intervals_only(monkeypatch):
     np.testing.assert_allclose(got, direct[::3][::-1], rtol=0, atol=1e-14)
 
 
-def test_solve_time_adjoint_rejects_grid_past_tau():
-    spec = scalar_spec()
-    with pytest.raises(ValueError):
-        solve_time_adjoint(spec.dynamics, spec.target, 1.0, SimGrid(2.0, 10))
-
-
 def test_cost_adjoint_time_optimal_vanishes(wealth_spec, tau_solution):
     grid = SimGrid(tau_solution.tau, 32)
-    sol = solve_adjoints(wealth_spec, tau_solution.tau, grid, np.array([10.0]))
+    sol = solve_adjoints(wealth_spec, grid, np.array([10.0]))
     np.testing.assert_allclose(sol.p, 0.0)
 
 
@@ -120,7 +129,7 @@ def test_cost_adjoint_scalar_closed_form():
     cost = CostSpec(kappa=0.0, c_lin=[c], Lambda=[[0.0]], psi_lin=[psi1], psi_quad=[[psi2]])
     tau = 2.0
     grid = SimGrid(tau, 8)
-    p = solve_cost_adjoint(dyn, cost, tau, grid, np.array([xbar]))
+    p = solve_cost_adjoint(dyn, cost, grid, np.array([xbar]))
     ts = grid.times()
     p_tau = -(psi1 + psi2 * xbar)
     expect = np.exp(a * (tau - ts)) * p_tau - (np.exp(a * (tau - ts)) - 1.0) / a * c
@@ -179,10 +188,10 @@ def test_hamiltonian_gradient_is_affine_in_control():
 
 def test_target_gradient_wealth_closed_form(wealth_spec, tau_solution):
     tau = tau_solution.tau
-    ts = np.linspace(0.0, tau, 33)
-    p0 = time_adjoint_closed_form(wealth_spec.dynamics, wealth_spec.target, tau, ts)
+    grid = SimGrid(tau, 32)
+    p0 = time_adjoint_closed_form(wealth_spec.dynamics, wealth_spec.target, grid)
     khat = target_hamiltonian_du(p0, wealth_spec.dynamics, wealth_spec.target)
-    np.testing.assert_allclose(khat[:, 0], 0.05 * np.exp(0.05 * (tau - ts)), atol=1e-12)
+    np.testing.assert_allclose(khat[:, 0], 0.05 * np.exp(0.05 * (tau - grid.times())), atol=1e-12)
 
 
 def test_target_gradient_terminal_value_is_control_row():
@@ -228,25 +237,32 @@ def test_randomized_closed_form_vs_backward_integration():
             E4=rng.normal(size=1),
             y0=1.0,
         )
-        sol = solve_time_adjoint(dyn, tgt, tau, SimGrid(tau, 64), cross_check_tol=1e-8)
+        sol = solve_time_adjoint(dyn, tgt, SimGrid(tau, 64), cross_check_tol=1e-8)
         assert np.all(np.abs(sol.p0[-1]) == 0.0)
 
 
 def test_solve_time_adjoint_keeps_the_route_gap():
     spec = scalar_spec(a=0.7)
-    sol = solve_time_adjoint(spec.dynamics, spec.target, 2.0, SimGrid(2.0, 64))
+    sol = solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64))
     assert 0.0 < sol.cross_check_gap < 1e-6 * max(1.0, float(np.max(np.abs(sol.p0))))
 
 
 @pytest.mark.parametrize("horizon", [1.3, 2.5])
-def test_a_grid_that_does_not_end_at_tau_is_rejected(horizon):
-    # a shorter grid would otherwise anchor the adjoint at its own end
-    spec = scalar_spec(a=0.7)
+def test_the_adjoints_are_anchored_at_the_end_of_their_grid(horizon):
+    # tau is the grid's end: p0 vanishes there, and p takes its terminal value
+    a, c, psi1 = 0.7, 0.4, 0.3
+    spec = scalar_spec(a=a)
+    cost = CostSpec(kappa=0.0, c_lin=[c], Lambda=[[0.0]], psi_lin=[psi1], psi_quad=[[0.0]])
     grid = SimGrid(horizon, 16)
-    with pytest.raises(ValueError, match="must end at tau"):
-        time_adjoint_closed_form(spec.dynamics, spec.target, 2.0, grid)
-    with pytest.raises(ValueError, match="must end at tau"):
-        solve_cost_adjoint(spec.dynamics, spec.cost, 2.0, grid, spec.dynamics.x0)
+    ts = grid.times()
+    p0 = time_adjoint_closed_form(spec.dynamics, spec.target, grid)
+    np.testing.assert_allclose(p0, time_adjoint_at(spec.dynamics, spec.target, horizon, ts),
+                               rtol=0, atol=1e-12)
+    assert p0[-1, 0] == 0.0
+    p = solve_cost_adjoint(spec.dynamics, cost, grid, spec.dynamics.x0)
+    expect = -np.exp(a * (horizon - ts)) * psi1 - (np.exp(a * (horizon - ts)) - 1.0) / a * c
+    np.testing.assert_allclose(p[:, 0], expect, rtol=0, atol=1e-12)
+    assert p[-1, 0] == -psi1
 
 
 # Randomized systems for the grid route: m in {1, 2, 3}, entries in [-2, 2]
@@ -286,17 +302,18 @@ def test_grid_adjoints_match_the_per_node_route(data, m, n, span):
     tau = span
     grid = SimGrid(tau, n)
     times = grid.times()
-    # the per-node route of solve_cost_adjoint: blocks of A', one per node
+    # the per-node routes: blocks of A', one per node, for solve_cost_adjoint,
+    # and `time_adjoint_at`, one block of A per node, for the time adjoint
     blocks = [exp_with_integral(dyn.A.T, tau - t) for t in times]
     size = max(1.0, max(float(np.linalg.norm(b)) for pair in blocks for b in pair))
 
     # bound each route's difference by the block tolerance times the weights
     row = tgt.E1 + tgt.E2 + tgt.E3 @ dyn.A
-    p0 = time_adjoint_closed_form(dyn, tgt, tau, grid)
-    p0_ref = time_adjoint_closed_form(dyn, tgt, tau, times)
+    p0 = time_adjoint_closed_form(dyn, tgt, grid)
+    p0_ref = time_adjoint_at(dyn, tgt, tau, times)
     assert np.max(np.abs(p0 - p0_ref)) <= 1e-12 * size * max(1.0, np.sum(np.abs(row)))
 
-    p = solve_cost_adjoint(dyn, cost, tau, grid, mean_x_tau)
+    p = solve_cost_adjoint(dyn, cost, grid, mean_x_tau)
     p_tau = -(cost.psi_lin + cost.psi_quad @ mean_x_tau)
     p_ref = np.array([e_t @ p_tau - i_t @ cost.c_lin for e_t, i_t in blocks])
     weight = max(1.0, np.sum(np.abs(p_tau)) + np.sum(np.abs(cost.c_lin)))

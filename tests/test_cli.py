@@ -10,7 +10,7 @@ from meantau import errors, smp
 from meantau.bangbang import synthesize, vertex_policy
 from meantau.cli import build_parser, main
 from meantau.config import parse_portfolio_params
-from meantau.portfolio import mc_validate
+from meantau.portfolio import mc_validate, solve_tau
 from meantau.problem import SECTIONS
 from meantau.smp import check_candidate
 
@@ -173,8 +173,9 @@ def test_portfolio_mc_summary_reports_the_vol_pair_stderrs(tmp_path):
     )
     assert code == 0
     mc = read_summary(out)["mc"]
+    params = parse_portfolio_params({})
     report = mc_validate(
-        parse_portfolio_params({}), n_paths=500, dt=0.0625, seed=3, vol_pair=(0.2, 0.4)
+        params, solve_tau(params), n_paths=500, dt=0.0625, seed=3, vol_pair=(0.2, 0.4)
     )
     assert mc["vol_pair_stderrs"] == list(report.vol_pair_stderrs)
     assert all(se > 0.0 for se in mc["vol_pair_stderrs"])
@@ -1028,8 +1029,18 @@ def test_a_diverging_solve_prints_one_stderr_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "params, code, error",
-    [({"horizon": 2.0}, 3, "InfeasibleError"), ({"beta": 5.0}, 4, "RegimeError")],
-    ids=["horizon-2", "beta-5"],
+    [
+        ({"horizon": 2.0}, 3, "InfeasibleError"),
+        ({"beta": 5.0}, 4, "RegimeError"),
+        ({"beta": 2.0313}, 4, "RegimeError"),
+        ({"growth": 0.04}, 2, "SpecValidationError"),
+        ({"vol": 0}, 2, "SpecValidationError"),
+        ({"beta": -1}, 2, "SpecValidationError"),
+        ({"horizon": 0}, 2, "SpecValidationError"),
+        ({"initial_wealth": 9.999999999999}, 3, "InfeasibleError"),
+    ],
+    ids=["horizon-2", "beta-5", "beta-past-edge", "growth-below-rate", "vol-0", "beta-negative",
+         "horizon-0", "wealth-at-target"],
 )
 def test_portfolio_failures_exit_with_the_code_of_their_error_class(tmp_path, capsys, params,
                                                                      code, error):
@@ -1039,6 +1050,33 @@ def test_portfolio_failures_exit_with_the_code_of_their_error_class(tmp_path, ca
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == error
+    assert not out.exists()
+
+
+def test_portfolio_solves_a_two_branch_case_below_the_regime_edge(tmp_path):
+    # the exponential ends at K, inside the box, up to beta = 2.03125
+    out = str(tmp_path / "out")
+    assert main(["portfolio", "--config", write_cfg(tmp_path, {"params": {"beta": 2.02}}),
+                 "--out", out]) == 0
+    summary = read_summary(out)
+    assert abs(summary["tau"] - 10.2166019203) < 1e-9
+    assert summary["t2"] == summary["tau"]
+
+
+def test_exit_2_when_the_control_dimension_is_zero(tmp_path, capsys):
+    cfg = load_json(SCALAR)
+    problem = cfg["problem"]
+    problem["dynamics"]["B"], problem["dynamics"]["D"] = [[]], [[[]]]
+    problem["target"]["E4"], problem["target"]["diffusion"]["coef_control"] = [], [[]]
+    problem["cost"]["Lambda"] = []
+    problem["control_set"] = {"lower": [], "upper": []}
+    cfg["policy"] = cfg["direction"] = {"constant": []}
+    out = tmp_path / "out"
+    assert main(["mean", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    violations = json.loads(err)["violations"]
+    assert "problem.dynamics.k: must be a positive integer, got 0" in violations
     assert not out.exists()
 
 

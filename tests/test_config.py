@@ -122,6 +122,20 @@ def test_parse_policy_rejects_gaps():
             },
             horizon=3.0,
         )
+    with pytest.raises(SpecValidationError, match="policy.segments: must be a non-empty list"):
+        parse_policy({"segments": []}, horizon=1.0)
+    empty = r"policy\.segments\[1\]: t_end must exceed t_start"
+    with pytest.raises(SpecValidationError, match=empty):
+        parse_policy(
+            {
+                "segments": [
+                    {"t_start": 0.0, "t_end": 1.0, "gamma0": [0.2]},
+                    {"t_start": 1.0, "t_end": 1.0, "gamma0": [0.3]},
+                    {"t_start": 1.0, "t_end": 3.0, "gamma0": [0.4]},
+                ]
+            },
+            horizon=3.0,
+        )
 
 
 def test_parse_policy_rejects_wrong_value_type():

@@ -63,9 +63,16 @@ REMOVED_ATTRIBUTES = {
 }
 
 # parameters deleted from the functions that keep the rest: the
-# loop reads the grid and path count from its columns, and no command set
-# the others, which became constants or literals at their one use
+# loop reads the grid and path count from its columns, an adjoint reads tau
+# from the end of its grid and the moment recursion x0 from its dynamics,
+# and no command set the others, which became constants or literals at
+# their one use
 REMOVED_PARAMETERS = {
+    adjoint.time_adjoint_closed_form: ("tau", "times"),
+    adjoint.solve_time_adjoint: ("tau",),
+    adjoint.solve_cost_adjoint: ("tau",),
+    adjoint.solve_adjoints: ("tau",),
+    simulate._em_moments: ("x0",),
     simulate._Column: ("u_nodes", "n_steps"),
     simulate._run_columns: ("grid", "n_paths"),
     smp.check_candidate: ("terminal_x_paths", "detection_steps", "u_samples_per_axis"),
@@ -113,8 +120,10 @@ def test_removed_parameters_are_gone_and_a_policy_needs_its_solution():
         params = inspect.signature(fn).parameters
         for name in names:
             assert name not in params, (fn.__name__, name)
-    solution = inspect.signature(portfolio.optimal_policy).parameters["solution"]
-    assert solution.default is inspect.Parameter.empty
+    # tau is solved once, by the caller, and handed to each of these
+    for fn in (portfolio.optimal_policy, portfolio.mc_validate, portfolio.figure_columns):
+        solution = inspect.signature(fn).parameters["solution"]
+        assert solution.default is inspect.Parameter.empty, fn.__name__
     # the loop's inputs, each from one source
     assert list(inspect.signature(simulate._Column).parameters) == [
         "dyn", "policy", "n_paths", "grid", "spec",

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import T1_REF, T2_REF, TAU_REF
+from helpers import T1_REF, T2_REF, TAU_REF, wealth_value, wealth_value_minimizer
 from meantau.errors import InfeasibleError, RegimeError, SpecValidationError
 from meantau.portfolio import (
     PortfolioParams,
@@ -20,6 +22,7 @@ from meantau.portfolio import (
 )
 from meantau.problem import validate
 from meantau.simulate import SimGrid, simulate_ensemble, solve_mean_path
+from meantau.smp import check_candidate
 
 
 def test_solution_matches_frozen_values(tau_solution):
@@ -107,7 +110,7 @@ def test_regime_error_when_the_exponential_clears_the_box(params):
 
 def test_two_branches_when_the_exponential_ends_above_the_lower_bound(params):
     # lower <= coef < upper: the control leaves the upper bound but is
-    # still above the lower one at tau, so t2 = tau
+    # still above the lower one at tau, so t2 = tau, and it ends at K
     mid = replace(params, beta=1.7)
     coef = branch_coefficient(mid)
     assert mid.control_lower <= coef < mid.control_upper
@@ -119,10 +122,68 @@ def test_two_branches_when_the_exponential_ends_above_the_lower_bound(params):
     np.testing.assert_allclose(policy.breakpoints, [0.0, sol.t1, sol.tau, mid.horizon])
     before_tau = [s for s in policy.segments if s.t_start < sol.tau]
     assert not any(s.gamma0[0] == mid.control_lower for s in before_tau)
-    assert float(policy.values(sol.tau, side=-1)[0]) == pytest.approx(coef, rel=1e-12)
+    q = mid.rate / (mid.growth - mid.rate)
+    K = mid.target_wealth * (-q + np.sqrt(q * q + 2.0 * mid.beta))
+    assert mid.control_lower < K < coef
+    assert float(policy.values(sol.tau, side=-1)[0]) == pytest.approx(K, rel=1e-12)
     # the RK4 mean solve of the embedded problem reaches the target at tau
     mean = solve_mean_path(to_problem_spec(mid), policy, SimGrid(sol.tau, 4096))
     assert abs(mean.mean_y[-1]) < 1e-9 and mean.mean_y[-2] > 0.0
+
+
+def _regime_edge(p):
+    """beta at which the exponential would end on the upper bound: 1.25^2 / 2 + 1.25 q."""
+    return 1.25**2 / 2.0 + 1.25 * p.rate / (p.growth - p.rate)
+
+
+def _assert_optimal(p):
+    """The policy passes the first-order check, and tau minimizes the value in tau."""
+    sol = solve_tau(p)
+    report = check_candidate(
+        to_problem_spec(p), optimal_policy(p, sol), tau=sol.tau, case_label="i", tol=1e-8
+    )
+    assert report.passed, (p, report.max_residual)
+    assert abs(wealth_value_minimizer(p) - sol.tau) <= 1e-7, p
+    return sol
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.8, 1.2, 1.45, 1.55, 1.7, 1.9, 2.0, 2.02, 2.031])
+def test_the_policy_is_optimal_up_to_the_regime_edge(params, beta):
+    # three branches below beta = 1/2 + q = 1.5 at the default market, two
+    # from there, the exponential ending at K, up to the edge 2.03125
+    p = replace(params, beta=beta)
+    sol = _assert_optimal(p)
+    # V is finite only between the hits under the lower bound, which is the
+    # optimal policy below beta = 0.7, and under the upper one, near 2.03
+    if 0.7 < beta < 2.0:
+        assert wealth_value(p, sol.tau) < min(wealth_value(p, sol.tau + d) for d in (-1e-4, 1e-4))
+
+
+@pytest.mark.parametrize(
+    "beta, tau", [(1.7, 10.3103154477), (1.9, 10.2295478270), (2.02, 10.2166019203)]
+)
+def test_two_branch_tau_values(params, beta, tau):
+    assert abs(solve_tau(replace(params, beta=beta)).tau - tau) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rate=st.floats(0.005, 0.15),
+    excess=st.floats(0.005, 0.2),
+    target=st.floats(0.5, 50.0),
+    start=st.floats(0.02, 0.95),
+    share=st.floats(0.01, 0.99),
+)
+def test_the_policy_is_optimal_over_random_markets(rate, excess, target, start, share):
+    base = PortfolioParams(rate=rate, growth=rate + excess, target_wealth=target,
+                           initial_wealth=start * target, horizon=3.0 / excess + 1.0)
+    _assert_optimal(replace(base, beta=share * _regime_edge(base)))
+
+
+def test_regime_error_just_past_the_edge(params):
+    assert _regime_edge(params) == 2.03125
+    with pytest.raises(RegimeError, match="2.03125"):
+        solve_tau(replace(params, beta=2.0313))
 
 
 def test_infeasible_when_the_horizon_is_too_short(params):
@@ -155,17 +216,17 @@ def test_problem_embedding_coefficients(params, wealth_spec):
     assert wealth_spec.horizon == 20.0
 
 
-def test_mc_validate_smoke(params):
-    report = mc_validate(params, n_paths=4000, dt=1.0 / 32.0, seed=7)
+def test_mc_validate_smoke(params, tau_solution):
+    report = mc_validate(params, tau_solution, n_paths=4000, dt=1.0 / 32.0, seed=7)
     assert (report.n_paths, report.dt, report.seed) == (4000, 1.0 / 32.0, 7)
     assert report.stderr > 0.0
     assert abs(report.z_score) < 5.0
     assert report.vol_pair is None and report.vol_pair_gap is None
 
 
-def test_mc_validate_vol_pair_shares_noise(params):
+def test_mc_validate_vol_pair_shares_noise(params, tau_solution):
     report = mc_validate(
-        params, n_paths=2000, dt=1.0 / 16.0, seed=3, vol_pair=(0.2, 0.4)
+        params, tau_solution, n_paths=2000, dt=1.0 / 16.0, seed=3, vol_pair=(0.2, 0.4)
     )
     assert report.vol_pair == (0.2, 0.4)
     assert len(report.vol_pair_means) == 2
@@ -174,7 +235,9 @@ def test_mc_validate_vol_pair_shares_noise(params):
 
 
 def test_mc_validate_vol_pair_reuses_base_column(params, tau_solution):
-    report = mc_validate(params, n_paths=4000, dt=1.0 / 32.0, seed=7, vol_pair=(0.2, 0.4))
+    report = mc_validate(
+        params, tau_solution, n_paths=4000, dt=1.0 / 32.0, seed=7, vol_pair=(0.2, 0.4)
+    )
     assert report.vol_pair_means[0] == report.mean_terminal
     assert report.vol_pair_stderrs[0] == report.stderr
     # each volatility's terminal values are those of its ensemble run alone
@@ -195,19 +258,19 @@ def test_mc_validate_vol_pair_reuses_base_column(params, tau_solution):
     "vol_pair, index", [((0.0, 0.4), 0), ((0.2, float("inf")), 1)], ids=["zero", "inf"]
 )
 def test_mc_validate_rejects_a_vol_pair_entry_before_solving(
-    params, monkeypatch, vol_pair, index
+    params, tau_solution, monkeypatch, vol_pair, index
 ):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before checking vol_pair")
+    def no_column(*args, **kwargs):
+        raise AssertionError("built a column before checking vol_pair")
 
-    monkeypatch.setattr("meantau.portfolio.solve_tau", no_solve)
+    monkeypatch.setattr("meantau.portfolio._Column", no_column)
     with pytest.raises(ValueError, match=rf"vol_pair\[{index}\]"):
-        mc_validate(params, n_paths=100, dt=0.0625, vol_pair=vol_pair)
+        mc_validate(params, tau_solution, n_paths=100, dt=0.0625, vol_pair=vol_pair)
 
 
 def test_figure_columns_shapes_and_ends(params, tau_solution):
-    fig = figure_columns(params)
-    assert set(fig) == {"t", "control", "mean_wealth", "tau", "t1", "t2"}
+    fig = figure_columns(params, tau_solution)
+    assert set(fig) == {"t", "control", "mean_wealth"}
     assert len(fig["t"]) == 2001
     assert fig["t"][0] == 0.0 and fig["t"][-1] == tau_solution.tau
     assert np.all((fig["control"] >= 10.0) & (fig["control"] <= 12.5))

@@ -806,7 +806,8 @@ def test_the_worker_thread_never_changes_a_result():
     sys.setswitchinterval(1e-6)
     try:
         serial, threaded = (
-            mc_validate(params, n_paths=n_paths, dt=0.0625, seed=3, vol_pair=(0.2, 0.4), threads=t)
+            mc_validate(params, solve_tau(params), n_paths=n_paths, dt=0.0625, seed=3,
+                        vol_pair=(0.2, 0.4), threads=t)
             for t in (1, 2)
         )
         assert serial == threaded

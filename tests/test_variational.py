@@ -464,7 +464,7 @@ def test_state_table_z_scores_are_sampling_noise_on_random_stable_systems(system
 def test_moment_recursion_equals_a_per_step_loop(case):
     spec, policy, _, grid, _, _ = case
     dyn, u_nodes = spec.dynamics, policy.values(grid.times())
-    mean, second = _em_moments(dyn, u_nodes, dyn.x0, grid.dt)
+    mean, second = _em_moments(dyn, u_nodes, grid.dt)
     ref_mean, ref_second = em_moments_loop(dyn, u_nodes, dyn.x0, grid.dt)
     assert mean.shape == ref_mean.shape and second.shape == ref_second.shape
     assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
