@@ -18,13 +18,17 @@ h, I(kh + h) = I(kh) e^{Ah} + I(h) makes each adjoint, as a row, the
 linear recursion w(t - h) = w(t) e^{Ah} + f I(h) from its value at tau,
 exact up to round-off; one exponential gives e^{Ah} and I(h), and the
 doubling scan of the mean solve (`simulate._scan`) gives the nodes.
-`solve_time_adjoint` cross-checks the time adjoint against an
-independent backward 4th-order integration and keeps the gap.
+
+Each adjoint has its own solver, and each returns what it solves:
+`solve_time_adjoint` gives p0 and the gap to an independent backward
+4th-order integration, which cross-checks it; `solve_cost_adjoint` gives
+p, exact zeros when the cost has no state terms.  The diffusion adjoints
+q0 and q vanish identically in this deterministic-coefficient regime, so
+no formula carries them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,12 +45,10 @@ from .problem import (
 from .simulate import SimGrid, _affine_path, _scan
 
 __all__ = [
-    "AdjointSolution",
     "exp_with_integral",
     "time_adjoint_closed_form",
     "solve_time_adjoint",
     "solve_cost_adjoint",
-    "solve_adjoints",
     "hamiltonian_du",
     "target_hamiltonian_du",
     "khat_evaluator",
@@ -97,21 +99,6 @@ def time_adjoint_closed_form(
     return _anchored(dynamics.A, grid, np.zeros(dynamics.m), -row)
 
 
-@dataclass
-class AdjointSolution:
-    """Adjoint trajectories on a grid over [0, tau].
-
-    The diffusion adjoints q0 and q vanish identically in the
-    deterministic-coefficient regime handled here, so no formula carries
-    them.  `cross_check_gap` is the sup-norm gap between the closed-form
-    and backward-RK4 time adjoints.
-    """
-
-    p0: np.ndarray
-    p: np.ndarray
-    cross_check_gap: float = float("nan")
-
-
 def _backward_affine(A, source, terminal, times, max_h):
     """Backward RK4 for w' = -A' w + source, w(tau) = terminal, on uniform `times` ending at tau.
 
@@ -134,14 +121,14 @@ def solve_time_adjoint(
     target: TargetCoefficients,
     grid: SimGrid,
     cross_check_tol: float = 1e-6,
-) -> AdjointSolution:
+) -> tuple:
     """Time adjoint on a grid spanning [0, tau], tau its end, computed two ways.
 
     Route (a) is the exact closed form; route (b) integrates the backward
-    ODE with sub-stepped RK4.  Disagreement beyond `cross_check_tol`
-    (relative to max(1, |p0|)) raises NumericalConsistencyError; the
-    returned values are route (a), and `cross_check_gap` holds the
-    sup-norm gap between the routes.
+    ODE with sub-stepped RK4.  Returns (p0, gap): p0 is route (a), one row
+    per node, and gap the sup-norm gap between the routes.  A gap beyond
+    `cross_check_tol` (relative to max(1, |p0|)) raises
+    NumericalConsistencyError.
     """
     times = grid.times()
     closed = time_adjoint_closed_form(dynamics, target, grid)
@@ -157,7 +144,7 @@ def solve_time_adjoint(
         raise NumericalConsistencyError(
             f"time adjoint closed form and backward integration disagree by {gap:.3e}"
         )
-    return AdjointSolution(p0=closed, p=np.zeros_like(closed), cross_check_gap=gap)
+    return closed, gap
 
 
 def solve_cost_adjoint(
@@ -175,16 +162,6 @@ def solve_cost_adjoint(
     """
     p_tau = -(cost.psi_lin + cost.psi_quad @ np.asarray(mean_x_tau, dtype=float))
     return _anchored(dynamics.A, grid, p_tau, -cost.c_lin)
-
-
-def solve_adjoints(spec, grid: SimGrid, mean_x_tau) -> AdjointSolution:
-    """Both adjoints for a problem spec on a grid ending at tau; mean_x_tau
-    is the mean state at tau, read only when the cost has state terms."""
-    sol = solve_time_adjoint(spec.dynamics, spec.target, grid)
-    cost = spec.cost
-    if cost.c_lin.any() or cost.psi_lin.any() or cost.psi_quad.any():
-        sol.p = solve_cost_adjoint(spec.dynamics, cost, grid, mean_x_tau)
-    return sol
 
 
 def hamiltonian_du(u, p, dynamics: LinearDynamics, cost: CostSpec) -> np.ndarray:

@@ -35,7 +35,7 @@ from .errors import (
     RegimeError,
     SingularArcError,
 )
-from .problem import ControlPolicy, ControlSegment, ProblemSpec
+from .problem import ControlPolicy, ControlSegment, ProblemSpec, target_control_row
 from .simulate import SimGrid, hit_time
 from .variational import hit_time_derivative
 
@@ -185,13 +185,18 @@ def synthesize(
     The vertex rule reads the sign of Khat alone, which is the whole
     first-order condition only when the objective is the elapsed time
     kappa * tau with kappa >= 0; any other cost raises RegimeError naming
-    each `problem.cost` field that leaves it, before any solve.  Raises
-    InfeasibleError when no constant scan (box midpoint or either
-    vertex) ever drives the mean target to zero, NonConvergenceError when
-    the tau iteration exhausts `max_iter` (with the tau history and a
-    flag for a detected two-cycle), and SingularArcError if the switching
-    function vanishes on an interval.  A max_iter below 1 raises
-    ValueError.
+    each `problem.cost` field that leaves it, before any solve.
+
+    A target that starts at or below the level (y0 <= 0) has tau = 0:
+    the result has label "i", no iterations, history [0.0], no switch
+    times and a NaN slope, and its policy holds the vertex of
+    Khat(0) = -(E3 B + E4) over [0, horizon], the vertex `vertex_policy`
+    holds past tau.  Otherwise it raises InfeasibleError when no constant
+    scan (box midpoint or either vertex) ever drives the mean target to
+    zero, NonConvergenceError when the tau iteration exhausts `max_iter`
+    (with the tau history and a flag for a detected two-cycle), and
+    SingularArcError if the switching function vanishes on an interval.
+    A max_iter below 1 raises ValueError.
     """
     if max_iter < 1:
         raise ValueError(f"need max_iter >= 1, got {max_iter}")
@@ -204,6 +209,18 @@ def synthesize(
         )
     T = spec.horizon
     box = spec.control_set
+    if spec.target.y0 <= 0.0:
+        # tau = 0, where Khat = -(E3 B + E4)
+        vertex = box.maximizer(-target_control_row(spec.target, spec.dynamics))
+        return SynthesisResult(
+            policy=ControlPolicy([ControlSegment(0.0, T, vertex)]),
+            tau=0.0,
+            case_label="i",
+            switch_times=[np.array([]) for _ in vertex],
+            slope_at_tau=float("nan"),
+            iterations=0,
+            history=[0.0],
+        )
     coarse = SimGrid(T, n_nodes)
 
     tau = None

@@ -182,14 +182,11 @@ def wealth_residual(params: PortfolioParams, tau: float):
     """
     r, mu, alpha = params.rate, params.growth, params.target_wealth
     t1, t2 = switch_times(params, tau)
-    end = _exp_end(params)
-    if end < params.control_lower:  # three branches: u_end is coef
-        weight = (2.0 * params.beta + 1.0) * (mu - r) / (4.0 * mu * r)
-    else:
-        weight = end / (2.0 * r * alpha)
-    l_upper = 1.25 * (np.exp(r * tau) - np.exp(r * (tau - t1))) / r
+    upper, lower = params.control_upper / alpha, params.control_lower / alpha
+    weight = _exp_end(params) / (2.0 * r * alpha)
+    l_upper = upper * (np.exp(r * tau) - np.exp(r * (tau - t1))) / r
     l_exp = weight * (np.exp(2.0 * r * (tau - t1)) - np.exp(2.0 * r * (tau - t2)))
-    l_lower = (np.exp(r * (tau - t2)) - 1.0) / r
+    l_lower = lower * (np.exp(r * (tau - t2)) - 1.0) / r
     mean_tau = params.initial_wealth * np.exp(r * tau) + (mu - r) * alpha * (
         l_upper + l_exp + l_lower
     )

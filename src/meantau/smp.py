@@ -5,10 +5,14 @@ A candidate is tested through the sign of the combined variation
     residual(t, w) = G(t) . (w - u(t)),
     G(t) = H_u(t) - weight * Khat(t) / slope_at_tau,
 
-where H_u is the control gradient of the cost Hamiltonian, Khat the
-control derivative of the target pairing, and weight the expected drift
-of the terminal cost plus the running cost at the mean state at the hit,
-exact while the terminal cost has no quadratic part.
+where H_u = B'p - Lambda u is the control gradient of the cost
+Hamiltonian, Khat = p0'B - (E3 B + E4) the control derivative of the
+target pairing, and weight the expected drift of the terminal cost plus
+the running cost at the mean state at the hit, exact while the terminal
+cost has no quadratic part.  The time adjoint p0 and the cost adjoint p
+each come from their own solver, `solve_time_adjoint` and
+`solve_cost_adjoint`; p is solved for every candidate, and is exact
+zeros when the cost has no state terms (c_lin, psi_lin, psi_quad).
 At a minimizer the residual is <= 0 for every admissible w at almost
 every t.  The residual is affine in w, so its maximum over the box sits
 at the vertex `ControlSet.maximizer(G(t))`; the checker reports the
@@ -30,7 +34,8 @@ import numpy as np
 
 from .adjoint import (
     hamiltonian_du,
-    solve_adjoints,
+    solve_cost_adjoint,
+    solve_time_adjoint,
     target_hamiltonian_du,
     target_slope_at_tau,
 )
@@ -181,17 +186,18 @@ def check_candidate(
     grid = SimGrid(tau, t_grid_size)
     times = grid.times()
     mean_x_tau, _ = mean_at_tau(spec, policy, None, tau, grid)
-    adj = solve_adjoints(spec, grid, mean_x_tau)
+    p0, gap = solve_time_adjoint(dyn, tgt, grid)
+    p = solve_cost_adjoint(dyn, cost, grid, mean_x_tau)
 
     u_bar = np.atleast_2d(policy.values(times, side=+1))
     u_bar[-1] = policy.values(times[-1], side=-1)  # final node: value inside [0, tau]
-    hu = hamiltonian_du(u_bar, adj.p, dyn, cost)
+    hu = hamiltonian_du(u_bar, p, dyn, cost)
 
     slope = float("nan")
     weight = float("nan")
     khat = None
     if case_label in ("i", "iii"):
-        khat = target_hamiltonian_du(adj.p0, dyn, tgt)
+        khat = target_hamiltonian_du(p0, dyn, tgt)
         u_tau = policy.values(tau, side=-1)
         slope = target_slope_at_tau(tgt, dyn, mean_x_tau, u_tau)
         xrow = mean_x_tau[None, :]
@@ -219,5 +225,5 @@ def check_candidate(
         n_time_nodes=len(times),
         n_control_samples=len(samples),
         variants=variants,
-        adjoint_gap=adj.cross_check_gap,
+        adjoint_gap=gap,
     )

@@ -11,7 +11,6 @@ from meantau.adjoint import (
     exp_with_integral,
     hamiltonian_du,
     khat_evaluator,
-    solve_adjoints,
     solve_cost_adjoint,
     solve_time_adjoint,
     target_hamiltonian_du,
@@ -75,9 +74,8 @@ def test_khat_at_one_time_is_the_pointwise_adjoint():
 
 def test_solve_time_adjoint_cross_checks_routes():
     spec = scalar_spec(a=0.7)
-    sol = solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64))
-    assert sol.p0[-1, 0] == 0.0
-    np.testing.assert_allclose(sol.p, 0.0)
+    p0, _ = solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64))
+    assert p0[-1, 0] == 0.0
     # demanding exact agreement between the two routes must fail
     with pytest.raises(NumericalConsistencyError):
         solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64), cross_check_tol=0.0)
@@ -118,8 +116,8 @@ def test_refine_splits_long_intervals_only(monkeypatch):
 
 def test_cost_adjoint_time_optimal_vanishes(wealth_spec, tau_solution):
     grid = SimGrid(tau_solution.tau, 32)
-    sol = solve_adjoints(wealth_spec, grid, np.array([10.0]))
-    np.testing.assert_allclose(sol.p, 0.0)
+    p = solve_cost_adjoint(wealth_spec.dynamics, wealth_spec.cost, grid, np.array([10.0]))
+    np.testing.assert_allclose(p, 0.0)
 
 
 def test_cost_adjoint_scalar_closed_form():
@@ -237,14 +235,14 @@ def test_randomized_closed_form_vs_backward_integration():
             E4=rng.normal(size=1),
             y0=1.0,
         )
-        sol = solve_time_adjoint(dyn, tgt, SimGrid(tau, 64), cross_check_tol=1e-8)
-        assert np.all(np.abs(sol.p0[-1]) == 0.0)
+        p0, _ = solve_time_adjoint(dyn, tgt, SimGrid(tau, 64), cross_check_tol=1e-8)
+        assert np.all(np.abs(p0[-1]) == 0.0)
 
 
 def test_solve_time_adjoint_keeps_the_route_gap():
     spec = scalar_spec(a=0.7)
-    sol = solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64))
-    assert 0.0 < sol.cross_check_gap < 1e-6 * max(1.0, float(np.max(np.abs(sol.p0))))
+    p0, gap = solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64))
+    assert 0.0 < gap < 1e-6 * max(1.0, float(np.max(np.abs(p0))))
 
 
 @pytest.mark.parametrize("horizon", [1.3, 2.5])

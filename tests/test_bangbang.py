@@ -17,11 +17,14 @@ from meantau.errors import (
     AssumptionViolationError,
     InfeasibleError,
     NonConvergenceError,
+    RegimeError,
     SingularArcError,
 )
+from meantau.problem import CostSpec
 from meantau.simulate import SimGrid, solve_mean_path
 
 SCALAR = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scalar.json"
+TWO_STATE = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json"
 
 
 def scalar_khat(a, b, c1, c2, tau, t):
@@ -219,6 +222,38 @@ def test_synthesize_scalar_converges_in_few_passes():
 def test_synthesize_infeasible_when_the_target_is_out_of_reach():
     with pytest.raises(InfeasibleError):
         synthesize(never_crossing_spec(), n_nodes=128)
+
+
+@pytest.mark.parametrize("e4", [0.5, -0.5])
+@pytest.mark.parametrize("y0", [0.0, -1.0])
+def test_synthesize_at_or_below_the_level_holds_the_vertex_past_tau(y0, e4):
+    # tau = 0 with no pass: the policy holds, over the whole horizon, the
+    # vertex of Khat(tau) = -(E3 B + E4), which vertex_policy holds past tau
+    spec = scalar_spec(y0=y0, e4=e4)
+    result = synthesize(spec)
+    assert (result.tau, result.case_label, result.iterations) == (0.0, "i", 0)
+    assert result.history == [0.0]
+    assert [s.size for s in result.switch_times] == [0]
+    assert np.isnan(result.slope_at_tau)
+    (segment,) = result.policy.segments
+    assert (segment.t_start, segment.t_end) == (0.0, spec.horizon)
+    past_tau = vertex_policy(spec, 1.0, n_nodes=64)[0].segments[-1]
+    np.testing.assert_array_equal(segment.gamma0, past_tau.gamma0)
+    assert segment.gamma0[0] == (0.2 if e4 > 0.0 else 1.5)
+
+
+def test_synthesize_at_the_level_has_no_switch_per_control():
+    cfg = load_config(str(TWO_STATE))["problem"]
+    cfg["target"]["y0"] = 0.0
+    result = synthesize(parse_problem(cfg))
+    assert result.tau == 0.0
+    assert [s.size for s in result.switch_times] == [0, 0]
+
+
+def test_synthesize_at_the_level_still_refuses_other_costs():
+    cost = CostSpec(kappa=1.0, c_lin=[0.0], Lambda=[[1.0]], psi_lin=[0.0], psi_quad=[[0.0]])
+    with pytest.raises(RegimeError, match="problem.cost.Lambda"):
+        synthesize(scalar_spec(y0=0.0, cost=cost))
 
 
 def test_synthesize_reports_history_on_exhaustion():

@@ -537,7 +537,8 @@ def test_check_smp_refuses_a_quadratic_terminal_cost_before_solving(tmp_path, ca
         raise AssertionError("solved before refusing psi_quad")
 
     monkeypatch.setattr(smp, "mean_at_tau", never)
-    monkeypatch.setattr(smp, "solve_adjoints", never)
+    monkeypatch.setattr(smp, "solve_time_adjoint", never)
+    monkeypatch.setattr(smp, "solve_cost_adjoint", never)
     cfg = load_json(SCALAR)
     cfg["problem"]["cost"]["psi_quad"] = [[0.5]]
     out = tmp_path / "out"
@@ -849,6 +850,24 @@ def test_check_smp_at_the_level_writes_an_empty_witness(tmp_path):
     assert smp["tau"] == 0.0
     assert smp["witness_u"] == []
     assert smp["variants"] == {}
+
+
+@pytest.mark.parametrize("y0", [0.0, -1.0])
+def test_bangbang_at_or_below_the_level_writes_a_policy_that_check_smp_passes(tmp_path, y0):
+    # tau = 0, as mean, simulate and check-smp report for the same config
+    cfg = load_json(SCALAR)
+    cfg["problem"]["target"]["y0"] = y0
+    out = str(tmp_path / "bb")
+    assert main(["bangbang", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    summary = read_summary(out)
+    assert {k: summary[k] for k in ("tau", "case_label", "iterations", "n_switches")} == {
+        "tau": 0.0, "case_label": "i", "iterations": 0, "n_switches": [0],
+    }
+    cfg["policy"] = read_json(out, "policy.json")["policy"]
+    out = str(tmp_path / "smp")
+    assert main(["check-smp", "--config", write_cfg(tmp_path, cfg, "policy-cfg.json"),
+                 "--out", out]) == 0
+    assert read_summary(out)["passed"] is True
 
 
 SEGMENTED = {"segments": [{"t_start": 0.0, "t_end": 6.0, "gamma0": [0.8]}]}

@@ -18,7 +18,7 @@ SRC = Path(meantau.__file__).parent
 # the package's public names before its __all__ was composed from the submodules
 EXPORTED_BEFORE = {
     "__version__",
-    "AdjointSolution", "AssumptionViolationError", "ControlPolicy",
+    "AssumptionViolationError", "ControlPolicy",
     "ControlSegment", "ControlSet", "CostSpec", "DivergenceError", "DualIdentityReport",
     "EnsembleResult", "FdTauReport", "FdTauRow",
     "InfeasibleError", "LinearDynamics", "McReport", "MeanPath", "MeanTauError",
@@ -32,7 +32,7 @@ EXPORTED_BEFORE = {
     "hit_time_derivative", "khat_evaluator", "mc_validate",
     "optimal_control", "optimal_policy",
     "perturbed_policy", "scalar_switch_structure", "simulate_ensemble",
-    "solve_adjoints", "solve_cost_adjoint", "solve_mean_path",
+    "solve_cost_adjoint", "solve_mean_path",
     "solve_tau", "solve_time_adjoint", "step_noise", "switch_times",
     "synthesize", "target_control_row", "target_hamiltonian_du", "target_slope_at_tau",
     "target_state_row", "terminal_cost_drift", "time_adjoint_closed_form", "to_problem_spec",
@@ -45,7 +45,7 @@ REMOVED = {
     "mean_target_response", "policy_eval", "switching_function",
     "detect_min_time", "CombinedPolicy", "estimate_cost",
     "FdStateRow", "SensitivityResult", "simulate_state_sensitivity",
-    "ValidationReport",
+    "ValidationReport", "AdjointSolution", "solve_adjoints",
 }
 
 # methods and fields deleted from the classes that keep the rest; the
@@ -55,7 +55,6 @@ REMOVED_ATTRIBUTES = {
     problem.ControlSet: ("contains",),
     problem.ControlSegment: ("constant",),
     problem.ControlPolicy: ("value",),
-    adjoint.AdjointSolution: ("tau_anchor", "q0_is_zero", "q_is_zero", "grid"),
     simulate.EnsembleResult: ("paths_x", "grid", "n_paths", "seed"),
     simulate.MeanPath: ("grid",),
     portfolio.McReport: ("tau",),
@@ -71,7 +70,6 @@ REMOVED_PARAMETERS = {
     adjoint.time_adjoint_closed_form: ("tau", "times"),
     adjoint.solve_time_adjoint: ("tau",),
     adjoint.solve_cost_adjoint: ("tau",),
-    adjoint.solve_adjoints: ("tau",),
     simulate._em_moments: ("x0",),
     simulate._Column: ("u_nodes", "n_steps"),
     simulate._run_columns: ("grid", "n_paths"),

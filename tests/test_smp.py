@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
-from helpers import never_crossing_spec, scalar_spec
+from helpers import never_crossing_spec, piecewise_constant, scalar_spec
+from meantau import smp
 from meantau.bangbang import synthesize
 from meantau.config import load_config, parse_problem
 from meantau.errors import RegimeError
@@ -141,6 +143,77 @@ def test_check_candidate_trivial_when_already_at_the_level():
     assert report.passed
     assert report.n_time_nodes == 0
     assert report.witness_u.size == 0
+
+
+# kappa + c_lin x running and psi_lin x terminal: both costs reach the
+# maximum principle through the cost adjoint p alone
+STATE_COST = CostSpec(kappa=1.0, c_lin=[0.05], Lambda=[[0.0]], psi_lin=[0.1], psi_quad=[[0.0]])
+
+
+def _scalar_mean_piece(spec, x, y, u, dt):
+    """(E[X], mean target, int E[X] dt) of a scalar spec after dt at constant u.
+
+    E[X]' = a E[X] + b u and y' = (e1 + e2) E[X] + e4 u, with e3 = 0.
+    """
+    a, b = spec.dynamics.A[0, 0], spec.dynamics.B[0, 0]
+    tgt = spec.target
+    shift, grow = x + b * u / a, np.expm1(a * dt)
+    int_x = shift * grow / a - b * u / a * dt
+    y = y + (tgt.E1[0] + tgt.E2[0]) * int_x + tgt.E4[0] * u * dt
+    return x + shift * grow, y, int_x
+
+
+def _upper_then_lower_value(spec, s):
+    """(J, tau) of the policy upper on [0, s), lower after, from closed-form means.
+
+    J = int_0^tau (kappa + c_lin E[X]) dt + psi_lin E[X](tau), the cost
+    itself: no adjoint and no maximum principle enter.
+    """
+    box, cost = spec.control_set, spec.cost
+    x1, y1, int1 = _scalar_mean_piece(
+        spec, spec.dynamics.x0[0], spec.target.y0, box.upper[0], s
+    )
+    assert y1 > 0.0
+    rest = brentq(lambda dt: _scalar_mean_piece(spec, x1, y1, box.lower[0], dt)[1],
+                  0.0, spec.horizon - s, xtol=1e-15)
+    x_tau, _, int2 = _scalar_mean_piece(spec, x1, y1, box.lower[0], rest)
+    tau = s + rest
+    return cost.kappa * tau + cost.c_lin[0] * (int1 + int2) + cost.psi_lin[0] * x_tau, tau
+
+
+def test_check_candidate_decides_state_costs_as_the_direct_minimum(monkeypatch):
+    # the switch that minimizes the cost directly is the one the check
+    # passes; moving it by 1e-3 (two grid steps) fails at the moved switch
+    def direct_minimum(spec):
+        best = minimize_scalar(lambda s: _upper_then_lower_value(spec, s)[0], bounds=(0.0, 1.0),
+                               method="bounded", options={"xatol": 1e-10})
+        return float(best.x)
+
+    spec = scalar_spec(cost=STATE_COST)
+    s_star = direct_minimum(spec)
+    assert s_star == pytest.approx(0.40445, abs=1e-5)
+    # the state costs move it: the elapsed time alone switches at 0.687
+    assert direct_minimum(scalar_spec()) == pytest.approx(0.68720, abs=1e-5)
+    box = spec.control_set
+
+    def check(s):
+        policy = piecewise_constant([box.upper[0], box.lower[0]], [0.0, s, spec.horizon])
+        return check_candidate(spec, policy)
+
+    report = check(s_star)
+    assert report.passed and report.max_residual == 0.0
+    assert report.tau == pytest.approx(_upper_then_lower_value(spec, s_star)[1], abs=1e-9)
+    for shift in (-1e-3, 1e-3):
+        report = check(s_star + shift)
+        assert not report.passed
+        assert 5e-4 < report.max_residual < 1e-3
+        step = report.tau / (report.n_time_nodes - 1)
+        assert abs(report.witness_t - (s_star + shift)) <= step
+
+    # without the cost adjoint the direct minimum fails
+    monkeypatch.setattr(smp, "solve_cost_adjoint",
+                        lambda dyn, cost, grid, mean_x_tau: np.zeros((grid.n_steps + 1, dyn.m)))
+    assert check(s_star).max_residual > 0.2
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
