@@ -50,7 +50,7 @@ from .bangbang import synthesize
 from .config import load_config, parse_policy, parse_portfolio_params, parse_problem, read_section
 from .errors import MeanTauError, SpecValidationError
 from .output import svg_line_chart, write_csv, write_json, write_text_atomic
-from .portfolio import figure_columns, mc_validate, optimal_policy, solve_tau
+from .portfolio import figure_columns, mc_validate, solve_tau
 from .simulate import SimGrid, _available_cpus, simulate_ensemble, solve_mean_path
 from .smp import check_candidate
 from .variational import (
@@ -254,7 +254,7 @@ def _run_portfolio(args):
         "t1": sol.t1,
         "t2": sol.t2,
         "residual": sol.residual,
-        "control_at_0": float(optimal_policy(params, sol).values(0.0)[0]),
+        "control_at_0": float(fig["control"][0]),
     }
     if report is not None:
         # the vol_pair fields are None without --vol-pair

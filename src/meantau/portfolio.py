@@ -32,6 +32,10 @@ beta = 1/2 + q, q = rate / (growth - rate):
 Both forms equal `target_wealth` at beta = 1/2 + q.  tau itself solves a
 scalar equation stating that the mean wealth under this control reaches
 the target exactly at tau.
+
+`optimal_policy` is the one form of this control in the code: the Monte
+Carlo check steps it, and the figure reads its mean wealth and, from the
+left, its control.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ __all__ = [
     "wealth_residual",
     "solve_tau",
     "TauSolution",
-    "optimal_control",
     "optimal_policy",
     "to_problem_spec",
     "McReport",
@@ -209,30 +212,25 @@ def solve_tau(params: PortfolioParams) -> TauSolution:
     target is out of reach in time and raises InfeasibleError.
     """
     lo = 1e-9
-    f_lo, _ = wealth_residual(params, lo)
-    f_hi, _ = wealth_residual(params, params.horizon)
-    if f_lo <= 0.0:
-        raise InfeasibleError("mean wealth is at the target from the start")
-    if f_hi > 0.0:
-        raise InfeasibleError(
-            f"mean wealth stays below the target through the horizon "
-            f"(residual {f_hi:.6g} at t = {params.horizon:g})"
+    # e^{rate t} overflows once rate * t > 709.  The residual is then -inf,
+    # whose sign still brackets the root; at the root x0 e^{rate tau} <=
+    # target, so tau itself is computed without overflow
+    with np.errstate(over="ignore"):
+        f_lo, _ = wealth_residual(params, lo)
+        f_hi, _ = wealth_residual(params, params.horizon)
+        if f_lo <= 0.0:
+            raise InfeasibleError("mean wealth is at the target from the start")
+        if f_hi > 0.0:
+            raise InfeasibleError(
+                f"mean wealth stays below the target through the horizon "
+                f"(residual {f_hi:.6g} at t = {params.horizon:g})"
+            )
+        tau = float(
+            brentq(lambda t: wealth_residual(params, t)[0], lo, params.horizon, xtol=1e-12)
         )
-    tau = float(
-        brentq(lambda t: wealth_residual(params, t)[0], lo, params.horizon, xtol=1e-12)
-    )
     t1, t2 = switch_times(params, tau)
     res, _ = wealth_residual(params, tau)
     return TauSolution(tau=tau, t1=float(t1), t2=float(t2), residual=float(res))
-
-
-def optimal_control(params: PortfolioParams, tau: float, t) -> np.ndarray:
-    """Closed-form control value(s) at times t in [0, tau]."""
-    t = np.asarray(t, dtype=float)
-    if t.size and (t.min() < 0.0 or t.max() > tau * (1.0 + 1e-12)):
-        raise ValueError(f"time outside [0, {tau}]")
-    vals = _exp_end(params) * np.exp(params.rate * (tau - t))
-    return np.clip(vals, params.control_lower, params.control_upper)
 
 
 def optimal_policy(params: PortfolioParams, solution: TauSolution) -> ControlPolicy:
@@ -384,15 +382,17 @@ def mc_validate(
 def figure_columns(params: PortfolioParams, solution: TauSolution) -> dict:
     """Plot-ready columns on 2 001 uniform nodes over [0, tau]: time, control, mean wealth.
 
-    `solution` is `solve_tau(params)`, whose tau ends the grid.
+    `solution` is `solve_tau(params)`, whose tau ends the grid.  Both the
+    control and the mean wealth come from `optimal_policy`, the policy
+    that `mc_validate` simulates.  The control is its left limit at each
+    node, so the node at tau reads u(tau-), not the lower bound held past it.
     """
     grid = SimGrid(solution.tau, 2000)
     ts = grid.times()
-    spec = to_problem_spec(params)
     policy = optimal_policy(params, solution)
-    mp = solve_mean_path(spec, policy, grid)
+    mp = solve_mean_path(to_problem_spec(params), policy, grid)
     return {
         "t": ts,
-        "control": optimal_control(params, solution.tau, ts),
+        "control": policy.values(ts, side=-1)[:, 0],
         "mean_wealth": mp.mean_x[:, 0],
     }

@@ -18,6 +18,7 @@ from meantau.problem import (
     target_state_row,
 )
 from meantau.adjoint import exp_with_integral
+from meantau.portfolio import _exp_end
 from meantau.simulate import _affine_path, _Column, _run_columns
 
 # Reference values for the default wealth-target parameters, frozen from an
@@ -66,6 +67,20 @@ def scalar_spec(
 def never_crossing_spec(horizon=1.0) -> ProblemSpec:
     """Monitoring level far above anything the drift can remove in time."""
     return scalar_spec(a=0.1, b=0.5, e2=0.0, e4=-0.01, y0=50.0, horizon=horizon)
+
+
+def jump_at_tau_spec(y0, cost=None) -> ProblemSpec:
+    """A mean target dY = -u dt with no state drive and no noise: box [0, 4], horizon 8.
+
+    On `SimGrid(8.0, 8192)`, whose step is 2^-10, a control of 1 moves the
+    target by 2^-10 a step, so its nodes, hits and costs are exact in
+    binary, and a policy can jump exactly at tau.
+    """
+    dynamics = LinearDynamics(A=[[0.0]], B=[[0.0]], C=[], D=[], x0=[0.0])
+    target = TargetCoefficients(E1=[0.0], E2=[0.0], E3=[0.0], E4=[-1.0], y0=y0)
+    if cost is None:
+        cost = time_optimal_cost(1, 1)
+    return ProblemSpec(dynamics, target, cost, ControlSet([0.0], [4.0]), 8.0)
 
 
 def piecewise_constant(values, edges) -> ControlPolicy:
@@ -241,6 +256,16 @@ def estimate_cost(paths, grid, tau, cost, policy):
     j = float(np.mean(total))
     stderr = float(np.std(total, ddof=1) / np.sqrt(n_paths))
     return j, stderr
+
+
+def clip_control(params, tau, t):
+    """The wealth control u(t) = clip(u_end e^{rate (tau - t)}, lower, upper) at times t.
+
+    The closed form of the `portfolio` module docstring, the reference that
+    `optimal_policy`'s segments are checked against.
+    """
+    vals = _exp_end(params) * np.exp(params.rate * (tau - np.asarray(t, dtype=float)))
+    return np.clip(vals, params.control_lower, params.control_upper)
 
 
 def _wealth_pieces(params, nu, tau):

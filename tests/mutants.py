@@ -1,0 +1,150 @@
+"""The mutation table: one-line defects in the source that the tests must catch.
+
+Each row names a file under `src/meantau/`, a text that occurs there exactly
+once, the text that replaces it, and the expected outcome: "killed", or
+"equivalent: <why>" for a change the tests rightly let through.  A text that
+no longer occurs exactly once, or an outcome of any other form, stops the run
+before any row is tried, so a refactor that moves a line fails here loudly
+instead of dropping its mutant.
+
+Every row runs tier-1 with `-x` on its own copy of the tree (`src`, `tests`,
+`docs`, `README.md`, `pyproject.toml` and `perfbench/configs`, which the tests
+read), criterion 10 deselected.  The row is killed when pytest exits 1, a
+failed test, and survives when it exits 0; any other exit is an error.  The
+unchanged copy runs first and must pass, or no row is tried.
+
+Run it from the repository root, with the test requirements installed:
+
+    python tests/mutants.py
+
+It exits 1 when a row's outcome is not the expected one.  The file is not a
+test module: pytest does not collect it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "docs", "README.md", "pyproject.toml", "perfbench/configs")
+DESELECT = "tests/test_acceptance.py::test_criterion_10_monte_carlo"
+
+# (file under src/meantau, old text, new text, expected outcome)
+ROWS = [
+    # the six that survived the whole suite before their tests were added
+    ("variational.py", "u_tau = policy.values(tau, side=-1)",
+     "u_tau = policy.values(tau, side=+1)", "killed"),
+    ("simulate.py", "self.policy.values(self.tau, side=-1)",
+     "self.policy.values(self.tau, side=+1)", "killed"),
+    ("smp.py", "best = min(variants.values()", "best = max(variants.values()", "killed"),
+    ("adjoint.py", "_SLOPE_FLOOR = 1e-8", "_SLOPE_FLOOR = 1e-4", "killed"),
+    ("bangbang.py", "_SECANT_TOL = 1e-10", "_SECANT_TOL = 1e-6", "killed"),
+    ("bangbang.py", "cuts = cuts[(cuts > 1e-12) & (cuts < tau - 1e-12)]",
+     "cuts = cuts[(cuts > 1e-3) & (cuts < tau - 1e-3)]", "killed"),
+    # the figure's control column reads the policy's left limits
+    ("portfolio.py", '"control": policy.values(ts, side=-1)[:, 0]',
+     '"control": policy.values(ts, side=+1)[:, 0]', "killed"),
+    # the long-horizon bracket overflows without a warning
+    ("portfolio.py", 'with np.errstate(over="ignore"):', 'with np.errstate(over="warn"):',
+     "killed"),
+    # the box tie rule
+    ("problem.py", "np.asarray(g, dtype=float) > 0.0", "np.asarray(g, dtype=float) >= 0.0",
+     "killed"),
+    # the cap test
+    ("simulate.py", "if tau >= horizon:", "if tau > horizon:", "killed"),
+    # the hit interpolation
+    ("simulate.py", "* y[j - 1] / (y[j - 1] - y[j])", "* -y[j] / (y[j - 1] - y[j])", "killed"),
+    # RK4's last stage
+    ("simulate.py", "k4 = hs[:, None] * (k3 @ M.T) + f1", "k4 = hs[:, None] * (k3 @ M.T) + fm",
+     "killed"),
+    # mean_at_tau's last partial step
+    ("simulate.py", "times = np.append(times[times < tau - 1e-15], tau)",
+     "times = times[times < tau - 1e-15]", "killed"),
+    # the cost fold's interpolated x(tau)
+    ("simulate.py", "(1.0 - lam) * a + lam * b", "lam * a + (1.0 - lam) * b", "killed"),
+    # the EM moment map's C term
+    ("simulate.py", "phi += dt * np.kron(C, C)", "phi += 0.5 * dt * np.kron(C, C)", "killed"),
+    # the backward-RK4 step
+    ("adjoint.py", "v = _affine_path(A.T, None, -source, None, fine, terminal)",
+     "v = _affine_path(A.T, None, source, None, fine, terminal)", "killed"),
+    # check-smp's left limit at its last node, and its weight at u(tau-)
+    ("smp.py", "u_bar[-1] = policy.values(times[-1], side=-1)",
+     "u_bar[-1] = policy.values(times[-1], side=+1)", "killed"),
+    ("smp.py", "u_tau = policy.values(tau, side=-1)", "u_tau = policy.values(tau, side=+1)",
+     "killed"),
+    # the singular-plateau length
+    ("bangbang.py", "np.max(ends - starts, initial=0)", "np.max(ends - starts - 1, initial=0)",
+     "killed"),
+    # the secant step
+    ("bangbang.py", "step = tau - g * (tau - prev[0]) / (g - prev[1])",
+     "step = tau + g * (tau - prev[0]) / (g - prev[1])", "killed"),
+]
+
+
+def check_rows(rows):
+    """Each old text occurs exactly once in its file and each expected outcome is
+    "killed" or "equivalent: <why>"; raise SystemExit naming the rows that break this."""
+    bad = []
+    for i, (name, old, _, expected) in enumerate(rows):
+        n = (ROOT / "src" / "meantau" / name).read_text().count(old)
+        if n != 1:
+            bad.append(f"row {i}: {name} holds {old!r} {n} times, not once")
+        if expected != "killed" and not expected.startswith("equivalent: "):
+            bad.append(f"row {i}: expected {expected!r}, not 'killed' or 'equivalent: <why>'")
+    if bad:
+        raise SystemExit("\n".join(bad))
+
+
+def run_suite(tree):
+    """Tier-1 with -x on `tree`, criterion 10 deselected: (outcome, seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--deselect", DESELECT]
+    start = time.perf_counter()
+    code = subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+    outcome = {0: "survived", 1: "killed"}.get(code, f"error (exit {code})")
+    return outcome, time.perf_counter() - start
+
+
+def copy_tree(dest):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for rel in COPIED:
+        src = ROOT / rel
+        if src.is_dir():
+            shutil.copytree(src, dest / rel, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / rel)
+
+
+def main():
+    check_rows(ROWS)
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="meantau-mutants-") as tmp:
+        base = Path(tmp) / "tree"
+        copy_tree(base)
+        outcome, secs = run_suite(base)
+        print(f" - {outcome:9s} {secs:6.1f}s unchanged tree", flush=True)
+        if outcome != "survived":
+            raise SystemExit("the unchanged tree does not pass; no row is tried")
+        for i in range(len(ROWS)):
+            name, old, new, expected = ROWS[i]
+            tree = Path(tmp) / f"row{i}"
+            copy_tree(tree)
+            path = tree / "src" / "meantau" / name
+            path.write_text(path.read_text().replace(old, new))
+            outcome, secs = run_suite(tree)
+            shutil.rmtree(tree)
+            want = "killed" if expected == "killed" else "survived"
+            failures += outcome != want
+            mark = "" if outcome == want else f"  EXPECTED {expected}"
+            print(f"{i:2d} {outcome:9s} {secs:6.1f}s {name}: {old!r} -> {new!r}{mark}", flush=True)
+    print(f"{len(ROWS)} rows, {failures} not as expected")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -218,6 +218,14 @@ def test_target_slope_values_and_guards(wealth_spec):
         target_slope_at_tau(flat.target, flat.dynamics, [1.0], [1.0])
 
 
+def test_target_slope_floor_is_1e_8():
+    # only u(tau) drives the slope here: E4 u = E4
+    steep, flat = scalar_spec(e2=0.0, e4=-1e-6), scalar_spec(e2=0.0, e4=-1e-9)
+    assert target_slope_at_tau(steep.target, steep.dynamics, [0.0], [1.0]) == -1e-6
+    with pytest.raises(AssumptionViolationError, match="within 1e-08 of zero"):
+        target_slope_at_tau(flat.target, flat.dynamics, [0.0], [1.0])
+
+
 def test_randomized_closed_form_vs_backward_integration():
     rng = np.random.default_rng(42)
     for _ in range(5):

@@ -219,6 +219,23 @@ def test_synthesize_scalar_converges_in_few_passes():
     assert len(result.history) == result.iterations + 1
 
 
+def test_synthesize_stops_once_tau_moves_by_the_secant_tolerance():
+    # the last pass is the fixed-point check: tau moves by |g(tau)| in it
+    result = synthesize(scalar_spec())
+    last, before = result.history[-1], result.history[-2]
+    assert abs(last - before) <= 1e-10 * max(1.0, result.tau)
+
+
+def test_vertex_policy_keeps_a_switch_just_before_tau():
+    # Khat(t) = 2 (e^{(tau - t) / 2} - 1) - c2 on scalar_spec's rows vanishes
+    # at tau - t = 5e-4 when c2 = -2 (1 - e^{2.5e-4})
+    c2 = -2.0 * (1.0 - np.exp(2.5e-4))
+    policy, switches = vertex_policy(scalar_spec(e4=c2), 1.0)
+    np.testing.assert_allclose(switches[0], [0.9995], rtol=0.0, atol=1e-10)
+    assert len(policy.segments) == 3
+    np.testing.assert_allclose(policy.breakpoints, [0.0, 0.9995, 1.0, 6.0], rtol=0.0, atol=1e-10)
+
+
 def test_synthesize_infeasible_when_the_target_is_out_of_reach():
     with pytest.raises(InfeasibleError):
         synthesize(never_crossing_spec(), n_nodes=128)

@@ -30,7 +30,7 @@ EXPORTED_BEFORE = {
     "dual_identity_check", "exp_with_integral",
     "fd_state_check", "fd_tau_check", "find_switch_times", "hamiltonian_du",
     "hit_time_derivative", "khat_evaluator", "mc_validate",
-    "optimal_control", "optimal_policy",
+    "optimal_policy",
     "perturbed_policy", "scalar_switch_structure", "simulate_ensemble",
     "solve_cost_adjoint", "solve_mean_path",
     "solve_tau", "solve_time_adjoint", "step_noise", "switch_times",
@@ -45,7 +45,7 @@ REMOVED = {
     "mean_target_response", "policy_eval", "switching_function",
     "detect_min_time", "CombinedPolicy", "estimate_cost",
     "FdStateRow", "SensitivityResult", "simulate_state_sensitivity",
-    "ValidationReport", "AdjointSolution", "solve_adjoints",
+    "ValidationReport", "AdjointSolution", "solve_adjoints", "optimal_control",
 }
 
 # methods and fields deleted from the classes that keep the rest; the

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import T1_REF, T2_REF, TAU_REF, wealth_value, wealth_value_minimizer
+from helpers import (
+    T1_REF,
+    T2_REF,
+    TAU_REF,
+    clip_control,
+    wealth_value,
+    wealth_value_minimizer,
+)
 from meantau.errors import InfeasibleError, RegimeError, SpecValidationError
 from meantau.portfolio import (
     PortfolioParams,
@@ -13,7 +20,6 @@ from meantau.portfolio import (
     branch_coefficient,
     figure_columns,
     mc_validate,
-    optimal_control,
     optimal_policy,
     solve_tau,
     switch_times,
@@ -57,26 +63,28 @@ def test_wealth_identity_at_the_root(params):
     assert abs(params.target_wealth - start_growth - mean_gain) < 1e-9
 
 
-def test_control_boundary_and_monotone_values(params, tau_solution):
+def test_control_boundary_and_monotone_values(tau_solution, wealth_policy):
     tau, t1, t2 = tau_solution.tau, tau_solution.t1, tau_solution.t2
-    assert abs(float(optimal_control(params, tau, t1)) - 12.5) < 1e-9
-    assert abs(float(optimal_control(params, tau, t2)) - 10.0) < 1e-9
-    assert float(optimal_control(params, tau, 0.0)) == 12.5
-    assert float(optimal_control(params, tau, tau)) == 10.0
+
+    def left(t):
+        return wealth_policy.values(t, side=-1)[..., 0]
+
+    assert abs(float(left(t1)) - 12.5) < 1e-9
+    assert abs(float(left(t2)) - 10.0) < 1e-9
+    assert float(left(0.0)) == 12.5
+    assert float(left(tau)) == 10.0
     ts = np.linspace(0.0, tau, 513)
-    vals = optimal_control(params, tau, ts)
+    vals = left(ts)
     assert np.all(np.diff(vals) <= 1e-15)
     assert np.all((vals >= 10.0) & (vals <= 12.5))
     with pytest.raises(ValueError):
-        optimal_control(params, tau, tau * 1.001)
-    with pytest.raises(ValueError):
-        optimal_control(params, tau, -0.1)
+        left(-0.1)
 
 
 def test_policy_matches_closed_form_on_dense_grid(params, tau_solution, wealth_policy):
     ts = np.linspace(0.0, tau_solution.tau, 2001)
     from_policy = wealth_policy.values(ts, side=+1)[:, 0]
-    closed = optimal_control(params, tau_solution.tau, ts)
+    closed = clip_control(params, tau_solution.tau, ts)
     assert np.max(np.abs(from_policy - closed)) < 1e-12
 
 
@@ -129,6 +137,17 @@ def test_two_branches_when_the_exponential_ends_above_the_lower_bound(params):
     # the RK4 mean solve of the embedded problem reaches the target at tau
     mean = solve_mean_path(to_problem_spec(mid), policy, SimGrid(sol.tau, 4096))
     assert abs(mean.mean_y[-1]) < 1e-9 and mean.mean_y[-2] > 0.0
+
+
+def test_solve_tau_brackets_past_an_overflowing_horizon(params):
+    # e^{rate horizon} = e^1000 overflows; the residual there is -inf, which
+    # brackets the root without a warning (pyproject.toml makes one an error)
+    p = replace(params, rate=1.0, growth=2.0, horizon=1000.0)
+    with np.errstate(over="ignore"):
+        assert wealth_residual(p, 1000.0)[0] == -np.inf
+    sol = solve_tau(p)
+    assert sol.tau == 0.5461422956908905
+    assert abs(sol.residual) < 1e-9
 
 
 def _regime_edge(p):
@@ -266,6 +285,21 @@ def test_mc_validate_rejects_a_vol_pair_entry_before_solving(
     monkeypatch.setattr("meantau.portfolio._Column", no_column)
     with pytest.raises(ValueError, match=rf"vol_pair\[{index}\]"):
         mc_validate(params, tau_solution, n_paths=100, dt=0.0625, vol_pair=vol_pair)
+
+
+@pytest.mark.parametrize("beta", [1.2, 1.7])
+def test_figure_control_is_the_simulated_policy_left_limits(params, beta):
+    # the figure's control column is the policy that mc_validate steps,
+    # read from the left, so at 1.7 it ends at u(tau-) = K, not the hold 10.0
+    p = replace(params, beta=beta)
+    sol = solve_tau(p)
+    fig = figure_columns(p, sol)
+    left = optimal_policy(p, sol).values(fig["t"], side=-1)[:, 0]
+    np.testing.assert_array_equal(fig["control"], left)
+    if beta == 1.7:
+        assert fig["control"][-1] == pytest.approx(10.976, abs=1e-3)
+    else:
+        assert fig["control"][-1] == 10.0
 
 
 def test_figure_columns_shapes_and_ends(params, tau_solution):

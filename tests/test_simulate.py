@@ -16,6 +16,7 @@ from helpers import (
     StoredColumn,
     ensemble_column,
     estimate_cost,
+    jump_at_tau_spec,
     mean_ode_solve,
     piecewise_constant,
     scalar_spec,
@@ -996,6 +997,19 @@ def test_the_folded_cost_equals_the_two_pass_estimate_over_stored_paths(case):
     if not spec.cost.c_lin.any():
         # without a state term the fold takes the reference's own sums
         assert (res.cost, res.cost_stderr) == (j, stderr)
+
+
+def test_the_folded_cost_reads_the_control_before_a_jump_at_tau():
+    # the noiseless mean target 1 - 2^-11 - t hits at tau = 2 047 / 2 048, in
+    # the middle of the panel to node 1 024; a policy that jumps there from 1
+    # to 3 costs what the constant 1 does, (1 + 1 / 2) tau, exactly
+    cost = CostSpec(kappa=1.0, c_lin=[0.0], Lambda=[[1.0]], psi_lin=[0.0], psi_quad=[[0.0]])
+    spec, grid = jump_at_tau_spec(1.0 - 2.0**-11, cost), SimGrid(8.0, 8192)
+    tau = 2047.0 / 2048.0
+    flat = simulate_ensemble(spec, ControlPolicy.constant([1.0], 8.0), 2, grid, 0)
+    jump = simulate_ensemble(spec, piecewise_constant([1.0, 3.0], [0.0, tau, 8.0]), 2, grid, 0)
+    assert flat.tau == jump.tau == tau
+    assert jump.cost == flat.cost == 1.5 * tau == 1.499267578125
 
 
 def test_a_hit_that_rounds_onto_the_node_before_closes_the_cost_there():

@@ -136,6 +136,18 @@ def test_check_candidate_cap_case_tests_only_the_drift_part():
     assert np.isnan(report.terminal_weight)
 
 
+def test_check_candidate_at_the_cap_passes_when_one_variant_does():
+    # a hit exactly at the cap (label "iii") may take either derivative of
+    # the hit: the time-optimal cost has no control gradient, so the
+    # drift-only part vanishes while the full one does not
+    policy = ControlPolicy.constant([0.8], 6.0)
+    report = check_candidate(scalar_spec(), policy, tau=6.0, case_label="iii")
+    assert set(report.variants) == {"full", "drift_only"}
+    assert report.variants["drift_only"]["max_residual"] == 0.0
+    assert report.variants["full"]["max_residual"] == pytest.approx(0.525, abs=1e-3)
+    assert report.passed and report.max_residual == 0.0
+
+
 def test_check_candidate_trivial_when_already_at_the_level():
     spec = scalar_spec(y0=0.0)
     report = check_candidate(spec, ControlPolicy.constant([0.8], 6.0), t_grid_size=64)

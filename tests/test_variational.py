@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import (
     StoredColumn,
     em_moments_loop,
+    jump_at_tau_spec,
     ensemble_column,
     mean_ode_solve,
     mean_target_response,
@@ -147,6 +148,19 @@ def test_hit_time_derivative_interior_case():
     gaps = [r.rel_gap for r in report.rows]
     assert gaps[1] < gaps[0]
     assert gaps[1] < 5e-3
+
+
+def test_hit_time_derivative_reads_the_control_before_a_jump_at_tau():
+    # the mean target 1 - t hits at node 1 024, tau = 1 exactly; a policy
+    # that jumps there from 1 to 2 has the slope of its left limit u(tau-)
+    spec, grid = jump_at_tau_spec(1.0), SimGrid(8.0, 8192)
+    direction = ControlPolicy.constant([0.1], 8.0)
+    flat = hit_time_derivative(spec, ControlPolicy.constant([1.0], 8.0), direction, grid)
+    jump = piecewise_constant([1.0, 2.0], [0.0, 1.0, 8.0])
+    deriv = hit_time_derivative(spec, jump, direction, grid)
+    assert flat.tau == deriv.tau == 1.0
+    assert deriv.slope_at_tau == flat.slope_at_tau == -1.0
+    assert deriv.value == flat.value == pytest.approx(0.1, rel=1e-15)
 
 
 def test_hit_time_derivative_at_the_cap_is_zero():
