@@ -99,18 +99,15 @@ def time_adjoint_closed_form(
     return _anchored(dynamics.A, grid, np.zeros(dynamics.m), -row)
 
 
-def _backward_affine(A, source, terminal, times, max_h):
+def _backward_affine(A, source, terminal, times, r):
     """Backward RK4 for w' = -A' w + source, w(tau) = terminal, on uniform `times` ending at tau.
 
-    Every step is cut into the same r pieces, r the fewest that keep a
-    piece within max_h; a step longer than max_h by rounding only
-    (relative 1e-9) stays whole, so with max_h equal to the step the
-    refined grid is `times` itself, one run of equal steps.
+    Every step is cut into the same r >= 1 pieces; with r = 1 the refined
+    grid is `times` itself, one run of equal steps.
     """
     # reverse time: v(s) = w(tau - s) solves v' = A' v - source.
     s_nodes = times[-1] - times[::-1]
     n = len(s_nodes) - 1
-    r = max(1, int(np.ceil(np.max(np.diff(s_nodes)) / max_h - 1e-9)))
     fine = np.interp(np.arange(n * r + 1) / r, np.arange(n + 1), s_nodes)
     v = _affine_path(A.T, None, -source, None, fine, terminal)
     return v[::r][::-1]
@@ -135,8 +132,11 @@ def solve_time_adjoint(
 
     row = target_state_row(target, dynamics)
     norm_a = float(np.linalg.norm(dynamics.A, 2))
-    max_h = 0.003 / max(norm_a, 0.003 / grid.dt)  # never coarser than the grid
-    ode = _backward_affine(dynamics.A, row, np.zeros(dynamics.m), times, max_h)
+    # the fewest pieces per step that keep |A| h within 0.003; a step over it by
+    # rounding only (relative 1e-9) stays whole.  No division by the step, which
+    # may be subnormal
+    r = max(1, int(np.ceil(norm_a * grid.dt / 0.003 - 1e-9)))
+    ode = _backward_affine(dynamics.A, row, np.zeros(dynamics.m), times, r)
 
     scale = max(1.0, float(np.max(np.abs(closed), initial=0.0)))
     gap = float(np.max(np.abs(closed - ode)))

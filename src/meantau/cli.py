@@ -367,6 +367,6 @@ def main(argv=None) -> int:
         )
     except MeanTauError as exc:
         return _fail(exc, exc.exit_code, exc.diagnostic_fields())
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         return _fail(exc, 2, {})
     return 0

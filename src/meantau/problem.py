@@ -101,15 +101,6 @@ class LinearDynamics:
             self.D = self.D.reshape(0, self.m, self.k)
         self.d = len(self.C)
 
-    # Path-space evaluators.  X has one row per path; u is deterministic.
-    def drift(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return X @ self.A.T + (self.B @ u)
-
-    def diffusion(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.einsum("jab,nb->naj", self.C, X)
-        out += np.einsum("jak,k->aj", self.D, u)[None, :, :]
-        return out
-
 
 @dataclass
 class TargetDiffusion:
@@ -190,9 +181,6 @@ class CostSpec:
     def terminal(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return x @ self.psi_lin + 0.5 * np.einsum("...a,ab,...b->...", x, self.psi_quad, x)
-
-    def terminal_grad(self, x) -> np.ndarray:
-        return self.psi_lin + np.asarray(x, dtype=float) @ self.psi_quad
 
 
 @dataclass

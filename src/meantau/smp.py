@@ -8,8 +8,10 @@ A candidate is tested through the sign of the combined variation
 where H_u = B'p - Lambda u is the control gradient of the cost
 Hamiltonian, Khat = p0'B - (E3 B + E4) the control derivative of the
 target pairing, and weight the expected drift of the terminal cost plus
-the running cost at the mean state at the hit, exact while the terminal
-cost has no quadratic part.  The time adjoint p0 and the cost adjoint p
+the running cost at the hit, psi_lin.(A xbar + B u) + f(xbar, u) with
+xbar = E[X](tau) and u = u(tau-).  That is exact while the terminal cost
+has no quadratic part, and a quadratic part is refused with RegimeError
+before the weight is needed.  The time adjoint p0 and the cost adjoint p
 each come from their own solver, `solve_time_adjoint` and
 `solve_cost_adjoint`; p is solved for every candidate, and is exact
 zeros when the cost has no state terms (c_lin, psi_lin, psi_quad).
@@ -40,30 +42,14 @@ from .adjoint import (
     target_slope_at_tau,
 )
 from .errors import RegimeError
-from .problem import CostSpec, LinearDynamics, ProblemSpec
+from .problem import ProblemSpec
 from .simulate import SimGrid, hit_time, mean_at_tau
 
 __all__ = [
-    "terminal_cost_drift",
     "control_samples",
     "SmpReport",
     "check_candidate",
 ]
-
-
-def terminal_cost_drift(x, u, dynamics: LinearDynamics, cost: CostSpec) -> np.ndarray:
-    """Drift of t -> Psi(X(t)) along paths: psi_x.b + half sum_j sigma_j'Psi_xx sigma_j.
-
-    x has paths along the first axis; returns one value per path.
-    """
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    b = dynamics.drift(X, u)
-    vals = np.einsum("nm,nm->n", cost.terminal_grad(X), b)
-    if dynamics.d > 0 and cost.psi_quad.any():
-        sig = dynamics.diffusion(X, u)
-        vals = vals + 0.5 * np.einsum("nmj,mp,npj->n", sig, cost.psi_quad, sig)
-    return vals
 
 
 def control_samples(control_set, per_axis: int = 101) -> np.ndarray:
@@ -152,10 +138,11 @@ def check_candidate(
     tau and its regime label are detected from a mean solve of
     `_DETECTION_STEPS` steps unless supplied by the caller (pass both
     together when the hitting time is known in closed form).  The weight
-    comes from the mean state at tau, so a terminal cost with a quadratic
-    part, whose expectation needs second moments, raises RegimeError
-    naming `problem.cost.psi_quad` when the hit brings in the time term,
-    before the mean and the adjoints are solved.
+    is psi_lin.(A xbar + B u) + kappa + c_lin.xbar + u'Lambda u / 2, from
+    the mean state xbar at tau and u = u(tau-).  A terminal cost with a
+    quadratic part, whose expected drift needs second moments, raises
+    RegimeError naming `problem.cost.psi_quad` when the hit brings in the
+    time term, before the mean and the adjoints are solved.
     The vertex maximum is >= 0 whenever u(t) lies in the box, so a `tol`
     that is not finite and >= 0 raises ValueError before any solve.
     """
@@ -200,10 +187,11 @@ def check_candidate(
         khat = target_hamiltonian_du(p0, dyn, tgt)
         u_tau = policy.values(tau, side=-1)
         slope = target_slope_at_tau(tgt, dyn, mean_x_tau, u_tau)
+        # psi_lin.(A x + B u) + f(x, u) at the mean state x: the expected drift of
+        # the terminal cost plus the running cost, exact since psi_quad is refused above
         xrow = mean_x_tau[None, :]
-        weight = float(
-            terminal_cost_drift(xrow, u_tau, dyn, cost)[0] + cost.running(xrow, u_tau)[0]
-        )
+        drift = np.einsum("nm,nm->n", cost.psi_lin[None, :], xrow @ dyn.A.T + dyn.B @ u_tau)
+        weight = float(drift[0] + cost.running(xrow, u_tau)[0])
 
     variants = {}
     names = {"i": ("full",), "ii": ("drift_only",), "iii": ("full", "drift_only")}[case_label]

@@ -127,9 +127,9 @@ class StateMomentRow:
 
     `mean_z` is (mean - mean_exact) / (std / sqrt(N)) and `var_z` is (var -
     var_exact) / sqrt((m4 - var^2) / N), with var the sample variance and
-    m4 the sample fourth central moment.  Both are NaN when the sample
-    spread is 0: no noise reaches the coordinate, and its gaps are exact
-    up to rounding instead.
+    m4 the sample fourth central moment.  Each is NaN when its scale is
+    not positive: when the sample spread is 0, no noise reaches the
+    coordinate, and its gaps are exact up to rounding instead.
     """
 
     coord: int
@@ -177,12 +177,15 @@ def fd_state_check(
         mu = s.mean()
         dev = s - mu
         var = dev @ dev / (n_paths - 1)
-        mean_z = var_z = np.nan  # no noise reaches a coordinate of spread 0
-        if var > 0.0:
-            mean_z = (mu - mean_exact) / np.sqrt(var / n_paths)
-            # a few paths, or two values, can give m4 < var^2: NaN, not a warning
-            with np.errstate(invalid="ignore"):
-                var_z = (var - var_exact) / np.sqrt((np.mean(dev**4) - var**2) / n_paths)
+        # each z only where its scale is positive: no noise reaching a coordinate,
+        # a few paths, two values (m4 < var^2) or an underflow give NaN, not a warning
+        mean_z = var_z = np.nan
+        mean_scale = var / n_paths
+        var_scale = (np.mean(dev**4) - var**2) / n_paths
+        if mean_scale > 0.0:
+            mean_z = (mu - mean_exact) / np.sqrt(mean_scale)
+        if var_scale > 0.0:
+            var_z = (var - var_exact) / np.sqrt(var_scale)
         rows.append(StateMomentRow(
             coord=a, mean=float(mu), mean_exact=float(mean_exact), mean_z=float(mean_z),
             var=float(var), var_exact=float(var_exact), var_z=float(var_z),

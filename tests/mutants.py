@@ -82,6 +82,32 @@ ROWS = [
     # the secant step
     ("bangbang.py", "step = tau - g * (tau - prev[0]) / (g - prev[1])",
      "step = tau + g * (tau - prev[0]) / (g - prev[1])", "killed"),
+    # check-smp's weight without the terminal cost's drift psi_lin.(A x + B u)
+    ("smp.py", "weight = float(drift[0] + cost.running(xrow, u_tau)[0])",
+     "weight = float(cost.running(xrow, u_tau)[0])", "killed"),
+    # the backward route's refinement count, ten times coarser
+    ("adjoint.py", "r = max(1, int(np.ceil(norm_a * grid.dt / 0.003 - 1e-9)))",
+     "r = max(1, int(np.ceil(norm_a * grid.dt / 0.03 - 1e-9)))", "killed"),
+    # the state table's z only where its scale is positive
+    ("variational.py", "if var_scale > 0.0:", "if var > 0.0:", "killed"),
+    # the command line: an allocation the host refuses, the thread and grid checks
+    ("cli.py", "except (ValueError, MemoryError) as exc:", "except ValueError as exc:", "killed"),
+    ("cli.py", "if args.threads < 1:", "if args.threads < 0:", "killed"),
+    ("cli.py", 'for size in ("steps", "nodes", "t_nodes"):', 'for size in ("steps", "nodes"):',
+     "killed"),
+    # the config reader: a boolean is no number, ragged rows, one control dimension
+    ("config.py", '(bool, "boolean"),', "", "killed"),
+    ("config.py", "if len(lengths) > 1:", "if len(lengths) > 2:", "killed"),
+    ("config.py", "if k != k0:", "if k > k0:", "killed"),
+    # the artifact writers: round-trip floats, sorted keys, non-finite values as strings
+    ("output.py", 'return "%.17g" % float(x)', 'return "%.16g" % float(x)', "killed"),
+    ("output.py", "sort_keys=True", "sort_keys=False", "killed"),
+    ("output.py", "return fmt_float(x)", "return None", "killed"),
+    # a diverged path's diagnostic names the path
+    ("errors.py", 'return {"step": self.step, "path": self.path}', 'return {"step": self.step}',
+     "killed"),
+    # root finding keeps its caller's tolerance
+    ("_scipy.py", "return _brentq(f, a, b, **kwargs)", "return _brentq(f, a, b)", "killed"),
 ]
 
 

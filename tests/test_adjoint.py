@@ -90,23 +90,23 @@ def test_refine_splits_long_intervals_only(monkeypatch):
 
     monkeypatch.setattr(adjoint, "_affine_path", spy)
     A, source, terminal = np.array([[0.3, 1.0], [-0.5, -0.2]]), np.array([0.7, -0.4]), np.zeros(2)
-    # the backward route's grid: steps within rounding of max_h stay whole,
-    # so the backward RK4 solve is one run of the prefix scan on the grid itself
+    # r = 1: the backward route's grid is the grid itself, so the backward
+    # RK4 solve is one run of the prefix scan
     tau = 1.2447813331938
     grid = SimGrid(tau, 2048)
     times = grid.times()
     s_nodes = tau - times[::-1]
-    got = _backward_affine(A, source, terminal, times, grid.dt)
+    got = _backward_affine(A, source, terminal, times, 1)
     (fine,) = seen
     np.testing.assert_array_equal(fine, s_nodes)
     assert len(_run_starts(fine)) == 1
     direct = _affine_path(A.T, None, -source, None, s_nodes, terminal)
     np.testing.assert_array_equal(got, direct[::-1])
-    # a max_h below the step cuts every step into the same r = 3 pieces,
-    # and the coarse nodes are those of a solve on the fine grid
+    # r = 3 cuts every step into the same 3 pieces, and the coarse nodes
+    # are those of a solve on the fine grid
     grid = SimGrid(2.0, 16)
     times = grid.times()
-    got = _backward_affine(A, source, terminal, times, grid.dt / 2.5)
+    got = _backward_affine(A, source, terminal, times, 3)
     fine = seen[-1]
     assert len(fine) == 3 * 16 + 1
     np.testing.assert_array_equal(fine[::3], 2.0 - times[::-1])

@@ -791,6 +791,48 @@ def test_exit_2_naming_a_grid_size_flag_below_one(tmp_path, capsys, command, fla
     assert not out.exists()
 
 
+def test_exit_2_when_the_host_cannot_allocate_the_grid(tmp_path, capsys, monkeypatch):
+    # the solve raises as numpy does on an allocation the host refuses
+    def refuse(spec, policy, grid):
+        raise MemoryError(f"Unable to allocate the {grid.n_steps + 1} nodes")
+
+    monkeypatch.setattr("meantau.cli.solve_mean_path", refuse)
+    out = tmp_path / "out"
+    code = main(["mean", "--config", SCALAR, "--out", str(out), "--steps", "100000000000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "MemoryError", "message": "Unable to allocate the 100000000001 nodes",
+    }
+    assert not out.exists()
+
+
+def subnormal_horizon_cfg(tmp_path):
+    # the schema allows any positive horizon; on this one dt is subnormal and 1 / dt overflows
+    cfg = json.loads(Path(SCALAR).read_text())
+    cfg["problem"]["horizon"] = 1e-310
+    return write_cfg(tmp_path, cfg)
+
+
+def test_check_smp_on_a_subnormal_horizon_checks_the_cap(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["check-smp", "--config", subnormal_horizon_cfg(tmp_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_summary(out)
+    assert (summary["tau"], summary["case_label"], summary["passed"]) == (1e-310, "ii", True)
+
+
+def test_verify_variational_on_a_subnormal_horizon_gives_nan_for_a_zero_scale(tmp_path, capsys):
+    # m4 - var^2 underflows to 0 while var > 0: var_z is NaN, with no warning
+    out = tmp_path / "out"
+    argv = ["verify-variational", "--config", subnormal_horizon_cfg(tmp_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = read_json(out, "variational.json")["state_table"]
+    assert row["var"] > 0.0 and row["var_z"] == "nan"
+
+
 def read_json(out, name):
     with open(os.path.join(out, name)) as fh:
         return json.load(fh)
@@ -1007,11 +1049,14 @@ def test_exit_2_naming_a_control_list_that_is_not_flat_numbers(tmp_path, capsys,
         (["policy"], {"segments": [{"t_start": 0, "t_end": 3, "gamma0": [0.8]},
                                    {"t_start": 3, "t_end": 6, "gamma0": [0.8, 0.1]}]},
          ["policy.segments[1]: control dimension 2 != 1 of segments[0]"]),
+        (["policy"], {"segments": [{"t_start": 0, "t_end": 3, "gamma0": [0.8, 0.1]},
+                                   {"t_start": 3, "t_end": 6, "gamma0": [0.8]}]},
+         ["policy.segments[1]: control dimension 1 != 2 of segments[0]"]),
         (["policy"], segment(gamma1=[0.1, 0.2], gamma2=[1.0]),
          ["policy.segments[0]: gamma0, gamma1 and gamma2 differ in length [1, 2, 1]"]),
     ],
     ids=["A-vector", "C-matrix", "C-ragged", "lower-boolean", "x0-string", "E2-two-entries",
-         "segment-lengths", "gamma-lengths"],
+         "segment-lengths", "segment-lengths-shorter", "gamma-lengths"],
 )
 def test_exit_2_naming_each_entry_the_schema_rejects(tmp_path, capsys, keys, value, violations):
     cfg = load_json(SCALAR)

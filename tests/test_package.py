@@ -35,7 +35,7 @@ EXPORTED_BEFORE = {
     "solve_cost_adjoint", "solve_mean_path",
     "solve_tau", "solve_time_adjoint", "step_noise", "switch_times",
     "synthesize", "target_control_row", "target_hamiltonian_du", "target_slope_at_tau",
-    "target_state_row", "terminal_cost_drift", "time_adjoint_closed_form", "to_problem_spec",
+    "target_state_row", "time_adjoint_closed_form", "to_problem_spec",
     "validate", "vertex_policy", "wealth_residual",
 }
 
@@ -46,12 +46,14 @@ REMOVED = {
     "detect_min_time", "CombinedPolicy", "estimate_cost",
     "FdStateRow", "SensitivityResult", "simulate_state_sensitivity",
     "ValidationReport", "AdjointSolution", "solve_adjoints", "optimal_control",
+    "terminal_cost_drift",
 }
 
 # methods and fields deleted from the classes that keep the rest; the
 # grid, path count, seed and tau fields only echoed inputs the caller holds
 REMOVED_ATTRIBUTES = {
-    problem.CostSpec: ("time_optimal", "is_time_optimal", "running_grad_u"),
+    problem.LinearDynamics: ("drift", "diffusion"),
+    problem.CostSpec: ("time_optimal", "is_time_optimal", "running_grad_u", "terminal_grad"),
     problem.ControlSet: ("contains",),
     problem.ControlSegment: ("constant",),
     problem.ControlPolicy: ("value",),

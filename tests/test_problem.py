@@ -30,25 +30,6 @@ def test_dimension_inference():
     assert (dyn.m, dyn.k, dyn.d) == (2, 1, 1)
 
 
-def test_drift_and_diffusion_path_shapes():
-    dyn = LinearDynamics(
-        A=[[0.5, 0.0], [0.0, -0.3]],
-        B=[[1.0], [2.0]],
-        C=[[[0.1, 0.0], [0.0, 0.1]], [[0.0, 0.2], [0.0, 0.0]]],
-        D=[[[0.0], [0.0]], [[0.3], [0.0]]],
-        x0=[1.0, 1.0],
-    )
-    X = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-    u = np.array([0.5])
-    b = dyn.drift(X, u)
-    assert b.shape == (3, 2)
-    np.testing.assert_allclose(b[0], [0.5 * 1 + 0.5, -0.3 * 2 + 1.0])
-    sig = dyn.diffusion(X, u)
-    assert sig.shape == (3, 2, 2)
-    np.testing.assert_allclose(sig[1, :, 0], [0.3, 0.4])
-    np.testing.assert_allclose(sig[1, :, 1], [0.2 * 4 + 0.3 * 0.5, 0.0])
-
-
 def test_target_rows():
     spec = scalar_spec(a=0.4, e1=0.2, e2=-1.0, e3=0.5, e4=0.3, b=2.0)
     np.testing.assert_allclose(
@@ -65,7 +46,6 @@ def test_cost_values_and_gradients():
     u = np.array([3.0])
     np.testing.assert_allclose(cost.running(x, u), [1 + 1.0 + 9.0, 1 + 9.0])
     np.testing.assert_allclose(cost.terminal(x), [2.0 + 8.0, 0.0])
-    np.testing.assert_allclose(cost.terminal_grad(x), [[9.0], [1.0]])
 
 
 def test_control_set_midpoint():

@@ -19,7 +19,7 @@ from meantau.problem import (
     CostSpec,
     ProblemSpec,
 )
-from meantau.smp import _vertex_maximum, check_candidate, control_samples, terminal_cost_drift
+from meantau.smp import _vertex_maximum, check_candidate, control_samples
 
 TWO_STATE = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json"
 
@@ -29,24 +29,6 @@ def lattice_scan(g, u_bar, times, samples):
     residual = np.einsum("tk,tsk->ts", g, samples[None, :, :] - u_bar[:, None, :])
     i, j = np.unravel_index(int(np.argmax(residual)), residual.shape)
     return float(residual[i, j]), float(times[i]), samples[j]
-
-
-def test_terminal_cost_drift_linear_terminal():
-    spec = scalar_spec(a=0.5, b=1.0, d_coef=0.1)
-    cost = CostSpec(kappa=0.0, c_lin=[0.0], Lambda=[[0.0]], psi_lin=[2.0], psi_quad=[[0.0]])
-    x = np.array([[1.0], [2.0]])
-    out = terminal_cost_drift(x, [0.6], spec.dynamics, cost)
-    np.testing.assert_allclose(out, [2.0 * 1.1, 2.0 * 1.6], atol=1e-14)
-
-
-def test_terminal_cost_drift_quadratic_adds_noise_correction():
-    spec = scalar_spec(a=0.5, b=1.0, d_coef=0.1)
-    cost = CostSpec(kappa=0.0, c_lin=[0.0], Lambda=[[0.0]], psi_lin=[2.0], psi_quad=[[3.0]])
-    x = np.array([[1.0], [2.0]])
-    out = terminal_cost_drift(x, [0.6], spec.dynamics, cost)
-    # gradient (2 + 3x) times drift, plus half sigma' psi_quad sigma with sigma = 0.06
-    expected = np.array([(2 + 3 * 1.0) * 1.1, (2 + 3 * 2.0) * 1.6]) + 0.5 * 0.06 * 3.0 * 0.06
-    np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
 def test_control_samples_one_axis_is_the_full_grid():
@@ -215,6 +197,14 @@ def test_check_candidate_decides_state_costs_as_the_direct_minimum(monkeypatch):
     report = check(s_star)
     assert report.passed and report.max_residual == 0.0
     assert report.tau == pytest.approx(_upper_then_lower_value(spec, s_star)[1], abs=1e-9)
+    # the weight: kappa + c_lin xbar + psi_lin (a xbar + b u(tau-)), xbar the
+    # closed-form mean at the reported tau
+    (a,), (b,) = spec.dynamics.A[0], spec.dynamics.B[0]
+    cost = spec.cost
+    x1, y1, _ = _scalar_mean_piece(spec, spec.dynamics.x0[0], spec.target.y0, box.upper[0], s_star)
+    x_tau = _scalar_mean_piece(spec, x1, y1, box.lower[0], report.tau - s_star)[0]
+    weight = cost.kappa + cost.c_lin[0] * x_tau + cost.psi_lin[0] * (a * x_tau + b * box.lower[0])
+    assert report.terminal_weight == pytest.approx(weight, rel=1e-12)
     for shift in (-1e-3, 1e-3):
         report = check(s_star + shift)
         assert not report.passed

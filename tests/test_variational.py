@@ -358,10 +358,11 @@ def reference_state_paths(dyn, policy, grid, seed, n_paths, x0=None):
     out[:, 0, :] = X
     for j in range(grid.n_steps):
         u = u_nodes[j]
-        Xn = X + dyn.drift(X, u) * dt
+        Xn = X + (X @ dyn.A.T + dyn.B @ u) * dt
         if d > 0:
             dW = step_noise(seed, j, n_paths, d) * sq
-            Xn = Xn + np.einsum("nmj,nj->nm", dyn.diffusion(X, u), dW)
+            sig = np.einsum("jab,nb->naj", dyn.C, X) + np.einsum("jak,k->aj", dyn.D, u)[None]
+            Xn = Xn + np.einsum("nmj,nj->nm", sig, dW)
         X = Xn
         out[:, j + 1, :] = X
     return out
