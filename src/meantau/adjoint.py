@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._scipy import expm
+from ._numerics import expm
 from .errors import AssumptionViolationError, NumericalConsistencyError
 from .problem import (
     CostSpec,
@@ -69,7 +69,7 @@ def _augmented(A: np.ndarray) -> np.ndarray:
 
 
 def exp_with_integral(A: np.ndarray, h: float):
-    """(e^{A h}, int_0^h e^{A s} ds) via one augmented matrix exponential."""
+    """(e^{A h}, int_0^h e^{A s} ds) via one augmented matrix exponential (`_numerics.expm`)."""
     m = A.shape[0]
     E = expm(_augmented(A) * h)
     return E[:m, :m], E[:m, m:]

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._scipy import brentq
+from ._numerics import brentq
 from .adjoint import khat_evaluator, target_hamiltonian_du, time_adjoint_closed_form
 from .errors import (
     AssumptionViolationError,
@@ -75,13 +75,13 @@ def find_switch_times(
     """Zero crossings of each column of `values`, a (nodes, k) array, over the node grid.
 
     Sign changes between adjacent nodes are bracketed and polished with
-    Brent's method to `xtol` on `refine`, a callable t, i -> the value of
-    component i at t.  A run of three or more consecutive near-zero nodes
-    in one component is a zero plateau, reported as SingularArcError
-    since no vertex is selected there.  An exact zero at an interior node
-    between nodes of opposite sign is a root at that node; an exact zero
-    at either end node is none.  `values` of any other shape raises
-    ValueError.
+    Brent's method (`_numerics.brentq`) to `xtol` on `refine`, a callable
+    t, i -> the value of component i at t.  A run of three or more
+    consecutive near-zero nodes in one component is a zero plateau,
+    reported as SingularArcError since no vertex is selected there.  An
+    exact zero at an interior node between nodes of opposite sign is a
+    root at that node; an exact zero at either end node is none.
+    `values` of any other shape raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     vals = np.asarray(values, dtype=float)

@@ -40,6 +40,7 @@ error class declares its code (`errors`); any other ValueError exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -94,9 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=_available_cpus(),
             help="threads the Monte Carlo loop may use, at least 1 (default: the "
-            "CPUs available to the process, %(default)s here); artifacts are "
+            "CPUs available to the process when the command runs); artifacts are "
             "byte-identical for any value",
         )
 
@@ -343,9 +343,17 @@ def _fail(exc: Exception, exit_code: int, fields: dict) -> int:
     return exit_code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
+        if args.threads is None:
+            args.threads = _available_cpus()
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if getattr(args, "seed", 0) < 0:

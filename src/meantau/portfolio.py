@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._scipy import brentq
+from ._numerics import brentq
 from .errors import InfeasibleError, RegimeError, SpecValidationError
 from .problem import (
     ControlPolicy,

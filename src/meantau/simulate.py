@@ -572,14 +572,10 @@ class _Column:
             self.mean_x = np.empty((n_steps + 1, m))
             self.std_x = np.empty((n_steps + 1, m))
             self.mean_y = np.empty(n_steps + 1)
-            # the cost fold: the running cost's part that every path
-            # shares, kappa + u'Lambda u / 2 at each node, and per path the
-            # trapezoid sum of its state term cLin.x and that term at the
-            # last node; tau stays None until the fold closes
-            cost = spec.cost
+            # the cost fold: per path the trapezoid sum of its state term
+            # cLin.x and that term at the last node; tau stays None until
+            # the fold closes
             self.times = times
-            quad_u = 0.5 * np.einsum("tj,jk,tk->t", u_nodes, cost.Lambda, u_nodes)
-            self.f_shared = cost.kappa + quad_u
             self.run = np.zeros(n_paths)
             self.g, self.g_prev = np.empty(n_paths), np.empty(n_paths)
             self.tau = self.case_label = self.cost = self.cost_stderr = None
@@ -621,10 +617,10 @@ class _Column:
         """Add node j to each path's cost; at the mean's first hit, close it.
 
         The running cost splits into kappa + u'Lambda u / 2, which every
-        path shares and which is held per node, and the state term cLin.x,
-        whose trapezoid sum each path carries.  At the first node whose
-        mean target is <= 0, or the last node, `_first_hit` gives tau: node
-        j or a time on the panel that ends there.  That panel is added
+        path shares and which is summed once when the fold closes, and the
+        state term cLin.x, whose trapezoid sum each path carries.  At the
+        first node whose mean target is <= 0, or the last node, `_first_hit`
+        gives tau: node j or a time on the panel that ends there.  That panel is added
         whole or cut at tau, with the state at tau interpolated between
         node j - 1, still in `Zn` after the step's swap, and node j.  The
         shared part's trapezoid sum and the terminal cost at tau join, the
@@ -650,7 +646,10 @@ class _Column:
         if not hit:
             self.g, self.g_prev = g_prev, g
             return
-        shared = self.f_shared[: last + 1]
+        # kappa + u'Lambda u / 2 over the nodes up to `last` only: einsum's
+        # sum over other rows may round a row's value differently
+        u = self.u_nodes[: last + 1]
+        shared = cost.kappa + 0.5 * np.einsum("tj,jk,tk->t", u, cost.Lambda, u)
         run += np.trapezoid(shared, dx=self.dt) if last else 0.0
         partial = self.tau - times[last]
         if partial > 0.0:

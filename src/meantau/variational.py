@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._scipy import quad
+from ._numerics import quad
 from .adjoint import khat_evaluator, target_slope_at_tau
 from .problem import ProblemSpec, perturbed_policy
 from .simulate import SimGrid, _Column, _em_moments, _run_columns, hit_time, mean_at_tau
@@ -290,9 +290,9 @@ def dual_identity_check(
     `hit_time_derivative` of the policy along `direction`, which also
     supplies tau and the case label; it integrates the sensitivity-mean
     system to tau at 4th order.  The right side pairs the closed-form time
-    adjoint with the direction through adaptive quadrature split at
-    direction breakpoints.  Requires an interior hit: any other case label,
-    or tau <= 0, raises ValueError.
+    adjoint with the direction through adaptive Gauss-Kronrod quadrature
+    (`_numerics.quad`) split at direction breakpoints.  Requires an
+    interior hit: any other case label, or tau <= 0, raises ValueError.
     """
     tau, label, lhs = derivative.tau, derivative.case_label, derivative.response_integral
     if label != "i" or tau <= 0.0:

@@ -106,8 +106,14 @@ ROWS = [
     # a diverged path's diagnostic names the path
     ("errors.py", 'return {"step": self.step, "path": self.path}', 'return {"step": self.step}',
      "killed"),
-    # root finding keeps its caller's tolerance
-    ("_scipy.py", "return _brentq(f, a, b, **kwargs)", "return _brentq(f, a, b)", "killed"),
+    # a spent synthesis budget reports its last five taus
+    ("errors.py", "self.history[-5:]", "self.history[-4:]", "killed"),
+    # the in-house kernels: a Pade coefficient, Brent's short-step test and
+    # the Gauss-Kronrod error estimate
+    ("_numerics.py", "1995840.0", "1995841.0", "killed"),
+    ("_numerics.py", "bisect = not 2.0 * abs(stry) < min(", "bisect = not abs(stry) < min(",
+     "killed"),
+    ("_numerics.py", "(200.0 * err / spread) ** 1.5", "(200.0 * err / spread) ** 0.5", "killed"),
 ]
 
 

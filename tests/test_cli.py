@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from meantau import errors, smp
+from meantau import cli, errors, smp
 from meantau.bangbang import synthesize, vertex_policy
 from meantau.cli import build_parser, main
-from meantau.config import parse_portfolio_params
+from meantau.config import load_config, parse_portfolio_params, parse_problem
 from meantau.portfolio import mc_validate, solve_tau
 from meantau.problem import SECTIONS
 from meantau.smp import check_candidate
@@ -444,6 +444,19 @@ def test_exit_3_when_synthesis_exhausts_its_budget(tmp_path, capsys):
     assert len(err["history_tail"]) == 2
 
 
+def test_a_spent_budget_reports_the_last_five_taus(tmp_path, capsys):
+    # five passes leave six taus: the start and one per pass
+    with pytest.raises(errors.NonConvergenceError) as exc:
+        synthesize(parse_problem(load_config(SCALAR)["problem"]), max_iter=5)
+    history = exc.value.history
+    assert len(history) == 6
+    argv = ["bangbang", "--config", SCALAR, "--out", str(tmp_path / "out"), "--max-iter", "5"]
+    code = main(argv)
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert [float(h) for h in err["history_tail"]] == history[1:]
+
+
 def overflow_cfg(tmp_path):
     # x0 = 1e300 with drift rate 1e10: the state leaves the float range at step 1
     cfg = json.loads(Path(SCALAR).read_text())
@@ -649,6 +662,26 @@ def test_exit_2_when_the_thread_count_is_below_one(tmp_path, capsys, threads):
     code = main(["mean", "--config", SCALAR, "--out", str(out), "--threads", threads])
     assert "--threads" in assert_exit_2_with_a_value_error(code, capsys)
     assert not out.exists()
+
+
+def test_main_builds_one_parser_and_reads_the_cpu_count_per_command(tmp_path, monkeypatch):
+    built, seen = [], []
+    original = cli.simulate_ensemble
+
+    def ensemble(*args, threads):
+        seen.append(threads)
+        return original(*args, threads=threads)
+
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "simulate_ensemble", ensemble)
+    cli._parser.cache_clear()
+    argv = ["simulate", "--config", SCALAR, "--paths", "10", "--steps", "10"]
+    for cpus in (5, 1):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        assert main(argv + ["--out", str(tmp_path / str(cpus))]) == 0
+    cli._parser.cache_clear()
+    assert built == [1]
+    assert seen == [5, 1]
 
 
 @pytest.mark.parametrize(

@@ -168,26 +168,30 @@ def test_the_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
-# run in a fresh interpreter: the test session itself has scipy loaded
-START_UP = """
+# run in a fresh interpreter: the test session itself has scipy loaded, as
+# the tests' independent reference
+NO_SCIPY = """
+import pkgutil
 import sys
 
+sys.modules["scipy"] = None  # importing scipy or any part of it raises ImportError
+
 import meantau, meantau.cli
-import numpy as np
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-assert not scipy_modules(), scipy_modules()[:3]
+for info in pkgutil.iter_modules(meantau.__path__):
+    __import__("meantau." + info.name)
 config, out = sys.argv[1:]
 for argv in (
-    ["mean", "--config", config, "--out", out + "/mean"],
-    ["simulate", "--config", config, "--out", out + "/sim", "--paths", "50", "--steps", "50"],
+    ["mean", "--config", config],
+    ["simulate", "--config", config, "--paths", "50", "--steps", "50"],
+    ["portfolio", "--mc", "--paths", "50", "--dt", "0.0625"],
+    ["bangbang", "--config", config, "--nodes", "256"],
+    ["check-smp", "--config", config, "--t-nodes", "64"],
+    ["verify-variational", "--config", config, "--steps", "200", "--paths", "8"],
 ):
-    assert meantau.cli.main(argv) == 0, argv
-assert not scipy_modules(), scipy_modules()[:3]
-meantau.adjoint.exp_with_integral(np.zeros((1, 1)), 1.0)
-assert "scipy.linalg" in sys.modules
+    assert meantau.cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
+assert sys.modules["scipy"] is None
+assert not [m for m in sys.modules if m.startswith("scipy.")]
 """
 
 
@@ -203,9 +207,22 @@ def run_python(cwd, *argv):
     )
 
 
-def test_mean_and_simulate_never_import_scipy(tmp_path):
-    run = run_python(tmp_path, "-c", START_UP, str(SCALAR), str(tmp_path))
+def test_no_module_of_the_package_imports_scipy():
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    run = run_python(tmp_path, "-c", NO_SCIPY, str(SCALAR), str(tmp_path))
     assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
 
 
 def test_python_m_meantau_runs_the_cli(tmp_path):

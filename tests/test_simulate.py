@@ -913,22 +913,19 @@ def _psd(rng, n):
     return R @ R.T / n
 
 
-@st.composite
-def cost_cases(draw):
+def cost_case(m, k, d, regime, state_term, rng_seed, n_steps, q, n_paths, seed):
     """A stable system (m, k, d in 1..3) with nonzero cost terms, in one hit regime.
 
     Every regime but "generic" makes the monitoring signal path-free,
-    y0 - t on a grid of 8, 16 or 32 steps per unit time, so that it hits
-    zero exactly where the regime puts it: at node 0, strictly inside a
-    panel, on an interior node, never, or on T itself.  The first control
-    is 1 on every segment of a piecewise-constant policy; the others
-    change at breakpoints inside the horizon.  With `state_term` false,
-    c_lin is zero.
+    y0 - t on a grid of `n_steps` steps per unit time, so that it hits
+    zero exactly where the regime puts it, with q in 1..n_steps - 1: at
+    node 0, strictly inside a panel, on an interior node, never, or on T
+    itself.  The first control is 1 on every segment of a
+    piecewise-constant policy; the others change at breakpoints inside
+    the horizon.  With `state_term` false, c_lin is zero.  Everything
+    else comes from `default_rng(rng_seed)`.
     """
-    m, k, d = (draw(st.integers(1, 3)) for _ in range(3))
-    regime = draw(st.sampled_from(_REGIMES))
-    state_term = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(rng_seed)
     R = rng.uniform(-1.0, 1.0, (m, m))
     dyn = LinearDynamics(
         A=R - (np.linalg.norm(R, 2) + 0.5) * np.eye(m),
@@ -937,7 +934,6 @@ def cost_cases(draw):
         D=list(rng.uniform(-0.5, 0.5, (d, m, k))),
         x0=rng.uniform(-1.0, 1.0, m),
     )
-    n_steps = draw(st.sampled_from([8, 16, 32]))
     if regime == "generic":
         target = TargetCoefficients(
             E1=rng.uniform(-1.0, 1.0, m), E2=rng.uniform(-1.0, 1.0, m),
@@ -953,7 +949,6 @@ def cost_cases(draw):
         # Y' = E4 . u = -1, whatever the state and the other controls
         e4 = np.zeros(k)
         e4[0] = -1.0
-        q = draw(st.integers(1, n_steps - 1))
         y0 = {
             "tau = 0": 1 - q, "between nodes": q - 0.5, "on a node": q,
             "ii": 2 * n_steps, "iii": n_steps,
@@ -971,13 +966,24 @@ def cost_cases(draw):
     values = rng.uniform(-1.0, 1.0, (4, k))
     values[:, 0] = 1.0
     policy = piecewise_constant(values, edges)
+    return regime, spec, policy, SimGrid(1.0, n_steps), n_paths, seed
+
+
+@st.composite
+def cost_cases(draw):
+    """`cost_case` over its whole range."""
+    m, k, d = (draw(st.integers(1, 3)) for _ in range(3))
+    regime = draw(st.sampled_from(_REGIMES))
+    state_term = draw(st.booleans())
+    rng_seed = draw(st.integers(0, 2**32 - 1))
+    n_steps = draw(st.sampled_from([8, 16, 32]))
+    q = None if regime == "generic" else draw(st.integers(1, n_steps - 1))
     n_paths = draw(st.sampled_from([2, 3, 17, 200]))
-    return regime, spec, policy, SimGrid(1.0, n_steps), n_paths, draw(st.integers(0, 1000))
+    seed = draw(st.integers(0, 1000))
+    return cost_case(m, k, d, regime, state_term, rng_seed, n_steps, q, n_paths, seed)
 
 
-@settings(max_examples=80, deadline=None)
-@given(cost_cases())
-def test_the_folded_cost_equals_the_two_pass_estimate_over_stored_paths(case):
+def check_folded_cost(case):
     regime, spec, policy, grid, n_paths, seed = case
     res = simulate_ensemble(spec, policy, n_paths, grid, seed)
     col = ensemble_column(spec, policy, n_paths, grid, seed)
@@ -997,6 +1003,18 @@ def test_the_folded_cost_equals_the_two_pass_estimate_over_stored_paths(case):
     if not spec.cost.c_lin.any():
         # without a state term the fold takes the reference's own sums
         assert (res.cost, res.cost_stderr) == (j, stderr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cost_cases())
+def test_the_folded_cost_equals_the_two_pass_estimate_over_stored_paths(case):
+    check_folded_cost(case)
+
+
+def test_the_folded_cost_sums_the_shared_part_over_the_nodes_it_closes_on():
+    # u'Lambda u / 2 over all nine nodes read 1 ulp off its value over the
+    # two nodes up to the hit at node 1, and so did the cost's standard error
+    check_folded_cost(cost_case(1, 2, 2, "on a node", False, 1057, 8, 1, 2, 1))
 
 
 def test_the_folded_cost_reads_the_control_before_a_jump_at_tau():
