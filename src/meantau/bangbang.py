@@ -12,11 +12,18 @@ slope is negative (the mean target crosses zero from above), so the sign
 pattern of S equals that of Khat; synthesis exploits this and never needs
 the slope's magnitude until it certifies the converged answer.
 
+For this objective the least time has a closed form: it is the first
+zero of v(t), the least mean target over the box at t, the support
+function of the reachable set (Hermes and LaSalle, 1969).
+`minimum_time` computes that tau* exactly, and with it whether the target
+is reachable at all.
+
 The candidate policy and the hitting time determine each other, so the
 synthesizer solves g(tau) = T(tau) - tau by the secant method, where T(tau)
 is the hit detected under the vertex policy read off the time adjoint
-anchored at tau.  The first step, and any secant step that is not finite
-or leaves (0, horizon], is a damped fixed-point step instead.
+anchored at tau.  It starts at tau*, so its passes confirm that tau* is a
+fixed point of the RK4 hit map.  The first step, and any secant step that
+is not finite or leaves (0, horizon], is a damped fixed-point step instead.
 """
 
 from __future__ import annotations
@@ -26,8 +33,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numerics import brentq
-from .adjoint import khat_evaluator, target_hamiltonian_du, time_adjoint_closed_form
+from ._numerics import brentq, expm
+from .adjoint import (
+    exp_with_integral,
+    khat_evaluator,
+    target_hamiltonian_du,
+    time_adjoint_closed_form,
+)
 from .errors import (
     AssumptionViolationError,
     InfeasibleError,
@@ -35,14 +47,21 @@ from .errors import (
     RegimeError,
     SingularArcError,
 )
-from .problem import ControlPolicy, ControlSegment, ProblemSpec, target_control_row
-from .simulate import SimGrid, hit_time
+from .problem import (
+    ControlPolicy,
+    ControlSegment,
+    ProblemSpec,
+    target_control_row,
+    target_state_row,
+)
+from .simulate import SimGrid, _scan, hit_time
 from .variational import hit_time_derivative
 
 __all__ = [
     "find_switch_times",
     "khat_evaluator",
     "vertex_policy",
+    "minimum_time",
     "SynthesisResult",
     "synthesize",
     "ScalarSwitchReport",
@@ -143,6 +162,121 @@ def vertex_policy(
     return ControlPolicy(segments), switch_times
 
 
+def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
+    """tau*, the least time at which some policy in the box brings the mean target to zero.
+
+    With c_x = E1 + E2 + E3 A, c_u = E3 B + E4, I(h) = int_0^h e^{As} ds and
+    k(h) = c_x I(h) B + c_u, the mean target under u is y0 + c_x I(t) x0 +
+    int_0^t k(t - s) u(s) ds, so its least value over the box at t is
+
+        v(t) = y0 + c_x I(t) x0 + int_0^t sum_i min(k_i(h) lower_i, k_i(h) upper_i) dh,
+
+    which the vertex policy read off k(t - .) reaches, and tau* = inf{t <= T :
+    v(t) <= 0} (the support function of the reachable set: Hermes and
+    LaSalle, "Functional Analysis and Time Optimal Control", 1969).  Between
+    the zeros of k_i the integral is c_x J(h) B_i + c_u,i h with J(h) =
+    int_0^h I, and one three-block exponential of [[A, I, 0], [0, 0, I],
+    [0, 0, 0]] h gives e^{Ah}, I(h) and J(h).
+
+    On the n_nodes steps of [0, horizon] the rows c_x I and c_x J come from
+    one doubling scan, the zeros of k from `find_switch_times` refined on the
+    exact k, and v is exact at the nodes.  A step whose exact slope
+    v' = c_x e^{At} x0 + sum_i min(k_i lower_i, k_i upper_i) goes from <= 0
+    to >= 0 holds a minimum of v, located by a root of the slope, so a dip
+    below zero between two nodes is not missed.  tau* is the root of the
+    exact v on the first step, or up to the first such minimum, where v <= 0;
+    it is 0 when y0 <= 0.  InfeasibleError, naming the least v found and its
+    time, when v stays above zero on [0, horizon]; SingularArcError when a
+    component of k vanishes on three nodes in a row but not on all of them.
+    """
+    dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
+    if tgt.y0 <= 0.0:
+        return 0.0
+    A, B, m = dyn.A, dyn.B, dyn.m
+    c_x, c_u = target_state_row(tgt, dyn), target_control_row(tgt, dyn)
+    lo, hi = box.lower, box.upper
+
+    def least(k, i=slice(None)):
+        """min(k lower_i, k upper_i): the least of k_i u_i over the box, per component."""
+        return np.minimum(lo[i] * k, hi[i] * k)
+
+    van_loan = np.zeros((3 * m, 3 * m))
+    van_loan[:m, :m] = A
+    van_loan[:m, m : 2 * m] = np.eye(m)  # I(h) = int_0^h e^{As} ds
+    van_loan[m : 2 * m, 2 * m :] = np.eye(m)  # J(h) = int_0^h I
+
+    def blocks(h):
+        """(c_x e^{Ah}, c_x I(h), c_x J(h)) from one three-block exponential."""
+        row = c_x @ expm(van_loan * h)[:m]
+        return row[:m], row[m : 2 * m], row[2 * m :]
+
+    # the node rows [c_x I, c_x J]: [a, b](t + h) = [a, b](t) [[e^{Ah}, I(h)], [0, Id]]
+    # + c_x [I(h), J(h)], since I(t + h) = I(t) e^{Ah} + I(h), J(t + h) = J(t) + I(t) I(h) + J(h)
+    grid = SimGrid(spec.horizon, n_nodes)
+    times = grid.times()
+    top = expm(van_loan * grid.dt)[:m]
+    rows = np.empty((len(times), 2 * m))
+    rows[0] = 0.0
+    rows[1:] = c_x @ top[:, m:]
+    _scan(rows, np.block([[top[:, : 2 * m]], [np.zeros((m, m)), np.eye(m)]]))
+    cI, cJ = rows[:, :m], rows[:, m:]
+    k_nodes = cI @ B + c_u
+    # a component of k that vanishes at every node adds nothing to v: no zeros, no singular arc
+    dead = np.all(np.abs(k_nodes) <= _ZERO_TOL * max(1.0, float(np.max(np.abs(k_nodes)))), axis=0)
+    zeros = find_switch_times(
+        times, np.where(dead, 1.0, k_nodes),
+        refine=lambda h, i: float(c_x @ exp_with_integral(A, h)[1] @ B[:, i] + c_u[i]),
+    )
+
+    # per component: the knots 0 and the zeros of k_i, int_0^t k_i at the knots and the
+    # least integral up to them; each piece between knots and nodes adds its vertex's share
+    K_nodes = cJ @ B + np.outer(times, c_u)
+    v_nodes = tgt.y0 + cI @ dyn.x0
+    knots = []
+    for i, z in enumerate(zeros):
+        K_z = np.array([blocks(t)[2] @ B[:, i] + c_u[i] * t for t in z])
+        order = np.argsort(np.concatenate([times, z]), kind="stable")
+        dK = np.diff(np.concatenate([K_nodes[:, i], K_z])[order])
+        cum = np.empty(len(order))
+        cum[order] = np.concatenate([[0.0], np.cumsum(least(dK, i))])
+        v_nodes += cum[: len(times)]
+        knots.append((np.append(0.0, z), np.append(0.0, K_z), np.append(0.0, cum[len(times) :])))
+
+    def v(t):
+        _, cI_t, cJ_t = blocks(t)
+        K_t = cJ_t @ B + c_u * t
+        out = tgt.y0 + cI_t @ dyn.x0
+        for i, (z, K_z, cum_z) in enumerate(knots):
+            p = np.searchsorted(z, t, side="right") - 1
+            out += cum_z[p] + least(K_t[i] - K_z[p], i)
+        return float(out)
+
+    def slope(t):
+        cE_t, cI_t, _ = blocks(t)
+        k_t = cI_t @ B + c_u
+        return float(cE_t @ dyn.x0 + least(k_t).sum())
+
+    # c_x e^{At} = c_x (A I(t) + Id)
+    slopes = (cI @ A + c_x) @ dyn.x0 + least(k_nodes).sum(axis=1)
+    hit = np.nonzero(v_nodes <= 0.0)[0]
+    end = hit[0] if hit.size else len(times)
+    dips = np.nonzero((slopes[:-1] <= 0.0) & (slopes[1:] >= 0.0))[0]
+    low_t, low_v = times[np.argmin(v_nodes)], float(np.min(v_nodes))
+    for j in dips[dips < end]:
+        t_min = brentq(slope, times[j], times[j + 1])
+        v_min = v(t_min)
+        if v_min <= 0.0:
+            return brentq(v, times[j], t_min, xtol=1e-15)
+        if v_min < low_v:
+            low_t, low_v = t_min, v_min
+    if not hit.size:
+        raise InfeasibleError(
+            f"mean target stays above zero under every policy in the box: its least "
+            f"value is {low_v:.6g}, at t = {low_t:.6g}"
+        )
+    return brentq(v, times[end - 1], times[end], xtol=1e-15)
+
+
 def _cost_violations(cost) -> list:
     """One `problem.cost.<field>: ...` entry per term that leaves kappa * tau, kappa >= 0."""
     out = [
@@ -157,10 +291,15 @@ def _cost_violations(cost) -> list:
 
 @dataclass
 class SynthesisResult:
-    """Converged bang-bang candidate and its certification data."""
+    """Converged bang-bang candidate and its certification data.
+
+    `tau_certified` is `minimum_time`'s tau*, where the tau iteration starts
+    and below which no policy in the box hits.
+    """
 
     policy: ControlPolicy
     tau: float
+    tau_certified: float
     case_label: str
     switch_times: list
     slope_at_tau: float
@@ -176,11 +315,14 @@ def synthesize(
     """Secant synthesis of the bang-bang candidate.
 
     Solves g(tau) = T(tau) - tau, where T(tau) is the hit detected under the
-    vertex policy anchored at tau.  The first step is the damped step
-    tau + `_DAMPING` * g(tau); later steps are secant steps, and a secant
-    step which is not finite or leaves (0, horizon] is replaced by the
-    damped step.  It stops once |g| <= `_SECANT_TOL` max(1, tau).
-    `history` holds tau before each pass and the converged tau.
+    vertex policy anchored at tau, starting at the exact minimum time
+    tau* of `minimum_time` on the same n_nodes steps of [0, horizon], so the
+    passes confirm that tau* is a fixed point of the RK4 hit map.  The
+    first step is the damped step tau + `_DAMPING` * g(tau); later steps
+    are secant steps, and a secant step which is not finite or leaves
+    (0, horizon] is replaced by the damped step.  It stops once
+    |g| <= `_SECANT_TOL` max(1, tau).  `history` holds tau before each
+    pass and the converged tau.
 
     The vertex rule reads the sign of Khat alone, which is the whole
     first-order condition only when the objective is the elapsed time
@@ -191,10 +333,11 @@ def synthesize(
     the result has label "i", no iterations, history [0.0], no switch
     times and a NaN slope, and its policy holds the vertex of
     Khat(0) = -(E3 B + E4) over [0, horizon], the vertex `vertex_policy`
-    holds past tau.  Otherwise it raises InfeasibleError when no constant
-    scan (box midpoint or either vertex) ever drives the mean target to
-    zero, NonConvergenceError when the tau iteration exhausts `max_iter`
-    (with the tau history and a flag for a detected two-cycle), and
+    holds past tau.  Otherwise it raises InfeasibleError when the least
+    mean target over the box stays above zero on [0, horizon] (naming that
+    least value and its time), NonConvergenceError when the tau iteration
+    exhausts `max_iter` (with the tau history and a flag for a detected
+    two-cycle), and
     SingularArcError if the switching function vanishes on an interval.
     A max_iter below 1 raises ValueError.
     """
@@ -216,6 +359,7 @@ def synthesize(
             policy=ControlPolicy([ControlSegment(0.0, T, vertex)]),
             tau=0.0,
             case_label="i",
+            tau_certified=0.0,
             switch_times=[np.array([]) for _ in vertex],
             slope_at_tau=float("nan"),
             iterations=0,
@@ -223,17 +367,7 @@ def synthesize(
         )
     coarse = SimGrid(T, n_nodes)
 
-    tau = None
-    for u0 in (box.midpoint(), box.lower, box.upper):
-        tau_hit, label = hit_time(spec, ControlPolicy.constant(u0, T), coarse)
-        if label == "i" and tau_hit > 0.0:
-            tau = tau_hit
-            break
-    if tau is None:
-        raise InfeasibleError(
-            "mean target never reaches zero under constant scans of the box"
-        )
-
+    tau_certified = tau = minimum_time(spec, n_nodes)
     history = [float(tau)]
     converged = False
     iterations = 0
@@ -279,6 +413,7 @@ def synthesize(
     return SynthesisResult(
         policy=policy,
         tau=float(hit.tau),
+        tau_certified=tau_certified,
         case_label=hit.case_label,
         switch_times=[np.asarray(s) for s in switch_times],
         slope_at_tau=hit.slope_at_tau,

@@ -265,8 +265,11 @@ def _run_portfolio(args):
 def _run_bangbang(args):
     _, spec = _load(args, policy=False)
     result = synthesize(spec, n_nodes=args.nodes, max_iter=args.max_iter)
+    tau_star = result.tau_certified
+    certificate = {"tau_certified": tau_star, "tau_gap": result.tau - tau_star}
     payload = {
         "tau": result.tau,
+        **certificate,
         "case_label": result.case_label,
         "slope_at_tau": result.slope_at_tau,
         "iterations": result.iterations,
@@ -277,6 +280,7 @@ def _run_bangbang(args):
     write_json(os.path.join(args.out, "policy.json"), payload)
     summary = {
         "tau": result.tau,
+        **certificate,
         "case_label": result.case_label,
         "iterations": result.iterations,
         "n_switches": [len(s) for s in result.switch_times],

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from meantau.problem import (
@@ -90,6 +91,40 @@ def piecewise_constant(values, edges) -> ControlPolicy:
         for v, a, b in zip(values, edges[:-1], edges[1:])
     ]
     return ControlPolicy(segs)
+
+
+def exact_hit(spec, policy, scan=64) -> float:
+    """First time the exact mean target under a piecewise-constant `policy` reaches zero.
+
+    On a segment [a, b) with control u the joint mean z = (E[X], E[Y]) solves
+    z' = M z + F u, so expm([[M, F u], [0, 0]] (t - a)) carries z(a) to z(t)
+    exactly (Van Loan).  `scan` + 1 points per segment bracket the first
+    root, which scipy's brentq refines to 1e-15; the horizon when there is none.
+    """
+    dyn, tgt = spec.dynamics, spec.target
+    m = dyn.m
+    aug = np.zeros((m + 2, m + 2))
+    aug[:m, :m] = dyn.A
+    aug[m, :m] = tgt.E1 + tgt.E2 + tgt.E3 @ dyn.A
+    z = np.concatenate([dyn.x0, [tgt.y0, 1.0]])
+    for seg in policy.segments:
+        assert not np.any(seg.gamma1), "piecewise-constant policies only"
+        u = np.asarray(seg.gamma0, dtype=float)
+        aug[:m, m + 1] = dyn.B @ u
+        aug[m, m + 1] = (tgt.E3 @ dyn.B + tgt.E4) @ u
+        z_a = z
+
+        def y(t, a=seg.t_start):
+            return float((expm(aug * (t - a)) @ z_a)[m])
+
+        ts = np.linspace(seg.t_start, seg.t_end, scan + 1)
+        ys = [y(t) for t in ts]
+        below = np.nonzero(np.asarray(ys) <= 0.0)[0]
+        if below.size:
+            j = below[0]
+            return ts[0] if j == 0 else brentq(y, ts[j - 1], ts[j], xtol=1e-15)
+        z = expm(aug * (seg.t_end - seg.t_start)) @ z_a
+    return spec.horizon
 
 
 def mean_ode_solve(dynamics, policy, grid) -> np.ndarray:

@@ -114,6 +114,17 @@ ROWS = [
     ("_numerics.py", "bisect = not 2.0 * abs(stry) < min(", "bisect = not abs(stry) < min(",
      "killed"),
     ("_numerics.py", "(200.0 * err / spread) ** 1.5", "(200.0 * err / spread) ** 0.5", "killed"),
+    # the minimum time: the box's least vertex in v, the J block of the
+    # three-block exponential, the slope screen's sign test for a minimum
+    # between nodes, and the bracket at the first node where v <= 0
+    ("bangbang.py", "return np.minimum(lo[i] * k, hi[i] * k)",
+     "return np.maximum(lo[i] * k, hi[i] * k)", "killed"),
+    ("bangbang.py", "van_loan[m : 2 * m, 2 * m :] = np.eye(m)",
+     "van_loan[m : 2 * m, 2 * m :] = 0.0", "killed"),
+    ("bangbang.py", "(slopes[:-1] <= 0.0) & (slopes[1:] >= 0.0)",
+     "(slopes[:-1] >= 0.0) & (slopes[1:] <= 0.0)", "killed"),
+    ("bangbang.py", "end = hit[0] if hit.size else len(times)",
+     "end = hit[-1] if hit.size else len(times)", "killed"),
 ]
 
 

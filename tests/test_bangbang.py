@@ -2,12 +2,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
-from helpers import TAU_REF, never_crossing_spec, scalar_spec
+from helpers import TAU_REF, exact_hit, never_crossing_spec, scalar_spec, time_optimal_cost
 from meantau import bangbang
 from meantau.bangbang import (
     find_switch_times,
     khat_evaluator,
+    minimum_time,
     scalar_switch_structure,
     synthesize,
     vertex_policy,
@@ -20,8 +26,15 @@ from meantau.errors import (
     RegimeError,
     SingularArcError,
 )
-from meantau.problem import CostSpec
-from meantau.simulate import SimGrid, solve_mean_path
+from meantau.problem import (
+    ControlPolicy,
+    ControlSet,
+    CostSpec,
+    LinearDynamics,
+    ProblemSpec,
+    TargetCoefficients,
+)
+from meantau.simulate import SimGrid, hit_time, solve_mean_path
 
 SCALAR = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scalar.json"
 TWO_STATE = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json"
@@ -237,8 +250,154 @@ def test_vertex_policy_keeps_a_switch_just_before_tau():
 
 
 def test_synthesize_infeasible_when_the_target_is_out_of_reach():
-    with pytest.raises(InfeasibleError):
+    # v falls from 50 at rate 0.015 at best: its least value is at the horizon
+    with pytest.raises(InfeasibleError, match="least value is 49.985, at t = 1$"):
         synthesize(never_crossing_spec(), n_nodes=128)
+
+
+def test_synthesize_infeasible_when_no_control_moves_a_resting_target():
+    # E2 = E4 = 0: the mean target rests at y0 and k vanishes throughout,
+    # which makes v constant, not a singular arc
+    with pytest.raises(InfeasibleError, match="least value is 2, at t = 0$"):
+        synthesize(scalar_spec(e2=0.0, e4=0.0), n_nodes=128)
+
+
+def horizon_two_spec():
+    """scalar.json on a horizon of 2 with y0 = 6.3215, which no constant policy reaches."""
+    cfg = load_config(str(SCALAR))["problem"]
+    cfg["horizon"] = 2.0
+    cfg["target"]["diffusion"]["coef_state"] = [[0.0]]
+    cfg["target"]["y0"] = 6.3215
+    return parse_problem(cfg)
+
+
+def test_synthesize_reaches_a_target_that_no_constant_policy_reaches():
+    # upper until the switch and lower after it hits at 1.9894 < 2; the
+    # midpoint and both vertices held constant never do
+    spec = horizon_two_spec()
+    for u in (0.85, 0.2, 1.5):
+        assert hit_time(spec, ControlPolicy.constant([u], 2.0), SimGrid(2.0, 4096))[1] == "ii"
+    assert abs(minimum_time(spec) - 1.9894017763440415) < 1e-12
+    result = synthesize(spec)
+    assert result.iterations == 3
+    assert result.tau_certified == minimum_time(spec) == result.history[0]
+    assert abs(result.tau - 1.989401763074894) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "path, tau_star", [(SCALAR, 1.1334866124776), (TWO_STATE, 0.9614536008812)],
+    ids=["scalar", "two_state"],
+)
+def test_minimum_time_on_the_shipped_configs(path, tau_star):
+    spec = parse_problem(load_config(str(path))["problem"])
+    assert abs(minimum_time(spec) - tau_star) < 1e-12
+    # the tau iteration starts at tau* and confirms it as a fixed point of
+    # the RK4 hit map, whose linear root sits within 1e-6 of it
+    result = synthesize(spec)
+    assert result.history[0] == result.tau_certified == minimum_time(spec)
+    assert result.iterations == 3
+    assert abs(result.tau - tau_star) < 1e-6
+
+
+def oscillator_spec(y0):
+    """E[Y] = y0 - sin t on [0, 6] whatever the control: box [0, 0], B = (0, 1)'."""
+    dynamics = LinearDynamics(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]], C=[], D=[],
+                              x0=[1.0, 0.0])
+    target = TargetCoefficients(E1=[0.0, 0.0], E2=[-1.0, 0.0], E3=[0.0, 0.0], E4=[0.0], y0=y0)
+    return ProblemSpec(dynamics, target, time_optimal_cost(2, 1), ControlSet([0.0], [0.0]), 6.0)
+
+
+def test_minimum_time_finds_a_dip_between_two_nodes():
+    # y0 - sin t is below zero on 8.9e-4 around pi / 2, less than the step
+    # 6 / 4096, and every node stays above zero: the slope screen finds it
+    spec = oscillator_spec(1.0 - 1e-7)
+    times = SimGrid(6.0, 4096).times()
+    assert np.all(1.0 - 1e-7 - np.sin(times) > 0.0)
+    assert abs(minimum_time(spec) - np.arcsin(1.0 - 1e-7)) < 1e-12
+
+
+def test_an_infeasible_target_names_the_least_value_between_nodes():
+    with pytest.raises(InfeasibleError, match="least value is 0.001, at t = 1.5708$"):
+        minimum_time(oscillator_spec(1.0 + 1e-3))
+
+
+def scipy_minimum_time(spec, scan=64):
+    """tau* by scipy alone: expm for I(h), brentq for the zeros of k and of v,
+    and quad for int_0^t sum_i min(k_i lower_i, k_i upper_i) over the pieces
+    between the zeros, on a scan of `scan` + 1 points over [0, horizon]."""
+    dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
+    m = dyn.m
+    c_x = tgt.E1 + tgt.E2 + tgt.E3 @ dyn.A
+    c_u = tgt.E3 @ dyn.B + tgt.E4
+    aug = np.zeros((2 * m, 2 * m))
+    aug[:m, :m] = dyn.A
+    aug[:m, m:] = np.eye(m)
+
+    def integral(h):
+        return expm(aug * h)[:m, m:]
+
+    def k(h):
+        return c_x @ integral(h) @ dyn.B + c_u
+
+    def least(h):
+        kh = k(h)
+        return float(np.minimum(kh * box.lower, kh * box.upper).sum())
+
+    hs = np.linspace(0.0, spec.horizon, 1025)
+    ks = np.array([k(h) for h in hs])
+    zeros = sorted(
+        brentq(lambda h: k(h)[i], hs[j], hs[j + 1], xtol=1e-15)
+        for i in range(dyn.k)
+        for j in np.nonzero(ks[:-1, i] * ks[1:, i] < 0.0)[0]
+    )
+
+    def pieces(a, b):
+        cuts = [a] + [z for z in zeros if a < z < b] + [b]
+        return sum(quad(least, lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
+                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+    def v(t):
+        return tgt.y0 + c_x @ integral(t) @ dyn.x0 + pieces(0.0, t)
+
+    ts = np.linspace(0.0, spec.horizon, scan + 1)
+    v_prev = tgt.y0
+    for a, b in zip(ts[:-1], ts[1:]):
+        v_b = v_prev + c_x @ (integral(b) - integral(a)) @ dyn.x0 + pieces(a, b)
+        if v_b <= 0.0:
+            return brentq(v, a, b, xtol=1e-15)
+        v_prev = v_b
+    return None
+
+
+@st.composite
+def stable_time_optimal_specs(draw):
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.normal(0.0, 0.6, (m, m))
+    A -= (max(np.linalg.eigvals(A).real) + rng.uniform(0.1, 1.0)) * np.eye(m)
+    lower = rng.uniform(-1.0, 0.5, k)
+    dynamics = LinearDynamics(A=A, B=rng.normal(0.0, 1.0, (m, k)), C=[], D=[],
+                              x0=rng.normal(0.0, 1.0, m))
+    target = TargetCoefficients(
+        E1=rng.normal(0.0, 1.0, m), E2=rng.normal(0.0, 1.0, m), E3=rng.normal(0.0, 0.5, m),
+        E4=rng.normal(0.0, 0.5, k), y0=rng.uniform(0.1, 1.5),
+    )
+    box = ControlSet(lower, lower + rng.uniform(0.2, 2.0, k))
+    return ProblemSpec(dynamics, target, time_optimal_cost(m, k), box, 3.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(spec=stable_time_optimal_specs())
+def test_minimum_time_agrees_with_scipy_and_no_synthesized_policy_beats_it(spec):
+    try:
+        tau_star = minimum_time(spec, n_nodes=1024)
+        result = synthesize(spec, n_nodes=1024)
+    except (InfeasibleError, AssumptionViolationError, NonConvergenceError):
+        assume(False)
+    assert abs(tau_star - scipy_minimum_time(spec)) <= 1e-9
+    assert tau_star <= exact_hit(spec, result.policy) + 1e-12
 
 
 @pytest.mark.parametrize("e4", [0.5, -0.5])

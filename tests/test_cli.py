@@ -195,6 +195,10 @@ def test_bangbang_writes_policy(tmp_path):
     assert payload["slope_at_tau"] < 0.0
     assert len(payload["policy"]["segments"]) >= 2
     assert len(payload["tau_history"]) == summary["iterations"] + 1
+    # the certificate: tau* starts the iteration, and the gap is left as it is
+    for report in (summary, payload):
+        assert report["tau_certified"] == payload["tau_history"][0]
+        assert report["tau_gap"] == report["tau"] - report["tau_certified"]
 
 
 def test_check_smp_reports_residual(tmp_path):
@@ -429,7 +433,25 @@ def test_exit_3_when_synthesis_is_infeasible(tmp_path, capsys):
     cfg = infeasible_cfg(tmp_path)
     code = main(["bangbang", "--config", cfg, "--out", str(tmp_path / "out"), "--nodes", "128"])
     assert code == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "InfeasibleError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InfeasibleError"
+    # the least mean target over the box, 50 - 0.0015, is reached at the horizon
+    assert err["message"].endswith("its least value is 49.9985, at t = 1")
+
+
+def test_bangbang_reaches_a_target_that_no_constant_policy_reaches(tmp_path):
+    # a constant scan of the box (midpoint, lower, upper) never hits here
+    cfg = load_json(SCALAR)
+    cfg["problem"]["horizon"] = 2
+    cfg["problem"]["target"]["diffusion"]["coef_state"] = [[0.0]]
+    cfg["problem"]["target"]["y0"] = 6.3215
+    out = str(tmp_path / "out")
+    assert main(["bangbang", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    summary = read_summary(out)
+    assert summary["iterations"] == 3
+    assert abs(summary["tau"] - 1.989401763074894) < 1e-12
+    assert abs(summary["tau_certified"] - 1.9894017763440415) < 1e-12
+    assert summary["tau_gap"] == summary["tau"] - summary["tau_certified"]
 
 
 def test_exit_3_when_synthesis_exhausts_its_budget(tmp_path, capsys):
@@ -445,12 +467,16 @@ def test_exit_3_when_synthesis_exhausts_its_budget(tmp_path, capsys):
 
 
 def test_a_spent_budget_reports_the_last_five_taus(tmp_path, capsys):
-    # five passes leave six taus: the start and one per pass
+    # on 4 nodes the RK4 hit sits 0.19 below tau*, and the iteration needs 6
+    # passes from there; five passes leave six taus: the start and one per pass
+    spec = parse_problem(load_config(SCALAR)["problem"])
+    assert synthesize(spec, n_nodes=4).iterations == 6
     with pytest.raises(errors.NonConvergenceError) as exc:
-        synthesize(parse_problem(load_config(SCALAR)["problem"]), max_iter=5)
+        synthesize(spec, n_nodes=4, max_iter=5)
     history = exc.value.history
     assert len(history) == 6
-    argv = ["bangbang", "--config", SCALAR, "--out", str(tmp_path / "out"), "--max-iter", "5"]
+    argv = ["bangbang", "--config", SCALAR, "--out", str(tmp_path / "out"), "--nodes", "4",
+            "--max-iter", "5"]
     code = main(argv)
     assert code == 3
     err = json.loads(capsys.readouterr().err)
@@ -911,6 +937,14 @@ def test_artifacts_hold_exactly_the_report_fields(tmp_path):
 
     out = str(tmp_path / "bb")
     assert main(["bangbang", "--config", SCALAR, "--out", out, "--nodes", "128"]) == 0
+    assert set(read_json(out, "policy.json")) == {
+        "tau", "tau_certified", "tau_gap", "case_label", "slope_at_tau", "iterations",
+        "tau_history", "switch_times", "policy",
+    }
+    assert set(read_summary(out)) == {
+        "command", "outputs", "tau", "tau_certified", "tau_gap", "case_label", "iterations",
+        "n_switches",
+    }
     for segment in read_json(out, "policy.json")["policy"]["segments"]:
         assert set(segment) == {"t_start", "t_end", "gamma0", "gamma1", "gamma2"}
 
@@ -935,8 +969,10 @@ def test_bangbang_at_or_below_the_level_writes_a_policy_that_check_smp_passes(tm
     out = str(tmp_path / "bb")
     assert main(["bangbang", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
     summary = read_summary(out)
-    assert {k: summary[k] for k in ("tau", "case_label", "iterations", "n_switches")} == {
-        "tau": 0.0, "case_label": "i", "iterations": 0, "n_switches": [0],
+    keys = ("tau", "tau_certified", "tau_gap", "case_label", "iterations", "n_switches")
+    assert {k: summary[k] for k in keys} == {
+        "tau": 0.0, "tau_certified": 0.0, "tau_gap": 0.0, "case_label": "i", "iterations": 0,
+        "n_switches": [0],
     }
     cfg["policy"] = read_json(out, "policy.json")["policy"]
     out = str(tmp_path / "smp")
