@@ -1,19 +1,16 @@
-"""The three numerical kernels the package needs beyond numpy.
+"""The two numerical kernels the package needs beyond numpy.
 
-* `expm`, the matrix exponential behind the Van Loan block of the time and
-  cost adjoints (`adjoint.exp_with_integral`): a diagonal Pade approximant
-  of degree 3, 5, 7, 9 or 13, picked from the 1-norm of the matrix, with
-  scaling and squaring above the degree-13 bound (Higham, "The scaling and
-  squaring method for the matrix exponential revisited", SIAM J. Matrix
-  Anal. Appl. 26, 2005; Al-Mohy and Higham, "A new scaling and squaring
-  algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl. 31,
-  2009).
+* `expm`, the matrix exponential behind every Van Loan block
+  (`adjoint._van_loan`): a diagonal Pade approximant of degree 3, 5, 7, 9
+  or 13, picked from the 1-norm of the matrix, with scaling and squaring
+  above the degree-13 bound (Higham, "The scaling and squaring method for
+  the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005;
+  Al-Mohy and Higham, "A new scaling and squaring algorithm for the matrix
+  exponential", SIAM J. Matrix Anal. Appl. 31, 2009).
 * `brentq`, Brent's bracketed root (Brent, "Algorithms for Minimization
   Without Derivatives", 1973, ch. 4), step for step the variant of
   `scipy.optimize.brentq`, with its defaults and its errors, for the switch
   times and the wealth target's tau.
-* `quad`, adaptive Gauss-Kronrod 21 with global bisection (the QUADPACK
-  rule QK21, Piessens et al. 1983), for the duality identity.
 
 The callers bind these by name (`from ._numerics import brentq`), so each
 stays a module attribute that is looked up at call time and can be
@@ -22,13 +19,12 @@ replaced there, as a tracer does with `bangbang.brentq`.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 
 import numpy as np
 
-__all__ = ["expm", "brentq", "quad"]
+__all__ = ["expm", "brentq"]
 
 # -- expm --------------------------------------------------------------------
 
@@ -185,75 +181,3 @@ def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER) -> float:
             xcur += delta if sbis > 0.0 else -delta
         fcur = _value(f, xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
-
-
-# -- quad --------------------------------------------------------------------
-
-# QK21: the 21-point Kronrod rule on [-1, 1] and its embedded 10-point
-# Gauss rule, whose nodes are the Kronrod nodes of odd index here.
-_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-       0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-       0.123491976262065851077208299949636, 0.134709217311473325928054001771707,
-       0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
-_WK_CENTER = 0.149445554002916905664936468389821
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-# nodes -x_1..-x_10, 0, x_10..x_1 and their weights
-_NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
-_KRONROD = np.array(list(_WK) + [_WK_CENTER] + list(reversed(_WK)))
-_GAUSS = np.zeros(21)
-_GAUSS[1:10:2] = _WG
-_GAUSS[11:20:2] = list(reversed(_WG))
-_EPS = sys.float_info.epsilon
-
-
-def _gauss_kronrod(func, a, b):
-    """(integral, error estimate) of func over [a, b] by QK21."""
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
-    fv = np.array([float(func(x)) for x in (center + half * _NODES).tolist()])
-    kronrod = float(_KRONROD @ fv)
-    gauss = float(_GAUSS @ fv)
-    # QUADPACK's estimate: |K - G| scaled by the integrand's spread about
-    # its mean, and never below 50 eps times the integral of |f|
-    spread = float(_KRONROD @ abs(fv - 0.5 * kronrod)) * abs(half)
-    size = float(_KRONROD @ abs(fv)) * abs(half)
-    err = abs((kronrod - gauss) * half)
-    if spread != 0.0 and err != 0.0:
-        err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
-    if size > sys.float_info.min / (50.0 * _EPS):
-        err = max(50.0 * _EPS * size, err)
-    return kronrod * half, err
-
-
-def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50) -> tuple:
-    """(integral of func over [a, b], error estimate) for finite a, b.
-
-    QK21 on [a, b], then on halves: the piece with the largest error
-    estimate is bisected until the summed estimate is at most
-    max(epsabs, epsrel |integral|) or there are `limit` pieces, whichever
-    comes first.  Past `limit` the estimate is returned as it stands and
-    may exceed the tolerance.
-    """
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"quad needs finite limits, got [{a}, {b}]")
-    value, err = _gauss_kronrod(func, a, b)
-    # a max-heap on the error estimate: (-err, left, right, value)
-    pieces = [(-err, a, b, value)]
-    while len(pieces) < limit:
-        total = math.fsum(p[3] for p in pieces)
-        if math.fsum(-p[0] for p in pieces) <= max(epsabs, epsrel * abs(total)):
-            break
-        _, lo, hi, _ = heapq.heappop(pieces)
-        mid = 0.5 * (lo + hi)
-        for left, right in ((lo, mid), (mid, hi)):
-            value, err = _gauss_kronrod(func, left, right)
-            heapq.heappush(pieces, (-err, left, right, value))
-    return math.fsum(p[3] for p in pieces), math.fsum(-p[0] for p in pieces)

@@ -13,7 +13,12 @@ minimum time tau, which is the end of the grid they are solved on:
 Both closed forms rest on the augmented block identity
 expm([[A, I], [0, 0]] h) = [[e^{Ah}, int_0^h e^{As} ds], [0, I]] (Van
 Loan, "Computing integrals involving the matrix exponential", 1978).  At
-an arbitrary time it costs one exponential.  On a uniform grid with step
+an arbitrary time it costs one exponential.  `_van_loan` builds every such
+block matrix in the package, a block upper-triangular one with identity
+super-diagonal, and returns its exponential's first block row: this one,
+the three-block [[A, I, 0], [0, 0, I], [0, 0, 0]] of the minimum time
+(`bangbang.minimum_time`) and the exact duality integral
+(`variational.dual_identity_check`).  On a uniform grid with step
 h, I(kh + h) = I(kh) e^{Ah} + I(h) makes each adjoint, as a row, the
 linear recursion w(t - h) = w(t) e^{Ah} + f I(h) from its value at tau,
 exact up to round-off; one exponential gives e^{Ah} and I(h), and the
@@ -59,20 +64,29 @@ __all__ = [
 _SLOPE_FLOOR = 1e-8
 
 
-def _augmented(A: np.ndarray) -> np.ndarray:
-    """[[A, I], [0, 0]], whose exponential carries e^{Ah} and its integral."""
-    m = A.shape[0]
-    blk = np.zeros((2 * m, 2 * m))
-    blk[:m, :m] = A
-    blk[:m, m:] = np.eye(m)
-    return blk
+def _van_loan(diagonal, h: float) -> np.ndarray:
+    """The first block row of expm(M h), M block upper-triangular with identity super-diagonal.
+
+    `diagonal` holds M's diagonal blocks D_0, ..., D_{n-1}, each m x m; the
+    block of M right of D_j is the identity and every other block is 0.
+    Block j of the row is then the integral of e^{D_0 s_0} e^{D_1 s_1} ...
+    e^{D_j s_j} over s_0 + ... + s_j = h, all s_i >= 0 (Van Loan,
+    "Computing integrals involving the matrix exponential", 1978): for
+    [A, 0] the row is (e^{Ah}, int_0^h e^{As} ds), and each further zero
+    block adds one more integral in h.
+    """
+    m = diagonal[0].shape[0]
+    blk = np.eye(len(diagonal) * m, k=m)
+    for j, D in enumerate(diagonal):
+        blk[j * m : (j + 1) * m, j * m : (j + 1) * m] = D
+    return expm(blk * h)[:m]
 
 
 def exp_with_integral(A: np.ndarray, h: float):
-    """(e^{A h}, int_0^h e^{A s} ds) via one augmented matrix exponential (`_numerics.expm`)."""
+    """(e^{A h}, int_0^h e^{A s} ds) via one augmented matrix exponential (`_van_loan`)."""
     m = A.shape[0]
-    E = expm(_augmented(A) * h)
-    return E[:m, :m], E[:m, m:]
+    row = _van_loan([A, np.zeros((m, m))], h)
+    return row[:, :m], row[:, m:]
 
 
 def _anchored(A: np.ndarray, grid: SimGrid, w_tau, forcing) -> np.ndarray:

@@ -29,12 +29,13 @@ is not finite or leaves (0, horizon], is a damped fixed-point step instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from ._numerics import brentq, expm
+from ._numerics import brentq
 from .adjoint import (
+    _van_loan,
     exp_with_integral,
     khat_evaluator,
     target_hamiltonian_du,
@@ -64,8 +65,6 @@ __all__ = [
     "minimum_time",
     "SynthesisResult",
     "synthesize",
-    "ScalarSwitchReport",
-    "scalar_switch_structure",
 ]
 
 
@@ -176,7 +175,7 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
     LaSalle, "Functional Analysis and Time Optimal Control", 1969).  Between
     the zeros of k_i the integral is c_x J(h) B_i + c_u,i h with J(h) =
     int_0^h I, and one three-block exponential of [[A, I, 0], [0, 0, I],
-    [0, 0, 0]] h gives e^{Ah}, I(h) and J(h).
+    [0, 0, 0]] h (`adjoint._van_loan`) gives e^{Ah}, I(h) and J(h).
 
     On the n_nodes steps of [0, horizon] the rows c_x I and c_x J come from
     one doubling scan, the zeros of k from `find_switch_times` refined on the
@@ -200,21 +199,19 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
         """min(k lower_i, k upper_i): the least of k_i u_i over the box, per component."""
         return np.minimum(lo[i] * k, hi[i] * k)
 
-    van_loan = np.zeros((3 * m, 3 * m))
-    van_loan[:m, :m] = A
-    van_loan[:m, m : 2 * m] = np.eye(m)  # I(h) = int_0^h e^{As} ds
-    van_loan[m : 2 * m, 2 * m :] = np.eye(m)  # J(h) = int_0^h I
+    # [e^{Ah}, I(h), J(h)] with I(h) = int_0^h e^{As} ds and J(h) = int_0^h I
+    diagonal = [A, np.zeros((m, m)), np.zeros((m, m))]
 
     def blocks(h):
         """(c_x e^{Ah}, c_x I(h), c_x J(h)) from one three-block exponential."""
-        row = c_x @ expm(van_loan * h)[:m]
+        row = c_x @ _van_loan(diagonal, h)
         return row[:m], row[m : 2 * m], row[2 * m :]
 
     # the node rows [c_x I, c_x J]: [a, b](t + h) = [a, b](t) [[e^{Ah}, I(h)], [0, Id]]
     # + c_x [I(h), J(h)], since I(t + h) = I(t) e^{Ah} + I(h), J(t + h) = J(t) + I(t) I(h) + J(h)
     grid = SimGrid(spec.horizon, n_nodes)
     times = grid.times()
-    top = expm(van_loan * grid.dt)[:m]
+    top = _van_loan(diagonal, grid.dt)
     rows = np.empty((len(times), 2 * m))
     rows[0] = 0.0
     rows[1:] = c_x @ top[:, m:]
@@ -420,77 +417,3 @@ def synthesize(
         iterations=iterations,
         history=history,
     )
-
-
-@dataclass
-class ScalarSwitchReport:
-    """Vertex structure of the scalar one-noise family on [0, tau].
-
-    `structure` is one of "constant-upper", "constant-lower",
-    "upper-then-lower", "lower-then-upper"; `switch_time` is the interior
-    zero of Khat when one exists.  `realizable` records whether the
-    structure is compatible with a genuine first down-crossing of the
-    mean target at tau (slope from above requires c1 x + c2 u < 0 there).
-    """
-
-    structure: str
-    switch_time: Optional[float]
-    khat_at_tau: float
-    realizable: bool
-    note: str
-
-
-def scalar_switch_structure(
-    a: float, b: float, c1: float, c2: float, tau: float
-) -> ScalarSwitchReport:
-    """Classify the scalar switching structure with closed forms.
-
-    The scalar family has state drift a x + b u (a > 0, b > 0), mean
-    target rate c1 E[X] + c2 u, and Khat(t) = -(c1 b / a)(e^{a(tau-t)}-1)
-    - c2, which is monotone in t; the unique interior zero, when it
-    exists, is
-
-        t0 = tau - ln(1 - a c2 / (b c1)) / a.
-    """
-    if not (a > 0 and b > 0 and tau > 0):
-        raise ValueError("requires a > 0, b > 0, tau > 0")
-    khat_tau = -c2
-    if c1 == 0.0:
-        if c2 == 0.0:
-            raise SingularArcError(component=0)
-        structure = "constant-upper" if khat_tau > 0 else "constant-lower"
-        return ScalarSwitchReport(
-            structure, None, khat_tau, realizable=c2 > 0,
-            note="Khat is constant when c1 = 0",
-        )
-
-    arg = 1.0 - a * c2 / (b * c1)
-    t0 = tau - np.log(arg) / a if arg > 0.0 else None
-    if t0 is not None and not (1e-12 < t0 < tau - 1e-12):
-        t0 = None
-
-    if t0 is None:
-        # no interior zero: the sign anywhere inside decides
-        k_mid = -(c1 * b / a) * (np.exp(a * tau * 0.5) - 1.0) - c2
-        probe = k_mid if k_mid != 0.0 else khat_tau
-        structure = "constant-upper" if probe > 0 else "constant-lower"
-    elif c1 < 0.0:
-        # Khat decreases in t: positive before t0, negative after
-        structure = "upper-then-lower"
-    else:
-        structure = "lower-then-upper"
-
-    # the hit at tau comes from above only if the mean rate is negative
-    # there, which requires c1 < 0 (positive mean state) or c2 u(tau) < 0
-    if structure in ("constant-upper", "upper-then-lower"):
-        realizable = c1 < 0.0 or c2 < 0.0
-    else:
-        realizable = c1 < 0.0 or c2 > 0.0
-    note = ""
-    if c1 > 0.0:
-        note = (
-            "with c1 > 0 and a growing positive mean state the mean target "
-            "rate is pushed upward; a first down-crossing needs the control "
-            "term to dominate at tau"
-        )
-    return ScalarSwitchReport(structure, t0, khat_tau, realizable, note)

@@ -13,7 +13,10 @@ verifiable first-order objects:
   derivative of the hitting time, checked against finite differences of
   tau at each step size rho; and
 * a duality identity tying that same integral to the time adjoint:
-  int_0^tau response dt = -int_0^tau Khat(t) . v(t) dt.
+  int_0^tau response dt = -int_0^tau Khat(t) . v(t) dt.  The left side
+  is the RK4 response integral; the right side is exact, a sum of Van
+  Loan block exponentials over the pieces g0 + g1 e^{g2 t} of v, so the
+  two sides share no code.
 
 For linear dynamics the sensitivity does not involve the base state, so
 the state check steps it alone, as one path column of the one
@@ -33,9 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._numerics import quad
-from .adjoint import khat_evaluator, target_slope_at_tau
-from .problem import ProblemSpec, perturbed_policy
+from .adjoint import _van_loan, target_slope_at_tau
+from .problem import ProblemSpec, perturbed_policy, target_control_row, target_state_row
 from .simulate import SimGrid, _Column, _em_moments, _run_columns, hit_time, mean_at_tau
 
 __all__ = [
@@ -289,28 +291,57 @@ def dual_identity_check(
     The left side is the response integral of `derivative`, the
     `hit_time_derivative` of the policy along `direction`, which also
     supplies tau and the case label; it integrates the sensitivity-mean
-    system to tau at 4th order.  The right side pairs the closed-form time
-    adjoint with the direction through adaptive Gauss-Kronrod quadrature
-    (`_numerics.quad`) split at direction breakpoints.  Requires an
-    interior hit: any other case label, or tau <= 0, raises ValueError.
+    system to tau at 4th order.  The right side is exact up to round-off.
+    With k(s) = c_x I(s) B + c_u, I(s) = int_0^s e^{Ar} dr and J(s) =
+    int_0^s I, -Khat(t) = k(tau - t).  On a piece [a, b] of the direction,
+    its end clipped to tau, with h = b - a and v_i = g0_i + g1_i e^{g2_i t},
+    the g0 part is c_x (J(tau - a) - J(tau - b)) B g0 + c_u.g0 h, and
+    component i's g1 part is
+
+        g1_i e^{g2_i a} [(c_x I(tau - b) B_i + c_u,i) S(h) + c_x e^{A(tau - b)} W(h) B_i],
+
+    with S(h) = int_0^h e^{g2_i r} dr and W(h) = int_0^h e^{g2_i (h - q)} I(q)
+    dq.  Each is a block of one Van Loan exponential (`adjoint._van_loan`):
+    e^{As}, I(s) and J(s) of [[A, I, 0], [0, 0, I], [0, 0, 0]] s, S(h) of
+    [[g2_i, 1], [0, 0]] h and W(h) of [[g2_i I, I, 0], [0, A, I], [0, 0, 0]] h,
+    so g2_i = 0 takes no branch.  For g2_i > 0 both are taken with their
+    diagonal lowered by g2_i, which divides S and W by e^{g2_i h}, and that
+    factor joins e^{g2_i a}: scaling and squaring keeps its digits on a
+    decaying exponential but not on a fast-growing one (`_numerics.expm`
+    reads e^{300} 7e-13 off).  Each piece is anchored at its own start,
+    and no e^{g2_i t} is formed on its own.  Requires an interior hit: any
+    other case label, or tau <= 0, raises ValueError.
     """
     tau, label, lhs = derivative.tau, derivative.case_label, derivative.response_integral
     if label != "i" or tau <= 0.0:
         raise ValueError(f"duality check needs an interior hit, got case {label}")
 
-    khat = khat_evaluator(spec.dynamics, spec.target, tau)
+    dyn = spec.dynamics
+    A, B, m = dyn.A, dyn.B, dyn.m
+    c_x, c_u = target_state_row(spec.target, dyn), target_control_row(spec.target, dyn)
+    zero, eye = np.zeros((m, m)), np.eye(m)
 
-    def integrand(t: float) -> float:
-        return float(khat(t) @ direction.values(t, side=+1))
+    def blocks(s):
+        """(c_x e^{As}, c_x I(s), c_x J(s)) from one three-block exponential."""
+        row = c_x @ _van_loan([A, zero, zero], s)
+        return row[:m], row[m : 2 * m], row[2 * m :]
 
-    bp = direction.breakpoints
-    edges = np.unique(np.clip(np.append(bp, [0.0, tau]), 0.0, tau))
     rhs = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            val, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
-            rhs += val
-    rhs = -rhs
+    for seg in direction.segments:
+        a, b = seg.t_start, min(seg.t_end, tau)
+        if not b > a:
+            continue
+        h = b - a
+        _, _, cJ_a = blocks(tau - a)
+        cE_b, cI_b, cJ_b = blocks(tau - b)
+        rhs += ((cJ_a - cJ_b) @ B + c_u * h) @ seg.gamma0
+        k_b = cI_b @ B + c_u
+        for i in np.flatnonzero(seg.gamma1):
+            g2 = seg.gamma2[i]
+            lift = max(g2, 0.0)
+            S = _van_loan([np.array([[g2 - lift]]), np.array([[-lift]])], h)[0, 1]
+            W = _van_loan([(g2 - lift) * eye, A - lift * eye, -lift * eye], h)[:, 2 * m :]
+            rhs += seg.gamma1[i] * np.exp(g2 * a + lift * h) * (k_b[i] * S + cE_b @ W @ B[:, i])
     gap = abs(lhs - rhs)
     return DualIdentityReport(
         response_integral=float(lhs),

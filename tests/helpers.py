@@ -1,6 +1,7 @@
 """Shared builders and reference constants for the test suite."""
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -19,6 +20,7 @@ from meantau.problem import (
     target_state_row,
 )
 from meantau.adjoint import exp_with_integral
+from meantau.errors import SingularArcError
 from meantau.portfolio import _exp_end
 from meantau.simulate import _affine_path, _Column, _run_columns
 
@@ -163,6 +165,80 @@ def time_adjoint_at(dynamics, target, tau, times) -> np.ndarray:
     for i, t in enumerate(times):
         out[i] = -(row @ exp_with_integral(dynamics.A, tau - t)[1])
     return out
+
+
+@dataclass
+class ScalarSwitchReport:
+    """Vertex structure of the scalar one-noise family on [0, tau].
+
+    `structure` is one of "constant-upper", "constant-lower",
+    "upper-then-lower", "lower-then-upper"; `switch_time` is the interior
+    zero of Khat when one exists.  `realizable` records whether the
+    structure is compatible with a genuine first down-crossing of the
+    mean target at tau (slope from above requires c1 x + c2 u < 0 there).
+    """
+
+    structure: str
+    switch_time: Optional[float]
+    khat_at_tau: float
+    realizable: bool
+    note: str
+
+
+def scalar_switch_structure(
+    a: float, b: float, c1: float, c2: float, tau: float
+) -> ScalarSwitchReport:
+    """Classify the scalar switching structure with closed forms.
+
+    The scalar family has state drift a x + b u (a > 0, b > 0), mean
+    target rate c1 E[X] + c2 u, and Khat(t) = -(c1 b / a)(e^{a(tau-t)}-1)
+    - c2, which is monotone in t; the unique interior zero, when it
+    exists, is
+
+        t0 = tau - ln(1 - a c2 / (b c1)) / a.
+    """
+    if not (a > 0 and b > 0 and tau > 0):
+        raise ValueError("requires a > 0, b > 0, tau > 0")
+    khat_tau = -c2
+    if c1 == 0.0:
+        if c2 == 0.0:
+            raise SingularArcError(component=0)
+        structure = "constant-upper" if khat_tau > 0 else "constant-lower"
+        return ScalarSwitchReport(
+            structure, None, khat_tau, realizable=c2 > 0,
+            note="Khat is constant when c1 = 0",
+        )
+
+    arg = 1.0 - a * c2 / (b * c1)
+    t0 = tau - np.log(arg) / a if arg > 0.0 else None
+    if t0 is not None and not (1e-12 < t0 < tau - 1e-12):
+        t0 = None
+
+    if t0 is None:
+        # no interior zero: the sign anywhere inside decides
+        k_mid = -(c1 * b / a) * (np.exp(a * tau * 0.5) - 1.0) - c2
+        probe = k_mid if k_mid != 0.0 else khat_tau
+        structure = "constant-upper" if probe > 0 else "constant-lower"
+    elif c1 < 0.0:
+        # Khat decreases in t: positive before t0, negative after
+        structure = "upper-then-lower"
+    else:
+        structure = "lower-then-upper"
+
+    # the hit at tau comes from above only if the mean rate is negative
+    # there, which requires c1 < 0 (positive mean state) or c2 u(tau) < 0
+    if structure in ("constant-upper", "upper-then-lower"):
+        realizable = c1 < 0.0 or c2 < 0.0
+    else:
+        realizable = c1 < 0.0 or c2 > 0.0
+    note = ""
+    if c1 > 0.0:
+        note = (
+            "with c1 > 0 and a growing positive mean state the mean target "
+            "rate is pushed upward; a first down-crossing needs the control "
+            "term to dominate at tau"
+        )
+    return ScalarSwitchReport(structure, t0, khat_tau, realizable, note)
 
 
 def mean_target_response(ey_values, v_values, target, dynamics) -> np.ndarray:

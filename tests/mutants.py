@@ -108,23 +108,30 @@ ROWS = [
      "killed"),
     # a spent synthesis budget reports its last five taus
     ("errors.py", "self.history[-5:]", "self.history[-4:]", "killed"),
-    # the in-house kernels: a Pade coefficient, Brent's short-step test and
-    # the Gauss-Kronrod error estimate
+    # the in-house kernels: a Pade coefficient and Brent's short-step test
     ("_numerics.py", "1995840.0", "1995841.0", "killed"),
     ("_numerics.py", "bisect = not 2.0 * abs(stry) < min(", "bisect = not abs(stry) < min(",
      "killed"),
-    ("_numerics.py", "(200.0 * err / spread) ** 1.5", "(200.0 * err / spread) ** 0.5", "killed"),
-    # the minimum time: the box's least vertex in v, the J block of the
-    # three-block exponential, the slope screen's sign test for a minimum
-    # between nodes, and the bracket at the first node where v <= 0
+    # the minimum time: the box's least vertex in v, the slope screen's sign
+    # test for a minimum between nodes, and the bracket at the first node
+    # where v <= 0
     ("bangbang.py", "return np.minimum(lo[i] * k, hi[i] * k)",
      "return np.maximum(lo[i] * k, hi[i] * k)", "killed"),
-    ("bangbang.py", "van_loan[m : 2 * m, 2 * m :] = np.eye(m)",
-     "van_loan[m : 2 * m, 2 * m :] = 0.0", "killed"),
     ("bangbang.py", "(slopes[:-1] <= 0.0) & (slopes[1:] >= 0.0)",
      "(slopes[:-1] >= 0.0) & (slopes[1:] <= 0.0)", "killed"),
     ("bangbang.py", "end = hit[0] if hit.size else len(times)",
      "end = hit[-1] if hit.size else len(times)", "killed"),
+    # the Van Loan helper's identity super-diagonal, dropped from the
+    # three-block matrices of the minimum time and the duality integral
+    ("adjoint.py", "blk = np.eye(len(diagonal) * m, k=m)",
+     "blk = np.eye(len(diagonal) * m, k=m) * (len(diagonal) < 3)", "killed"),
+    # the closed-form duality integral: the J difference of the g0 part, the
+    # sign of g2 in the W block, and the lift of a growing rate
+    ("variational.py", "rhs += ((cJ_a - cJ_b) @ B + c_u * h) @ seg.gamma0",
+     "rhs += ((cJ_b - cJ_a) @ B + c_u * h) @ seg.gamma0", "killed"),
+    ("variational.py", "W = _van_loan([(g2 - lift) * eye,", "W = _van_loan([(-g2 - lift) * eye,",
+     "killed"),
+    ("variational.py", "lift = max(g2, 0.0)", "lift = 0.0", "killed"),
 ]
 
 

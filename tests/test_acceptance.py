@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 
-from helpers import clip_control, scalar_spec
+from helpers import clip_control, scalar_spec, scalar_switch_structure
 from meantau.adjoint import solve_time_adjoint
-from meantau.bangbang import scalar_switch_structure, synthesize
+from meantau.bangbang import synthesize
 from meantau.cli import main as cli_main
 from meantau.errors import NumericalConsistencyError
 from meantau.portfolio import (

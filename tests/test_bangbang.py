@@ -8,13 +8,19 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from helpers import TAU_REF, exact_hit, never_crossing_spec, scalar_spec, time_optimal_cost
+from helpers import (
+    TAU_REF,
+    exact_hit,
+    never_crossing_spec,
+    scalar_spec,
+    scalar_switch_structure,
+    time_optimal_cost,
+)
 from meantau import bangbang
 from meantau.bangbang import (
     find_switch_times,
     khat_evaluator,
     minimum_time,
-    scalar_switch_structure,
     synthesize,
     vertex_policy,
 )

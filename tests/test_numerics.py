@@ -1,18 +1,16 @@
 """The in-house kernels against scipy, which the tests keep as an independent reference."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meantau._numerics import _PADE, brentq, expm, quad
+from meantau._numerics import _PADE, brentq, expm
 
 # -- expm --------------------------------------------------------------------
 
@@ -129,66 +127,3 @@ def test_brentq_raises_as_scipy_does():
             scipy.optimize.brentq(f, a, b, **kwargs)
         with pytest.raises(error):
             brentq(f, a, b, **kwargs)
-
-
-# -- quad --------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("k", range(32))
-def test_one_gauss_kronrod_panel_integrates_degree_31_exactly(k):
-    value, _ = quad(lambda x: x**k, -1.0, 1.0, limit=1)
-    assert value == pytest.approx(2.0 / (k + 1) if k % 2 == 0 else 0.0, abs=2e-15)
-
-
-@st.composite
-def integrands(draw):
-    """c0 + c1 e^{r t} + c2 sin(w t) on [a, b]: the shape of Khat times a direction."""
-    c0, c1, c2 = (draw(st.floats(-2.0, 2.0)) for _ in range(3))
-    r, w = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 40.0))
-    a = draw(st.floats(-2.0, 2.0))
-    b = a + draw(st.floats(1e-3, 6.0))
-    return (lambda t: c0 + c1 * math.exp(r * t) + c2 * math.sin(w * t)), a, b
-
-
-# one panel at each regime of the error estimate: the 50 eps floor (sin t,
-# e^t), the power 3/2 of 200 |K - G| over the spread, and the spread itself
-PANELS = {
-    "sin t": (math.sin, 0.0, 1.0),
-    "sin 15t": (lambda t: math.sin(15.0 * t), 0.0, 1.0),
-    "sin 20t": (lambda t: math.sin(20.0 * t), 0.0, 1.0),
-    "sin 60t": (lambda t: math.sin(60.0 * t), 0.0, 1.0),
-    "e^t": (math.exp, 0.0, 1.0),
-    "e^25t": (lambda t: math.exp(25.0 * t), 0.0, 1.0),
-    "e^30t": (lambda t: math.exp(30.0 * t), 0.0, 1.0),
-    "1/(1+30t^2)": (lambda t: 1.0 / (1.0 + 30.0 * t * t), 0.0, 1.0),
-    "1/(1+100t^2)": (lambda t: 1.0 / (1.0 + 100.0 * t * t), 0.0, 1.0),
-    "runge": (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0),
-}
-
-
-@pytest.mark.parametrize("f, a, b", PANELS.values(), ids=PANELS)
-def test_one_panel_gives_scipys_value_and_error_estimate(f, a, b):
-    value, err = quad(f, a, b, limit=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        ref_value, ref_err = scipy.integrate.quad(f, a, b, limit=1)
-    assert value == pytest.approx(ref_value, rel=1e-14)
-    # |K - G| cancels: its rounding moves the estimate, here by under 1e-9
-    assert err == pytest.approx(ref_err, rel=1e-8)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(integrands())
-def test_quad_agrees_with_scipy_to_the_duality_tolerance(case):
-    f, a, b = case
-    tol = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
-    value, err = quad(f, a, b, **tol)
-    ref, _ = scipy.integrate.quad(f, a, b, **tol)
-    bound = max(tol["epsabs"], tol["epsrel"] * abs(ref))
-    assert err <= bound
-    assert abs(value - ref) <= 2.0 * bound
-
-
-def test_quad_needs_finite_limits():
-    with pytest.raises(ValueError, match="finite"):
-        quad(math.exp, 0.0, math.inf)

@@ -23,7 +23,7 @@ EXPORTED_BEFORE = {
     "EnsembleResult", "FdTauReport", "FdTauRow",
     "InfeasibleError", "LinearDynamics", "McReport", "MeanPath", "MeanTauError",
     "NonConvergenceError", "NumericalConsistencyError", "PerturbationSpec", "PortfolioParams",
-    "ProblemSpec", "RegimeError", "ScalarSwitchReport", "SimGrid",
+    "ProblemSpec", "RegimeError", "SimGrid",
     "SingularArcError", "SmpReport", "SpecValidationError", "SynthesisResult",
     "TargetCoefficients", "TargetDiffusion", "TauDerivative", "TauSolution",
     "branch_coefficient", "check_candidate", "control_samples",
@@ -31,7 +31,7 @@ EXPORTED_BEFORE = {
     "fd_state_check", "fd_tau_check", "find_switch_times", "hamiltonian_du",
     "hit_time_derivative", "khat_evaluator", "mc_validate",
     "optimal_policy",
-    "perturbed_policy", "scalar_switch_structure", "simulate_ensemble",
+    "perturbed_policy", "simulate_ensemble",
     "solve_cost_adjoint", "solve_mean_path",
     "solve_tau", "solve_time_adjoint", "step_noise", "switch_times",
     "synthesize", "target_control_row", "target_hamiltonian_du", "target_slope_at_tau",
@@ -46,7 +46,7 @@ REMOVED = {
     "detect_min_time", "CombinedPolicy", "estimate_cost",
     "FdStateRow", "SensitivityResult", "simulate_state_sensitivity",
     "ValidationReport", "AdjointSolution", "solve_adjoints", "optimal_control",
-    "terminal_cost_drift",
+    "terminal_cost_drift", "ScalarSwitchReport", "scalar_switch_structure",
 }
 
 # methods and fields deleted from the classes that keep the rest; the
@@ -151,10 +151,8 @@ def test_every_public_function_but_the_cross_check_references_is_used_by_the_pac
         module = importlib.import_module(f"meantau.{path.stem}")
         names = getattr(module, "__all__", ())
         public |= {n for n in names if inspect.isfunction(getattr(module, n))}
-    # the cross-check reference that only tests call: criterion 9 checks
-    # synthesize against the closed form of scalar_switch_structure
     unused = public - referenced_names()
-    assert unused == {"scalar_switch_structure"}
+    assert unused == set()
 
 
 def test_khat_evaluator_is_one_function():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -22,10 +23,12 @@ from helpers import (
     time_optimal_cost,
 )
 from meantau import simulate, variational
+from meantau.adjoint import khat_evaluator
 from meantau.config import load_config, parse_policy, parse_problem
 from meantau.errors import AssumptionViolationError, DivergenceError
 from meantau.problem import (
     ControlPolicy,
+    ControlSegment,
     ControlSet,
     LinearDynamics,
     ProblemSpec,
@@ -35,6 +38,7 @@ from meantau.problem import (
 from meantau.simulate import SimGrid, _Column, _em_moments, _run_columns, step_noise
 from meantau.variational import (
     PerturbationSpec,
+    TauDerivative,
     dual_identity_check,
     fd_state_check,
     fd_tau_check,
@@ -289,6 +293,65 @@ def test_duality_identity_holds_on_random_stable_systems(problem):
     report = dual_identity_check(spec, direction, derivative)
     assert 0.0 < derivative.tau < _HIT_HORIZON
     assert report.rel_gap < 1e-6
+
+
+# Random stable systems (m, k in 1..3, as above) and directions of one to
+# three pieces g0 + g1 e^{g2 t}, whose edges fall before tau, at it and
+# after it.  Each rate is near 0, an eigenvalue of A (or its real part),
+# +-200 or -100 (the steep shape of a decaying direction) or moderate, and
+# g1 is scaled so that each piece is O(1) at its start.
+_DUAL_HORIZON = 2.0
+
+
+@st.composite
+def exponential_directions(draw):
+    """(spec, tau, direction) for the closed-form adjoint side of the duality identity."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    R = draw(_unit_entries((m, m)))
+    A = R - (np.linalg.norm(R, 2) + draw(st.floats(0.2, 1.0))) * np.eye(m)
+    dyn = LinearDynamics(
+        A=A, B=draw(_unit_entries((m, k))), C=np.zeros((1, m, m)), D=np.zeros((1, m, k)),
+        x0=np.zeros(m),
+    )
+    E1, E2, E3, E4 = (draw(_unit_entries(n)) for n in (m, m, m, k))
+    spec = ProblemSpec(
+        dyn, TargetCoefficients(E1=E1, E2=E2, E3=E3, E4=E4, y0=1.0), time_optimal_cost(m, k),
+        ControlSet(-np.ones(k), np.ones(k)), _DUAL_HORIZON,
+    )
+    tau = draw(st.floats(0.1, 1.5))
+    edge = st.one_of(st.just(tau), st.floats(0.05, _DUAL_HORIZON - 0.05))
+    edges = [0.0, *sorted(draw(st.lists(edge, max_size=2, unique=True))), _DUAL_HORIZON]
+    rates = st.one_of(
+        st.floats(-1e-9, 1e-9), st.sampled_from(sorted(np.linalg.eigvals(A).real)),
+        st.sampled_from([-200.0, -100.0, 200.0]), st.floats(-3.0, 3.0),
+    )
+    segments = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        g2 = np.array([draw(rates) for _ in range(k)])
+        g1 = draw(_unit_entries(k)) * np.exp(-g2 * a)
+        segments.append(ControlSegment(a, b, draw(_unit_entries(k)), g1, g2))
+    return spec, tau, ControlPolicy(segments)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(exponential_directions())
+def test_the_closed_form_adjoint_integral_matches_quadrature(case):
+    # the reference integrates -Khat(t).v(t) with Khat from khat_evaluator,
+    # piece by piece; the scale is the integral of its absolute value
+    spec, tau, direction = case
+    report = dual_identity_check(spec, direction, TauDerivative(tau, "i", np.nan, 0.0, 0.0))
+    khat = khat_evaluator(spec.dynamics, spec.target, tau)
+
+    def integrand(t):
+        return -float(khat(t) @ direction.values(t))
+
+    edges = np.unique(np.clip(np.append(direction.breakpoints, [0.0, tau]), 0.0, tau))
+    ref = scale = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        ref += scipy.integrate.quad(integrand, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        scale += scipy.integrate.quad(lambda t: abs(integrand(t)), a, b, epsrel=1e-6)[0]
+    assert abs(report.adjoint_integral - ref) <= 1e-13 * scale
 
 
 @settings(max_examples=20, deadline=None)
