@@ -10,7 +10,7 @@ is nonzero: component i sits at the lower bound where S_i < 0 and at the
 upper bound where S_i > 0.  At a transversal interior hit the terminal
 slope is negative (the mean target crosses zero from above), so the sign
 pattern of S equals that of Khat; synthesis exploits this and never needs
-the slope's magnitude until it certifies the converged answer.
+the slope's magnitude until it certifies the answer.
 
 For this objective the least time has a closed form: it is the first
 zero of v(t), the least mean target over the box at t, the support
@@ -18,17 +18,18 @@ function of the reachable set (Hermes and LaSalle, 1969).
 `minimum_time` computes that tau* exactly, and with it whether the target
 is reachable at all.
 
-The candidate policy and the hitting time determine each other, so the
-synthesizer solves g(tau) = T(tau) - tau by the secant method, where T(tau)
-is the hit detected under the vertex policy read off the time adjoint
-anchored at tau.  It starts at tau*, so its passes confirm that tau* is a
-fixed point of the RK4 hit map.  The first step, and any secant step that
-is not finite or leaves (0, horizon], is a damped fixed-point step instead.
+The candidate policy and the hitting time determine each other: tau is a
+fixed point of T, where T(tau) is the first hit of the mean target under
+the vertex policy read off the time adjoint anchored at tau.  The exact
+map fixes tau*, so the synthesizer reads the vertex policy off the time
+adjoint at tau* and runs one RK4 hit pass of it for the label and the
+terminal slope.  That pass cross-checks the certificate: its hit differs
+from tau* by the RK4 hit's error alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +45,6 @@ from .adjoint import (
 from .errors import (
     AssumptionViolationError,
     InfeasibleError,
-    NonConvergenceError,
     RegimeError,
     SingularArcError,
 )
@@ -55,7 +55,7 @@ from .problem import (
     target_control_row,
     target_state_row,
 )
-from .simulate import SimGrid, _scan, hit_time
+from .simulate import SimGrid, _scan
 from .variational import hit_time_derivative
 
 __all__ = [
@@ -70,11 +70,6 @@ __all__ = [
 
 # A value is near zero at most this times max(1, the largest |value|).
 _ZERO_TOL = 1e-12
-# The tau iteration has converged when |g(tau)| is at most this times max(1, tau).
-_SECANT_TOL = 1e-10
-# Weight of tau's image in the damped step tau + _DAMPING * g(tau), which
-# starts the secant solve and replaces a secant step that leaves (0, horizon].
-_DAMPING = 0.5
 
 
 def _plateau_runs(values: np.ndarray, zero_tol: float) -> int:
@@ -288,38 +283,33 @@ def _cost_violations(cost) -> list:
 
 @dataclass
 class SynthesisResult:
-    """Converged bang-bang candidate and its certification data.
+    """Bang-bang candidate at the minimum time and its certification data.
 
-    `tau_certified` is `minimum_time`'s tau*, where the tau iteration starts
-    and below which no policy in the box hits.
+    `tau` is `minimum_time`'s tau*, and `tau_certified` is the same number,
+    below which no policy in the box hits.  `tau_gap` is T(tau*) - tau*,
+    the hit that the RK4 mean solve detects under `policy` minus tau*.
     """
 
     policy: ControlPolicy
     tau: float
     tau_certified: float
+    tau_gap: float
     case_label: str
     switch_times: list
     slope_at_tau: float
+    # hit passes run (1, or 0 when y0 <= 0); the benchmark's trace counts them
     iterations: int
-    history: list = field(default_factory=list)
 
 
-def synthesize(
-    spec: ProblemSpec,
-    n_nodes: int = 4096,
-    max_iter: int = 100,
-) -> SynthesisResult:
-    """Secant synthesis of the bang-bang candidate.
+def synthesize(spec: ProblemSpec, n_nodes: int = 4096) -> SynthesisResult:
+    """The bang-bang candidate: the vertex policy at the exact minimum time.
 
-    Solves g(tau) = T(tau) - tau, where T(tau) is the hit detected under the
-    vertex policy anchored at tau, starting at the exact minimum time
-    tau* of `minimum_time` on the same n_nodes steps of [0, horizon], so the
-    passes confirm that tau* is a fixed point of the RK4 hit map.  The
-    first step is the damped step tau + `_DAMPING` * g(tau); later steps
-    are secant steps, and a secant step which is not finite or leaves
-    (0, horizon] is replaced by the damped step.  It stops once
-    |g| <= `_SECANT_TOL` max(1, tau).  `history` holds tau before each
-    pass and the converged tau.
+    tau is tau* of `minimum_time` on n_nodes steps of [0, horizon], and the
+    policy is `vertex_policy` anchored there.  One hit pass of that policy
+    on the same grid (`hit_time_derivative`) gives the case label and the
+    terminal slope, and its hit T(tau*) gives `tau_gap` = T(tau*) - tau*.
+    tau* is a fixed point of the exact hit map, so the gap is the RK4
+    hit's error alone.
 
     The vertex rule reads the sign of Khat alone, which is the whole
     first-order condition only when the objective is the elapsed time
@@ -327,19 +317,14 @@ def synthesize(
     each `problem.cost` field that leaves it, before any solve.
 
     A target that starts at or below the level (y0 <= 0) has tau = 0:
-    the result has label "i", no iterations, history [0.0], no switch
-    times and a NaN slope, and its policy holds the vertex of
-    Khat(0) = -(E3 B + E4) over [0, horizon], the vertex `vertex_policy`
-    holds past tau.  Otherwise it raises InfeasibleError when the least
-    mean target over the box stays above zero on [0, horizon] (naming that
-    least value and its time), NonConvergenceError when the tau iteration
-    exhausts `max_iter` (with the tau history and a flag for a detected
-    two-cycle), and
-    SingularArcError if the switching function vanishes on an interval.
-    A max_iter below 1 raises ValueError.
+    the result has label "i", no hit pass, no switch times and a NaN
+    slope, and its policy holds the vertex of Khat(0) = -(E3 B + E4) over
+    [0, horizon], the vertex `vertex_policy` holds past tau.  Otherwise it
+    raises InfeasibleError when the least mean target over the box stays
+    above zero on [0, horizon] (naming that least value and its time),
+    SingularArcError if the switching function vanishes on an interval, and
+    AssumptionViolationError if the terminal slope of the hit is positive.
     """
-    if max_iter < 1:
-        raise ValueError(f"need max_iter >= 1, got {max_iter}")
     spec.require_valid()
     bad = _cost_violations(spec.cost)
     if bad:
@@ -348,60 +333,23 @@ def synthesize(
             "kappa * tau with kappa >= 0: " + "; ".join(bad)
         )
     T = spec.horizon
-    box = spec.control_set
     if spec.target.y0 <= 0.0:
         # tau = 0, where Khat = -(E3 B + E4)
-        vertex = box.maximizer(-target_control_row(spec.target, spec.dynamics))
+        vertex = spec.control_set.maximizer(-target_control_row(spec.target, spec.dynamics))
         return SynthesisResult(
             policy=ControlPolicy([ControlSegment(0.0, T, vertex)]),
             tau=0.0,
-            case_label="i",
             tau_certified=0.0,
+            tau_gap=0.0,
+            case_label="i",
             switch_times=[np.array([]) for _ in vertex],
             slope_at_tau=float("nan"),
             iterations=0,
-            history=[0.0],
-        )
-    coarse = SimGrid(T, n_nodes)
-
-    tau_certified = tau = minimum_time(spec, n_nodes)
-    history = [float(tau)]
-    converged = False
-    iterations = 0
-    prev = None  # (tau, g) of the previous pass
-    for iterations in range(1, max_iter + 1):
-        policy, _ = vertex_policy(spec, tau, n_nodes)
-        tau_image, _ = hit_time(spec, policy, coarse)
-        g = tau_image - tau
-        if abs(g) <= _SECANT_TOL * max(1.0, tau):
-            tau = tau_image
-            history.append(float(tau))
-            converged = True
-            break
-        step = float("nan")
-        if prev is not None and g != prev[1]:
-            step = tau - g * (tau - prev[0]) / (g - prev[1])
-        prev = (tau, g)
-        if np.isfinite(step) and 0.0 < step <= T:
-            tau = step
-        else:
-            tau = (1.0 - _DAMPING) * tau + _DAMPING * tau_image
-        history.append(float(tau))
-
-    if not converged:
-        cycle = (
-            len(history) >= 4
-            and abs(history[-1] - history[-3]) <= 1e-9 * max(1.0, history[-1])
-            and abs(history[-1] - history[-2]) > _SECANT_TOL * max(1.0, history[-1])
-        )
-        raise NonConvergenceError(
-            f"tau iteration did not settle in {max_iter} steps",
-            history=history,
-            cycle=cycle,
         )
 
-    policy, switch_times = vertex_policy(spec, tau, n_nodes)
-    hit = hit_time_derivative(spec, policy, None, coarse)
+    tau_star = minimum_time(spec, n_nodes)
+    policy, switch_times = vertex_policy(spec, tau_star, n_nodes)
+    hit = hit_time_derivative(spec, policy, None, SimGrid(T, n_nodes))
     if hit.slope_at_tau > 0.0:
         raise AssumptionViolationError(
             f"terminal target slope {hit.slope_at_tau:.3e} is positive at a first "
@@ -409,11 +357,11 @@ def synthesize(
         )
     return SynthesisResult(
         policy=policy,
-        tau=float(hit.tau),
-        tau_certified=tau_certified,
+        tau=tau_star,
+        tau_certified=tau_star,
+        tau_gap=hit.tau - tau_star,
         case_label=hit.case_label,
         switch_times=[np.asarray(s) for s in switch_times],
         slope_at_tau=hit.slope_at_tau,
-        iterations=iterations,
-        history=history,
+        iterations=1,
     )

@@ -5,7 +5,7 @@ Subcommands:
 * simulate           path ensemble of the coupled (state, target) system
 * mean               deterministic mean solve with hit detection
 * portfolio          closed-form wealth-target policy, figure, MC check
-* bangbang           secant synthesis of the vertex policy and its tau
+* bangbang           vertex policy at the exact minimum time, with its check
 * check-smp          first-order optimality residual of a candidate
 * verify-variational hitting-time FD table, duality and sensitivity moment checks
 
@@ -31,10 +31,10 @@ is stored.  Its `--store-paths` flag is still accepted and changes
 nothing.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical
-failure (no convergence, infeasible target, diverged paths, failed
-cross-check); 4 structural assumption violated (non-transversal hit,
-singular arc, parameters outside the supported regime).  Each toolkit
-error class declares its code (`errors`); any other ValueError exits 2.
+failure (infeasible target, diverged paths, failed cross-check); 4
+structural assumption violated (non-transversal hit, singular arc,
+parameters outside the supported regime).  Each toolkit error class
+declares its code (`errors`); any other ValueError exits 2.
 """
 
 from __future__ import annotations
@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bangbang", help="synthesize the vertex policy")
     common(p, _run_bangbang)
     p.add_argument("--nodes", type=int, default=4096, help="switching grid nodes")
-    p.add_argument("--max-iter", type=int, default=100, help="budget of tau passes")
 
     p = sub.add_parser("check-smp", help="first-order optimality residual")
     common(p, _run_check_smp)
@@ -264,16 +263,13 @@ def _run_portfolio(args):
 
 def _run_bangbang(args):
     _, spec = _load(args, policy=False)
-    result = synthesize(spec, n_nodes=args.nodes, max_iter=args.max_iter)
-    tau_star = result.tau_certified
-    certificate = {"tau_certified": tau_star, "tau_gap": result.tau - tau_star}
+    result = synthesize(spec, n_nodes=args.nodes)
+    certificate = {"tau_certified": result.tau_certified, "tau_gap": result.tau_gap}
     payload = {
         "tau": result.tau,
         **certificate,
         "case_label": result.case_label,
         "slope_at_tau": result.slope_at_tau,
-        "iterations": result.iterations,
-        "tau_history": result.history,
         "switch_times": result.switch_times,
         "policy": {"segments": [asdict(s) for s in result.policy.segments]},
     }
@@ -282,7 +278,6 @@ def _run_bangbang(args):
         "tau": result.tau,
         **certificate,
         "case_label": result.case_label,
-        "iterations": result.iterations,
         "n_switches": [len(s) for s in result.switch_times],
     }
     return summary, ["policy.json"]

@@ -3,18 +3,15 @@
 Each class declares the process exit code of the command-line interface
 (`exit_code`) and the fields its one-line JSON diagnostic adds to the
 error name and message (`diagnostic_fields`); `cli.main` reads both.
-Invalid input data exits with 2, numerical failures (non-convergence,
-infeasibility, divergence, cross-check disagreement) with 3, and violated
-structural assumptions (flat target slope, singular switching arcs,
-analysis regime left) with 4.
+Invalid input data exits with 2, numerical failures (infeasibility,
+divergence, cross-check disagreement) with 3, and violated structural
+assumptions (flat target slope, singular switching arcs, analysis regime
+left) with 4.
 """
-
-from .output import fmt_float
 
 __all__ = [
     "MeanTauError",
     "SpecValidationError",
-    "NonConvergenceError",
     "InfeasibleError",
     "DivergenceError",
     "NumericalConsistencyError",
@@ -48,20 +45,6 @@ class SpecValidationError(MeanTauError):
 
     def diagnostic_fields(self) -> dict:
         return {"violations": self.violations}
-
-
-class NonConvergenceError(MeanTauError):
-    """An iterative solve exceeded its budget without meeting tolerance."""
-
-    exit_code = 3
-
-    def __init__(self, message, history=None, cycle=False):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
-        self.cycle = cycle
-
-    def diagnostic_fields(self) -> dict:
-        return {"cycle": self.cycle, "history_tail": [fmt_float(h) for h in self.history[-5:]]}
 
 
 class InfeasibleError(MeanTauError):

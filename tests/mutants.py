@@ -42,7 +42,6 @@ ROWS = [
      "self.policy.values(self.tau, side=+1)", "killed"),
     ("smp.py", "best = min(variants.values()", "best = max(variants.values()", "killed"),
     ("adjoint.py", "_SLOPE_FLOOR = 1e-8", "_SLOPE_FLOOR = 1e-4", "killed"),
-    ("bangbang.py", "_SECANT_TOL = 1e-10", "_SECANT_TOL = 1e-6", "killed"),
     ("bangbang.py", "cuts = cuts[(cuts > 1e-12) & (cuts < tau - 1e-12)]",
      "cuts = cuts[(cuts > 1e-3) & (cuts < tau - 1e-3)]", "killed"),
     # the figure's control column reads the policy's left limits
@@ -79,9 +78,6 @@ ROWS = [
     # the singular-plateau length
     ("bangbang.py", "np.max(ends - starts, initial=0)", "np.max(ends - starts - 1, initial=0)",
      "killed"),
-    # the secant step
-    ("bangbang.py", "step = tau - g * (tau - prev[0]) / (g - prev[1])",
-     "step = tau + g * (tau - prev[0]) / (g - prev[1])", "killed"),
     # check-smp's weight without the terminal cost's drift psi_lin.(A x + B u)
     ("smp.py", "weight = float(drift[0] + cost.running(xrow, u_tau)[0])",
      "weight = float(cost.running(xrow, u_tau)[0])", "killed"),
@@ -106,8 +102,6 @@ ROWS = [
     # a diverged path's diagnostic names the path
     ("errors.py", 'return {"step": self.step, "path": self.path}', 'return {"step": self.step}',
      "killed"),
-    # a spent synthesis budget reports its last five taus
-    ("errors.py", "self.history[-5:]", "self.history[-4:]", "killed"),
     # the in-house kernels: a Pade coefficient and Brent's short-step test
     ("_numerics.py", "1995840.0", "1995841.0", "killed"),
     ("_numerics.py", "bisect = not 2.0 * abs(stry) < min(", "bisect = not abs(stry) < min(",
@@ -121,6 +115,12 @@ ROWS = [
      "(slopes[:-1] >= 0.0) & (slopes[1:] <= 0.0)", "killed"),
     ("bangbang.py", "end = hit[0] if hit.size else len(times)",
      "end = hit[-1] if hit.size else len(times)", "killed"),
+    # the one synthesis pass: tau is the certificate, not the RK4 hit; the
+    # policy is anchored there; the gap is the hit minus tau*, not its negative
+    ("bangbang.py", "        tau=tau_star,", "        tau=hit.tau,", "killed"),
+    ("bangbang.py", "vertex_policy(spec, tau_star, n_nodes)",
+     "vertex_policy(spec, tau_star * (1.0 + 1e-9), n_nodes)", "killed"),
+    ("bangbang.py", "tau_gap=hit.tau - tau_star,", "tau_gap=tau_star - hit.tau,", "killed"),
     # the Van Loan helper's identity super-diagonal, dropped from the
     # three-block matrices of the minimum time and the duality integral
     ("adjoint.py", "blk = np.eye(len(diagonal) * m, k=m)",

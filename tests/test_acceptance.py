@@ -406,7 +406,7 @@ def test_criterion_11_thread_count_never_changes_bytes(tmp_path):
         ],
         "mean": ["mean", "--config", scalar_cfg, "--steps", "300"],
         "portfolio": ["portfolio", "--config", portfolio_cfg],
-        "bangbang": ["bangbang", "--config", scalar_cfg, "--nodes", "256", "--max-iter", "80"],
+        "bangbang": ["bangbang", "--config", scalar_cfg, "--nodes", "256"],
         "check-smp": ["check-smp", "--config", scalar_cfg, "--t-nodes", "128"],
         "verify-variational": [
             "verify-variational", "--config", scalar_cfg,

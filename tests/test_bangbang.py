@@ -28,7 +28,6 @@ from meantau.config import load_config, parse_problem
 from meantau.errors import (
     AssumptionViolationError,
     InfeasibleError,
-    NonConvergenceError,
     RegimeError,
     SingularArcError,
 )
@@ -226,23 +225,10 @@ def test_synthesize_scalar_upper_then_lower():
     assert float(result.policy.values(0.5 * (t0 + result.tau))[0]) == 0.2
     assert float(result.policy.values(result.tau, side=-1)[0]) == 0.2
 
-    # the converged tau is a fixed point: re-detect on a finer grid
+    # tau* is a fixed point of the hit map: re-detect on a finer grid
     mp = solve_mean_path(spec, result.policy, SimGrid(spec.horizon, 8192))
     assert mp.case_label == "i"
     assert abs(mp.tau - result.tau) < 1e-3
-
-
-def test_synthesize_scalar_converges_in_few_passes():
-    result = synthesize(scalar_spec(), n_nodes=1024)
-    assert result.iterations <= 8
-    assert len(result.history) == result.iterations + 1
-
-
-def test_synthesize_stops_once_tau_moves_by_the_secant_tolerance():
-    # the last pass is the fixed-point check: tau moves by |g(tau)| in it
-    result = synthesize(scalar_spec())
-    last, before = result.history[-1], result.history[-2]
-    assert abs(last - before) <= 1e-10 * max(1.0, result.tau)
 
 
 def test_vertex_policy_keeps_a_switch_just_before_tau():
@@ -285,24 +271,30 @@ def test_synthesize_reaches_a_target_that_no_constant_policy_reaches():
         assert hit_time(spec, ControlPolicy.constant([u], 2.0), SimGrid(2.0, 4096))[1] == "ii"
     assert abs(minimum_time(spec) - 1.9894017763440415) < 1e-12
     result = synthesize(spec)
-    assert result.iterations == 3
-    assert result.tau_certified == minimum_time(spec) == result.history[0]
-    assert abs(result.tau - 1.989401763074894) < 1e-12
+    assert result.iterations == 1
+    assert result.tau == result.tau_certified == minimum_time(spec)
+    # the exact mean under the returned policy first reaches zero at tau*
+    assert exact_hit(spec, result.policy) == result.tau
 
 
 @pytest.mark.parametrize(
-    "path, tau_star", [(SCALAR, 1.1334866124776), (TWO_STATE, 0.9614536008812)],
+    "path, tau_star, gap",
+    [(SCALAR, 1.1334866124776, -1.0e-7), (TWO_STATE, 0.9614536008812, 2.3e-8)],
     ids=["scalar", "two_state"],
 )
-def test_minimum_time_on_the_shipped_configs(path, tau_star):
+def test_minimum_time_on_the_shipped_configs(path, tau_star, gap):
     spec = parse_problem(load_config(str(path))["problem"])
     assert abs(minimum_time(spec) - tau_star) < 1e-12
-    # the tau iteration starts at tau* and confirms it as a fixed point of
-    # the RK4 hit map, whose linear root sits within 1e-6 of it
+    # synthesis answers tau* in one hit pass; the exact mean under its policy
+    # first reaches zero there, and tau_gap is the RK4 hit's offset from it
     result = synthesize(spec)
-    assert result.history[0] == result.tau_certified == minimum_time(spec)
-    assert result.iterations == 3
-    assert abs(result.tau - tau_star) < 1e-6
+    assert result.tau == result.tau_certified == minimum_time(spec)
+    assert result.iterations == 1
+    assert exact_hit(spec, result.policy) == result.tau
+    rk4_hit, label = hit_time(spec, result.policy, SimGrid(spec.horizon, 4096))
+    assert (label, result.case_label) == ("i", "i")
+    assert result.tau_gap == rk4_hit - result.tau
+    assert abs(result.tau_gap - gap) < 0.1 * abs(gap)
 
 
 def oscillator_spec(y0):
@@ -400,10 +392,13 @@ def test_minimum_time_agrees_with_scipy_and_no_synthesized_policy_beats_it(spec)
     try:
         tau_star = minimum_time(spec, n_nodes=1024)
         result = synthesize(spec, n_nodes=1024)
-    except (InfeasibleError, AssumptionViolationError, NonConvergenceError):
+    except (InfeasibleError, AssumptionViolationError):
         assume(False)
     assert abs(tau_star - scipy_minimum_time(spec)) <= 1e-9
-    assert tau_star <= exact_hit(spec, result.policy) + 1e-12
+    # one pass: tau is the certificate itself, and the exact mean under the
+    # vertex policy read off the time adjoint at tau* first reaches zero there
+    assert result.tau == result.tau_certified == tau_star
+    assert abs(exact_hit(spec, result.policy) - result.tau) <= 1e-12
 
 
 @pytest.mark.parametrize("e4", [0.5, -0.5])
@@ -414,7 +409,7 @@ def test_synthesize_at_or_below_the_level_holds_the_vertex_past_tau(y0, e4):
     spec = scalar_spec(y0=y0, e4=e4)
     result = synthesize(spec)
     assert (result.tau, result.case_label, result.iterations) == (0.0, "i", 0)
-    assert result.history == [0.0]
+    assert (result.tau_certified, result.tau_gap) == (0.0, 0.0)
     assert [s.size for s in result.switch_times] == [0]
     assert np.isnan(result.slope_at_tau)
     (segment,) = result.policy.segments
@@ -436,14 +431,6 @@ def test_synthesize_at_the_level_still_refuses_other_costs():
     cost = CostSpec(kappa=1.0, c_lin=[0.0], Lambda=[[1.0]], psi_lin=[0.0], psi_quad=[[0.0]])
     with pytest.raises(RegimeError, match="problem.cost.Lambda"):
         synthesize(scalar_spec(y0=0.0, cost=cost))
-
-
-def test_synthesize_reports_history_on_exhaustion():
-    spec = scalar_spec()
-    with pytest.raises(NonConvergenceError) as err:
-        synthesize(spec, n_nodes=256, max_iter=1)
-    assert len(err.value.history) == 2
-    assert err.value.cycle is False
 
 
 def test_scalar_structure_constant_upper():

@@ -22,7 +22,7 @@ EXPORTED_BEFORE = {
     "ControlSegment", "ControlSet", "CostSpec", "DivergenceError", "DualIdentityReport",
     "EnsembleResult", "FdTauReport", "FdTauRow",
     "InfeasibleError", "LinearDynamics", "McReport", "MeanPath", "MeanTauError",
-    "NonConvergenceError", "NumericalConsistencyError", "PerturbationSpec", "PortfolioParams",
+    "NumericalConsistencyError", "PerturbationSpec", "PortfolioParams",
     "ProblemSpec", "RegimeError", "SimGrid",
     "SingularArcError", "SmpReport", "SpecValidationError", "SynthesisResult",
     "TargetCoefficients", "TargetDiffusion", "TauDerivative", "TauSolution",
@@ -47,6 +47,7 @@ REMOVED = {
     "FdStateRow", "SensitivityResult", "simulate_state_sensitivity",
     "ValidationReport", "AdjointSolution", "solve_adjoints", "optimal_control",
     "terminal_cost_drift", "ScalarSwitchReport", "scalar_switch_structure",
+    "NonConvergenceError",
 }
 
 # methods and fields deleted from the classes that keep the rest; the
@@ -61,6 +62,7 @@ REMOVED_ATTRIBUTES = {
     simulate.MeanPath: ("grid",),
     portfolio.McReport: ("tau",),
     variational.DualIdentityReport: ("tau",),
+    bangbang.SynthesisResult: ("history",),
 }
 
 # parameters deleted from the functions that keep the rest: the
@@ -76,7 +78,7 @@ REMOVED_PARAMETERS = {
     simulate._Column: ("u_nodes", "n_steps"),
     simulate._run_columns: ("grid", "n_paths"),
     smp.check_candidate: ("terminal_x_paths", "detection_steps", "u_samples_per_axis"),
-    bangbang.synthesize: ("tol", "damping"),
+    bangbang.synthesize: ("tol", "damping", "max_iter"),
     bangbang.find_switch_times: ("zero_tol",),
     portfolio.solve_tau: ("xtol",),
     portfolio.figure_columns: ("n_nodes",),

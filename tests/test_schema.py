@@ -164,7 +164,7 @@ SMALL = [
     ["mean", "--steps", "64"],
     ["simulate", "--paths", "20", "--steps", "30"],
     ["check-smp", "--t-nodes", "32"],
-    ["bangbang", "--nodes", "64", "--max-iter", "20"],
+    ["bangbang", "--nodes", "64"],
     ["verify-variational", "--steps", "64", "--paths", "8"],
 ]
 SYMMETRIC = (("problem", "cost", "Lambda"), ("problem", "cost", "psi_quad"))
