@@ -82,6 +82,22 @@ def _van_loan(diagonal, h: float) -> np.ndarray:
     return expm(blk * h)[:m]
 
 
+def _target_row(A: np.ndarray, s: float) -> np.ndarray:
+    """[e^{As}, I(s), J(s)] from one three-block `_van_loan` of [A, 0, 0].
+
+    I(s) = int_0^s e^{Ar} dr and J(s) = int_0^s I.
+    """
+    m = A.shape[0]
+    return _van_loan([A, np.zeros((m, m)), np.zeros((m, m))], s)
+
+
+def _target_blocks(c_x: np.ndarray, A: np.ndarray, s: float):
+    """(c_x e^{As}, c_x I(s), c_x J(s)): c_x times `_target_row`."""
+    m = A.shape[0]
+    row = c_x @ _target_row(A, s)
+    return row[:m], row[m : 2 * m], row[2 * m :]
+
+
 def exp_with_integral(A: np.ndarray, h: float):
     """(e^{A h}, int_0^h e^{A s} ds) via one augmented matrix exponential (`_van_loan`)."""
     m = A.shape[0]

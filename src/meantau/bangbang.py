@@ -20,11 +20,12 @@ is reachable at all.
 
 The candidate policy and the hitting time determine each other: tau is a
 fixed point of T, where T(tau) is the first hit of the mean target under
-the vertex policy read off the time adjoint anchored at tau.  The exact
-map fixes tau*, so the synthesizer reads the vertex policy off the time
-adjoint at tau* and runs one RK4 hit pass of it for the label and the
-terminal slope.  That pass cross-checks the certificate: its hit differs
-from tau* by the RK4 hit's error alone.
+the vertex policy of Khat anchored at tau.  The exact map fixes tau*.
+There Khat(t) = -k(tau* - t), with k the kernel of `minimum_time`, so the
+zeros of k that it refines on its way to tau* are, mirrored, the switch
+times: synthesis finds them once.  One RK4 hit pass of the vertex policy
+gives the label and the terminal slope, and cross-checks the certificate:
+its hit differs from tau* by the RK4 hit's error alone.
 """
 
 from __future__ import annotations
@@ -35,16 +36,11 @@ from typing import Callable
 import numpy as np
 
 from ._numerics import brentq
-from .adjoint import (
-    _van_loan,
-    exp_with_integral,
-    khat_evaluator,
-    target_hamiltonian_du,
-    time_adjoint_closed_form,
-)
+from .adjoint import _target_blocks, _target_row, exp_with_integral, khat_evaluator
 from .errors import (
     AssumptionViolationError,
     InfeasibleError,
+    NumericalConsistencyError,
     RegimeError,
     SingularArcError,
 )
@@ -118,46 +114,35 @@ def find_switch_times(
     return out
 
 
-def vertex_policy(
-    spec: ProblemSpec, tau: float, n_nodes: int = 4096
-) -> tuple:
-    """Vertex policy induced by the time adjoint anchored at tau.
+def vertex_policy(spec: ProblemSpec, tau: float, switch_times) -> ControlPolicy:
+    """Vertex policy of Khat anchored at tau, switching at the zeros `switch_times[i]` of Khat_i.
 
-    Returns (policy, switch_times).  The policy covers [0, horizon]: past
-    tau the last vertex is held, since the target has already been reached
-    and the value there never enters the objective.  Khat at the n_nodes + 1
-    uniform nodes of [0, tau] comes from the grid form of the closed-form
-    time adjoint; switch times are refined on the closed-form Khat to 1e-10.
+    Each piece sits at the vertex of Khat at its midpoint, and a component
+    of Khat that vanishes there raises SingularArcError.  The policy covers
+    [0, horizon]: past tau the last vertex is held, since the target has
+    already been reached and the value there never enters the objective.
     """
-    dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
-    grid = SimGrid(tau, n_nodes)
-    times = grid.times()
-    khat = khat_evaluator(dyn, tgt, tau)
-    khat_nodes = target_hamiltonian_du(time_adjoint_closed_form(dyn, tgt, grid), dyn, tgt)
-    switch_times = find_switch_times(
-        times, khat_nodes, refine=lambda t, i: float(khat(t)[i])
-    )
-
-    cuts = np.concatenate([s for s in switch_times] + [np.array([0.0, tau])])
-    cuts = np.unique(np.clip(cuts, 0.0, tau))
+    khat = khat_evaluator(spec.dynamics, spec.target, tau)
+    cuts = np.unique(np.concatenate(switch_times))
     cuts = cuts[(cuts > 1e-12) & (cuts < tau - 1e-12)]
     edges = np.concatenate([[0.0], cuts, [tau]])
 
-    segments = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        k_mid = khat(0.5 * (a + b))
-        value = box.maximizer(k_mid)
-        zero = np.abs(k_mid) <= 1e-12 * max(1.0, float(np.max(np.abs(khat_nodes))))
-        if np.any(zero):
-            raise SingularArcError(component=int(np.argmax(zero)))
-        segments.append(ControlSegment(a, b, value))
+    k_mid = np.array([khat(0.5 * (a + b)) for a, b in zip(edges[:-1], edges[1:])])
+    zero = np.abs(k_mid) <= _ZERO_TOL * max(1.0, float(np.max(np.abs(k_mid))))
+    if np.any(zero):
+        raise SingularArcError(component=int(np.argwhere(zero)[0, 1]))
+    segments = [
+        ControlSegment(a, b, spec.control_set.maximizer(k))
+        for a, b, k in zip(edges[:-1], edges[1:], k_mid)
+    ]
     if tau < spec.horizon:
         segments.append(ControlSegment(tau, spec.horizon, segments[-1].gamma0))
-    return ControlPolicy(segments), switch_times
+    return ControlPolicy(segments)
 
 
-def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
-    """tau*, the least time at which some policy in the box brings the mean target to zero.
+def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> tuple:
+    """(tau*, zeros): the least time at which some policy in the box brings the
+    mean target to zero, and the zeros of its kernel k on [0, horizon].
 
     With c_x = E1 + E2 + E3 A, c_u = E3 B + E4, I(h) = int_0^h e^{As} ds and
     k(h) = c_x I(h) B + c_u, the mean target under u is y0 + c_x I(t) x0 +
@@ -170,7 +155,7 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
     LaSalle, "Functional Analysis and Time Optimal Control", 1969).  Between
     the zeros of k_i the integral is c_x J(h) B_i + c_u,i h with J(h) =
     int_0^h I, and one three-block exponential of [[A, I, 0], [0, 0, I],
-    [0, 0, 0]] h (`adjoint._van_loan`) gives e^{Ah}, I(h) and J(h).
+    [0, 0, 0]] h (`adjoint._target_row`) gives e^{Ah}, I(h) and J(h).
 
     On the n_nodes steps of [0, horizon] the rows c_x I and c_x J come from
     one doubling scan, the zeros of k from `find_switch_times` refined on the
@@ -179,13 +164,14 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
     to >= 0 holds a minimum of v, located by a root of the slope, so a dip
     below zero between two nodes is not missed.  tau* is the root of the
     exact v on the first step, or up to the first such minimum, where v <= 0;
-    it is 0 when y0 <= 0.  InfeasibleError, naming the least v found and its
-    time, when v stays above zero on [0, horizon]; SingularArcError when a
-    component of k vanishes on three nodes in a row but not on all of them.
+    it is (0.0, []) when y0 <= 0.  zeros[i] are those of k_i, refined to 1e-15,
+    none if k_i vanishes at every node.  InfeasibleError, naming the least v
+    found and its time, when v stays above zero on [0, horizon];
+    SingularArcError when k_i vanishes on three nodes in a row but not on all.
     """
     dyn, tgt, box = spec.dynamics, spec.target, spec.control_set
     if tgt.y0 <= 0.0:
-        return 0.0
+        return 0.0, []
     A, B, m = dyn.A, dyn.B, dyn.m
     c_x, c_u = target_state_row(tgt, dyn), target_control_row(tgt, dyn)
     lo, hi = box.lower, box.upper
@@ -194,19 +180,11 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
         """min(k lower_i, k upper_i): the least of k_i u_i over the box, per component."""
         return np.minimum(lo[i] * k, hi[i] * k)
 
-    # [e^{Ah}, I(h), J(h)] with I(h) = int_0^h e^{As} ds and J(h) = int_0^h I
-    diagonal = [A, np.zeros((m, m)), np.zeros((m, m))]
-
-    def blocks(h):
-        """(c_x e^{Ah}, c_x I(h), c_x J(h)) from one three-block exponential."""
-        row = c_x @ _van_loan(diagonal, h)
-        return row[:m], row[m : 2 * m], row[2 * m :]
-
     # the node rows [c_x I, c_x J]: [a, b](t + h) = [a, b](t) [[e^{Ah}, I(h)], [0, Id]]
     # + c_x [I(h), J(h)], since I(t + h) = I(t) e^{Ah} + I(h), J(t + h) = J(t) + I(t) I(h) + J(h)
     grid = SimGrid(spec.horizon, n_nodes)
     times = grid.times()
-    top = _van_loan(diagonal, grid.dt)
+    top = _target_row(A, grid.dt)
     rows = np.empty((len(times), 2 * m))
     rows[0] = 0.0
     rows[1:] = c_x @ top[:, m:]
@@ -218,6 +196,7 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
     zeros = find_switch_times(
         times, np.where(dead, 1.0, k_nodes),
         refine=lambda h, i: float(c_x @ exp_with_integral(A, h)[1] @ B[:, i] + c_u[i]),
+        xtol=1e-15,
     )
 
     # per component: the knots 0 and the zeros of k_i, int_0^t k_i at the knots and the
@@ -226,7 +205,7 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
     v_nodes = tgt.y0 + cI @ dyn.x0
     knots = []
     for i, z in enumerate(zeros):
-        K_z = np.array([blocks(t)[2] @ B[:, i] + c_u[i] * t for t in z])
+        K_z = np.array([_target_blocks(c_x, A, t)[2] @ B[:, i] + c_u[i] * t for t in z])
         order = np.argsort(np.concatenate([times, z]), kind="stable")
         dK = np.diff(np.concatenate([K_nodes[:, i], K_z])[order])
         cum = np.empty(len(order))
@@ -235,7 +214,7 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
         knots.append((np.append(0.0, z), np.append(0.0, K_z), np.append(0.0, cum[len(times) :])))
 
     def v(t):
-        _, cI_t, cJ_t = blocks(t)
+        _, cI_t, cJ_t = _target_blocks(c_x, A, t)
         K_t = cJ_t @ B + c_u * t
         out = tgt.y0 + cI_t @ dyn.x0
         for i, (z, K_z, cum_z) in enumerate(knots):
@@ -244,7 +223,7 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
         return float(out)
 
     def slope(t):
-        cE_t, cI_t, _ = blocks(t)
+        cE_t, cI_t, _ = _target_blocks(c_x, A, t)
         k_t = cI_t @ B + c_u
         return float(cE_t @ dyn.x0 + least(k_t).sum())
 
@@ -258,7 +237,7 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
         t_min = brentq(slope, times[j], times[j + 1])
         v_min = v(t_min)
         if v_min <= 0.0:
-            return brentq(v, times[j], t_min, xtol=1e-15)
+            return brentq(v, times[j], t_min, xtol=1e-15), zeros
         if v_min < low_v:
             low_t, low_v = t_min, v_min
     if not hit.size:
@@ -266,7 +245,7 @@ def minimum_time(spec: ProblemSpec, n_nodes: int = 4096) -> float:
             f"mean target stays above zero under every policy in the box: its least "
             f"value is {low_v:.6g}, at t = {low_t:.6g}"
         )
-    return brentq(v, times[end - 1], times[end], xtol=1e-15)
+    return brentq(v, times[end - 1], times[end], xtol=1e-15), zeros
 
 
 def _cost_violations(cost) -> list:
@@ -304,12 +283,11 @@ class SynthesisResult:
 def synthesize(spec: ProblemSpec, n_nodes: int = 4096) -> SynthesisResult:
     """The bang-bang candidate: the vertex policy at the exact minimum time.
 
-    tau is tau* of `minimum_time` on n_nodes steps of [0, horizon], and the
-    policy is `vertex_policy` anchored there.  One hit pass of that policy
-    on the same grid (`hit_time_derivative`) gives the case label and the
-    terminal slope, and its hit T(tau*) gives `tau_gap` = T(tau*) - tau*.
-    tau* is a fixed point of the exact hit map, so the gap is the RK4
-    hit's error alone.
+    tau is tau* of `minimum_time` on n_nodes steps of [0, horizon], whose
+    zeros z of k in (0, tau*) give the switch times tau* - z of `vertex_policy`
+    there.  One hit pass of that policy on the same grid
+    (`hit_time_derivative`) gives the case label and the terminal slope, and
+    its hit T(tau*) gives `tau_gap` = T(tau*) - tau*, the RK4 hit's error.
 
     The vertex rule reads the sign of Khat alone, which is the whole
     first-order condition only when the objective is the elapsed time
@@ -322,7 +300,9 @@ def synthesize(spec: ProblemSpec, n_nodes: int = 4096) -> SynthesisResult:
     [0, horizon], the vertex `vertex_policy` holds past tau.  Otherwise it
     raises InfeasibleError when the least mean target over the box stays
     above zero on [0, horizon] (naming that least value and its time),
-    SingularArcError if the switching function vanishes on an interval, and
+    SingularArcError if the switching function vanishes on an interval,
+    NumericalConsistencyError if the hit pass reads no hit before T although
+    tau* < T, and
     AssumptionViolationError if the terminal slope of the hit is positive.
     """
     spec.require_valid()
@@ -347,9 +327,16 @@ def synthesize(spec: ProblemSpec, n_nodes: int = 4096) -> SynthesisResult:
             iterations=0,
         )
 
-    tau_star = minimum_time(spec, n_nodes)
-    policy, switch_times = vertex_policy(spec, tau_star, n_nodes)
+    tau_star, zeros = minimum_time(spec, n_nodes)
+    switch_times = [np.sort(tau_star - z[(z > 0.0) & (z < tau_star)]) for z in zeros]
+    policy = vertex_policy(spec, tau_star, switch_times)
     hit = hit_time_derivative(spec, policy, None, SimGrid(T, n_nodes))
+    if hit.case_label == "ii" and tau_star < T:
+        raise NumericalConsistencyError(
+            f"the hit pass reads no hit before the horizon, {T - tau_star:.3g} after the "
+            f"certified minimum time {tau_star:.13g}: it reads case {hit.case_label} "
+            f"at tau = {hit.tau:.13g}"
+        )
     if hit.slope_at_tau > 0.0:
         raise AssumptionViolationError(
             f"terminal target slope {hit.slope_at_tau:.3e} is positive at a first "
@@ -361,7 +348,7 @@ def synthesize(spec: ProblemSpec, n_nodes: int = 4096) -> SynthesisResult:
         tau_certified=tau_star,
         tau_gap=hit.tau - tau_star,
         case_label=hit.case_label,
-        switch_times=[np.asarray(s) for s in switch_times],
+        switch_times=switch_times,
         slope_at_tau=hit.slope_at_tau,
         iterations=1,
     )

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adjoint import _van_loan, target_slope_at_tau
+from .adjoint import _target_blocks, _van_loan, target_slope_at_tau
 from .problem import ProblemSpec, perturbed_policy, target_control_row, target_state_row
 from .simulate import SimGrid, _Column, _em_moments, _run_columns, hit_time, mean_at_tau
 
@@ -319,21 +319,15 @@ def dual_identity_check(
     dyn = spec.dynamics
     A, B, m = dyn.A, dyn.B, dyn.m
     c_x, c_u = target_state_row(spec.target, dyn), target_control_row(spec.target, dyn)
-    zero, eye = np.zeros((m, m)), np.eye(m)
-
-    def blocks(s):
-        """(c_x e^{As}, c_x I(s), c_x J(s)) from one three-block exponential."""
-        row = c_x @ _van_loan([A, zero, zero], s)
-        return row[:m], row[m : 2 * m], row[2 * m :]
-
+    eye = np.eye(m)
     rhs = 0.0
     for seg in direction.segments:
         a, b = seg.t_start, min(seg.t_end, tau)
         if not b > a:
             continue
         h = b - a
-        _, _, cJ_a = blocks(tau - a)
-        cE_b, cI_b, cJ_b = blocks(tau - b)
+        _, _, cJ_a = _target_blocks(c_x, A, tau - a)
+        cE_b, cI_b, cJ_b = _target_blocks(c_x, A, tau - b)
         rhs += ((cJ_a - cJ_b) @ B + c_u * h) @ seg.gamma0
         k_b = cI_b @ B + c_u
         for i in np.flatnonzero(seg.gamma1):

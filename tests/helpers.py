@@ -19,10 +19,16 @@ from meantau.problem import (
     target_control_row,
     target_state_row,
 )
-from meantau.adjoint import exp_with_integral
+from meantau.adjoint import (
+    exp_with_integral,
+    khat_evaluator,
+    target_hamiltonian_du,
+    time_adjoint_closed_form,
+)
+from meantau.bangbang import find_switch_times
 from meantau.errors import SingularArcError
 from meantau.portfolio import _exp_end
-from meantau.simulate import _affine_path, _Column, _run_columns
+from meantau.simulate import SimGrid, _affine_path, _Column, _run_columns
 
 # Reference values for the default wealth-target parameters, frozen from an
 # independent high-precision root solve of the mean-wealth equation.
@@ -165,6 +171,21 @@ def time_adjoint_at(dynamics, target, tau, times) -> np.ndarray:
     for i, t in enumerate(times):
         out[i] = -(row @ exp_with_integral(dynamics.A, tau - t)[1])
     return out
+
+
+def adjoint_switch_times(spec, tau, n_nodes=4096) -> list:
+    """Zeros of each Khat component on (0, tau) by the adjoint route.
+
+    Khat at the n_nodes + 1 uniform nodes of [0, tau] from the closed-form
+    time adjoint (`time_adjoint_closed_form`, `target_hamiltonian_du`), and
+    `find_switch_times` refined on `khat_evaluator`: the reference for the
+    switch times that `bangbang.synthesize` mirrors from `minimum_time`.
+    """
+    dyn, tgt = spec.dynamics, spec.target
+    grid = SimGrid(tau, n_nodes)
+    khat = khat_evaluator(dyn, tgt, tau)
+    nodes = target_hamiltonian_du(time_adjoint_closed_form(dyn, tgt, grid), dyn, tgt)
+    return find_switch_times(grid.times(), nodes, refine=lambda t, i: float(khat(t)[i]))
 
 
 @dataclass

@@ -118,9 +118,18 @@ ROWS = [
     # the one synthesis pass: tau is the certificate, not the RK4 hit; the
     # policy is anchored there; the gap is the hit minus tau*, not its negative
     ("bangbang.py", "        tau=tau_star,", "        tau=hit.tau,", "killed"),
-    ("bangbang.py", "vertex_policy(spec, tau_star, n_nodes)",
-     "vertex_policy(spec, tau_star * (1.0 + 1e-9), n_nodes)", "killed"),
+    ("bangbang.py", "vertex_policy(spec, tau_star, switch_times)",
+     "vertex_policy(spec, tau_star * (1.0 + 1e-9), switch_times)", "killed"),
     ("bangbang.py", "tau_gap=hit.tau - tau_star,", "tau_gap=tau_star - hit.tau,", "killed"),
+    # the switch times are the zeros of k mirrored through tau*, not the
+    # zeros themselves; a hit pass that misses a certified tau* < T fails the
+    # cross-check; a Khat that vanishes at a piece's midpoint is singular
+    ("bangbang.py", "np.sort(tau_star - z[(z > 0.0) & (z < tau_star)])",
+     "np.sort(z[(z > 0.0) & (z < tau_star)])", "killed"),
+    ("bangbang.py", 'if hit.case_label == "ii" and tau_star < T:',
+     'if hit.case_label == "iii" and tau_star < T:', "killed"),
+    ("bangbang.py", "zero = np.abs(k_mid) <= _ZERO_TOL", "zero = np.abs(k_mid) < 0.0 * _ZERO_TOL",
+     "killed"),
     # the Van Loan helper's identity super-diagonal, dropped from the
     # three-block matrices of the minimum time and the duality integral
     ("adjoint.py", "blk = np.eye(len(diagonal) * m, k=m)",

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from helpers import (
     TAU_REF,
+    adjoint_switch_times,
     exact_hit,
     never_crossing_spec,
     scalar_spec,
@@ -28,6 +29,7 @@ from meantau.config import load_config, parse_problem
 from meantau.errors import (
     AssumptionViolationError,
     InfeasibleError,
+    NumericalConsistencyError,
     RegimeError,
     SingularArcError,
 )
@@ -41,6 +43,7 @@ from meantau.problem import (
 )
 from meantau.simulate import SimGrid, hit_time, solve_mean_path
 
+EPS = np.finfo(float).eps
 SCALAR = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scalar.json"
 TWO_STATE = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "two_state.json"
 
@@ -58,23 +61,38 @@ def test_khat_evaluator_matches_scalar_closed_form():
     assert float(khat(3.0)[0]) == -0.5
 
 
-def test_vertex_policy_refines_every_switch_through_the_module_brentq(monkeypatch):
-    # perfbench/tracing.py counts switch-time refinements by replacing
-    # bangbang.brentq, so find_switch_times must look it up at call time
+def test_minimum_time_refines_every_zero_through_the_module_brentq(monkeypatch):
+    # perfbench/tracing.py counts refinements by replacing bangbang.brentq, so
+    # minimum_time must look it up at call time.  Its one find_switch_times
+    # pass is the only refinement of the zeros of k: synthesis refines nothing
+    # after it, and builds no Khat node table
     spec = parse_problem(load_config(str(SCALAR))["problem"])
-    tau = synthesize(spec).tau
-    roots = []
+    roots, passes = [], []
 
     def counting_brentq(*args, **kwargs):
         roots.append(original(*args, **kwargs))
         return roots[-1]
 
+    def counting_find_switch_times(*args, **kwargs):
+        passes.append(len(roots))
+        return find_switch_times(*args, **kwargs)
+
+    assert not {"time_adjoint_closed_form", "target_hamiltonian_du"} & set(vars(bangbang))
     original = bangbang.brentq
     monkeypatch.setattr(bangbang, "brentq", counting_brentq)
-    _, switch_times = vertex_policy(spec, tau)
-    found = np.concatenate(switch_times)
-    assert len(roots) == len(found) > 0
-    np.testing.assert_array_equal(np.sort(roots), np.sort(found))
+    monkeypatch.setattr(bangbang, "find_switch_times", counting_find_switch_times)
+    tau_star, zeros = minimum_time(spec)
+    found = np.concatenate(zeros)
+    # one pass: the zeros of k on [0, horizon], in order, then the root of v at tau*
+    assert (passes, len(found)) == ([0], 1)
+    assert roots == [*found, tau_star]
+
+    roots.clear()
+    passes.clear()
+    result = synthesize(spec)
+    assert (roots, passes) == ([*found, tau_star], [0])
+    (switch,) = result.switch_times[0]
+    assert switch == tau_star - found[0]
 
 
 def node_line(times, vals):
@@ -190,8 +208,9 @@ def test_find_switch_times_handles_multiple_columns():
 
 
 def test_vertex_policy_wealth_sits_at_the_upper_bound(wealth_spec):
-    policy, switches = vertex_policy(wealth_spec, TAU_REF, n_nodes=512)
+    switches = adjoint_switch_times(wealth_spec, TAU_REF, n_nodes=512)
     assert switches[0].size == 0
+    policy = vertex_policy(wealth_spec, TAU_REF, switches)
     khat = khat_evaluator(wealth_spec.dynamics, wealth_spec.target, TAU_REF)
     assert all(float(khat(t)[0]) > 0.0 for t in np.linspace(0.0, TAU_REF, 9))
     assert float(policy.values(0.0)[0]) == 12.5
@@ -202,9 +221,12 @@ def test_vertex_policy_wealth_sits_at_the_upper_bound(wealth_spec):
 
 
 def test_vertex_policy_rejects_identically_zero_switching():
+    # Khat vanishes at every midpoint; the adjoint route sees the plateau
     spec = scalar_spec(e2=0.0, e4=0.0)
     with pytest.raises(SingularArcError):
-        vertex_policy(spec, 1.0, n_nodes=64)
+        vertex_policy(spec, 1.0, [np.array([])])
+    with pytest.raises(SingularArcError):
+        adjoint_switch_times(spec, 1.0, n_nodes=64)
 
 
 def test_synthesize_scalar_upper_then_lower():
@@ -235,8 +257,10 @@ def test_vertex_policy_keeps_a_switch_just_before_tau():
     # Khat(t) = 2 (e^{(tau - t) / 2} - 1) - c2 on scalar_spec's rows vanishes
     # at tau - t = 5e-4 when c2 = -2 (1 - e^{2.5e-4})
     c2 = -2.0 * (1.0 - np.exp(2.5e-4))
-    policy, switches = vertex_policy(scalar_spec(e4=c2), 1.0)
+    spec = scalar_spec(e4=c2)
+    switches = adjoint_switch_times(spec, 1.0)
     np.testing.assert_allclose(switches[0], [0.9995], rtol=0.0, atol=1e-10)
+    policy = vertex_policy(spec, 1.0, switches)
     assert len(policy.segments) == 3
     np.testing.assert_allclose(policy.breakpoints, [0.0, 0.9995, 1.0, 6.0], rtol=0.0, atol=1e-10)
 
@@ -269,12 +293,15 @@ def test_synthesize_reaches_a_target_that_no_constant_policy_reaches():
     spec = horizon_two_spec()
     for u in (0.85, 0.2, 1.5):
         assert hit_time(spec, ControlPolicy.constant([u], 2.0), SimGrid(2.0, 4096))[1] == "ii"
-    assert abs(minimum_time(spec) - 1.9894017763440415) < 1e-12
+    assert abs(minimum_time(spec)[0] - 1.9894017763440415) < 1e-12
     result = synthesize(spec)
     assert result.iterations == 1
-    assert result.tau == result.tau_certified == minimum_time(spec)
-    # the exact mean under the returned policy first reaches zero at tau*
-    assert exact_hit(spec, result.policy) == result.tau
+    assert result.tau == result.tau_certified == minimum_time(spec)[0]
+    # the exact mean under the returned policy first reaches zero at tau*, to
+    # the resolution of exact_hit's brentq (xtol 1e-15 plus 4 eps tau).  Bit
+    # equality here is rounding luck: the switch exact to the bit reads 6 ulp
+    # off, and switches 2.5e-15 apart around it pass it about 3 times in 5
+    assert abs(exact_hit(spec, result.policy) - result.tau) <= 1e-15 + 4 * EPS * result.tau
 
 
 @pytest.mark.parametrize(
@@ -284,17 +311,29 @@ def test_synthesize_reaches_a_target_that_no_constant_policy_reaches():
 )
 def test_minimum_time_on_the_shipped_configs(path, tau_star, gap):
     spec = parse_problem(load_config(str(path))["problem"])
-    assert abs(minimum_time(spec) - tau_star) < 1e-12
+    assert abs(minimum_time(spec)[0] - tau_star) < 1e-12
     # synthesis answers tau* in one hit pass; the exact mean under its policy
     # first reaches zero there, and tau_gap is the RK4 hit's offset from it
     result = synthesize(spec)
-    assert result.tau == result.tau_certified == minimum_time(spec)
+    assert result.tau == result.tau_certified == minimum_time(spec)[0]
     assert result.iterations == 1
     assert exact_hit(spec, result.policy) == result.tau
     rk4_hit, label = hit_time(spec, result.policy, SimGrid(spec.horizon, 4096))
     assert (label, result.case_label) == ("i", "i")
     assert result.tau_gap == rk4_hit - result.tau
     assert abs(result.tau_gap - gap) < 0.1 * abs(gap)
+    if path == SCALAR:
+        # a = 0.5, b = 1, c1 = -1, c2 = 0.5: the one switch sits at its closed form to rounding
+        (switch,) = result.switch_times[0]
+        report = scalar_switch_structure(0.5, 1.0, -1.0, 0.5, result.tau)
+        assert abs(switch - report.switch_time) <= 1e-15
+    # the switches mirrored from the zeros of k are the adjoint route's
+    reference = adjoint_switch_times(spec, result.tau)
+    assert [len(s) for s in result.switch_times] == [len(s) for s in reference]
+    assert [len(s) for s in reference] == [1] * spec.dynamics.k
+    np.testing.assert_allclose(
+        np.concatenate(result.switch_times), np.concatenate(reference), rtol=0.0, atol=1e-10
+    )
 
 
 def oscillator_spec(y0):
@@ -311,7 +350,41 @@ def test_minimum_time_finds_a_dip_between_two_nodes():
     spec = oscillator_spec(1.0 - 1e-7)
     times = SimGrid(6.0, 4096).times()
     assert np.all(1.0 - 1e-7 - np.sin(times) > 0.0)
-    assert abs(minimum_time(spec) - np.arcsin(1.0 - 1e-7)) < 1e-12
+    assert abs(minimum_time(spec)[0] - np.arcsin(1.0 - 1e-7)) < 1e-12
+
+
+def test_synthesis_refuses_a_hit_pass_that_misses_the_certified_dip():
+    # the RK4 hit pass reads nodes only, so it misses the dip that
+    # minimum_time certifies and reads "ii" at the horizon: the cross-check
+    # fails.  The first hit between nodes (ROADMAP item 13) turns this into
+    # a pass, and this test with it
+    with pytest.raises(NumericalConsistencyError) as err:
+        synthesize(oscillator_spec(1.0 - 1e-7))
+    assert str(err.value) == (
+        "the hit pass reads no hit before the horizon, 4.43 after the certified "
+        "minimum time 1.570349113196: it reads case ii at tau = 6"
+    )
+
+
+def test_synthesis_refuses_a_horizon_just_past_the_minimum_time():
+    # on scalar.json with the horizon 1e-8 past tau*, the RK4 hit pass on 8
+    # steps lags the exact mean by more than the 1e-8 left, so it reads no
+    # hit before the horizon although tau* < T.  Synthesis answers only a
+    # tau* that its hit pass confirms, so it refuses here instead of
+    # returning tau* with label "ii" and a NaN slope
+    cfg = load_config(str(SCALAR))["problem"]
+    cfg["horizon"] = 1.1334866225
+    spec = parse_problem(cfg)
+    tau_star = minimum_time(spec, n_nodes=8)[0]
+    assert 0.0 < spec.horizon - tau_star < 1.1e-8
+    assert hit_time(spec, vertex_policy(spec, tau_star, adjoint_switch_times(spec, tau_star)),
+                    SimGrid(spec.horizon, 8))[1] == "ii"
+    with pytest.raises(NumericalConsistencyError) as err:
+        synthesize(spec, n_nodes=8)
+    assert str(err.value) == (
+        "the hit pass reads no hit before the horizon, 1e-08 after the certified "
+        "minimum time 1.133486612478: it reads case ii at tau = 1.1334866225"
+    )
 
 
 def test_an_infeasible_target_names_the_least_value_between_nodes():
@@ -390,15 +463,30 @@ def stable_time_optimal_specs(draw):
 @given(spec=stable_time_optimal_specs())
 def test_minimum_time_agrees_with_scipy_and_no_synthesized_policy_beats_it(spec):
     try:
-        tau_star = minimum_time(spec, n_nodes=1024)
+        tau_star = minimum_time(spec, n_nodes=1024)[0]
         result = synthesize(spec, n_nodes=1024)
     except (InfeasibleError, AssumptionViolationError):
         assume(False)
     assert abs(tau_star - scipy_minimum_time(spec)) <= 1e-9
     # one pass: tau is the certificate itself, and the exact mean under the
-    # vertex policy read off the time adjoint at tau* first reaches zero there
+    # vertex policy of Khat anchored at tau* first reaches zero there
     assert result.tau == result.tau_certified == tau_star
     assert abs(exact_hit(spec, result.policy) - result.tau) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(spec=stable_time_optimal_specs())
+def test_synthesized_switch_times_are_the_adjoint_routes(spec):
+    # the zeros of k mirrored through tau* against Khat's zeros from the
+    # closed-form time adjoint's node table on [0, tau*]
+    try:
+        result = synthesize(spec, n_nodes=1024)
+    except (InfeasibleError, AssumptionViolationError):
+        assume(False)
+    reference = adjoint_switch_times(spec, result.tau, n_nodes=1024)
+    assert [len(s) for s in result.switch_times] == [len(s) for s in reference]
+    for got, want in zip(result.switch_times, reference):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("e4", [0.5, -0.5])
@@ -414,7 +502,7 @@ def test_synthesize_at_or_below_the_level_holds_the_vertex_past_tau(y0, e4):
     assert np.isnan(result.slope_at_tau)
     (segment,) = result.policy.segments
     assert (segment.t_start, segment.t_end) == (0.0, spec.horizon)
-    past_tau = vertex_policy(spec, 1.0, n_nodes=64)[0].segments[-1]
+    past_tau = vertex_policy(spec, 1.0, adjoint_switch_times(spec, 1.0, 64)).segments[-1]
     np.testing.assert_array_equal(segment.gamma0, past_tau.gamma0)
     assert segment.gamma0[0] == (0.2 if e4 > 0.0 else 1.5)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from meantau import cli, errors, smp
-from meantau.bangbang import synthesize, vertex_policy
+from meantau.bangbang import minimum_time, synthesize
 from meantau.cli import build_parser, main
 from meantau.config import load_config, parse_portfolio_params, parse_problem
 from meantau.portfolio import mc_validate, solve_tau
@@ -437,6 +437,32 @@ def test_exit_3_when_synthesis_is_infeasible(tmp_path, capsys):
     assert err["message"].endswith("its least value is 49.9985, at t = 1")
 
 
+def test_exit_3_when_the_hit_pass_misses_the_certified_minimum_time(tmp_path, capsys):
+    # E[Y] = y0 - sin t dips below zero between two nodes near pi / 2: the
+    # certificate finds the dip, the RK4 hit pass does not.  The first hit
+    # between nodes (ROADMAP item 13) turns this into exit 0, and this test
+    # with it
+    cfg = load_json(SCALAR)
+    cfg["problem"]["dynamics"] = {"A": [[0.0, 1.0], [-1.0, 0.0]], "B": [[0.0], [1.0]],
+                                  "C": [[[0.0, 0.0], [0.0, 0.0]]], "D": [[[0.0], [0.0]]],
+                                  "x0": [1.0, 0.0]}
+    cfg["problem"]["target"] = {"E1": [0.0, 0.0], "E2": [-1.0, 0.0], "E3": [0.0, 0.0],
+                                "E4": [0.0], "y0": 1.0 - 1e-7}
+    cfg["problem"]["cost"].update(c_lin=[0.0, 0.0], psi_lin=[0.0, 0.0],
+                                  psi_quad=[[0.0, 0.0], [0.0, 0.0]])
+    cfg["problem"]["control_set"] = {"lower": [0.0], "upper": [0.0]}
+    out = tmp_path / "out"
+    assert main(["bangbang", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "NumericalConsistencyError",
+        "message": "the hit pass reads no hit before the horizon, 4.43 after the "
+                   "certified minimum time 1.570349113196: it reads case ii at tau = 6",
+    }
+    assert not out.exists()
+
+
 def test_bangbang_reaches_a_target_that_no_constant_policy_reaches(tmp_path):
     # a constant scan of the box (midpoint, lower, upper) never hits here
     cfg = load_json(SCALAR)
@@ -588,7 +614,7 @@ def test_each_cli_default_is_the_library_default_it_feeds():
 
     parser = build_parser()
     bb = parser.parse_args(["bangbang", "--config", SCALAR])
-    assert bb.nodes == default(synthesize, "n_nodes") == default(vertex_policy, "n_nodes") == 4096
+    assert bb.nodes == default(synthesize, "n_nodes") == default(minimum_time, "n_nodes") == 4096
     check = parser.parse_args(["check-smp", "--config", SCALAR])
     assert check.t_nodes == default(check_candidate, "t_grid_size") == 2048
     assert check.tol == default(check_candidate, "tol") == 1e-8

@@ -68,8 +68,9 @@ REMOVED_ATTRIBUTES = {
 # parameters deleted from the functions that keep the rest: the
 # loop reads the grid and path count from its columns, an adjoint reads tau
 # from the end of its grid and the moment recursion x0 from its dynamics,
-# and no command set the others, which became constants or literals at
-# their one use
+# the vertex policy takes its switch times from the minimum time instead of
+# a node table, and no command set the others, which became constants or
+# literals at their one use
 REMOVED_PARAMETERS = {
     adjoint.time_adjoint_closed_form: ("tau", "times"),
     adjoint.solve_time_adjoint: ("tau",),
@@ -80,6 +81,7 @@ REMOVED_PARAMETERS = {
     smp.check_candidate: ("terminal_x_paths", "detection_steps", "u_samples_per_axis"),
     bangbang.synthesize: ("tol", "damping", "max_iter"),
     bangbang.find_switch_times: ("zero_tol",),
+    bangbang.vertex_policy: ("n_nodes",),
     portfolio.solve_tau: ("xtol",),
     portfolio.figure_columns: ("n_nodes",),
     output.svg_line_chart: ("width", "height"),
