@@ -41,6 +41,7 @@ import numpy as np
 from ._numerics import expm
 from .errors import AssumptionViolationError, NumericalConsistencyError
 from .problem import (
+    ControlPolicy,
     CostSpec,
     LinearDynamics,
     TargetCoefficients,
@@ -62,6 +63,8 @@ __all__ = [
 
 # A hit whose mean target slope is this close to zero is not transversal.
 _SLOPE_FLOOR = 1e-8
+# Largest gap between the two time-adjoint routes, relative to max(1, |p0|).
+_CROSS_CHECK_TOL = 1e-6
 
 
 def _van_loan(diagonal, h: float) -> np.ndarray:
@@ -135,26 +138,24 @@ def _backward_affine(A, source, terminal, times, r):
     Every step is cut into the same r >= 1 pieces; with r = 1 the refined
     grid is `times` itself, one run of equal steps.
     """
-    # reverse time: v(s) = w(tau - s) solves v' = A' v - source.
+    # reverse time: v(s) = w(tau - s) solves v' = A' v - source, a source through F = -I
     s_nodes = times[-1] - times[::-1]
     n = len(s_nodes) - 1
     fine = np.interp(np.arange(n * r + 1) / r, np.arange(n + 1), s_nodes)
-    v = _affine_path(A.T, None, -source, None, fine, terminal)
+    source_policy = ControlPolicy.constant(source, fine[-1])
+    v = _affine_path(A.T, -np.eye(len(source)), source_policy, fine, terminal)
     return v[::r][::-1]
 
 
 def solve_time_adjoint(
-    dynamics: LinearDynamics,
-    target: TargetCoefficients,
-    grid: SimGrid,
-    cross_check_tol: float = 1e-6,
+    dynamics: LinearDynamics, target: TargetCoefficients, grid: SimGrid
 ) -> tuple:
     """Time adjoint on a grid spanning [0, tau], tau its end, computed two ways.
 
     Route (a) is the exact closed form; route (b) integrates the backward
     ODE with sub-stepped RK4.  Returns (p0, gap): p0 is route (a), one row
     per node, and gap the sup-norm gap between the routes.  A gap beyond
-    `cross_check_tol` (relative to max(1, |p0|)) raises
+    `_CROSS_CHECK_TOL` (relative to max(1, |p0|)) raises
     NumericalConsistencyError.
     """
     times = grid.times()
@@ -170,7 +171,7 @@ def solve_time_adjoint(
 
     scale = max(1.0, float(np.max(np.abs(closed), initial=0.0)))
     gap = float(np.max(np.abs(closed - ode)))
-    if gap > cross_check_tol * scale:
+    if gap > _CROSS_CHECK_TOL * scale:
         raise NumericalConsistencyError(
             f"time adjoint closed form and backward integration disagree by {gap:.3e}"
         )

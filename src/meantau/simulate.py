@@ -17,9 +17,9 @@ caller that needs only tau solves the mean path only up to that hit
 doubling it until a node has E[Y] <= 0 or the grid ends.  A node of the
 doubling scan depends only on earlier nodes, and a row of a numpy matrix
 product does not depend on the row count, so the nodes it returns, and
-tau, are those of the full solve bit for bit.  The first-order data at
-the hit, the mean state at tau itself and the integrated response to a
-control direction, come from `mean_at_tau`.
+tau, are those of the full solve bit for bit.  The mean state at tau is
+one more RK4 step from the last of those nodes before the hit
+(`_first_order_at_hit`).
 
 Every path ensemble goes through one explicit Euler-Maruyama time loop
 whose columns share each step's noise draw.  Noise for step j comes from
@@ -82,7 +82,6 @@ __all__ = [
     "MeanPath",
     "solve_mean_path",
     "hit_time",
-    "mean_at_tau",
     "simulate_ensemble",
     "step_noise",
 ]
@@ -152,7 +151,7 @@ def _run_starts(edges: np.ndarray) -> np.ndarray:
 _FIRST_PREFIX = 1024
 
 
-def _stage_forcing(M, F, c0, policy, edges):
+def _stage_forcing(M, F, policy, edges):
     """RK4 forcing r of the sub-intervals between consecutive `edges`, one row each.
 
     Every operation is row by row, so the rows of a stretch of
@@ -160,13 +159,9 @@ def _stage_forcing(M, F, c0, policy, edges):
     """
     s0, s1 = edges[:-1], edges[1:]
     hs = s1 - s0
-    if policy is not None and F is not None:
-        f0 = policy.values(s0, side=+1) @ F.T + c0
-        fm = policy.values(0.5 * (s0 + s1), side=+1) @ F.T + c0
-        f1 = policy.values(s1, side=-1) @ F.T + c0
-    else:
-        f0 = fm = f1 = np.broadcast_to(c0, (len(s0), M.shape[0]))
-
+    f0 = policy.values(s0, side=+1) @ F.T
+    fm = policy.values(0.5 * (s0 + s1), side=+1) @ F.T
+    f1 = policy.values(s1, side=-1) @ F.T
     half = 0.5 * hs[:, None]
     k1 = f0
     k2 = half * (k1 @ M.T) + fm
@@ -206,12 +201,13 @@ def _scan_runs(M, edges, starts, ends, z):
 
 # no overflow warnings in the controls, forcing or scan: a bad node raises DivergenceError
 @np.errstate(over="ignore", invalid="ignore")
-def _affine_path(M, F, c0, policy, times, z0, stop_row=None):
-    """Integrate z' = M z + F u(t) + c0 through `times` with RK4.
+def _affine_path(M, F, policy, times, z0, stop_row=None):
+    """Integrate z' = M z + F u(t) through `times` with RK4.
 
     Each interval between consecutive requested times is split at control
     breakpoints; stage values of u at a sub-interval boundary use the
-    one-sided limit from inside the sub-interval.
+    one-sided limit from inside the sub-interval.  A constant forcing -c
+    is `ControlPolicy.constant(c, times[-1])` through F = -I, to the bit.
 
     One RK4 step over a sub-interval is the affine map z -> Phi z + r,
     with r from the stage forcing.  Within a run of one step length
@@ -249,22 +245,19 @@ def _affine_path(M, F, c0, policy, times, z0, stop_row=None):
     times = np.asarray(times, dtype=float)
     p = M.shape[0]
     z0 = np.asarray(z0, dtype=float).reshape(p)
-    if len(times) == 1:
-        return z0[None, :].copy()
 
     # sub-interval edges: `times` plus the breakpoints strictly inside a
     # step, inserted in order; `is_node` marks the requested ones
     edges, is_node = times, None
-    if policy is not None:
-        bp = policy.breakpoints
-        inner = np.unique(bp[(bp > times[0]) & (bp < times[-1])])
-        at = np.searchsorted(times, inner)
-        off_grid = times[at] != inner
-        if off_grid.any():
-            at, inner = at[off_grid], inner[off_grid]
-            edges = np.insert(times, at, inner)
-            is_node = np.ones(len(edges), dtype=bool)
-            is_node[at + np.arange(len(at))] = False
+    bp = policy.breakpoints
+    inner = np.unique(bp[(bp > times[0]) & (bp < times[-1])])
+    at = np.searchsorted(times, inner)
+    off_grid = times[at] != inner
+    if off_grid.any():
+        at, inner = at[off_grid], inner[off_grid]
+        edges = np.insert(times, at, inner)
+        is_node = np.ones(len(edges), dtype=bool)
+        is_node[at + np.arange(len(at))] = False
     n_sub = len(edges) - 1
     starts = _run_starts(edges)
     ends = np.append(starts[1:], n_sub)
@@ -273,7 +266,7 @@ def _affine_path(M, F, c0, policy, times, z0, stop_row=None):
     done = 0
     size = n_sub if stop_row is None else min(_FIRST_PREFIX, n_sub)
     while True:
-        r[done:size] = _stage_forcing(M, F, c0, policy, edges[done : size + 1])
+        r[done:size] = _stage_forcing(M, F, policy, edges[done : size + 1])
         done = size
         # z[i] is the state at edges[i]
         z = np.empty((size + 1, p))
@@ -342,7 +335,7 @@ def _joint_solve(spec: ProblemSpec, policy, times, stop_row=None) -> np.ndarray:
     """Nodes of the joint mean (E[X], E[Y]) through `times`; see `_affine_path`."""
     M, F = _joint_matrices(spec.dynamics, spec.target)
     z0 = np.concatenate([spec.dynamics.x0, [spec.target.y0]])
-    return _affine_path(M, F, np.zeros(len(z0)), policy, times, z0, stop_row)
+    return _affine_path(M, F, policy, times, z0, stop_row)
 
 
 def solve_mean_path(spec: ProblemSpec, policy, grid: SimGrid) -> MeanPath:
@@ -353,6 +346,13 @@ def solve_mean_path(spec: ProblemSpec, policy, grid: SimGrid) -> MeanPath:
     mean_y = z[:, spec.dynamics.m]
     tau, label = _first_hit(mean_y, times)
     return MeanPath(mean_x, mean_y, tau, label)
+
+
+def _hit_nodes(spec: ProblemSpec, policy, grid: SimGrid):
+    """`hit_time`'s stopped solve: (times, z, tau, label), z the joint mean nodes it returns."""
+    times, m = grid.times(), spec.dynamics.m
+    z = _joint_solve(spec, policy, times, stop_row=m)
+    return (times, z) + _first_hit(z[:, m], times)
 
 
 def hit_time(spec: ProblemSpec, policy, grid: SimGrid):
@@ -366,29 +366,25 @@ def hit_time(spec: ProblemSpec, policy, grid: SimGrid):
     tau here, where `solve_mean_path` raises DivergenceError; an overflow
     at or before the hit raises at the same step in both.
     """
-    times = grid.times()
-    m = spec.dynamics.m
-    y = _joint_solve(spec, policy, times, stop_row=m)[:, m]
-    return _first_hit(y, times)
+    return _hit_nodes(spec, policy, grid)[2:]
 
 
-def mean_at_tau(spec: ProblemSpec, policy, direction, tau: float, grid: SimGrid):
-    """(E[X](tau), int_0^tau response dt): the mean state at the hit and the
-    mean target's response to `direction` integrated up to it.
+def _first_order_at_hit(spec: ProblemSpec, policy, direction, times, z, tau: float):
+    """(E[X](tau), int_0^tau response dt) at an interior hit of `_hit_nodes`.
 
-    The joint mean is solved through the nodes of `grid` before tau, then
-    to tau itself.  The response is the last row of the same system,
-    started at 0 and driven by `direction` alone; it is 0.0 when
-    `direction` is None.
+    The last node z[j] is the first at or below the level, so tau lies in
+    (t_{j-1}, t_j].  E[X](tau) is one RK4 step of the joint mean from
+    z[j-1] over [t_{j-1}, tau], split at a control breakpoint inside it,
+    and a non-finite one raises DivergenceError.  The response is the last
+    row of the same system on t_0, ..., t_{j-1}, tau, started at 0 and
+    driven by `direction` alone; it is 0.0 when `direction` is None.
     """
-    times = grid.times()
-    times = np.append(times[times < tau - 1e-15], tau)
-    mean_x_tau = _joint_solve(spec, policy, times)[-1, : spec.dynamics.m]
+    m, j = spec.dynamics.m, len(z) - 1
+    M, F = _joint_matrices(spec.dynamics, spec.target)
+    mean_x_tau = _affine_path(M, F, policy, [times[j - 1], tau], z[j - 1])[-1, :m]
     if direction is None:
         return mean_x_tau, 0.0
-    M, F = _joint_matrices(spec.dynamics, spec.target)
-    zero = np.zeros(spec.dynamics.m + 1)  # no constant forcing, started at rest
-    resp = _affine_path(M, F, zero, direction, times, zero)[-1, -1]
+    resp = _affine_path(M, F, direction, np.append(times[:j], tau), np.zeros(m + 1))[-1, -1]
     return mean_x_tau, float(resp)
 
 

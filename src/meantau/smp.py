@@ -43,7 +43,7 @@ from .adjoint import (
 )
 from .errors import RegimeError
 from .problem import ProblemSpec
-from .simulate import SimGrid, hit_time, mean_at_tau
+from .simulate import SimGrid, hit_time, solve_mean_path
 
 __all__ = [
     "control_samples",
@@ -172,7 +172,7 @@ def check_candidate(
 
     grid = SimGrid(tau, t_grid_size)
     times = grid.times()
-    mean_x_tau, _ = mean_at_tau(spec, policy, None, tau, grid)
+    mean_x_tau = solve_mean_path(spec, policy, grid).mean_x[-1]
     p0, gap = solve_time_adjoint(dyn, tgt, grid)
     p = solve_cost_adjoint(dyn, cost, grid, mean_x_tau)
 

@@ -38,7 +38,8 @@ import numpy as np
 
 from .adjoint import _target_blocks, _van_loan, target_slope_at_tau
 from .problem import ProblemSpec, perturbed_policy, target_control_row, target_state_row
-from .simulate import SimGrid, _Column, _em_moments, _run_columns, hit_time, mean_at_tau
+from .simulate import SimGrid, _Column, _em_moments, _first_order_at_hit, _hit_nodes
+from .simulate import _run_columns, hit_time
 
 __all__ = [
     "PerturbationSpec",
@@ -218,14 +219,15 @@ def hit_time_derivative(
     """Closed-form directional derivative (tau - tau^rho)/rho -> value.
 
     The one route to tau, its label, the terminal slope and the response
-    integral.  A `direction` of None has response 0, for a caller that
-    needs only the hit and its slope.  A non-transversal interior hit
-    raises AssumptionViolationError from `target_slope_at_tau`.
+    integral, all off one RK4 hit pass (`simulate._first_order_at_hit`).
+    A `direction` of None has response 0, for a caller that needs only
+    the hit and its slope.  A non-transversal interior hit raises
+    AssumptionViolationError from `target_slope_at_tau`.
     """
-    tau, label = hit_time(spec, policy, grid)
+    times, z, tau, label = _hit_nodes(spec, policy, grid)
     if label != "i" or tau <= 0.0:
         return TauDerivative(tau, label, float("nan"), float("nan"), 0.0)
-    mean_x_tau, resp = mean_at_tau(spec, policy, direction, tau, grid)
+    mean_x_tau, resp = _first_order_at_hit(spec, policy, direction, times, z, tau)
     u_tau = policy.values(tau, side=-1)
     slope = target_slope_at_tau(spec.target, spec.dynamics, mean_x_tau, u_tau)
     return TauDerivative(tau, label, slope, resp, resp / slope)

@@ -23,12 +23,16 @@ from meantau.adjoint import (
     exp_with_integral,
     khat_evaluator,
     target_hamiltonian_du,
+    target_slope_at_tau,
     time_adjoint_closed_form,
 )
 from meantau.bangbang import find_switch_times
 from meantau.errors import SingularArcError
 from meantau.portfolio import _exp_end
-from meantau.simulate import SimGrid, _affine_path, _Column, _run_columns
+from meantau.simulate import (
+    SimGrid, _affine_path, _Column, _joint_matrices, _run_columns, hit_time,
+)
+from meantau.variational import TauDerivative
 
 # Reference values for the default wealth-target parameters, frozen from an
 # independent high-precision root solve of the mean-wealth equation.
@@ -141,9 +145,33 @@ def mean_ode_solve(dynamics, policy, grid) -> np.ndarray:
     The state rows of the RK4 affine solve: the mean of a linear system is
     closed under the drift alone, so the diffusion coefficients never enter.
     """
-    return _affine_path(
-        dynamics.A, dynamics.B, np.zeros(dynamics.m), policy, grid.times(), dynamics.x0
-    )
+    return _affine_path(dynamics.A, dynamics.B, policy, grid.times(), dynamics.x0)
+
+
+def two_solve_tau_derivative(spec, policy, direction, grid) -> TauDerivative:
+    """`variational.hit_time_derivative` by its two-solve route.
+
+    tau and the label come from `hit_time`; E[X](tau) and the response
+    come from a second RK4 solve of the joint mean from node 0 through the
+    nodes of `grid` before tau, then to tau itself (nodes within 1e-15 of
+    tau dropped).  The reference for the first-order data that the
+    package reads off the hit pass's nodes instead.
+    """
+    tau, label = hit_time(spec, policy, grid)
+    if label != "i" or tau <= 0.0:
+        return TauDerivative(tau, label, float("nan"), float("nan"), 0.0)
+    times = grid.times()
+    times = np.append(times[times < tau - 1e-15], tau)
+    m = spec.dynamics.m
+    M, F = _joint_matrices(spec.dynamics, spec.target)
+    z0 = np.append(spec.dynamics.x0, spec.target.y0)
+    mean_x_tau = _affine_path(M, F, policy, times, z0)[-1, :m]
+    resp = 0.0
+    if direction is not None:
+        resp = float(_affine_path(M, F, direction, times, np.zeros(m + 1))[-1, -1])
+    u_tau = policy.values(tau, side=-1)
+    slope = target_slope_at_tau(spec.target, spec.dynamics, mean_x_tau, u_tau)
+    return TauDerivative(tau, label, slope, resp, resp / slope)
 
 
 def hamiltonian(x, u, p, dynamics, cost) -> float:

@@ -60,16 +60,17 @@ ROWS = [
     # RK4's last stage
     ("simulate.py", "k4 = hs[:, None] * (k3 @ M.T) + f1", "k4 = hs[:, None] * (k3 @ M.T) + fm",
      "killed"),
-    # mean_at_tau's last partial step
-    ("simulate.py", "times = np.append(times[times < tau - 1e-15], tau)",
-     "times = times[times < tau - 1e-15]", "killed"),
+    # the response solve's last partial step, from the node before the hit
+    # to tau; the step to E[X](tau) from that node, not from the hit node
+    ("simulate.py", "np.append(times[:j], tau)", "times[: j + 1]", "killed"),
+    ("simulate.py", "[times[j - 1], tau], z[j - 1])", "[times[j - 1], tau], z[j])", "killed"),
     # the cost fold's interpolated x(tau)
     ("simulate.py", "(1.0 - lam) * a + lam * b", "lam * a + (1.0 - lam) * b", "killed"),
     # the EM moment map's C term
     ("simulate.py", "phi += dt * np.kron(C, C)", "phi += 0.5 * dt * np.kron(C, C)", "killed"),
-    # the backward-RK4 step
-    ("adjoint.py", "v = _affine_path(A.T, None, -source, None, fine, terminal)",
-     "v = _affine_path(A.T, None, source, None, fine, terminal)", "killed"),
+    # the backward-RK4 step's source, driven through -I
+    ("adjoint.py", "v = _affine_path(A.T, -np.eye(len(source)),",
+     "v = _affine_path(A.T, np.eye(len(source)),", "killed"),
     # check-smp's left limit at its last node, and its weight at u(tau-)
     ("smp.py", "u_bar[-1] = policy.values(times[-1], side=-1)",
      "u_bar[-1] = policy.values(times[-1], side=+1)", "killed"),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import hamiltonian, scalar_spec, time_adjoint_at
-from meantau import adjoint
+from meantau import adjoint, simulate
 from meantau.adjoint import (
     _backward_affine,
     exp_with_integral,
@@ -18,7 +18,7 @@ from meantau.adjoint import (
     time_adjoint_closed_form,
 )
 from meantau.errors import AssumptionViolationError, NumericalConsistencyError
-from meantau.problem import CostSpec, LinearDynamics, TargetCoefficients
+from meantau.problem import ControlPolicy, CostSpec, LinearDynamics, TargetCoefficients
 from meantau.simulate import SimGrid, _affine_path, _run_starts
 
 
@@ -72,21 +72,36 @@ def test_khat_at_one_time_is_the_pointwise_adjoint():
         np.testing.assert_array_equal(khat(t), target_hamiltonian_du(p0, dyn, tgt))
 
 
-def test_solve_time_adjoint_cross_checks_routes():
+def test_solve_time_adjoint_cross_checks_routes(monkeypatch):
     spec = scalar_spec(a=0.7)
     p0, _ = solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64))
     assert p0[-1, 0] == 0.0
     # demanding exact agreement between the two routes must fail
+    monkeypatch.setattr(adjoint, "_CROSS_CHECK_TOL", 0.0)
     with pytest.raises(NumericalConsistencyError):
-        solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64), cross_check_tol=0.0)
+        solve_time_adjoint(spec.dynamics, spec.target, SimGrid(2.0, 64))
+
+
+def reference_constant_forcing(M, c, edges):
+    """RK4 forcing rows of z' = M z + c over the sub-intervals of `edges`.
+
+    Every stage reads the constant c itself: the reference for a constant
+    source that the kernel takes as a policy through a matrix F.
+    """
+    hs = np.diff(edges)[:, None]
+    f = np.broadcast_to(c, (len(hs), len(c)))
+    k2 = 0.5 * hs * (f @ M.T) + f
+    k3 = 0.5 * hs * (k2 @ M.T) + f
+    k4 = hs * (k3 @ M.T) + f
+    return (hs / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def test_refine_splits_long_intervals_only(monkeypatch):
     seen = []  # the fine grids `_backward_affine` hands to `_affine_path`
 
-    def spy(M, F, c0, policy, times, z0):
+    def spy(M, F, policy, times, z0):
         seen.append(times)
-        return _affine_path(M, F, c0, policy, times, z0)
+        return _affine_path(M, F, policy, times, z0)
 
     monkeypatch.setattr(adjoint, "_affine_path", spy)
     A, source, terminal = np.array([[0.3, 1.0], [-0.5, -0.2]]), np.array([0.7, -0.4]), np.zeros(2)
@@ -100,8 +115,13 @@ def test_refine_splits_long_intervals_only(monkeypatch):
     (fine,) = seen
     np.testing.assert_array_equal(fine, s_nodes)
     assert len(_run_starts(fine)) == 1
-    direct = _affine_path(A.T, None, -source, None, s_nodes, terminal)
+    # the constant source, driven through F = -I, is the forcing -source
+    # to the bit: products with -1 and 0 are exact
+    minus_eye = -np.eye(2)
+    direct = _affine_path(A.T, minus_eye, ControlPolicy.constant(source, tau), s_nodes, terminal)
     np.testing.assert_array_equal(got, direct[::-1])
+    r = simulate._stage_forcing(A.T, minus_eye, ControlPolicy.constant(source, tau), s_nodes)
+    np.testing.assert_array_equal(r, reference_constant_forcing(A.T, -source, s_nodes))
     # r = 3 cuts every step into the same 3 pieces, and the coarse nodes
     # are those of a solve on the fine grid
     grid = SimGrid(2.0, 16)
@@ -110,7 +130,8 @@ def test_refine_splits_long_intervals_only(monkeypatch):
     fine = seen[-1]
     assert len(fine) == 3 * 16 + 1
     np.testing.assert_array_equal(fine[::3], 2.0 - times[::-1])
-    direct = _affine_path(A.T, None, -source, None, 2.0 - SimGrid(2.0, 48).times()[::-1], terminal)
+    direct = _affine_path(A.T, minus_eye, ControlPolicy.constant(source, 2.0),
+                          2.0 - SimGrid(2.0, 48).times()[::-1], terminal)
     np.testing.assert_allclose(got, direct[::3][::-1], rtol=0, atol=1e-14)
 
 
@@ -243,7 +264,8 @@ def test_randomized_closed_form_vs_backward_integration():
             E4=rng.normal(size=1),
             y0=1.0,
         )
-        p0, _ = solve_time_adjoint(dyn, tgt, SimGrid(tau, 64), cross_check_tol=1e-8)
+        p0, gap = solve_time_adjoint(dyn, tgt, SimGrid(tau, 64))
+        assert gap <= 1e-8 * max(1.0, float(np.max(np.abs(p0))))
         assert np.all(np.abs(p0[-1]) == 0.0)
 
 

@@ -313,11 +313,15 @@ def test_minimum_time_on_the_shipped_configs(path, tau_star, gap):
     spec = parse_problem(load_config(str(path))["problem"])
     assert abs(minimum_time(spec)[0] - tau_star) < 1e-12
     # synthesis answers tau* in one hit pass; the exact mean under its policy
-    # first reaches zero there, and tau_gap is the RK4 hit's offset from it
+    # first reaches zero there, to the resolution of exact_hit's brentq
+    # (xtol 1e-15 plus 4 eps tau: bit equality would hold by rounding), and
+    # tau_gap is the RK4 hit's offset from it
     result = synthesize(spec)
     assert result.tau == result.tau_certified == minimum_time(spec)[0]
     assert result.iterations == 1
-    assert exact_hit(spec, result.policy) == result.tau
+    assert abs(exact_hit(spec, result.policy) - result.tau) <= 1e-15 + 4 * EPS * result.tau
+    # the policy is anchored at tau: its last vertex is held from tau on
+    assert result.policy.segments[-1].t_start == result.tau
     rk4_hit, label = hit_time(spec, result.policy, SimGrid(spec.horizon, 4096))
     assert (label, result.case_label) == ("i", "i")
     assert result.tau_gap == rk4_hit - result.tau

@@ -569,7 +569,7 @@ def test_check_smp_refuses_a_quadratic_terminal_cost_before_solving(tmp_path, ca
     def never(*args, **kwargs):
         raise AssertionError("solved before refusing psi_quad")
 
-    monkeypatch.setattr(smp, "mean_at_tau", never)
+    monkeypatch.setattr(smp, "solve_mean_path", never)
     monkeypatch.setattr(smp, "solve_time_adjoint", never)
     monkeypatch.setattr(smp, "solve_cost_adjoint", never)
     cfg = load_json(SCALAR)

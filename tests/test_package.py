@@ -47,7 +47,7 @@ REMOVED = {
     "FdStateRow", "SensitivityResult", "simulate_state_sensitivity",
     "ValidationReport", "AdjointSolution", "solve_adjoints", "optimal_control",
     "terminal_cost_drift", "ScalarSwitchReport", "scalar_switch_structure",
-    "NonConvergenceError",
+    "NonConvergenceError", "mean_at_tau",
 }
 
 # methods and fields deleted from the classes that keep the rest; the
@@ -73,7 +73,7 @@ REMOVED_ATTRIBUTES = {
 # literals at their one use
 REMOVED_PARAMETERS = {
     adjoint.time_adjoint_closed_form: ("tau", "times"),
-    adjoint.solve_time_adjoint: ("tau",),
+    adjoint.solve_time_adjoint: ("tau", "cross_check_tol"),
     adjoint.solve_cost_adjoint: ("tau",),
     simulate._em_moments: ("x0",),
     simulate._Column: ("u_nodes", "n_steps"),

@@ -120,7 +120,7 @@ def test_mean_ode_matches_fine_step_euler_recursion():
     np.testing.assert_allclose(mx[-1], euler, rtol=0, atol=1e-7)
 
 
-def reference_affine_path(M, F, c0, policy, times, z0):
+def reference_affine_path(M, F, policy, times, z0):
     """The step-by-step RK4 loop that the prefix scan of `_affine_path` replaced.
 
     Same sub-intervals and stage forcing; one transfer per distinct float
@@ -129,21 +129,13 @@ def reference_affine_path(M, F, c0, policy, times, z0):
     times = np.asarray(times, dtype=float)
     p = M.shape[0]
     z0 = np.asarray(z0, dtype=float).reshape(p)
-    if len(times) == 1:
-        return z0[None, :].copy()
-    if policy is not None:
-        bp = policy.breakpoints
-        edges = np.union1d(times, bp[(bp > times[0]) & (bp < times[-1])])
-    else:
-        edges = times
+    bp = policy.breakpoints
+    edges = np.union1d(times, bp[(bp > times[0]) & (bp < times[-1])])
     s0, s1 = edges[:-1], edges[1:]
     hs = s1 - s0
-    if policy is not None and F is not None:
-        f0 = policy.values(s0, side=+1) @ F.T + c0
-        fm = policy.values(0.5 * (s0 + s1), side=+1) @ F.T + c0
-        f1 = policy.values(s1, side=-1) @ F.T + c0
-    else:
-        f0 = fm = f1 = np.broadcast_to(c0, (len(s0), p))
+    f0 = policy.values(s0, side=+1) @ F.T
+    fm = policy.values(0.5 * (s0 + s1), side=+1) @ F.T
+    f1 = policy.values(s1, side=-1) @ F.T
     half = 0.5 * hs[:, None]
     k1 = f0
     k2 = half * (k1 @ M.T) + fm
@@ -152,19 +144,12 @@ def reference_affine_path(M, F, c0, policy, times, z0):
     r = (hs[:, None] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     uniq_h, inv = np.unique(hs, return_inverse=True)
     transfers = [_rk4_transfer(M, h) for h in uniq_h]
-    rec = np.full(len(s1), -1, dtype=np.int64)
-    pos = np.searchsorted(times, s1)
-    hit = (pos < len(times)) & (times[np.minimum(pos, len(times) - 1)] == s1)
-    rec[hit] = pos[hit]
-    out = np.empty((len(times), p))
-    out[0] = z0
-    z = z0
+    states = np.empty((len(edges), p))
+    states[0] = z0
     for i in range(len(s0)):
-        z = transfers[inv[i]] @ z + r[i]
-        j = rec[i]
-        if j >= 0:
-            out[j] = z
-    return out
+        states[i + 1] = transfers[inv[i]] @ states[i] + r[i]
+    # a requested time repeated, as a hit rounded onto a node repeats it, reads one edge
+    return states[np.searchsorted(edges, times)]
 
 
 def _entries(shape):
@@ -178,12 +163,14 @@ def _entries(shape):
     k=st.integers(1, 2),
     n=st.sampled_from([1, 2, 3, 7, 64, 4097]),
     horizon=st.floats(min_value=1e-2, max_value=2.0),
-    route=st.sampled_from(["grid", "cut_at_tau", "backward"]),
+    route=st.sampled_from(["grid", "cut_at_tau", "bracket", "backward"]),
 )
 def test_prefix_scan_matches_the_step_loop(data, p, k, n, horizon, route):
     # random systems and piecewise policies; "cut_at_tau" builds the times
-    # as mean_at_tau does, "backward" drives a constant
-    # forcing without a policy, as the backward adjoint route does
+    # as the response solve at a hit does, the nodes before tau and then
+    # tau, and "bracket" as the step to E[X](tau) does, one node and then a
+    # tau after it in the same grid step; "backward" drives a constant
+    # forcing c through F = -I, as the backward adjoint route does
     M, c0, z0 = data.draw(_entries((p, p))), data.draw(_entries(p)), data.draw(_entries(p))
     times = SimGrid(horizon, n).times()
     off = horizon * np.array(data.draw(st.lists(st.floats(0.0, 1.0), max_size=12)))
@@ -195,11 +182,15 @@ def test_prefix_scan_matches_the_step_loop(data, p, k, n, horizon, route):
     policy, F = piecewise_constant(values, edges), data.draw(_entries((p, k)))
     if route == "cut_at_tau":
         tau = data.draw(st.floats(0.05, 1.0)) * horizon
-        times = np.append(times[times < tau - 1e-15], tau)
+        times = np.append(times[times < tau], tau)
+    elif route == "bracket":
+        i = data.draw(st.integers(0, n - 1))
+        frac = data.draw(st.floats(0.0, 1.0))
+        times = np.array([times[i], times[i] + frac * (times[i + 1] - times[i])])
     elif route == "backward":
-        policy, F = None, None
-    ref = reference_affine_path(M, F, c0, policy, times, z0)
-    got = _affine_path(M, F, c0, policy, times, z0)
+        policy, F = ControlPolicy.constant(c0, horizon), -np.eye(p)
+    ref = reference_affine_path(M, F, policy, times, z0)
+    got = _affine_path(M, F, policy, times, z0)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
 
@@ -259,7 +250,9 @@ def test_a_stopped_solve_returns_the_first_nodes_of_the_full_solve(data, p, k, n
     inner = inner[(inner > 0.0) & (inner < horizon)][:12]
     edges = np.concatenate([[0.0], inner, [horizon]])
     values = data.draw(arrays(np.float64, (len(edges) - 1, k), elements=st.floats(-2.0, 2.0)))
-    policy, F = piecewise_constant(values, edges), data.draw(_entries((p, k)))
+    # a last control component of 1 carries the constant forcing c0
+    policy = piecewise_constant(np.hstack([values, np.ones((len(values), 1))]), edges)
+    F = data.draw(_entries((p, k)))
     c0, z0 = data.draw(_entries(p)), data.draw(_entries(p))
     row = data.draw(st.integers(0, p - 1))
     M[row, np.arange(p) != row] = 0.0
@@ -271,8 +264,9 @@ def test_a_stopped_solve_returns_the_first_nodes_of_the_full_solve(data, p, k, n
         lo, hi = {"early": (1e-3, 0.2), "late": (0.3, 0.95), "none": (1.5, 3.0)}[stop]
         q = np.exp(M[row, row] * data.draw(st.floats(lo, hi)) * horizon)
         z0[row], c0[row] = 1.0, M[row, row] * q / (1.0 - q)
-    full = _affine_path(M, F, c0, policy, times, z0)
-    stopped = _affine_path(M, F, c0, policy, times, z0, stop_row=row)
+    F = np.hstack([F, c0[:, None]])
+    full = _affine_path(M, F, policy, times, z0)
+    stopped = _affine_path(M, F, policy, times, z0, stop_row=row)
     below = np.flatnonzero(full[:, row] <= 0.0)
     assert len(stopped) == (below[0] + 1 if below.size else len(full))
     assert np.array_equal(stopped, full[: len(stopped)])

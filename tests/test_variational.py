@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +21,7 @@ from helpers import (
     scalar_spec,
     simulate_state_sensitivity,
     time_optimal_cost,
+    two_solve_tau_derivative,
 )
 from meantau import simulate, variational
 from meantau.adjoint import khat_evaluator
@@ -34,6 +35,7 @@ from meantau.problem import (
     ProblemSpec,
     TargetCoefficients,
     perturbed_policy,
+    target_control_row,
 )
 from meantau.simulate import SimGrid, _Column, _em_moments, _run_columns, step_noise
 from meantau.variational import (
@@ -192,6 +194,63 @@ def test_hit_time_derivative_without_a_direction_keeps_the_hit_and_slope():
         full.tau, full.case_label, full.slope_at_tau
     )
     assert bare.response_integral == 0.0 and bare.value == 0.0
+
+
+def test_hit_time_derivative_solves_the_hit_a_step_and_the_response(monkeypatch):
+    # one solve from node 0 that stops at the hit, one RK4 step from the
+    # node before it to tau, and a response solve only for a direction
+    calls, real = [], simulate._affine_path
+
+    def spy(M, F, policy, times, z0, stop_row=None):
+        path = real(M, F, policy, times, z0, stop_row)
+        calls.append((policy, np.array(times), np.array(z0), stop_row, path))
+        return path
+
+    monkeypatch.setattr(simulate, "_affine_path", spy)
+    spec = scalar_spec(a=0.3, b=1.0, e2=-1.0, e4=0.4, y0=2.0, horizon=6.0)
+    grid = SimGrid(6.0, 3000)
+    times = grid.times()
+    policy = piecewise_constant([0.8, 0.6, 0.9], [0.0, 1.0, 2.0, 6.0])
+    direction = ControlPolicy.constant([0.5], 6.0)
+    for v in (direction, None):
+        calls.clear()
+        deriv = hit_time_derivative(spec, policy, v, grid)
+        assert deriv.case_label == "i"
+        hit, step = calls[:2]
+        np.testing.assert_array_equal(hit[1], times)
+        np.testing.assert_array_equal(hit[2], [1.0, 2.0])
+        assert hit[0] is policy and hit[3] == 1
+        j = len(hit[4]) - 1
+        assert hit[4][j, 1] <= 0.0 < hit[4][j - 1, 1]
+        assert step[0] is policy and step[3] is None
+        np.testing.assert_array_equal(step[1], [times[j - 1], deriv.tau])
+        np.testing.assert_array_equal(step[2], hit[4][j - 1])
+        if v is None:
+            assert len(calls) == 2
+            continue
+        (response,) = calls[2:]
+        assert response[0] is direction and response[3] is None
+        np.testing.assert_array_equal(response[1], np.append(times[:j], deriv.tau))
+        np.testing.assert_array_equal(response[2], [0.0, 0.0])
+        assert deriv.response_integral == response[4][-1, -1]
+
+
+def test_a_non_finite_state_at_tau_raises(monkeypatch):
+    # the step to tau checks its state as the hit pass checks its nodes: a
+    # non-finite one raises DivergenceError for the mean solve (path None)
+    real = simulate._affine_path
+
+    def poisoned(M, F, policy, times, z0, stop_row=None):
+        if len(times) == 2:  # the step from the node before the hit
+            z0 = np.full(len(z0), np.inf)
+        return real(M, F, policy, times, z0, stop_row)
+
+    monkeypatch.setattr(simulate, "_affine_path", poisoned)
+    spec = scalar_spec(a=0.3, b=1.0, e2=-1.0, e4=0.4, y0=2.0, horizon=6.0)
+    grid = SimGrid(6.0, 3000)
+    with pytest.raises(DivergenceError) as err:
+        hit_time_derivative(spec, ControlPolicy.constant([0.8], 6.0), None, grid)
+    assert err.value.path is None
 
 
 def test_dual_identity_without_a_derivative_rejects_a_flat_slope():
@@ -363,6 +422,47 @@ def test_hit_time_derivative_matches_fd_on_random_stable_systems(problem):
     assert report.derivative.slope_at_tau < 0.0
     finest = min(report.rows, key=lambda row: row.rho)
     assert finest.rel_gap < 1e-3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problem=hitting_problems(), data=st.data())
+def test_first_order_data_at_the_hit_are_the_two_solve_routes(problem, data):
+    # a piecewise-constant policy near u0 with up to three random pieces,
+    # then a jump strictly inside the grid step that holds its hit: the
+    # first-order data read off the hit pass's bracketing node match the
+    # second solve from node 0 (`helpers.two_solve_tau_derivative`).  A hit
+    # that rounds onto the node before it, which a target falling at a
+    # constant rate onto a node gives, has no room for the jump and is
+    # compared as it is
+    spec, base, direction = problem
+    u0 = base.values(0.0)
+    k = len(u0)
+    times = _HIT_GRID.times()
+    cuts = np.sort(data.draw(st.lists(st.floats(0.05, 0.95), max_size=3))) * _HIT_HORIZON
+    edges = np.unique(np.concatenate([[0.0], cuts, [_HIT_HORIZON]]))
+    shifts = [0.2 * data.draw(_unit_entries(k)) for _ in edges[1:]]
+    policy = piecewise_constant([u0 + d for d in shifts], edges)
+    _, z, tau, label = simulate._hit_nodes(spec, policy, _HIT_GRID)
+    assume(label == "i")
+    j = len(z) - 1
+    cut = times[j - 1] + data.draw(st.floats(0.05, 0.95)) * (tau - times[j - 1])
+    if times[j - 1] < cut < tau:
+        # past the cut the control leans against the target's control row,
+        # so the mean target falls faster and the hit stays in that step
+        c_u = target_control_row(spec.target, spec.dynamics)
+        keep = edges[edges < cut]
+        policy = piecewise_constant(
+            [u0 + d for d in shifts[: len(keep)]] + [u0 - 0.2 * c_u / np.linalg.norm(c_u)],
+            np.append(keep, [cut, _HIT_HORIZON]),
+        )
+        _, z, tau, label = simulate._hit_nodes(spec, policy, _HIT_GRID)
+        assume(label == "i" and len(z) - 1 == j and cut < tau)
+    got = hit_time_derivative(spec, policy, direction, _HIT_GRID)
+    want = two_solve_tau_derivative(spec, policy, direction, _HIT_GRID)
+    assert (got.tau, got.case_label) == (want.tau, want.case_label)
+    for name in ("slope_at_tau", "response_integral", "value"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert abs(a - b) <= 1e-13 * abs(b), name
 
 
 def test_perturbation_admissibility():
